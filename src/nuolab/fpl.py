@@ -19,7 +19,7 @@ from .hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
                          ClassFamily, Point, SingletonClass)
 from .learners import (OnlineLearner, ProtocolError, support_prediction,
                        support_restriction)
-from .littlestone import VersionSpace, soa_prediction
+from .littlestone import VersionSpace, column_masks, soa_prediction, split
 
 _MASS_SLACK = 1e-9
 
@@ -139,17 +139,33 @@ class FplLearner(OnlineLearner):
 # version-space engines: interned states for pooled keyed experts
 # ---------------------------------------------------------------------------
 
-class _FiniteClassEngine:
-    def __init__(self, cls: FiniteClass):
-        self.root = cls
-        full = frozenset(range(len(cls)))
-        self.states: list[frozenset] = [full]
-        self.index: dict[frozenset, int] = {full: 0}
-        self._pred: dict[tuple[int, Point], int] = {}
+class _InternedStates:
+    """Version spaces interned to ids in order of first appearance."""
+
+    def __init__(self, root):
+        self.states = [root]
+        self.index = {root: 0}
 
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    def _intern(self, state) -> int:
+        sid = self.index.get(state)
+        if sid is None:
+            sid = self.index[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+
+class _FiniteClassEngine(_InternedStates):
+    """States are row masks; the column masks are bound once, here."""
+
+    def __init__(self, cls: FiniteClass):
+        super().__init__((1 << len(cls)) - 1)
+        self.root = cls
+        self._colmasks = column_masks(cls)
+        self._pred: dict[tuple[int, Point], int] = {}
 
     def predict(self, sid: int, x: Point) -> int:
         key = (sid, x)
@@ -160,28 +176,14 @@ class _FiniteClassEngine:
         return p
 
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        col = self.root.point_index(x)
-        keep = frozenset(i for i in self.states[sid] if self.root.rows[i][col] == y)
-        if not keep:
-            return None
-        nid = self.index.get(keep)
-        if nid is None:
-            nid = len(self.states)
-            self.states.append(keep)
-            self.index[keep] = nid
-        return nid
+        keep = split(self.states[sid], self._colmasks[self.root.point_index(x)])[y]
+        return self._intern(keep) if keep else None
 
 
-class _SupportEngine:
+class _SupportEngine(_InternedStates):
     def __init__(self, cls: FiniteSupportClass):
+        super().__init__((frozenset(), frozenset()))
         self.cls = cls
-        root = (frozenset(), frozenset())
-        self.states: list[tuple[frozenset, frozenset]] = [root]
-        self.index: dict[tuple[frozenset, frozenset], int] = {root: 0}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
 
     def predict(self, sid: int, x: Point) -> int:
         ones, zeros = self.states[sid]
@@ -190,14 +192,7 @@ class _SupportEngine:
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
         ones, zeros = self.states[sid]
         nxt = support_restriction(self.cls, ones, zeros, x, y)
-        if nxt is None:
-            return None
-        nid = self.index.get(nxt)
-        if nid is None:
-            nid = len(self.states)
-            self.states.append(nxt)
-            self.index[nxt] = nid
-        return nid
+        return None if nxt is None else self._intern(nxt)
 
 
 class _SingletonEngine:

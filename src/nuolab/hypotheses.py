@@ -185,14 +185,6 @@ class FiniteClass:
         except KeyError:
             raise DomainError(f"point {x!r} not in class domain") from None
 
-    def column(self, x: Point) -> tuple[int, ...]:
-        j = self.point_index(x)
-        return tuple(r[j] for r in self.rows)
-
-    def value(self, i: int, x: Point) -> int:
-        """Value of the i-th row (by position) at x."""
-        return self.rows[i][self.point_index(x)]
-
     def hypothesis(self, label: int | str) -> Hypothesis:
         i = self.labels.index(label)
         return row_hypothesis(self.domain, self.rows[i], hid=label)

@@ -1,10 +1,14 @@
 """Exact Littlestone dimension, shattered-tree witnesses, and the minimax
 mistake-game oracle for finite explicit classes.
 
+A version space is an int bitmask over row ids: bit i is set iff row i
+(by position in `rows`) survives, so the lowest set bit is the smallest
+surviving id. Every restriction is one `split` by a column mask.
+
 The dimension recursion and the game-tree oracle are two independent code
 paths with separate memo tables; their agreement on finite classes is one
 of the verification suite's core checks, so neither may delegate to the
-other.
+other. They share only `column_masks` and `split`.
 """
 from __future__ import annotations
 
@@ -24,36 +28,51 @@ class CapacityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# per-class workspace: memoized dimension over surviving-row index sets
+# the bitmask kernel, and a per-class workspace memoizing the dimension
 # ---------------------------------------------------------------------------
 
+def column_masks(cls: FiniteClass) -> tuple[int, ...]:
+    """One mask per domain point, in domain order: bit i is set iff row i
+    labels that point 1."""
+    return tuple(sum(1 << i for i, row in enumerate(cls.rows) if row[col])
+                 for col in range(len(cls.domain)))
+
+
+def split(ids: int, colmask: int) -> tuple[int, int]:
+    """(zeros, ones): the rows of `ids` labeling the column 0, and 1.
+    Indexing the pair by a label y gives the restriction to y."""
+    ones = ids & colmask
+    return ids ^ ones, ones
+
+
 class _Workspace:
-    """Dimension memo for one root class, keyed by the frozenset of
-    surviving row indices. Different constraint orders reach the same
-    version space, so constraint lists are never part of the key.
-    Entries are write-once values of a pure function, so concurrent use
-    under the GIL returns identical results regardless of interleaving."""
+    """Column masks and dimension memo of one root class, keyed by the mask
+    of surviving rows (bit i set iff row i survives; the lowest set bit is
+    the smallest id). Different constraint orders reach the same version
+    space, so constraint lists are never part of the key. Entries are
+    write-once values of a pure function, so concurrent use under the GIL
+    returns identical results regardless of interleaving. Holds no
+    reference to its class, so the weak-keyed registry frees it."""
 
-    def __init__(self, root: FiniteClass):
-        self.root = root
-        self.memo: dict[frozenset[int], int] = {}
+    def __init__(self, colmasks: tuple[int, ...]):
+        self.colmasks = colmasks
+        self.memo: dict[int, int] = {}
 
-    def split(self, ids: frozenset[int], col: int):
-        rows = self.root.rows
-        zeros = frozenset(i for i in ids if rows[i][col] == 0)
-        return zeros, ids - zeros
-
-    def ldim(self, ids: frozenset[int]) -> int:
+    def ldim(self, ids: int) -> int:
         if not ids:
             raise DomainError("Ldim undefined for the empty class")
         cached = self.memo.get(ids)
         if cached is not None:
             return cached
         best = 0
-        if len(ids) > 1:
-            for col in range(len(self.root.domain)):
-                zeros, ones = self.split(ids, col)
+        if ids & (ids - 1):
+            for colmask in self.colmasks:
+                zeros, ones = split(ids, colmask)
                 if zeros and ones:
+                    # Ldim(S) <= floor(log2 |S|), so a split whose smaller
+                    # side has fewer than 2^best rows cannot beat best
+                    if min(zeros.bit_count(), ones.bit_count()).bit_length() <= best:
+                        continue
                     cand = 1 + min(self.ldim(zeros), self.ldim(ones))
                     if cand > best:
                         best = cand
@@ -67,7 +86,7 @@ _workspaces: "weakref.WeakKeyDictionary[FiniteClass, _Workspace]" = weakref.Weak
 def _workspace(root: FiniteClass) -> _Workspace:
     ws = _workspaces.get(root)
     if ws is None:
-        ws = _Workspace(root)
+        ws = _Workspace(column_masks(root))
         _workspaces[root] = ws
     return ws
 
@@ -79,34 +98,42 @@ def _workspace(root: FiniteClass) -> _Workspace:
 @dataclass(frozen=True)
 class VersionSpace:
     """The surviving rows of a root class under a list of (point, label)
-    constraints. Cheap to fork; dimension queries share the root's memo."""
+    constraints. `mask` has bit i set iff row i of `root.rows` survives, so
+    its lowest set bit is the smallest surviving id; `ids` is the same set
+    as a frozenset. Cheap to fork; dimension queries share the root's memo."""
 
     root: FiniteClass
-    ids: frozenset[int]
+    mask: int
     constraints: tuple[tuple[Point, int], ...] = ()
 
     @classmethod
     def full(cls, root: FiniteClass) -> "VersionSpace":
-        return cls(root, frozenset(range(len(root))))
+        return cls(root, (1 << len(root)) - 1)
+
+    @property
+    def ids(self) -> frozenset[int]:
+        return frozenset(i for i, b in enumerate(format(self.mask, "b")[::-1]) if b == "1")
 
     @property
     def size(self) -> int:
-        return len(self.ids)
+        return self.mask.bit_count()
 
     @property
     def is_empty(self) -> bool:
-        return not self.ids
+        return not self.mask
 
     def labels(self) -> list:
         return [self.root.labels[i] for i in sorted(self.ids)]
 
     def restrict(self, x: Point, y: int) -> "VersionSpace":
-        col = self.root.point_index(x)
-        keep = frozenset(i for i in self.ids if self.root.rows[i][col] == y)
+        if y not in (0, 1):
+            raise DomainError(f"label must be 0 or 1, got {y!r}")
+        colmask = _workspace(self.root).colmasks[self.root.point_index(x)]
+        keep = split(self.mask, colmask)[y]
         return VersionSpace(self.root, keep, self.constraints + ((x, y),))
 
     def ldim(self) -> int:
-        return _workspace(self.root).ldim(self.ids)
+        return _workspace(self.root).ldim(self.mask)
 
 
 def soa_prediction(vs: VersionSpace, x: Point) -> int:
@@ -118,7 +145,7 @@ def soa_prediction(vs: VersionSpace, x: Point) -> int:
     if vs.is_empty:
         raise DomainError("no prediction from an empty version space")
     ws = _workspace(vs.root)
-    zeros, ones = ws.split(vs.ids, vs.root.point_index(x))
+    zeros, ones = split(vs.mask, ws.colmasks[vs.root.point_index(x)])
     if not ones:
         return 0
     if not zeros:
@@ -179,17 +206,17 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
     if cls.is_empty:
         raise DomainError("no witness for an empty class")
     ws = _workspace(cls)
-    full = frozenset(range(len(cls)))
+    full = (1 << len(cls)) - 1
     if ws.ldim(full) < d:
         return None
 
     points: list[Optional[Point]] = [None] * (2 ** d - 1)
 
-    def build(ids: frozenset[int], remaining: int, node: int) -> None:
+    def build(ids: int, remaining: int, node: int) -> None:
         if remaining == 0:
             return
-        for col, x in enumerate(cls.domain):
-            zeros, ones = ws.split(ids, col)
+        for x, colmask in zip(cls.domain, ws.colmasks):
+            zeros, ones = split(ids, colmask)
             if not zeros or not ones:
                 continue
             if ws.ldim(zeros) >= remaining - 1 and ws.ldim(ones) >= remaining - 1:
@@ -206,9 +233,9 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
     for labeling in product((0, 1), repeat=d):
         ids = full
         for node, y in zip(path_node_indices(labeling), labeling):
-            col = cls.point_index(points[node - 1])
-            ids = frozenset(i for i in ids if cls.rows[i][col] == y)
-        realizers[labeling] = cls.labels[min(ids)]
+            ids = split(ids, ws.colmasks[cls.point_index(points[node - 1])])[y]
+        # the lowest set bit is the smallest surviving id
+        realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
 
     return ShatteredTreeWitness(d, tuple(points), realizers)
 
@@ -248,19 +275,17 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
             f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
             f"({max_rows} rows, {max_points} points)")
 
-    rows = cls.rows
-    ncols = len(cls.domain)
-    memo: dict[frozenset[int], int] = {}
+    colmasks = column_masks(cls)
+    memo: dict[int, int] = {}
 
-    def value(ids: frozenset[int]) -> int:
+    def value(ids: int) -> int:
         cached = memo.get(ids)
         if cached is not None:
             return cached
         best = 0
-        if len(ids) > 1:
-            for col in range(ncols):
-                zeros = frozenset(i for i in ids if rows[i][col] == 0)
-                ones = ids - zeros
+        if ids & (ids - 1):
+            for colmask in colmasks:
+                zeros, ones = split(ids, colmask)
                 if not zeros or not ones:
                     continue
                 v0, v1 = value(zeros), value(ones)
@@ -272,4 +297,4 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
         memo[ids] = best
         return best
 
-    return value(frozenset(range(len(cls))))
+    return value((1 << len(cls)) - 1)

@@ -18,7 +18,8 @@ import numpy as np
 from . import fpl, learners, nature, runner
 from .hypotheses import (DiscreteMeasure, ExplicitListFamily, FiniteClass,
                          FiniteSupportFamily, support_hypothesis)
-from .littlestone import VersionSpace, ldim, minimax_mistakes, soa_prediction
+from .littlestone import (VersionSpace, column_masks, ldim, minimax_mistakes,
+                          soa_prediction, split)
 
 
 @dataclass
@@ -83,12 +84,11 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
     mistake-update version-space learner: the adversary picks any point
     and any label consistent with some hypothesis given the full history;
     returns the worst-case total mistakes."""
-    rows = cls.rows
-    ncols = len(cls.domain)
-    memo: dict[tuple[frozenset, frozenset], int] = {}
-    pred_cache: dict[tuple[frozenset, int], int] = {}
+    colmasks = column_masks(cls)
+    memo: dict[tuple[int, int], int] = {}
+    pred_cache: dict[tuple[int, int], int] = {}
 
-    def pred(soa_ids: frozenset, col: int) -> int:
+    def pred(soa_ids: int, col: int) -> int:
         key = (soa_ids, col)
         p = pred_cache.get(key)
         if p is None:
@@ -96,20 +96,21 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
             pred_cache[key] = p
         return p
 
-    def rec(full_ids: frozenset, soa_ids: frozenset) -> int:
+    def rec(full_ids: int, soa_ids: int) -> int:
         key = (full_ids, soa_ids)
         cached = memo.get(key)
         if cached is not None:
             return cached
         best = 0
-        for col in range(ncols):
+        for col, colmask in enumerate(colmasks):
+            full_split = split(full_ids, colmask)
             for y in (0, 1):
-                nf = frozenset(i for i in full_ids if rows[i][col] == y)
+                nf = full_split[y]
                 if not nf:
                     continue
                 mistake = pred(soa_ids, col) != y
                 if mistake:
-                    ns = frozenset(i for i in soa_ids if rows[i][col] == y)
+                    ns = split(soa_ids, colmask)[y]
                 else:
                     ns = soa_ids
                     if nf == full_ids:
@@ -120,7 +121,7 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
         memo[key] = best
         return best
 
-    full = frozenset(range(len(cls)))
+    full = (1 << len(cls)) - 1
     return rec(full, full)
 
 

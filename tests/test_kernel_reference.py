@@ -1,0 +1,274 @@
+"""Differential tests: the bitmask version-space kernel against frozenset
+reference copies of the oracles, SOA and the pool engine.
+
+The references below keep version spaces as frozensets of row ids and
+split them row by row, as the oracles did before the bitmask kernel. They
+live here only, as the yardstick the kernel must match exactly.
+"""
+import random
+from itertools import product
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nuolab.fpl import ExpertPoolFpl
+from nuolab.hypotheses import FamilyComponent, FiniteClass
+from nuolab.littlestone import (VersionSpace, ldim, minimax_mistakes,
+                                path_node_indices, shattered_tree_witness,
+                                soa_prediction)
+from nuolab.verification import max_adaptive_soa_mistakes
+
+
+# ---------------------------------------------------------------------------
+# frozenset references
+# ---------------------------------------------------------------------------
+
+class RefWorkspace:
+    def __init__(self, cls):
+        self.cls = cls
+        self.memo = {}
+
+    def split(self, ids, col):
+        rows = self.cls.rows
+        zeros = frozenset(i for i in ids if rows[i][col] == 0)
+        return zeros, ids - zeros
+
+    def ldim(self, ids):
+        cached = self.memo.get(ids)
+        if cached is not None:
+            return cached
+        best = 0
+        if len(ids) > 1:
+            for col in range(len(self.cls.domain)):
+                zeros, ones = self.split(ids, col)
+                if zeros and ones:
+                    best = max(best, 1 + min(self.ldim(zeros), self.ldim(ones)))
+        self.memo[ids] = best
+        return best
+
+    def soa_prediction(self, ids, col):
+        zeros, ones = self.split(ids, col)
+        if not ones:
+            return 0
+        if not zeros:
+            return 1
+        return 1 if self.ldim(ones) > self.ldim(zeros) else 0
+
+
+def full_ids(cls):
+    return frozenset(range(len(cls)))
+
+
+def ref_ldim(cls):
+    return RefWorkspace(cls).ldim(full_ids(cls))
+
+
+def ref_minimax(cls):
+    rows, memo = cls.rows, {}
+
+    def value(ids):
+        if ids in memo:
+            return memo[ids]
+        best = 0
+        if len(ids) > 1:
+            for col in range(len(cls.domain)):
+                zeros = frozenset(i for i in ids if rows[i][col] == 0)
+                ones = ids - zeros
+                if zeros and ones:
+                    v0, v1 = value(zeros), value(ones)
+                    best = max(best, min(max(v0, 1 + v1), max(1 + v0, v1)))
+        memo[ids] = best
+        return best
+
+    return value(full_ids(cls))
+
+
+def ref_witness(cls, d):
+    """(points, realizers) of the depth-d witness, or None."""
+    ws = RefWorkspace(cls)
+    full = full_ids(cls)
+    if ws.ldim(full) < d:
+        return None
+    points = [None] * (2 ** d - 1)
+
+    def build(ids, remaining, node):
+        if remaining == 0:
+            return
+        for col, x in enumerate(cls.domain):
+            zeros, ones = ws.split(ids, col)
+            if zeros and ones and min(ws.ldim(zeros), ws.ldim(ones)) >= remaining - 1:
+                points[node - 1] = x
+                build(zeros, remaining - 1, 2 * node)
+                build(ones, remaining - 1, 2 * node + 1)
+                return
+        raise AssertionError("no splitting point")
+
+    build(full, d, 1)
+    realizers = {}
+    for labeling in product((0, 1), repeat=d):
+        ids = full
+        for node, y in zip(path_node_indices(labeling), labeling):
+            col = cls.point_index(points[node - 1])
+            ids = frozenset(i for i in ids if cls.rows[i][col] == y)
+        realizers[labeling] = cls.labels[min(ids)]
+    return tuple(points), realizers
+
+
+def ref_max_adaptive_soa_mistakes(cls):
+    rows, ws, memo = cls.rows, RefWorkspace(cls), {}
+
+    def rec(full, soa):
+        key = (full, soa)
+        if key in memo:
+            return memo[key]
+        best = 0
+        for col in range(len(cls.domain)):
+            for y in (0, 1):
+                nf = frozenset(i for i in full if rows[i][col] == y)
+                if not nf:
+                    continue
+                mistake = ws.soa_prediction(soa, col) != y
+                if mistake:
+                    ns = frozenset(i for i in soa if rows[i][col] == y)
+                elif nf == full:
+                    continue
+                else:
+                    ns = soa
+                best = max(best, int(mistake) + rec(nf, ns))
+        memo[key] = best
+        return best
+
+    return rec(full_ids(cls), full_ids(cls))
+
+
+class RefFiniteClassEngine:
+    """The pool engine over frozenset states."""
+
+    def __init__(self, cls):
+        self.root = cls
+        self.ws = RefWorkspace(cls)
+        self.states = [full_ids(cls)]
+        self.index = {self.states[0]: 0}
+
+    @property
+    def n_states(self):
+        return len(self.states)
+
+    def predict(self, sid, x):
+        return self.ws.soa_prediction(self.states[sid], self.root.point_index(x))
+
+    def restrict(self, sid, x, y):
+        col = self.root.point_index(x)
+        keep = frozenset(i for i in self.states[sid] if self.root.rows[i][col] == y)
+        if not keep:
+            return None
+        if keep not in self.index:
+            self.index[keep] = len(self.states)
+            self.states.append(keep)
+        return self.index[keep]
+
+
+# ---------------------------------------------------------------------------
+# classes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def finite_classes(draw, max_points=8, max_rows=96):
+    m = draw(st.integers(1, max_points))
+    codes = draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1,
+                          max_size=min(max_rows, 2 ** m), unique=True))
+    rows = [[(c >> j) & 1 for j in range(m)] for c in codes]
+    return FiniteClass(tuple(f"p{j}" for j in range(m)), rows)
+
+
+def random_class(rng, m, n):
+    return FiniteClass(tuple(range(m)), rng.sample(list(product((0, 1), repeat=m)), n))
+
+
+# single rows, full classes, thresholds, and random classes at the
+# minimax cap of 8 points x 96 rows
+FIXED_CLASSES = [
+    FiniteClass(("a",), [[1]]),
+    FiniteClass(("a", "b", "c"), [[0, 1, 1]]),
+    FiniteClass.full_class(("a", "b", "c", "d", "e", "f")),
+    FiniteClass.thresholds((1, 2, 3, 4, 5, 6, 7, 8), range(1, 10)),
+] + [random_class(random.Random(seed), 8, 96) for seed in range(3)]
+
+
+def assert_oracles_match(cls):
+    d = ldim(cls)
+    assert d == ref_ldim(cls)
+    assert minimax_mistakes(cls) == ref_minimax(cls)
+    for depth in range(1, d + 2):
+        w = shattered_tree_witness(cls, depth)
+        ref = ref_witness(cls, depth)
+        if ref is None:
+            assert w is None
+        else:
+            assert (w.points, w.realizers) == ref
+
+
+def test_oracles_match_reference_on_fixed_classes():
+    for cls in FIXED_CLASSES:
+        assert_oracles_match(cls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(finite_classes())
+def test_oracles_match_reference_up_to_minimax_cap(cls):
+    assert_oracles_match(cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_classes(), st.randoms(use_true_random=False))
+def test_restricts_down_to_one_row_match_reference(cls, rnd):
+    ws = RefWorkspace(cls)
+    vs, ids = VersionSpace.full(cls), full_ids(cls)
+    target = cls.rows[rnd.randrange(len(cls))]
+    cols = list(range(len(cls.domain)))
+    rnd.shuffle(cols)
+    for col in cols + cols[:1]:
+        assert vs.ids == ids and vs.size == len(ids)
+        assert vs.labels() == [cls.labels[i] for i in sorted(ids)]
+        assert vs.ldim() == ws.ldim(ids)
+        for c, x in enumerate(cls.domain):
+            assert soa_prediction(vs, x) == ws.soa_prediction(ids, c)
+        y = target[col]
+        vs = vs.restrict(cls.domain[col], y)
+        ids = frozenset(i for i in ids if cls.rows[i][col] == y)
+    assert vs.ids == ids and len(ids) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_classes(max_points=5, max_rows=14))
+def test_max_adaptive_soa_mistakes_matches_reference(cls):
+    # its state is a pair of version spaces, so classes stay at the size
+    # of the verification corpus
+    assert max_adaptive_soa_mistakes(cls) == ref_max_adaptive_soa_mistakes(cls)
+
+
+def test_pool_game_matches_reference_engine():
+    cls = random_class(random.Random(3), 6, 24)
+    comp = FamilyComponent(1, cls, 2)
+
+    def play(reference):
+        pool = ExpertPoolFpl(comp, seed=11)
+        if reference:
+            pool.engine = RefFiniteClassEngine(cls)
+        rng = random.Random(5)
+        out = []
+        for _ in range(60):
+            x = rng.randrange(6)
+            yhat = pool.predict(x)
+            pool.update(x, rng.getrandbits(1))
+            states = [pool.engine.states[s] for s in pool.state]
+            if not reference:
+                states = [VersionSpace(cls, s).ids for s in states]
+            out.append((yhat, states, pool.losses.copy()))
+        return out, pool.engine.n_states
+
+    (kernel, n_kernel), (ref, n_ref) = play(False), play(True)
+    assert n_kernel == n_ref > 1
+    for (yhat_k, states_k, losses_k), (yhat_r, states_r, losses_r) in zip(kernel, ref):
+        assert yhat_k == yhat_r and states_k == states_r
+        assert np.array_equal(losses_k, losses_r)

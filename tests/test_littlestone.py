@@ -1,8 +1,10 @@
+import gc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nuolab import littlestone
 from nuolab.hypotheses import DomainError, FiniteClass
 from nuolab.littlestone import (CapacityError, ShatteredTreeWitness,
                                 StructureError, VersionSpace, ldim,
@@ -136,6 +138,22 @@ class TestVersionSpace:
         vs = VersionSpace.full(cls).restrict("a", 1)
         assert vs.size == 2 and vs.labels() == [2, 3]
         assert vs.constraints == (("a", 1),)
+
+    def test_restrict_rejects_non_binary_label(self):
+        vs = VersionSpace.full(FiniteClass.full_class(("a", "b")))
+        for y in (-1, 2):
+            with pytest.raises(DomainError):
+                vs.restrict("a", y)
+
+    def test_workspace_freed_with_its_class(self):
+        gc.collect()
+        before = len(littlestone._workspaces)
+        cls = FiniteClass.full_class(("a", "b", "c"))
+        assert ldim(cls) == 3
+        assert len(littlestone._workspaces) == before + 1
+        del cls
+        gc.collect()
+        assert len(littlestone._workspaces) == before
 
     def test_cached_dim_matches_recomputation(self):
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4))

@@ -10,20 +10,19 @@ from .hypotheses import (ClassFamily, DiscreteMeasure, DomainError,
                          ExplicitListFamily, FamilyComponent, FiniteClass,
                          FiniteSupportClass, FiniteSupportFamily, Hypothesis,
                          NaturalThresholdFamily, Point, RationalThresholdFamily,
-                         SingletonClass, constant_hypothesis, family_component,
-                         family_from_config, hypothesis_from_config,
-                         support_hypothesis, threshold_hypothesis)
+                         SingletonClass, constant_hypothesis, family_from_config,
+                         hypothesis_from_config, support_hypothesis,
+                         threshold_hypothesis)
 from .littlestone import (CapacityError, ShatteredTreeWitness, StructureError,
                           VersionSpace, ldim, minimax_mistakes,
                           shattered_tree_witness, soa_prediction, verify_witness)
 from .learners import (AggregatorLearner, ConstantLearner, CoverLearner,
-                       CoverSpec, ExpertLearner, FiniteSupportSoa,
-                       FollowHypothesisLearner, NaturalThresholdLearner,
-                       OnlineLearner, ProtocolError, SoaLearner,
-                       TruncatedThresholdSoa, make_component_learner)
+                       CoverSpec, ExpertLearner, FollowHypothesisLearner,
+                       NaturalThresholdLearner, OnlineLearner, ProtocolError,
+                       SoaLearner, TruncatedThresholdSoa)
 from .fpl import (AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner,
-                  meta_complexity, meta_mass_partial, pool_complexity,
-                  pool_mass_bound_partial)
+                  fpl_regret_bound, hierarchical_regret_bound, meta_complexity,
+                  meta_mass_partial, pool_complexity, pool_mass_bound_partial)
 from .nature import (AgnosticScripted, CoinFlip, ExhaustionError,
                      NatureStrategy, RealizableScripted, StochasticIid,
                      TreeAdversary, WindowHalving, commit_adversary)

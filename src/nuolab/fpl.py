@@ -15,11 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
-                         ClassFamily, Point, SingletonClass)
-from .learners import (OnlineLearner, ProtocolError, support_prediction,
-                       support_restriction)
-from .littlestone import VersionSpace, column_masks, soa_prediction, split
+from .hypotheses import FamilyComponent, ClassFamily, Point
+from .learners import OnlineLearner, ProtocolError, engine_for
 
 _MASS_SLACK = 1e-9
 
@@ -29,7 +26,7 @@ class ConfigurationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# complexity schemes
+# complexity schemes and the regret bounds they give
 # ---------------------------------------------------------------------------
 
 def meta_complexity(n: int) -> float:
@@ -56,6 +53,19 @@ def pool_mass_bound_partial(dim: int, terms: int) -> float:
     pool-size overcount of the keyed experts' mass; stays below 0.83."""
     t = np.arange(1, terms + 1, dtype=float)
     return float((t ** dim * np.exp(-1.0 - (dim + 2.0) * np.log(t))).sum())
+
+
+def fpl_regret_bound(k: float, horizon: int) -> float:
+    """Expected regret bound (k + 2) sqrt(T) of the perturbed leader against
+    an expert of complexity k."""
+    return (k + 2.0) * math.sqrt(horizon)
+
+
+def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
+    """Expected regret bound of the hierarchical learner against every
+    hypothesis of component n, whose dimension is `dim`."""
+    return (dim + (dim + 3.0) * math.log(horizon) * math.sqrt(horizon)
+            + (2.0 * math.log(n) + 4.0) * math.sqrt(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -136,89 +146,6 @@ class FplLearner(OnlineLearner):
 
 
 # ---------------------------------------------------------------------------
-# version-space engines: interned states for pooled keyed experts
-# ---------------------------------------------------------------------------
-
-class _InternedStates:
-    """Version spaces interned to ids in order of first appearance."""
-
-    def __init__(self, root):
-        self.states = [root]
-        self.index = {root: 0}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def _intern(self, state) -> int:
-        sid = self.index.get(state)
-        if sid is None:
-            sid = self.index[state] = len(self.states)
-            self.states.append(state)
-        return sid
-
-
-class _FiniteClassEngine(_InternedStates):
-    """States are row masks; the column masks are bound once, here."""
-
-    def __init__(self, cls: FiniteClass):
-        super().__init__((1 << len(cls)) - 1)
-        self.root = cls
-        self._colmasks = column_masks(cls)
-        self._pred: dict[tuple[int, Point], int] = {}
-
-    def predict(self, sid: int, x: Point) -> int:
-        key = (sid, x)
-        p = self._pred.get(key)
-        if p is None:
-            p = soa_prediction(VersionSpace(self.root, self.states[sid]), x)
-            self._pred[key] = p
-        return p
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        keep = split(self.states[sid], self._colmasks[self.root.point_index(x)])[y]
-        return self._intern(keep) if keep else None
-
-
-class _SupportEngine(_InternedStates):
-    def __init__(self, cls: FiniteSupportClass):
-        super().__init__((frozenset(), frozenset()))
-        self.cls = cls
-
-    def predict(self, sid: int, x: Point) -> int:
-        ones, zeros = self.states[sid]
-        return support_prediction(self.cls, ones, zeros, x)
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        ones, zeros = self.states[sid]
-        nxt = support_restriction(self.cls, ones, zeros, x, y)
-        return None if nxt is None else self._intern(nxt)
-
-
-class _SingletonEngine:
-    n_states = 1
-
-    def __init__(self, cls: SingletonClass):
-        self.h = cls.hypothesis
-
-    def predict(self, sid: int, x: Point) -> int:
-        return self.h(x)
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        return sid if self.h(x) == y else None
-
-
-def _engine_for(cls):
-    if isinstance(cls, FiniteClass):
-        return _FiniteClassEngine(cls)
-    if isinstance(cls, FiniteSupportClass):
-        return _SupportEngine(cls)
-    if isinstance(cls, SingletonClass):
-        return _SingletonEngine(cls)
-    raise TypeError(f"no pool engine for component type {type(cls).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # FPL over a growing pool of keyed experts for one component class
 # ---------------------------------------------------------------------------
 
@@ -243,7 +170,7 @@ class ExpertPoolFpl(OnlineLearner):
         super().__init__()
         if redraw not in ("per-round", "once"):
             raise ConfigurationError(f"redraw must be 'per-round' or 'once', got {redraw!r}")
-        self.engine = _engine_for(component.cls)
+        self.engine = engine_for(component.cls)
         self.dim = component.dim
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.redraw = redraw

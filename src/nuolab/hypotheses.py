@@ -15,7 +15,6 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 Point = str | int | Fraction
-Label = int
 
 
 class DomainError(ValueError):
@@ -54,9 +53,7 @@ def point_to_json(p: Point):
 
 
 def format_point(p: Point) -> str:
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return str(p)
+    return str(point_to_json(p))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +423,6 @@ def family_from_config(spec: dict) -> ClassFamily:
     if kind == "finite-support":
         return FiniteSupportFamily([parse_point(p) for p in params["domain"]])
     raise DomainError(f"unknown family kind: {kind!r}")
-
-
-def family_component(family: ClassFamily, n: int) -> FamilyComponent:
-    """Indexed component access; repeated calls return identical components."""
-    return family.component(n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ against the learner's own prediction.
 
 Each learner instance is a single-owner state machine; distinct instances
 may run in parallel games without any shared state.
+
+A version-space learner is an engine (`engine_for`: version spaces of one
+component class interned to state ids), its current state id and a
+restrict policy; the expert pools in `fpl` run the same engines.
 """
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Iterable, Optional, Sequence
 
-from .hypotheses import (DomainError, FamilyComponent, FiniteClass,
-                         FiniteSupportClass, Hypothesis, Point,
-                         SingletonClass, ClassFamily)
-from .littlestone import VersionSpace, soa_prediction
+from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
+                         Hypothesis, Point, SingletonClass, ClassFamily)
+from .littlestone import VersionSpace, _workspace, soa_prediction, split
 
 
 class ProtocolError(RuntimeError):
@@ -65,21 +69,114 @@ class ConstantLearner(OnlineLearner):
         return self.value
 
 
-class FollowHypothesisLearner(OnlineLearner):
-    """Always predicts a fixed hypothesis; equivalently, the version-space
-    learner on a singleton class."""
+class _InternedStates:
+    """Version spaces interned to ids in order of first appearance."""
 
-    def __init__(self, hypothesis: Hypothesis):
-        super().__init__()
-        self.hypothesis = hypothesis
+    def __init__(self, root):
+        self.states = [root]
+        self.index = {root: 0}
 
-    def predict(self, x: Point) -> int:
-        return self.hypothesis(x)
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
+    def _intern(self, state) -> int:
+        sid = self.index.get(state)
+        if sid is None:
+            sid = self.index[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+
+class _FiniteClassEngine(_InternedStates):
+    """States are row masks, split by the class's cached column masks."""
+
+    def __init__(self, cls: FiniteClass):
+        super().__init__((1 << len(cls)) - 1)
+        self.root = cls
+        self._colmasks = _workspace(cls).colmasks
+        self._pred: dict[tuple[int, Point], int] = {}
+
+    def predict(self, sid: int, x: Point) -> int:
+        key = (sid, x)
+        p = self._pred.get(key)
+        if p is None:
+            p = soa_prediction(VersionSpace(self.root, self.states[sid]), x)
+            self._pred[key] = p
+        return p
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        keep = split(self.states[sid], self._colmasks[self.root.point_index(x)])[y]
+        return self._intern(keep) if keep else None
+
+
+class _SupportEngine(_InternedStates):
+    """States are (forced-one set, forced-zero set) pairs, the only shape a
+    bounded-support version space takes. Its dimension is min(remaining
+    budget, free points) in closed form, so no matrix is materialized."""
+
+    def __init__(self, cls: FiniteSupportClass):
+        super().__init__((frozenset(), frozenset()))
+        self.cls = cls
+
+    def predict(self, sid: int, x: Point) -> int:
+        """Larger-dimension label, with the tie rules of `soa_prediction`."""
+        if x not in self.cls.domain:
+            raise DomainError(f"point {x!r} not in class domain")
+        ones, zeros = self.states[sid]
+        if x in ones:
+            return 1
+        if x in zeros:
+            return 0
+        budget = self.cls.budget - len(ones)
+        if budget <= 0:
+            return 0
+        free = len(self.cls.domain) - len(ones) - len(zeros)
+        dim_one = min(budget - 1, free - 1)
+        dim_zero = min(budget, free - 1)
+        return 1 if dim_one > dim_zero else 0
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        ones, zeros = self.states[sid]
+        if x in ones:
+            return sid if y == 1 else None
+        if x in zeros:
+            return sid if y == 0 else None
+        if y == 1:
+            if len(ones) >= self.cls.budget:
+                return None
+            return self._intern((ones | {x}, zeros))
+        return self._intern((ones, zeros | {x}))
+
+
+class _SingletonEngine:
+    n_states = 1
+
+    def __init__(self, cls: SingletonClass):
+        self.h = cls.hypothesis
+
+    def predict(self, sid: int, x: Point) -> int:
+        return self.h(x)
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        return sid if self.h(x) == y else None
+
+
+def engine_for(cls: FiniteClass | FiniteSupportClass | SingletonClass):
+    """A fresh version-space engine for a component class, whose state 0 is
+    the full class."""
+    if isinstance(cls, FiniteClass):
+        return _FiniteClassEngine(cls)
+    if isinstance(cls, FiniteSupportClass):
+        return _SupportEngine(cls)
+    if isinstance(cls, SingletonClass):
+        return _SingletonEngine(cls)
+    raise TypeError(f"no version-space engine for class type {type(cls).__name__}")
 
 
 class SoaLearner(OnlineLearner):
     """Version-space learner predicting the label whose restriction keeps
-    the larger dimension (ties to 0).
+    the larger dimension (ties to 0), on any component class kind.
 
     By default the space is restricted only on mistaken rounds;
     `always_restrict` switches to restricting on every round. `on_empty`
@@ -88,19 +185,27 @@ class SoaLearner(OnlineLearner):
     keeps the learner total on arbitrary feeds.
     """
 
-    def __init__(self, cls: FiniteClass, *, always_restrict: bool = False,
-                 on_empty: str = "error"):
+    def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass, *,
+                 always_restrict: bool = False, on_empty: str = "error"):
         super().__init__()
         if on_empty not in ("error", "freeze"):
             raise ValueError(f"on_empty must be 'error' or 'freeze', got {on_empty!r}")
-        self.space = VersionSpace.full(cls)
+        self.engine = engine_for(cls)
+        # the current state id; None only for an empty explicit class
+        self.sid: Optional[int] = None if isinstance(cls, FiniteClass) and cls.is_empty else 0
         self.always_restrict = always_restrict
         self.on_empty = on_empty
 
+    @property
+    def space(self) -> VersionSpace:
+        """The current version space of a `FiniteClass` learner (an empty
+        class's state 0 is the empty mask)."""
+        return VersionSpace(self.engine.root, self.engine.states[self.sid or 0])
+
     def predict(self, x: Point) -> int:
-        if self.space.is_empty:
+        if self.sid is None:
             raise ProtocolError("version space is empty (non-realizable feed)", self.t)
-        return soa_prediction(self.space, x)
+        return self.engine.predict(self.sid, x)
 
     def _should_restrict(self, mistake: bool) -> bool:
         return mistake or self.always_restrict
@@ -108,13 +213,13 @@ class SoaLearner(OnlineLearner):
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         if not self._should_restrict(predicted != y):
             return
-        nxt = self.space.restrict(x, y)
-        if nxt.is_empty:
+        nxt = self.engine.restrict(self.sid, x, y)
+        if nxt is None:
             if self.on_empty == "error":
                 raise ProtocolError(
                     f"restriction by ({x!r}, {y}) empties the version space", self.t)
             return
-        self.space = nxt
+        self.sid = nxt
 
 
 class ExpertLearner(SoaLearner):
@@ -122,7 +227,8 @@ class ExpertLearner(SoaLearner):
     index lies in a fixed, strictly increasing key. The empty key never
     updates and plays the root predictions forever."""
 
-    def __init__(self, cls: FiniteClass, key: Sequence[int], *, on_empty: str = "error"):
+    def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass,
+                 key: Sequence[int], *, on_empty: str = "error"):
         super().__init__(cls, on_empty=on_empty)
         key = tuple(key)
         if any(b <= a for a, b in zip(key, key[1:])) or any(i < 1 for i in key):
@@ -134,86 +240,12 @@ class ExpertLearner(SoaLearner):
         return mistake and self.t in self._keyset
 
 
-def support_prediction(cls: FiniteSupportClass, ones: frozenset, zeros: frozenset,
-                       x: Point) -> int:
-    """Larger-dimension label for a bounded-support version space.
+class FollowHypothesisLearner(SoaLearner):
+    """Always predicts a fixed hypothesis: the version-space learner on its
+    singleton class, frozen so that a contradicting label is only a mistake."""
 
-    Such spaces always have the shape (forced-one set, forced-zero set),
-    whose dimension is min(remaining budget, free points) in closed form,
-    so the comparison never materializes a matrix. Same tie rules as
-    `soa_prediction`.
-    """
-    if x not in cls.domain:
-        raise DomainError(f"point {x!r} not in class domain")
-    if x in ones:
-        return 1
-    if x in zeros:
-        return 0
-    budget = cls.budget - len(ones)
-    if budget <= 0:
-        return 0
-    free = len(cls.domain) - len(ones) - len(zeros)
-    dim_one = min(budget - 1, free - 1)
-    dim_zero = min(budget, free - 1)
-    return 1 if dim_one > dim_zero else 0
-
-
-def support_restriction(cls: FiniteSupportClass, ones: frozenset, zeros: frozenset,
-                        x: Point, y: int):
-    """Restricted (ones, zeros) pair, or None if the restriction is empty."""
-    if x in ones:
-        return (ones, zeros) if y == 1 else None
-    if x in zeros:
-        return (ones, zeros) if y == 0 else None
-    if y == 1:
-        if len(ones) >= cls.budget:
-            return None
-        return (ones | {x}, zeros)
-    return (ones, zeros | {x})
-
-
-class FiniteSupportSoa(OnlineLearner):
-    """Version-space learner for bounded-support indicator classes.
-
-    Mirrors the generic matrix learner's predictions exactly, which the
-    tests cross-check on materialized small instances.
-    """
-
-    def __init__(self, cls: FiniteSupportClass, *, on_empty: str = "error"):
-        super().__init__()
-        if on_empty not in ("error", "freeze"):
-            raise ValueError(f"on_empty must be 'error' or 'freeze', got {on_empty!r}")
-        self.cls = cls
-        self.ones: frozenset[Point] = frozenset()
-        self.zeros: frozenset[Point] = frozenset()
-        self.on_empty = on_empty
-
-    def predict(self, x: Point) -> int:
-        return support_prediction(self.cls, self.ones, self.zeros, x)
-
-    def _absorb(self, x: Point, y: int, predicted: int) -> None:
-        if predicted == y:
-            return
-        nxt = support_restriction(self.cls, self.ones, self.zeros, x, y)
-        if nxt is None:
-            if self.on_empty == "error":
-                raise ProtocolError(
-                    f"restriction by ({x!r}, {y}) empties the version space", self.t)
-            return
-        self.ones, self.zeros = nxt
-
-
-def make_component_learner(component: FamilyComponent | FiniteClass | SingletonClass
-                           | FiniteSupportClass, *, on_empty: str = "error") -> OnlineLearner:
-    """The per-component version-space learner, dispatched on representation."""
-    cls = component.cls if isinstance(component, FamilyComponent) else component
-    if isinstance(cls, FiniteClass):
-        return SoaLearner(cls, on_empty=on_empty)
-    if isinstance(cls, SingletonClass):
-        return FollowHypothesisLearner(cls.hypothesis)
-    if isinstance(cls, FiniteSupportClass):
-        return FiniteSupportSoa(cls, on_empty=on_empty)
-    raise TypeError(f"no learner for component type {type(cls).__name__}")
+    def __init__(self, hypothesis: Hypothesis):
+        super().__init__(SingletonClass(hypothesis), on_empty="freeze")
 
 
 class AggregatorLearner(OnlineLearner):
@@ -231,7 +263,7 @@ class AggregatorLearner(OnlineLearner):
     def __init__(self, family: ClassFamily):
         super().__init__()
         self.family = family
-        self.sub: dict[int, OnlineLearner] = {}
+        self.sub: dict[int, SoaLearner] = {}
         self.history: list[tuple[Point, int]] = []
         self.selected: Optional[int] = None
         self._ensure(1)
@@ -239,7 +271,7 @@ class AggregatorLearner(OnlineLearner):
     def _ensure(self, n: int) -> None:
         if n in self.sub:
             return
-        learner = make_component_learner(self.family.component(n), on_empty="freeze")
+        learner = SoaLearner(self.family.component(n).cls, on_empty="freeze")
         for x, y in self.history:
             learner.update(x, y)
         self.sub[n] = learner
@@ -394,21 +426,23 @@ class TruncatedThresholdSoa(OnlineLearner):
 
     def __init__(self):
         super().__init__()
-        self.seen: list = []
+        self.seen: list = []   # every observed point, sorted, duplicates kept
         self.lo = None   # max point labeled 0 (threshold must exceed it)
         self.hi = None   # min point labeled 1 (threshold must not exceed it)
 
     def predict(self, x: Point) -> int:
-        if isinstance(x, str):
+        if isinstance(x, str) or x != x:
             raise DomainError(f"threshold learner needs numeric points, got {x!r}")
         if self.lo is not None and x <= self.lo:
             return 0
         if self.hi is not None and x >= self.hi:
             return 1
-        in_zero_side = sum(1 for p in self.seen
-                           if x < p and (self.hi is None or p < self.hi))
-        in_one_side = sum(1 for p in self.seen
-                          if (self.lo is None or p > self.lo) and p < x)
+        seen = self.seen
+        # lo < x < hi here: count the seen points in (lo, x) and in (x, hi)
+        start = 0 if self.lo is None else bisect.bisect_right(seen, self.lo)
+        end = len(seen) if self.hi is None else bisect.bisect_left(seen, self.hi)
+        in_one_side = bisect.bisect_left(seen, x) - start
+        in_zero_side = end - bisect.bisect_right(seen, x)
         dim_zero = (in_zero_side + 1).bit_length() - 1
         dim_one = (in_one_side + 1).bit_length() - 1
         return 1 if dim_one > dim_zero else 0
@@ -422,4 +456,4 @@ class TruncatedThresholdSoa(OnlineLearner):
             if self.lo is not None and x <= self.lo:
                 raise ProtocolError("no real threshold fits the labels", self.t)
             self.hi = x if self.hi is None else min(self.hi, x)
-        self.seen.append(x)
+        bisect.insort(self.seen, x)

@@ -97,14 +97,13 @@ def _workspace(root: FiniteClass) -> _Workspace:
 
 @dataclass(frozen=True)
 class VersionSpace:
-    """The surviving rows of a root class under a list of (point, label)
-    constraints. `mask` has bit i set iff row i of `root.rows` survives, so
-    its lowest set bit is the smallest surviving id; `ids` is the same set
-    as a frozenset. Cheap to fork; dimension queries share the root's memo."""
+    """The surviving rows of a root class under (point, label) constraints.
+    `mask` has bit i set iff row i of `root.rows` survives, so its lowest
+    set bit is the smallest surviving id; `ids` is the same set as a
+    frozenset. Cheap to fork; dimension queries share the root's memo."""
 
     root: FiniteClass
     mask: int
-    constraints: tuple[tuple[Point, int], ...] = ()
 
     @classmethod
     def full(cls, root: FiniteClass) -> "VersionSpace":
@@ -130,7 +129,7 @@ class VersionSpace:
             raise DomainError(f"label must be 0 or 1, got {y!r}")
         colmask = _workspace(self.root).colmasks[self.root.point_index(x)]
         keep = split(self.mask, colmask)[y]
-        return VersionSpace(self.root, keep, self.constraints + ((x, y),))
+        return VersionSpace(self.root, keep)
 
     def ldim(self) -> int:
         return _workspace(self.root).ldim(self.mask)

@@ -309,11 +309,10 @@ def regret_experiment_from_config(config: dict) -> RegretCurve:
     if bound:
         if bound["kind"] == "fpl":
             k = float(bound["k"])
-            bound_fn = lambda T: (k + 2.0) * math.sqrt(T)
+            bound_fn = lambda T: fpl.fpl_regret_bound(k, T)
         elif bound["kind"] == "hierarchical":
             d, n = int(bound["dim"]), int(bound["n"])
-            bound_fn = lambda T: (d + (d + 3.0) * math.log(T) * math.sqrt(T)
-                                  + (2.0 * math.log(n) + 4.0) * math.sqrt(T))
+            bound_fn = lambda T: fpl.hierarchical_regret_bound(d, n, T)
         else:
             raise DomainError(f"unknown bound kind: {bound['kind']!r}")
 

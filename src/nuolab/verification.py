@@ -18,8 +18,7 @@ import numpy as np
 from . import fpl, learners, nature, runner
 from .hypotheses import (DiscreteMeasure, ExplicitListFamily, FiniteClass,
                          FiniteSupportFamily, support_hypothesis)
-from .littlestone import (VersionSpace, column_masks, ldim, minimax_mistakes,
-                          soa_prediction, split)
+from .littlestone import column_masks, ldim, minimax_mistakes, split
 
 
 @dataclass
@@ -85,34 +84,28 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
     and any label consistent with some hypothesis given the full history;
     returns the worst-case total mistakes."""
     colmasks = column_masks(cls)
+    engine = learners.engine_for(cls)   # the learner's side, as state ids
     memo: dict[tuple[int, int], int] = {}
-    pred_cache: dict[tuple[int, int], int] = {}
 
-    def pred(soa_ids: int, col: int) -> int:
-        key = (soa_ids, col)
-        p = pred_cache.get(key)
-        if p is None:
-            p = soa_prediction(VersionSpace(cls, soa_ids), cls.domain[col])
-            pred_cache[key] = p
-        return p
-
-    def rec(full_ids: int, soa_ids: int) -> int:
-        key = (full_ids, soa_ids)
+    def rec(full_ids: int, sid: int) -> int:
+        key = (full_ids, sid)
         cached = memo.get(key)
         if cached is not None:
             return cached
         best = 0
-        for col, colmask in enumerate(colmasks):
+        for x, colmask in zip(cls.domain, colmasks):
             full_split = split(full_ids, colmask)
             for y in (0, 1):
                 nf = full_split[y]
                 if not nf:
                     continue
-                mistake = pred(soa_ids, col) != y
+                mistake = engine.predict(sid, x) != y
                 if mistake:
-                    ns = split(soa_ids, colmask)[y]
+                    # the learner's space contains the full history's, so
+                    # restricting to a label that keeps nf is never empty
+                    ns = engine.restrict(sid, x, y)
                 else:
-                    ns = soa_ids
+                    ns = sid
                     if nf == full_ids:
                         continue    # nothing changed and nothing gained
                 cand = int(mistake) + rec(nf, ns)
@@ -121,8 +114,7 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
         memo[key] = best
         return best
 
-    full = (1 << len(cls)) - 1
-    return rec(full, full)
+    return rec((1 << len(cls)) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +379,14 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
         mean = regrets.mean(axis=0)
         se = regrets.std(axis=0, ddof=1) / math.sqrt(trials)
         for j, k in enumerate(ks):
-            bound = (k + 2.0) * math.sqrt(horizon)
+            bound = fpl.fpl_regret_bound(k, horizon)
             if mean[j] + 3 * se[j] > bound:
                 return CheckResult(
                     "fpl-regret-bound", False,
                     f"{name}: regret vs expert {j + 1} = {mean[j]:.2f} "
                     f"+ 3*{se[j]:.2f} > {bound:.2f}")
         details.append(f"{name} worst margin "
-                       f"{min((ks[j] + 2) * math.sqrt(horizon) - mean[j] - 3 * se[j] for j in range(len(ks))):.1f}")
+                       f"{min(fpl.fpl_regret_bound(k, horizon) - mean[j] - 3 * se[j] for j, k in enumerate(ks)):.1f}")
     return CheckResult("fpl-regret-bound", True,
                        f"T={horizon}, {trials} trials: " + "; ".join(details))
 
@@ -403,11 +395,6 @@ def _hierarchical_family() -> ExplicitListFamily:
     constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
     thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
     return ExplicitListFamily([constants, thresholds])
-
-
-def hierarchical_bound(dim: int, n: int, horizon: int) -> float:
-    return (dim + (dim + 3.0) * math.log(horizon) * math.sqrt(horizon)
-            + (2.0 * math.log(n) + 4.0) * math.sqrt(horizon))
 
 
 def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
@@ -437,7 +424,7 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
             mean = regrets.mean(axis=0)
             se = regrets.std(axis=0, ddof=1) / math.sqrt(trials)
             for n in (1, 2):
-                bound = hierarchical_bound(dims[n - 1], n, horizon)
+                bound = fpl.hierarchical_regret_bound(dims[n - 1], n, horizon)
                 if mean[n - 1] + 3 * se[n - 1] > bound:
                     return CheckResult(
                         "hierarchical-regret-bound", False,
@@ -445,7 +432,7 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
                         f"{mean[n - 1]:.2f} + 3*{se[n - 1]:.2f} > {bound:.2f}")
             details.append(f"T={horizon} {label_mode}: "
                            + ", ".join(f"n={n}: {mean[n - 1]:.1f} vs "
-                                       f"{hierarchical_bound(dims[n - 1], n, horizon):.0f}"
+                                       f"{fpl.hierarchical_regret_bound(dims[n - 1], n, horizon):.0f}"
                                        for n in (1, 2)))
     return CheckResult("hierarchical-regret-bound", True,
                        f"{trials} trials; " + "; ".join(details))

@@ -140,8 +140,13 @@ class TestExpertPool:
             exact = sum(math.comb(t, l) for l in range(0, 3))
             assert pool.pool_size == exact <= t ** 2 + 1
 
-    def test_losses_match_standalone_keyed_experts(self):
-        comp = pool_component(2)
+    @pytest.mark.parametrize("comp", [
+        pool_component(2),
+        FamilyComponent(2, FiniteSupportClass((1, 2, 3, 4, 5), 2), 2),
+        pool_component(0),
+    ], ids=["thresholds", "support", "singleton"])
+    def test_losses_match_standalone_keyed_experts(self, comp):
+        # one version-space learner serves every component class kind
         pool = ExpertPoolFpl(comp, seed=5)
         rng = random.Random(13)
         history = []
@@ -152,7 +157,8 @@ class TestExpertPool:
             pool.update(x, y)
             history.append((x, y))
         # replay a sample of keys through the plain object learner
-        for idx in [0, 1, len(pool.keys) // 2, len(pool.keys) - 1]:
+        n = len(pool.keys)
+        for idx in sorted({0, 1, n // 2, n - 1} & set(range(n))):
             key = pool.keys[idx]
             expert = ExpertLearner(comp.cls, key, on_empty="freeze")
             for x, y in history:
@@ -176,34 +182,6 @@ class TestExpertPool:
                 pool.update(x, (t // 2) % 2)
             return out
         assert run() == run()
-
-    def test_support_engine_pool(self):
-        comp = FamilyComponent(2, FiniteSupportClass((1, 2, 3, 4, 5), 2), 2)
-        pool = ExpertPoolFpl(comp, seed=3)
-        history = []
-        rng = random.Random(2)
-        for t in range(1, 13):
-            x = rng.randint(1, 5)
-            y = rng.getrandbits(1)
-            pool.predict(x)
-            pool.update(x, y)
-            history.append((x, y))
-        from nuolab.learners import FiniteSupportSoa
-
-        class KeyedSupport(FiniteSupportSoa):
-            def __init__(self, cls, key):
-                super().__init__(cls, on_empty="freeze")
-                self.key = frozenset(key)
-
-            def _absorb(self, x, y, predicted):
-                if predicted != y and self.t in self.key:
-                    super()._absorb(x, y, predicted)
-
-        for idx in [0, 1, len(pool.keys) - 1]:
-            expert = KeyedSupport(comp.cls, pool.keys[idx])
-            for x, y in history:
-                expert.update(x, y)
-            assert pool.losses[idx] == expert.mistakes
 
 
 class TestAgnosticFpl:

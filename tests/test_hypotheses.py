@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from nuolab.hypotheses import (DiscreteMeasure, DomainError, ExplicitListFamily,
                                FiniteClass, FiniteSupportFamily,
                                NaturalThresholdFamily, RationalThresholdFamily,
-                               family_component, family_from_config,
-                               hypothesis_from_config, parse_point,
-                               point_to_json, rationals_unit_interval)
+                               family_from_config, hypothesis_from_config,
+                               parse_point, point_to_json,
+                               rationals_unit_interval)
 from nuolab.littlestone import ldim
 
 
@@ -95,7 +95,7 @@ class TestFiniteClass:
 class TestFamilies:
     def test_finite_support_component(self):
         fam = FiniteSupportFamily(tuple(range(1, 6)))
-        comp = family_component(fam, 1)
+        comp = fam.component(1)
         assert comp.dim == 1
         # cross-check the declared dimension against the generic recursion
         assert ldim(comp.cls.materialize()) == 1

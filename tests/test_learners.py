@@ -10,10 +10,9 @@ from nuolab.hypotheses import (DomainError, ExplicitListFamily, FiniteClass,
                                constant_hypothesis, support_hypothesis,
                                threshold_hypothesis)
 from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
-                             CoverSpec, ExpertLearner, FiniteSupportSoa,
-                             FollowHypothesisLearner, NaturalThresholdLearner,
-                             ProtocolError, SoaLearner, TruncatedThresholdSoa,
-                             make_component_learner)
+                             CoverSpec, ExpertLearner, FollowHypothesisLearner,
+                             NaturalThresholdLearner, ProtocolError, SoaLearner,
+                             TruncatedThresholdSoa)
 from nuolab.littlestone import ldim
 from nuolab.nature import TreeAdversary
 
@@ -60,6 +59,13 @@ class TestSoa:
             learner.update(x, y)
             if p != y:
                 assert learner.space.ldim() < before
+
+    def test_empty_class_raises_at_round_one(self):
+        empty = FiniteClass.full_class(("a",)).restrict("a", 0).restrict("a", 1)
+        learner = SoaLearner(empty)
+        with pytest.raises(ProtocolError) as err:
+            learner.predict("a")
+        assert err.value.round_index == 1
 
     def test_non_realizable_feed_raises_with_round(self):
         cls = FiniteClass(("a",), [[0], [1]])
@@ -151,7 +157,7 @@ class TestFiniteSupportSoa:
     def test_matches_generic_learner(self, budget, pairs):
         domain = tuple(range(1, 6))
         structured = FiniteSupportClass(domain, budget)
-        fast = FiniteSupportSoa(structured, on_empty="freeze")
+        fast = SoaLearner(structured, on_empty="freeze")
         slow = SoaLearner(structured.materialize(), on_empty="freeze")
         for x, y in pairs:
             assert fast.predict(x) == slow.predict(x)
@@ -162,7 +168,7 @@ class TestFiniteSupportSoa:
     def test_realizable_mistakes_at_most_support(self):
         domain = tuple(range(1, 13))
         cls = FiniteSupportClass(domain, 3)
-        learner = FiniteSupportSoa(cls)
+        learner = SoaLearner(cls)
         target = support_hypothesis((2, 5, 9))
         xs = [((t * 5) % 12) + 1 for t in range(60)]
         for x in xs:
@@ -171,7 +177,7 @@ class TestFiniteSupportSoa:
 
     def test_off_domain_point(self):
         with pytest.raises(DomainError):
-            FiniteSupportSoa(FiniteSupportClass((1, 2), 1)).predict(9)
+            SoaLearner(FiniteSupportClass((1, 2), 1)).predict(9)
 
 
 class TestAggregator:
@@ -201,7 +207,7 @@ class TestAggregator:
         for x, y in pairs:
             agg.update(x, y)
         for n, counted in agg.counters().items():
-            standalone = make_component_learner(fam.component(n), on_empty="freeze")
+            standalone = SoaLearner(fam.component(n).cls, on_empty="freeze")
             for x, y in pairs:
                 standalone.update(x, y)
             assert counted == standalone.mistakes
@@ -322,7 +328,59 @@ class TestNaturalThreshold:
             NaturalThresholdLearner().predict(0)
 
 
+def _linear_scan_threshold_predictions(stream):
+    """Reference for `TruncatedThresholdSoa`: its predictions by a linear
+    scan over every point seen, up to the first label no threshold fits."""
+    seen, lo, hi, out = [], None, None, []
+    for x, y in stream:
+        if lo is not None and x <= lo:
+            p = 0
+        elif hi is not None and x >= hi:
+            p = 1
+        else:
+            zero = sum(1 for q in seen if x < q and (hi is None or q < hi))
+            one = sum(1 for q in seen if (lo is None or q > lo) and q < x)
+            p = 1 if (one + 1).bit_length() > (zero + 1).bit_length() else 0
+        out.append(p)
+        if (y == 0 and hi is not None and x >= hi) or (y == 1 and lo is not None and x <= lo):
+            break
+        if y == 0:
+            lo = x if lo is None else max(lo, x)
+        else:
+            hi = x if hi is None else min(hi, x)
+        seen.append(x)
+    return out
+
+
+_mixed_numbers = st.one_of(st.integers(-4, 4),
+                           st.fractions(-4, 4, max_denominator=10),
+                           st.floats(-4, 4, allow_nan=False))
+
+
+@st.composite
+def threshold_streams(draw):
+    pool = draw(st.lists(_mixed_numbers, min_size=1, max_size=8))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        cut = draw(_mixed_numbers)
+        return [(x, int(x >= cut)) for x in xs]
+    return [(x, draw(st.integers(0, 1))) for x in xs]
+
+
 class TestTruncatedThresholdSoa:
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_streams())
+    def test_matches_linear_scan_reference(self, stream):
+        learner = TruncatedThresholdSoa()
+        preds = []
+        for x, y in stream:
+            preds.append(learner.predict(x))
+            try:
+                learner.update(x, y)
+            except ProtocolError:
+                break
+        assert preds == _linear_scan_threshold_predictions(stream)
+
     def test_realizable_stream_is_learned(self):
         from fractions import Fraction
         learner = TruncatedThresholdSoa()
@@ -335,6 +393,12 @@ class TestTruncatedThresholdSoa:
         # window has closed onto the target
         assert learner.predict(Fraction(3, 8)) == 1
         assert learner.predict(Fraction(5, 16)) == 0
+
+    def test_rejects_non_numeric_points(self):
+        # NaN compares false both ways, so no sorted order could hold it
+        for bad in ("a", float("nan")):
+            with pytest.raises(DomainError):
+                TruncatedThresholdSoa().predict(bad)
 
     def test_contradiction_raises(self):
         from fractions import Fraction

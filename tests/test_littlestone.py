@@ -137,7 +137,6 @@ class TestVersionSpace:
         cls = FiniteClass.full_class(("a", "b"))
         vs = VersionSpace.full(cls).restrict("a", 1)
         assert vs.size == 2 and vs.labels() == [2, 3]
-        assert vs.constraints == (("a", 1),)
 
     def test_restrict_rejects_non_binary_label(self):
         vs = VersionSpace.full(FiniteClass.full_class(("a", "b")))

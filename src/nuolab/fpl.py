@@ -69,87 +69,108 @@ def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generic FPL over explicit expert objects
+# the perturbed leader: one base, two expert containers
 # ---------------------------------------------------------------------------
 
-class FplLearner(OnlineLearner):
-    """Perturbed-leader selection over a registry of online learners.
+class _PerturbedLeader(OnlineLearner):
+    """What every perturbed leader here shares: the RNG, the complexity-mass
+    budget, the perturbations and the round's choice.
 
-    Every registered expert is fed every revealed pair, so stored losses
-    are exact counterfactual mistake counts. `redraw="per-round"` samples a
-    fresh perturbation vector each round; `redraw="once"` samples one
-    perturbation per expert at registration and reuses it forever (the
-    oblivious-adversary variant, expectation-equivalent to per-round
-    redraws).
+    `redraw="per-round"` samples a fresh perturbation vector each round;
+    `redraw="once"` samples one perturbation per expert at registration and
+    reuses it forever (the oblivious-adversary variant, expectation-
+    equivalent to per-round redraws). A subclass holds the experts' losses
+    and complexities, scores them in `_lead` and feeds them in `_feed`.
     """
 
     deterministic = False
 
-    def __init__(self, experts: Sequence[OnlineLearner] = (),
-                 complexities: Sequence[float] = (), *,
-                 seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
-                 redraw: str = "per-round"):
+    def __init__(self, *, seed: Optional[int], rng: Optional[np.random.Generator],
+                 redraw: str):
         super().__init__()
         if redraw not in ("per-round", "once"):
             raise ConfigurationError(f"redraw must be 'per-round' or 'once', got {redraw!r}")
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.redraw = redraw
-        self.experts: list[OnlineLearner] = []
-        self.complexities: list[float] = []
-        self.losses: list[int] = []
-        self._q_once: list[float] = []
         self._mass = 0.0
-        self._pending = None    # (x, chosen index, prediction)
-        if len(experts) != len(complexities):
-            raise ConfigurationError("experts and complexities differ in length")
-        for e, k in zip(experts, complexities):
-            self.register(e, k)
+        self._q_once = np.empty(0)
+        self._pending = None    # (x, chosen index, prediction, subclass data)
 
-    def register(self, expert: OnlineLearner, complexity: float) -> None:
-        self._mass += math.exp(-complexity)
+    def _register(self, count: int, complexity: float) -> None:
+        """Charge `count` new experts of one complexity to the mass budget
+        and, in once mode, draw their perturbations."""
+        self._mass += count * math.exp(-complexity)
         if self._mass > 1.0 + _MASS_SLACK:
             raise ConfigurationError(
-                f"complexity mass {self._mass:.6f} exceeds 1 after registration")
-        self.experts.append(expert)
-        self.complexities.append(float(complexity))
-        self.losses.append(0)
+                f"complexity mass {self._mass:.6f} exceeds 1 at round {self.t}")
         if self.redraw == "once":
-            self._q_once.append(float(self.rng.exponential()))
+            self._q_once = np.concatenate([self._q_once, self.rng.exponential(size=count)])
+
+    def _perturbations(self, n: int) -> np.ndarray:
+        return self._q_once if self.redraw == "once" else self.rng.exponential(size=n)
 
     @property
     def chosen_index(self) -> Optional[int]:
         return self._pending[1] if self._pending is not None else None
 
     def predict(self, x: Point) -> int:
-        if self._pending is not None and self._pending[0] == x:
-            return self._pending[2]
+        pending = self._pending
+        if pending is None or pending[0] != x:
+            pending = self._pending = (x, *self._lead(x))
+        return pending[2]
+
+    def _lead(self, x: Point) -> tuple:
+        """(chosen index, its prediction, data kept for `_feed`)."""
+        raise NotImplementedError
+
+    def _absorb(self, x: Point, y: int, predicted: int) -> None:
+        self._feed(x, y, self._pending[3])
+        self._pending = None
+
+    def _feed(self, x: Point, y: int, data) -> None:
+        raise NotImplementedError
+
+
+class FplLearner(_PerturbedLeader):
+    """Perturbed-leader selection over a fixed list of online learners.
+
+    Every expert is fed every revealed pair, so each expert's own mistake
+    counter is its exact counterfactual loss; `losses` reads them. The
+    experts must therefore be fresh (no rounds played) when passed in.
+    """
+
+    def __init__(self, experts: Sequence[OnlineLearner] = (),
+                 complexities: Sequence[float] = (), *,
+                 seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
+                 redraw: str = "per-round"):
+        super().__init__(seed=seed, rng=rng, redraw=redraw)
+        if len(experts) != len(complexities):
+            raise ConfigurationError("experts and complexities differ in length")
+        for k in complexities:
+            self._register(1, k)
+        self.experts: list[OnlineLearner] = list(experts)
+        self.complexities: list[float] = [float(k) for k in complexities]
+
+    @property
+    def losses(self) -> list[int]:
+        return [expert.mistakes for expert in self.experts]
+
+    def _lead(self, x: Point) -> tuple:
         n = len(self.experts)
         if n == 0:
             raise ProtocolError("no experts registered", self.t)
-        if self.redraw == "once":
-            q = self._q_once
-        else:
-            q = self.rng.exponential(size=n)
         sqrt_t = math.sqrt(self.t)
-        scores = [self.losses[i] + (self.complexities[i] - q[i]) * sqrt_t
-                  for i in range(n)]
-        j = min(range(n), key=lambda i: scores[i])
-        self._pending = (x, j, self.experts[j].predict(x))
-        return self._pending[2]
+        scores = [expert.mistakes + (k - q) * sqrt_t for expert, k, q in
+                  zip(self.experts, self.complexities, self._perturbations(n).tolist())]
+        j = scores.index(min(scores))
+        return j, self.experts[j].predict(x), None
 
-    def _absorb(self, x: Point, y: int, predicted: int) -> None:
-        for i, expert in enumerate(self.experts):
-            if expert.predict(x) != y:
-                self.losses[i] += 1
+    def _feed(self, x: Point, y: int, data) -> None:
+        for expert in self.experts:
             expert.update(x, y)
-        self._pending = None
 
 
-# ---------------------------------------------------------------------------
-# FPL over a growing pool of keyed experts for one component class
-# ---------------------------------------------------------------------------
-
-class ExpertPoolFpl(OnlineLearner):
+class ExpertPoolFpl(_PerturbedLeader):
     """Perturbed leader over every keyed version-space expert with at most
     `dim` update rounds, the pool growing by the keys ending at the current
     round.
@@ -162,29 +183,20 @@ class ExpertPoolFpl(OnlineLearner):
     round an expert's state is frozen, so per-round work is array-wide.
     """
 
-    deterministic = False
-
     def __init__(self, component: FamilyComponent, *,
                  seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
                  redraw: str = "per-round"):
-        super().__init__()
-        if redraw not in ("per-round", "once"):
-            raise ConfigurationError(f"redraw must be 'per-round' or 'once', got {redraw!r}")
+        super().__init__(seed=seed, rng=rng, redraw=redraw)
         self.engine = engine_for(component.cls)
         self.dim = component.dim
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.redraw = redraw
         self.keys: list[tuple[int, ...]] = [()]
         self.state = np.zeros(1, dtype=np.int64)
         self.losses = np.zeros(1, dtype=np.int64)
         self.complexities = np.array([pool_complexity(self.dim, 0)])
-        self._q_once = (np.array([float(self.rng.exponential())])
-                        if redraw == "once" else None)
-        self._mass = math.exp(-self.complexities[0])
+        self._register(1, self.complexities[0])
         self._growable = [0] if self.dim > 0 else []
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
-        self._pending = None    # (x, predictions, chosen index)
 
     @property
     def pool_size(self) -> int:
@@ -201,18 +213,12 @@ class ExpertPoolFpl(OnlineLearner):
         count = len(parents)
         if count:
             k_new = pool_complexity(self.dim, t)
-            self._mass += count * math.exp(-k_new)
-            if self._mass > 1.0 + _MASS_SLACK:
-                raise ConfigurationError(
-                    f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
+            self._register(count, k_new)
             idx = np.asarray(parents, dtype=np.int64)
             self.state = np.concatenate([self.state, self.state[idx]])
             self.losses = np.concatenate([self.losses, self.losses[idx]])
             self.complexities = np.concatenate(
                 [self.complexities, np.full(count, k_new)])
-            if self._q_once is not None:
-                self._q_once = np.concatenate(
-                    [self._q_once, self.rng.exponential(size=count)])
             for p in parents:
                 self.keys.append(self.keys[p] + (t,))
             self._growable = parents + [i for i in range(start, start + count)
@@ -228,27 +234,15 @@ class ExpertPoolFpl(OnlineLearner):
                           dtype=np.int64, count=self.engine.n_states)
         return lut[self.state]
 
-    def predict(self, x: Point) -> int:
-        if self._pending is not None and self._pending[0] == x:
-            return int(self._pending[1][self._pending[2]])
+    def _lead(self, x: Point) -> tuple:
         self.pool_extend()
         preds = self._predictions(x)
-        if self.redraw == "once":
-            q = self._q_once
-        else:
-            q = self.rng.exponential(size=len(self.keys))
+        q = self._perturbations(len(self.keys))
         scores = self.losses + (self.complexities - q) * math.sqrt(self.t)
         j = int(np.argmin(scores))
-        self._pending = (x, preds, j)
-        return int(preds[j])
+        return j, int(preds[j]), preds
 
-    @property
-    def chosen_index(self) -> Optional[int]:
-        return self._pending[2] if self._pending is not None else None
-
-    def _absorb(self, x: Point, y: int, predicted: int) -> None:
-        self.predict(x)
-        _, preds, _ = self._pending
+    def _feed(self, x: Point, y: int, preds: np.ndarray) -> None:
         self.losses += preds != y
         # only this round's cohort has the current round in its key
         for i in range(*self._cohort):
@@ -256,53 +250,42 @@ class ExpertPoolFpl(OnlineLearner):
                 nxt = self.engine.restrict(int(self.state[i]), x, y)
                 if nxt is not None:
                     self.state[i] = nxt
-        self._pending = None
 
 
 # ---------------------------------------------------------------------------
 # hierarchical agnostic learner
 # ---------------------------------------------------------------------------
 
-class AgnosticFpl(OnlineLearner):
-    """Meta perturbed-leader over per-component pooled-expert learners.
+class AgnosticFpl(FplLearner):
+    """The perturbed leader over per-component pooled-expert learners.
 
-    Component n carries complexity 2(ln n + 1) at the meta level; inside,
-    its pool of keyed experts uses complexities 1 + (dim + 2) ln j. All
-    levels update counterfactually every round.
+    Component n carries complexity 2(ln n + 1) at this level; inside, its
+    pool of keyed experts uses complexities 1 + (dim + 2) ln j. All levels
+    update counterfactually every round.
     """
-
-    deterministic = False
 
     def __init__(self, family: ClassFamily, components: int, *,
                  seed: Optional[int] = None, redraw: str = "per-round",
                  cap_dim: Optional[int] = 2, cap_rounds: Optional[int] = None):
-        super().__init__()
         if components < 1:
             raise ConfigurationError("need at least one component")
-        self.cap_rounds = cap_rounds
         seeds = np.random.SeedSequence(seed).spawn(components + 1)
-        self.inner: list[ExpertPoolFpl] = []
+        pools = []
         for n in range(1, components + 1):
             comp = family.component(n)
             if cap_dim is not None and comp.dim > cap_dim:
                 raise ConfigurationError(
                     f"component {n} has dimension {comp.dim} > cap {cap_dim}; "
                     "its expert pool would grow as t^dim")
-            self.inner.append(ExpertPoolFpl(
+            pools.append(ExpertPoolFpl(
                 comp, rng=np.random.default_rng(seeds[n]), redraw=redraw))
-        self.meta = FplLearner(
-            self.inner, [meta_complexity(n) for n in range(1, components + 1)],
-            rng=np.random.default_rng(seeds[0]), redraw=redraw)
+        super().__init__(pools, [meta_complexity(n) for n in range(1, components + 1)],
+                         rng=np.random.default_rng(seeds[0]), redraw=redraw)
+        self.cap_rounds = cap_rounds
 
     def predict(self, x: Point) -> int:
         if self.cap_rounds is not None and self.t > self.cap_rounds:
             raise ConfigurationError(
                 f"round {self.t} beyond the configured cap of {self.cap_rounds}; "
                 "the expert pools grow polynomially per round")
-        return self.meta.predict(x)
-
-    def update(self, x: Point, y: int) -> None:
-        self.predict(x)
-        self.meta.update(x, y)
-        self.mistakes = self.meta.mistakes
-        self.t = self.meta.t
+        return super().predict(x)

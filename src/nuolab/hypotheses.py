@@ -336,15 +336,12 @@ class ExplicitListFamily(ClassFamily):
 
     kind = "explicit-list"
 
-    def __init__(self, classes: Sequence[FiniteClass], check_dims: Sequence[int] | None = None):
+    def __init__(self, classes: Sequence[FiniteClass]):
         if not classes:
             raise DomainError("explicit-list family needs at least one class")
         self.classes = list(classes)
         from .littlestone import ldim  # deferred: littlestone depends on this module
         self.dims = [ldim(c) for c in self.classes]
-        if check_dims is not None and list(check_dims) != self.dims:
-            raise DomainError(
-                f"declared dims {list(check_dims)} != computed {self.dims}")
 
     def _component(self, n: int) -> FamilyComponent:
         i = min(n, len(self.classes)) - 1

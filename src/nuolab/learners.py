@@ -15,7 +15,6 @@ restrict policy; the expert pools in `fpl` run the same engines.
 """
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
@@ -422,30 +421,22 @@ class TruncatedThresholdSoa(OnlineLearner):
     dimension of each side's restriction is floor(log2 of the number of
     behaviors distinguishable on the observed points), so the prediction
     compares observed-point counts in the two sub-windows (ties to 0).
+    Every observed point lies at or below lo (label 0) or at or above hi
+    (label 1), so both counts are always 0: the learner predicts 1 at or
+    above hi and 0 below it.
     """
 
     def __init__(self):
         super().__init__()
-        self.seen: list = []   # every observed point, sorted, duplicates kept
         self.lo = None   # max point labeled 0 (threshold must exceed it)
         self.hi = None   # min point labeled 1 (threshold must not exceed it)
 
     def predict(self, x: Point) -> int:
         if isinstance(x, str) or x != x:
             raise DomainError(f"threshold learner needs numeric points, got {x!r}")
-        if self.lo is not None and x <= self.lo:
-            return 0
         if self.hi is not None and x >= self.hi:
             return 1
-        seen = self.seen
-        # lo < x < hi here: count the seen points in (lo, x) and in (x, hi)
-        start = 0 if self.lo is None else bisect.bisect_right(seen, self.lo)
-        end = len(seen) if self.hi is None else bisect.bisect_left(seen, self.hi)
-        in_one_side = bisect.bisect_left(seen, x) - start
-        in_zero_side = end - bisect.bisect_right(seen, x)
-        dim_zero = (in_zero_side + 1).bit_length() - 1
-        dim_one = (in_one_side + 1).bit_length() - 1
-        return 1 if dim_one > dim_zero else 0
+        return 0
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         if y == 0:
@@ -456,4 +447,3 @@ class TruncatedThresholdSoa(OnlineLearner):
             if self.lo is not None and x <= self.lo:
                 raise ProtocolError("no real threshold fits the labels", self.t)
             self.hi = x if self.hi is None else min(self.hi, x)
-        bisect.insort(self.seen, x)

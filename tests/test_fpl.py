@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,7 +11,9 @@ from nuolab.fpl import (AgnosticFpl, ConfigurationError, ExpertPoolFpl,
 from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
                                FiniteSupportClass, SingletonClass,
                                threshold_hypothesis)
-from nuolab.learners import ConstantLearner, ExpertLearner, ProtocolError
+from nuolab.learners import (ConstantLearner, ExpertLearner,
+                             FollowHypothesisLearner, OnlineLearner,
+                             ProtocolError, SoaLearner)
 
 
 class TestComplexitySchemes:
@@ -184,11 +187,15 @@ class TestExpertPool:
         assert run() == run()
 
 
+def two_component_family() -> ExplicitListFamily:
+    constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
+    thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
+    return ExplicitListFamily([constants, thresholds])
+
+
 class TestAgnosticFpl:
     def family(self):
-        constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
-        thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
-        return ExplicitListFamily([constants, thresholds])
+        return two_component_family()
 
     def test_reproducible(self):
         def run():
@@ -227,5 +234,114 @@ class TestAgnosticFpl:
 
     def test_meta_uses_component_complexities(self):
         learner = AgnosticFpl(self.family(), 2, seed=0)
-        assert learner.meta.complexities == [meta_complexity(1), meta_complexity(2)]
-        assert [type(i) for i in learner.inner] == [ExpertPoolFpl, ExpertPoolFpl]
+        assert learner.complexities == [meta_complexity(1), meta_complexity(2)]
+        assert [type(e) for e in learner.experts] == [ExpertPoolFpl, ExpertPoolFpl]
+
+
+# ---------------------------------------------------------------------------
+# stream stability: pinned outputs of fixed seeds and label scripts
+# ---------------------------------------------------------------------------
+
+class _LastLabel(OnlineLearner):
+    """Predicts the previously revealed label (0 on the first round)."""
+
+    def __init__(self):
+        super().__init__()
+        self.last = 0
+
+    def predict(self, x) -> int:
+        return self.last
+
+    def _absorb(self, x, y, predicted) -> None:
+        self.last = y
+
+
+STREAM_CASES = [(kind, redraw)
+                for kind in ("fpl-five", "pool-dim0", "pool-dim1", "pool-dim2", "agnostic-2")
+                for redraw in ("per-round", "once")]
+
+
+def play_stream(case, rounds: int = 40):
+    """Per-round predictions (as a bit string) and chosen indices, and the
+    final losses (a SHA-256 prefix of them for pools above five experts)."""
+    kind, redraw = case
+    seed = 500 + STREAM_CASES.index(case)
+    if kind == "fpl-five":
+        experts = [ConstantLearner(0), ConstantLearner(1),
+                   FollowHypothesisLearner(threshold_hypothesis(3)),
+                   SoaLearner(FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5)),
+                              on_empty="freeze"),
+                   _LastLabel()]
+        learner = FplLearner(experts, [1.0 + math.log(i) for i in range(1, 6)],
+                             seed=seed, redraw=redraw)
+    elif kind.startswith("pool-dim"):
+        learner = ExpertPoolFpl(pool_component(int(kind[-1])), seed=seed, redraw=redraw)
+    else:
+        learner = AgnosticFpl(two_component_family(), 2, seed=seed, redraw=redraw)
+    # labels of the threshold at 3, each flipped with probability 1/5
+    script = random.Random(77)
+    bits, chosen = [], []
+    for _ in range(rounds):
+        x = script.choice((1, 2, 3, 4))
+        y = int(x >= 3) ^ (script.random() < 0.2)
+        bits.append(str(learner.predict(x)))
+        chosen.append(learner.chosen_index)
+        learner.update(x, y)
+    if kind == "agnostic-2":
+        losses = [pool.mistakes for pool in learner.experts]
+    else:
+        losses = [int(v) for v in learner.losses]
+    if len(losses) > 5:
+        losses = hashlib.sha256(repr(losses).encode()).hexdigest()[:16]
+    return "".join(bits), chosen, losses
+
+
+# any change to these values is a change of RNG stream or of tie-breaking
+STREAM_EXPECTED = {
+    ("fpl-five", "per-round"): (
+        "0010110001000000001010101000010000101011",
+        [0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0,
+         1, 0, 3, 0, 2, 2, 0, 3, 0, 1, 0, 0, 2, 3, 3, 0, 1, 0, 1, 1],
+        [18, 22, 15, 15, 21]),
+    ("fpl-five", "once"): (
+        "0111101000000000000000000010000000000000",
+        [0, 1, 1, 1, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [18, 22, 15, 15, 21]),
+    ("pool-dim0", "per-round"): (
+        "1101001111110110101000111110011100110101", [0] * 40, [19]),
+    ("pool-dim0", "once"): (
+        "1101001111110110101000111110011100110101", [0] * 40, [19]),
+    ("pool-dim1", "per-round"): (
+        "0111110000000100000000000100000001110010",
+        [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0, 1, 0],
+        "37ea7bcce4ca14a0"),
+    ("pool-dim1", "once"): (
+        "0010000000000000000000000000000000000000",
+        [0, 0, 1] + [0] * 37,
+        "37ea7bcce4ca14a0"),
+    ("pool-dim2", "per-round"): (
+        "0101001011000010101000101010011100110001",
+        [0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0, 1, 0, 1, 1,
+         1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+        "e44110576736c33f"),
+    ("pool-dim2", "once"): (
+        "0001001111010010001000101010011100110000",
+        [0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1] + [0] * 28,
+        "e44110576736c33f"),
+    ("agnostic-2", "per-round"): (
+        "0101100001000010001010000110010000000101",
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+         0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0],
+        [21, 20]),
+    ("agnostic-2", "once"): (
+        "0010101010000010001000101010011100110000",
+        [0, 0, 0, 1, 0, 1, 1] + [1] * 33,
+        [27, 16]),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES, ids=["/".join(c) for c in STREAM_CASES])
+def test_stream_stability(case):
+    assert play_stream(case) == STREAM_EXPECTED[case]

@@ -72,6 +72,16 @@ def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
 # the perturbed leader: one base, two expert containers
 # ---------------------------------------------------------------------------
 
+def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
+    """`buf` if it holds n entries, else a copy of it whose capacity is
+    doubled (or n, if that is more)."""
+    if n <= len(buf):
+        return buf
+    grown = np.empty(max(n, 2 * len(buf)), dtype=buf.dtype)
+    grown[:len(buf)] = buf
+    return grown
+
+
 class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
     budget, the perturbations and the round's choice.
@@ -81,6 +91,8 @@ class _PerturbedLeader(OnlineLearner):
     reuses it forever (the oblivious-adversary variant, expectation-
     equivalent to per-round redraws). A subclass holds the experts' losses
     and complexities, scores them in `_lead` and feeds them in `_feed`.
+    The choice is made once per round, keyed on the round index, so every
+    `predict` of a round and its `update` see the same choice.
     """
 
     deterministic = False
@@ -93,8 +105,9 @@ class _PerturbedLeader(OnlineLearner):
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.redraw = redraw
         self._mass = 0.0
-        self._q_once = np.empty(0)
-        self._pending = None    # (x, chosen index, prediction, subclass data)
+        self._size = 0                  # experts registered
+        self._q_once = np.empty(0)      # once-mode draws; the first `_size` are live
+        self._pending = None    # (round, chosen index, prediction, subclass data)
 
     def _register(self, count: int, complexity: float) -> None:
         """Charge `count` new experts of one complexity to the mass budget
@@ -103,11 +116,12 @@ class _PerturbedLeader(OnlineLearner):
         if self._mass > 1.0 + _MASS_SLACK:
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {self.t}")
+        start = self._size
+        self._size += count
         if self.redraw == "once":
-            self._q_once = np.concatenate([self._q_once, self.rng.exponential(size=count)])
-
-    def _perturbations(self, n: int) -> np.ndarray:
-        return self._q_once if self.redraw == "once" else self.rng.exponential(size=n)
+            self._q_once = _with_room(self._q_once, self._size)
+            # the values rng.exponential(size=count) would give
+            self.rng.standard_exponential(out=self._q_once[start:self._size])
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -115,8 +129,8 @@ class _PerturbedLeader(OnlineLearner):
 
     def predict(self, x: Point) -> int:
         pending = self._pending
-        if pending is None or pending[0] != x:
-            pending = self._pending = (x, *self._lead(x))
+        if pending is None or pending[0] != self.t:
+            pending = self._pending = (self.t, *self._lead(x))
         return pending[2]
 
     def _lead(self, x: Point) -> tuple:
@@ -160,8 +174,9 @@ class FplLearner(_PerturbedLeader):
         if n == 0:
             raise ProtocolError("no experts registered", self.t)
         sqrt_t = math.sqrt(self.t)
+        draws = self._q_once[:n] if self.redraw == "once" else self.rng.exponential(size=n)
         scores = [expert.mistakes + (k - q) * sqrt_t for expert, k, q in
-                  zip(self.experts, self.complexities, self._perturbations(n).tolist())]
+                  zip(self.experts, self.complexities, draws.tolist())]
         j = scores.index(min(scores))
         return j, self.experts[j].predict(x), None
 
@@ -181,6 +196,25 @@ class ExpertPoolFpl(_PerturbedLeader):
     expert's state and loss, which keeps every stored loss an exact
     standalone-replay count without replaying anything. After its last key
     round an expert's state is frozen, so per-round work is array-wide.
+
+    Layout: per expert, in registration order, six arrays hold its engine
+    state id, loss, complexity, parent (the prefix expert's index), birth
+    round (the last round of its key) and key length; one more holds the
+    round's scores, the base holds the once-mode draws, and `_growable`
+    indexes the experts whose keys are shorter than `dim`. Each array has
+    a capacity that doubles when the pool outgrows it, so growth costs
+    O(added) a round; the first `pool_size` entries are live, and `state`,
+    `losses` and `complexities` are views of them. Keys are not stored:
+    `keys` rebuilds them on access, key i being keys[parent[i]] +
+    (born[i],).
+
+    The RNG stream and every output equal those of a pool that stores lists
+    and concatenates arrays each round: experts register in the same
+    order, the perturbations are the same draws (`standard_exponential`
+    into a buffer gives the values of `exponential(size=n)`), the scores
+    take the same float operations in the same order with ties to the
+    smallest index, and the cohort's restricts intern new states to the
+    same ids (see `_feed`).
     """
 
     def __init__(self, component: FamilyComponent, *,
@@ -189,18 +223,44 @@ class ExpertPoolFpl(_PerturbedLeader):
         super().__init__(seed=seed, rng=rng, redraw=redraw)
         self.engine = engine_for(component.cls)
         self.dim = component.dim
-        self.keys: list[tuple[int, ...]] = [()]
-        self.state = np.zeros(1, dtype=np.int64)
-        self.losses = np.zeros(1, dtype=np.int64)
-        self.complexities = np.array([pool_complexity(self.dim, 0)])
-        self._register(1, self.complexities[0])
-        self._growable = [0] if self.dim > 0 else []
+        k_root = pool_complexity(self.dim, 0)
+        self._register(1, k_root)
+        self._state = np.zeros(1, dtype=np.int64)
+        self._loss = np.zeros(1, dtype=np.int64)
+        self._k = np.full(1, k_root)
+        self._parent = np.zeros(1, dtype=np.int64)
+        self._born = np.zeros(1, dtype=np.int64)
+        self._keylen = np.zeros(1, dtype=np.int64)
+        self._score = np.empty(1)
+        self._growable = np.zeros(1 if self.dim > 0 else 0, dtype=np.int64)
+        self._n_growable = len(self._growable)
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
 
     @property
     def pool_size(self) -> int:
-        return len(self.keys)
+        return self._size
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._state[:self._size]
+
+    @property
+    def losses(self) -> np.ndarray:
+        return self._loss[:self._size]
+
+    @property
+    def complexities(self) -> np.ndarray:
+        return self._k[:self._size]
+
+    @property
+    def keys(self) -> list[tuple[int, ...]]:
+        """Each expert's key, the rounds at which it restricts."""
+        keys: list[tuple[int, ...]] = [()]
+        n = self._size
+        for p, b in zip(self._parent[1:n].tolist(), self._born[1:n].tolist()):
+            keys.append(keys[p] + (b,))
+        return keys
 
     def pool_extend(self) -> int:
         """Register every key ending at the current round; returns the count
@@ -208,21 +268,34 @@ class ExpertPoolFpl(_PerturbedLeader):
         t = self.t
         if self._extended_for == t:
             return self._cohort[1] - self._cohort[0]
-        parents = self._growable
-        start = len(self.keys)
-        count = len(parents)
+        start = self._size
+        count = self._n_growable
         if count:
             k_new = pool_complexity(self.dim, t)
             self._register(count, k_new)
-            idx = np.asarray(parents, dtype=np.int64)
-            self.state = np.concatenate([self.state, self.state[idx]])
-            self.losses = np.concatenate([self.losses, self.losses[idx]])
-            self.complexities = np.concatenate(
-                [self.complexities, np.full(count, k_new)])
-            for p in parents:
-                self.keys.append(self.keys[p] + (t,))
-            self._growable = parents + [i for i in range(start, start + count)
-                                        if len(self.keys[i]) < self.dim]
+            end = self._size
+            if end > len(self._loss):
+                (self._state, self._loss, self._k, self._parent, self._born,
+                 self._keylen, self._score) = (
+                    _with_room(a, end) for a in (
+                        self._state, self._loss, self._k, self._parent,
+                        self._born, self._keylen, self._score))
+            parents = self._growable[:count]
+            self._state[start:end] = self._state[parents]
+            self._loss[start:end] = self._loss[parents]
+            self._k[start:end] = k_new
+            self._parent[start:end] = parents
+            self._born[start:end] = t
+            keylen = self._keylen[start:end]
+            np.add(self._keylen[parents], 1, out=keylen)
+            # only a parent with a key shorter than dim - 1 has a child that
+            # can still grow
+            if self.dim > 1:
+                grows = np.flatnonzero(keylen < self.dim)
+                m = self._n_growable + len(grows)
+                self._growable = _with_room(self._growable, m)
+                self._growable[self._n_growable:m] = grows + start
+                self._n_growable = m
         self._extended_for = t
         self._cohort = (start, start + count)
         return count
@@ -237,19 +310,45 @@ class ExpertPoolFpl(_PerturbedLeader):
     def _lead(self, x: Point) -> tuple:
         self.pool_extend()
         preds = self._predictions(x)
-        q = self._perturbations(len(self.keys))
-        scores = self.losses + (self.complexities - q) * math.sqrt(self.t)
-        j = int(np.argmin(scores))
+        n = self._size
+        # loss + (k - q) * sqrt(t), computed in place in the score buffer
+        score = self._score[:n]
+        if self.redraw == "once":
+            np.subtract(self._k[:n], self._q_once[:n], out=score)
+        else:
+            self.rng.standard_exponential(out=score)
+            np.subtract(self._k[:n], score, out=score)
+        score *= math.sqrt(self.t)
+        score += self._loss[:n]
+        j = int(score.argmin())
         return j, int(preds[j]), preds
 
     def _feed(self, x: Point, y: int, preds: np.ndarray) -> None:
-        self.losses += preds != y
-        # only this round's cohort has the current round in its key
-        for i in range(*self._cohort):
-            if preds[i] != y:
-                nxt = self.engine.restrict(int(self.state[i]), x, y)
+        wrong = preds != y
+        self._loss[:self._size] += wrong
+        # only this round's cohort has the current round in its key. Its
+        # mistaken experts share few states: restrict each distinct one
+        # once, in order of first appearance, which interns new states to
+        # the ids that restricting expert by expert would give.
+        start, end = self._cohort
+        if end - start == 1:
+            # a pool of dimension 1 adds one expert a round: skip the table
+            if wrong[start]:
+                nxt = self.engine.restrict(int(self._state[start]), x, y)
                 if nxt is not None:
-                    self.state[i] = nxt
+                    self._state[start] = nxt
+            return
+        cohort = self._state[start:end]
+        mistaken = wrong[start:end]
+        sources = cohort[mistaken]
+        if sources.size:
+            engine = self.engine
+            step = np.arange(engine.n_states)
+            for s in dict.fromkeys(sources.tolist()):
+                nxt = engine.restrict(s, x, y)
+                if nxt is not None:
+                    step[s] = nxt
+            cohort[mistaken] = step[sources]
 
 
 # ---------------------------------------------------------------------------

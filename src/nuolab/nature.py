@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .hypotheses import DiscreteMeasure, FiniteClass, Hypothesis, Point
+from .learners import ProtocolError
 from .littlestone import ldim, shattered_tree_witness
 
 
@@ -130,6 +131,9 @@ class WindowHalving(NatureStrategy):
         return (self.lo + self.hi) / 2
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
+        if predicted not in (0, 1):
+            raise ProtocolError(f"prediction must be 0 or 1, got {predicted!r}",
+                                len(self.emitted) + 1)
         y = 1 - predicted
         mid = (self.lo + self.hi) / 2
         if y == 1:
@@ -138,7 +142,8 @@ class WindowHalving(NatureStrategy):
             lo, hi = mid, self.hi      # threshold > mid
         quarter = (hi - lo) / 4
         self.lo, self.hi = lo + quarter, hi - quarter
-        assert self.lo < self.hi
+        if not self.lo < self.hi:
+            raise AssertionError(f"window collapsed to [{self.lo}, {self.hi}]")
         self.emitted.append((x, y))
         return y
 

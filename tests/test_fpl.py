@@ -74,6 +74,23 @@ class TestFplLearner:
         assert learner.predict("x") == learner.predict("x")
         assert learner.chosen_index == chosen
 
+    def test_choice_stable_within_round_on_nan_point(self):
+        # nan != nan, so a choice cached on the point would be redrawn by
+        # update and scored against a prediction that was never played
+        learner = FplLearner([ConstantLearner(0), ConstantLearner(1)],
+                             [1.0, 1.0], seed=4)
+        labels = random.Random(8)
+        x = float("nan")
+        played = 0
+        for _ in range(200):
+            yhat = learner.predict(x)
+            chosen = learner.chosen_index
+            assert learner.predict(x) == yhat and learner.chosen_index == chosen
+            y = labels.getrandbits(1)
+            played += yhat != y
+            learner.update(x, y)
+        assert played == learner.mistakes
+
     def test_counterfactual_losses_match_replay(self):
         rng = random.Random(9)
         labels = [rng.getrandbits(1) for _ in range(120)]

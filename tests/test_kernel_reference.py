@@ -1,18 +1,25 @@
 """Differential tests: the bitmask version-space kernel against frozenset
-reference copies of the oracles, SOA and the pool engine.
+reference copies of the oracles, SOA and the pool engine, and the expert
+pool's capacity arrays against a pool that keeps lists and concatenates.
 
 The references below keep version spaces as frozensets of row ids and
-split them row by row, as the oracles did before the bitmask kernel. They
-live here only, as the yardstick the kernel must match exactly.
+split them row by row, as the oracles did before the bitmask kernel, and
+grow the expert pool by concatenation, restricting expert by expert, as
+the pool did before its capacity arrays. They live here only, as the
+yardstick the kernel and the pool must match exactly.
 """
+import math
 import random
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nuolab.fpl import ExpertPoolFpl
-from nuolab.hypotheses import FamilyComponent, FiniteClass
+from nuolab.fpl import ExpertPoolFpl, pool_complexity
+from nuolab.hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
+                               SingletonClass, threshold_hypothesis)
+from nuolab.learners import OnlineLearner, engine_for
 from nuolab.littlestone import (VersionSpace, ldim, minimax_mistakes,
                                 path_node_indices, shattered_tree_witness,
                                 soa_prediction)
@@ -168,6 +175,76 @@ class RefFiniteClassEngine:
         return self.index[keep]
 
 
+class RefExpertPool(OnlineLearner):
+    """The expert pool over lists and per-round concatenation: keys as a
+    list of tuples, every array concatenated as the pool grows, one
+    restrict per mistaken cohort expert. Mass accounting is left out."""
+
+    def __init__(self, component, *, seed, redraw):
+        super().__init__()
+        self.rng = np.random.default_rng(seed)
+        self.redraw = redraw
+        self.engine = engine_for(component.cls)
+        self.dim = component.dim
+        self.keys = [()]
+        self.state = np.zeros(1, dtype=np.int64)
+        self.losses = np.zeros(1, dtype=np.int64)
+        self.complexities = np.array([pool_complexity(self.dim, 0)])
+        self._q_once = self.rng.exponential(size=1) if redraw == "once" else np.empty(0)
+        self._growable = [0] if self.dim > 0 else []
+        self._extended_for = 0
+        self._cohort = (1, 1)
+        self._pending = None
+
+    @property
+    def chosen_index(self):
+        return self._pending[1] if self._pending is not None else None
+
+    def pool_extend(self):
+        t = self.t
+        if self._extended_for == t:
+            return
+        parents = self._growable
+        start = len(self.keys)
+        count = len(parents)
+        if count:
+            k_new = pool_complexity(self.dim, t)
+            if self.redraw == "once":
+                self._q_once = np.concatenate([self._q_once, self.rng.exponential(size=count)])
+            idx = np.asarray(parents, dtype=np.int64)
+            self.state = np.concatenate([self.state, self.state[idx]])
+            self.losses = np.concatenate([self.losses, self.losses[idx]])
+            self.complexities = np.concatenate([self.complexities, np.full(count, k_new)])
+            for p in parents:
+                self.keys.append(self.keys[p] + (t,))
+            self._growable = parents + [i for i in range(start, start + count)
+                                        if len(self.keys[i]) < self.dim]
+        self._extended_for = t
+        self._cohort = (start, start + count)
+
+    def predict(self, x):
+        if self._pending is None or self._pending[0] != self.t:
+            self.pool_extend()
+            lut = np.array([self.engine.predict(s, x) for s in range(self.engine.n_states)])
+            preds = lut[self.state]
+            q = (self._q_once if self.redraw == "once"
+                 else self.rng.exponential(size=len(self.keys)))
+            scores = self.losses + (self.complexities - q) * math.sqrt(self.t)
+            j = int(np.argmin(scores))
+            self._pending = (self.t, j, int(preds[j]), preds)
+        return self._pending[2]
+
+    def _absorb(self, x, y, predicted):
+        preds = self._pending[3]
+        self._pending = None
+        self.losses += preds != y
+        for i in range(*self._cohort):
+            if preds[i] != y:
+                nxt = self.engine.restrict(int(self.state[i]), x, y)
+                if nxt is not None:
+                    self.state[i] = nxt
+
+
 # ---------------------------------------------------------------------------
 # classes
 # ---------------------------------------------------------------------------
@@ -272,3 +349,43 @@ def test_pool_game_matches_reference_engine():
     for (yhat_k, states_k, losses_k), (yhat_r, states_r, losses_r) in zip(kernel, ref):
         assert yhat_k == yhat_r and states_k == states_r
         assert np.array_equal(losses_k, losses_r)
+
+
+POOL_CASES = {
+    "dim0": FamilyComponent(1, SingletonClass(threshold_hypothesis(3)), 0),
+    "dim1": FamilyComponent(1, FiniteClass((1, 2, 3, 4, 5), [[0] * 5, [1] * 5]), 1),
+    "dim2": FamilyComponent(2, FiniteClass.thresholds((1, 2, 3, 4, 5), range(1, 7)), 2),
+    "support": FamilyComponent(3, FiniteSupportClass((1, 2, 3, 4, 5), 2), 2),
+}
+
+
+def version_spaces(pool):
+    states = getattr(pool.engine, "states", None)
+    return [states[s] for s in pool.state] if states is not None else pool.state.tolist()
+
+
+@pytest.mark.parametrize("redraw", ["per-round", "once"])
+@pytest.mark.parametrize("case", list(POOL_CASES))
+def test_pool_matches_list_reference(case, redraw):
+    # 120 rounds at dim 2 grow the pool to 7,261 experts, through thirteen
+    # capacity doublings
+    comp = POOL_CASES[case]
+    pool = ExpertPoolFpl(comp, seed=21, redraw=redraw)
+    ref = RefExpertPool(comp, seed=21, redraw=redraw)
+    script = random.Random(case)
+    for _ in range(120):
+        x = script.randint(1, 5)
+        y = int(x >= 3) ^ (script.random() < 0.3)
+        assert pool.predict(x) == ref.predict(x)
+        assert pool.chosen_index == ref.chosen_index
+        pool.update(x, y)
+        ref.update(x, y)
+        assert pool.pool_size == len(ref.keys)
+        assert np.array_equal(pool.losses, ref.losses)
+        assert np.array_equal(pool.complexities, ref.complexities)
+        assert np.array_equal(pool.state, ref.state)     # interned in the same order
+        assert version_spaces(pool) == version_spaces(ref)
+    assert pool.keys == ref.keys
+    assert pool.mistakes == ref.mistakes
+    assert pool.engine.n_states == ref.engine.n_states
+    assert pool.pool_size == {"dim0": 1, "dim1": 121}.get(case, 7261)

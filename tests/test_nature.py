@@ -5,7 +5,7 @@ import pytest
 
 from nuolab.hypotheses import (DiscreteMeasure, FiniteClass,
                                constant_hypothesis, threshold_hypothesis)
-from nuolab.learners import ConstantLearner, OnlineLearner, SoaLearner
+from nuolab.learners import ConstantLearner, OnlineLearner, ProtocolError, SoaLearner
 from nuolab.littlestone import ldim
 from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError,
                            RealizableScripted, StochasticIid, TreeAdversary,
@@ -111,6 +111,15 @@ class TestWindowHalving:
             strategy.reveal_label(x, 0)
         with pytest.raises(ExhaustionError):
             strategy.next_point()
+
+    @pytest.mark.parametrize("predicted", [-1, 2])
+    def test_rejects_prediction_outside_binary(self, predicted):
+        strategy = WindowHalving()
+        strategy.reveal_label(strategy.next_point(), 0)
+        x = strategy.next_point()
+        with pytest.raises(ProtocolError, match="round 2"):
+            strategy.reveal_label(x, predicted)
+        assert len(strategy.emitted) == 1
 
     def test_points_are_dyadic(self):
         strategy = WindowHalving()

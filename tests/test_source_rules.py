@@ -1,0 +1,17 @@
+"""Rules the package source keeps."""
+import ast
+from pathlib import Path
+
+import nuolab
+
+SOURCES = sorted(Path(nuolab.__file__).parent.glob("*.py"))
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so an invariant the package
+    # relies on is checked with an explicit raise instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert SOURCES and not found, found

@@ -6,15 +6,26 @@ import json
 import sys
 
 from . import runner, verification
-from .hypotheses import FiniteClass, format_point
-from .littlestone import ldim, shattered_tree_witness
+from .fpl import ConfigurationError
+from .hypotheses import DomainError, FiniteClass, format_point
+from .learners import ProtocolError
+from .littlestone import CapacityError, ldim, shattered_tree_witness
+from .nature import ExhaustionError
+
+# errors of the input, not of the program: one line on stderr, exit code 2
+# (JSONDecodeError is a ValueError; a missing spec key is a DomainError)
+_INPUT_ERRORS = (DomainError, CapacityError, ProtocolError, ConfigurationError,
+                 ExhaustionError, ValueError)
 
 
 def _load_spec(value: str) -> dict:
-    if value.lstrip().startswith("{"):
-        return json.loads(value)
-    with open(value) as fh:
-        return json.load(fh)
+    try:
+        if value.lstrip().startswith("{"):
+            return json.loads(value)
+        with open(value) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"bad JSON in {value!r}: {exc}") from None
 
 
 def _cmd_ldim(args) -> int:
@@ -97,7 +108,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _INPUT_ERRORS as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"nuolab {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hypotheses import FamilyComponent, ClassFamily, Point
-from .learners import OnlineLearner, ProtocolError, engine_for
+from .learners import OnlineLearner, ProtocolError, engine_for, is_label
 
 _MASS_SLACK = 1e-9
 
@@ -137,6 +137,32 @@ class _PerturbedLeader(OnlineLearner):
         """(chosen index, its prediction, data kept for `_feed`)."""
         raise NotImplementedError
 
+    def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Replay the leading rounds that `_batchable` allows in one batch
+        (`_replay`), and the rest through the round loop, which raises at
+        the round that stopped the batch."""
+        n = self._batchable(ys)
+        preds = self._replay(xs[:n], ys[:n]) if n else []
+        if n < len(ys):
+            preds += super().play(xs[n:], ys[n:])
+        return preds
+
+    def _batchable(self, ys: Sequence[int]) -> int:
+        """How many leading rounds `_replay` may take: none while a round's
+        choice is pending, and none from the first bad label on."""
+        if self._pending is not None:
+            return 0
+        return next((i for i, y in enumerate(ys) if not is_label(y)), len(ys))
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Play rounds with valid labels in one batch, as the loop would."""
+        raise NotImplementedError
+
+    def _generators(self) -> list:
+        """The random generators this learner and the learners inside it
+        draw from."""
+        return [self.rng]
+
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self._feed(x, y, self._pending[3])
         self._pending = None
@@ -184,6 +210,43 @@ class FplLearner(_PerturbedLeader):
         for expert in self.experts:
             expert.update(x, y)
 
+    def _generators(self) -> list:
+        return [g for expert in self.experts if isinstance(expert, _PerturbedLeader)
+                for g in expert._generators()] + [self.rng]
+
+    def _batchable(self, ys: Sequence[int]) -> int:
+        # the batch plays each expert's rounds before the leader's, which
+        # only keeps the draws if no two of them share a generator
+        generators = self._generators()
+        if len(set(map(id, generators))) < len(generators):
+            return 0
+        return super()._batchable(ys)
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Each expert plays the rounds with its own `play`; the leader then
+        scores the (rounds x experts) matrix of losses at once. A block of
+        `exponential(size=(T, n))` holds the values of T per-round
+        `exponential(size=n)` draws, the scores take the loop's float
+        operations, and the row-wise argmin ties to the smallest index."""
+        n = len(self.experts)
+        if n == 0:
+            raise ProtocolError("no experts registered", self.t)
+        T = len(ys)
+        before = np.array([expert.mistakes for expert in self.experts])
+        played = [expert.play(xs, ys) for expert in self.experts]
+        # losses[i, j]: expert j's mistakes before round t + i
+        wrong = np.array(played).T != np.array(ys)[:, None]
+        losses = before + np.cumsum(wrong, axis=0) - wrong
+        draws = self._q_once[:n] if self.redraw == "once" else self.rng.exponential(size=(T, n))
+        scores = np.subtract(self.complexities, draws)
+        scores = scores * np.sqrt(np.arange(self.t, self.t + T, dtype=float))[:, None]
+        scores += losses
+        chosen = scores.argmin(axis=1).tolist()
+        preds = [played[j][i] for i, j in enumerate(chosen)]
+        self.mistakes += sum(p != y for p, y in zip(preds, ys))
+        self.t += T
+        return preds
+
 
 class ExpertPoolFpl(_PerturbedLeader):
     """Perturbed leader over every keyed version-space expert with at most
@@ -216,6 +279,8 @@ class ExpertPoolFpl(_PerturbedLeader):
     smallest index, and the cohort's restricts intern new states to the
     same ids (see `_feed`).
     """
+
+    _BLOCK = 64     # rounds a dense replay scores at once
 
     def __init__(self, component: FamilyComponent, *,
                  seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
@@ -350,6 +415,103 @@ class ExpertPoolFpl(_PerturbedLeader):
                     step[s] = nxt
             cohort[mistaken] = step[sources]
 
+    def _batchable(self, ys: Sequence[int]) -> int:
+        # a pool of dimension 2 or more would need a triangle of O(T^(d+1))
+        # entries, and a pool that has played keeps the loop too
+        if self.dim > 1 or self._extended_for:
+            return 0
+        return super()._batchable(ys)
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Dense replay of a fresh pool of dimension 0 or 1.
+
+        At dimension 1 the expert born at round s (index s; the root is 0)
+        has the root's state and loss at its birth round, restricts to a
+        state sigma_s if it errs there, and is frozen after it. So with
+        M[sigma, t] the mistakes of a frozen state sigma over rounds 1..t,
+        its loss before round t > s is M[0, s] - M[sigma_s, s] +
+        M[sigma_s, t - 1]. Births register one per round and restrict in
+        round order, so the mass budget, the once-mode draws and the engine
+        ids are the loop's. The per-round draws of rounds t = 1..T fill
+        the lower triangle of a T x (T + 1) score matrix row by row from
+        one block of `standard_exponential`, which the loop's per-round
+        calls read in the same order; the triangle is scored `_BLOCK`
+        rounds at a time to bound its memory.
+        """
+        engine, T = self.engine, len(ys)
+        births = int(self.dim == 1)
+        size = 1 + births * T
+        (self._state, self._loss, self._k, self._parent, self._born,
+         self._keylen, self._score) = (
+            _with_room(a, size) for a in (
+                self._state, self._loss, self._k, self._parent, self._born,
+                self._keylen, self._score))
+        for t in range(1, size):
+            k_new = pool_complexity(self.dim, t)
+            self._register(1, k_new)
+            self._k[t] = k_new
+        self._parent[1:size] = 0
+        self._born[1:size] = np.arange(1, size)
+        self._keylen[1:size] = 1
+        root = [engine.predict(0, x) for x in xs]
+        sigma = self._state[:size]
+        sigma[0] = 0
+        if births:
+            # a mistaken birth restricts the root's state. Each distinct
+            # (x, y) is restricted once, in round order, which interns the
+            # ids that restricting birth by birth would give; an empty
+            # restriction (None) leaves the state at 0.
+            restricted = {}
+            for x, y_t, p in zip(xs, ys, root):
+                if p != y_t and (x, y_t) not in restricted:
+                    restricted[x, y_t] = engine.restrict(0, x, y_t)
+            sigma[1:] = [restricted[x, y_t] or 0 if p != y_t else 0
+                         for x, y_t, p in zip(xs, ys, root)]
+        states = np.array([root] + [[engine.predict(s, x) for x in xs]
+                                    for s in range(1, engine.n_states)])
+        y = np.array(ys)
+        mistakes = np.zeros((len(states), T + 1), dtype=np.int64)
+        np.cumsum(states != y, axis=1, out=mistakes[:, 1:])
+        born = np.arange(size)
+        base = mistakes[0, born] - mistakes[sigma, born]
+        # the same small integers as floats, which `score += loss` adds
+        # exactly as the loop's int-to-float addition does
+        fmistakes, fbase = mistakes.astype(float), base.astype(float)
+
+        chosen = np.empty(T, dtype=np.int64)
+        for a in range(1, T + 1, self._BLOCK):
+            rounds = np.arange(a, min(a + self._BLOCK, T + 1))
+            n = 1 + births * int(rounds[-1])
+            live = np.arange(n) <= births * rounds[:, None]
+            loss = fmistakes[:, rounds - 1].T[:, sigma[:n]]
+            loss += fbase[:n]
+            if births:
+                # a newborn still has the root's state and loss
+                loss[np.arange(len(rounds)), rounds] = fmistakes[0, rounds - 1]
+            # a draw of -inf scores an expert not yet born at +inf
+            draws = np.full(live.shape, -np.inf)
+            if self.redraw == "once":
+                np.copyto(draws, self._q_once[:n], where=live)
+            else:
+                # round t scores 1 + births * t experts
+                count = len(rounds) + births * int(rounds.sum())
+                draws[live] = self.rng.standard_exponential(count)
+            score = np.subtract(self._k[:n], draws)
+            score *= np.sqrt(rounds.astype(float))[:, None]
+            score += loss
+            chosen[a - 1:a - 1 + len(rounds)] = score.argmin(axis=1)
+        played = np.arange(1, T + 1)
+        state_then = np.where(chosen == births * played, 0, sigma[chosen])
+        preds = states[state_then, played - 1]
+
+        self._loss[:size] = base + mistakes[sigma, T]
+        self._score[:size] = score[-1]
+        self._extended_for = T
+        self._cohort = (size - births, size)
+        self.mistakes += int((preds != y).sum())
+        self.t += T
+        return preds.tolist()
+
 
 # ---------------------------------------------------------------------------
 # hierarchical agnostic learner
@@ -388,3 +550,9 @@ class AgnosticFpl(FplLearner):
                 f"round {self.t} beyond the configured cap of {self.cap_rounds}; "
                 "the expert pools grow polynomially per round")
         return super().predict(x)
+
+    def _batchable(self, ys: Sequence[int]) -> int:
+        n = super()._batchable(ys)
+        if self.cap_rounds is not None:
+            n = min(n, max(0, self.cap_rounds + 1 - self.t))
+        return n

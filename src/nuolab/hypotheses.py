@@ -8,6 +8,7 @@ measures over countable supports use exact rational masses.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,20 @@ Point = str | int | Fraction
 
 class DomainError(ValueError):
     """A point outside the declared domain, or a malformed definition."""
+
+
+def reads_spec(kind: str):
+    """Decorate a function that reads a JSON spec of `kind` so that a key
+    missing from the spec raises `DomainError` naming it, not `KeyError`."""
+    def decorate(build):
+        @functools.wraps(build)
+        def wrapper(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except KeyError as exc:
+                raise DomainError(f"{kind} spec is missing key {exc}") from None
+        return wrapper
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +122,7 @@ def row_hypothesis(domain: Sequence[Point], values: Sequence[int],
     return Hypothesis(hid if hid is not None else tuple(values), fn)
 
 
+@reads_spec("hypothesis")
 def hypothesis_from_config(spec: dict) -> Hypothesis:
     """Build a hypothesis from its JSON spec.
 
@@ -220,6 +236,7 @@ class FiniteClass:
         return cls(domain, rows, labels=[f"thr-{format_point(c)}" for c in cuts])
 
     @classmethod
+    @reads_spec("class")
     def from_config(cls, spec: dict) -> "FiniteClass":
         domain = [parse_point(p) for p in spec["domain"]]
         return cls(domain, spec["hypotheses"], labels=spec.get("labels"))
@@ -408,6 +425,7 @@ class FiniteSupportFamily(ClassFamily):
                 "params": {"domain": [point_to_json(p) for p in self.domain]}}
 
 
+@reads_spec("family")
 def family_from_config(spec: dict) -> ClassFamily:
     kind = spec.get("family")
     params = spec.get("params", {})
@@ -482,6 +500,7 @@ class DiscreteMeasure:
         return cls(points, masses)
 
     @classmethod
+    @reads_spec("measure")
     def from_config(cls, spec: dict) -> "DiscreteMeasure":
         return cls([parse_point(p) for p in spec["support"]],
                    [Fraction(m) for m in spec["mass"]])

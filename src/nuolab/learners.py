@@ -33,6 +33,12 @@ class ProtocolError(RuntimeError):
         self.round_index = round_index
 
 
+def is_label(y) -> bool:
+    """Whether `y` is the int 0 or 1; `True`, `1.0` and numpy integers are
+    not labels."""
+    return type(y) is int and 0 <= y <= 1
+
+
 class OnlineLearner:
     """Base of the observe/predict/reveal protocol."""
 
@@ -45,8 +51,24 @@ class OnlineLearner:
     def predict(self, x: Point) -> int:
         raise NotImplementedError
 
+    def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Play the rounds (xs[i], ys[i]) in order, as `predict` then
+        `update` each, and return the predictions.
+
+        A subclass may replay the rounds in one batch. It must give the
+        loop's predictions, state and random draws, and raise a bad label
+        at its round after the same rounds as the loop. An error the loop
+        would raise from inside the learner (say, a point outside a
+        class's domain) is raised by a batch too, but the learner's state
+        after it may differ from the loop's."""
+        preds = []
+        for x, y in zip(xs, ys):
+            preds.append(self.predict(x))
+            self.update(x, y)
+        return preds
+
     def update(self, x: Point, y: int) -> None:
-        if y not in (0, 1):
+        if not is_label(y):
             raise ProtocolError(f"label must be 0 or 1, got {y!r}", self.t)
         p = self.predict(x)
         mistake = p != y

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .hypotheses import DiscreteMeasure, FiniteClass, Hypothesis, Point
-from .learners import ProtocolError
+from .learners import ProtocolError, is_label
 from .littlestone import ldim, shattered_tree_witness
 
 
@@ -22,6 +22,21 @@ class ExhaustionError(RuntimeError):
 
 
 class NatureStrategy:
+    """One side of a game: `next_point` serves the round's point, and
+    `reveal_label` the label once the learner has predicted.
+
+    `oblivious` states a fact about the nature: its `next_point` and
+    `reveal_label` read neither the prediction nor the trace, so the whole
+    script of points and labels is fixed before the game starts. For such
+    a nature `runner.run_game` draws the script first and hands it to
+    `learner.play` in one call, which gives the same game as the round
+    loop: the nature's draws come in the same order, and the learner's
+    replay makes the same random draws in the same order and scores them
+    with the same float operations.
+    """
+
+    oblivious = False
+
     def next_point(self, trace=None) -> Point:
         raise NotImplementedError
 
@@ -32,6 +47,8 @@ class NatureStrategy:
 class RealizableScripted(NatureStrategy):
     """A fixed ground-truth hypothesis and a fixed point sequence; labels
     are always h*(x). With cycle=True the point sequence repeats forever."""
+
+    oblivious = True
 
     def __init__(self, hypothesis: Hypothesis, points: Sequence[Point], *,
                  cycle: bool = False):
@@ -56,6 +73,8 @@ class RealizableScripted(NatureStrategy):
 class AgnosticScripted(NatureStrategy):
     """Fixed point and label sequences with no realizability promise."""
 
+    oblivious = True
+
     def __init__(self, points: Sequence[Point], labels: Sequence[int]):
         if len(points) != len(labels):
             raise ValueError("points and labels differ in length")
@@ -78,6 +97,8 @@ class StochasticIid(NatureStrategy):
     """Points drawn iid from a discrete measure; labels from a fixed
     ground-truth hypothesis."""
 
+    oblivious = True
+
     def __init__(self, hypothesis: Hypothesis, measure: DiscreteMeasure,
                  seed: Optional[int] = None):
         self.hypothesis = hypothesis
@@ -94,6 +115,8 @@ class StochasticIid(NatureStrategy):
 class CoinFlip(NatureStrategy):
     """A single fixed point; labels are independent fair bits from a
     dedicated stream, oblivious to the learner."""
+
+    oblivious = True
 
     def __init__(self, seed: Optional[int] = None, point: Point = 0):
         self.point = point
@@ -131,7 +154,7 @@ class WindowHalving(NatureStrategy):
         return (self.lo + self.hi) / 2
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
-        if predicted not in (0, 1):
+        if not is_label(predicted):
             raise ProtocolError(f"prediction must be 0 or 1, got {predicted!r}",
                                 len(self.emitted) + 1)
         y = 1 - predicted

@@ -12,7 +12,7 @@ import numpy as np
 from . import fpl, learners, nature
 from .hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypothesis,
                          Point, family_from_config, format_point,
-                         hypothesis_from_config, parse_point)
+                         hypothesis_from_config, parse_point, reads_spec)
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,55 @@ class GameTrace:
 
 def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrace:
     """Exactly `horizon` rounds of observe/predict/reveal. Protocol errors
-    surface with their round index; horizon 0 gives an empty trace."""
+    surface with their round index; horizon 0 gives an empty trace.
+
+    Against a nature that watches the learner, every round runs through
+    `predict`, `reveal_label` and `update`. An oblivious nature (see
+    `nature.NatureStrategy`) reads neither the prediction nor the trace, so
+    its points and labels are drawn first, round by round, and the learner
+    plays them in one `learner.play` call. That is the same game: the
+    nature's draws come in the same order, and `play` gives the loop's
+    predictions, state and random draws, because a batch replay makes the
+    same draws in the same order and scores them with the same float
+    operations. Errors match the loop's too: if drawing fails at round r,
+    the learner first plays rounds 1..r-1 (and predicts round r when it
+    was the label that failed), and a bad label raises from the learner at
+    its round (`OnlineLearner.play` says what a batch promises about other
+    errors from inside the learner).
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    trace = GameTrace()
-    for t in range(1, horizon + 1):
-        try:
-            x = strategy.next_point(trace)
-        except nature.ExhaustionError as exc:
-            raise nature.ExhaustionError(f"round {t}: {exc}") from exc
-        predicted = learner.predict(x)
-        y = strategy.reveal_label(x, predicted, trace)
-        learner.update(x, y)
-        trace.rounds.append(GameRound(t, x, y, predicted))
-    return trace
+    if not strategy.oblivious:
+        trace = GameTrace()
+        for t in range(1, horizon + 1):
+            try:
+                x = strategy.next_point(trace)
+            except nature.ExhaustionError as exc:
+                raise nature.ExhaustionError(f"round {t}: {exc}") from exc
+            predicted = learner.predict(x)
+            y = strategy.reveal_label(x, predicted, trace)
+            learner.update(x, y)
+            trace.rounds.append(GameRound(t, x, y, predicted))
+        return trace
+    xs: list[Point] = []
+    ys: list[int] = []
+    failure = None
+    try:
+        for _ in range(horizon):
+            x = strategy.next_point(None)
+            xs.append(x)
+            ys.append(strategy.reveal_label(x, None, None))
+    except Exception as exc:    # raised below, once the learner has caught up
+        failure = exc
+    predicted = learner.play(xs[:len(ys)], ys)
+    if failure is not None:
+        if len(xs) > len(ys):
+            learner.predict(xs[-1])
+        elif isinstance(failure, nature.ExhaustionError):
+            raise nature.ExhaustionError(f"round {len(xs) + 1}: {failure}") from failure
+        raise failure
+    return GameTrace([GameRound(t, x, y, p)
+                      for t, x, y, p in zip(range(1, horizon + 1), xs, ys, predicted)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +245,7 @@ def _cover_from_config(spec) -> learners.CoverSpec:
     return learners.CoverSpec([hypothesis_from_config(h) for h in spec])
 
 
+@reads_spec("learner")
 def make_learner(spec: dict, seed: Optional[int] = None):
     """Build a learner from its textual spec (see the README table)."""
     kind = spec.get("learner")
@@ -245,6 +281,7 @@ def make_learner(spec: dict, seed: Optional[int] = None):
     raise DomainError(f"unknown learner spec: {kind!r}")
 
 
+@reads_spec("nature")
 def make_nature(spec: dict, seed: Optional[int] = None,
                 learner_spec: Optional[dict] = None) -> nature.NatureStrategy:
     """Build a Nature strategy from its textual spec."""
@@ -285,6 +322,7 @@ def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
     return run_game(learner, strategy, horizon), learner
 
 
+@reads_spec("comparison")
 def comparison_from_config(spec):
     if spec == REAL_THRESHOLDS:
         return REAL_THRESHOLDS
@@ -298,6 +336,12 @@ def comparison_from_config(spec):
 def regret_experiment_from_config(config: dict) -> RegretCurve:
     """Config keys: learner, nature, comparison, Ts (or T), trials,
     master_seed, optional bound {"kind": "fpl", "k": ...}."""
+    return regret_curve(*_experiment_args(config))
+
+
+@reads_spec("regret config")
+def _experiment_args(config: dict) -> tuple:
+    """The arguments of `regret_curve` that a regret config describes."""
     horizons = config.get("Ts") or [config["T"]]
     trials = int(config.get("trials", 100))
     master_seed = int(config.get("master_seed", 0))
@@ -316,7 +360,6 @@ def regret_experiment_from_config(config: dict) -> RegretCurve:
         else:
             raise DomainError(f"unknown bound kind: {bound['kind']!r}")
 
-    return regret_curve(
-        lambda s: make_learner(learner_spec, seed=s),
-        lambda s: make_nature(nature_spec, seed=s, learner_spec=learner_spec),
-        horizons, trials, master_seed, comparison, bound_fn)
+    return (lambda s: make_learner(learner_spec, seed=s),
+            lambda s: make_nature(nature_spec, seed=s, learner_spec=learner_spec),
+            horizons, trials, master_seed, comparison, bound_fn)

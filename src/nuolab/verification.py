@@ -343,8 +343,7 @@ class _LastLabelExpert(learners.OnlineLearner):
 def _fpl_trial(expert_makers, ks, labels, seed, redraw="per-round"):
     learner = fpl.FplLearner([m() for m in expert_makers], ks, seed=seed,
                              redraw=redraw)
-    for y in labels:
-        learner.update(0, y)
+    learner.play([0] * len(labels), labels)
     return learner
 
 

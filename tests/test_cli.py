@@ -1,0 +1,52 @@
+"""The command line: input errors end with exit code 2 and one line on
+stderr, never a traceback."""
+import json
+
+import pytest
+
+from nuolab import cli
+
+COIN = json.dumps({"nature": "coin-flip"})
+CONSTANT = json.dumps({"learner": "constant"})
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_play_runs(capsys):
+    code, out, err = run(capsys, "play", "--learner", CONSTANT, "--nature", COIN, "-T", "5")
+    assert code == 0 and out.startswith("rounds:   5\n") and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--learner", json.dumps({"learner": "nope"}), "--nature", COIN, "-T", "5"],
+     "unknown learner spec: 'nope'"),
+    (["--learner", CONSTANT, "--nature", COIN, "-T", "-3"],
+     "horizon must be >= 0"),
+    (["--learner", CONSTANT, "--nature", '{"nature": "coin-flip"', "-T", "3"],
+     "bad JSON in"),
+    (["--learner", json.dumps({"learner": "soa"}), "--nature", COIN, "-T", "3"],
+     "learner spec is missing key 'class'"),
+    (["--learner", CONSTANT, "--nature",
+      json.dumps({"nature": "scripted", "x": [0, 0], "y": [1, 0]}), "-T", "3"],
+     "round 3: scripted stream exhausted after 2 points"),
+], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
+        "exhausted"])
+def test_play_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, "play", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("nuolab play: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_ldim_missing_key(capsys):
+    code, _, err = run(capsys, "ldim", json.dumps({"hypotheses": [[0]]}))
+    assert code == 2 and err == "nuolab ldim: error: class spec is missing key 'domain'\n"
+
+
+def test_regret_missing_key(capsys):
+    code, _, err = run(capsys, "regret", "--config", json.dumps({"learner": {}}))
+    assert code == 2 and err == "nuolab regret: error: regret config spec is missing key 'T'\n"

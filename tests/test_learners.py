@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nuolab.fpl import AgnosticFpl
 from nuolab.hypotheses import (DomainError, ExplicitListFamily, FiniteClass,
                                FiniteSupportClass, FiniteSupportFamily,
                                constant_hypothesis, support_hypothesis,
@@ -418,3 +419,24 @@ def test_follow_hypothesis_learner():
     learner = FollowHypothesisLearner(threshold_hypothesis(2))
     assert run_stream(learner, [(1, 0), (2, 1), (3, 0)]) == [0, 1, 1]
     assert learner.mistakes == 1
+
+
+@pytest.mark.parametrize("label", [True, 1.0, 0.0, False, 2, None])
+def test_update_accepts_only_int_labels(label):
+    learner = ConstantLearner(1)
+    learner.update("a", 1)
+    with pytest.raises(ProtocolError, match=f"round 2: label must be 0 or 1, got {label!r}"):
+        learner.update("a", label)
+    assert (learner.t, learner.mistakes) == (2, 0)
+
+
+@pytest.mark.parametrize("label", [True, 1.0])
+@pytest.mark.parametrize("make", [lambda: ConstantLearner(0),
+                                  lambda: AgnosticFpl(ExplicitListFamily(
+                                      [FiniteClass(("a",), [[0], [1]])]), 1, seed=0)],
+                         ids=["constant", "agnostic-fpl"])
+def test_play_accepts_only_int_labels(make, label):
+    learner = make()
+    with pytest.raises(ProtocolError, match=f"round 3: label must be 0 or 1, got {label!r}"):
+        learner.play(["a"] * 4, [1, 0, label, 1])
+    assert learner.t == 3

@@ -121,6 +121,14 @@ class TestWindowHalving:
             strategy.reveal_label(x, predicted)
         assert len(strategy.emitted) == 1
 
+    @pytest.mark.parametrize("predicted", [1.0, True])
+    def test_rejects_prediction_that_is_not_an_int(self, predicted):
+        strategy = WindowHalving()
+        x = strategy.next_point()
+        with pytest.raises(ProtocolError, match="round 1: prediction must be 0 or 1"):
+            strategy.reveal_label(x, predicted)
+        assert strategy.emitted == []
+
     def test_points_are_dyadic(self):
         strategy = WindowHalving()
         for _ in range(20):

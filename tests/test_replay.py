@@ -1,0 +1,266 @@
+"""Differential test of the batch replay: a game against an oblivious
+nature (replayed through `learner.play`) must equal the same game played
+round by round through a pass-through nature that is not oblivious."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nuolab import nature, runner
+from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
+from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
+                               FiniteSupportClass, SingletonClass,
+                               threshold_hypothesis)
+from nuolab.learners import (ConstantLearner, FollowHypothesisLearner,
+                             OnlineLearner, ProtocolError, SoaLearner)
+
+DOMAIN = (1, 2, 3, 4)
+CONSTANTS = FiniteClass(DOMAIN, [[0, 0, 0, 0], [1, 1, 1, 1]])
+THRESHOLDS = FiniteClass.thresholds(DOMAIN, (1, 2, 3, 4, 5))
+
+COMPONENTS = {
+    "dim0-singleton": FamilyComponent(1, SingletonClass(threshold_hypothesis(2)), 0),
+    "dim0-finite": FamilyComponent(1, FiniteClass(DOMAIN, [[0, 1, 1, 0]]), 0),
+    "dim1-constants": FamilyComponent(1, CONSTANTS, 1),
+    "dim1-support": FamilyComponent(1, FiniteSupportClass(DOMAIN, 1), 1),
+    "dim2-thresholds": FamilyComponent(2, THRESHOLDS, 2),
+    "dim2-support": FamilyComponent(2, FiniteSupportClass(DOMAIN, 2), 2),
+}
+
+
+class PassThrough(nature.NatureStrategy):
+    """Serves another nature's points and labels without being oblivious,
+    so `run_game` plays it round by round."""
+
+    def __init__(self, inner: nature.NatureStrategy):
+        self.inner = inner
+
+    def next_point(self, trace=None):
+        return self.inner.next_point(trace)
+
+    def reveal_label(self, x, predicted, trace=None):
+        return self.inner.reveal_label(x, predicted, trace)
+
+
+class RawScript(nature.NatureStrategy):
+    """An oblivious script that serves its labels unconverted."""
+
+    oblivious = True
+
+    def __init__(self, points, labels):
+        self.script = list(zip(points, labels))
+        self.served = 0
+
+    def next_point(self, trace=None):
+        if self.served >= len(self.script):
+            raise nature.ExhaustionError(f"raw script exhausted after {self.served} points")
+        self.served += 1
+        return self.script[self.served - 1][0]
+
+    def reveal_label(self, x, predicted, trace=None):
+        return self.script[self.served - 1][1]
+
+
+class LastLabel(OnlineLearner):
+    """Predicts the previously revealed label (0 on the first round)."""
+
+    def __init__(self):
+        super().__init__()
+        self.last = 0
+
+    def predict(self, x) -> int:
+        return self.last
+
+    def _absorb(self, x, y, predicted) -> None:
+        self.last = y
+
+
+def snapshot(learner) -> dict:
+    """Everything observable about a learner's state, its experts' and its
+    random generator's included."""
+    out = {"type": type(learner).__name__, "t": learner.t, "mistakes": learner.mistakes}
+    if isinstance(learner, (ExpertPoolFpl, FplLearner)):
+        out.update(chosen_index=learner.chosen_index, mass=learner._mass,
+                   rng=learner.rng.bit_generator.state,
+                   losses=[int(v) for v in learner.losses],
+                   complexities=[float(k) for k in learner.complexities])
+    if isinstance(learner, ExpertPoolFpl):
+        out.update(state=learner.state.tolist(), keys=learner.keys,
+                   pool_size=learner.pool_size,
+                   engine_states=list(getattr(learner.engine, "states", [])),
+                   q_once=learner._q_once[:learner.pool_size].tolist())
+    if isinstance(learner, FplLearner):
+        out["experts"] = [snapshot(e) for e in learner.experts]
+    if isinstance(learner, SoaLearner):
+        out.update(sid=learner.sid, engine_states=list(getattr(learner.engine, "states", [])))
+    if isinstance(learner, LastLabel):
+        out["last"] = learner.last
+    return out
+
+
+def rounds(trace):
+    return [(r.t, r.x, r.y, r.predicted) for r in trace.rounds]
+
+
+def both_ways(make_learner, make_nature, horizon):
+    """(trace or error, snapshot) for the replayed game and the looped one."""
+    out = []
+    for wrap in (lambda s: s, PassThrough):
+        learner, strategy = make_learner(), wrap(make_nature())
+        try:
+            trace = runner.run_game(learner, strategy, horizon)
+            result = ("trace", rounds(trace), trace.mistakes, len(trace))
+        except (ProtocolError, ConfigurationError, nature.ExhaustionError) as exc:
+            result = ("error", type(exc).__name__, str(exc))
+        out.append((result, snapshot(learner)))
+    return out
+
+
+def assert_same_game(make_learner, make_nature, horizon):
+    assert make_nature().oblivious and not PassThrough(make_nature()).oblivious
+    replayed, looped = both_ways(make_learner, make_nature, horizon)
+    assert replayed[0] == looped[0]
+    assert replayed[1] == looped[1]
+    return replayed[0]
+
+
+scripts = st.integers(0, 120).flatmap(lambda T: st.tuples(
+    st.lists(st.sampled_from(DOMAIN), min_size=T, max_size=T),
+    st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+seeds = st.integers(0, 2 ** 32 - 1)
+redraws = st.sampled_from(("per-round", "once"))
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+@settings(max_examples=25, deadline=None)
+@given(script=scripts, seed=seeds, redraw=redraws)
+def test_pool_replay_matches_loop(name, script, seed, redraw):
+    xs, ys = script
+    comp = COMPONENTS[name]
+    assert_same_game(lambda: ExpertPoolFpl(comp, seed=seed, redraw=redraw),
+                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(script=scripts, seed=seeds, redraw=redraws,
+       cap=st.one_of(st.none(), st.integers(0, 130)))
+def test_agnostic_replay_matches_loop(components, script, seed, redraw, cap):
+    xs, ys = script
+    family = ExplicitListFamily([CONSTANTS, THRESHOLDS])
+    result = assert_same_game(
+        lambda: AgnosticFpl(family, components, seed=seed, redraw=redraw, cap_rounds=cap),
+        lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    if cap is not None and cap < len(xs):
+        assert result == ("error", "ConfigurationError",
+                          f"round {cap + 1} beyond the configured cap of {cap}; "
+                          "the expert pools grow polynomially per round")
+
+
+def test_cap_hit_and_not_hit():
+    family = ExplicitListFamily([CONSTANTS])
+    xs, ys = [1] * 30, [t % 2 for t in range(30)]
+    for cap, expected in ((29, "error"), (30, "trace")):
+        result = assert_same_game(lambda: AgnosticFpl(family, 1, seed=3, cap_rounds=cap),
+                                  lambda: nature.AgnosticScripted(xs, ys), 30)
+        assert result[0] == expected
+
+
+def five_experts():
+    return [ConstantLearner(0), ConstantLearner(1),
+            FollowHypothesisLearner(threshold_hypothesis(3)),
+            SoaLearner(THRESHOLDS, on_empty="freeze"), LastLabel()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=scripts, seed=seeds, redraw=redraws)
+def test_five_expert_replay_matches_loop(script, seed, redraw):
+    xs, ys = script
+    ks = [1.0 + math.log(i) for i in range(1, 6)]
+    assert_same_game(lambda: FplLearner(five_experts(), ks, seed=seed, redraw=redraw),
+                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=scripts)
+def test_deterministic_learners_replay_matches_loop(script):
+    xs, ys = script
+    for make in (lambda: ConstantLearner(1),
+                 lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
+                 lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze")):
+        assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, horizon=st.integers(0, 150))
+def test_coin_flip_replay_matches_loop(seed, horizon):
+    family = ExplicitListFamily([FiniteClass((0,), [[0], [1]])])
+    assert_same_game(lambda: AgnosticFpl(family, 1, seed=seed),
+                     lambda: nature.CoinFlip(seed), horizon)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=4),
+    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=4),
+    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=4, redraw="once"),
+    lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
+], ids=["agnostic-2", "fpl-five", "pool-dim1", "soa"])
+def test_exhaustion_mid_script(make):
+    xs, ys = [1, 2, 3, 4, 1, 2, 3], [0, 1, 1, 0, 1, 1, 0]
+    result = assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 12)
+    assert result == ("error", "ExhaustionError",
+                      "round 8: scripted stream exhausted after 7 points")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2, -1, None])
+@pytest.mark.parametrize("make", [
+    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=5),
+    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=5),
+    lambda: ExpertPoolFpl(COMPONENTS["dim1-support"], seed=5),
+    lambda: ConstantLearner(0),
+], ids=["agnostic-2", "fpl-five", "pool-dim1", "constant"])
+def test_bad_label_mid_script(make, bad):
+    xs = [1, 2, 3, 4, 1, 2, 3, 4]
+    ys = [0, 1, 1, 0, 1, bad, 0, 1]
+    result = assert_same_game(make, lambda: RawScript(xs, ys), 8)
+    assert result == ("error", "ProtocolError", f"round 6: label must be 0 or 1, got {bad!r}")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=9),
+    lambda: ExpertPoolFpl(COMPONENTS["dim0-singleton"], seed=9),
+    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=9),
+    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=9),
+], ids=["pool-dim1", "pool-dim0", "fpl-five", "agnostic-2"])
+@pytest.mark.parametrize("pending", [False, True])
+def test_play_after_rounds_matches_loop(make, pending):
+    # rounds played one by one, optionally a prediction of the next round
+    # (a pending choice), then the rest in one call: the same as playing
+    # every round one by one
+    xs = [(t % 4) + 1 for t in range(40)]
+    ys = [(t * 7 // 3) % 2 for t in range(40)]
+    learners = [make(), make()]
+    for learner in learners:
+        for x, y in zip(xs[:10], ys[:10]):
+            learner.predict(x)
+            learner.update(x, y)
+    if pending:
+        learners[0].predict(xs[10])
+    played = learners[0].play(xs[10:], ys[10:])
+    looped = OnlineLearner.play(learners[1], xs[10:], ys[10:])
+    assert played == looped
+    assert snapshot(learners[0]) == snapshot(learners[1])
+
+
+def test_shared_generator_takes_the_loop():
+    # an expert drawing from the leader's generator interleaves its draws
+    # with the leader's, which only the round loop reproduces
+    xs, ys = [1, 2, 3, 4] * 10, [0, 1] * 20
+
+    def make():
+        rng = np.random.default_rng(12)
+        pools = [ExpertPoolFpl(COMPONENTS["dim1-constants"], rng=rng)]
+        return FplLearner(pools, [1.0], rng=rng)
+
+    assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 40)

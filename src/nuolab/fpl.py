@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypotheses import FamilyComponent, ClassFamily, Point
-from .learners import OnlineLearner, ProtocolError, engine_for, is_label
+from .hypotheses import FamilyComponent, ClassFamily, Point, is_label
+from .learners import OnlineLearner, ProtocolError, engine_for
 
 _MASS_SLACK = 1e-9
 

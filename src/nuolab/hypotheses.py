@@ -86,8 +86,14 @@ class Hypothesis:
         return self.fn(x)
 
 
+def is_label(y) -> bool:
+    """Whether `y` is the int 0 or 1; `True`, `1.0` and numpy integers are
+    not labels."""
+    return type(y) is int and 0 <= y <= 1
+
+
 def constant_hypothesis(value: int, hid: int | str | None = None) -> Hypothesis:
-    if value not in (0, 1):
+    if not is_label(value):
         raise DomainError(f"constant must be 0 or 1, got {value!r}")
     return Hypothesis(hid if hid is not None else f"const-{value}", lambda x: value)
 
@@ -140,6 +146,9 @@ def hypothesis_from_config(spec: dict) -> Hypothesis:
     if kind == "support":
         return support_hypothesis([parse_point(p) for p in spec["points"]])
     if kind == "row":
+        bad = [v for v in spec["values"] if not is_label(v)]
+        if bad:
+            raise DomainError(f"row values must be 0 or 1, got {bad[0]!r}")
         return row_hypothesis([parse_point(p) for p in spec["domain"]], spec["values"])
     raise DomainError(f"unknown hypothesis kind: {kind!r}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
-                         Hypothesis, Point, SingletonClass, ClassFamily)
+                         Hypothesis, Point, SingletonClass, ClassFamily, is_label)
 from .littlestone import VersionSpace, _workspace, soa_prediction, split
 
 
@@ -31,12 +31,6 @@ class ProtocolError(RuntimeError):
             message = f"round {round_index}: {message}"
         super().__init__(message)
         self.round_index = round_index
-
-
-def is_label(y) -> bool:
-    """Whether `y` is the int 0 or 1; `True`, `1.0` and numpy integers are
-    not labels."""
-    return type(y) is int and 0 <= y <= 1
 
 
 class OnlineLearner:

@@ -8,7 +8,11 @@ surviving id. Every restriction is one `split` by a column mask.
 The dimension recursion and the game-tree oracle are two independent code
 paths with separate memo tables; their agreement on finite classes is one
 of the verification suite's core checks, so neither may delegate to the
-other. They share only `column_masks` and `split`.
+other. They share only `column_masks` and `split`. Each prunes by its own
+floor(log2 |S|) ceiling, written inline and argued from its own
+definition: a depth-d shattered tree needs 2^d distinct rows, one per
+leaf, and in the game the halving learner (predict the majority) loses at
+least half of the surviving rows with every mistake.
 """
 from __future__ import annotations
 
@@ -66,16 +70,21 @@ class _Workspace:
             return cached
         best = 0
         if ids & (ids - 1):
+            # a depth-d shattered tree has 2^d leaves, each realized by a
+            # distinct row, so Ldim(S) <= floor(log2 |S|): stop on reaching
+            # it, and skip a split whose smaller side has fewer than
+            # 2^best rows
+            cap = ids.bit_count().bit_length() - 1
             for colmask in self.colmasks:
                 zeros, ones = split(ids, colmask)
                 if zeros and ones:
-                    # Ldim(S) <= floor(log2 |S|), so a split whose smaller
-                    # side has fewer than 2^best rows cannot beat best
                     if min(zeros.bit_count(), ones.bit_count()).bit_length() <= best:
                         continue
                     cand = 1 + min(self.ldim(zeros), self.ldim(ones))
                     if cand > best:
                         best = cand
+                        if best == cap:
+                            break
         self.memo[ids] = best
         return best
 
@@ -157,7 +166,13 @@ def soa_prediction(vs: VersionSpace, x: Point) -> int:
 # ---------------------------------------------------------------------------
 
 def ldim(cls: FiniteClass) -> int:
-    """Exact dimension: the largest d with a depth-d shattered tree."""
+    """Exact dimension: the largest d with a depth-d shattered tree.
+
+    A depth-d shattered tree has 2^d leaves, and the rows realizing two
+    different leaves differ at the node where their paths part, so the
+    dimension is at most floor(log2 |H|); the recursion stops at that
+    ceiling.
+    """
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
     return VersionSpace.full(cls).ldim()
@@ -210,9 +225,13 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
         return None
 
     points: list[Optional[Point]] = [None] * (2 ** d - 1)
+    realizers: dict[tuple[int, ...], int | str] = {}
 
-    def build(ids: int, remaining: int, node: int) -> None:
+    # zeros before ones: leaves are reached in lexicographic labeling order
+    def build(ids: int, remaining: int, node: int, labeling: tuple[int, ...]) -> None:
         if remaining == 0:
+            # the lowest set bit is the smallest surviving id
+            realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
             return
         for x, colmask in zip(cls.domain, ws.colmasks):
             zeros, ones = split(ids, colmask)
@@ -220,38 +239,36 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
                 continue
             if ws.ldim(zeros) >= remaining - 1 and ws.ldim(ones) >= remaining - 1:
                 points[node - 1] = x
-                build(zeros, remaining - 1, 2 * node)
-                build(ones, remaining - 1, 2 * node + 1)
+                build(zeros, remaining - 1, 2 * node, labeling + (0,))
+                build(ones, remaining - 1, 2 * node + 1, labeling + (1,))
                 return
         raise AssertionError("dimension guarantee violated during witness search")
 
-    build(full, d, 1)
-
-    realizers: dict[tuple[int, ...], int | str] = {}
-    from itertools import product
-    for labeling in product((0, 1), repeat=d):
-        ids = full
-        for node, y in zip(path_node_indices(labeling), labeling):
-            ids = split(ids, ws.colmasks[cls.point_index(points[node - 1])])[y]
-        # the lowest set bit is the smallest surviving id
-        realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
+    build(full, d, 1, ())
 
     return ShatteredTreeWitness(d, tuple(points), realizers)
 
 
 def verify_witness(witness: ShatteredTreeWitness, cls: FiniteClass) -> bool:
-    """Check every labeling is realized, using the level-order index walk."""
+    """Check every labeling is realized, using the level-order index walk.
+
+    A row follows exactly one root-to-leaf path (from node i to node
+    2i + its label at node i's point), and it realizes a labeling iff that
+    path is the labeling's. So the witness holds iff the rows reach all
+    2^d leaves: one walk per row, not one scan of the rows per labeling.
+    """
     d = witness.depth
     if len(witness.points) != 2 ** d - 1:
         raise StructureError("point array does not match witness depth")
     cols = [cls.point_index(p) for p in witness.points]
-    from itertools import product
-    for labeling in product((0, 1), repeat=d):
-        nodes = path_node_indices(labeling)
-        if not any(all(row[cols[n - 1]] == y for n, y in zip(nodes, labeling))
-                   for row in cls.rows):
-            return False
-    return True
+    leaves = 1 << d
+    reached = set()
+    for row in cls.rows:
+        node = 1
+        while node < leaves:
+            node = 2 * node + row[cols[node - 1]]
+        reached.add(node)
+    return len(reached) == leaves
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +283,12 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
     to minimize total mistakes. Play effectively ends once no point splits
     the surviving set. Intended for small instances only; beyond the caps
     this raises instead of approximating.
+
+    The halving learner, which predicts the label of the majority of the
+    surviving rows, keeps at most half of them after each mistake, so the
+    value on a set S is at most floor(log2 |S|). The recursion skips a
+    split whose sides' ceilings cannot beat the best split so far, and
+    stops once the best reaches the ceiling of S.
     """
     if cls.is_empty:
         raise DomainError("mistake game undefined for the empty class")
@@ -283,16 +306,25 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
             return cached
         best = 0
         if ids & (ids - 1):
+            # the halving learner errs at most floor(log2 |S|) times
+            cap = ids.bit_count().bit_length() - 1
             for colmask in colmasks:
                 zeros, ones = split(ids, colmask)
                 if not zeros or not ones:
                     continue
+                # the learner predicts the side of larger value, so the
+                # split is worth max(v0, v1), plus one when they tie; the
+                # same formula on the sides' ceilings bounds it
+                c0 = zeros.bit_count().bit_length() - 1
+                c1 = ones.bit_count().bit_length() - 1
+                if max(c0, c1) + (c0 == c1) <= best:
+                    continue
                 v0, v1 = value(zeros), value(ones)
-                predict_zero = max(v0, 1 + v1)
-                predict_one = max(1 + v0, v1)
-                outcome = min(predict_zero, predict_one)
+                outcome = max(v0, v1) + (v0 == v1)
                 if outcome > best:
                     best = outcome
+                    if best == cap:
+                        break
         memo[ids] = best
         return best
 

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .hypotheses import DiscreteMeasure, FiniteClass, Hypothesis, Point
-from .learners import ProtocolError, is_label
+from .hypotheses import DiscreteMeasure, FiniteClass, Hypothesis, Point, is_label
+from .learners import ProtocolError
 from .littlestone import ldim, shattered_tree_witness
 
 

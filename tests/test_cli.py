@@ -42,6 +42,19 @@ def test_play_input_errors(capsys, argv, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target, message", [
+    ({"kind": "constant", "value": True}, "constant must be 0 or 1, got True"),
+    ({"kind": "row", "domain": [1, 2], "values": [0, 1.0]},
+     "row values must be 0 or 1, got 1.0"),
+], ids=["constant-true", "row-float"])
+def test_play_rejects_non_int_target_label(capsys, target, message):
+    # rejected when the spec is read, before round 1
+    nature = json.dumps({"nature": "scripted", "x": [1, 2], "target": target})
+    code, out, err = run(capsys, "play", "--learner", CONSTANT, "--nature", nature, "-T", "2")
+    assert code == 2 and out == ""
+    assert err == f"nuolab play: error: {message}\n"
+
+
 def test_ldim_missing_key(capsys):
     code, _, err = run(capsys, "ldim", json.dumps({"hypotheses": [[0]]}))
     assert code == 2 and err == "nuolab ldim: error: class spec is missing key 'domain'\n"

@@ -5,8 +5,10 @@ pool's capacity arrays against a pool that keeps lists and concatenates.
 The references below keep version spaces as frozensets of row ids and
 split them row by row, as the oracles did before the bitmask kernel, and
 grow the expert pool by concatenation, restricting expert by expert, as
-the pool did before its capacity arrays. They live here only, as the
-yardstick the kernel and the pool must match exactly.
+the pool did before its capacity arrays; `ref_verify_witness` scans the
+rows once per labeling, as `verify_witness` did before it walked each row
+to its leaf. They live here only, as the yardstick the kernel and the pool
+must match exactly.
 """
 import math
 import random
@@ -20,9 +22,11 @@ from nuolab.fpl import ExpertPoolFpl, pool_complexity
 from nuolab.hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
                                SingletonClass, threshold_hypothesis)
 from nuolab.learners import OnlineLearner, engine_for
-from nuolab.littlestone import (VersionSpace, ldim, minimax_mistakes,
-                                path_node_indices, shattered_tree_witness,
-                                soa_prediction)
+from nuolab import littlestone
+from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, ldim,
+                                minimax_mistakes, path_node_indices,
+                                shattered_tree_witness, soa_prediction,
+                                verify_witness)
 from nuolab.verification import max_adaptive_soa_mistakes
 
 
@@ -119,6 +123,19 @@ def ref_witness(cls, d):
             ids = frozenset(i for i in ids if cls.rows[i][col] == y)
         realizers[labeling] = cls.labels[min(ids)]
     return tuple(points), realizers
+
+
+def ref_verify_witness(points, cls):
+    """Whether every labeling of the depth-d point array has a realizer,
+    scanning the rows once per labeling."""
+    d = (len(points) + 1).bit_length() - 1
+    cols = [cls.point_index(p) for p in points]
+    for labeling in product((0, 1), repeat=d):
+        nodes = path_node_indices(labeling)
+        if not any(all(row[cols[n - 1]] == y for n, y in zip(nodes, labeling))
+                   for row in cls.rows):
+            return False
+    return True
 
 
 def ref_max_adaptive_soa_mistakes(cls):
@@ -272,10 +289,30 @@ FIXED_CLASSES = [
 ] + [random_class(random.Random(seed), 8, 96) for seed in range(3)]
 
 
+def corrupted_witnesses(w, cls):
+    """(points, class) pairs near a witness: one node's point swapped for
+    the next domain point, the class without one realizer row, and each
+    level's points repeated from its first node."""
+    m = len(cls.domain)
+    for node in range(len(w.points)):
+        swapped = cls.domain[(cls.point_index(w.points[node]) + 1) % m]
+        yield w.points[:node] + (swapped,) + w.points[node + 1:], cls
+    for label in list(dict.fromkeys(w.realizers.values()))[:3]:
+        keep = [i for i, l in enumerate(cls.labels) if l != label]
+        yield w.points, FiniteClass(cls.domain, [cls.rows[i] for i in keep],
+                                    [cls.labels[i] for i in keep])
+    # node i (1-based) sits on the level whose first node is 2^floor(log2 i)
+    yield tuple(w.points[2 ** (i.bit_length() - 1) - 1]
+                for i in range(1, len(w.points) + 1)), cls
+
+
 def assert_oracles_match(cls):
+    """Match every oracle against its reference; returns the verdicts of
+    `verify_witness` on the corrupted witnesses."""
     d = ldim(cls)
     assert d == ref_ldim(cls)
     assert minimax_mistakes(cls) == ref_minimax(cls)
+    verdicts = set()
     for depth in range(1, d + 2):
         w = shattered_tree_witness(cls, depth)
         ref = ref_witness(cls, depth)
@@ -283,11 +320,30 @@ def assert_oracles_match(cls):
             assert w is None
         else:
             assert (w.points, w.realizers) == ref
+            assert verify_witness(w, cls) is ref_verify_witness(w.points, cls) is True
+            for points, sub in corrupted_witnesses(w, cls):
+                verdict = verify_witness(ShatteredTreeWitness(depth, points), sub)
+                assert verdict is ref_verify_witness(points, sub)
+                verdicts.add(verdict)
+    return verdicts
 
 
 def test_oracles_match_reference_on_fixed_classes():
+    verdicts = set()
     for cls in FIXED_CLASSES:
-        assert_oracles_match(cls)
+        verdicts |= assert_oracles_match(cls)
+    # the corruptions both keep and break a witness
+    assert verdicts == {True, False}
+
+
+def test_minimax_runs_without_the_dimension_recursion(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("minimax_mistakes called the dimension recursion")
+
+    monkeypatch.setattr(littlestone._Workspace, "ldim", forbidden)
+    monkeypatch.setattr(littlestone, "ldim", forbidden)
+    for cls in FIXED_CLASSES:
+        assert minimax_mistakes(cls) == ref_minimax(cls)
 
 
 @settings(max_examples=25, deadline=None)

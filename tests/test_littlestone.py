@@ -52,6 +52,12 @@ class TestLdim:
         assert ldim(cls) <= len(cls).bit_length() - 1
 
     @settings(max_examples=80, deadline=None)
+    @given(finite_classes())
+    def test_minimax_log2_size_ceiling(self, cls):
+        # the halving learner's bound, which the game recursion prunes by
+        assert minimax_mistakes(cls) <= len(cls).bit_length() - 1
+
+    @settings(max_examples=80, deadline=None)
     @given(finite_classes(), st.integers(0, 3))
     def test_restriction_monotone_and_progresses(self, cls, pi):
         x = cls.domain[pi % len(cls.domain)]

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypotheses import FamilyComponent, ClassFamily, Point, is_label
-from .learners import OnlineLearner, ProtocolError, engine_for
+from .hypotheses import FamilyComponent, ClassFamily, Point
+from .learners import OnlineLearner, ProtocolError, engine_for, labelled_prefix
 
 _MASS_SLACK = 1e-9
 
@@ -152,7 +152,7 @@ class _PerturbedLeader(OnlineLearner):
         choice is pending, and none from the first bad label on."""
         if self._pending is not None:
             return 0
-        return next((i for i, y in enumerate(ys) if not is_label(y)), len(ys))
+        return labelled_prefix(ys)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Play rounds with valid labels in one batch, as the loop would."""

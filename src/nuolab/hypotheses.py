@@ -171,12 +171,14 @@ class FiniteClass:
             raise DomainError("duplicate points in domain")
         if not self.domain:
             raise DomainError("domain must contain at least one point")
-        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(v) for v in r) for r in rows)
-        for r in self.rows:
+        rows = [tuple(r) for r in rows]
+        for r in rows:
             if len(r) != len(self.domain):
                 raise DomainError(f"row width {len(r)} != domain size {len(self.domain)}")
+            # checked before int(), which would read 1.7 as 1
             if any(v not in (0, 1) for v in r):
                 raise DomainError(f"row values must be 0/1: {r}")
+        self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(int(v) for v in r) for r in rows)
         if len(set(self.rows)) != len(self.rows):
             raise DomainError("duplicate hypothesis rows rejected")
         if labels is None:
@@ -248,6 +250,9 @@ class FiniteClass:
     @reads_spec("class")
     def from_config(cls, spec: dict) -> "FiniteClass":
         domain = [parse_point(p) for p in spec["domain"]]
+        bad = [v for r in spec["hypotheses"] for v in r if not is_label(v)]
+        if bad:
+            raise DomainError(f"row values must be 0 or 1, got {bad[0]!r}")
         return cls(domain, spec["hypotheses"], labels=spec.get("labels"))
 
     def to_config(self) -> dict:

@@ -4,7 +4,8 @@ predict a label, absorb the revealed truth.
 `predict` is a pure function of the interaction history (plus recorded
 random draws for the randomized learners in `fpl`), so calling it twice
 within a round is safe. `update` advances the round and counts mistakes
-against the learner's own prediction.
+against the learner's own prediction; `play` and `runner.run_game`
+predict each round once and take the same round step.
 
 Each learner instance is a single-owner state machine; distinct instances
 may run in parallel games without any shared state.
@@ -15,6 +16,8 @@ restrict policy; the expert pools in `fpl` run the same engines.
 """
 from __future__ import annotations
 
+import copy
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
@@ -33,8 +36,21 @@ class ProtocolError(RuntimeError):
         self.round_index = round_index
 
 
+def labelled_prefix(ys: Sequence) -> int:
+    """The number of leading rounds whose label is the int 0 or 1."""
+    return next((i for i, y in enumerate(ys) if not is_label(y)), len(ys))
+
+
 class OnlineLearner:
-    """Base of the observe/predict/reveal protocol."""
+    """Base of the observe/predict/reveal protocol.
+
+    A round ends in one step, `_record(x, y, predicted)`: count the
+    mistake, `_absorb` the revealed pair, advance `t`. `update` checks the
+    label, predicts and takes the step; `play` and `runner.run_game` take
+    it with the round's prediction, after the same label check. So
+    `predict` runs once per round on every path, except that a caller who
+    predicts and then calls `update` predicts twice.
+    """
 
     deterministic = True
 
@@ -47,7 +63,7 @@ class OnlineLearner:
 
     def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Play the rounds (xs[i], ys[i]) in order, as `predict` then
-        `update` each, and return the predictions.
+        `update` each (with the one prediction), and return the predictions.
 
         A subclass may replay the rounds in one batch. It must give the
         loop's predictions, state and random draws, and raise a bad label
@@ -57,18 +73,25 @@ class OnlineLearner:
         after it may differ from the loop's."""
         preds = []
         for x, y in zip(xs, ys):
-            preds.append(self.predict(x))
-            self.update(x, y)
+            p = self.predict(x)
+            self._check_label(y)
+            self._record(x, y, p)
+            preds.append(p)
         return preds
 
     def update(self, x: Point, y: int) -> None:
+        self._check_label(y)
+        self._record(x, y, self.predict(x))
+
+    def _check_label(self, y) -> None:
         if not is_label(y):
             raise ProtocolError(f"label must be 0 or 1, got {y!r}", self.t)
-        p = self.predict(x)
-        mistake = p != y
-        if mistake:
+
+    def _record(self, x: Point, y: int, predicted: int) -> None:
+        """The round step, with the round's own prediction."""
+        if predicted != y:
             self.mistakes += 1
-        self._absorb(x, y, p)
+        self._absorb(x, y, predicted)
         self.t += 1
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
@@ -273,23 +296,29 @@ class AggregatorLearner(OnlineLearner):
     smallest index. Indices above min(counter + index) can never win the
     argmin, so sub-learners are instantiated lazily up to that bound; a
     late instantiation replays the full history to keep its counter honest.
+
+    A sub-learner's counters do not depend on which sub-learner the
+    aggregator selects: it sees every pair either way. So `play` replays a
+    batch of rounds by letting each sub-learner play them all on its own,
+    then walks the rounds over the counters those plays give, growing the
+    pool by the same rule as the loop and taking the same argmin. Each
+    round's pool, selection and prediction, and every counter, are the
+    loop's.
     """
 
     def __init__(self, family: ClassFamily):
         super().__init__()
         self.family = family
-        self.sub: dict[int, SoaLearner] = {}
         self.history: list[tuple[Point, int]] = []
+        self.sub: dict[int, SoaLearner] = {1: self._spawn(1)}
         self.selected: Optional[int] = None
-        self._ensure(1)
 
-    def _ensure(self, n: int) -> None:
-        if n in self.sub:
-            return
+    def _spawn(self, n: int) -> SoaLearner:
+        """Sub-learner n, having replayed the history."""
         learner = SoaLearner(self.family.component(n).cls, on_empty="freeze")
-        for x, y in self.history:
-            learner.update(x, y)
-        self.sub[n] = learner
+        if self.history:
+            learner.play(*zip(*self.history))
+        return learner
 
     def _extend_pool(self) -> None:
         while True:
@@ -297,7 +326,7 @@ class AggregatorLearner(OnlineLearner):
             top = max(self.sub)
             if top >= bound:
                 return
-            self._ensure(top + 1)
+            self.sub[top + 1] = self._spawn(top + 1)
 
     def counters(self) -> dict[int, int]:
         return {n: l.mistakes for n, l in self.sub.items()}
@@ -315,6 +344,62 @@ class AggregatorLearner(OnlineLearner):
         for learner in self.sub.values():
             learner.update(x, y)
         self.history.append((x, y))
+
+    def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Replay the rounds up to the first bad label in one batch, and the
+        rest through the round loop, which raises at the bad label's round.
+
+        In the batch every sub-learner plays all the rounds with its own
+        `play`, and its counter before each round comes from its
+        predictions. The walk over the rounds grows the pool by
+        `_extend_pool`'s rule on that round's counters: a sub-learner
+        created at round i replays the history before the batch and then
+        plays the whole batch too, of which only rounds i on are read. An
+        error from inside a sub-learner drops the batch, which plays
+        copies of the sub-learners, and the round loop plays the rounds
+        instead, so the error is the loop's."""
+        n = labelled_prefix(ys)
+        preds = self._replay(xs[:n], ys[:n]) if n else []
+        if n < len(ys):
+            preds += super().play(xs[n:], ys[n:])
+        return preds
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        saved = self.sub
+        try:
+            self.sub = {n: copy.copy(l) for n, l in saved.items()}
+            runs = [self._scored(n, l, xs, ys) for n, l in self.sub.items()]
+            top = max(self.sub)
+            preds = []
+            for i in range(len(ys)):
+                scores = [s[i] for s, _ in runs]
+                bound = min(scores)
+                while top < bound:
+                    top += 1
+                    learner = self.sub[top] = self._spawn(top)
+                    runs.append(self._scored(top, learner, xs, ys))
+                    scores.append(runs[-1][0][i])
+                    bound = min(bound, scores[-1])
+                k = scores.index(bound)
+                preds.append(runs[k][1][i])
+        except Exception:
+            # an error from inside a sub-learner: the loop raises it too, in
+            # the loop's order
+            self.sub = saved
+            return OnlineLearner.play(self, xs, ys)
+        self.selected = k + 1       # the indices are 1..top, in order
+        self.mistakes += sum(p != y for p, y in zip(preds, ys))
+        self.history += zip(xs, ys)
+        self.t += len(ys)
+        return preds
+
+    @staticmethod
+    def _scored(n: int, learner: SoaLearner, xs, ys) -> tuple[list[int], list[int]]:
+        """(counter + n before each round, prediction) over the rounds, as
+        `learner` plays them."""
+        start = learner.mistakes + n
+        preds = learner.play(xs, ys)
+        return list(accumulate((p != y for p, y in zip(preds, ys)), initial=start)), preds
 
 
 class CoverSpec:
@@ -376,7 +461,7 @@ class CoverLearner(OnlineLearner):
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self.history.append((x, y))
-        if self.current(x) != y:
+        if predicted != y:
             self.index += 1
             self._advance()
 

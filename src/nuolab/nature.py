@@ -137,35 +137,49 @@ class WindowHalving(NatureStrategy):
     shrinks it to its centered half before the next midpoint. The quarter
     gaps left on both sides keep every emitted point strictly outside all
     later windows, so no branch can converge onto a point already shown.
-    All arithmetic is exact dyadic rationals.
+
+    All arithmetic is exact, on integers: the window is [a, b] / 2**e,
+    starting at [0, 1] / 1. Its midpoint is (a + b) / 2**(e + 1), so on the
+    scale 2**(e + 1) the kept half is (l, h) = (2a, a + b) or (a + b, 2b),
+    and its centered half is [3l + h, l + 3h] / 2**(e + 3). Points and the
+    readable bounds `lo` and `hi` are built as `Fraction`s only when read.
     """
 
     def __init__(self, depth: int = 64):
         if depth < 1:
             raise ValueError("depth cap must be >= 1")
         self.depth = depth
-        self.lo = Fraction(0)
-        self.hi = Fraction(1)
+        self._a, self._b, self._e = 0, 1, 0
         self.emitted: list[tuple[Fraction, int]] = []
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, 1 << self._e)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, 1 << self._e)
+
+    def _mid(self) -> Fraction:
+        return Fraction(self._a + self._b, 2 << self._e)
 
     def next_point(self, trace=None) -> Fraction:
         if len(self.emitted) >= self.depth:
             raise ExhaustionError(f"window-halving depth cap {self.depth} reached")
-        return (self.lo + self.hi) / 2
+        return self._mid()
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         if not is_label(predicted):
             raise ProtocolError(f"prediction must be 0 or 1, got {predicted!r}",
                                 len(self.emitted) + 1)
         y = 1 - predicted
-        mid = (self.lo + self.hi) / 2
+        a, b = self._a, self._b
         if y == 1:
-            lo, hi = self.lo, mid      # threshold <= mid
+            l, h = 2 * a, a + b        # threshold <= mid
         else:
-            lo, hi = mid, self.hi      # threshold > mid
-        quarter = (hi - lo) / 4
-        self.lo, self.hi = lo + quarter, hi - quarter
-        if not self.lo < self.hi:
+            l, h = a + b, 2 * b        # threshold > mid
+        self._a, self._b, self._e = 3 * l + h, l + 3 * h, self._e + 3
+        if not self._a < self._b:
             raise AssertionError(f"window collapsed to [{self.lo}, {self.hi}]")
         self.emitted.append((x, y))
         return y
@@ -173,7 +187,7 @@ class WindowHalving(NatureStrategy):
     def realizing_threshold(self) -> Fraction:
         """A rational threshold consistent with every emitted pair; raises
         if the history is not realizable (it always is, by construction)."""
-        c = (self.lo + self.hi) / 2
+        c = self._mid()
         for p, y in self.emitted:
             if int(p >= c) != y:
                 raise AssertionError(f"window lost realizability at ({p}, {y})")

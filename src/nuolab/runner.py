@@ -60,18 +60,22 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     surface with their round index; horizon 0 gives an empty trace.
 
     Against a nature that watches the learner, every round runs through
-    `predict`, `reveal_label` and `update`. An oblivious nature (see
+    `predict`, `reveal_label`, and `update`'s label check and round step
+    with the prediction already made (see `OnlineLearner`), so the round
+    is `update`'s without a second `predict`. An oblivious nature (see
     `nature.NatureStrategy`) reads neither the prediction nor the trace, so
     its points and labels are drawn first, round by round, and the learner
     plays them in one `learner.play` call. That is the same game: the
     nature's draws come in the same order, and `play` gives the loop's
-    predictions, state and random draws, because a batch replay makes the
-    same draws in the same order and scores them with the same float
-    operations. Errors match the loop's too: if drawing fails at round r,
-    the learner first plays rounds 1..r-1 (and predicts round r when it
-    was the label that failed), and a bad label raises from the learner at
-    its round (`OnlineLearner.play` says what a batch promises about other
-    errors from inside the learner).
+    predictions, state and random draws. The perturbed leaders' batch
+    makes the same draws in the same order and scores them with the same
+    float operations; the aggregator's batch reads each sub-learner's
+    counters from that sub-learner's own play of the rounds, which the
+    aggregator's choices never change. Errors match the loop's too: if
+    drawing fails at round r, the learner first plays rounds 1..r-1 (and
+    predicts round r when it was the label that failed), and a bad label
+    raises from the learner at its round (`OnlineLearner.play` says what a
+    batch promises about other errors from inside the learner).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -84,7 +88,8 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
                 raise nature.ExhaustionError(f"round {t}: {exc}") from exc
             predicted = learner.predict(x)
             y = strategy.reveal_label(x, predicted, trace)
-            learner.update(x, y)
+            learner._check_label(y)
+            learner._record(x, y, predicted)
             trace.rounds.append(GameRound(t, x, y, predicted))
         return trace
     xs: list[Point] = []

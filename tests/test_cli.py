@@ -63,3 +63,10 @@ def test_ldim_missing_key(capsys):
 def test_regret_missing_key(capsys):
     code, _, err = run(capsys, "regret", "--config", json.dumps({"learner": {}}))
     assert code == 2 and err == "nuolab regret: error: regret config spec is missing key 'T'\n"
+
+
+def test_ldim_rejects_non_binary_row_values(capsys):
+    spec = '{"domain":["a","b"],"hypotheses":[[1.7,0],[true,1],[0,0]]}'
+    code, out, err = run(capsys, "ldim", spec)
+    assert code == 2 and out == ""
+    assert err == "nuolab ldim: error: row values must be 0 or 1, got 1.7\n"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,73 @@ def finite_classes(st_draw, max_points=4, max_rows=10):
     rows = st_draw(st.lists(st.sampled_from(all_rows), min_size=1,
                             max_size=min(max_rows, len(all_rows)), unique=True))
     return FiniteClass(("a", "b", "c", "d")[:m], rows)
+
+
+# JSON points: a string holding "/" reads back as a rational (`parse_point`),
+# so string points here never hold one
+points = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=64),
+                   st.text(st.characters(codec="utf-8", exclude_characters="/"),
+                           max_size=4))
+
+
+@st.composite
+def configurable_classes(draw, min_rows=0):
+    domain = draw(st.lists(points, min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(domain)),
+                         min_size=min_rows, max_size=8, unique=True))
+    labels = draw(st.none() | st.lists(st.integers(0, 99) | st.text(max_size=3),
+                                       min_size=len(rows), max_size=len(rows),
+                                       unique=True))
+    return FiniteClass(domain, rows, labels=labels)
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj.to_config()))
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+def same_class(one, two):
+    return (typed(one.domain) == typed(two.domain) and one.rows == two.rows
+            and one.labels == two.labels)
+
+
+class TestConfigRoundTrips:
+    @settings(max_examples=80, deadline=None)
+    @given(configurable_classes())
+    def test_finite_class(self, cls):
+        assert same_class(FiniteClass.from_config(through_json(cls)), cls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        st.lists(configurable_classes(min_rows=1), min_size=1, max_size=3)
+        .map(ExplicitListFamily),
+        st.lists(points, min_size=1, max_size=6, unique=True).map(FiniteSupportFamily),
+        st.builds(RationalThresholdFamily), st.builds(NaturalThresholdFamily)))
+    def test_family(self, family):
+        again = family_from_config(through_json(family))
+        assert type(again) is type(family)
+        assert again.to_config() == family.to_config()
+        if isinstance(family, ExplicitListFamily):
+            assert all(same_class(a, b) for a, b in zip(again.classes, family.classes))
+            assert again.dims == family.dims
+        if isinstance(family, FiniteSupportFamily):
+            assert typed(again.domain) == typed(family.domain)
+        for n in (1, 2, 5):
+            assert again.component(n).dim == family.component(n).dim
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(points, st.integers(1, 1000)), min_size=1, max_size=6,
+                    unique_by=lambda pw: pw[0]))
+    def test_discrete_measure(self, weighted):
+        total = sum(w for _, w in weighted)
+        measure = DiscreteMeasure([p for p, _ in weighted],
+                                  [Fraction(w, total) for _, w in weighted])
+        again = DiscreteMeasure.from_config(through_json(measure))
+        assert typed(again.support) == typed(measure.support)
+        assert again.masses == measure.masses
 
 
 class TestPoints:
@@ -49,6 +117,16 @@ class TestFiniteClass:
             FiniteClass(("a", "a"), [[0, 1]])
         with pytest.raises(DomainError):
             FiniteClass(("a",), [[2]])
+
+    def test_rejects_fractional_value_before_converting(self):
+        with pytest.raises(DomainError, match=r"row values must be 0/1: \(1.7,\)"):
+            FiniteClass(("a",), [[1.7]])
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_spec_rejects_values_that_are_not_int_labels(self, value):
+        spec = {"domain": ["a", "b"], "hypotheses": [[0, 0], [value, 0]]}
+        with pytest.raises(DomainError, match=f"row values must be 0 or 1, got {value!r}"):
+            FiniteClass.from_config(spec)
 
     def test_restrict_full_class(self):
         cls = FiniteClass.full_class(("a", "b"))

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nuolab.hypotheses import (DiscreteMeasure, FiniteClass,
-                               constant_hypothesis, threshold_hypothesis)
+                               constant_hypothesis, is_label, threshold_hypothesis)
 from nuolab.learners import ConstantLearner, OnlineLearner, ProtocolError, SoaLearner
 from nuolab.littlestone import ldim
 from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError,
@@ -135,6 +136,72 @@ class TestWindowHalving:
             x = strategy.next_point()
             assert x.denominator & (x.denominator - 1) == 0
             strategy.reveal_label(x, 0)
+
+
+class FractionWindowHalving:
+    """The window adversary as it was first written, in `Fraction`
+    arithmetic: the reference for the integer window."""
+
+    def __init__(self, depth: int = 64):
+        self.depth = depth
+        self.lo = Fraction(0)
+        self.hi = Fraction(1)
+        self.emitted = []
+
+    def next_point(self, trace=None):
+        if len(self.emitted) >= self.depth:
+            raise ExhaustionError(f"window-halving depth cap {self.depth} reached")
+        return (self.lo + self.hi) / 2
+
+    def reveal_label(self, x, predicted, trace=None):
+        if not is_label(predicted):
+            raise ProtocolError(f"prediction must be 0 or 1, got {predicted!r}",
+                                len(self.emitted) + 1)
+        y = 1 - predicted
+        mid = (self.lo + self.hi) / 2
+        if y == 1:
+            lo, hi = self.lo, mid
+        else:
+            lo, hi = mid, self.hi
+        quarter = (hi - lo) / 4
+        self.lo, self.hi = lo + quarter, hi - quarter
+        if not self.lo < self.hi:
+            raise AssertionError(f"window collapsed to [{self.lo}, {self.hi}]")
+        self.emitted.append((x, y))
+        return y
+
+    def realizing_threshold(self):
+        c = (self.lo + self.hi) / 2
+        for p, y in self.emitted:
+            if int(p >= c) != y:
+                raise AssertionError(f"window lost realizability at ({p}, {y})")
+        return c
+
+
+def window_run(strategy, predictions):
+    """Every observable of the window, round by round, until an error."""
+    seen = []
+    try:
+        for predicted in predictions:
+            x = strategy.next_point()
+            y = strategy.reveal_label(x, predicted)
+            c = strategy.realizing_threshold()
+            seen.append((x, type(x), y, strategy.lo, strategy.hi, c, type(c)))
+    except (ExhaustionError, ProtocolError) as exc:
+        seen.append((type(exc).__name__, str(exc)))
+    return seen, list(strategy.emitted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(depth=st.integers(1, 64),
+       predictions=st.lists(st.integers(0, 1), max_size=66),
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 66),
+                                          st.sampled_from([2, -1, 1.0, True]))))
+def test_window_matches_fraction_reference(depth, predictions, bad):
+    if bad is not None:
+        predictions.insert(*bad)
+    assert (window_run(WindowHalving(depth), predictions)
+            == window_run(FractionWindowHalving(depth), predictions))
 
 
 class TestTreeAdversary:

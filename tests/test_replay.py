@@ -9,15 +9,32 @@ from hypothesis import given, settings, strategies as st
 
 from nuolab import nature, runner
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
-from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
-                               FiniteSupportClass, SingletonClass,
+from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
+                               FiniteClass, FiniteSupportClass, FiniteSupportFamily,
+                               SingletonClass, support_hypothesis,
                                threshold_hypothesis)
-from nuolab.learners import (ConstantLearner, FollowHypothesisLearner,
-                             OnlineLearner, ProtocolError, SoaLearner)
+from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
+                             CoverSpec, ExpertLearner, FollowHypothesisLearner,
+                             NaturalThresholdLearner, OnlineLearner, ProtocolError,
+                             SoaLearner, TruncatedThresholdSoa)
 
 DOMAIN = (1, 2, 3, 4)
 CONSTANTS = FiniteClass(DOMAIN, [[0, 0, 0, 0], [1, 1, 1, 1]])
 THRESHOLDS = FiniteClass.thresholds(DOMAIN, (1, 2, 3, 4, 5))
+
+FAMILIES = {
+    "support": FiniteSupportFamily(DOMAIN),
+    "constants-thresholds": ExplicitListFamily([CONSTANTS, THRESHOLDS]),
+    # later components see fewer points: a sub-learner created late raises
+    # DomainError on a point that the earlier ones accept
+    "shrinking-domains": ExplicitListFamily([
+        THRESHOLDS, FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1], [1, 1, 1]]),
+        FiniteClass((1, 2), [[0, 1], [1, 1]])]),
+}
+# every threshold over DOMAIN, the constants and two supports: the targets
+# of the realizable scripts, and the cover in this order
+TARGETS = ([threshold_hypothesis(c) for c in (1, 2, 3, 4, 5)] +
+           [support_hypothesis([2]), support_hypothesis([1, 3])])
 
 COMPONENTS = {
     "dim0-singleton": FamilyComponent(1, SingletonClass(threshold_hypothesis(2)), 0),
@@ -94,6 +111,11 @@ def snapshot(learner) -> dict:
         out["experts"] = [snapshot(e) for e in learner.experts]
     if isinstance(learner, SoaLearner):
         out.update(sid=learner.sid, engine_states=list(getattr(learner.engine, "states", [])))
+    if isinstance(learner, AggregatorLearner):
+        out.update(sub=[(n, snapshot(sub)) for n, sub in learner.sub.items()],
+                   history=list(learner.history), selected=learner.selected)
+    if isinstance(learner, CoverLearner):
+        out.update(index=learner.index, history=list(learner.history))
     if isinstance(learner, LastLabel):
         out["last"] = learner.last
     return out
@@ -101,6 +123,9 @@ def snapshot(learner) -> dict:
 
 def rounds(trace):
     return [(r.t, r.x, r.y, r.predicted) for r in trace.rounds]
+
+
+GAME_ERRORS = (ProtocolError, ConfigurationError, DomainError, nature.ExhaustionError)
 
 
 def both_ways(make_learner, make_nature, horizon):
@@ -111,7 +136,7 @@ def both_ways(make_learner, make_nature, horizon):
         try:
             trace = runner.run_game(learner, strategy, horizon)
             result = ("trace", rounds(trace), trace.mistakes, len(trace))
-        except (ProtocolError, ConfigurationError, nature.ExhaustionError) as exc:
+        except GAME_ERRORS as exc:
             result = ("error", type(exc).__name__, str(exc))
         out.append((result, snapshot(learner)))
     return out
@@ -121,7 +146,10 @@ def assert_same_game(make_learner, make_nature, horizon):
     assert make_nature().oblivious and not PassThrough(make_nature()).oblivious
     replayed, looped = both_ways(make_learner, make_nature, horizon)
     assert replayed[0] == looped[0]
-    assert replayed[1] == looped[1]
+    if replayed[0][:2] != ("error", "DomainError"):
+        # after an error from inside the learner only the error is promised
+        # (`OnlineLearner.play`)
+        assert replayed[1] == looped[1]
     return replayed[0]
 
 
@@ -129,6 +157,10 @@ scripts = st.integers(0, 120).flatmap(lambda T: st.tuples(
     st.lists(st.sampled_from(DOMAIN), min_size=T, max_size=T),
     st.lists(st.integers(0, 1), min_size=T, max_size=T)))
 seeds = st.integers(0, 2 ** 32 - 1)
+realizable_scripts = st.tuples(
+    st.lists(st.sampled_from(DOMAIN), max_size=120),
+    st.sampled_from(TARGETS)).map(lambda s: (s[0], [s[1](x) for x in s[0]]))
+any_scripts = st.one_of(scripts, realizable_scripts)
 redraws = st.sampled_from(("per-round", "once"))
 
 
@@ -156,6 +188,53 @@ def test_agnostic_replay_matches_loop(components, script, seed, redraw, cap):
         assert result == ("error", "ConfigurationError",
                           f"round {cap + 1} beyond the configured cap of {cap}; "
                           "the expert pools grow polynomially per round")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(script=any_scripts)
+def test_aggregator_replay_matches_loop(name, script):
+    xs, ys = script
+    assert_same_game(lambda: AggregatorLearner(FAMILIES[name]),
+                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=any_scripts)
+def test_cover_replay_matches_loop(script):
+    xs, ys = script
+    assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
+                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+@pytest.mark.parametrize("xs, ys, point", [
+    # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
+    # never creates sub-learner 3 (points 1-2), which a fallback from
+    # sub-learners that kept the batch's rounds would create at once
+    ([1, 3, 4], [1, 1, 0], 4),
+    # the loop creates sub-learner 3 at round 4, whose replay fails on
+    # point 3 before sub-learner 2 sees point 4, the batch's first error
+    ([1, 1, 3, 4], [0, 1, 0, 0], 3),
+], ids=["late-sub-learner-never-created", "late-sub-learner-fails-first"])
+def test_aggregator_error_from_inside_matches_loop(xs, ys, point):
+    result = assert_same_game(lambda: AggregatorLearner(FAMILIES["shrinking-domains"]),
+                              lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert result == ("error", "DomainError", f"point {point} not in class domain")
+
+
+def test_aggregator_batch_does_not_fall_back(monkeypatch):
+    # the batch never runs the aggregator's own round loop on a script
+    # whose sub-learners raise nothing
+    xs = [(t % 4) + 1 for t in range(60)]
+    ys = [(t * 7 // 3) % 2 for t in range(60)]
+    learner = AggregatorLearner(FAMILIES["support"])
+
+    def predict(self, x):
+        raise AssertionError("the round loop ran")
+
+    monkeypatch.setattr(AggregatorLearner, "predict", predict)
+    learner.play(xs, ys)
+    assert learner.t == 61 and len(learner.sub) > 3
 
 
 def test_cap_hit_and_not_hit():
@@ -219,11 +298,24 @@ def test_exhaustion_mid_script(make):
     lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=5),
     lambda: ExpertPoolFpl(COMPONENTS["dim1-support"], seed=5),
     lambda: ConstantLearner(0),
-], ids=["agnostic-2", "fpl-five", "pool-dim1", "constant"])
+    lambda: AggregatorLearner(FAMILIES["support"]),
+    lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
+], ids=["agnostic-2", "fpl-five", "pool-dim1", "constant", "aggregator-support",
+        "aggregator-list"])
 def test_bad_label_mid_script(make, bad):
     xs = [1, 2, 3, 4, 1, 2, 3, 4]
     ys = [0, 1, 1, 0, 1, bad, 0, 1]
     result = assert_same_game(make, lambda: RawScript(xs, ys), 8)
+    assert result == ("error", "ProtocolError", f"round 6: label must be 0 or 1, got {bad!r}")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2, -1, None])
+def test_cover_bad_label_mid_script(bad):
+    # labels of thr-2, so that no cover hypothesis runs out first
+    xs = [1, 2, 3, 4, 1, 2, 3, 4]
+    ys = [0, 1, 1, 1, 0, bad, 1, 1]
+    result = assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
+                              lambda: RawScript(xs, ys), 8)
     assert result == ("error", "ProtocolError", f"round 6: label must be 0 or 1, got {bad!r}")
 
 
@@ -232,7 +324,10 @@ def test_bad_label_mid_script(make, bad):
     lambda: ExpertPoolFpl(COMPONENTS["dim0-singleton"], seed=9),
     lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=9),
     lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=9),
-], ids=["pool-dim1", "pool-dim0", "fpl-five", "agnostic-2"])
+    lambda: AggregatorLearner(FAMILIES["support"]),
+    lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
+], ids=["pool-dim1", "pool-dim0", "fpl-five", "agnostic-2", "aggregator-support",
+        "aggregator-list"])
 @pytest.mark.parametrize("pending", [False, True])
 def test_play_after_rounds_matches_loop(make, pending):
     # rounds played one by one, optionally a prediction of the next round
@@ -264,3 +359,52 @@ def test_shared_generator_takes_the_loop():
         return FplLearner(pools, [1.0], rng=rng)
 
     assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 40)
+
+
+LEARNER_KINDS = {
+    "constant": lambda: ConstantLearner(1),
+    "soa": lambda: SoaLearner(THRESHOLDS),
+    "soa-freeze": lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
+    "soa-always": lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
+    "expert": lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9), on_empty="freeze"),
+    "follow": lambda: FollowHypothesisLearner(threshold_hypothesis(3)),
+    "aggregator": lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
+    "cover": lambda: CoverLearner(CoverSpec(TARGETS)),
+    "natural-threshold": NaturalThresholdLearner,
+    "truncated-threshold": TruncatedThresholdSoa,
+    "last-label": LastLabel,
+    "fpl-five": lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)],
+                                   seed=11),
+    "pool": lambda: ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=11),
+    "agnostic": lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=11),
+}
+
+
+def hand_loop(learner, strategy, horizon):
+    """The game as a caller of the public `predict` and `update` plays it."""
+    rounds = []
+    try:
+        for t in range(1, horizon + 1):
+            x = strategy.next_point()
+            predicted = learner.predict(x)
+            y = strategy.reveal_label(x, predicted)
+            learner.update(x, y)
+            rounds.append((t, x, y, predicted))
+    except GAME_ERRORS as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("trace", rounds, sum(y != p for _, _, y, p in rounds), len(rounds))
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(script=any_scripts)
+def test_run_game_matches_hand_loop(kind, script):
+    # run_game steps with the round's prediction instead of calling update;
+    # both of its paths must equal predict-then-update by hand
+    xs, ys = script
+    make = LEARNER_KINDS[kind]
+    learner = make()
+    expected = (hand_loop(learner, nature.AgnosticScripted(xs, ys), len(xs)),
+                snapshot(learner))
+    for result in both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs)):
+        assert result == expected

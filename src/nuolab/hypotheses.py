@@ -61,14 +61,20 @@ def parse_point(raw) -> Point:
 
 
 def point_to_json(p: Point):
-    """Encode a point for JSON. Rationals keep an explicit denominator."""
+    """Encode a point for JSON. Rationals keep an explicit denominator; a
+    string holding "/" has no encoding, since `parse_point` reads every
+    such string as a rational."""
     if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
+        return format_point(p)
+    if isinstance(p, str) and "/" in p:
+        raise DomainError(f"string point {p!r} holds '/', which JSON reads as a rational")
     return p
 
 
 def format_point(p: Point) -> str:
-    return str(point_to_json(p))
+    if isinstance(p, Fraction):
+        return f"{p.numerator}/{p.denominator}"
+    return str(p)
 
 
 # ---------------------------------------------------------------------------

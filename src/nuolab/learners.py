@@ -37,7 +37,12 @@ class ProtocolError(RuntimeError):
 
 
 def labelled_prefix(ys: Sequence) -> int:
-    """The number of leading rounds whose label is the int 0 or 1."""
+    """The number of leading rounds whose label is the int 0 or 1.
+
+    When every label is valid, two set builds say so at C speed; only a
+    sequence holding a bad label is scanned for the first one."""
+    if set(map(type, ys)) <= {int} and set(ys) <= {0, 1}:
+        return len(ys)
     return next((i for i, y in enumerate(ys) if not is_label(y)), len(ys))
 
 
@@ -47,9 +52,10 @@ class OnlineLearner:
     A round ends in one step, `_record(x, y, predicted)`: count the
     mistake, `_absorb` the revealed pair, advance `t`. `update` checks the
     label, predicts and takes the step; `play` and `runner.run_game` take
-    it with the round's prediction, after the same label check. So
-    `predict` runs once per round on every path, except that a caller who
-    predicts and then calls `update` predicts twice.
+    it with the round's prediction, once the label is checked (`play`
+    checks a batch's labels up front). So `predict` runs once per round
+    on every path, except that a caller who predicts and then calls
+    `update` predicts twice.
     """
 
     deterministic = True
@@ -65,18 +71,25 @@ class OnlineLearner:
         """Play the rounds (xs[i], ys[i]) in order, as `predict` then
         `update` each (with the one prediction), and return the predictions.
 
+        The labels are checked once, up front: the rounds before the first
+        bad label each take `predict` then `_record`, and the bad label's
+        round is predicted and then raises, as `update` would there.
+
         A subclass may replay the rounds in one batch. It must give the
         loop's predictions, state and random draws, and raise a bad label
         at its round after the same rounds as the loop. An error the loop
         would raise from inside the learner (say, a point outside a
         class's domain) is raised by a batch too, but the learner's state
         after it may differ from the loop's."""
+        n = labelled_prefix(ys)
         preds = []
-        for x, y in zip(xs, ys):
+        for x, y in zip(xs, ys[:n]):
             p = self.predict(x)
-            self._check_label(y)
             self._record(x, y, p)
             preds.append(p)
+        if n < min(len(xs), len(ys)):
+            self.predict(xs[n])
+            self._check_label(ys[n])
         return preds
 
     def update(self, x: Point, y: int) -> None:

@@ -165,16 +165,25 @@ def soa_prediction(vs: VersionSpace, x: Point) -> int:
 # dimension and witnesses
 # ---------------------------------------------------------------------------
 
-def ldim(cls: FiniteClass) -> int:
+def _check_caps(cls: FiniteClass, max_points: int, max_rows: int) -> None:
+    """Raise `CapacityError` for a class beyond an exact oracle's caps."""
+    if len(cls.domain) > max_points or len(cls) > max_rows:
+        raise CapacityError(
+            f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
+            f"({max_rows} rows, {max_points} points)")
+
+
+def ldim(cls: FiniteClass, max_points: int = 64, max_rows: int = 1024) -> int:
     """Exact dimension: the largest d with a depth-d shattered tree.
 
     A depth-d shattered tree has 2^d leaves, and the rows realizing two
     different leaves differ at the node where their paths part, so the
     dimension is at most floor(log2 |H|); the recursion stops at that
-    ceiling.
+    ceiling. Beyond the caps this raises before any recursion.
     """
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
+    _check_caps(cls, max_points, max_rows)
     return VersionSpace.full(cls).ldim()
 
 
@@ -207,18 +216,21 @@ class ShatteredTreeWitness:
                 f"got {len(self.points)}")
 
 
-def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWitness]:
+def shattered_tree_witness(cls: FiniteClass, d: int, max_points: int = 64,
+                           max_rows: int = 1024) -> Optional[ShatteredTreeWitness]:
     """A depth-d witness if one exists, else None.
 
     Points are chosen level by level, pruning by the dimension of each
     node's version space; ties break to the first point in domain order.
     Points may repeat across nodes (never along a path with conflicting
-    labels, which the shattering requirement itself rules out).
+    labels, which the shattering requirement itself rules out). Beyond
+    the caps (those of `ldim`) this raises before any recursion.
     """
     if d < 1:
         raise ValueError("witness depth must be >= 1 (use ldim for depth 0)")
     if cls.is_empty:
         raise DomainError("no witness for an empty class")
+    _check_caps(cls, max_points, max_rows)
     ws = _workspace(cls)
     full = (1 << len(cls)) - 1
     if ws.ldim(full) < d:
@@ -292,10 +304,7 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
     """
     if cls.is_empty:
         raise DomainError("mistake game undefined for the empty class")
-    if len(cls.domain) > max_points or len(cls) > max_rows:
-        raise CapacityError(
-            f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
-            f"({max_rows} rows, {max_points} points)")
+    _check_caps(cls, max_points, max_rows)
 
     colmasks = column_masks(cls)
     memo: dict[int, int] = {}

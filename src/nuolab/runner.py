@@ -1,11 +1,18 @@
 """Game loop, mistake/regret accounting, Monte-Carlo orchestration, and
 the JSON-config entry points used by the CLI.
+
+A game is recorded as columns: the points, the labels and the learner's
+predictions, one entry per round. Mistakes and regret are counted from
+the columns; per-round `GameRound` records are derived on demand.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -15,8 +22,7 @@ from .hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypothesis,
                          hypothesis_from_config, parse_point, reads_spec)
 
 
-@dataclass(frozen=True)
-class GameRound:
+class GameRound(NamedTuple):
     t: int
     x: Point
     y: int
@@ -29,30 +35,36 @@ class GameRound:
 
 @dataclass
 class GameTrace:
-    """Per-round record of one game; everything else is recomputable from
-    the (x, y) columns."""
+    """One game as three columns: round t (1-based) showed the point
+    `xs[t - 1]`, revealed the label `ys[t - 1]`, and the learner predicted
+    `predicted[t - 1]`. Everything else is recomputed from the columns."""
 
-    rounds: list[GameRound] = field(default_factory=list)
+    xs: list[Point] = field(default_factory=list)
+    ys: list[int] = field(default_factory=list)
+    predicted: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.rounds)
+        return len(self.ys)
+
+    @property
+    def rounds(self) -> list[GameRound]:
+        """The rounds as records, built from the columns on each call."""
+        return list(map(GameRound, range(1, len(self) + 1),
+                        self.xs, self.ys, self.predicted))
 
     @property
     def mistakes(self) -> int:
-        return sum(1 for r in self.rounds if r.mistake)
+        return sum(map(operator.ne, self.ys, self.predicted))
 
     def points(self) -> list[Point]:
-        return [r.x for r in self.rounds]
+        return self.xs
 
     def labels(self) -> list[int]:
-        return [r.y for r in self.rounds]
+        return self.ys
 
     def cumulative_mistakes(self) -> list[int]:
-        out, acc = [], 0
-        for r in self.rounds:
-            acc += r.mistake
-            out.append(acc)
-        return out
+        return list(accumulate(map(operator.ne, self.ys, self.predicted),
+                               initial=0))[1:]
 
 
 def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrace:
@@ -90,7 +102,9 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
             y = strategy.reveal_label(x, predicted, trace)
             learner._check_label(y)
             learner._record(x, y, predicted)
-            trace.rounds.append(GameRound(t, x, y, predicted))
+            trace.xs.append(x)
+            trace.ys.append(y)
+            trace.predicted.append(predicted)
         return trace
     xs: list[Point] = []
     ys: list[int] = []
@@ -109,8 +123,7 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
         elif isinstance(failure, nature.ExhaustionError):
             raise nature.ExhaustionError(f"round {len(xs) + 1}: {failure}") from failure
         raise failure
-    return GameTrace([GameRound(t, x, y, p)
-                      for t, x, y, p in zip(range(1, horizon + 1), xs, ys, predicted)])
+    return GameTrace(xs, ys, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +157,15 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
 
 
 def best_rival_mistakes(comparison, trace: GameTrace) -> int:
-    hs = comparison_hypotheses(comparison, trace.points())
-    return min(sum(1 for r in trace.rounds if h(r.x) != r.y) for h in hs)
+    """The fewest mistakes any comparison hypothesis makes on the trace.
+
+    A hypothesis is a function of the point, so each distinct (x, y) pair
+    is judged once and weighted by its count. The pairs come in order of
+    first occurrence, so a hypothesis that raises does so on the point a
+    scan of the rounds would."""
+    pairs = Counter(zip(trace.xs, trace.ys)).items()
+    hs = comparison_hypotheses(comparison, trace.xs)
+    return min(sum(n for (x, y), n in pairs if h(x) != y) for h in hs)
 
 
 def regret(trace: GameTrace, comparison) -> int:
@@ -214,6 +234,13 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(trials)]
 
 
+def split_seed(seed: int) -> tuple[int, int]:
+    """(learner seed, nature seed): the two independent seeds one trial's
+    seed splits into."""
+    learner_seed, nature_seed = np.random.SeedSequence(seed).generate_state(2)
+    return int(learner_seed), int(nature_seed)
+
+
 def monte_carlo(trial_fn: Callable[[int], float], trials: int,
                 master_seed: int = 0) -> TrialStats:
     """Independent seeded trials of a scalar experiment."""
@@ -234,8 +261,8 @@ def regret_curve(make_learner: Callable[[int], object],
     stats = []
     for T in horizons:
         def trial(seed: int, T=T) -> float:
-            half = np.random.SeedSequence(seed).generate_state(2)
-            trace = run_game(make_learner(int(half[0])), make_nature(int(half[1])), T)
+            learner_seed, nature_seed = split_seed(seed)
+            trace = run_game(make_learner(learner_seed), make_nature(nature_seed), T)
             return float(regret(trace, comparison))
         stats.append(monte_carlo(trial, trials, master_seed))
     bounds = [float(bound_fn(T)) for T in horizons] if bound_fn else None
@@ -321,9 +348,9 @@ def make_nature(spec: dict, seed: Optional[int] = None,
 def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
                 seed: int = 0):
     """Build both sides from specs with a split seed and run one game."""
-    half = np.random.SeedSequence(seed).generate_state(2)
-    learner = make_learner(learner_spec, seed=int(half[0]))
-    strategy = make_nature(nature_spec, seed=int(half[1]), learner_spec=learner_spec)
+    learner_seed, nature_seed = split_seed(seed)
+    learner = make_learner(learner_spec, seed=learner_seed)
+    strategy = make_nature(nature_spec, seed=nature_seed, learner_spec=learner_spec)
     return run_game(learner, strategy, horizon), learner
 
 

@@ -367,13 +367,13 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
         seeds = runner.trial_seeds(master_seed + offset, trials)
         regrets = np.empty((trials, len(ks)))
         for i, seed in enumerate(seeds):
-            half = np.random.SeedSequence(seed).generate_state(2)
+            learner_seed, nature_seed = runner.split_seed(seed)
             if label_mode == "coin":
-                lab_rng = random.Random(int(half[1]))
+                lab_rng = random.Random(nature_seed)
                 labels = [lab_rng.getrandbits(1) for _ in range(horizon)]
             else:
                 labels = script
-            learner = _fpl_trial(makers, ks, labels, int(half[0]))
+            learner = _fpl_trial(makers, ks, labels, learner_seed)
             regrets[i] = learner.mistakes - np.asarray(learner.losses)
         mean = regrets.mean(axis=0)
         se = regrets.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -409,13 +409,13 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
         for label_mode in ("alternating", "coin"):
             regrets = np.empty((trials, 2))
             for i, seed in enumerate(runner.trial_seeds(master_seed + horizon, trials)):
-                half = np.random.SeedSequence(seed).generate_state(2)
+                learner_seed, nature_seed = runner.split_seed(seed)
                 if label_mode == "coin":
-                    rng = random.Random(int(half[1]))
+                    rng = random.Random(nature_seed)
                     ys = [rng.getrandbits(1) for _ in range(horizon)]
                 else:
                     ys = [t % 2 for t in range(1, horizon + 1)]
-                learner = fpl.AgnosticFpl(family, 2, seed=int(half[0]))
+                learner = fpl.AgnosticFpl(family, 2, seed=learner_seed)
                 trace = runner.run_game(learner,
                                         nature.AgnosticScripted(xs, ys), horizon)
                 for n in (1, 2):
@@ -454,9 +454,9 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
         floor = 3.0 * math.sqrt(horizon) / 64.0
         for name, make in makers.items():
             def trial(seed: int) -> float:
-                half = np.random.SeedSequence(seed).generate_state(2)
-                trace = runner.run_game(make(int(half[0])),
-                                        nature.CoinFlip(int(half[1])), horizon)
+                learner_seed, nature_seed = runner.split_seed(seed)
+                trace = runner.run_game(make(learner_seed),
+                                        nature.CoinFlip(nature_seed), horizon)
                 return float(runner.regret(trace, cls))
             stats = runner.monte_carlo(trial, trials, master_seed + horizon)
             if stats.mean - 3 * stats.se < floor:

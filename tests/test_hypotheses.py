@@ -24,8 +24,8 @@ def finite_classes(st_draw, max_points=4, max_rows=10):
     return FiniteClass(("a", "b", "c", "d")[:m], rows)
 
 
-# JSON points: a string holding "/" reads back as a rational (`parse_point`),
-# so string points here never hold one
+# JSON points: a string holding "/" has no JSON form (`point_to_json`
+# refuses it), so string points here never hold one
 points = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=64),
                    st.text(st.characters(codec="utf-8", exclude_characters="/"),
                            max_size=4))
@@ -103,6 +103,17 @@ class TestPoints:
             parse_point(True)
         with pytest.raises(DomainError):
             parse_point(0.5)
+
+    @pytest.mark.parametrize("point", ["1/2", "a/b", "/"])
+    def test_string_holding_slash_has_no_json_form(self, point):
+        # parse_point would read it back as a rational, or fail to
+        with pytest.raises(DomainError, match="holds '/'"):
+            point_to_json(point)
+        for obj in (FiniteClass((point, "a"), [[0, 1]]),
+                    FiniteSupportFamily((point, "a")),
+                    DiscreteMeasure.uniform((point, "a"))):
+            with pytest.raises(DomainError, match="holds '/'"):
+                obj.to_config()
 
 
 class TestFiniteClass:

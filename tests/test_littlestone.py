@@ -138,6 +138,22 @@ class TestMinimax:
         assert minimax_mistakes(cls) == ldim(cls)
 
 
+@pytest.mark.parametrize("oracle", [ldim, lambda cls: shattered_tree_witness(cls, 1)],
+                         ids=["ldim", "witness"])
+def test_dimension_oracles_refuse_over_cap_classes(oracle):
+    # the default caps admit every class the package, its tests and the
+    # benchmark build; a refusal comes before any recursion, so the class
+    # never gets a dimension memo
+    wide = FiniteClass(tuple(range(65)), [[0] * 65, [1] * 65])
+    tall = FiniteClass.full_class(tuple(range(11)))
+    for cls in (wide, tall):
+        with pytest.raises(CapacityError, match="exceeds caps"):
+            oracle(cls)
+        assert cls not in littlestone._workspaces
+    assert ldim(wide, max_points=65) == 1
+    assert shattered_tree_witness(tall, 1, max_rows=2048) is not None
+
+
 class TestVersionSpace:
     def test_restrict_and_labels(self):
         cls = FiniteClass.full_class(("a", "b"))

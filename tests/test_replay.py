@@ -11,12 +11,12 @@ from nuolab import nature, runner
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
 from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
                                FiniteClass, FiniteSupportClass, FiniteSupportFamily,
-                               SingletonClass, support_hypothesis,
+                               SingletonClass, is_label, support_hypothesis,
                                threshold_hypothesis)
 from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
                              CoverSpec, ExpertLearner, FollowHypothesisLearner,
                              NaturalThresholdLearner, OnlineLearner, ProtocolError,
-                             SoaLearner, TruncatedThresholdSoa)
+                             SoaLearner, TruncatedThresholdSoa, labelled_prefix)
 
 DOMAIN = (1, 2, 3, 4)
 CONSTANTS = FiniteClass(DOMAIN, [[0, 0, 0, 0], [1, 1, 1, 1]])
@@ -408,3 +408,51 @@ def test_run_game_matches_hand_loop(kind, script):
                 snapshot(learner))
     for result in both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs)):
         assert result == expected
+
+
+BAD_LABELS = [True, False, 1.0, 0.0, np.int64(1), 2, -1, None, [1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 1), st.sampled_from(BAD_LABELS)), max_size=12))
+def test_labelled_prefix_matches_label_scan(ys):
+    # the set-based fast path against the scan it short-cuts; [1] is unhashable
+    assert labelled_prefix(ys) == next(
+        (i for i, y in enumerate(ys) if not is_label(y)), len(ys))
+    assert labelled_prefix(tuple(ys)) == labelled_prefix(ys)
+
+
+def checked_loop(learner, xs, ys):
+    """The round loop that checks each label as its round comes."""
+    preds = []
+    for x, y in zip(xs, ys):
+        p = learner.predict(x)
+        learner._check_label(y)
+        learner._record(x, y, p)
+        preds.append(p)
+    return preds
+
+
+def played(play, learner, xs, ys):
+    try:
+        result = ("preds", play(learner, xs, ys))
+    except GAME_ERRORS as exc:
+        result = ("error", type(exc).__name__, getattr(exc, "round_index", None), str(exc))
+    return result, snapshot(learner)
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
+@settings(max_examples=15, deadline=None)
+@given(script=any_scripts,
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 120), st.sampled_from(BAD_LABELS))))
+def test_base_play_matches_checked_loop(kind, script, bad):
+    # labels checked once up front, then predict and step: the same
+    # predictions, state and bad-label error as a check in every round
+    xs, ys = script
+    if bad is not None:
+        at, label = bad
+        at = min(at, len(ys))
+        xs, ys = xs[:at] + [DOMAIN[at % 4]] + xs[at:], ys[:at] + [label] + ys[at:]
+    make = LEARNER_KINDS[kind]
+    assert played(OnlineLearner.play, make(), xs, ys) == \
+        played(checked_loop, make(), xs, ys)

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nuolab import learners, nature, runner
 from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
+                               constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
-from nuolab.runner import (best_rival_mistakes, comparison_hypotheses,
-                           make_learner, make_nature, monte_carlo, play_config,
-                           regret, regret_curve, run_game, trace_to_csv,
-                           trial_seeds)
+from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
+                           comparison_hypotheses, make_learner, make_nature,
+                           monte_carlo, play_config, regret, regret_curve,
+                           run_game, split_seed, trace_to_csv, trial_seeds)
 
 TWO_CLASS = FiniteClass((0,), [[0], [1]])
 
@@ -44,6 +46,84 @@ class TestRunGame:
         trace = run_game(learners.ConstantLearner(0), strategy, 50)
         assert trace.cumulative_mistakes()[-1] == trace.mistakes
         assert trace.mistakes == sum(r.y != r.predicted for r in trace.rounds)
+
+
+def traces(points):
+    """Hypothesis traces over `points`, which repeat."""
+    return st.integers(0, 60).flatmap(lambda T: st.builds(
+        GameTrace,
+        st.lists(st.sampled_from(points), min_size=T, max_size=T),
+        st.lists(st.integers(0, 1), min_size=T, max_size=T),
+        st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+
+
+class TestGameTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(traces((0, 1, Fraction(1, 2), "a")))
+    def test_columns_match_hand_built_rounds(self, trace):
+        rounds = [GameRound(t, trace.xs[t - 1], trace.ys[t - 1], trace.predicted[t - 1])
+                  for t in range(1, len(trace.ys) + 1)]
+        assert trace.rounds == rounds and len(trace) == len(rounds)
+        assert trace.mistakes == sum(r.mistake for r in rounds)
+        acc, cumulative = 0, []
+        for r in rounds:
+            acc += r.mistake
+            cumulative.append(acc)
+        assert trace.cumulative_mistakes() == cumulative
+        assert all(type(v) is int for v in [trace.mistakes, *cumulative])
+        assert trace.points() == [r.x for r in rounds]
+        assert trace.labels() == [r.y for r in rounds]
+
+
+MIXED_DOMAIN = (1, 2, Fraction(1, 2), Fraction(7, 3), "a", "b")
+NUMERIC_POINTS = (0, 1, 3, Fraction(1, 2), Fraction(1, 3), Fraction(7, 3))
+
+
+def per_round_rival_mistakes(comparison, trace):
+    """The best rival's mistakes by a scan of every round."""
+    hs = comparison_hypotheses(comparison, trace.points())
+    return min(sum(1 for r in trace.rounds if h(r.x) != r.y) for h in hs)
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except DomainError as exc:
+        return ("error", str(exc))
+
+
+class TestCountedRivalMistakes:
+    # the pair counts must give the per-round scan's integer, and its error
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.integers(0, 1)] * len(MIXED_DOMAIN)),
+                         min_size=1, max_size=8, unique=True),
+           trace=traces(MIXED_DOMAIN))
+    def test_finite_class(self, rows, trace):
+        comparison = FiniteClass(MIXED_DOMAIN, rows)
+        assert best_rival_mistakes(comparison, trace) == \
+            per_round_rival_mistakes(comparison, trace)
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces(NUMERIC_POINTS))
+    def test_real_thresholds(self, trace):
+        assert best_rival_mistakes(runner.REAL_THRESHOLDS, trace) == \
+            per_round_rival_mistakes(runner.REAL_THRESHOLDS, trace)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=traces(MIXED_DOMAIN),
+           hs=st.lists(st.sampled_from([
+               constant_hypothesis(0), constant_hypothesis(1),
+               support_hypothesis(["a", Fraction(1, 2)]), support_hypothesis([2]),
+               row_hypothesis(MIXED_DOMAIN, [1, 0, 1, 1, 0, 1]),
+               # raises on the string points
+               threshold_hypothesis(Fraction(3, 2))]), min_size=1, max_size=4))
+    # the error names the first string point, though "b" occurs more often
+    @example(trace=GameTrace([1, "a", "b", "b"], [0, 1, 0, 0], [0, 0, 0, 0]),
+             hs=[threshold_hypothesis(Fraction(3, 2))])
+    def test_hypothesis_list(self, trace, hs):
+        assert outcome(best_rival_mistakes, hs, trace) == \
+            outcome(per_round_rival_mistakes, hs, trace)
 
 
 class TestRegret:
@@ -138,6 +218,12 @@ class TestMonteCarlo:
     def test_seed_derivation_stable(self):
         assert trial_seeds(3, 5) == trial_seeds(3, 5)
         assert trial_seeds(3, 5) != trial_seeds(4, 5)
+
+    def test_split_seed_keeps_the_seed_sequence_halves(self):
+        for seed in trial_seeds(7, 20) + [0, 1]:
+            halves = np.random.SeedSequence(seed).generate_state(2)
+            assert split_seed(seed) == (int(halves[0]), int(halves[1]))
+            assert all(type(s) is int for s in split_seed(seed))
 
     def test_stats(self):
         stats = monte_carlo(lambda s: float(s % 7), trials=50, master_seed=0)

@@ -165,15 +165,25 @@ def soa_prediction(vs: VersionSpace, x: Point) -> int:
 # dimension and witnesses
 # ---------------------------------------------------------------------------
 
-def _check_caps(cls: FiniteClass, max_points: int, max_rows: int) -> None:
-    """Raise `CapacityError` for a class beyond an exact oracle's caps."""
-    if len(cls.domain) > max_points or len(cls) > max_rows:
+# Caps of `ldim` and `shattered_tree_witness`. Each step down the
+# dimension recursion splits on a column that cannot split again below it
+# and strictly shrinks the surviving rows, so a path is at most
+# min(points, rows - 1) deep; MAX_DEPTH keeps that well inside Python's
+# default recursion limit, and MAX_ROWS bounds the row masks.
+MAX_ROWS = 1024
+MAX_DEPTH = 512
+
+
+def _check_dimension_caps(cls: FiniteClass) -> None:
+    """Raise `CapacityError` for a class beyond the dimension oracles' caps."""
+    depth = min(len(cls.domain), len(cls) - 1)
+    if len(cls) > MAX_ROWS or depth > MAX_DEPTH:
         raise CapacityError(
             f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
-            f"({max_rows} rows, {max_points} points)")
+            f"({MAX_ROWS} rows, recursion depth {MAX_DEPTH})")
 
 
-def ldim(cls: FiniteClass, max_points: int = 64, max_rows: int = 1024) -> int:
+def ldim(cls: FiniteClass) -> int:
     """Exact dimension: the largest d with a depth-d shattered tree.
 
     A depth-d shattered tree has 2^d leaves, and the rows realizing two
@@ -183,7 +193,7 @@ def ldim(cls: FiniteClass, max_points: int = 64, max_rows: int = 1024) -> int:
     """
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
-    _check_caps(cls, max_points, max_rows)
+    _check_dimension_caps(cls)
     return VersionSpace.full(cls).ldim()
 
 
@@ -216,8 +226,7 @@ class ShatteredTreeWitness:
                 f"got {len(self.points)}")
 
 
-def shattered_tree_witness(cls: FiniteClass, d: int, max_points: int = 64,
-                           max_rows: int = 1024) -> Optional[ShatteredTreeWitness]:
+def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWitness]:
     """A depth-d witness if one exists, else None.
 
     Points are chosen level by level, pruning by the dimension of each
@@ -230,7 +239,7 @@ def shattered_tree_witness(cls: FiniteClass, d: int, max_points: int = 64,
         raise ValueError("witness depth must be >= 1 (use ldim for depth 0)")
     if cls.is_empty:
         raise DomainError("no witness for an empty class")
-    _check_caps(cls, max_points, max_rows)
+    _check_dimension_caps(cls)
     ws = _workspace(cls)
     full = (1 << len(cls)) - 1
     if ws.ldim(full) < d:
@@ -304,7 +313,10 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
     """
     if cls.is_empty:
         raise DomainError("mistake game undefined for the empty class")
-    _check_caps(cls, max_points, max_rows)
+    if len(cls.domain) > max_points or len(cls) > max_rows:
+        raise CapacityError(
+            f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
+            f"({max_rows} rows, {max_points} points)")
 
     colmasks = column_masks(cls)
     memo: dict[int, int] = {}

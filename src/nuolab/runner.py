@@ -57,10 +57,10 @@ class GameTrace:
         return sum(map(operator.ne, self.ys, self.predicted))
 
     def points(self) -> list[Point]:
-        return self.xs
+        return list(self.xs)
 
     def labels(self) -> list[int]:
-        return self.ys
+        return list(self.ys)
 
     def cumulative_mistakes(self) -> list[int]:
         return list(accumulate(map(operator.ne, self.ys, self.predicted),
@@ -160,9 +160,11 @@ def best_rival_mistakes(comparison, trace: GameTrace) -> int:
     """The fewest mistakes any comparison hypothesis makes on the trace.
 
     A hypothesis is a function of the point, so each distinct (x, y) pair
-    is judged once and weighted by its count. The pairs come in order of
-    first occurrence, so a hypothesis that raises does so on the point a
-    scan of the rounds would."""
+    is judged once and weighted by its count. That pays when points
+    repeat, as in coin-flip and cycled-point games; on all-distinct points
+    it saves no hypothesis call and adds one pair hash per round. The pairs
+    come in order of first occurrence, so a hypothesis that raises does so
+    on the point a scan of the rounds would."""
     pairs = Counter(zip(trace.xs, trace.ys)).items()
     hs = comparison_hypotheses(comparison, trace.xs)
     return min(sum(n for (x, y), n in pairs if h(x) != y) for h in hs)
@@ -176,16 +178,17 @@ def regret(trace: GameTrace, comparison) -> int:
 def trace_to_csv(trace: GameTrace, comparison=None) -> str:
     """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival."""
     lines = ["t,x,y,yhat,mistake,cum_mistakes,cum_best_rival"]
-    rival_cum: list[str] = [""] * len(trace.rounds)
-    if comparison is not None and trace.rounds:
-        hs = comparison_hypotheses(comparison, trace.points())
+    rounds = trace.rounds
+    rival_cum: list[str] = [""] * len(rounds)
+    if comparison is not None and rounds:
+        hs = comparison_hypotheses(comparison, trace.xs)
         per_h = [0] * len(hs)
-        for i, r in enumerate(trace.rounds):
+        for i, r in enumerate(rounds):
             for j, h in enumerate(hs):
                 per_h[j] += h(r.x) != r.y
             rival_cum[i] = str(min(per_h))
     acc = 0
-    for i, r in enumerate(trace.rounds):
+    for i, r in enumerate(rounds):
         acc += r.mistake
         lines.append(f"{r.t},{format_point(r.x)},{r.y},{r.predicted},"
                      f"{int(r.mistake)},{acc},{rival_cum[i]}")

@@ -138,20 +138,31 @@ class TestMinimax:
         assert minimax_mistakes(cls) == ldim(cls)
 
 
+def _singletons(n):
+    # the all-zero row and one row per point labelling it alone 1: Ldim 1,
+    # but the dimension recursion peels one row per level, n levels deep
+    return FiniteClass(tuple(range(n)),
+                       [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 @pytest.mark.parametrize("oracle", [ldim, lambda cls: shattered_tree_witness(cls, 1)],
                          ids=["ldim", "witness"])
-def test_dimension_oracles_refuse_over_cap_classes(oracle):
-    # the default caps admit every class the package, its tests and the
-    # benchmark build; a refusal comes before any recursion, so the class
-    # never gets a dimension memo
-    wide = FiniteClass(tuple(range(65)), [[0] * 65, [1] * 65])
-    tall = FiniteClass.full_class(tuple(range(11)))
-    for cls in (wide, tall):
+def test_dimension_oracles_cap_rows_and_depth(oracle):
+    # a class at the caps is answered; one just over them is refused before
+    # any recursion, so it never gets a dimension memo
+    wide = littlestone.MAX_DEPTH + 1  # 2 rows: one level deep on any number of points
+    at_caps = [_singletons(littlestone.MAX_DEPTH),
+               FiniteClass.full_class(tuple(range(10))),
+               FiniteClass(tuple(range(wide)), [[0] * wide, [1] * wide])]
+    assert len(at_caps[1]) == littlestone.MAX_ROWS
+    for cls in at_caps:
+        assert oracle(cls)
+    over_caps = [_singletons(littlestone.MAX_DEPTH + 1),
+                 FiniteClass.full_class(tuple(range(11)))]
+    for cls in over_caps:
         with pytest.raises(CapacityError, match="exceeds caps"):
             oracle(cls)
         assert cls not in littlestone._workspaces
-    assert ldim(wide, max_points=65) == 1
-    assert shattered_tree_witness(tall, 1, max_rows=2048) is not None
 
 
 class TestVersionSpace:

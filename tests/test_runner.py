@@ -73,6 +73,10 @@ class TestGameTrace:
         assert all(type(v) is int for v in [trace.mistakes, *cumulative])
         assert trace.points() == [r.x for r in rounds]
         assert trace.labels() == [r.y for r in rounds]
+        # the accessors hand out copies, so a caller cannot change the trace
+        trace.points().append("z")
+        trace.labels().append(1)
+        assert len(trace.xs) == len(trace.ys) == len(rounds)
 
 
 MIXED_DOMAIN = (1, 2, Fraction(1, 2), Fraction(7, 3), "a", "b")

@@ -28,7 +28,7 @@ from .nature import (AgnosticScripted, CoinFlip, ExhaustionError,
                      TreeAdversary, WindowHalving, commit_adversary)
 from .runner import (GameRound, GameTrace, RegretCurve, TrialStats,
                      best_rival_mistakes, make_learner, make_nature,
-                     monte_carlo, play_config, regret, regret_curve, run_game,
-                     trace_to_csv)
+                     monte_carlo, play_config, play_seeded, regret,
+                     regret_curve, run_game, trace_to_csv)
 
 __version__ = "0.1.0"

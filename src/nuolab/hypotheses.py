@@ -222,21 +222,6 @@ class FiniteClass:
     def hypotheses(self) -> list[Hypothesis]:
         return [row_hypothesis(self.domain, r, hid=l) for l, r in zip(self.labels, self.rows)]
 
-    # -- restriction ---------------------------------------------------------
-
-    def restrict(self, x: Point, y: int) -> "FiniteClass":
-        """Sub-class of rows taking value y at x. May be empty. Ids preserved."""
-        if y not in (0, 1):
-            raise DomainError(f"label must be 0 or 1, got {y!r}")
-        j = self.point_index(x)
-        keep = [i for i, r in enumerate(self.rows) if r[j] == y]
-        sub = object.__new__(FiniteClass)
-        sub.domain = self.domain
-        sub.rows = tuple(self.rows[i] for i in keep)
-        sub.labels = tuple(self.labels[i] for i in keep)
-        sub._pindex = self._pindex
-        return sub
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -281,6 +266,10 @@ class SingletonClass:
     dim: int = 0
 
 
+# the most rows `FiniteSupportClass.materialize` builds
+MATERIALIZE_MAX_ROWS = 20000
+
+
 @dataclass(frozen=True)
 class FiniteSupportClass:
     """All indicators of at most `budget` points from a finite domain.
@@ -309,10 +298,10 @@ class FiniteSupportClass:
         from math import comb
         return sum(comb(len(self.domain), j) for j in range(self.budget + 1))
 
-    def materialize(self, max_rows: int = 20000) -> FiniteClass:
-        if self.size() > max_rows:
-            raise DomainError(
-                f"refusing to materialize {self.size()} rows (cap {max_rows})")
+    def materialize(self) -> FiniteClass:
+        if self.size() > MATERIALIZE_MAX_ROWS:
+            raise DomainError(f"refusing to materialize {self.size()} rows "
+                              f"(cap {MATERIALIZE_MAX_ROWS})")
         rows, labels = [], []
         for sz in range(self.budget + 1):
             for supp in combinations(range(len(self.domain)), sz):

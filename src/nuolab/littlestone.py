@@ -296,7 +296,12 @@ def verify_witness(witness: ShatteredTreeWitness, cls: FiniteClass) -> bool:
 # minimax game oracle
 # ---------------------------------------------------------------------------
 
-def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) -> int:
+# Caps of `minimax_mistakes`, which memoizes every surviving row set it meets
+MINIMAX_MAX_POINTS = 8
+MINIMAX_MAX_ROWS = 96
+
+
+def minimax_mistakes(cls: FiniteClass) -> int:
     """Exact value of the adaptive mistake game on a finite class.
 
     Each turn the adversary picks a point and, after seeing the prediction,
@@ -313,10 +318,10 @@ def minimax_mistakes(cls: FiniteClass, max_points: int = 8, max_rows: int = 96) 
     """
     if cls.is_empty:
         raise DomainError("mistake game undefined for the empty class")
-    if len(cls.domain) > max_points or len(cls) > max_rows:
+    if len(cls.domain) > MINIMAX_MAX_POINTS or len(cls) > MINIMAX_MAX_ROWS:
         raise CapacityError(
             f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
-            f"({max_rows} rows, {max_points} points)")
+            f"({MINIMAX_MAX_ROWS} rows, {MINIMAX_MAX_POINTS} points)")
 
     colmasks = column_masks(cls)
     memo: dict[int, int] = {}

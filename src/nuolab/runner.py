@@ -201,6 +201,9 @@ def trace_to_csv(trace: GameTrace, comparison=None) -> str:
 
 @dataclass
 class TrialStats:
+    """One value, or one row of m values, per trial; `mean` and `se` reduce
+    each column on its own, exactly as a scalar run of it would."""
+
     values: np.ndarray
 
     @property
@@ -208,12 +211,17 @@ class TrialStats:
         return len(self.values)
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
+    def mean(self) -> float | np.ndarray:
+        return self._per_column(np.mean)
 
     @property
-    def se(self) -> float:
-        return float(np.std(self.values, ddof=1) / math.sqrt(len(self.values)))
+    def se(self) -> float | np.ndarray:
+        return self._per_column(lambda v: np.std(v, ddof=1) / math.sqrt(len(v)))
+
+    def _per_column(self, stat: Callable[[np.ndarray], float]) -> float | np.ndarray:
+        if self.values.ndim == 1:
+            return float(stat(self.values))
+        return np.array([stat(column) for column in self.values.T])
 
 
 @dataclass
@@ -244,9 +252,19 @@ def split_seed(seed: int) -> tuple[int, int]:
     return int(learner_seed), int(nature_seed)
 
 
-def monte_carlo(trial_fn: Callable[[int], float], trials: int,
-                master_seed: int = 0) -> TrialStats:
-    """Independent seeded trials of a scalar experiment."""
+def play_seeded(make_learner: Callable[[int], object],
+                make_nature: Callable[[int], nature.NatureStrategy],
+                horizon: int, seed: int) -> tuple[GameTrace, object]:
+    """One game from one seed: the learner is built from the seed's first
+    half (`split_seed`), then the nature from its second."""
+    learner_seed, nature_seed = split_seed(seed)
+    learner = make_learner(learner_seed)
+    return run_game(learner, make_nature(nature_seed), horizon), learner
+
+
+def monte_carlo(trial_fn: Callable[[int], float | Sequence[float]],
+                trials: int, master_seed: int = 0) -> TrialStats:
+    """Independent seeded trials of a scalar or vector experiment."""
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     values = np.array([trial_fn(s) for s in trial_seeds(master_seed, trials)],
@@ -259,15 +277,12 @@ def regret_curve(make_learner: Callable[[int], object],
                  horizons: Sequence[int], trials: int, master_seed: int,
                  comparison, bound_fn: Optional[Callable[[int], float]] = None
                  ) -> RegretCurve:
-    """Mean regret with standard errors across seeded trials, one row per
-    horizon, with an optional analytic bound column."""
-    stats = []
-    for T in horizons:
-        def trial(seed: int, T=T) -> float:
-            learner_seed, nature_seed = split_seed(seed)
-            trace = run_game(make_learner(learner_seed), make_nature(nature_seed), T)
-            return float(regret(trace, comparison))
-        stats.append(monte_carlo(trial, trials, master_seed))
+    """Mean regret with standard errors across seeded games (`play_seeded`),
+    one row per horizon, with an optional analytic bound column."""
+    def trial(seed: int, T: int) -> float:
+        return float(regret(play_seeded(make_learner, make_nature, T, seed)[0], comparison))
+
+    stats = [monte_carlo(lambda s, T=T: trial(s, T), trials, master_seed) for T in horizons]
     bounds = [float(bound_fn(T)) for T in horizons] if bound_fn else None
     return RegretCurve(list(horizons), stats, bounds)
 
@@ -348,13 +363,16 @@ def make_nature(spec: dict, seed: Optional[int] = None,
     raise DomainError(f"unknown nature spec: {kind!r}")
 
 
+def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
+    """The learner and nature makers, each of a seed, that two specs give."""
+    return (lambda s: make_learner(learner_spec, seed=s),
+            lambda s: make_nature(nature_spec, seed=s, learner_spec=learner_spec))
+
+
 def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
                 seed: int = 0):
     """Build both sides from specs with a split seed and run one game."""
-    learner_seed, nature_seed = split_seed(seed)
-    learner = make_learner(learner_spec, seed=learner_seed)
-    strategy = make_nature(nature_spec, seed=nature_seed, learner_spec=learner_spec)
-    return run_game(learner, strategy, horizon), learner
+    return play_seeded(*_spec_makers(learner_spec, nature_spec), horizon, seed)
 
 
 @reads_spec("comparison")
@@ -364,6 +382,8 @@ def comparison_from_config(spec):
     if isinstance(spec, dict) and "domain" in spec:
         return FiniteClass.from_config(spec)
     if isinstance(spec, list):
+        if not spec:
+            raise DomainError("comparison list is empty")
         return [hypothesis_from_config(h) for h in spec]
     raise DomainError(f"unknown comparison spec: {spec!r}")
 
@@ -378,7 +398,12 @@ def regret_experiment_from_config(config: dict) -> RegretCurve:
 def _experiment_args(config: dict) -> tuple:
     """The arguments of `regret_curve` that a regret config describes."""
     horizons = config.get("Ts") or [config["T"]]
-    trials = int(config.get("trials", 100))
+    trials = config.get("trials", 100)
+    # int() would read 20.5 as 20 and True as 1; "20" fails mid-run
+    if not isinstance(horizons, list) or any(type(T) is not int for T in horizons):
+        raise DomainError(f"T and Ts must hold ints, got {horizons!r}")
+    if type(trials) is not int:
+        raise DomainError(f"trials must be an int, got {trials!r}")
     master_seed = int(config.get("master_seed", 0))
     learner_spec, nature_spec = config["learner"], config["nature"]
     comparison = comparison_from_config(config["comparison"])
@@ -395,6 +420,5 @@ def _experiment_args(config: dict) -> tuple:
         else:
             raise DomainError(f"unknown bound kind: {bound['kind']!r}")
 
-    return (lambda s: make_learner(learner_spec, seed=s),
-            lambda s: make_nature(nature_spec, seed=s, learner_spec=learner_spec),
+    return (*_spec_makers(learner_spec, nature_spec),
             horizons, trials, master_seed, comparison, bound_fn)

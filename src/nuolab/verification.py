@@ -340,60 +340,41 @@ class _LastLabelExpert(learners.OnlineLearner):
         self.last = y
 
 
-def _fpl_trial(expert_makers, ks, labels, seed, redraw="per-round"):
-    learner = fpl.FplLearner([m() for m in expert_makers], ks, seed=seed,
-                             redraw=redraw)
-    learner.play([0] * len(labels), labels)
-    return learner
-
-
 def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
                            master_seed: int = 2026) -> CheckResult:
     """Perturbed-leader regret against each fixed expert stays within
     (k_i + 2) sqrt(T) in expectation: Monte-Carlo mean + 3 SE vs the bound,
     on an adversarial alternating script and on fair-coin scripts."""
-    configs = []
     two = [lambda: learners.ConstantLearner(0), lambda: learners.ConstantLearner(1)]
-    alternating = [t % 2 for t in range(1, horizon + 1)]
-    configs.append(("two-expert-alternating", two, [1.0, 1.0], None, alternating))
-    configs.append(("two-expert-coin", two, [1.0, 1.0], "coin", None))
     five = two + [lambda: _ParityExpert(0), lambda: _ParityExpert(1),
                   _LastLabelExpert]
-    ks5 = [1.0 + math.log(i) for i in range(1, 6)]
-    configs.append(("five-expert-coin", five, ks5, "coin", None))
+    alternating = [t % 2 for t in range(1, horizon + 1)]
+    configs = [
+        ("two-expert-alternating", two, [1.0, 1.0],
+         lambda s: nature.AgnosticScripted([0] * horizon, alternating)),
+        ("two-expert-coin", two, [1.0, 1.0], nature.CoinFlip),
+        ("five-expert-coin", five, [1.0 + math.log(i) for i in range(1, 6)],
+         nature.CoinFlip),
+    ]
 
     details = []
-    for offset, (name, makers, ks, label_mode, script) in enumerate(configs):
-        seeds = runner.trial_seeds(master_seed + offset, trials)
-        regrets = np.empty((trials, len(ks)))
-        for i, seed in enumerate(seeds):
-            learner_seed, nature_seed = runner.split_seed(seed)
-            if label_mode == "coin":
-                lab_rng = random.Random(nature_seed)
-                labels = [lab_rng.getrandbits(1) for _ in range(horizon)]
-            else:
-                labels = script
-            learner = _fpl_trial(makers, ks, labels, learner_seed)
-            regrets[i] = learner.mistakes - np.asarray(learner.losses)
-        mean = regrets.mean(axis=0)
-        se = regrets.std(axis=0, ddof=1) / math.sqrt(trials)
-        for j, k in enumerate(ks):
-            bound = fpl.fpl_regret_bound(k, horizon)
-            if mean[j] + 3 * se[j] > bound:
+    for offset, (name, makers, ks, make_nature) in enumerate(configs):
+        def trial(seed: int) -> np.ndarray:
+            _, learner = runner.play_seeded(
+                lambda s: fpl.FplLearner([m() for m in makers], ks, seed=s),
+                make_nature, horizon, seed)
+            return learner.mistakes - np.asarray(learner.losses)
+        stats = runner.monte_carlo(trial, trials, master_seed + offset)
+        bounds = [fpl.fpl_regret_bound(k, horizon) for k in ks]
+        for j, (mean, se, bound) in enumerate(zip(stats.mean, stats.se, bounds)):
+            if mean + 3 * se > bound:
                 return CheckResult(
                     "fpl-regret-bound", False,
-                    f"{name}: regret vs expert {j + 1} = {mean[j]:.2f} "
-                    f"+ 3*{se[j]:.2f} > {bound:.2f}")
-        details.append(f"{name} worst margin "
-                       f"{min(fpl.fpl_regret_bound(k, horizon) - mean[j] - 3 * se[j] for j, k in enumerate(ks)):.1f}")
+                    f"{name}: regret vs expert {j + 1} = {mean:.2f} "
+                    f"+ 3*{se:.2f} > {bound:.2f}")
+        details.append(f"{name} worst margin {min(bounds - stats.mean - 3 * stats.se):.1f}")
     return CheckResult("fpl-regret-bound", True,
                        f"T={horizon}, {trials} trials: " + "; ".join(details))
-
-
-def _hierarchical_family() -> ExplicitListFamily:
-    constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
-    thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
-    return ExplicitListFamily([constants, thresholds])
 
 
 def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
@@ -401,38 +382,36 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
     """The two-level perturbed-leader learner keeps expected regret against
     every hypothesis of component n within the explicit per-component
     expression; Monte-Carlo mean + 3 SE vs that bound."""
-    family = _hierarchical_family()
-    dims = [family.component(n).dim for n in (1, 2)]
+    constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
+    thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
+    family = ExplicitListFamily([constants, thresholds])
     details = []
     for horizon in horizons:
         xs = [(1, 2, 3, 4)[(t - 1) % 4] for t in range(1, horizon + 1)]
+        bounds = [fpl.hierarchical_regret_bound(family.component(n).dim, n, horizon)
+                  for n in (1, 2)]
         for label_mode in ("alternating", "coin"):
-            regrets = np.empty((trials, 2))
-            for i, seed in enumerate(runner.trial_seeds(master_seed + horizon, trials)):
-                learner_seed, nature_seed = runner.split_seed(seed)
-                if label_mode == "coin":
-                    rng = random.Random(nature_seed)
-                    ys = [rng.getrandbits(1) for _ in range(horizon)]
-                else:
-                    ys = [t % 2 for t in range(1, horizon + 1)]
-                learner = fpl.AgnosticFpl(family, 2, seed=learner_seed)
-                trace = runner.run_game(learner,
-                                        nature.AgnosticScripted(xs, ys), horizon)
-                for n in (1, 2):
-                    regrets[i, n - 1] = runner.regret(trace, family.component(n).cls)
-            mean = regrets.mean(axis=0)
-            se = regrets.std(axis=0, ddof=1) / math.sqrt(trials)
-            for n in (1, 2):
-                bound = fpl.hierarchical_regret_bound(dims[n - 1], n, horizon)
-                if mean[n - 1] + 3 * se[n - 1] > bound:
+            def make_nature(seed: int) -> nature.AgnosticScripted:
+                rng = random.Random(seed)
+                ys = ([rng.getrandbits(1) for _ in range(horizon)] if label_mode == "coin"
+                      else [t % 2 for t in range(1, horizon + 1)])
+                return nature.AgnosticScripted(xs, ys)
+
+            def trial(seed: int) -> list[int]:
+                trace, _ = runner.play_seeded(
+                    lambda s: fpl.AgnosticFpl(family, 2, seed=s),
+                    make_nature, horizon, seed)
+                return [runner.regret(trace, family.component(n).cls) for n in (1, 2)]
+            stats = runner.monte_carlo(trial, trials, master_seed + horizon)
+            columns = list(zip((1, 2), stats.mean, stats.se, bounds))
+            for n, mean, se, bound in columns:
+                if mean + 3 * se > bound:
                     return CheckResult(
                         "hierarchical-regret-bound", False,
                         f"T={horizon} {label_mode}: regret vs component {n} = "
-                        f"{mean[n - 1]:.2f} + 3*{se[n - 1]:.2f} > {bound:.2f}")
-            details.append(f"T={horizon} {label_mode}: "
-                           + ", ".join(f"n={n}: {mean[n - 1]:.1f} vs "
-                                       f"{fpl.hierarchical_regret_bound(dims[n - 1], n, horizon):.0f}"
-                                       for n in (1, 2)))
+                        f"{mean:.2f} + 3*{se:.2f} > {bound:.2f}")
+            details.append(f"T={horizon} {label_mode}: " + ", ".join(
+                f"n={n}: {mean:.1f} vs {bound:.0f}" for n, mean, _, bound in columns))
     return CheckResult("hierarchical-regret-bound", True,
                        f"{trials} trials; " + "; ".join(details))
 
@@ -453,12 +432,8 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
     for horizon in horizons:
         floor = 3.0 * math.sqrt(horizon) / 64.0
         for name, make in makers.items():
-            def trial(seed: int) -> float:
-                learner_seed, nature_seed = runner.split_seed(seed)
-                trace = runner.run_game(make(learner_seed),
-                                        nature.CoinFlip(nature_seed), horizon)
-                return float(runner.regret(trace, cls))
-            stats = runner.monte_carlo(trial, trials, master_seed + horizon)
+            stats = runner.regret_curve(make, nature.CoinFlip, [horizon], trials,
+                                        master_seed + horizon, cls).stats[0]
             if stats.mean - 3 * stats.se < floor:
                 return CheckResult(
                     "coinflip-regret-floor", False,

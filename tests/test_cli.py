@@ -65,6 +65,31 @@ def test_regret_missing_key(capsys):
     assert code == 2 and err == "nuolab regret: error: regret config spec is missing key 'T'\n"
 
 
+REGRET = {"learner": json.loads(CONSTANT), "nature": json.loads(COIN),
+          "comparison": [{"kind": "constant", "value": 0}], "T": 5, "trials": 3}
+
+
+def test_regret_runs(capsys):
+    code, out, err = run(capsys, "regret", "--config", json.dumps(REGRET))
+    assert code == 0 and out.splitlines()[1].split()[:2] == ["5", "3"] and err == ""
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"T": "20"}, "T and Ts must hold ints, got ['20']"),
+    ({"Ts": [20, 20.5]}, "T and Ts must hold ints, got [20, 20.5]"),
+    ({"Ts": [True]}, "T and Ts must hold ints, got [True]"),
+    ({"Ts": 20}, "T and Ts must hold ints, got 20"),
+    ({"trials": 5.9}, "trials must be an int, got 5.9"),
+    ({"trials": True}, "trials must be an int, got True"),
+    ({"comparison": []}, "comparison list is empty"),
+], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "float-trials",
+        "bool-trials", "empty-comparison"])
+def test_regret_rejects_bad_config(capsys, change, message):
+    code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
+    assert code == 2 and out == ""
+    assert err == f"nuolab regret: error: {message}\n"
+
+
 def test_ldim_rejects_non_binary_row_values(capsys):
     spec = '{"domain":["a","b"],"hypotheses":[[1.7,0],[true,1],[0,0]]}'
     code, out, err = run(capsys, "ldim", spec)

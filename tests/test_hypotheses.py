@@ -6,13 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nuolab.hypotheses import (DiscreteMeasure, DomainError, ExplicitListFamily,
-                               FiniteClass, FiniteSupportFamily,
+from nuolab.hypotheses import (MATERIALIZE_MAX_ROWS, DiscreteMeasure, DomainError,
+                               ExplicitListFamily, FiniteClass,
+                               FiniteSupportClass, FiniteSupportFamily,
                                NaturalThresholdFamily, RationalThresholdFamily,
                                family_from_config, hypothesis_from_config,
                                parse_point, point_to_json,
                                rationals_unit_interval)
-from nuolab.littlestone import ldim
+from nuolab.littlestone import VersionSpace, ldim
 
 
 @st.composite
@@ -139,31 +140,33 @@ class TestFiniteClass:
         with pytest.raises(DomainError, match=f"row values must be 0 or 1, got {value!r}"):
             FiniteClass.from_config(spec)
 
+    # restriction lives on the version space; ids and labels are the root's
     def test_restrict_full_class(self):
         cls = FiniteClass.full_class(("a", "b"))
-        sub = cls.restrict("a", 0)
-        assert sorted(sub.rows) == [(0, 0), (0, 1)]
+        sub = VersionSpace.full(cls).restrict("a", 0)
+        assert sorted(cls.rows[i] for i in sub.ids) == [(0, 0), (0, 1)]
 
     def test_restrict_contradiction_is_empty(self):
         cls = FiniteClass.full_class(("a", "b"))
-        assert cls.restrict("a", 0).restrict("a", 1).is_empty
+        assert VersionSpace.full(cls).restrict("a", 0).restrict("a", 1).is_empty
 
     def test_restrict_thresholds(self):
         # cuts 1..4 over {1,2,3}: h_k(2) = 1 iff k <= 2, so exactly thr-1, thr-2
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4))
-        sub = cls.restrict(2, 1)
-        assert list(sub.labels) == ["thr-1", "thr-2"]
+        sub = VersionSpace.full(cls).restrict(2, 1)
+        assert sub.labels() == ["thr-1", "thr-2"]
 
     def test_restrict_unknown_point(self):
         cls = FiniteClass.full_class(("a",))
         with pytest.raises(DomainError):
-            cls.restrict("z", 0)
+            VersionSpace.full(cls).restrict("z", 0)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_classes(), st.integers(0, 3))
     def test_restriction_partitions(self, cls, pi):
         x = cls.domain[pi % len(cls.domain)]
-        assert len(cls.restrict(x, 0)) + len(cls.restrict(x, 1)) == len(cls)
+        vs = VersionSpace.full(cls)
+        assert vs.restrict(x, 0).size + vs.restrict(x, 1).size == len(cls)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_classes(), st.integers(0, 3), st.integers(0, 3),
@@ -171,9 +174,10 @@ class TestFiniteClass:
     def test_restriction_commutes(self, cls, pi, pj, y1, y2):
         a = cls.domain[pi % len(cls.domain)]
         b = cls.domain[pj % len(cls.domain)]
-        one = cls.restrict(a, y1).restrict(b, y2)
-        two = cls.restrict(b, y2).restrict(a, y1)
-        assert set(one.labels) == set(two.labels)
+        vs = VersionSpace.full(cls)
+        one = vs.restrict(a, y1).restrict(b, y2)
+        two = vs.restrict(b, y2).restrict(a, y1)
+        assert set(one.labels()) == set(two.labels())
 
     def test_config_round_trip(self):
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2))
@@ -195,6 +199,13 @@ class TestFamilies:
             comp = fam.component(n)
             assert comp.dim == min(n, 5)
             assert ldim(comp.cls.materialize()) == comp.dim
+
+    def test_materialize_cap(self):
+        # 1 + 20 + 190 + 1140 + 4845 + 15504 rows; the cap is checked first
+        big = FiniteSupportClass(tuple(range(20)), 5)
+        assert big.size() == 21700 > MATERIALIZE_MAX_ROWS
+        with pytest.raises(DomainError, match="refusing to materialize 21700 rows"):
+            big.materialize()
 
     def test_rational_threshold_enumeration(self):
         fam = RationalThresholdFamily()

@@ -62,8 +62,7 @@ class TestSoa:
                 assert learner.space.ldim() < before
 
     def test_empty_class_raises_at_round_one(self):
-        empty = FiniteClass.full_class(("a",)).restrict("a", 0).restrict("a", 1)
-        learner = SoaLearner(empty)
+        learner = SoaLearner(FiniteClass(("a",), []))
         with pytest.raises(ProtocolError) as err:
             learner.predict("a")
         assert err.value.round_index == 1

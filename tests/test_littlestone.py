@@ -42,9 +42,8 @@ class TestLdim:
         assert ldim(FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4))) == 2
 
     def test_empty_class_is_error(self):
-        empty = FiniteClass.full_class(("a",)).restrict("a", 0).restrict("a", 1)
         with pytest.raises(DomainError):
-            ldim(empty)
+            ldim(FiniteClass(("a",), []))
 
     @settings(max_examples=80, deadline=None)
     @given(finite_classes())
@@ -62,8 +61,9 @@ class TestLdim:
     def test_restriction_monotone_and_progresses(self, cls, pi):
         x = cls.domain[pi % len(cls.domain)]
         d = ldim(cls)
-        zeros, ones = cls.restrict(x, 0), cls.restrict(x, 1)
-        dims = [ldim(sub) for sub in (zeros, ones) if not sub.is_empty]
+        vs = VersionSpace.full(cls)
+        zeros, ones = vs.restrict(x, 0), vs.restrict(x, 1)
+        dims = [sub.ldim() for sub in (zeros, ones) if not sub.is_empty]
         assert all(v <= d for v in dims)
         if d >= 1 and len(dims) == 2:
             assert min(dims) <= d - 1
@@ -128,9 +128,17 @@ class TestMinimax:
         assert minimax_mistakes(thr) == 2 == ldim(thr)
 
     def test_capacity_error(self):
-        big = FiniteClass.full_class(tuple("abcdefghij"))
-        with pytest.raises(CapacityError):
-            minimax_mistakes(big)
+        # a class at both caps is answered; one over either cap raises
+        points, rows = littlestone.MINIMAX_MAX_POINTS, littlestone.MINIMAX_MAX_ROWS
+        assert (points, rows) == (8, 96)
+        full = list(product((0, 1), repeat=points))
+        at_caps = FiniteClass(tuple(range(points)), full[:rows])
+        assert minimax_mistakes(at_caps) == ldim(at_caps)
+        over_rows = FiniteClass(tuple(range(points)), full[:rows + 1])
+        over_points = FiniteClass.thresholds(tuple(range(points + 1)), (0, 1))
+        for cls in (over_rows, over_points, FiniteClass.full_class(tuple("abcdefghij"))):
+            with pytest.raises(CapacityError):
+                minimax_mistakes(cls)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_classes())

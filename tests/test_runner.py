@@ -11,8 +11,9 @@ from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
                                support_hypothesis, threshold_hypothesis)
 from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
                            comparison_hypotheses, make_learner, make_nature,
-                           monte_carlo, play_config, regret, regret_curve,
-                           run_game, split_seed, trace_to_csv, trial_seeds)
+                           monte_carlo, play_config, play_seeded, regret,
+                           regret_curve, run_game, split_seed, trace_to_csv,
+                           trial_seeds)
 
 TWO_CLASS = FiniteClass((0,), [[0], [1]])
 
@@ -228,6 +229,37 @@ class TestMonteCarlo:
             halves = np.random.SeedSequence(seed).generate_state(2)
             assert split_seed(seed) == (int(halves[0]), int(halves[1]))
             assert all(type(s) is int for s in split_seed(seed))
+
+    def test_play_seeded_builds_the_learner_then_the_nature(self):
+        built = []
+
+        def make_learner(s):
+            built.append(("learner", s))
+            return learners.ConstantLearner(0)
+
+        def make_nature(s):
+            built.append(("nature", s))
+            return nature.CoinFlip(s)
+
+        trace, learner = play_seeded(make_learner, make_nature, 30, seed=11)
+        learner_seed, nature_seed = split_seed(11)
+        assert built == [("learner", learner_seed), ("nature", nature_seed)]
+        assert isinstance(learner, learners.ConstantLearner)
+        assert trace.labels() == run_game(learners.ConstantLearner(0),
+                                          nature.CoinFlip(nature_seed), 30).labels()
+
+    def test_vector_trial_columns_equal_scalar_runs(self):
+        # values whose sums round, so a reduction in another order would show
+        f = lambda s: (s % 1000) / 7.0
+        g = lambda s: math.sqrt(s % 97)
+        both = monte_carlo(lambda s: [f(s), g(s)], trials=60, master_seed=3)
+        assert both.values.shape == (60, 2) and both.trials == 60
+        for j, fn in enumerate((f, g)):
+            one = monte_carlo(fn, trials=60, master_seed=3)
+            assert one.values.ndim == 1 and isinstance(one.mean, float)
+            assert (both.values[:, j] == one.values).all()
+            assert both.mean[j] == one.mean
+            assert both.se[j] == one.se
 
     def test_stats(self):
         stats = monte_carlo(lambda s: float(s % 7), trials=50, master_seed=0)

@@ -45,16 +45,26 @@ class TestFaultInjection:
 
 class TestReducedScaleChecks:
     # same code paths as the acceptance run, at a fraction of the trials
+    # the Monte-Carlo lines are pinned: a change to the harness, the seed
+    # split or a label stream shows here as changed text
     def test_fpl_regret(self):
-        assert verification.check_fpl_regret_bound(trials=60, horizon=100).passed
+        assert verification.check_fpl_regret_bound(trials=60, horizon=100).line() == (
+            "[PASS] fpl-regret-bound: T=100, 60 trials: two-expert-alternating "
+            "worst margin 24.0; two-expert-coin worst margin 26.8; "
+            "five-expert-coin worst margin 27.6")
 
     def test_hierarchical(self):
         assert verification.check_hierarchical_regret_bound(
-            trials=12, horizons=(50,)).passed
+            trials=12, horizons=(50,)).line() == (
+            "[PASS] hierarchical-regret-bound: 12 trials; T=50 alternating: "
+            "n=1: 1.6 vs 140, n=2: 1.6 vs 178; T=50 coin: n=1: 3.0 vs 140, "
+            "n=2: 5.8 vs 178")
 
     def test_coinflip_floor(self):
         assert verification.check_coinflip_regret_floor(
-            trials=60, horizons=(50,)).passed
+            trials=60, horizons=(50,)).line() == (
+            "[PASS] coinflip-regret-floor: 60 trials; T=50 agnostic: 3.75 >= 0.33; "
+            "T=50 root-expert: 1.77 >= 0.33; T=50 constant: 1.77 >= 0.33")
 
     def test_aggregator(self):
         assert verification.check_aggregator_square_bound(horizon=60).passed

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hypotheses import FamilyComponent, ClassFamily, Point
-from .learners import OnlineLearner, ProtocolError, engine_for, labelled_prefix
+from .learners import OnlineLearner, ProtocolError, engine_for
 
 _MASS_SLACK = 1e-9
 
@@ -73,11 +73,11 @@ def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
-    """`buf` if it holds n entries, else a copy of it whose capacity is
+    """`buf` if it holds n rows, else a copy of it whose capacity is
     doubled (or n, if that is more)."""
     if n <= len(buf):
         return buf
-    grown = np.empty(max(n, 2 * len(buf)), dtype=buf.dtype)
+    grown = np.empty((max(n, 2 * len(buf)), *buf.shape[1:]), dtype=buf.dtype)
     grown[:len(buf)] = buf
     return grown
 
@@ -137,26 +137,9 @@ class _PerturbedLeader(OnlineLearner):
         """(chosen index, its prediction, data kept for `_feed`)."""
         raise NotImplementedError
 
-    def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Replay the leading rounds that `_batchable` allows in one batch
-        (`_replay`), and the rest through the round loop, which raises at
-        the round that stopped the batch."""
-        n = self._batchable(ys)
-        preds = self._replay(xs[:n], ys[:n]) if n else []
-        if n < len(ys):
-            preds += super().play(xs[n:], ys[n:])
-        return preds
-
-    def _batchable(self, ys: Sequence[int]) -> int:
-        """How many leading rounds `_replay` may take: none while a round's
-        choice is pending, and none from the first bad label on."""
-        if self._pending is not None:
-            return 0
-        return labelled_prefix(ys)
-
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Play rounds with valid labels in one batch, as the loop would."""
-        raise NotImplementedError
+    def _batchable(self, n: int) -> int:
+        # none while a round's choice is pending
+        return 0 if self._pending is not None else n
 
     def _generators(self) -> list:
         """The random generators this learner and the learners inside it
@@ -214,13 +197,14 @@ class FplLearner(_PerturbedLeader):
         return [g for expert in self.experts if isinstance(expert, _PerturbedLeader)
                 for g in expert._generators()] + [self.rng]
 
-    def _batchable(self, ys: Sequence[int]) -> int:
+    def _batchable(self, n: int) -> int:
         # the batch plays each expert's rounds before the leader's, which
-        # only keeps the draws if no two of them share a generator
+        # only keeps the draws if no two of them share a generator; with no
+        # experts the loop raises
         generators = self._generators()
-        if len(set(map(id, generators))) < len(generators):
+        if not self.experts or len(set(map(id, generators))) < len(generators):
             return 0
-        return super()._batchable(ys)
+        return super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Each expert plays the rounds with its own `play`; the leader then
@@ -229,8 +213,6 @@ class FplLearner(_PerturbedLeader):
         `exponential(size=n)` draws, the scores take the loop's float
         operations, and the row-wise argmin ties to the smallest index."""
         n = len(self.experts)
-        if n == 0:
-            raise ProtocolError("no experts registered", self.t)
         T = len(ys)
         before = np.array([expert.mistakes for expert in self.experts])
         played = [expert.play(xs, ys) for expert in self.experts]
@@ -260,16 +242,14 @@ class ExpertPoolFpl(_PerturbedLeader):
     standalone-replay count without replaying anything. After its last key
     round an expert's state is frozen, so per-round work is array-wide.
 
-    Layout: per expert, in registration order, six arrays hold its engine
-    state id, loss, complexity, parent (the prefix expert's index), birth
-    round (the last round of its key) and key length; one more holds the
-    round's scores, the base holds the once-mode draws, and `_growable`
-    indexes the experts whose keys are shorter than `dim`. Each array has
-    a capacity that doubles when the pool outgrows it, so growth costs
-    O(added) a round; the first `pool_size` entries are live, and `state`,
-    `losses` and `complexities` are views of them. Keys are not stored:
-    `keys` rebuilds them on access, key i being keys[parent[i]] +
-    (born[i],).
+    Layout: per expert, in registration order, three arrays hold its
+    engine state id, loss and complexity; one more holds the round's
+    scores, the base holds the once-mode draws, and `_growable` holds the
+    index and key length of each expert whose key is shorter than `dim`.
+    Each array has a capacity that doubles when the pool outgrows it, so
+    growth costs O(added) a round; the first `pool_size` entries are live,
+    and `state`, `losses` and `complexities` are views of them. Keys are
+    not stored: the growth rule fixes them, and `keys` rebuilds them.
 
     The RNG stream and every output equal those of a pool that stores lists
     and concatenates arrays each round: experts register in the same
@@ -293,11 +273,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._state = np.zeros(1, dtype=np.int64)
         self._loss = np.zeros(1, dtype=np.int64)
         self._k = np.full(1, k_root)
-        self._parent = np.zeros(1, dtype=np.int64)
-        self._born = np.zeros(1, dtype=np.int64)
-        self._keylen = np.zeros(1, dtype=np.int64)
         self._score = np.empty(1)
-        self._growable = np.zeros(1 if self.dim > 0 else 0, dtype=np.int64)
+        # rows (expert index, key length) of the experts that can grow
+        self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
         self._n_growable = len(self._growable)
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
@@ -320,12 +298,21 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     @property
     def keys(self) -> list[tuple[int, ...]]:
-        """Each expert's key, the rounds at which it restricts."""
+        """Each expert's key, the rounds at which it restricts, rebuilt by
+        the growth rule of `pool_extend`."""
         keys: list[tuple[int, ...]] = [()]
-        n = self._size
-        for p, b in zip(self._parent[1:n].tolist(), self._born[1:n].tolist()):
-            keys.append(keys[p] + (b,))
+        growable = [0] if self.dim > 0 else []
+        for t in range(1, self._extended_for + 1):
+            start = len(keys)
+            keys += [keys[p] + (t,) for p in growable]
+            growable += [i for i in range(start, len(keys)) if len(keys[i]) < self.dim]
         return keys
+
+    def _reserve(self, n: int) -> None:
+        """Room for n experts in the per-expert arrays."""
+        if n > len(self._loss):
+            self._state, self._loss, self._k, self._score = (
+                _with_room(a, n) for a in (self._state, self._loss, self._k, self._score))
 
     def pool_extend(self) -> int:
         """Register every key ending at the current round; returns the count
@@ -339,27 +326,18 @@ class ExpertPoolFpl(_PerturbedLeader):
             k_new = pool_complexity(self.dim, t)
             self._register(count, k_new)
             end = self._size
-            if end > len(self._loss):
-                (self._state, self._loss, self._k, self._parent, self._born,
-                 self._keylen, self._score) = (
-                    _with_room(a, end) for a in (
-                        self._state, self._loss, self._k, self._parent,
-                        self._born, self._keylen, self._score))
-            parents = self._growable[:count]
+            self._reserve(end)
+            parents, lengths = self._growable[:count].T
             self._state[start:end] = self._state[parents]
             self._loss[start:end] = self._loss[parents]
             self._k[start:end] = k_new
-            self._parent[start:end] = parents
-            self._born[start:end] = t
-            keylen = self._keylen[start:end]
-            np.add(self._keylen[parents], 1, out=keylen)
             # only a parent with a key shorter than dim - 1 has a child that
             # can still grow
             if self.dim > 1:
-                grows = np.flatnonzero(keylen < self.dim)
-                m = self._n_growable + len(grows)
+                grows = np.flatnonzero(lengths < self.dim - 1)
+                m = count + len(grows)
                 self._growable = _with_room(self._growable, m)
-                self._growable[self._n_growable:m] = grows + start
+                self._growable[count:m] = np.column_stack((grows + start, lengths[grows] + 1))
                 self._n_growable = m
         self._extended_for = t
         self._cohort = (start, start + count)
@@ -396,13 +374,6 @@ class ExpertPoolFpl(_PerturbedLeader):
         # once, in order of first appearance, which interns new states to
         # the ids that restricting expert by expert would give.
         start, end = self._cohort
-        if end - start == 1:
-            # a pool of dimension 1 adds one expert a round: skip the table
-            if wrong[start]:
-                nxt = self.engine.restrict(int(self._state[start]), x, y)
-                if nxt is not None:
-                    self._state[start] = nxt
-            return
         cohort = self._state[start:end]
         mistaken = wrong[start:end]
         sources = cohort[mistaken]
@@ -415,12 +386,12 @@ class ExpertPoolFpl(_PerturbedLeader):
                     step[s] = nxt
             cohort[mistaken] = step[sources]
 
-    def _batchable(self, ys: Sequence[int]) -> int:
+    def _batchable(self, n: int) -> int:
         # a pool of dimension 2 or more would need a triangle of O(T^(d+1))
         # entries, and a pool that has played keeps the loop too
         if self.dim > 1 or self._extended_for:
             return 0
-        return super()._batchable(ys)
+        return super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Dense replay of a fresh pool of dimension 0 or 1.
@@ -441,18 +412,11 @@ class ExpertPoolFpl(_PerturbedLeader):
         engine, T = self.engine, len(ys)
         births = int(self.dim == 1)
         size = 1 + births * T
-        (self._state, self._loss, self._k, self._parent, self._born,
-         self._keylen, self._score) = (
-            _with_room(a, size) for a in (
-                self._state, self._loss, self._k, self._parent, self._born,
-                self._keylen, self._score))
+        self._reserve(size)
         for t in range(1, size):
             k_new = pool_complexity(self.dim, t)
             self._register(1, k_new)
             self._k[t] = k_new
-        self._parent[1:size] = 0
-        self._born[1:size] = np.arange(1, size)
-        self._keylen[1:size] = 1
         root = [engine.predict(0, x) for x in xs]
         sigma = self._state[:size]
         sigma[0] = 0
@@ -551,8 +515,8 @@ class AgnosticFpl(FplLearner):
                 "the expert pools grow polynomially per round")
         return super().predict(x)
 
-    def _batchable(self, ys: Sequence[int]) -> int:
-        n = super()._batchable(ys)
+    def _batchable(self, n: int) -> int:
+        n = super()._batchable(n)
         if self.cap_rounds is not None:
             n = min(n, max(0, self.cap_rounds + 1 - self.t))
         return n

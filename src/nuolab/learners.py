@@ -71,17 +71,29 @@ class OnlineLearner:
         """Play the rounds (xs[i], ys[i]) in order, as `predict` then
         `update` each (with the one prediction), and return the predictions.
 
-        The labels are checked once, up front: the rounds before the first
-        bad label each take `predict` then `_record`, and the bad label's
+        The labels are checked once, up front. The first `_batchable` of
+        the well-labelled rounds are replayed in one batch (`_replay`), the
+        rest take `predict` then `_record` each, and the first bad label's
         round is predicted and then raises, as `update` would there.
 
-        A subclass may replay the rounds in one batch. It must give the
-        loop's predictions, state and random draws, and raise a bad label
-        at its round after the same rounds as the loop. An error the loop
-        would raise from inside the learner (say, a point outside a
-        class's domain) is raised by a batch too, but the learner's state
-        after it may differ from the loop's."""
+        A batch must give the loop's predictions, state and random draws.
+        An error the loop would raise from inside the learner (say, a point
+        outside a class's domain) is raised by a batch too, but the
+        learner's state after it may differ from the loop's."""
         n = labelled_prefix(ys)
+        b = self._batchable(n)
+        if not b:
+            return self._loop(xs, ys, n)
+        return self._replay(xs[:b], ys[:b]) + self._loop(xs[b:], ys[b:], n - b)
+
+    def _batchable(self, n: int) -> int:
+        """How many of the n well-labelled leading rounds `_replay` may
+        take; a subclass that allows any defines `_replay`."""
+        return 0
+
+    def _loop(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
+        """Play the first n rounds one by one, then predict round n + 1, if
+        there is one, and raise its bad label."""
         preds = []
         for x, y in zip(xs, ys[:n]):
             p = self.predict(x)
@@ -358,26 +370,19 @@ class AggregatorLearner(OnlineLearner):
             learner.update(x, y)
         self.history.append((x, y))
 
-    def play(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Replay the rounds up to the first bad label in one batch, and the
-        rest through the round loop, which raises at the bad label's round.
-
-        In the batch every sub-learner plays all the rounds with its own
-        `play`, and its counter before each round comes from its
-        predictions. The walk over the rounds grows the pool by
-        `_extend_pool`'s rule on that round's counters: a sub-learner
-        created at round i replays the history before the batch and then
-        plays the whole batch too, of which only rounds i on are read. An
-        error from inside a sub-learner drops the batch, which plays
-        copies of the sub-learners, and the round loop plays the rounds
-        instead, so the error is the loop's."""
-        n = labelled_prefix(ys)
-        preds = self._replay(xs[:n], ys[:n]) if n else []
-        if n < len(ys):
-            preds += super().play(xs[n:], ys[n:])
-        return preds
+    def _batchable(self, n: int) -> int:
+        return n
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """Every sub-learner plays all the rounds with its own `play`, and
+        its counter before each round comes from its predictions. The walk
+        over the rounds grows the pool by `_extend_pool`'s rule on that
+        round's counters: a sub-learner created at round i replays the
+        history before the batch and then plays the whole batch too, of
+        which only rounds i on are read. An error from inside a
+        sub-learner drops the batch, which plays copies of the
+        sub-learners, and the round loop plays the rounds instead, so the
+        error is the loop's."""
         saved = self.sub
         try:
             self.sub = {n: copy.copy(l) for n, l in saved.items()}
@@ -399,7 +404,7 @@ class AggregatorLearner(OnlineLearner):
             # an error from inside a sub-learner: the loop raises it too, in
             # the loop's order
             self.sub = saved
-            return OnlineLearner.play(self, xs, ys)
+            return self._loop(xs, ys, len(ys))
         self.selected = k + 1       # the indices are 1..top, in order
         self.mistakes += sum(p != y for p, y in zip(preds, ys))
         self.history += zip(xs, ys)

@@ -71,7 +71,8 @@ class RealizableScripted(NatureStrategy):
 
 
 class AgnosticScripted(NatureStrategy):
-    """Fixed point and label sequences with no realizability promise."""
+    """Fixed point and label sequences with no realizability promise. The
+    labels are served as given, so a bad one is the learner's to reject."""
 
     oblivious = True
 
@@ -79,7 +80,7 @@ class AgnosticScripted(NatureStrategy):
         if len(points) != len(labels):
             raise ValueError("points and labels differ in length")
         self.points = list(points)
-        self.labels = [int(v) for v in labels]
+        self.labels = list(labels)
         self.served = 0
 
     def next_point(self, trace=None) -> Point:

@@ -337,11 +337,12 @@ def make_nature(spec: dict, seed: Optional[int] = None,
     """Build a Nature strategy from its textual spec."""
     kind = spec.get("nature")
     if kind == "scripted":
-        xs = [parse_point(p) for p in spec["x"]]
+        xs = [parse_point(p) for p in _checked("scripted x", spec["x"], "a list", list)]
         if "target" in spec:
             return nature.RealizableScripted(hypothesis_from_config(spec["target"]),
                                              xs, cycle=spec.get("cycle", False))
-        return nature.AgnosticScripted(xs, spec["y"])
+        # the labels stay as given: the learner rejects a bad one at its round
+        return nature.AgnosticScripted(xs, _checked("scripted y", spec["y"], "a list", list))
     if kind == "iid":
         return nature.StochasticIid(hypothesis_from_config(spec["target"]),
                                     DiscreteMeasure.from_config(spec["measure"]),
@@ -361,6 +362,14 @@ def make_nature(spec: dict, seed: Optional[int] = None,
             return nature.commit_adversary(cls, lambda: make_learner(learner_spec))
         raise DomainError(f"unknown tree-adversary mode: {mode!r}")
     raise DomainError(f"unknown nature spec: {kind!r}")
+
+
+def _checked(name: str, value, what: str, *types):
+    """`value`, if its type is one of `types`. A conversion would read 20.5
+    as 20 and True as 1, and "20" would fail mid-run."""
+    if type(value) not in types:
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
@@ -398,13 +407,10 @@ def regret_experiment_from_config(config: dict) -> RegretCurve:
 def _experiment_args(config: dict) -> tuple:
     """The arguments of `regret_curve` that a regret config describes."""
     horizons = config.get("Ts") or [config["T"]]
-    trials = config.get("trials", 100)
-    # int() would read 20.5 as 20 and True as 1; "20" fails mid-run
     if not isinstance(horizons, list) or any(type(T) is not int for T in horizons):
         raise DomainError(f"T and Ts must hold ints, got {horizons!r}")
-    if type(trials) is not int:
-        raise DomainError(f"trials must be an int, got {trials!r}")
-    master_seed = int(config.get("master_seed", 0))
+    trials = _checked("trials", config.get("trials", 100), "an int", int)
+    master_seed = _checked("master_seed", config.get("master_seed", 0), "an int", int)
     learner_spec, nature_spec = config["learner"], config["nature"]
     comparison = comparison_from_config(config["comparison"])
 
@@ -412,10 +418,10 @@ def _experiment_args(config: dict) -> tuple:
     bound = config.get("bound")
     if bound:
         if bound["kind"] == "fpl":
-            k = float(bound["k"])
+            k = _checked("bound k", bound["k"], "a number", int, float)
             bound_fn = lambda T: fpl.fpl_regret_bound(k, T)
         elif bound["kind"] == "hierarchical":
-            d, n = int(bound["dim"]), int(bound["n"])
+            d, n = (_checked(f"bound {key}", bound[key], "an int", int) for key in ("dim", "n"))
             bound_fn = lambda T: fpl.hierarchical_regret_bound(d, n, T)
         else:
             raise DomainError(f"unknown bound kind: {bound['kind']!r}")

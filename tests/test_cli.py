@@ -55,6 +55,23 @@ def test_play_rejects_non_int_target_label(capsys, target, message):
     assert err == f"nuolab play: error: {message}\n"
 
 
+@pytest.mark.parametrize("script, message", [
+    ({"x": [0, 0, 0], "y": [1.7, True, 2]}, "round 1: label must be 0 or 1, got 1.7"),
+    ({"x": [0, 0, 0], "y": [0, 1, True]}, "round 3: label must be 0 or 1, got True"),
+    ({"x": [0], "y": ["1"]}, "round 1: label must be 0 or 1, got '1'"),
+    ({"x": [0], "y": 5}, "scripted y must be a list, got 5"),
+    ({"x": 5, "y": [1]}, "scripted x must be a list, got 5"),
+    ({"x": 5, "target": {"kind": "constant", "value": 1}},
+     "scripted x must be a list, got 5"),
+], ids=["float-label", "bool-label", "string-label", "scalar-y", "scalar-x",
+        "scalar-x-target"])
+def test_play_rejects_bad_script(capsys, script, message):
+    nature = json.dumps({"nature": "scripted", **script})
+    code, out, err = run(capsys, "play", "--learner", CONSTANT, "--nature", nature, "-T", "3")
+    assert code == 2 and out == ""
+    assert err == f"nuolab play: error: {message}\n"
+
+
 def test_ldim_missing_key(capsys):
     code, _, err = run(capsys, "ldim", json.dumps({"hypotheses": [[0]]}))
     assert code == 2 and err == "nuolab ldim: error: class spec is missing key 'domain'\n"
@@ -82,8 +99,16 @@ def test_regret_runs(capsys):
     ({"trials": 5.9}, "trials must be an int, got 5.9"),
     ({"trials": True}, "trials must be an int, got True"),
     ({"comparison": []}, "comparison list is empty"),
+    ({"master_seed": 7.9}, "master_seed must be an int, got 7.9"),
+    ({"master_seed": True}, "master_seed must be an int, got True"),
+    ({"bound": {"kind": "hierarchical", "dim": 1.7, "n": 1}},
+     "bound dim must be an int, got 1.7"),
+    ({"bound": {"kind": "hierarchical", "dim": 1, "n": True}},
+     "bound n must be an int, got True"),
+    ({"bound": {"kind": "fpl", "k": True}}, "bound k must be a number, got True"),
 ], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "float-trials",
-        "bool-trials", "empty-comparison"])
+        "bool-trials", "empty-comparison", "float-seed", "bool-seed", "float-dim",
+        "bool-n", "bool-k"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""

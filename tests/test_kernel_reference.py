@@ -407,11 +407,16 @@ def test_pool_game_matches_reference_engine():
         assert np.array_equal(losses_k, losses_r)
 
 
+# (component, rounds, largest point)
 POOL_CASES = {
-    "dim0": FamilyComponent(1, SingletonClass(threshold_hypothesis(3)), 0),
-    "dim1": FamilyComponent(1, FiniteClass((1, 2, 3, 4, 5), [[0] * 5, [1] * 5]), 1),
-    "dim2": FamilyComponent(2, FiniteClass.thresholds((1, 2, 3, 4, 5), range(1, 7)), 2),
-    "support": FamilyComponent(3, FiniteSupportClass((1, 2, 3, 4, 5), 2), 2),
+    "dim0": (FamilyComponent(1, SingletonClass(threshold_hypothesis(3)), 0), 120, 5),
+    "dim1": (FamilyComponent(1, FiniteClass((1, 2, 3, 4, 5), [[0] * 5, [1] * 5]), 1),
+             120, 5),
+    "dim2": (FamilyComponent(2, FiniteClass.thresholds((1, 2, 3, 4, 5), range(1, 7)), 2),
+             120, 5),
+    "support": (FamilyComponent(3, FiniteSupportClass((1, 2, 3, 4, 5), 2), 2), 120, 5),
+    # the one dimension where a growable expert has a key of length 2
+    "dim3": (FamilyComponent(4, FiniteClass.full_class((1, 2, 3)), 3), 40, 3),
 }
 
 
@@ -424,13 +429,13 @@ def version_spaces(pool):
 @pytest.mark.parametrize("case", list(POOL_CASES))
 def test_pool_matches_list_reference(case, redraw):
     # 120 rounds at dim 2 grow the pool to 7,261 experts, through thirteen
-    # capacity doublings
-    comp = POOL_CASES[case]
+    # capacity doublings; 40 rounds at dim 3 to 10,701
+    comp, rounds, top = POOL_CASES[case]
     pool = ExpertPoolFpl(comp, seed=21, redraw=redraw)
     ref = RefExpertPool(comp, seed=21, redraw=redraw)
     script = random.Random(case)
-    for _ in range(120):
-        x = script.randint(1, 5)
+    for _ in range(rounds):
+        x = script.randint(1, top)
         y = int(x >= 3) ^ (script.random() < 0.3)
         assert pool.predict(x) == ref.predict(x)
         assert pool.chosen_index == ref.chosen_index
@@ -444,4 +449,4 @@ def test_pool_matches_list_reference(case, redraw):
     assert pool.keys == ref.keys
     assert pool.mistakes == ref.mistakes
     assert pool.engine.n_states == ref.engine.n_states
-    assert pool.pool_size == {"dim0": 1, "dim1": 121}.get(case, 7261)
+    assert pool.pool_size == sum(math.comb(rounds, j) for j in range(comp.dim + 1))

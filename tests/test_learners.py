@@ -439,3 +439,43 @@ def test_play_accepts_only_int_labels(make, label):
     with pytest.raises(ProtocolError, match=f"round 3: label must be 0 or 1, got {label!r}"):
         learner.play(["a"] * 4, [1, 0, label, 1])
     assert learner.t == 3
+
+
+@st.composite
+def classes_and_streams(draw):
+    """A small explicit class and an arbitrary (rarely realizable) stream of
+    its points with 0/1 labels."""
+    m = draw(st.integers(1, 4))
+    codes = draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=2 ** m,
+                          unique=True))
+    cls = FiniteClass(tuple(range(1, m + 1)), [[(c >> j) & 1 for j in range(m)]
+                                               for c in codes])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(cls.domain), st.integers(0, 1)),
+                          max_size=30))
+    return cls, pairs
+
+
+FROZEN_LEARNERS = {
+    "soa": lambda cls, key: SoaLearner(cls, on_empty="freeze"),
+    "soa-always-restrict": lambda cls, key: SoaLearner(cls, always_restrict=True,
+                                                       on_empty="freeze"),
+    "expert": lambda cls, key: ExpertLearner(cls, key, on_empty="freeze"),
+}
+
+
+@pytest.mark.parametrize("kind", list(FROZEN_LEARNERS))
+@settings(max_examples=60, deadline=None)
+@given(classes_and_streams(), st.lists(st.integers(1, 30), unique=True).map(sorted),
+       st.integers(0, 30))
+def test_frozen_learners_are_total(kind, case, key, cut):
+    # with on_empty="freeze" no stream empties the version space, so play
+    # never raises, and two plays split anywhere equal the round loop
+    cls, pairs = case
+    make = FROZEN_LEARNERS[kind]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    played = make(cls, key)
+    preds = played.play(xs[:cut], ys[:cut]) + played.play(xs[cut:], ys[cut:])
+    looped = make(cls, key)
+    assert preds == run_stream(looped, pairs)
+    assert (played.t, played.mistakes, played.sid) == (looped.t, looped.mistakes, looped.sid)
+    assert played.t == len(pairs) + 1

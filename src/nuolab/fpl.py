@@ -6,7 +6,8 @@ Scoring rule, every round t: each registered expert i carries an exact
 integer loss (its counterfactual mistakes so far), a complexity k_i with
 sum(exp(-k_i)) <= 1, and a fresh Exponential(1) perturbation q_i; the
 leader minimizes loss_i + (k_i - q_i) * sqrt(t). Ties break to the
-smallest index. The learning rate 1/sqrt(t) is fixed.
+smallest index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each
+round keeps the regret bound against natures that adapt to past choices.
 """
 from __future__ import annotations
 
@@ -84,44 +85,32 @@ def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
 
 class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
-    budget, the perturbations and the round's choice.
+    budget and the round's choice.
 
-    `redraw="per-round"` samples a fresh perturbation vector each round;
-    `redraw="once"` samples one perturbation per expert at registration and
-    reuses it forever (the oblivious-adversary variant, expectation-
-    equivalent to per-round redraws). A subclass holds the experts' losses
-    and complexities, scores them in `_lead` and feeds them in `_feed`.
-    The choice is made once per round, keyed on the round index, so every
-    `predict` of a round and its `update` see the same choice.
+    `seed` is an int, a `SeedSequence`, None, or a `Generator`, which is
+    drawn from as it is. A subclass holds the experts' losses and
+    complexities, draws the round's perturbations and scores them in
+    `_lead`, and feeds the experts in `_feed`. The choice is made once per
+    round, keyed on the round index, so every `predict` of a round and its
+    `update` see the same choice.
     """
 
     deterministic = False
 
-    def __init__(self, *, seed: Optional[int], rng: Optional[np.random.Generator],
-                 redraw: str):
+    def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
         super().__init__()
-        if redraw not in ("per-round", "once"):
-            raise ConfigurationError(f"redraw must be 'per-round' or 'once', got {redraw!r}")
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.redraw = redraw
+        self.rng = np.random.default_rng(seed)
         self._mass = 0.0
         self._size = 0                  # experts registered
-        self._q_once = np.empty(0)      # once-mode draws; the first `_size` are live
         self._pending = None    # (round, chosen index, prediction, subclass data)
 
     def _register(self, count: int, complexity: float) -> None:
-        """Charge `count` new experts of one complexity to the mass budget
-        and, in once mode, draw their perturbations."""
+        """Charge `count` new experts of one complexity to the mass budget."""
         self._mass += count * math.exp(-complexity)
         if self._mass > 1.0 + _MASS_SLACK:
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {self.t}")
-        start = self._size
         self._size += count
-        if self.redraw == "once":
-            self._q_once = _with_room(self._q_once, self._size)
-            # the values rng.exponential(size=count) would give
-            self.rng.standard_exponential(out=self._q_once[start:self._size])
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -164,9 +153,8 @@ class FplLearner(_PerturbedLeader):
 
     def __init__(self, experts: Sequence[OnlineLearner] = (),
                  complexities: Sequence[float] = (), *,
-                 seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
-                 redraw: str = "per-round"):
-        super().__init__(seed=seed, rng=rng, redraw=redraw)
+                 seed: int | np.random.SeedSequence | np.random.Generator | None = None):
+        super().__init__(seed)
         if len(experts) != len(complexities):
             raise ConfigurationError("experts and complexities differ in length")
         for k in complexities:
@@ -183,9 +171,8 @@ class FplLearner(_PerturbedLeader):
         if n == 0:
             raise ProtocolError("no experts registered", self.t)
         sqrt_t = math.sqrt(self.t)
-        draws = self._q_once[:n] if self.redraw == "once" else self.rng.exponential(size=n)
         scores = [expert.mistakes + (k - q) * sqrt_t for expert, k, q in
-                  zip(self.experts, self.complexities, draws.tolist())]
+                  zip(self.experts, self.complexities, self.rng.exponential(size=n).tolist())]
         j = scores.index(min(scores))
         return j, self.experts[j].predict(x), None
 
@@ -219,8 +206,7 @@ class FplLearner(_PerturbedLeader):
         # losses[i, j]: expert j's mistakes before round t + i
         wrong = np.array(played).T != np.array(ys)[:, None]
         losses = before + np.cumsum(wrong, axis=0) - wrong
-        draws = self._q_once[:n] if self.redraw == "once" else self.rng.exponential(size=(T, n))
-        scores = np.subtract(self.complexities, draws)
+        scores = np.subtract(self.complexities, self.rng.exponential(size=(T, n)))
         scores = scores * np.sqrt(np.arange(self.t, self.t + T, dtype=float))[:, None]
         scores += losses
         chosen = scores.argmin(axis=1).tolist()
@@ -244,8 +230,8 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     Layout: per expert, in registration order, three arrays hold its
     engine state id, loss and complexity; one more holds the round's
-    scores, the base holds the once-mode draws, and `_growable` holds the
-    index and key length of each expert whose key is shorter than `dim`.
+    perturbations and then its scores, and `_growable` holds the index and
+    key length of each expert whose key is shorter than `dim`.
     Each array has a capacity that doubles when the pool outgrows it, so
     growth costs O(added) a round; the first `pool_size` entries are live,
     and `state`, `losses` and `complexities` are views of them. Keys are
@@ -263,9 +249,8 @@ class ExpertPoolFpl(_PerturbedLeader):
     _BLOCK = 64     # rounds a dense replay scores at once
 
     def __init__(self, component: FamilyComponent, *,
-                 seed: Optional[int] = None, rng: Optional[np.random.Generator] = None,
-                 redraw: str = "per-round"):
-        super().__init__(seed=seed, rng=rng, redraw=redraw)
+                 seed: int | np.random.SeedSequence | np.random.Generator | None = None):
+        super().__init__(seed)
         self.engine = engine_for(component.cls)
         self.dim = component.dim
         k_root = pool_complexity(self.dim, 0)
@@ -356,11 +341,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         n = self._size
         # loss + (k - q) * sqrt(t), computed in place in the score buffer
         score = self._score[:n]
-        if self.redraw == "once":
-            np.subtract(self._k[:n], self._q_once[:n], out=score)
-        else:
-            self.rng.standard_exponential(out=score)
-            np.subtract(self._k[:n], score, out=score)
+        self.rng.standard_exponential(out=score)
+        np.subtract(self._k[:n], score, out=score)
         score *= math.sqrt(self.t)
         score += self._loss[:n]
         j = int(score.argmin())
@@ -402,12 +384,12 @@ class ExpertPoolFpl(_PerturbedLeader):
         M[sigma, t] the mistakes of a frozen state sigma over rounds 1..t,
         its loss before round t > s is M[0, s] - M[sigma_s, s] +
         M[sigma_s, t - 1]. Births register one per round and restrict in
-        round order, so the mass budget, the once-mode draws and the engine
-        ids are the loop's. The per-round draws of rounds t = 1..T fill
-        the lower triangle of a T x (T + 1) score matrix row by row from
-        one block of `standard_exponential`, which the loop's per-round
-        calls read in the same order; the triangle is scored `_BLOCK`
-        rounds at a time to bound its memory.
+        round order, so the mass budget and the engine ids are the loop's.
+        The draws of rounds t = 1..T fill the lower triangle of a
+        T x (T + 1) score matrix row by row from one block of
+        `standard_exponential`, which the loop's per-round calls read in
+        the same order; the triangle is scored `_BLOCK` rounds at a time to
+        bound its memory.
         """
         engine, T = self.engine, len(ys)
         births = int(self.dim == 1)
@@ -452,14 +434,11 @@ class ExpertPoolFpl(_PerturbedLeader):
             if births:
                 # a newborn still has the root's state and loss
                 loss[np.arange(len(rounds)), rounds] = fmistakes[0, rounds - 1]
-            # a draw of -inf scores an expert not yet born at +inf
+            # a draw of -inf scores an expert not yet born at +inf; round t
+            # scores 1 + births * t experts
             draws = np.full(live.shape, -np.inf)
-            if self.redraw == "once":
-                np.copyto(draws, self._q_once[:n], where=live)
-            else:
-                # round t scores 1 + births * t experts
-                count = len(rounds) + births * int(rounds.sum())
-                draws[live] = self.rng.standard_exponential(count)
+            count = len(rounds) + births * int(rounds.sum())
+            draws[live] = self.rng.standard_exponential(count)
             score = np.subtract(self._k[:n], draws)
             score *= np.sqrt(rounds.astype(float))[:, None]
             score += loss
@@ -490,8 +469,8 @@ class AgnosticFpl(FplLearner):
     """
 
     def __init__(self, family: ClassFamily, components: int, *,
-                 seed: Optional[int] = None, redraw: str = "per-round",
-                 cap_dim: Optional[int] = 2, cap_rounds: Optional[int] = None):
+                 seed: Optional[int] = None, cap_dim: Optional[int] = 2,
+                 cap_rounds: Optional[int] = None):
         if components < 1:
             raise ConfigurationError("need at least one component")
         seeds = np.random.SeedSequence(seed).spawn(components + 1)
@@ -502,10 +481,9 @@ class AgnosticFpl(FplLearner):
                 raise ConfigurationError(
                     f"component {n} has dimension {comp.dim} > cap {cap_dim}; "
                     "its expert pool would grow as t^dim")
-            pools.append(ExpertPoolFpl(
-                comp, rng=np.random.default_rng(seeds[n]), redraw=redraw))
+            pools.append(ExpertPoolFpl(comp, seed=seeds[n]))
         super().__init__(pools, [meta_complexity(n) for n in range(1, components + 1)],
-                         rng=np.random.default_rng(seeds[0]), redraw=redraw)
+                         seed=seeds[0])
         self.cap_rounds = cap_rounds
 
     def predict(self, x: Point) -> int:

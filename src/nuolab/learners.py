@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
                          Hypothesis, Point, SingletonClass, ClassFamily, is_label)
@@ -71,7 +71,8 @@ class OnlineLearner:
         """Play the rounds (xs[i], ys[i]) in order, as `predict` then
         `update` each (with the one prediction), and return the predictions.
 
-        The labels are checked once, up front. The first `_batchable` of
+        Unequal lengths raise ValueError before any round is played. The
+        labels are checked once, up front. The first `_batchable` of
         the well-labelled rounds are replayed in one batch (`_replay`), the
         rest take `predict` then `_record` each, and the first bad label's
         round is predicted and then raises, as `update` would there.
@@ -80,6 +81,8 @@ class OnlineLearner:
         An error the loop would raise from inside the learner (say, a point
         outside a class's domain) is raised by a batch too, but the
         learner's state after it may differ from the loop's."""
+        if len(xs) != len(ys):
+            raise ValueError("xs and ys differ in length")
         n = labelled_prefix(ys)
         b = self._batchable(n)
         if not b:
@@ -99,7 +102,7 @@ class OnlineLearner:
             p = self.predict(x)
             self._record(x, y, p)
             preds.append(p)
-        if n < min(len(xs), len(ys)):
+        if n < len(ys):
             self.predict(xs[n])
             self._check_label(ys[n])
         return preds
@@ -421,19 +424,12 @@ class AggregatorLearner(OnlineLearner):
 
 
 class CoverSpec:
-    """An ordered, lazily enumerable list of cover hypotheses."""
+    """An ordered list of cover hypotheses, read lazily from any iterable
+    (a list, or a generator that never ends)."""
 
-    def __init__(self, hypotheses: Sequence[Hypothesis] | Iterable[Hypothesis] |
-                 Callable[[], Iterable[Hypothesis]]):
-        if callable(hypotheses):
-            self._iter = iter(hypotheses())
-            self._items: list[Hypothesis] = []
-        elif isinstance(hypotheses, Sequence):
-            self._iter = None
-            self._items = list(hypotheses)
-        else:
-            self._iter = iter(hypotheses)
-            self._items = []
+    def __init__(self, hypotheses: Iterable[Hypothesis]):
+        self._iter = iter(hypotheses)
+        self._items: list[Hypothesis] = []
 
     def hypothesis(self, n: int) -> Hypothesis:
         """The n-th cover hypothesis (1-based); IndexError when exhausted."""

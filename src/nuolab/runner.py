@@ -317,16 +317,17 @@ def make_learner(spec: dict, seed: Optional[int] = None):
         return learners.TruncatedThresholdSoa()
     if kind == "constant":
         return learners.ConstantLearner(spec.get("value", 0))
+    if kind in ("fpl", "agnostic-fpl") and spec.get("redraw", "per-round") != "per-round":
+        # a spec asking for another perturbation rule must not run this one
+        raise DomainError(f"redraw must be 'per-round', got {spec['redraw']!r}")
     if kind == "fpl":
         experts = [learners.FollowHypothesisLearner(hypothesis_from_config(h))
                    for h in spec["experts"]]
-        return fpl.FplLearner(experts, [float(k) for k in spec["k"]],
-                              seed=seed, redraw=spec.get("redraw", "per-round"))
+        return fpl.FplLearner(experts, [float(k) for k in spec["k"]], seed=seed)
     if kind == "agnostic-fpl":
         return fpl.AgnosticFpl(family_from_config(spec["family"]),
                                int(spec.get("components", 1)),
-                               seed=seed, redraw=spec.get("redraw", "per-round"),
-                               cap_dim=spec.get("cap_d", 2),
+                               seed=seed, cap_dim=spec.get("cap_d", 2),
                                cap_rounds=spec.get("cap_T"))
     raise DomainError(f"unknown learner spec: {kind!r}")
 

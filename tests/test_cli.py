@@ -33,8 +33,11 @@ def test_play_runs(capsys):
     (["--learner", CONSTANT, "--nature",
       json.dumps({"nature": "scripted", "x": [0, 0], "y": [1, 0]}), "-T", "3"],
      "round 3: scripted stream exhausted after 2 points"),
+    (["--learner", json.dumps({"learner": "fpl", "experts": [{"kind": "constant", "value": 0}],
+                               "k": [1], "redraw": "once"}), "--nature", COIN, "-T", "3"],
+     "redraw must be 'per-round', got 'once'"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
-        "exhausted"])
+        "exhausted", "redraw-once"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
@@ -106,9 +109,13 @@ def test_regret_runs(capsys):
     ({"bound": {"kind": "hierarchical", "dim": 1, "n": True}},
      "bound n must be an int, got True"),
     ({"bound": {"kind": "fpl", "k": True}}, "bound k must be a number, got True"),
+    ({"learner": {"learner": "agnostic-fpl", "family": {"kind": "finite-support",
+                                                        "domain": [0, 1]},
+                  "redraw": "once"}},
+     "redraw must be 'per-round', got 'once'"),
 ], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "float-trials",
         "bool-trials", "empty-comparison", "float-seed", "bool-seed", "float-dim",
-        "bool-n", "bool-k"])
+        "bool-n", "bool-k", "redraw-once"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""

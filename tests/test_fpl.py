@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 
-import numpy as np
 import pytest
 
 from nuolab.fpl import (AgnosticFpl, ConfigurationError, ExpertPoolFpl,
@@ -100,26 +99,6 @@ class TestFplLearner:
             learner.update("x", y)
         assert learner.losses[0] == sum(labels)
         assert learner.losses[1] == len(labels) - sum(labels)
-
-    def test_redraw_modes_agree_in_expectation(self):
-        # oblivious alternating script: the one-draw variant has the same
-        # expected mistake count as per-round redraws
-        labels = [t % 2 for t in range(80)]
-
-        def mean_mistakes(redraw, trials=400):
-            vals = []
-            for s in range(trials):
-                learner = FplLearner([ConstantLearner(0), ConstantLearner(1)],
-                                     [1.0, 1.0], seed=s, redraw=redraw)
-                for y in labels:
-                    learner.update("x", y)
-                vals.append(learner.mistakes)
-            arr = np.asarray(vals, dtype=float)
-            return arr.mean(), arr.std(ddof=1) / math.sqrt(trials)
-
-        m1, se1 = mean_mistakes("per-round")
-        m2, se2 = mean_mistakes("once")
-        assert abs(m1 - m2) <= 4 * math.hypot(se1, se2)
 
 
 def pool_component(dim: int, domain=(1, 2, 3, 4)) -> FamilyComponent:
@@ -273,16 +252,15 @@ class _LastLabel(OnlineLearner):
         self.last = y
 
 
-STREAM_CASES = [(kind, redraw)
-                for kind in ("fpl-five", "pool-dim0", "pool-dim1", "pool-dim2", "agnostic-2")
-                for redraw in ("per-round", "once")]
+# each case keeps the seed its pinned values below were recorded with
+STREAM_SEEDS = {"fpl-five": 500, "pool-dim0": 502, "pool-dim1": 504, "pool-dim2": 506,
+                "agnostic-2": 508}
 
 
-def play_stream(case, rounds: int = 40):
+def play_stream(kind, rounds: int = 40):
     """Per-round predictions (as a bit string) and chosen indices, and the
     final losses (a SHA-256 prefix of them for pools above five experts)."""
-    kind, redraw = case
-    seed = 500 + STREAM_CASES.index(case)
+    seed = STREAM_SEEDS[kind]
     if kind == "fpl-five":
         experts = [ConstantLearner(0), ConstantLearner(1),
                    FollowHypothesisLearner(threshold_hypothesis(3)),
@@ -290,11 +268,11 @@ def play_stream(case, rounds: int = 40):
                               on_empty="freeze"),
                    _LastLabel()]
         learner = FplLearner(experts, [1.0 + math.log(i) for i in range(1, 6)],
-                             seed=seed, redraw=redraw)
+                             seed=seed)
     elif kind.startswith("pool-dim"):
-        learner = ExpertPoolFpl(pool_component(int(kind[-1])), seed=seed, redraw=redraw)
+        learner = ExpertPoolFpl(pool_component(int(kind[-1])), seed=seed)
     else:
-        learner = AgnosticFpl(two_component_family(), 2, seed=seed, redraw=redraw)
+        learner = AgnosticFpl(two_component_family(), 2, seed=seed)
     # labels of the threshold at 3, each flipped with probability 1/5
     script = random.Random(77)
     bits, chosen = [], []
@@ -315,50 +293,31 @@ def play_stream(case, rounds: int = 40):
 
 # any change to these values is a change of RNG stream or of tie-breaking
 STREAM_EXPECTED = {
-    ("fpl-five", "per-round"): (
+    "fpl-five": (
         "0010110001000000001010101000010000101011",
         [0, 0, 1, 0, 1, 1, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0,
          1, 0, 3, 0, 2, 2, 0, 3, 0, 1, 0, 0, 2, 3, 3, 0, 1, 0, 1, 1],
         [18, 22, 15, 15, 21]),
-    ("fpl-five", "once"): (
-        "0111101000000000000000000010000000000000",
-        [0, 1, 1, 1, 1, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [18, 22, 15, 15, 21]),
-    ("pool-dim0", "per-round"): (
+    "pool-dim0": (
         "1101001111110110101000111110011100110101", [0] * 40, [19]),
-    ("pool-dim0", "once"): (
-        "1101001111110110101000111110011100110101", [0] * 40, [19]),
-    ("pool-dim1", "per-round"): (
+    "pool-dim1": (
         "0111110000000100000000000100000001110010",
         [0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
          0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0, 1, 0],
         "37ea7bcce4ca14a0"),
-    ("pool-dim1", "once"): (
-        "0010000000000000000000000000000000000000",
-        [0, 0, 1] + [0] * 37,
-        "37ea7bcce4ca14a0"),
-    ("pool-dim2", "per-round"): (
+    "pool-dim2": (
         "0101001011000010101000101010011100110001",
         [0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0, 1, 0, 1, 1,
          1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
         "e44110576736c33f"),
-    ("pool-dim2", "once"): (
-        "0001001111010010001000101010011100110000",
-        [0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1] + [0] * 28,
-        "e44110576736c33f"),
-    ("agnostic-2", "per-round"): (
+    "agnostic-2": (
         "0101100001000010001010000110010000000101",
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
          0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0],
         [21, 20]),
-    ("agnostic-2", "once"): (
-        "0010101010000010001000101010011100110000",
-        [0, 0, 0, 1, 0, 1, 1] + [1] * 33,
-        [27, 16]),
 }
 
 
-@pytest.mark.parametrize("case", STREAM_CASES, ids=["/".join(c) for c in STREAM_CASES])
-def test_stream_stability(case):
-    assert play_stream(case) == STREAM_EXPECTED[case]
+@pytest.mark.parametrize("kind", STREAM_SEEDS, ids=[f"{k}/per-round" for k in STREAM_SEEDS])
+def test_stream_stability(kind):
+    assert play_stream(kind) == STREAM_EXPECTED[kind]

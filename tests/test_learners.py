@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nuolab.fpl import AgnosticFpl
-from nuolab.hypotheses import (DomainError, ExplicitListFamily, FiniteClass,
-                               FiniteSupportClass, FiniteSupportFamily,
+from nuolab.fpl import AgnosticFpl, ExpertPoolFpl, FplLearner
+from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
+                               FiniteClass, FiniteSupportClass, FiniteSupportFamily,
                                constant_hypothesis, support_hypothesis,
                                threshold_hypothesis)
 from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
@@ -270,7 +270,7 @@ class TestCover:
             while True:
                 j += 1
                 yield support_hypothesis([j])
-        learner = CoverLearner(CoverSpec(gen))
+        learner = CoverLearner(CoverSpec(gen()))
         target = support_hypothesis([4])
         for x in (1, 2, 3, 4, 5, 4):
             learner.update(x, target(x))
@@ -439,6 +439,28 @@ def test_play_accepts_only_int_labels(make, label):
     with pytest.raises(ProtocolError, match=f"round 3: label must be 0 or 1, got {label!r}"):
         learner.play(["a"] * 4, [1, 0, label, 1])
     assert learner.t == 3
+
+
+@pytest.mark.parametrize("xs, ys", [([1, 2], [0, 1, 1, 0]), ([1, 2, 1, 2], [0, 1])],
+                         ids=["fewer-points", "fewer-labels"])
+@pytest.mark.parametrize("make", [
+    lambda: ConstantLearner(0),
+    lambda: FplLearner([ConstantLearner(0), ConstantLearner(1)], [1.0, 1.0], seed=0),
+    lambda: ExpertPoolFpl(FamilyComponent(1, FiniteClass((1, 2), [[0, 0], [1, 1]]), 1),
+                          seed=0),
+    lambda: AggregatorLearner(ExplicitListFamily([FiniteClass((1, 2), [[0, 1], [1, 1]])])),
+], ids=["constant", "fpl", "pool", "aggregator"])
+def test_play_rejects_unequal_lengths(make, xs, ys):
+    # on every path, before any round is played or any expert registered
+    learner = make()
+
+    def state():
+        return [getattr(learner, name, None) for name in ("t", "mistakes", "pool_size", "_mass")]
+
+    before = state()
+    with pytest.raises(ValueError, match="^xs and ys differ in length$"):
+        learner.play(xs, ys)
+    assert state() == before
 
 
 @st.composite

@@ -105,8 +105,7 @@ def snapshot(learner) -> dict:
     if isinstance(learner, ExpertPoolFpl):
         out.update(state=learner.state.tolist(), keys=learner.keys,
                    pool_size=learner.pool_size,
-                   engine_states=list(getattr(learner.engine, "states", [])),
-                   q_once=learner._q_once[:learner.pool_size].tolist())
+                   engine_states=list(getattr(learner.engine, "states", [])))
     if isinstance(learner, FplLearner):
         out["experts"] = [snapshot(e) for e in learner.experts]
     if isinstance(learner, SoaLearner):
@@ -161,28 +160,26 @@ realizable_scripts = st.tuples(
     st.lists(st.sampled_from(DOMAIN), max_size=120),
     st.sampled_from(TARGETS)).map(lambda s: (s[0], [s[1](x) for x in s[0]]))
 any_scripts = st.one_of(scripts, realizable_scripts)
-redraws = st.sampled_from(("per-round", "once"))
 
 
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 @settings(max_examples=25, deadline=None)
-@given(script=scripts, seed=seeds, redraw=redraws)
-def test_pool_replay_matches_loop(name, script, seed, redraw):
+@given(script=scripts, seed=seeds)
+def test_pool_replay_matches_loop(name, script, seed):
     xs, ys = script
     comp = COMPONENTS[name]
-    assert_same_game(lambda: ExpertPoolFpl(comp, seed=seed, redraw=redraw),
+    assert_same_game(lambda: ExpertPoolFpl(comp, seed=seed),
                      lambda: nature.AgnosticScripted(xs, ys), len(xs))
 
 
 @pytest.mark.parametrize("components", [1, 2])
 @settings(max_examples=25, deadline=None)
-@given(script=scripts, seed=seeds, redraw=redraws,
-       cap=st.one_of(st.none(), st.integers(0, 130)))
-def test_agnostic_replay_matches_loop(components, script, seed, redraw, cap):
+@given(script=scripts, seed=seeds, cap=st.one_of(st.none(), st.integers(0, 130)))
+def test_agnostic_replay_matches_loop(components, script, seed, cap):
     xs, ys = script
     family = ExplicitListFamily([CONSTANTS, THRESHOLDS])
     result = assert_same_game(
-        lambda: AgnosticFpl(family, components, seed=seed, redraw=redraw, cap_rounds=cap),
+        lambda: AgnosticFpl(family, components, seed=seed, cap_rounds=cap),
         lambda: nature.AgnosticScripted(xs, ys), len(xs))
     if cap is not None and cap < len(xs):
         assert result == ("error", "ConfigurationError",
@@ -253,11 +250,11 @@ def five_experts():
 
 
 @settings(max_examples=40, deadline=None)
-@given(script=scripts, seed=seeds, redraw=redraws)
-def test_five_expert_replay_matches_loop(script, seed, redraw):
+@given(script=scripts, seed=seeds)
+def test_five_expert_replay_matches_loop(script, seed):
     xs, ys = script
     ks = [1.0 + math.log(i) for i in range(1, 6)]
-    assert_same_game(lambda: FplLearner(five_experts(), ks, seed=seed, redraw=redraw),
+    assert_same_game(lambda: FplLearner(five_experts(), ks, seed=seed),
                      lambda: nature.AgnosticScripted(xs, ys), len(xs))
 
 
@@ -282,7 +279,7 @@ def test_coin_flip_replay_matches_loop(seed, horizon):
 @pytest.mark.parametrize("make", [
     lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=4),
     lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=4),
-    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=4, redraw="once"),
+    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=4),
     lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
 ], ids=["agnostic-2", "fpl-five", "pool-dim1", "soa"])
 def test_exhaustion_mid_script(make):
@@ -355,8 +352,11 @@ def test_shared_generator_takes_the_loop():
 
     def make():
         rng = np.random.default_rng(12)
-        pools = [ExpertPoolFpl(COMPONENTS["dim1-constants"], rng=rng)]
-        return FplLearner(pools, [1.0], rng=rng)
+        pools = [ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=rng)]
+        learner = FplLearner(pools, [1.0], seed=rng)
+        # a Generator passed as the seed is drawn from as it is
+        assert learner.rng is rng and pools[0].rng is rng
+        return learner
 
     assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 40)
 

@@ -244,9 +244,13 @@ class ExpertPoolFpl(_PerturbedLeader):
     take the same float operations in the same order with ties to the
     smallest index, and the cohort's restricts intern new states to the
     same ids (see `_feed`).
+
+    A fresh pool of dimension at most 2 replays a batch of rounds against
+    an oblivious nature in closed form (`_replay`); larger pools, and pools
+    that have played, take the round loop.
     """
 
-    _BLOCK = 64     # rounds a dense replay scores at once
+    _BLOCK = 2 ** 13    # entries a replay scores at once
 
     def __init__(self, component: FamilyComponent, *,
                  seed: int | np.random.SeedSequence | np.random.Generator | None = None):
@@ -369,88 +373,134 @@ class ExpertPoolFpl(_PerturbedLeader):
             cohort[mistaken] = step[sources]
 
     def _batchable(self, n: int) -> int:
-        # a pool of dimension 2 or more would need a triangle of O(T^(d+1))
-        # entries, and a pool that has played keeps the loop too
-        if self.dim > 1 or self._extended_for:
+        # `_replay` covers a fresh pool whose keys have at most two rounds
+        if self.dim > 2 or self._extended_for:
             return 0
         return super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Dense replay of a fresh pool of dimension 0 or 1.
+        """Dense replay of a fresh pool of dimension 0, 1 or 2.
 
-        At dimension 1 the expert born at round s (index s; the root is 0)
-        has the root's state and loss at its birth round, restricts to a
-        state sigma_s if it errs there, and is frozen after it. So with
-        M[sigma, t] the mistakes of a frozen state sigma over rounds 1..t,
-        its loss before round t > s is M[0, s] - M[sigma_s, s] +
-        M[sigma_s, t - 1]. Births register one per round and restrict in
-        round order, so the mass budget and the engine ids are the loop's.
-        The draws of rounds t = 1..T fill the lower triangle of a
-        T x (T + 1) score matrix row by row from one block of
-        `standard_exponential`, which the loop's per-round calls read in
-        the same order; the triangle is scored `_BLOCK` rounds at a time to
-        bound its memory.
+        Round b's cohort copies the growable experts in `_growable` order:
+        none, the root, or the root, (1), ..., (b - 1). A newborn keeps its
+        parent's state and loss through round b, so there it predicts from
+        its parent's state; it restricts if it errs, and is frozen after
+        round b. With M[s, t] the mistakes of a frozen state s over rounds
+        1..t, and sigma_a, sigma_ab the states of (a) and (a, b) after
+        their birth rounds (sigma_0 = 0, the root's), the loss of (a, b)
+        before round t > b is M[0, a] - M[sigma_a, a] + M[sigma_a, b] -
+        M[sigma_ab, b] + M[sigma_ab, t - 1]: a fixed base plus M[., t - 1]
+        at a fixed state; (b) is the case a = 0.
+
+        At round b the distinct mistaken states among [0, sigma_1, ...,
+        sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
+        so the engine interns the loop's ids, and births register cohort by
+        cohort, so the mass budget is the loop's. Each round is scored as in
+        `_lead`, in place in `_score`; while the pool is small, rounds are
+        scored as one block of at most `_BLOCK` entries, in which unborn
+        experts draw -inf and so score +inf.
         """
-        engine, T = self.engine, len(ys)
-        births = int(self.dim == 1)
-        size = 1 + births * T
-        self._reserve(size)
-        for t in range(1, size):
-            k_new = pool_complexity(self.dim, t)
-            self._register(1, k_new)
-            self._k[t] = k_new
-        root = [engine.predict(0, x) for x in xs]
-        sigma = self._state[:size]
-        sigma[0] = 0
-        if births:
-            # a mistaken birth restricts the root's state. Each distinct
-            # (x, y) is restricted once, in round order, which interns the
-            # ids that restricting birth by birth would give; an empty
-            # restriction (None) leaves the state at 0.
-            restricted = {}
-            for x, y_t, p in zip(xs, ys, root):
-                if p != y_t and (x, y_t) not in restricted:
-                    restricted[x, y_t] = engine.restrict(0, x, y_t)
-            sigma[1:] = [restricted[x, y_t] or 0 if p != y_t else 0
-                         for x, y_t, p in zip(xs, ys, root)]
-        states = np.array([root] + [[engine.predict(s, x) for x in xs]
-                                    for s in range(1, engine.n_states)])
-        y = np.array(ys)
-        mistakes = np.zeros((len(states), T + 1), dtype=np.int64)
-        np.cumsum(states != y, axis=1, out=mistakes[:, 1:])
-        born = np.arange(size)
-        base = mistakes[0, born] - mistakes[sigma, born]
-        # the same small integers as floats, which `score += loss` adds
-        # exactly as the loop's int-to-float addition does
-        fmistakes, fbase = mistakes.astype(float), base.astype(float)
+        engine, T, dim = self.engine, len(ys), self.dim
+        # cohort sizes, the growable experts before each round
+        counts = np.arange(T) * (dim == 2) + (dim > 0)
+        ks = [pool_complexity(dim, t) for t in range(1, T + 1)]
+        for count, k in zip(counts.tolist(), ks):
+            self._register(count, k)
+        live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
+        n = int(live[-1])
+        self._reserve(n)
+        self._k[1:n] = np.repeat(ks, counts)
 
+        after = {}      # (state, x, y) -> the state that round leaves it in
+        grown = [0] if dim else []      # the growable experts' states, in order
+        present = dict.fromkeys(grown)
+        for x, y in zip(xs, ys):
+            for s in present:
+                if (s, x, y) not in after:
+                    nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+                    after[s, x, y] = s if nxt is None else nxt
+            if dim == 2:
+                grown.append(after[0, x, y])
+                present.setdefault(grown[-1])
+        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+        ix, y = np.array([points[x] for x in xs]), np.array(ys)
+        ns = engine.n_states
+        pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
+        # mistakes[t, s]: M[s, t], as floats, which add to the scores as the
+        # loop's int losses do; step[t - 1, s]: the state round t leaves s
+        # in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a base's term
+        mistakes = np.zeros((T + 1, ns))
+        np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
+        step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
+        for (s, x, y_t), nxt in after.items():
+            step[s, points[x], y_t] = nxt
+        step = step[:, ix, y].T
+        drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
+
+        # the experts after the root, cohort by cohort, are the lower
+        # triangle of a (birth round x growable parent) table, row by row
+        W = int(counts[-1])
+        parent_state = np.array(grown[:W], dtype=np.int64)
+        tri = np.tri(T, W, dtype=bool)
+        self._state[1:n] = step[:, parent_state][tri]
+        state, base = self._state[:n], np.zeros(n)
+        # the base of (a, b): the base of (a), then the drop at round b
+        base[1:] = drop[:, parent_state][tri]
+        base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
+        growable = np.concatenate(([0], live[:-1]))     # their indices after round T
+        parent = growable[:W]
+
+        loss = np.empty(n)
         chosen = np.empty(T, dtype=np.int64)
-        for a in range(1, T + 1, self._BLOCK):
-            rounds = np.arange(a, min(a + self._BLOCK, T + 1))
-            n = 1 + births * int(rounds[-1])
-            live = np.arange(n) <= births * rounds[:, None]
-            loss = fmistakes[:, rounds - 1].T[:, sigma[:n]]
-            loss += fbase[:n]
-            if births:
-                # a newborn still has the root's state and loss
-                loss[np.arange(len(rounds)), rounds] = fmistakes[0, rounds - 1]
-            # a draw of -inf scores an expert not yet born at +inf; round t
-            # scores 1 + births * t experts
-            draws = np.full(live.shape, -np.inf)
-            count = len(rounds) + births * int(rounds.sum())
-            draws[live] = self.rng.standard_exponential(count)
-            score = np.subtract(self._k[:n], draws)
-            score *= np.sqrt(rounds.astype(float))[:, None]
-            score += loss
-            chosen[a - 1:a - 1 + len(rounds)] = score.argmin(axis=1)
-        played = np.arange(1, T + 1)
-        state_then = np.where(chosen == births * played, 0, sigma[chosen])
-        preds = states[state_then, played - 1]
+        sizes = live.tolist()
+        t = 1
+        while t <= T:
+            u = t
+            while u < T and (u + 2 - t) * sizes[u + 1] <= self._BLOCK:
+                u += 1
+            s, w = sizes[t - 1], sizes[u]
+            if u == t:
+                score = self._score[:w]
+                self.rng.standard_exponential(out=score)
+                np.subtract(self._k[:w], score, out=score)
+                score *= math.sqrt(t)
+                # the indices are in range: mode="clip" only makes take
+                # write into `out` unbuffered
+                mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
+                loss[:s] += base[:s]
+                # a newborn has its parent's loss
+                loss.take(parent[:w - s], out=loss[s:w], mode="clip")
+                score += loss[:w]
+                chosen[t - 1] = score.argmin()
+            else:
+                rows = np.arange(t, u + 1)
+                born = np.arange(w) < live[rows, None]
+                score = np.full(born.shape, -np.inf)
+                score[born] = self.rng.standard_exponential(int(live[rows].sum()))
+                np.subtract(self._k[:w], score, out=score)
+                score *= np.sqrt(rows)[:, None]
+                block = mistakes[rows - 1].take(state[:w], axis=1)
+                block += base[:w]
+                # in its birth round, a newborn has its parent's loss
+                r, a = np.nonzero(tri[t - 1:u])
+                block[r, np.arange(s, w)] = block[r, parent[a]]
+                score += block
+                chosen[t - 1:u] = score.argmin(axis=1)
+            t = u + 1
+        nth = chosen - live[:-1]        # a newborn's place in its cohort
+        then = state[chosen]
+        new = nth >= 0
+        then[new] = parent_state[nth[new]]
+        preds = pred[then, ix]
 
-        self._loss[:size] = base + mistakes[sigma, T]
-        self._score[:size] = score[-1]
+        mistakes[T].take(state, out=loss, mode="clip")
+        loss += base
+        self._loss[:n] = loss
+        if dim == 2:
+            self._growable = np.column_stack((growable, np.arange(T + 1) > 0))
+            self._n_growable = T + 1
         self._extended_for = T
-        self._cohort = (size - births, size)
+        self._cohort = (sizes[T - 1], n)
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

@@ -134,6 +134,14 @@ class ConstantLearner(OnlineLearner):
     def predict(self, x: Point) -> int:
         return self.value
 
+    def _batchable(self, n: int) -> int:
+        return n
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        self.mistakes += len(ys) - ys.count(self.value)
+        self.t += len(ys)
+        return [self.value] * len(ys)
+
 
 class _InternedStates:
     """Version spaces interned to ids in order of first appearance."""

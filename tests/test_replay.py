@@ -2,6 +2,7 @@
 nature (replayed through `learner.play`) must equal the same game played
 round by round through a pass-through nature that is not oblivious."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -232,6 +233,92 @@ def test_aggregator_batch_does_not_fall_back(monkeypatch):
     monkeypatch.setattr(AggregatorLearner, "predict", predict)
     learner.play(xs, ys)
     assert learner.t == 61 and len(learner.sub) > 3
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_pool_batch_does_not_fall_back(name, monkeypatch):
+    # a fresh pool of dimension at most 2 replays every round of a script
+    # without the round loop
+    xs = [(t % 4) + 1 for t in range(60)]
+    ys = [(t * 7 // 3) % 2 for t in range(60)]
+    learner = ExpertPoolFpl(COMPONENTS[name], seed=3)
+
+    def predict(self, x):
+        raise AssertionError("the round loop ran")
+
+    def loop(self, xs, ys, n):
+        if len(ys):
+            raise AssertionError("the round loop ran")
+        return []
+
+    monkeypatch.setattr(ExpertPoolFpl, "predict", predict)
+    monkeypatch.setattr(ExpertPoolFpl, "_loop", loop)
+    learner.play(xs, ys)
+    assert learner.t == 61
+    assert learner.pool_size == sum(math.comb(60, j) for j in range(COMPONENTS[name].dim + 1))
+
+
+def test_dim3_pool_takes_the_loop(monkeypatch):
+    def replay(self, xs, ys):
+        raise AssertionError("the batch replay ran")
+
+    monkeypatch.setattr(ExpertPoolFpl, "_replay", replay)
+    learner = ExpertPoolFpl(FamilyComponent(3, FiniteClass.full_class((1, 2, 3)), 3), seed=3)
+    learner.play([1, 2, 3, 1, 2, 3, 1, 2], [0, 1, 1, 0, 1, 0, 0, 1])
+    assert learner.t == 9 and learner.pool_size == sum(math.comb(8, j) for j in range(4))
+
+
+def check_script(points, labels, horizon=200):
+    """The hierarchical check's script: cycling points, and alternating
+    labels or fair coins from a seeded `random.Random`."""
+    xs = [points[t % len(points)] for t in range(horizon)]
+    rng = random.Random(horizon)
+    ys = ([t % 2 for t in range(1, horizon + 1)] if labels == "alternating"
+          else [rng.getrandbits(1) for _ in range(horizon)])
+    return xs, ys
+
+
+DIM2_CASES = {
+    "thresholds-alternating": (THRESHOLDS, DOMAIN, "alternating"),
+    "thresholds-coin": (THRESHOLDS, DOMAIN, "coin"),
+    # every labeling of three points: more states than the thresholds, so
+    # a replay that interned them in another order than the loop shows
+    "full3-coin": (FiniteClass.full_class((1, 2, 3)), (1, 2, 3), "coin"),
+    "support2-coin": (FiniteSupportClass(DOMAIN, 2), DOMAIN, "coin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIM2_CASES))
+def test_dim2_replay_at_check_scale(case):
+    # T=200 as in the hierarchical check, then five more rounds, which
+    # both pools play by the round loop
+    cls, points, labels = DIM2_CASES[case]
+    xs, ys = check_script(points, labels)
+    replayed, looped = (ExpertPoolFpl(FamilyComponent(2, cls, 2), seed=31) for _ in range(2))
+    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
+    assert snapshot(replayed) == snapshot(looped)
+    assert replayed.pool_size == 1 + 200 * 201 // 2
+    assert replayed.engine.n_states > 4
+    more = [points[t % len(points)] for t in range(3, 8)], [1, 1, 0, 1, 0]
+    assert replayed.play(*more) == checked_loop(looped, *more)
+    assert snapshot(replayed) == snapshot(looped)
+
+
+def test_dim2_bad_label_after_round_100():
+    # the first 100 rounds replay, round 101 is predicted and raises, and
+    # the rounds after it take the loop
+    xs, ys = check_script(DOMAIN, "coin")
+    ys[100] = 2
+    replayed, looped = (ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=32) for _ in range(2))
+    with pytest.raises(ProtocolError, match="round 101: label must be 0 or 1, got 2"):
+        replayed.play(xs, ys)
+    with pytest.raises(ProtocolError, match="round 101: label must be 0 or 1, got 2"):
+        checked_loop(looped, xs, ys)
+    assert snapshot(replayed) == snapshot(looped)
+    assert replayed.t == 101 and replayed.chosen_index is not None
+    more = xs[100:105], [1, 0, 0, 1, 1]
+    assert replayed.play(*more) == checked_loop(looped, *more)
+    assert snapshot(replayed) == snapshot(looped)
 
 
 def test_cap_hit_and_not_hit():

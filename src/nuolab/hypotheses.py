@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -482,11 +483,9 @@ class DiscreteMeasure:
         return self.masses[i - 1]
 
     def sample(self, rng: random.Random) -> Point:
-        u = rng.random()
-        for p, c in zip(self.support, self._cum):
-            if u < c:
-                return p
-        return self.support[-1]
+        """The first point whose cumulative mass exceeds u ~ U[0, 1): `_cum` never
+        falls before its last entry, 1.0 > u, so `u < c` turns true just once."""
+        return self.support[bisect_right(self._cum, rng.random())]
 
     @classmethod
     def point_mass(cls, p: Point) -> "DiscreteMeasure":

@@ -256,7 +256,8 @@ class SoaLearner(OnlineLearner):
     `always_restrict` switches to restricting on every round. `on_empty`
     decides what an update that would empty the space does: "error" raises
     (the realizable contract), "freeze" keeps the space unchanged, which
-    keeps the learner total on arbitrary feeds.
+    keeps the learner total on arbitrary feeds. `play` replays a batch in
+    one loop (`_replay`) under every policy, unless the class is empty.
     """
 
     def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass, *,
@@ -281,19 +282,47 @@ class SoaLearner(OnlineLearner):
             raise ProtocolError("version space is empty (non-realizable feed)", self.t)
         return self.engine.predict(self.sid, x)
 
-    def _should_restrict(self, mistake: bool) -> bool:
+    def _should_restrict(self, mistake: bool, t: int) -> bool:
         return mistake or self.always_restrict
 
+    def _step(self, sid: int, x: Point, y: int, t: int) -> int:
+        """The state that restricting state sid by (x, y) at round t leaves."""
+        nxt = self.engine.restrict(sid, x, y)
+        if nxt is None and self.on_empty == "error":
+            raise ProtocolError(f"restriction by ({x!r}, {y}) empties the version space", t)
+        return sid if nxt is None else nxt
+
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
-        if not self._should_restrict(predicted != y):
-            return
-        nxt = self.engine.restrict(self.sid, x, y)
-        if nxt is None:
-            if self.on_empty == "error":
-                raise ProtocolError(
-                    f"restriction by ({x!r}, {y}) empties the version space", self.t)
-            return
-        self.sid = nxt
+        if self._should_restrict(predicted != y, self.t):
+            self.sid = self._step(self.sid, x, y, self.t)
+
+    def _batchable(self, n: int) -> int:
+        return 0 if self.sid is None else n
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """The round loop on locals; predictions are memoized by (state, point)
+        and steps by (state, point, label), each first taken at the loop's
+        round, so the engine interns the loop's states. An error leaves the loop's state."""
+        predict, should, step = self.engine.predict, self._should_restrict, self._step
+        predicted, stepped, preds = {}, {}, []
+        sid, t, mistakes, always = self.sid, self.t, self.mistakes, self.always_restrict
+        try:
+            for x, y in zip(xs, ys):
+                p = predicted.get((sid, x))
+                if p is None:
+                    p = predicted[sid, x] = predict(sid, x)
+                preds.append(p)
+                mistakes += p != y
+                # every policy restricts only mistaken rounds, unless always_restrict
+                if (p != y or always) and should(p != y, t):
+                    nxt = stepped.get((sid, x, y))
+                    if nxt is None:
+                        nxt = stepped[sid, x, y] = step(sid, x, y, t)
+                    sid = nxt
+                t += 1
+        finally:
+            self.sid, self.t, self.mistakes = sid, t, mistakes
+        return preds
 
 
 class ExpertLearner(SoaLearner):
@@ -310,8 +339,8 @@ class ExpertLearner(SoaLearner):
         self.key = key
         self._keyset = frozenset(key)
 
-    def _should_restrict(self, mistake: bool) -> bool:
-        return mistake and self.t in self._keyset
+    def _should_restrict(self, mistake: bool, t: int) -> bool:
+        return mistake and t in self._keyset
 
 
 class FollowHypothesisLearner(SoaLearner):

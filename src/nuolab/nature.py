@@ -28,11 +28,11 @@ class NatureStrategy:
     `oblivious` states a fact about the nature: its `next_point` and
     `reveal_label` read neither the prediction nor the trace, so the whole
     script of points and labels is fixed before the game starts. For such
-    a nature `runner.run_game` draws the script first and hands it to
-    `learner.play` in one call, which gives the same game as the round
-    loop: the nature's draws come in the same order, and the learner's
-    replay makes the same random draws in the same order and scores them
-    with the same float operations.
+    a nature `runner.run_game` draws the script in one `draw_script` call
+    and hands it to `learner.play` in one call, which gives the same game
+    as the round loop: the nature's draws come in the same order, and the
+    learner's replay makes the same random draws in the same order and
+    scores them with the same float operations.
     """
 
     oblivious = False
@@ -42,6 +42,19 @@ class NatureStrategy:
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         raise NotImplementedError
+
+    def draw_script(self, horizon: int) -> tuple[list, list, Optional[Exception]]:
+        """(points, labels, failure) of the next `horizon` >= 0 rounds, drawn round
+        by round; a draw that raises ends the lists. Overrides build the lists at
+        once, to the same result and state, and leave any failure to this loop."""
+        xs, ys = [], []
+        try:
+            for _ in range(horizon):
+                xs.append(self.next_point(None))
+                ys.append(self.reveal_label(xs[-1], None, None))
+        except Exception as exc:
+            return xs, ys, exc
+        return xs, ys, None
 
 
 class RealizableScripted(NatureStrategy):
@@ -69,6 +82,17 @@ class RealizableScripted(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.hypothesis(x)
 
+    def draw_script(self, horizon: int):
+        n, start = len(self.points), self.served
+        stop = start + horizon if self.cycle and n else min(start + horizon, n)
+        xs = [self.points[i % n] for i in range(start, stop)]
+        try:
+            ys = list(map(self.hypothesis, xs))
+        except Exception:       # the loop finds the round whose label raises
+            return super().draw_script(horizon)
+        self.served = stop
+        return xs, ys, super().draw_script(horizon - len(xs))[2]
+
 
 class AgnosticScripted(NatureStrategy):
     """Fixed point and label sequences with no realizability promise. The
@@ -93,6 +117,12 @@ class AgnosticScripted(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.labels[self.served - 1]
 
+    def draw_script(self, horizon: int):
+        start = self.served
+        self.served = min(start + horizon, len(self.points))
+        return (self.points[start:self.served], self.labels[start:self.served],
+                super().draw_script(start + horizon - self.served)[2])
+
 
 class StochasticIid(NatureStrategy):
     """Points drawn iid from a discrete measure; labels from a fixed
@@ -112,6 +142,16 @@ class StochasticIid(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.hypothesis(x)
 
+    def draw_script(self, horizon: int):
+        state = self.rng.getstate()
+        xs = list(map(self.measure.sample, [self.rng] * horizon))
+        try:        # each distinct point labelled once
+            label = {x: self.hypothesis(x) for x in dict.fromkeys(xs)}
+        except Exception:       # rewind; the loop finds the round that raises
+            self.rng.setstate(state)
+            return super().draw_script(horizon)
+        return xs, [label[x] for x in xs], None
+
 
 class CoinFlip(NatureStrategy):
     """A single fixed point; labels are independent fair bits from a
@@ -128,6 +168,9 @@ class CoinFlip(NatureStrategy):
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.rng.getrandbits(1)
+
+    def draw_script(self, horizon: int):
+        return [self.point] * horizon, list(map(self.rng.getrandbits, [1] * horizon)), None
 
 
 class WindowHalving(NatureStrategy):

@@ -76,18 +76,15 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     with the prediction already made (see `OnlineLearner`), so the round
     is `update`'s without a second `predict`. An oblivious nature (see
     `nature.NatureStrategy`) reads neither the prediction nor the trace, so
-    its points and labels are drawn first, round by round, and the learner
-    plays them in one `learner.play` call. That is the same game: the
+    its script is drawn first, in one `draw_script` call, and the learner
+    plays it in one `learner.play` call. That is the same game: the
     nature's draws come in the same order, and `play` gives the loop's
-    predictions, state and random draws. The perturbed leaders' batch
-    makes the same draws in the same order and scores them with the same
-    float operations; the aggregator's batch reads each sub-learner's
-    counters from that sub-learner's own play of the rounds, which the
-    aggregator's choices never change. Errors match the loop's too: if
-    drawing fails at round r, the learner first plays rounds 1..r-1 (and
-    predicts round r when it was the label that failed), and a bad label
-    raises from the learner at its round (`OnlineLearner.play` says what a
-    batch promises about other errors from inside the learner).
+    predictions, state and random draws (each learner's `_replay` says
+    how). Errors match the loop's too: if drawing fails at round r, the
+    learner first plays rounds 1..r-1 (and predicts round r when it was
+    the label that failed), and a bad label raises from the learner at its
+    round (`OnlineLearner.play` says what a batch promises about other
+    errors from inside the learner).
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -106,16 +103,8 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
             trace.ys.append(y)
             trace.predicted.append(predicted)
         return trace
-    xs: list[Point] = []
-    ys: list[int] = []
-    failure = None
-    try:
-        for _ in range(horizon):
-            x = strategy.next_point(None)
-            xs.append(x)
-            ys.append(strategy.reveal_label(x, None, None))
-    except Exception as exc:    # raised below, once the learner has caught up
-        failure = exc
+    # a failed draw is raised below, once the learner has caught up
+    xs, ys, failure = strategy.draw_script(horizon)
     predicted = learner.play(xs[:len(ys)], ys)
     if failure is not None:
         if len(xs) > len(ys):

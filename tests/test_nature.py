@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nuolab.hypotheses import (DiscreteMeasure, FiniteClass,
+from nuolab.hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypothesis,
                                constant_hypothesis, is_label, threshold_hypothesis)
 from nuolab.learners import ConstantLearner, OnlineLearner, ProtocolError, SoaLearner
 from nuolab.littlestone import ldim
-from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError,
+from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError, NatureStrategy,
                            RealizableScripted, StochasticIid, TreeAdversary,
                            WindowHalving, commit_adversary)
 
@@ -52,6 +52,118 @@ class TestStochasticIid:
 
         assert stream(3) == stream(3)
         assert stream(3) != stream(4)
+
+
+POINTS = [3, 1, 4, 1, 5, 2, 6]
+LABELS = [1, 0, 1, 0, 1, 1, 0]
+TARGET = threshold_hypothesis(4)
+
+
+def _raise_on_5(x):
+    if x == 5:
+        raise DomainError("no label at 5")
+    return int(x >= 4)
+
+
+RAISES_ON_5 = Hypothesis("raises-on-5", _raise_on_5)
+MEASURE = DiscreteMeasure.uniform(tuple(range(1, 9)))
+
+OBLIVIOUS = {
+    "realizable": lambda seed: RealizableScripted(TARGET, POINTS),
+    "realizable-cycle": lambda seed: RealizableScripted(TARGET, POINTS, cycle=True),
+    "realizable-cycle-empty": lambda seed: RealizableScripted(TARGET, [], cycle=True),
+    "realizable-raises": lambda seed: RealizableScripted(RAISES_ON_5, POINTS, cycle=True),
+    "agnostic": lambda seed: AgnosticScripted(POINTS, LABELS),
+    "iid": lambda seed: StochasticIid(TARGET, MEASURE, seed),
+    "iid-raises": lambda seed: StochasticIid(RAISES_ON_5, MEASURE, seed),
+    "coin": lambda seed: CoinFlip(seed, point="p"),
+}
+
+
+def nature_state(strategy):
+    return {k: v.getstate() if isinstance(v, random.Random) else v
+            for k, v in vars(strategy).items()}
+
+
+def drawn(draw, strategy, horizon):
+    xs, ys, failure = draw(strategy, horizon)
+    return ((xs, ys, failure and (type(failure), str(failure))),
+            nature_state(strategy))
+
+
+def assert_same_script(make, prefix, horizon):
+    """A nature's `draw_script` against the base class's round loop, after
+    a prefix that both draw by the loop."""
+    loop = NatureStrategy.draw_script
+    looped, overridden = make(), make()
+    assert type(overridden).draw_script is not loop
+    for strategy in (looped, overridden):
+        loop(strategy, prefix)
+    expected = drawn(loop, looped, horizon)
+    assert drawn(type(overridden).draw_script, overridden, horizon) == expected
+    return expected[0]
+
+
+@pytest.mark.parametrize("name", sorted(OBLIVIOUS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.integers(0, 10),
+       horizon=st.integers(0, 30))
+def test_draw_script_matches_round_loop(name, seed, prefix, horizon):
+    assert_same_script(lambda: OBLIVIOUS[name](seed), prefix, horizon)
+
+
+@pytest.mark.parametrize("name, prefix, horizon, rounds, failure", [
+    ("realizable", 2, 9, 5, (ExhaustionError, "scripted stream exhausted after 7 points")),
+    ("realizable-cycle", 5, 16, 16, None),
+    ("realizable-cycle-empty", 0, 1, 0,
+     (ExhaustionError, "scripted stream exhausted after 0 points")),
+    ("agnostic", 3, 5, 4, (ExhaustionError, "scripted stream exhausted after 7 points")),
+    # the fifth point of the script, served after a prefix of one, is 5
+    ("realizable-raises", 1, 10, 3, (DomainError, "no label at 5")),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_draw_script_cases(name, prefix, horizon, rounds, failure):
+    xs, ys, got = assert_same_script(lambda: OBLIVIOUS[name](0), prefix, horizon)
+    assert (len(ys), got) == (rounds, failure)
+    assert len(xs) == rounds + (failure is not None and failure[0] is not ExhaustionError)
+
+
+def test_iid_label_raises_mid_script():
+    # seed 0 draws 5, whose label raises, at a round after the first: the
+    # points up to it, the labels before it, and the generator rewound to
+    # just after drawing it
+    xs, ys, failure = assert_same_script(lambda: StochasticIid(RAISES_ON_5, MEASURE, 0),
+                                         0, 60)
+    assert failure == (DomainError, "no label at 5")
+    assert len(xs) == len(ys) + 1 > 2 and xs[-1] == 5 and 5 not in xs[:-1]
+
+
+@pytest.mark.parametrize("horizon", [0, 400])
+def test_coin_flip_script(horizon):
+    xs, ys, failure = assert_same_script(lambda: CoinFlip(9, point="p"), 0, horizon)
+    assert xs == ["p"] * horizon and len(ys) == horizon and failure is None
+
+
+class FixedDraw:
+    """A stand-in generator whose `random()` returns a fixed u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(1, 1000), min_size=1, max_size=12), data=st.data())
+def test_sample_matches_linear_scan(weights, data):
+    measure = DiscreteMeasure(range(len(weights)),
+                              [Fraction(w, sum(weights)) for w in weights])
+    # u anywhere in [0, 1), or exactly on a cumulative mass
+    u = data.draw(st.one_of(st.floats(0, 1, exclude_max=True),
+                            st.sampled_from([0.0] + measure._cum[:-1])))
+    expected = next((p for p, c in zip(measure.support, measure._cum) if u < c),
+                    measure.support[-1])
+    assert measure.sample(FixedDraw(u)) == expected
 
 
 def test_coin_flip_mean():

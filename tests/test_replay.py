@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from nuolab import nature, runner
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
@@ -163,8 +163,11 @@ realizable_scripts = st.tuples(
 any_scripts = st.one_of(scripts, realizable_scripts)
 
 
+# no shrink phase: shrinking a failing script of two dimension-2 pools
+# takes minutes, and the fixed-seed tests below pin the failure down
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(script=scripts, seed=seeds)
 def test_pool_replay_matches_loop(name, script, seed):
     xs, ys = script
@@ -351,8 +354,90 @@ def test_deterministic_learners_replay_matches_loop(script):
     xs, ys = script
     for make in (lambda: ConstantLearner(1),
                  lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
-                 lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze")):
+                 lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
+                 lambda: SoaLearner(FiniteSupportClass(DOMAIN, 2), on_empty="freeze"),
+                 lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9, 20), on_empty="freeze"),
+                 # most scripts empty the space mid-batch, which raises
+                 lambda: SoaLearner(THRESHOLDS),
+                 lambda: SoaLearner(FiniteSupportClass(DOMAIN, 1))):
         assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
+
+
+SOA_KINDS = {
+    "finite": lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
+    "finite-always": lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
+    "support": lambda: SoaLearner(FiniteSupportClass(DOMAIN, 2), on_empty="freeze"),
+    "singleton": lambda: SoaLearner(SingletonClass(threshold_hypothesis(2)),
+                                    on_empty="freeze"),
+    "expert": lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9), on_empty="freeze"),
+    "follow": lambda: FollowHypothesisLearner(threshold_hypothesis(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOA_KINDS))
+def test_soa_batch_does_not_fall_back(kind, monkeypatch):
+    # a version-space learner replays every round of a script without the
+    # round loop, and ends where the loop ends
+    xs = [(t % 4) + 1 for t in range(60)]
+    ys = [(t * 7 // 3) % 2 for t in range(60)]
+    looped = SOA_KINDS[kind]()
+    expected = checked_loop(looped, xs, ys)
+    learner = SOA_KINDS[kind]()
+
+    def predict(self, x):
+        raise AssertionError("the round loop ran")
+
+    def loop(self, xs, ys, n):
+        if len(ys):
+            raise AssertionError("the round loop ran")
+        return []
+
+    monkeypatch.setattr(SoaLearner, "predict", predict)
+    monkeypatch.setattr(SoaLearner, "_loop", loop)
+    assert learner.play(xs, ys) == expected
+    assert snapshot(learner) == snapshot(looped)
+    assert learner.t == 61
+
+
+@pytest.mark.parametrize("make, xs, ys, message", [
+    # thresholds: the labels of thr-3, then 1 at point 2, which no
+    # threshold consistent with the mistakes so far gives
+    (lambda: SoaLearner(THRESHOLDS), [1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1],
+     "round 6: restriction by (2, 1) empties the version space"),
+    # support 1: the second 1-labelled point is one too many
+    (lambda: SoaLearner(FiniteSupportClass(DOMAIN, 1)), [1, 2, 3, 4], [0, 1, 0, 1],
+     "round 4: restriction by (4, 1) empties the version space"),
+    (lambda: ExpertLearner(THRESHOLDS, (1, 2, 3, 4, 5, 6)), [1, 4, 3, 2, 1, 2],
+     [0, 1, 1, 0, 0, 1], "round 6: restriction by (2, 1) empties the version space"),
+], ids=["finite", "support", "expert"])
+def test_soa_emptied_mid_batch_matches_loop(make, xs, ys, message):
+    result = assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert result == ("error", "ProtocolError", message)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SoaLearner(FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1]])),
+    lambda: SoaLearner(FiniteSupportClass((1, 2, 3), 1), on_empty="freeze"),
+    lambda: FollowHypothesisLearner(threshold_hypothesis(2)),
+], ids=["finite", "support", "follow"])
+def test_soa_point_outside_domain_mid_batch(make):
+    # round 5 shows a point the class does not know: the batch raises the
+    # loop's error and leaves the learner where the loop leaves it
+    xs, ys = [1, 3, 2, 3, "x", 1], [0, 1, 1, 1, 1, 0]
+    replayed, looped = both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert replayed == looped
+    assert replayed[0][:2] == ("error", "DomainError") and replayed[1]["t"] == 5
+
+
+def test_empty_class_takes_the_loop(monkeypatch):
+    def replay(self, xs, ys):
+        raise AssertionError("the batch replay ran")
+
+    monkeypatch.setattr(SoaLearner, "_replay", replay)
+    learner = SoaLearner(FiniteClass(DOMAIN, []))
+    with pytest.raises(ProtocolError, match="round 1: version space is empty"):
+        learner.play([1, 2], [0, 1])
+    assert learner.t == 1 and learner.mistakes == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,8 @@ sum(exp(-k_i)) <= 1, and a fresh Exponential(1) perturbation q_i; the
 leader minimizes loss_i + (k_i - q_i) * sqrt(t). Ties break to the
 smallest index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each
 round keeps the regret bound against natures that adapt to past choices.
+One scorer applies the rule, `_PerturbedLeader._leader` for a round and
+`_leaders` for a block of rounds; every leader here scores through it.
 """
 from __future__ import annotations
 
@@ -70,28 +72,19 @@ def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the perturbed leader: one base, two expert containers
+# the perturbed leader: one base and its scorer, two expert containers
 # ---------------------------------------------------------------------------
-
-def _with_room(buf: np.ndarray, n: int) -> np.ndarray:
-    """`buf` if it holds n rows, else a copy of it whose capacity is
-    doubled (or n, if that is more)."""
-    if n <= len(buf):
-        return buf
-    grown = np.empty((max(n, 2 * len(buf)), *buf.shape[1:]), dtype=buf.dtype)
-    grown[:len(buf)] = buf
-    return grown
-
 
 class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
-    budget and the round's choice.
+    budget, the scoring rule and the round's choice.
 
     `seed` is an int, a `SeedSequence`, None, or a `Generator`, which is
     drawn from as it is. A subclass holds the experts' losses and
-    complexities, draws the round's perturbations and scores them in
-    `_lead`, and feeds the experts in `_feed`. The choice is made once per
-    round, keyed on the round index, so every `predict` of a round and its
+    `complexities` (a float array), picks the round's leader in `_lead` by
+    scoring the losses with `_leader`, or a batch of rounds with `_leaders`,
+    and feeds the experts in `_feed`. The choice is made once per round,
+    keyed on the round index, so every `predict` of a round and its
     `update` see the same choice.
     """
 
@@ -111,6 +104,39 @@ class _PerturbedLeader(OnlineLearner):
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {self.t}")
         self._size += count
+
+    def _leader(self, loss, t: int) -> int:
+        """The leader of round t among the first len(loss) experts: the
+        argmin of loss + (k - q) * sqrt(t), ties to the smallest index.
+
+        This and `_leaders` are the only places that draw perturbations.
+        `standard_exponential(n)` gives the values `exponential(size=n)`
+        gives, so the stream is that of one Exponential(1) vector a round.
+        """
+        score = self.rng.standard_exponential(len(loss))
+        np.subtract(self.complexities[:len(score)], score, out=score)
+        score *= math.sqrt(t)
+        score += loss
+        return int(score.argmin())
+
+    def _leaders(self, losses: np.ndarray, t: int,
+                 born: Optional[np.ndarray] = None) -> np.ndarray:
+        """The leaders of rounds t, t + 1, ... for a (rounds x experts)
+        block of losses, scored row by row as `_leader` scores a round.
+
+        The block's draws are the values of one draw per round, in order;
+        where the mask `born` is given, an expert not yet born draws -inf,
+        so it scores +inf and takes no draw.
+        """
+        if born is None:
+            score = self.rng.standard_exponential(losses.shape)
+        else:
+            score = np.full(losses.shape, -np.inf)
+            score[born] = self.rng.standard_exponential(int(born.sum()))
+        np.subtract(self.complexities[:losses.shape[1]], score, out=score)
+        score *= np.sqrt(np.arange(t, t + len(losses), dtype=float))[:, None]
+        score += losses
+        return score.argmin(axis=1)
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -160,20 +186,16 @@ class FplLearner(_PerturbedLeader):
         for k in complexities:
             self._register(1, k)
         self.experts: list[OnlineLearner] = list(experts)
-        self.complexities: list[float] = [float(k) for k in complexities]
+        self.complexities = np.array(complexities, dtype=float)
 
     @property
     def losses(self) -> list[int]:
         return [expert.mistakes for expert in self.experts]
 
     def _lead(self, x: Point) -> tuple:
-        n = len(self.experts)
-        if n == 0:
+        if not self.experts:
             raise ProtocolError("no experts registered", self.t)
-        sqrt_t = math.sqrt(self.t)
-        scores = [expert.mistakes + (k - q) * sqrt_t for expert, k, q in
-                  zip(self.experts, self.complexities, self.rng.exponential(size=n).tolist())]
-        j = scores.index(min(scores))
+        j = self._leader(self.losses, self.t)
         return j, self.experts[j].predict(x), None
 
     def _feed(self, x: Point, y: int, data) -> None:
@@ -195,21 +217,14 @@ class FplLearner(_PerturbedLeader):
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Each expert plays the rounds with its own `play`; the leader then
-        scores the (rounds x experts) matrix of losses at once. A block of
-        `exponential(size=(T, n))` holds the values of T per-round
-        `exponential(size=n)` draws, the scores take the loop's float
-        operations, and the row-wise argmin ties to the smallest index."""
-        n = len(self.experts)
+        scores the (rounds x experts) matrix of losses at once."""
         T = len(ys)
-        before = np.array([expert.mistakes for expert in self.experts])
+        before = np.array(self.losses)
         played = [expert.play(xs, ys) for expert in self.experts]
         # losses[i, j]: expert j's mistakes before round t + i
         wrong = np.array(played).T != np.array(ys)[:, None]
         losses = before + np.cumsum(wrong, axis=0) - wrong
-        scores = np.subtract(self.complexities, self.rng.exponential(size=(T, n)))
-        scores = scores * np.sqrt(np.arange(self.t, self.t + T, dtype=float))[:, None]
-        scores += losses
-        chosen = scores.argmin(axis=1).tolist()
+        chosen = self._leaders(losses, self.t).tolist()
         preds = [played[j][i] for i, j in enumerate(chosen)]
         self.mistakes += sum(p != y for p, y in zip(preds, ys))
         self.t += T
@@ -228,22 +243,14 @@ class ExpertPoolFpl(_PerturbedLeader):
     standalone-replay count without replaying anything. After its last key
     round an expert's state is frozen, so per-round work is array-wide.
 
-    Layout: per expert, in registration order, three arrays hold its
-    engine state id, loss and complexity; one more holds the round's
-    perturbations and then its scores, and `_growable` holds the index and
-    key length of each expert whose key is shorter than `dim`.
-    Each array has a capacity that doubles when the pool outgrows it, so
-    growth costs O(added) a round; the first `pool_size` entries are live,
-    and `state`, `losses` and `complexities` are views of them. Keys are
-    not stored: the growth rule fixes them, and `keys` rebuilds them.
-
-    The RNG stream and every output equal those of a pool that stores lists
-    and concatenates arrays each round: experts register in the same
-    order, the perturbations are the same draws (`standard_exponential`
-    into a buffer gives the values of `exponential(size=n)`), the scores
-    take the same float operations in the same order with ties to the
-    smallest index, and the cohort's restricts intern new states to the
-    same ids (see `_feed`).
+    Layout: per expert, in registration order, `state`, `losses` and
+    `complexities` hold its engine state id, loss and complexity, and
+    `_growable` holds the index and key length of each expert whose key is
+    shorter than `dim`. Each is an array of exactly its size; `pool_extend`
+    appends a round's cohort to them. Keys are not stored: the growth rule
+    fixes them, and `keys` rebuilds them. The cohort's restricts intern new
+    states to the ids that restricting expert by expert would give (see
+    `_feed`).
 
     A fresh pool of dimension at most 2 replays a batch of rounds against
     an oblivious nature in closed form (`_replay`); larger pools, and pools
@@ -259,31 +266,17 @@ class ExpertPoolFpl(_PerturbedLeader):
         self.dim = component.dim
         k_root = pool_complexity(self.dim, 0)
         self._register(1, k_root)
-        self._state = np.zeros(1, dtype=np.int64)
-        self._loss = np.zeros(1, dtype=np.int64)
-        self._k = np.full(1, k_root)
-        self._score = np.empty(1)
+        self.state = np.zeros(1, dtype=np.int64)
+        self.losses = np.zeros(1, dtype=np.int64)
+        self.complexities = np.full(1, k_root)
         # rows (expert index, key length) of the experts that can grow
         self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
-        self._n_growable = len(self._growable)
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
 
     @property
     def pool_size(self) -> int:
         return self._size
-
-    @property
-    def state(self) -> np.ndarray:
-        return self._state[:self._size]
-
-    @property
-    def losses(self) -> np.ndarray:
-        return self._loss[:self._size]
-
-    @property
-    def complexities(self) -> np.ndarray:
-        return self._k[:self._size]
 
     @property
     def keys(self) -> list[tuple[int, ...]]:
@@ -297,12 +290,6 @@ class ExpertPoolFpl(_PerturbedLeader):
             growable += [i for i in range(start, len(keys)) if len(keys[i]) < self.dim]
         return keys
 
-    def _reserve(self, n: int) -> None:
-        """Room for n experts in the per-expert arrays."""
-        if n > len(self._loss):
-            self._state, self._loss, self._k, self._score = (
-                _with_room(a, n) for a in (self._state, self._loss, self._k, self._score))
-
     def pool_extend(self) -> int:
         """Register every key ending at the current round; returns the count
         added. Runs once per round, implicitly before prediction."""
@@ -310,24 +297,20 @@ class ExpertPoolFpl(_PerturbedLeader):
         if self._extended_for == t:
             return self._cohort[1] - self._cohort[0]
         start = self._size
-        count = self._n_growable
+        count = len(self._growable)
         if count:
             k_new = pool_complexity(self.dim, t)
             self._register(count, k_new)
-            end = self._size
-            self._reserve(end)
-            parents, lengths = self._growable[:count].T
-            self._state[start:end] = self._state[parents]
-            self._loss[start:end] = self._loss[parents]
-            self._k[start:end] = k_new
+            parents, lengths = self._growable.T
+            self.state = np.concatenate((self.state, self.state[parents]))
+            self.losses = np.concatenate((self.losses, self.losses[parents]))
+            self.complexities = np.concatenate((self.complexities, np.full(count, k_new)))
             # only a parent with a key shorter than dim - 1 has a child that
             # can still grow
             if self.dim > 1:
                 grows = np.flatnonzero(lengths < self.dim - 1)
-                m = count + len(grows)
-                self._growable = _with_room(self._growable, m)
-                self._growable[count:m] = np.column_stack((grows + start, lengths[grows] + 1))
-                self._n_growable = m
+                self._growable = np.concatenate(
+                    (self._growable, np.column_stack((grows + start, lengths[grows] + 1))))
         self._extended_for = t
         self._cohort = (start, start + count)
         return count
@@ -342,25 +325,18 @@ class ExpertPoolFpl(_PerturbedLeader):
     def _lead(self, x: Point) -> tuple:
         self.pool_extend()
         preds = self._predictions(x)
-        n = self._size
-        # loss + (k - q) * sqrt(t), computed in place in the score buffer
-        score = self._score[:n]
-        self.rng.standard_exponential(out=score)
-        np.subtract(self._k[:n], score, out=score)
-        score *= math.sqrt(self.t)
-        score += self._loss[:n]
-        j = int(score.argmin())
+        j = self._leader(self.losses, self.t)
         return j, int(preds[j]), preds
 
     def _feed(self, x: Point, y: int, preds: np.ndarray) -> None:
         wrong = preds != y
-        self._loss[:self._size] += wrong
+        self.losses += wrong
         # only this round's cohort has the current round in its key. Its
         # mistaken experts share few states: restrict each distinct one
         # once, in order of first appearance, which interns new states to
         # the ids that restricting expert by expert would give.
         start, end = self._cohort
-        cohort = self._state[start:end]
+        cohort = self.state[start:end]
         mistaken = wrong[start:end]
         sources = cohort[mistaken]
         if sources.size:
@@ -395,10 +371,10 @@ class ExpertPoolFpl(_PerturbedLeader):
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
         so the engine interns the loop's ids, and births register cohort by
-        cohort, so the mass budget is the loop's. Each round is scored as in
-        `_lead`, in place in `_score`; while the pool is small, rounds are
-        scored as one block of at most `_BLOCK` entries, in which unborn
-        experts draw -inf and so score +inf.
+        cohort, so the mass budget is the loop's. Each round is scored by
+        `_leader` over the experts born by then; while the pool is small,
+        rounds are scored by `_leaders` as one block of at most `_BLOCK`
+        entries, in which the unborn experts take no draw.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         # cohort sizes, the growable experts before each round
@@ -408,8 +384,7 @@ class ExpertPoolFpl(_PerturbedLeader):
             self._register(count, k)
         live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
         n = int(live[-1])
-        self._reserve(n)
-        self._k[1:n] = np.repeat(ks, counts)
+        self.complexities = np.concatenate((self.complexities, np.repeat(ks, counts)))
 
         after = {}      # (state, x, y) -> the state that round leaves it in
         grown = [0] if dim else []      # the growable experts' states, in order
@@ -442,8 +417,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         W = int(counts[-1])
         parent_state = np.array(grown[:W], dtype=np.int64)
         tri = np.tri(T, W, dtype=bool)
-        self._state[1:n] = step[:, parent_state][tri]
-        state, base = self._state[:n], np.zeros(n)
+        self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
+        base = np.zeros(n)
         # the base of (a, b): the base of (a), then the drop at round b
         base[1:] = drop[:, parent_state][tri]
         base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
@@ -460,32 +435,21 @@ class ExpertPoolFpl(_PerturbedLeader):
                 u += 1
             s, w = sizes[t - 1], sizes[u]
             if u == t:
-                score = self._score[:w]
-                self.rng.standard_exponential(out=score)
-                np.subtract(self._k[:w], score, out=score)
-                score *= math.sqrt(t)
                 # the indices are in range: mode="clip" only makes take
                 # write into `out` unbuffered
                 mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
                 loss[:s] += base[:s]
                 # a newborn has its parent's loss
                 loss.take(parent[:w - s], out=loss[s:w], mode="clip")
-                score += loss[:w]
-                chosen[t - 1] = score.argmin()
+                chosen[t - 1] = self._leader(loss[:w], t)
             else:
                 rows = np.arange(t, u + 1)
-                born = np.arange(w) < live[rows, None]
-                score = np.full(born.shape, -np.inf)
-                score[born] = self.rng.standard_exponential(int(live[rows].sum()))
-                np.subtract(self._k[:w], score, out=score)
-                score *= np.sqrt(rows)[:, None]
                 block = mistakes[rows - 1].take(state[:w], axis=1)
                 block += base[:w]
                 # in its birth round, a newborn has its parent's loss
                 r, a = np.nonzero(tri[t - 1:u])
                 block[r, np.arange(s, w)] = block[r, parent[a]]
-                score += block
-                chosen[t - 1:u] = score.argmin(axis=1)
+                chosen[t - 1:u] = self._leaders(block, t, np.arange(w) < live[rows, None])
             t = u + 1
         nth = chosen - live[:-1]        # a newborn's place in its cohort
         then = state[chosen]
@@ -493,12 +457,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         then[new] = parent_state[nth[new]]
         preds = pred[then, ix]
 
-        mistakes[T].take(state, out=loss, mode="clip")
-        loss += base
-        self._loss[:n] = loss
+        self.losses = (mistakes[T][state] + base).astype(np.int64)
         if dim == 2:
             self._growable = np.column_stack((growable, np.arange(T + 1) > 0))
-            self._n_growable = T + 1
         self._extended_for = T
         self._cohort = (sizes[T - 1], n)
         self.mistakes += int((preds != y).sum())

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -121,14 +120,12 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
 # exact checks
 # ---------------------------------------------------------------------------
 
-def check_ldim_minimax_equality(seed: int = 0, random_count: int = 50,
-                                ldim_fn: Optional[Callable] = None) -> CheckResult:
+def check_ldim_minimax_equality(seed: int = 0, random_count: int = 50) -> CheckResult:
     """Game value of the adaptive mistake game equals the dimension, on an
     exhaustive small corpus plus random classes. Zero tolerance."""
-    dim = ldim_fn or ldim
     corpus = small_class_corpus() + random_class_corpus(random_count, seed)
     for cls in corpus:
-        d, g = dim(cls), minimax_mistakes(cls)
+        d, g = ldim(cls), minimax_mistakes(cls)
         if d != g:
             return CheckResult(
                 "ldim-minimax-equality", False,

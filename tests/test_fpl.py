@@ -230,7 +230,7 @@ class TestAgnosticFpl:
 
     def test_meta_uses_component_complexities(self):
         learner = AgnosticFpl(self.family(), 2, seed=0)
-        assert learner.complexities == [meta_complexity(1), meta_complexity(2)]
+        assert learner.complexities.tolist() == [meta_complexity(1), meta_complexity(2)]
         assert [type(e) for e in learner.experts] == [ExpertPoolFpl, ExpertPoolFpl]
 
 

@@ -1,11 +1,12 @@
 """Differential tests: the bitmask version-space kernel against frozenset
 reference copies of the oracles, SOA and the pool engine, and the expert
-pool's capacity arrays against a pool that keeps lists and concatenates.
+pool against a pool that restricts expert by expert.
 
 The references below keep version spaces as frozensets of row ids and
 split them row by row, as the oracles did before the bitmask kernel, and
-grow the expert pool by concatenation, restricting expert by expert, as
-the pool did before its capacity arrays; `ref_verify_witness` scans the
+grow the expert pool by concatenation, restricting expert by expert and
+scoring with `exponential(size=n)`, as the pool did before it restricted
+each distinct cohort state once; `ref_verify_witness` scans the
 rows once per labeling, as `verify_witness` did before it walked each row
 to its leaf. They live here only, as the yardstick the kernel and the pool
 must match exactly.
@@ -423,8 +424,8 @@ def version_spaces(pool):
 # the ids keep naming the per-round rule, the one the pool draws by
 @pytest.mark.parametrize("case", list(POOL_CASES), ids=[f"{c}-per-round" for c in POOL_CASES])
 def test_pool_matches_list_reference(case):
-    # 120 rounds at dim 2 grow the pool to 7,261 experts, through thirteen
-    # capacity doublings; 40 rounds at dim 3 to 10,701
+    # 120 rounds at dim 2 grow the pool to 7,261 experts, and 40 rounds at
+    # dim 3 to 10,701
     comp, rounds, top = POOL_CASES[case]
     pool = ExpertPoolFpl(comp, seed=21)
     ref = RefExpertPool(comp, seed=21)

@@ -26,3 +26,26 @@ def test_one_play_splits_batches():
                 if isinstance(node, ast.ClassDef)
                 and any(isinstance(f, ast.FunctionDef) and f.name == "play" for f in node.body)}
     assert defining == {"learners.py:OnlineLearner"}
+
+
+def test_one_perturbed_leader_scorer():
+    # the perturbed leaders draw their perturbations only in the one scorer,
+    # `_PerturbedLeader._leader` for a round and `_leaders` for a block
+    path = next(path for path in SOURCES if path.name == "fpl.py")
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", getattr(child.func, "id", None))
+                    in ("exponential", "standard_exponential")):
+                sites.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    outside = [site for site in sites
+               if site[0] not in ("_PerturbedLeader._leader", "_PerturbedLeader._leaders")]
+    assert sites and not outside, outside

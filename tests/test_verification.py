@@ -25,13 +25,13 @@ class TestOracles:
 
 
 class TestFaultInjection:
-    def test_corrupted_dimension_is_caught(self):
+    def test_corrupted_dimension_is_caught(self, monkeypatch):
         def corrupted(cls):
             d = ldim(cls)
             return d + 1 if len(cls) == 3 else d
 
-        result = verification.check_ldim_minimax_equality(
-            random_count=5, ldim_fn=corrupted)
+        monkeypatch.setattr(verification, "ldim", corrupted)
+        result = verification.check_ldim_minimax_equality(random_count=5)
         assert not result.passed
         assert "FiniteClass" in result.detail   # counterexample printed
 

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hypotheses import FamilyComponent, ClassFamily, Point
-from .learners import OnlineLearner, ProtocolError, engine_for
+from .learners import OnlineLearner, ProtocolError
+from .littlestone import engine_for
 
 _MASS_SLACK = 1e-9
 

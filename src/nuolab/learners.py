@@ -10,9 +10,9 @@ predict each round once and take the same round step.
 Each learner instance is a single-owner state machine; distinct instances
 may run in parallel games without any shared state.
 
-A version-space learner is an engine (`engine_for`: version spaces of one
-component class interned to state ids), its current state id and a
-restrict policy; the expert pools in `fpl` run the same engines.
+A version-space learner is a `littlestone.engine_for` engine (version
+spaces of one component class interned to state ids), its current state
+id and a restrict policy; the expert pools in `fpl` run the same engines.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
                          Hypothesis, Point, SingletonClass, ClassFamily, is_label)
-from .littlestone import VersionSpace, _workspace, soa_prediction, split
+from .littlestone import engine_for
 
 
 class ProtocolError(RuntimeError):
@@ -143,111 +143,6 @@ class ConstantLearner(OnlineLearner):
         return [self.value] * len(ys)
 
 
-class _InternedStates:
-    """Version spaces interned to ids in order of first appearance."""
-
-    def __init__(self, root):
-        self.states = [root]
-        self.index = {root: 0}
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def _intern(self, state) -> int:
-        sid = self.index.get(state)
-        if sid is None:
-            sid = self.index[state] = len(self.states)
-            self.states.append(state)
-        return sid
-
-
-class _FiniteClassEngine(_InternedStates):
-    """States are row masks, split by the class's cached column masks."""
-
-    def __init__(self, cls: FiniteClass):
-        super().__init__((1 << len(cls)) - 1)
-        self.root = cls
-        self._colmasks = _workspace(cls).colmasks
-        self._pred: dict[tuple[int, Point], int] = {}
-
-    def predict(self, sid: int, x: Point) -> int:
-        key = (sid, x)
-        p = self._pred.get(key)
-        if p is None:
-            p = soa_prediction(VersionSpace(self.root, self.states[sid]), x)
-            self._pred[key] = p
-        return p
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        keep = split(self.states[sid], self._colmasks[self.root.point_index(x)])[y]
-        return self._intern(keep) if keep else None
-
-
-class _SupportEngine(_InternedStates):
-    """States are (forced-one set, forced-zero set) pairs, the only shape a
-    bounded-support version space takes. Its dimension is min(remaining
-    budget, free points) in closed form, so no matrix is materialized."""
-
-    def __init__(self, cls: FiniteSupportClass):
-        super().__init__((frozenset(), frozenset()))
-        self.cls = cls
-
-    def predict(self, sid: int, x: Point) -> int:
-        """Larger-dimension label, with the tie rules of `soa_prediction`."""
-        if x not in self.cls.domain:
-            raise DomainError(f"point {x!r} not in class domain")
-        ones, zeros = self.states[sid]
-        if x in ones:
-            return 1
-        if x in zeros:
-            return 0
-        budget = self.cls.budget - len(ones)
-        if budget <= 0:
-            return 0
-        free = len(self.cls.domain) - len(ones) - len(zeros)
-        dim_one = min(budget - 1, free - 1)
-        dim_zero = min(budget, free - 1)
-        return 1 if dim_one > dim_zero else 0
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        ones, zeros = self.states[sid]
-        if x in ones:
-            return sid if y == 1 else None
-        if x in zeros:
-            return sid if y == 0 else None
-        if y == 1:
-            if len(ones) >= self.cls.budget:
-                return None
-            return self._intern((ones | {x}, zeros))
-        return self._intern((ones, zeros | {x}))
-
-
-class _SingletonEngine:
-    n_states = 1
-
-    def __init__(self, cls: SingletonClass):
-        self.h = cls.hypothesis
-
-    def predict(self, sid: int, x: Point) -> int:
-        return self.h(x)
-
-    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
-        return sid if self.h(x) == y else None
-
-
-def engine_for(cls: FiniteClass | FiniteSupportClass | SingletonClass):
-    """A fresh version-space engine for a component class, whose state 0 is
-    the full class."""
-    if isinstance(cls, FiniteClass):
-        return _FiniteClassEngine(cls)
-    if isinstance(cls, FiniteSupportClass):
-        return _SupportEngine(cls)
-    if isinstance(cls, SingletonClass):
-        return _SingletonEngine(cls)
-    raise TypeError(f"no version-space engine for class type {type(cls).__name__}")
-
-
 class SoaLearner(OnlineLearner):
     """Version-space learner predicting the label whose restriction keeps
     the larger dimension (ties to 0), on any component class kind.
@@ -257,7 +152,9 @@ class SoaLearner(OnlineLearner):
     decides what an update that would empty the space does: "error" raises
     (the realizable contract), "freeze" keeps the space unchanged, which
     keeps the learner total on arbitrary feeds. `play` replays a batch in
-    one loop (`_replay`) under every policy, unless the class is empty.
+    one loop (`_replay`) under every policy, unless the class is empty. A
+    finite class beyond the caps of `littlestone.ldim` raises
+    `CapacityError` here.
     """
 
     def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass, *,
@@ -270,12 +167,6 @@ class SoaLearner(OnlineLearner):
         self.sid: Optional[int] = None if isinstance(cls, FiniteClass) and cls.is_empty else 0
         self.always_restrict = always_restrict
         self.on_empty = on_empty
-
-    @property
-    def space(self) -> VersionSpace:
-        """The current version space of a `FiniteClass` learner (an empty
-        class's state 0 is the empty mask)."""
-        return VersionSpace(self.engine.root, self.engine.states[self.sid or 0])
 
     def predict(self, x: Point) -> int:
         if self.sid is None:

@@ -1,9 +1,13 @@
-"""Exact Littlestone dimension, shattered-tree witnesses, and the minimax
-mistake-game oracle for finite explicit classes.
+"""Exact Littlestone dimension, shattered-tree witnesses, the minimax
+mistake-game oracle, and the version-space kernel, for finite explicit
+classes.
 
 A version space is an int bitmask over row ids: bit i is set iff row i
 (by position in `rows`) survives, so the lowest set bit is the smallest
-surviving id. Every restriction is one `split` by a column mask.
+surviving id. Every restriction is one `split` by a column mask; no other
+module reads the masks. `VersionSpace(cls)`, the kernel that learners and
+expert pools run, interns them to state ids and gives `predict` (the SOA
+rule of `soa_prediction`), `restrict` and `ldim` of a state.
 
 The dimension recursion and the game-tree oracle are two independent code
 paths with separate memo tables; their agreement on finite classes is one
@@ -20,7 +24,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hypotheses import DomainError, FiniteClass, Point
+from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass, Point,
+                         SingletonClass)
 
 
 class StructureError(ValueError):
@@ -101,64 +106,137 @@ def _workspace(root: FiniteClass) -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# version spaces
+# the version-space kernel: version spaces of one component class interned
+# to state ids, state 0 the full class
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VersionSpace:
-    """The surviving rows of a root class under (point, label) constraints.
-    `mask` has bit i set iff row i of `root.rows` survives, so its lowest
-    set bit is the smallest surviving id; `ids` is the same set as a
-    frozenset. Cheap to fork; dimension queries share the root's memo."""
-
-    root: FiniteClass
-    mask: int
-
-    @classmethod
-    def full(cls, root: FiniteClass) -> "VersionSpace":
-        return cls(root, (1 << len(root)) - 1)
-
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(i for i, b in enumerate(format(self.mask, "b")[::-1]) if b == "1")
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.mask
-
-    def labels(self) -> list:
-        return [self.root.labels[i] for i in sorted(self.ids)]
-
-    def restrict(self, x: Point, y: int) -> "VersionSpace":
-        if y not in (0, 1):
-            raise DomainError(f"label must be 0 or 1, got {y!r}")
-        colmask = _workspace(self.root).colmasks[self.root.point_index(x)]
-        keep = split(self.mask, colmask)[y]
-        return VersionSpace(self.root, keep)
-
-    def ldim(self) -> int:
-        return _workspace(self.root).ldim(self.mask)
-
-
-def soa_prediction(vs: VersionSpace, x: Point) -> int:
-    """The label whose restriction has the larger dimension.
+def soa_prediction(ws: _Workspace, ids: int, col: int) -> int:
+    """The label whose restriction of the rows `ids` at column `col` has
+    the larger dimension.
 
     Ties go to 0; a label with an empty restriction is never chosen while
     the other is non-empty. Empty version spaces have no prediction.
     """
-    if vs.is_empty:
+    if not ids:
         raise DomainError("no prediction from an empty version space")
-    ws = _workspace(vs.root)
-    zeros, ones = split(vs.mask, ws.colmasks[vs.root.point_index(x)])
+    zeros, ones = split(ids, ws.colmasks[col])
     if not ones:
         return 0
     if not zeros:
         return 1
     return 1 if ws.ldim(ones) > ws.ldim(zeros) else 0
+
+
+class _InternedStates:
+    """Version spaces interned to ids in order of first appearance."""
+
+    def __init__(self, root):
+        self.states = [root]
+        self.index = {root: 0}
+
+    @property
+    def n_states(self) -> int:
+        return len(self.states)
+
+    def _intern(self, state) -> int:
+        sid = self.index.get(state)
+        if sid is None:
+            sid = self.index[state] = len(self.states)
+            self.states.append(state)
+        return sid
+
+
+class VersionSpace(_InternedStates):
+    """The version spaces of a finite class. States are row masks, split by
+    the class's cached column masks; `restrict` gives None for an empty
+    restriction. Beyond the caps of `ldim` this raises `CapacityError`
+    before any state exists."""
+
+    def __init__(self, cls: FiniteClass):
+        _check_dimension_caps(cls)
+        super().__init__((1 << len(cls)) - 1)
+        self.root = cls
+        self._ws = _workspace(cls)
+        self._pred: dict[tuple[int, Point], int] = {}
+
+    def predict(self, sid: int, x: Point) -> int:
+        key = (sid, x)
+        p = self._pred.get(key)
+        if p is None:
+            p = self._pred[key] = soa_prediction(self._ws, self.states[sid],
+                                                 self.root.point_index(x))
+        return p
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        keep = split(self.states[sid], self._ws.colmasks[self.root.point_index(x)])[y]
+        return self._intern(keep) if keep else None
+
+    def ldim(self, sid: int) -> int:
+        return self._ws.ldim(self.states[sid])
+
+
+class _SupportEngine(_InternedStates):
+    """States are (forced-one set, forced-zero set) pairs, the only shape a
+    bounded-support version space takes. Its dimension is min(remaining
+    budget, free points) in closed form, so no matrix is materialized."""
+
+    def __init__(self, cls: FiniteSupportClass):
+        super().__init__((frozenset(), frozenset()))
+        self.cls = cls
+
+    def predict(self, sid: int, x: Point) -> int:
+        """Larger-dimension label, with the tie rules of `soa_prediction`."""
+        if x not in self.cls.domain:
+            raise DomainError(f"point {x!r} not in class domain")
+        ones, zeros = self.states[sid]
+        if x in ones:
+            return 1
+        if x in zeros:
+            return 0
+        budget = self.cls.budget - len(ones)
+        if budget <= 0:
+            return 0
+        free = len(self.cls.domain) - len(ones) - len(zeros)
+        dim_one = min(budget - 1, free - 1)
+        dim_zero = min(budget, free - 1)
+        return 1 if dim_one > dim_zero else 0
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        ones, zeros = self.states[sid]
+        if x in ones:
+            return sid if y == 1 else None
+        if x in zeros:
+            return sid if y == 0 else None
+        if y == 1:
+            if len(ones) >= self.cls.budget:
+                return None
+            return self._intern((ones | {x}, zeros))
+        return self._intern((ones, zeros | {x}))
+
+
+class _SingletonEngine:
+    n_states = 1
+
+    def __init__(self, cls: SingletonClass):
+        self.h = cls.hypothesis
+
+    def predict(self, sid: int, x: Point) -> int:
+        return self.h(x)
+
+    def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        return sid if self.h(x) == y else None
+
+
+def engine_for(cls: FiniteClass | FiniteSupportClass | SingletonClass):
+    """A fresh version-space engine for a component class, whose state 0 is
+    the full class: `VersionSpace`, or a closed form for the other kinds."""
+    if isinstance(cls, FiniteClass):
+        return VersionSpace(cls)
+    if isinstance(cls, FiniteSupportClass):
+        return _SupportEngine(cls)
+    if isinstance(cls, SingletonClass):
+        return _SingletonEngine(cls)
+    raise TypeError(f"no version-space engine for class type {type(cls).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +272,7 @@ def ldim(cls: FiniteClass) -> int:
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
     _check_dimension_caps(cls)
-    return VersionSpace.full(cls).ldim()
+    return _workspace(cls).ldim((1 << len(cls)) - 1)
 
 
 def path_node_indices(labeling: Sequence[int]) -> list[int]:

@@ -28,10 +28,6 @@ class GameRound(NamedTuple):
     y: int
     predicted: int
 
-    @property
-    def mistake(self) -> bool:
-        return self.y != self.predicted
-
 
 @dataclass
 class GameTrace:
@@ -167,20 +163,17 @@ def regret(trace: GameTrace, comparison) -> int:
 def trace_to_csv(trace: GameTrace, comparison=None) -> str:
     """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival."""
     lines = ["t,x,y,yhat,mistake,cum_mistakes,cum_best_rival"]
-    rounds = trace.rounds
-    rival_cum: list[str] = [""] * len(rounds)
-    if comparison is not None and rounds:
+    rival_cum: list[str] = [""] * len(trace)
+    if comparison is not None and len(trace):
         hs = comparison_hypotheses(comparison, trace.xs)
         per_h = [0] * len(hs)
-        for i, r in enumerate(rounds):
+        for i, (x, y) in enumerate(zip(trace.xs, trace.ys)):
             for j, h in enumerate(hs):
-                per_h[j] += h(r.x) != r.y
+                per_h[j] += h(x) != y
             rival_cum[i] = str(min(per_h))
-    acc = 0
-    for i, r in enumerate(rounds):
-        acc += r.mistake
-        lines.append(f"{r.t},{format_point(r.x)},{r.y},{r.predicted},"
-                     f"{int(r.mistake)},{acc},{rival_cum[i]}")
+    columns = zip(trace.xs, trace.ys, trace.predicted, trace.cumulative_mistakes(), rival_cum)
+    for t, (x, y, p, cum, rival) in enumerate(columns, 1):
+        lines.append(f"{t},{format_point(x)},{y},{p},{int(y != p)},{cum},{rival}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import fpl, learners, nature, runner
 from .hypotheses import (DiscreteMeasure, ExplicitListFamily, FiniteClass,
                          FiniteSupportFamily, support_hypothesis)
-from .littlestone import column_masks, ldim, minimax_mistakes, split
+from .littlestone import VersionSpace, ldim, minimax_mistakes
 
 
 @dataclass
@@ -81,39 +81,33 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
     """Exhaustive enumeration of adversary strategies against the
     mistake-update version-space learner: the adversary picks any point
     and any label consistent with some hypothesis given the full history;
-    returns the worst-case total mistakes."""
-    colmasks = column_masks(cls)
-    engine = learners.engine_for(cls)   # the learner's side, as state ids
+    returns the worst-case total mistakes. The full history's space and
+    the learner's, restricted only on its mistakes, share one kernel."""
+    kernel = VersionSpace(cls)
     memo: dict[tuple[int, int], int] = {}
 
-    def rec(full_ids: int, sid: int) -> int:
-        key = (full_ids, sid)
+    def rec(full: int, sid: int) -> int:
+        key = (full, sid)
         cached = memo.get(key)
         if cached is not None:
             return cached
         best = 0
-        for x, colmask in zip(cls.domain, colmasks):
-            full_split = split(full_ids, colmask)
+        for x in cls.domain:
             for y in (0, 1):
-                nf = full_split[y]
-                if not nf:
+                nf = kernel.restrict(full, x, y)
+                if nf is None:
                     continue
-                mistake = engine.predict(sid, x) != y
-                if mistake:
-                    # the learner's space contains the full history's, so
-                    # restricting to a label that keeps nf is never empty
-                    ns = engine.restrict(sid, x, y)
-                else:
-                    ns = sid
-                    if nf == full_ids:
-                        continue    # nothing changed and nothing gained
-                cand = int(mistake) + rec(nf, ns)
-                if cand > best:
-                    best = cand
+                mistake = kernel.predict(sid, x) != y
+                if not mistake and nf == full:
+                    continue    # nothing changed and nothing gained
+                # the learner's space contains the full history's, so
+                # restricting to a label that keeps nf is never empty
+                ns = kernel.restrict(sid, x, y) if mistake else sid
+                best = max(best, mistake + rec(nf, ns))
         memo[key] = best
         return best
 
-    return rec((1 << len(cls)) - 1, 0)
+    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------

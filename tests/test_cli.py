@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nuolab import cli
+from nuolab.hypotheses import FiniteClass
 
 COIN = json.dumps({"nature": "coin-flip"})
 CONSTANT = json.dumps({"learner": "constant"})
@@ -42,6 +43,19 @@ def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
     assert err.startswith("nuolab play: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_play_refuses_a_class_beyond_the_caps(capsys, tmp_path):
+    # a class too deep for the dimension recursion is refused when the
+    # learner is built, not by a RecursionError in round 1
+    cls = FiniteClass.thresholds(tuple(range(1, 1501)), range(1, 1502))
+    spec = tmp_path / "learner.json"
+    spec.write_text(json.dumps({"learner": "soa", "class": cls.to_config()}))
+    nature = json.dumps({"nature": "scripted", "x": [1], "y": [1]})
+    code, out, err = run(capsys, "play", "--learner", str(spec), "--nature", nature, "-T", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("nuolab play: error: instance 1501 rows x 1500 points exceeds caps")
     assert err.count("\n") == 1
 
 

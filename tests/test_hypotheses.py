@@ -16,6 +16,11 @@ from nuolab.hypotheses import (MATERIALIZE_MAX_ROWS, DiscreteMeasure, DomainErro
 from nuolab.littlestone import VersionSpace, ldim
 
 
+def mask_ids(mask):
+    """The row ids a version-space state keeps, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @st.composite
 def finite_classes(st_draw, max_points=4, max_rows=10):
     m = st_draw(st.integers(1, max_points))
@@ -140,33 +145,39 @@ class TestFiniteClass:
         with pytest.raises(DomainError, match=f"row values must be 0 or 1, got {value!r}"):
             FiniteClass.from_config(spec)
 
-    # restriction lives on the version space; ids and labels are the root's
+    # restriction lives on the version-space kernel, whose states are row
+    # masks of the root: bit i set iff row i survives
     def test_restrict_full_class(self):
         cls = FiniteClass.full_class(("a", "b"))
-        sub = VersionSpace.full(cls).restrict("a", 0)
-        assert sorted(cls.rows[i] for i in sub.ids) == [(0, 0), (0, 1)]
+        vs = VersionSpace(cls)
+        sub = vs.states[vs.restrict(0, "a", 0)]
+        assert sorted(cls.rows[i] for i in mask_ids(sub)) == [(0, 0), (0, 1)]
 
     def test_restrict_contradiction_is_empty(self):
         cls = FiniteClass.full_class(("a", "b"))
-        assert VersionSpace.full(cls).restrict("a", 0).restrict("a", 1).is_empty
+        vs = VersionSpace(cls)
+        assert vs.restrict(vs.restrict(0, "a", 0), "a", 1) is None
 
     def test_restrict_thresholds(self):
         # cuts 1..4 over {1,2,3}: h_k(2) = 1 iff k <= 2, so exactly thr-1, thr-2
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4))
-        sub = VersionSpace.full(cls).restrict(2, 1)
-        assert sub.labels() == ["thr-1", "thr-2"]
+        vs = VersionSpace(cls)
+        sub = vs.states[vs.restrict(0, 2, 1)]
+        assert [cls.labels[i] for i in mask_ids(sub)] == ["thr-1", "thr-2"]
 
     def test_restrict_unknown_point(self):
         cls = FiniteClass.full_class(("a",))
         with pytest.raises(DomainError):
-            VersionSpace.full(cls).restrict("z", 0)
+            VersionSpace(cls).restrict(0, "z", 0)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_classes(), st.integers(0, 3))
     def test_restriction_partitions(self, cls, pi):
         x = cls.domain[pi % len(cls.domain)]
-        vs = VersionSpace.full(cls)
-        assert vs.restrict(x, 0).size + vs.restrict(x, 1).size == len(cls)
+        vs = VersionSpace(cls)
+        sizes = [len(mask_ids(vs.states[sid])) if sid is not None else 0
+                 for sid in (vs.restrict(0, x, 0), vs.restrict(0, x, 1))]
+        assert sum(sizes) == len(cls)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_classes(), st.integers(0, 3), st.integers(0, 3),
@@ -174,10 +185,14 @@ class TestFiniteClass:
     def test_restriction_commutes(self, cls, pi, pj, y1, y2):
         a = cls.domain[pi % len(cls.domain)]
         b = cls.domain[pj % len(cls.domain)]
-        vs = VersionSpace.full(cls)
-        one = vs.restrict(a, y1).restrict(b, y2)
-        two = vs.restrict(b, y2).restrict(a, y1)
-        assert set(one.labels()) == set(two.labels())
+        vs = VersionSpace(cls)
+
+        def both(first, second):
+            sid = vs.restrict(0, *first)
+            return None if sid is None else vs.restrict(sid, *second)
+
+        # interned states: the same surviving rows get the same id
+        assert both((a, y1), (b, y2)) == both((b, y2), (a, y1))
 
     def test_config_round_trip(self):
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2))

@@ -22,10 +22,10 @@ from hypothesis import given, settings, strategies as st
 from nuolab.fpl import ExpertPoolFpl, pool_complexity
 from nuolab.hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
                                SingletonClass, threshold_hypothesis)
-from nuolab.learners import OnlineLearner, engine_for
+from nuolab.learners import OnlineLearner
 from nuolab import littlestone
-from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, ldim,
-                                minimax_mistakes, path_node_indices,
+from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, engine_for,
+                                ldim, minimax_mistakes, path_node_indices,
                                 shattered_tree_witness, soa_prediction,
                                 verify_witness)
 from nuolab.verification import max_adaptive_soa_mistakes
@@ -69,6 +69,11 @@ class RefWorkspace:
 
 def full_ids(cls):
     return frozenset(range(len(cls)))
+
+
+def mask_ids(mask):
+    """The row ids of a kernel state, bit i set iff row i survives."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def ref_ldim(cls):
@@ -352,20 +357,20 @@ def test_oracles_match_reference_up_to_minimax_cap(cls):
 @given(finite_classes(), st.randoms(use_true_random=False))
 def test_restricts_down_to_one_row_match_reference(cls, rnd):
     ws = RefWorkspace(cls)
-    vs, ids = VersionSpace.full(cls), full_ids(cls)
+    vs, sid, ids = VersionSpace(cls), 0, full_ids(cls)
     target = cls.rows[rnd.randrange(len(cls))]
     cols = list(range(len(cls.domain)))
     rnd.shuffle(cols)
     for col in cols + cols[:1]:
-        assert vs.ids == ids and vs.size == len(ids)
-        assert vs.labels() == [cls.labels[i] for i in sorted(ids)]
-        assert vs.ldim() == ws.ldim(ids)
+        assert mask_ids(vs.states[sid]) == ids
+        assert vs.ldim(sid) == ws.ldim(ids)
         for c, x in enumerate(cls.domain):
-            assert soa_prediction(vs, x) == ws.soa_prediction(ids, c)
+            assert vs.predict(sid, x) == ws.soa_prediction(ids, c)
+            assert soa_prediction(littlestone._workspace(cls), vs.states[sid], c) == ws.soa_prediction(ids, c)
         y = target[col]
-        vs = vs.restrict(cls.domain[col], y)
+        sid = vs.restrict(sid, cls.domain[col], y)
         ids = frozenset(i for i in ids if cls.rows[i][col] == y)
-    assert vs.ids == ids and len(ids) == 1
+    assert mask_ids(vs.states[sid]) == ids and len(ids) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,7 +397,7 @@ def test_pool_game_matches_reference_engine():
             pool.update(x, rng.getrandbits(1))
             states = [pool.engine.states[s] for s in pool.state]
             if not reference:
-                states = [VersionSpace(cls, s).ids for s in states]
+                states = [mask_ids(s) for s in states]
             out.append((yhat, states, pool.losses.copy()))
         return out, pool.engine.n_states
 

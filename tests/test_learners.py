@@ -14,8 +14,14 @@ from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
                              CoverSpec, ExpertLearner, FollowHypothesisLearner,
                              NaturalThresholdLearner, ProtocolError, SoaLearner,
                              TruncatedThresholdSoa)
-from nuolab.littlestone import ldim
+from nuolab.littlestone import CapacityError, ldim
 from nuolab.nature import TreeAdversary
+
+
+def surviving_labels(learner):
+    """The labels of the rows in a finite-class learner's version space."""
+    mask = learner.engine.states[learner.sid]
+    return [label for i, label in enumerate(learner.engine.root.labels) if mask >> i & 1]
 
 
 def run_stream(learner, pairs):
@@ -55,11 +61,11 @@ class TestSoa:
         for _ in range(10):
             x = adversary.next_point()
             p = learner.predict(x)
-            before = learner.space.ldim()
+            before = learner.engine.ldim(learner.sid)
             y = adversary.reveal_label(x, p)
             learner.update(x, y)
             if p != y:
-                assert learner.space.ldim() < before
+                assert learner.engine.ldim(learner.sid) < before
 
     def test_empty_class_raises_at_round_one(self):
         learner = SoaLearner(FiniteClass(("a",), []))
@@ -88,10 +94,16 @@ class TestSoa:
         eager = SoaLearner(cls, always_restrict=True)
         run_stream(eager, [(3, 1), (1, 0)])
         # correct rounds restricted too: only thr-2 and thr-3 survive
-        assert set(eager.space.labels()) == {"thr-2", "thr-3"}
+        assert surviving_labels(eager) == ["thr-2", "thr-3"]
         lazy = SoaLearner(cls)
         run_stream(lazy, [(3, 1), (1, 0)])
-        assert lazy.space.size > eager.space.size
+        assert len(surviving_labels(lazy)) > len(surviving_labels(eager))
+
+    def test_class_beyond_the_caps_is_refused(self):
+        # a deep recursion would otherwise fail at the first prediction
+        cls = FiniteClass.thresholds(tuple(range(1, 1501)), range(1, 1502))
+        with pytest.raises(CapacityError, match="exceeds caps"):
+            SoaLearner(cls)
 
 
 @st.composite
@@ -114,7 +126,7 @@ class TestExpert:
         root_preds = [root.predict(x) for x in ("a", "b")]
         preds = run_stream(expert, [("a", 1), ("b", 1), ("a", 0), ("b", 0)])
         assert preds == [root_preds[0], root_preds[1], root_preds[0], root_preds[1]]
-        assert expert.space.size == len(cls)
+        assert surviving_labels(expert) == list(cls.labels)
 
     def test_key_validation(self):
         cls = FiniteClass.full_class(("a",))

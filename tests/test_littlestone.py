@@ -61,9 +61,10 @@ class TestLdim:
     def test_restriction_monotone_and_progresses(self, cls, pi):
         x = cls.domain[pi % len(cls.domain)]
         d = ldim(cls)
-        vs = VersionSpace.full(cls)
-        zeros, ones = vs.restrict(x, 0), vs.restrict(x, 1)
-        dims = [sub.ldim() for sub in (zeros, ones) if not sub.is_empty]
+        vs = VersionSpace(cls)
+        assert vs.ldim(0) == d
+        subs = [vs.restrict(0, x, 0), vs.restrict(0, x, 1)]
+        dims = [vs.ldim(sid) for sid in subs if sid is not None]
         assert all(v <= d for v in dims)
         if d >= 1 and len(dims) == 2:
             assert min(dims) <= d - 1
@@ -153,11 +154,13 @@ def _singletons(n):
                        [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)])
 
 
-@pytest.mark.parametrize("oracle", [ldim, lambda cls: shattered_tree_witness(cls, 1)],
-                         ids=["ldim", "witness"])
+@pytest.mark.parametrize("oracle", [ldim, lambda cls: shattered_tree_witness(cls, 1),
+                                    lambda cls: VersionSpace(cls).ldim(0) >= 0],
+                         ids=["ldim", "witness", "kernel"])
 def test_dimension_oracles_cap_rows_and_depth(oracle):
     # a class at the caps is answered; one just over them is refused before
-    # any recursion, so it never gets a dimension memo
+    # any recursion, so it never gets a dimension memo (the version-space
+    # kernel refuses it at construction)
     wide = littlestone.MAX_DEPTH + 1  # 2 rows: one level deep on any number of points
     at_caps = [_singletons(littlestone.MAX_DEPTH),
                FiniteClass.full_class(tuple(range(10))),
@@ -176,14 +179,12 @@ def test_dimension_oracles_cap_rows_and_depth(oracle):
 class TestVersionSpace:
     def test_restrict_and_labels(self):
         cls = FiniteClass.full_class(("a", "b"))
-        vs = VersionSpace.full(cls).restrict("a", 1)
-        assert vs.size == 2 and vs.labels() == [2, 3]
-
-    def test_restrict_rejects_non_binary_label(self):
-        vs = VersionSpace.full(FiniteClass.full_class(("a", "b")))
-        for y in (-1, 2):
-            with pytest.raises(DomainError):
-                vs.restrict("a", y)
+        vs = VersionSpace(cls)
+        sid = vs.restrict(0, "a", 1)
+        assert vs.n_states == 2 and vs.states[sid] == 0b1100
+        assert [cls.labels[i] for i in range(len(cls)) if vs.states[sid] >> i & 1] == [2, 3]
+        # interned: the same restriction gives the same state
+        assert vs.restrict(0, "a", 1) == sid and vs.n_states == 2
 
     def test_workspace_freed_with_its_class(self):
         gc.collect()
@@ -197,7 +198,9 @@ class TestVersionSpace:
 
     def test_cached_dim_matches_recomputation(self):
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4))
-        vs = VersionSpace.full(cls).restrict(2, 1)
-        d = vs.ldim()
-        rebuilt = FiniteClass((1, 2, 3), [cls.rows[i] for i in sorted(vs.ids)])
+        vs = VersionSpace(cls)
+        sid = vs.restrict(0, 2, 1)
+        d = vs.ldim(sid)
+        rebuilt = FiniteClass((1, 2, 3), [row for i, row in enumerate(cls.rows)
+                                          if vs.states[sid] >> i & 1])
         assert d == ldim(rebuilt)

@@ -65,10 +65,10 @@ class TestGameTrace:
         rounds = [GameRound(t, trace.xs[t - 1], trace.ys[t - 1], trace.predicted[t - 1])
                   for t in range(1, len(trace.ys) + 1)]
         assert trace.rounds == rounds and len(trace) == len(rounds)
-        assert trace.mistakes == sum(r.mistake for r in rounds)
+        assert trace.mistakes == sum(r.y != r.predicted for r in rounds)
         acc, cumulative = 0, []
         for r in rounds:
-            acc += r.mistake
+            acc += r.y != r.predicted
             cumulative.append(acc)
         assert trace.cumulative_mistakes() == cumulative
         assert all(type(v) is int for v in [trace.mistakes, *cumulative])

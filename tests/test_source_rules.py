@@ -49,3 +49,17 @@ def test_one_perturbed_leader_scorer():
     outside = [site for site in sites
                if site[0] not in ("_PerturbedLeader._leader", "_PerturbedLeader._leaders")]
     assert sites and not outside, outside
+
+
+def test_minimax_oracle_stays_independent():
+    # the game-tree oracle and the dimension recursion check each other, so
+    # `minimax_mistakes` reaches neither the recursion nor the version-space
+    # kernel built on it, not even from its inner function
+    path = next(path for path in SOURCES if path.name == "littlestone.py")
+    oracle = next(node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.FunctionDef) and node.name == "minimax_mistakes")
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(oracle) if isinstance(node, (ast.Name, ast.Attribute))}
+    forbidden = {"_Workspace", "ldim", "_workspace", "soa_prediction", "VersionSpace",
+                 "engine_for"}
+    assert {"column_masks", "split"} <= names and not names & forbidden, names & forbidden

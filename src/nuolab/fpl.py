@@ -10,10 +10,25 @@ smallest index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each
 round keeps the regret bound against natures that adapt to past choices.
 One scorer applies the rule, `_PerturbedLeader._leader` for a round and
 `_leaders` for a block of rounds; every leader here scores through it.
+
+The scorer draws each round's perturbations as it scores, except in a
+large expert-pool replay, where a worker thread draws them ahead on a
+second CPU (`_PerturbedLeader._drawn_ahead`). Either way they come from
+the learner's one generator in round order, and n values drawn in pieces
+equal, value for value, n values drawn at once and leave the generator in
+the same state, so the stream is that of one Exponential(1) vector a
+round.
 """
 from __future__ import annotations
 
+import bisect
+import contextlib
+import itertools
 import math
+import operator
+import os
+import queue
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +42,14 @@ _MASS_SLACK = 1e-9
 
 class ConfigurationError(ValueError):
     """An expert registration that breaks the complexity-mass budget."""
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +110,17 @@ class _PerturbedLeader(OnlineLearner):
     and feeds the experts in `_feed`. The choice is made once per round,
     keyed on the round index, so every `predict` of a round and its
     `update` see the same choice.
+
+    The scorer draws its perturbations from `rng`, unless a replay passes
+    in the ones `_drawn_ahead` drew for it on a worker thread: a replay
+    knows its draw schedule before it scores, and one stream filled chunk
+    by chunk in order holds the values, and leaves `rng` in the state, of
+    the round-by-round draws.
     """
 
     deterministic = False
+    _AHEAD = 2 ** 18    # draws a replay needs before a worker draws them ahead
+    _CHUNK = 2 ** 15    # values in each of the worker's buffers
 
     def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
         super().__init__()
@@ -101,43 +132,114 @@ class _PerturbedLeader(OnlineLearner):
     def _register(self, count: int, complexity: float) -> None:
         """Charge `count` new experts of one complexity to the mass budget."""
         self._mass += count * math.exp(-complexity)
-        if self._mass > 1.0 + _MASS_SLACK:
-            raise ConfigurationError(
-                f"complexity mass {self._mass:.6f} exceeds 1 at round {self.t}")
+        self._check_mass(self.t)
         self._size += count
 
-    def _leader(self, loss, t: int) -> int:
+    def _check_mass(self, t: int) -> None:
+        if self._mass > 1.0 + _MASS_SLACK:
+            raise ConfigurationError(
+                f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
+
+    def _leader(self, loss, t: int, q: Optional[np.ndarray] = None) -> int:
         """The leader of round t among the first len(loss) experts: the
         argmin of loss + (k - q) * sqrt(t), ties to the smallest index.
 
-        This and `_leaders` are the only places that draw perturbations.
-        `standard_exponential(n)` gives the values `exponential(size=n)`
-        gives, so the stream is that of one Exponential(1) vector a round.
+        This and `_leaders` draw the perturbations q, unless a replay had
+        them drawn ahead (`_drawn_ahead`) and passes them in, to be
+        overwritten. `standard_exponential(n)` gives the values
+        `exponential(size=n)` gives, so the stream is that of one
+        Exponential(1) vector a round.
         """
-        score = self.rng.standard_exponential(len(loss))
+        score = self.rng.standard_exponential(len(loss)) if q is None else q
         np.subtract(self.complexities[:len(score)], score, out=score)
         score *= math.sqrt(t)
         score += loss
         return int(score.argmin())
 
-    def _leaders(self, losses: np.ndarray, t: int,
-                 born: Optional[np.ndarray] = None) -> np.ndarray:
+    def _leaders(self, losses: np.ndarray, t: int, born: Optional[np.ndarray] = None,
+                 q: Optional[np.ndarray] = None) -> np.ndarray:
         """The leaders of rounds t, t + 1, ... for a (rounds x experts)
         block of losses, scored row by row as `_leader` scores a round.
 
         The block's draws are the values of one draw per round, in order;
         where the mask `born` is given, an expert not yet born draws -inf,
-        so it scores +inf and takes no draw.
+        so it scores +inf and takes no draw, and the born experts' draws
+        may be passed in as q.
         """
         if born is None:
             score = self.rng.standard_exponential(losses.shape)
         else:
             score = np.full(losses.shape, -np.inf)
-            score[born] = self.rng.standard_exponential(int(born.sum()))
+            score[born] = self.rng.standard_exponential(int(born.sum())) if q is None else q
         np.subtract(self.complexities[:losses.shape[1]], score, out=score)
         score *= np.sqrt(np.arange(t, t + len(losses), dtype=float))[:, None]
         score += losses
         return score.argmin(axis=1)
+
+    @contextlib.contextmanager
+    def _drawn_ahead(self, total: int):
+        """Yield `take`: take(n) gives the next n of the `total`
+        perturbations the scorer is about to use, or None where the scorer
+        draws them itself.
+
+        Past `_AHEAD` draws, on a process allowed more than one CPU, a
+        worker thread draws them ahead into a ring of three buffers of
+        `_CHUNK` values while the caller scores, since NumPy releases the
+        GIL while it fills a buffer. A taken array stays valid until the
+        next take: a buffer goes back to the worker only once all its
+        values are taken. The worker is joined before this returns or
+        raises.
+        """
+        if total <= self._AHEAD or _cpus() < 2:
+            yield lambda n: None
+            return
+        rng, size = self.rng, self._CHUNK
+        free, full = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(3):
+            free.put(np.empty(size))
+
+        def fill():
+            try:
+                for start in range(0, total, size):
+                    buf = free.get()
+                    if buf is None:         # the caller stopped early
+                        return
+                    buf = buf[:total - start]
+                    rng.standard_exponential(out=buf)
+                    full.put(buf)
+            except BaseException as exc:
+                # raised again by take, which would otherwise wait forever
+                full.put(exc)
+
+        chunk, pos = np.empty(0), 0     # the buffer being taken from
+
+        def take(n: int) -> np.ndarray:
+            nonlocal chunk, pos
+            if pos + n <= len(chunk):
+                pos += n
+                return chunk[pos - n:pos]
+            out = np.empty(n)
+            got = 0
+            while got < n:
+                if pos == len(chunk):
+                    if len(chunk):
+                        free.put(chunk)
+                    chunk, pos = full.get(), 0
+                    if isinstance(chunk, BaseException):
+                        raise chunk
+                step = min(n - got, len(chunk) - pos)
+                out[got:got + step] = chunk[pos:pos + step]
+                got += step
+                pos += step
+            return out
+
+        worker = threading.Thread(target=fill, name="perturbations")
+        worker.start()
+        try:
+            yield take
+        finally:
+            free.put(None)
+            worker.join()
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -381,77 +483,90 @@ class ExpertPoolFpl(_PerturbedLeader):
         # cohort sizes, the growable experts before each round
         counts = np.arange(T) * (dim == 2) + (dim > 0)
         ks = [pool_complexity(dim, t) for t in range(1, T + 1)]
-        for count, k in zip(counts.tolist(), ks):
-            self._register(count, k)
+        # the cohorts' charges as `_register` makes them round by round, in
+        # one pass; the masses never fall, so the rounds before the first
+        # over the budget are the ones that pass
+        masses = list(itertools.accumulate(
+            map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))),
+            initial=self._mass))
+        passed = bisect.bisect_right(masses, 1.0 + _MASS_SLACK) - 1
+        self._size += int(counts[:passed].sum())
+        self._mass = masses[min(passed + 1, T)]
+        self._check_mass(self.t + passed)
         live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
         n = int(live[-1])
         self.complexities = np.concatenate((self.complexities, np.repeat(ks, counts)))
 
-        after = {}      # (state, x, y) -> the state that round leaves it in
-        grown = [0] if dim else []      # the growable experts' states, in order
-        present = dict.fromkeys(grown)
-        for x, y in zip(xs, ys):
-            for s in present:
-                if (s, x, y) not in after:
-                    nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
-                    after[s, x, y] = s if nxt is None else nxt
-            if dim == 2:
-                grown.append(after[0, x, y])
-                present.setdefault(grown[-1])
-        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
-        ix, y = np.array([points[x] for x in xs]), np.array(ys)
-        ns = engine.n_states
-        pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
-        # mistakes[t, s]: M[s, t], as floats, which add to the scores as the
-        # loop's int losses do; step[t - 1, s]: the state round t leaves s
-        # in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a base's term
-        mistakes = np.zeros((T + 1, ns))
-        np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-        step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
-        for (s, x, y_t), nxt in after.items():
-            step[s, points[x], y_t] = nxt
-        step = step[:, ix, y].T
-        drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
+        # a worker may draw the perturbations from here on, the state walk's
+        # time included
+        with self._drawn_ahead(int(live[1:].sum())) as take:
+            after = {}      # (state, x, y) -> the state that round leaves it in
+            grown = [0] if dim else []      # the growable experts' states, in order
+            present = dict.fromkeys(grown)
+            for x, y in zip(xs, ys):
+                for s in present:
+                    if (s, x, y) not in after:
+                        nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+                        after[s, x, y] = s if nxt is None else nxt
+                if dim == 2:
+                    grown.append(after[0, x, y])
+                    present.setdefault(grown[-1])
+            points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+            ix, y = np.array([points[x] for x in xs]), np.array(ys)
+            ns = engine.n_states
+            pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
+            # mistakes[t, s]: M[s, t], as floats, which add to the scores as
+            # the loop's int losses do; step[t - 1, s]: the state round t
+            # leaves s in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a
+            # base's term
+            mistakes = np.zeros((T + 1, ns))
+            np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
+            step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
+            for (s, x, y_t), nxt in after.items():
+                step[s, points[x], y_t] = nxt
+            step = step[:, ix, y].T
+            drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
 
-        # the experts after the root, cohort by cohort, are the lower
-        # triangle of a (birth round x growable parent) table, row by row
-        W = int(counts[-1])
-        parent_state = np.array(grown[:W], dtype=np.int64)
-        tri = np.tri(T, W, dtype=bool)
-        self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
-        base = np.zeros(n)
-        # the base of (a, b): the base of (a), then the drop at round b
-        base[1:] = drop[:, parent_state][tri]
-        base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
-        growable = np.concatenate(([0], live[:-1]))     # their indices after round T
-        parent = growable[:W]
+            # the experts after the root, cohort by cohort, are the lower
+            # triangle of a (birth round x growable parent) table, row by row
+            W = int(counts[-1])
+            parent_state = np.array(grown[:W], dtype=np.int64)
+            tri = np.tri(T, W, dtype=bool)
+            self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
+            base = np.zeros(n)
+            # the base of (a, b): the base of (a), then the drop at round b
+            base[1:] = drop[:, parent_state][tri]
+            base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
+            growable = np.concatenate(([0], live[:-1]))     # their indices after round T
+            parent = growable[:W]
 
-        loss = np.empty(n)
-        chosen = np.empty(T, dtype=np.int64)
-        sizes = live.tolist()
-        t = 1
-        while t <= T:
-            u = t
-            while u < T and (u + 2 - t) * sizes[u + 1] <= self._BLOCK:
-                u += 1
-            s, w = sizes[t - 1], sizes[u]
-            if u == t:
-                # the indices are in range: mode="clip" only makes take
-                # write into `out` unbuffered
-                mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
-                loss[:s] += base[:s]
-                # a newborn has its parent's loss
-                loss.take(parent[:w - s], out=loss[s:w], mode="clip")
-                chosen[t - 1] = self._leader(loss[:w], t)
-            else:
-                rows = np.arange(t, u + 1)
-                block = mistakes[rows - 1].take(state[:w], axis=1)
-                block += base[:w]
-                # in its birth round, a newborn has its parent's loss
-                r, a = np.nonzero(tri[t - 1:u])
-                block[r, np.arange(s, w)] = block[r, parent[a]]
-                chosen[t - 1:u] = self._leaders(block, t, np.arange(w) < live[rows, None])
-            t = u + 1
+            loss = np.empty(n)
+            chosen = np.empty(T, dtype=np.int64)
+            sizes = live.tolist()
+            t = 1
+            while t <= T:
+                u = t
+                while u < T and (u + 2 - t) * sizes[u + 1] <= self._BLOCK:
+                    u += 1
+                s, w = sizes[t - 1], sizes[u]
+                if u == t:
+                    # the indices are in range: mode="clip" only makes take
+                    # write into `out` unbuffered
+                    mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
+                    loss[:s] += base[:s]
+                    # a newborn has its parent's loss
+                    loss.take(parent[:w - s], out=loss[s:w], mode="clip")
+                    chosen[t - 1] = self._leader(loss[:w], t, take(w))
+                else:
+                    rows = np.arange(t, u + 1)
+                    block = mistakes[rows - 1].take(state[:w], axis=1)
+                    block += base[:w]
+                    # in its birth round, a newborn has its parent's loss
+                    r, a = np.nonzero(tri[t - 1:u])
+                    block[r, np.arange(s, w)] = block[r, parent[a]]
+                    chosen[t - 1:u] = self._leaders(block, t, np.arange(w) < live[rows, None],
+                                                    take(sum(sizes[t:u + 1])))
+                t = u + 1
         nth = chosen - live[:-1]        # a newborn's place in its cohort
         then = state[chosen]
         new = nth >= 0

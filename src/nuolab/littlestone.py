@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass, Point,
-                         SingletonClass)
+                         SingletonClass, is_label)
 
 
 class StructureError(ValueError):
@@ -146,6 +146,12 @@ class _InternedStates:
         return sid
 
 
+def _check_label(y) -> None:
+    """Refuse a restriction label that is not the int 0 or 1."""
+    if not is_label(y):
+        raise DomainError(f"label must be 0 or 1, got {y!r}")
+
+
 class VersionSpace(_InternedStates):
     """The version spaces of a finite class. States are row masks, split by
     the class's cached column masks; `restrict` gives None for an empty
@@ -168,6 +174,7 @@ class VersionSpace(_InternedStates):
         return p
 
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        _check_label(y)
         keep = split(self.states[sid], self._ws.colmasks[self.root.point_index(x)])[y]
         return self._intern(keep) if keep else None
 
@@ -202,6 +209,7 @@ class _SupportEngine(_InternedStates):
         return 1 if dim_one > dim_zero else 0
 
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        _check_label(y)
         ones, zeros = self.states[sid]
         if x in ones:
             return sid if y == 1 else None
@@ -224,12 +232,15 @@ class _SingletonEngine:
         return self.h(x)
 
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
+        _check_label(y)
         return sid if self.h(x) == y else None
 
 
 def engine_for(cls: FiniteClass | FiniteSupportClass | SingletonClass):
     """A fresh version-space engine for a component class, whose state 0 is
-    the full class: `VersionSpace`, or a closed form for the other kinds."""
+    the full class: `VersionSpace`, or a closed form for the other kinds.
+    Every engine's `restrict` refuses a label that is not the int 0 or 1
+    with `DomainError`."""
     if isinstance(cls, FiniteClass):
         return VersionSpace(cls)
     if isinstance(cls, FiniteSupportClass):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nuolab import littlestone
-from nuolab.hypotheses import DomainError, FiniteClass
+from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
+                               SingletonClass, threshold_hypothesis)
 from nuolab.littlestone import (CapacityError, ShatteredTreeWitness,
-                                StructureError, VersionSpace, ldim,
+                                StructureError, VersionSpace, engine_for, ldim,
                                 minimax_mistakes, path_node_indices,
                                 shattered_tree_witness, verify_witness)
 
@@ -185,6 +186,21 @@ class TestVersionSpace:
         assert [cls.labels[i] for i in range(len(cls)) if vs.states[sid] >> i & 1] == [2, 3]
         # interned: the same restriction gives the same state
         assert vs.restrict(0, "a", 1) == sid and vs.n_states == 2
+
+    @pytest.mark.parametrize("bad", [-1, True, 2, 1.0])
+    @pytest.mark.parametrize("cls", [
+        FiniteClass.full_class(("a", "b")),
+        FiniteSupportClass(("a", "b"), 1),
+        SingletonClass(threshold_hypothesis(2)),
+    ], ids=["finite", "support", "singleton"])
+    def test_restrict_refuses_non_labels(self, cls, bad):
+        # -1 and True once indexed the (zeros, ones) split as label 1, and 2
+        # raised a bare IndexError; the support engine read them all as 0
+        engine = engine_for(cls)
+        x = "a" if isinstance(cls, (FiniteClass, FiniteSupportClass)) else 1
+        with pytest.raises(DomainError, match=rf"^label must be 0 or 1, got {bad!r}$"):
+            engine.restrict(0, x, bad)
+        assert engine.n_states == 1
 
     def test_workspace_freed_with_its_class(self):
         gc.collect()

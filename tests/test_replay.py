@@ -1,14 +1,19 @@
 """Differential test of the batch replay: a game against an oblivious
 nature (replayed through `learner.play`) must equal the same game played
 round by round through a pass-through nature that is not oblivious."""
+import contextlib
 import math
+import os
+import queue
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from nuolab import nature, runner
+from nuolab import fpl, nature, runner
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
 from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
                                FiniteClass, FiniteSupportClass, FiniteSupportFamily,
@@ -305,6 +310,217 @@ def test_dim2_replay_at_check_scale(case):
     more = [points[t % len(points)] for t in range(3, 8)], [1, 1, 0, 1, 0]
     assert replayed.play(*more) == checked_loop(looped, *more)
     assert snapshot(replayed) == snapshot(looped)
+
+
+POOL_DIMS = {0: COMPONENTS["dim0-finite"], 1: COMPONENTS["dim1-constants"],
+             2: COMPONENTS["dim2-thresholds"]}
+
+
+@pytest.mark.parametrize("dim", sorted(POOL_DIMS))
+def test_replay_charges_mass_as_the_loop(dim):
+    # the replay charges its cohorts in one pass, with the loop's float
+    # operations in the loop's order
+    xs, ys = check_script(DOMAIN, "coin")
+    replayed, looped = (ExpertPoolFpl(POOL_DIMS[dim], seed=34) for _ in range(2))
+    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
+    assert replayed._mass.hex() == looped._mass.hex()
+    assert replayed._size == looped._size == sum(math.comb(200, j) for j in range(dim + 1))
+
+
+def test_replay_mass_overflow_names_the_loop_round(monkeypatch):
+    # with complexity 1 for every key, the root and the cohorts of rounds 1
+    # and 2 bring a dimension-1 pool's mass to 3/e, over the budget at round 2
+    monkeypatch.setattr(fpl, "pool_complexity", lambda dim, last_round: 1.0)
+    xs, ys = [1, 2, 3, 4], [0, 1, 1, 0]
+    results = both_ways(lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=35),
+                        lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert [result for result, _ in results] == 2 * [
+        ("error", "ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2")]
+
+
+def pool_replay(comp, xs, ys, seed):
+    """The predictions, the leaders chosen round by round and the final
+    snapshot of a fresh pool replaying a script."""
+    pool = ExpertPoolFpl(comp, seed=seed)
+    chosen = []
+
+    def recorded(score):
+        def scored(*args):
+            leaders = score(*args)
+            chosen.extend(np.atleast_1d(leaders).tolist())
+            return leaders
+        return scored
+
+    pool._leader, pool._leaders = recorded(pool._leader), recorded(pool._leaders)
+    return pool.play(xs, ys), chosen, snapshot(pool)
+
+
+class PoisonedReturns(queue.SimpleQueue):
+    """A queue that overwrites with nan every buffer the main thread, which
+    scores in these tests, puts in it, as a worker refilling a returned
+    buffer at once would: a value read after its buffer went back to the
+    worker scores nan."""
+
+    def put(self, item, block=True, timeout=None):
+        if isinstance(item, np.ndarray) and threading.current_thread() is threading.main_thread():
+            item.fill(np.nan)
+        super().put(item, block, timeout)
+
+
+@contextlib.contextmanager
+def drawing_ahead(chunk):
+    """Make every pool replay that draws start the worker of
+    `_drawn_ahead`, with buffers of `chunk` values, even on one CPU, and
+    poison every buffer the scorer hands back; yields the names of the
+    threads started."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExpertPoolFpl, "_AHEAD", 0)
+        patch.setattr(ExpertPoolFpl, "_CHUNK", chunk)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        patch.setattr(threading.Thread, "start", counted)
+        patch.setattr(fpl.queue, "SimpleQueue", PoisonedReturns)
+        yield started
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, chunk=st.integers(1, 40), sizes=st.lists(st.integers(1, 100), max_size=30))
+def test_drawn_ahead_takes_match_one_draw(seed, chunk, sizes):
+    # takes that fit inside a buffer, end one, or span two or more give the
+    # values, and leave the generator state, of one draw of them all
+    pool = ExpertPoolFpl(COMPONENTS["dim0-finite"], seed=seed)
+    with drawing_ahead(chunk) as started:
+        with pool._drawn_ahead(sum(sizes)) as take:
+            taken = [take(n).copy() for n in sizes]
+    reference = np.random.default_rng(seed)
+    expected = reference.standard_exponential(sum(sizes))
+    assert np.array_equal(np.concatenate([np.empty(0)] + taken), expected)
+    assert pool.rng.bit_generator.state == reference.bit_generator.state
+    assert started == (["perturbations"] if sizes else [])
+
+
+# buffers of at most a few hundred values: most takes span two or more
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+@settings(max_examples=15, deadline=None)
+@given(script=scripts, seed=seeds, chunk=st.integers(16, 400))
+def test_worker_draws_match_inline(name, script, seed, chunk):
+    xs, ys = script
+    inline = pool_replay(COMPONENTS[name], xs, ys, seed)
+    with drawing_ahead(chunk) as started:
+        ahead = pool_replay(COMPONENTS[name], xs, ys, seed)
+    assert ahead == inline
+    assert started == (["perturbations"] if xs else [])
+
+
+@pytest.mark.parametrize("case", sorted(DIM2_CASES))
+def test_worker_draws_match_inline_at_check_scale(case):
+    cls, points, labels = DIM2_CASES[case]
+    xs, ys = check_script(points, labels)
+    comp = FamilyComponent(2, cls, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExpertPoolFpl, "_AHEAD", 10 ** 9)
+        inline = pool_replay(comp, xs, ys, 36)
+    with drawing_ahead(1009) as started:
+        ahead = pool_replay(comp, xs, ys, 36)
+    assert ahead == inline and started == ["perturbations"]
+
+
+def test_worker_draws_match_inline_under_forced_switching():
+    # four replays at once, each scoring on a thread of its own beside its
+    # own worker: eight threads on at most two CPUs, switching every 10 us
+    xs, ys = check_script(DOMAIN, "coin", horizon=120)
+    comp = COMPONENTS["dim2-thresholds"]
+    expected = [pool_replay(comp, xs, ys, seed) for seed in range(4)]
+    results = [None] * 4
+
+    def replay(i):
+        results[i] = pool_replay(comp, xs, ys, i)
+
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=replay, args=(i,)) for i in range(4)]
+    with drawing_ahead(257) as started:
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert started.count("perturbations") == 4
+
+
+class Fault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", [None, "scorer", "worker"])
+def test_worker_never_outlives_a_replay(fault, monkeypatch):
+    # the replay joins its worker whether it returns, its scorer raises, or
+    # the worker's draw raises
+    before = threading.active_count()
+    xs, ys = check_script(DOMAIN, "coin")
+    pool = ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=37)
+    if fault == "scorer":
+        calls = []
+        leader = ExpertPoolFpl._leader
+
+        def failing(self, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise Fault("scorer")
+            return leader(self, *args)
+
+        monkeypatch.setattr(ExpertPoolFpl, "_leader", failing)
+    elif fault == "worker":
+        rng = pool.rng
+
+        class Failing:
+            draws = 0
+
+            def standard_exponential(self, out):
+                self.draws += 1
+                if self.draws == 5:
+                    raise Fault("worker")
+                return rng.standard_exponential(out=out)
+
+        pool.rng = Failing()
+    with drawing_ahead(1009) as started:
+        if fault is None:
+            pool.play(xs, ys)
+        else:
+            with pytest.raises(Fault, match=f"^{fault}$"):
+                pool.play(xs, ys)
+    assert started == ["perturbations"]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity-call"])
+def test_one_cpu_draws_inline(affinity, monkeypatch):
+    # a process allowed one CPU starts no worker, even past the threshold,
+    # and replays as a process that draws ahead
+    xs, ys = check_script(DOMAIN, "coin")
+    expected = pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def start(thread):
+        raise AssertionError(f"thread {thread.name!r} started")
+
+    monkeypatch.setattr(ExpertPoolFpl, "_AHEAD", 0)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38) == expected
 
 
 def test_dim2_bad_label_after_round_100():

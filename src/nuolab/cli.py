@@ -26,6 +26,8 @@ def _load_spec(value: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON in {value!r}: {exc}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {value!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_ldim(args) -> int:

@@ -53,7 +53,7 @@ def _cpus() -> int:
 
 
 # ---------------------------------------------------------------------------
-# complexity schemes and the regret bounds they give
+# complexity schemes
 # ---------------------------------------------------------------------------
 
 def meta_complexity(n: int) -> float:
@@ -67,32 +67,6 @@ def pool_complexity(dim: int, last_round: int) -> float:
     if last_round <= 1:
         return 1.0
     return 1.0 + (dim + 2.0) * math.log(last_round)
-
-
-def meta_mass_partial(terms: int) -> float:
-    """Partial sum of exp(-meta_complexity(n)); stays below 1/e."""
-    n = np.arange(1, terms + 1, dtype=float)
-    return float(np.exp(-2.0 * (np.log(n) + 1.0)).sum())
-
-
-def pool_mass_bound_partial(dim: int, terms: int) -> float:
-    """Partial sum of t^dim * exp(-pool_complexity(dim, t)), the per-round
-    pool-size overcount of the keyed experts' mass; stays below 0.83."""
-    t = np.arange(1, terms + 1, dtype=float)
-    return float((t ** dim * np.exp(-1.0 - (dim + 2.0) * np.log(t))).sum())
-
-
-def fpl_regret_bound(k: float, horizon: int) -> float:
-    """Expected regret bound (k + 2) sqrt(T) of the perturbed leader against
-    an expert of complexity k."""
-    return (k + 2.0) * math.sqrt(horizon)
-
-
-def hierarchical_regret_bound(dim: int, n: int, horizon: int) -> float:
-    """Expected regret bound of the hierarchical learner against every
-    hypothesis of component n, whose dimension is `dim`."""
-    return (dim + (dim + 3.0) * math.log(horizon) * math.sqrt(horizon)
-            + (2.0 * math.log(n) + 4.0) * math.sqrt(horizon))
 
 
 # ---------------------------------------------------------------------------

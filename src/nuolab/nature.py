@@ -286,27 +286,16 @@ def commit_adversary(cls: FiniteClass, learner_factory: Callable[[], "object"]
     """Turn the forcing adversary into a fixed-in-advance realizable script
     for one deterministic learner.
 
-    Simulates a private copy of the learner down the shattered tree,
-    records the branch on which every prediction is wrong, and returns the
-    branch together with its realizing hypothesis as a scripted strategy.
-    Replaying the script against the same learner reproduces the same
-    transcript, hence at least ldim mistakes.
+    Plays a private copy of the learner against the forcing adversary,
+    which records the branch on which every prediction is wrong and checks
+    that its realizer labels it, and returns the branch with that realizer
+    as a scripted strategy. Replaying the script against the same learner
+    reproduces the same transcript, hence at least ldim mistakes.
     """
+    from .runner import run_game  # deferred: runner depends on this module
     learner = learner_factory()
     if not getattr(learner, "deterministic", False):
         raise ValueError("committed adversary requires a deterministic learner")
     adversary = TreeAdversary(cls)
-    xs: list[Point] = []
-    ys: list[int] = []
-    for _ in range(adversary.depth):
-        x = adversary.next_point()
-        predicted = learner.predict(x)
-        y = adversary.reveal_label(x, predicted)
-        learner.update(x, y)
-        xs.append(x)
-        ys.append(y)
-    h = adversary.committed
-    for x, y in zip(xs, ys):
-        if h(x) != y:
-            raise AssertionError("committed hypothesis inconsistent with its script")
-    return RealizableScripted(h, xs, cycle=True)
+    trace = run_game(learner, adversary, adversary.depth)
+    return RealizableScripted(adversary.committed, trace.xs, cycle=True)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import fpl, learners, nature
+from . import bounds, fpl, learners, nature
 from .hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypothesis,
                          Point, family_from_config, format_point,
                          hypothesis_from_config, parse_point, reads_spec)
@@ -282,15 +282,17 @@ def make_learner(spec: dict, seed: Optional[int] = None):
     """Build a learner from its textual spec (see the README table)."""
     kind = spec.get("learner")
     if kind == "soa":
+        always = _checked("always_restrict", spec.get("always_restrict", False),
+                          "true or false", bool)
         return learners.SoaLearner(FiniteClass.from_config(spec["class"]),
-                                   always_restrict=spec.get("always_restrict", False),
+                                   always_restrict=always,
                                    on_empty=spec.get("on_empty", "error"))
     if kind == "expert":
         return learners.ExpertLearner(FiniteClass.from_config(spec["class"]),
                                       tuple(spec["key"]),
                                       on_empty=spec.get("on_empty", "error"))
     if kind == "aggregator":
-        return learners.AggregatorLearner(family_from_config(spec["family"]))
+        return learners.AggregatorLearner(_family(spec))
     if kind == "cover":
         return learners.CoverLearner(_cover_from_config(spec["cover"]))
     if kind == "natural-threshold":
@@ -298,19 +300,23 @@ def make_learner(spec: dict, seed: Optional[int] = None):
     if kind == "truncated-threshold-soa":
         return learners.TruncatedThresholdSoa()
     if kind == "constant":
-        return learners.ConstantLearner(spec.get("value", 0))
+        return learners.ConstantLearner(
+            _checked("constant value", spec.get("value", 0), "0 or 1", int, within=(0, 1)))
     if kind in ("fpl", "agnostic-fpl") and spec.get("redraw", "per-round") != "per-round":
         # a spec asking for another perturbation rule must not run this one
         raise DomainError(f"redraw must be 'per-round', got {spec['redraw']!r}")
     if kind == "fpl":
         experts = [learners.FollowHypothesisLearner(hypothesis_from_config(h))
                    for h in spec["experts"]]
-        return fpl.FplLearner(experts, [float(k) for k in spec["k"]], seed=seed)
+        ks = [_checked("fpl k", k, "a number", int, float)
+              for k in _checked("fpl k", spec["k"], "a list", list)]
+        return fpl.FplLearner(experts, ks, seed=seed)
     if kind == "agnostic-fpl":
-        return fpl.AgnosticFpl(family_from_config(spec["family"]),
-                               int(spec.get("components", 1)),
-                               seed=seed, cap_dim=spec.get("cap_d", 2),
-                               cap_rounds=spec.get("cap_T"))
+        cap_d, cap_T = (_checked(key, spec.get(key, default), "an int or null", int, type(None))
+                        for key, default in (("cap_d", 2), ("cap_T", None)))
+        return fpl.AgnosticFpl(_family(spec),
+                               _checked("components", spec.get("components", 1), "an int", int),
+                               seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
     raise DomainError(f"unknown learner spec: {kind!r}")
 
 
@@ -322,8 +328,9 @@ def make_nature(spec: dict, seed: Optional[int] = None,
     if kind == "scripted":
         xs = [parse_point(p) for p in _checked("scripted x", spec["x"], "a list", list)]
         if "target" in spec:
-            return nature.RealizableScripted(hypothesis_from_config(spec["target"]),
-                                             xs, cycle=spec.get("cycle", False))
+            cycle = _checked("scripted cycle", spec.get("cycle", False), "true or false", bool)
+            return nature.RealizableScripted(hypothesis_from_config(spec["target"]), xs,
+                                             cycle=cycle)
         # the labels stay as given: the learner rejects a bad one at its round
         return nature.AgnosticScripted(xs, _checked("scripted y", spec["y"], "a list", list))
     if kind == "iid":
@@ -333,7 +340,8 @@ def make_nature(spec: dict, seed: Optional[int] = None,
     if kind == "coin-flip":
         return nature.CoinFlip(seed=seed, point=parse_point(spec.get("point", 0)))
     if kind == "window-halving":
-        return nature.WindowHalving(depth=int(spec.get("depth", 64)))
+        return nature.WindowHalving(
+            depth=_checked("window-halving depth", spec.get("depth", 64), "an int", int))
     if kind == "tree-adversary":
         cls = FiniteClass.from_config(spec["class"])
         mode = spec.get("mode", "online")
@@ -347,12 +355,18 @@ def make_nature(spec: dict, seed: Optional[int] = None,
     raise DomainError(f"unknown nature spec: {kind!r}")
 
 
-def _checked(name: str, value, what: str, *types):
-    """`value`, if its type is one of `types`. A conversion would read 20.5
-    as 20 and True as 1, and "20" would fail mid-run."""
-    if type(value) not in types:
+def _checked(name: str, value, what: str, *types, within=None):
+    """`value`, if its type is one of `types` and, given `within`, it is
+    one of those values. A conversion would read 20.5 as 20 and True as 1,
+    and "20" would fail mid-run."""
+    if type(value) not in types or within is not None and value not in within:
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _family(spec: dict):
+    """The class family that a learner spec's "family" object describes."""
+    return family_from_config(_checked("family", spec["family"], "an object", dict))
 
 
 def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
@@ -399,15 +413,16 @@ def _experiment_args(config: dict) -> tuple:
 
     bound_fn = None
     bound = config.get("bound")
-    if bound:
-        if bound["kind"] == "fpl":
+    if bound is not None:
+        kind = _checked("bound", bound, "an object", dict)["kind"]
+        if kind == "fpl":
             k = _checked("bound k", bound["k"], "a number", int, float)
-            bound_fn = lambda T: fpl.fpl_regret_bound(k, T)
-        elif bound["kind"] == "hierarchical":
+            bound_fn = lambda T: bounds.fpl_regret(k, T)
+        elif kind == "hierarchical":
             d, n = (_checked(f"bound {key}", bound[key], "an int", int) for key in ("dim", "n"))
-            bound_fn = lambda T: fpl.hierarchical_regret_bound(d, n, T)
+            bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
         else:
-            raise DomainError(f"unknown bound kind: {bound['kind']!r}")
+            raise DomainError(f"unknown bound kind: {kind!r}")
 
     return (*_spec_makers(learner_spec, nature_spec),
             horizons, trials, master_seed, comparison, bound_fn)

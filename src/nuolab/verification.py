@@ -3,7 +3,7 @@
 Each check exercises one guarantee at its stated tolerance and returns a
 verdict (never raises on a failed bound): exact combinatorial checks get
 zero tolerance, expected-regret checks compare the Monte-Carlo mean plus
-or minus three standard errors against the analytic expression.
+or minus three standard errors against the bound (`bounds.margin`).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fpl, learners, nature, runner
+from . import bounds, fpl, learners, nature, runner
 from .hypotheses import (DiscreteMeasure, ExplicitListFamily, FiniteClass,
                          FiniteSupportFamily, support_hypothesis)
 from .littlestone import VersionSpace, ldim, minimax_mistakes
@@ -154,15 +154,15 @@ def check_soa_mistake_bound(seed: int = 0, random_count: int = 50) -> CheckResul
 
 def check_aggregator_square_bound(horizon: int = 200) -> CheckResult:
     """Index-penalized selection over the bounded-support union on twelve
-    points: with the truth in component k, total mistakes stay within
-    (d_k + k)^2 on adversarial scripted streams. Zero tolerance."""
+    points: with the truth in component k, mistakes stay within
+    `bounds.aggregator_mistakes` on adversarial streams. Zero tolerance."""
     domain = tuple(range(1, 13))
     family = FiniteSupportFamily(domain)
     rng = random.Random(7)
     for k in (1, 2, 3):
         target = support_hypothesis(domain[:k])
         d_k = family.component(k).dim
-        bound = (d_k + k) ** 2
+        bound = bounds.aggregator_mistakes(d_k, k)
         streams = [
             [domain[i % len(domain)] for i in range(horizon)],
             ([*domain[:k]] * 10 + [domain[i % len(domain)] for i in range(horizon)])[:horizon],
@@ -241,8 +241,7 @@ def check_expert_key_bound() -> CheckResult:
         for key in keys:
             expert = learners.ExpertLearner(cls, key)
             try:
-                for x, y in zip(xs, ys):
-                    expert.update(x, y)
+                expert.play(xs, ys)
             except learners.ProtocolError:
                 continue
             slack = expert.mistakes - len(key)
@@ -259,45 +258,43 @@ def check_expert_key_bound() -> CheckResult:
 
 
 def check_complexity_mass(terms: int = 10_000) -> CheckResult:
-    """Partial complexity masses stay under their analytic ceilings:
-    1/e for the component scheme, 0.83 for the keyed-pool overcount."""
-    meta = fpl.meta_mass_partial(terms)
-    if meta > 1.0 / math.e:
+    """Partial masses of the complexity schemes the learners run stay under
+    their ceilings in `bounds`: the components', and the pools' overcount."""
+    rounds = range(1, terms + 1)
+    meta = math.fsum(math.exp(-fpl.meta_complexity(n)) for n in rounds)
+    if meta > bounds.COMPONENT_MASS:
         return CheckResult("complexity-mass", False,
                            f"component mass {meta:.4f} > 1/e over {terms} terms")
     for dim in (0, 1, 2, 3):
-        pool = fpl.pool_mass_bound_partial(dim, terms)
-        if pool > 0.83:
+        pool = math.fsum(t ** dim * math.exp(-fpl.pool_complexity(dim, t)) for t in rounds)
+        if pool > bounds.POOL_MASS:
             return CheckResult(
                 "complexity-mass", False,
-                f"pool mass {pool:.4f} > 0.83 for dim {dim} over {terms} terms")
+                f"pool mass {pool:.4f} > {bounds.POOL_MASS} for dim {dim} over {terms} terms")
     return CheckResult(
         "complexity-mass", True,
-        f"component {meta:.4f} <= 1/e, pool <= 0.83 for dims 0-3, {terms} terms")
+        f"component {meta:.4f} <= 1/e, pool <= {bounds.POOL_MASS} for dims 0-3, {terms} terms")
 
 
 def check_window_halving(rounds: int = 40) -> CheckResult:
-    """The dyadic window adversary forces a mistake every round while every
-    prefix stays realizable by a real threshold (exact rational check)."""
+    """The dyadic window adversary forces a mistake every round, and one real
+    threshold realizes its whole history, hence every prefix (exact check)."""
     makers = [learners.TruncatedThresholdSoa,
               lambda: learners.ConstantLearner(0),
               lambda: learners.ConstantLearner(1)]
     for make in makers:
         learner = make()
         adversary = nature.WindowHalving(depth=max(64, rounds))
-        for t in range(1, rounds + 1):
-            x = adversary.next_point()
-            predicted = learner.predict(x)
-            y = adversary.reveal_label(x, predicted)
-            learner.update(x, y)
-            if predicted == y:
-                return CheckResult(
-                    "window-halving-forcing", False,
-                    f"{type(learner).__name__} predicted correctly at round {t}")
-            try:
-                adversary.realizing_threshold()
-            except AssertionError as exc:
-                return CheckResult("window-halving-forcing", False, str(exc))
+        trace = runner.run_game(learner, adversary, rounds)
+        right = [t for t, (y, p) in enumerate(zip(trace.ys, trace.predicted), 1) if y == p]
+        if right:
+            return CheckResult(
+                "window-halving-forcing", False,
+                f"{type(learner).__name__} predicted correctly at round {right[0]}")
+        try:
+            adversary.realizing_threshold()
+        except AssertionError as exc:
+            return CheckResult("window-halving-forcing", False, str(exc))
     return CheckResult("window-halving-forcing", True,
                        f"3 learners, {rounds} forced mistakes each, all prefixes realizable")
 
@@ -334,8 +331,8 @@ class _LastLabelExpert(learners.OnlineLearner):
 def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
                            master_seed: int = 2026) -> CheckResult:
     """Perturbed-leader regret against each fixed expert stays within
-    (k_i + 2) sqrt(T) in expectation: Monte-Carlo mean + 3 SE vs the bound,
-    on an adversarial alternating script and on fair-coin scripts."""
+    `bounds.fpl_regret` in expectation: Monte-Carlo mean + 3 SE vs the
+    bound, on an adversarial alternating script and on fair-coin scripts."""
     two = [lambda: learners.ConstantLearner(0), lambda: learners.ConstantLearner(1)]
     five = two + [lambda: _ParityExpert(0), lambda: _ParityExpert(1),
                   _LastLabelExpert]
@@ -356,14 +353,15 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
                 make_nature, horizon, seed)
             return learner.mistakes - np.asarray(learner.losses)
         stats = runner.monte_carlo(trial, trials, master_seed + offset)
-        bounds = [fpl.fpl_regret_bound(k, horizon) for k in ks]
-        for j, (mean, se, bound) in enumerate(zip(stats.mean, stats.se, bounds)):
-            if mean + 3 * se > bound:
+        limits = [bounds.fpl_regret(k, horizon) for k in ks]
+        margins = bounds.margin(stats.mean, limits, stats.se)
+        for j, (mean, se, limit) in enumerate(zip(stats.mean, stats.se, limits)):
+            if margins[j] < 0:
                 return CheckResult(
                     "fpl-regret-bound", False,
                     f"{name}: regret vs expert {j + 1} = {mean:.2f} "
-                    f"+ 3*{se:.2f} > {bound:.2f}")
-        details.append(f"{name} worst margin {min(bounds - stats.mean - 3 * stats.se):.1f}")
+                    f"+ 3*{se:.2f} > {limit:.2f}")
+        details.append(f"{name} worst margin {min(margins):.1f}")
     return CheckResult("fpl-regret-bound", True,
                        f"T={horizon}, {trials} trials: " + "; ".join(details))
 
@@ -371,15 +369,15 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
 def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
                                     master_seed: int = 31) -> CheckResult:
     """The two-level perturbed-leader learner keeps expected regret against
-    every hypothesis of component n within the explicit per-component
-    expression; Monte-Carlo mean + 3 SE vs that bound."""
+    every hypothesis of component n within `bounds.hierarchical_regret`;
+    Monte-Carlo mean + 3 SE vs that bound."""
     constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
     thresholds = FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5))
     family = ExplicitListFamily([constants, thresholds])
     details = []
     for horizon in horizons:
         xs = [(1, 2, 3, 4)[(t - 1) % 4] for t in range(1, horizon + 1)]
-        bounds = [fpl.hierarchical_regret_bound(family.component(n).dim, n, horizon)
+        limits = [bounds.hierarchical_regret(family.component(n).dim, n, horizon)
                   for n in (1, 2)]
         for label_mode in ("alternating", "coin"):
             def make_nature(seed: int) -> nature.AgnosticScripted:
@@ -394,15 +392,15 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
                     make_nature, horizon, seed)
                 return [runner.regret(trace, family.component(n).cls) for n in (1, 2)]
             stats = runner.monte_carlo(trial, trials, master_seed + horizon)
-            columns = list(zip((1, 2), stats.mean, stats.se, bounds))
-            for n, mean, se, bound in columns:
-                if mean + 3 * se > bound:
+            columns = list(zip((1, 2), stats.mean, stats.se, limits))
+            for n, mean, se, limit in columns:
+                if bounds.margin(mean, limit, se) < 0:
                     return CheckResult(
                         "hierarchical-regret-bound", False,
                         f"T={horizon} {label_mode}: regret vs component {n} = "
-                        f"{mean:.2f} + 3*{se:.2f} > {bound:.2f}")
+                        f"{mean:.2f} + 3*{se:.2f} > {limit:.2f}")
             details.append(f"T={horizon} {label_mode}: " + ", ".join(
-                f"n={n}: {mean:.1f} vs {bound:.0f}" for n, mean, _, bound in columns))
+                f"n={n}: {mean:.1f} vs {limit:.0f}" for n, mean, _, limit in columns))
     return CheckResult("hierarchical-regret-bound", True,
                        f"{trials} trials; " + "; ".join(details))
 
@@ -410,7 +408,7 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
 def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
                                 master_seed: int = 99) -> CheckResult:
     """Fair-coin labels on a single point force expected regret of at least
-    3 sqrt(T) / 64 on every learner; Monte-Carlo mean - 3 SE vs the floor,
+    `bounds.coinflip_floor` on every learner; Monte-Carlo mean - 3 SE vs the floor,
     for the hierarchical learner and two fixed baselines."""
     cls = FiniteClass((0,), [[0], [1]])
     family = ExplicitListFamily([cls])
@@ -421,11 +419,11 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
     }
     details = []
     for horizon in horizons:
-        floor = 3.0 * math.sqrt(horizon) / 64.0
+        floor = bounds.coinflip_floor(horizon)
         for name, make in makers.items():
             stats = runner.regret_curve(make, nature.CoinFlip, [horizon], trials,
                                         master_seed + horizon, cls).stats[0]
-            if stats.mean - 3 * stats.se < floor:
+            if bounds.margin(stats.mean, floor, stats.se, floor=True) < 0:
                 return CheckResult(
                     "coinflip-regret-floor", False,
                     f"T={horizon} {name}: {stats.mean:.2f} - 3*{stats.se:.2f} "

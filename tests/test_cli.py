@@ -1,12 +1,14 @@
 """The command line: input errors end with exit code 2 and one line on
 stderr, never a traceback."""
 import json
+from pathlib import Path
 
 import pytest
 
 from nuolab import cli
 from nuolab.hypotheses import FiniteClass
 
+ROOT = Path(__file__).resolve().parent.parent
 COIN = json.dumps({"nature": "coin-flip"})
 CONSTANT = json.dumps({"learner": "constant"})
 
@@ -89,6 +91,52 @@ def test_play_rejects_bad_script(capsys, script, message):
     assert err == f"nuolab play: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ldim", "missing.json"],
+    ["play", "--learner", "missing.json", "--nature", COIN, "-T", "3"],
+    ["regret", "--config", "missing.json"],
+], ids=["ldim", "play", "regret"])
+def test_unreadable_spec_path(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"nuolab {argv[0]}: error: cannot read 'missing.json': "
+                   "No such file or directory\n")
+
+
+FAMILY = {"family": "explicit-list",
+          "params": {"classes": [{"domain": [0], "hypotheses": [[0], [1]]}]}}
+AGNOSTIC = {"learner": "agnostic-fpl", "family": FAMILY}
+
+
+@pytest.mark.parametrize("learner, nature, message", [
+    ({"learner": "constant", "value": 2}, COIN, "constant value must be 0 or 1, got 2"),
+    ({"learner": "constant", "value": 0.7}, COIN, "constant value must be 0 or 1, got 0.7"),
+    ({"learner": "fpl", "experts": [{"kind": "constant", "value": 0},
+                                    {"kind": "constant", "value": 1}], "k": ["1", "1"]},
+     COIN, "fpl k must be a number, got '1'"),
+    ({**AGNOSTIC, "components": 2.7}, COIN, "components must be an int, got 2.7"),
+    ({**AGNOSTIC, "cap_T": "5"}, COIN, "cap_T must be an int or null, got '5'"),
+    ({**AGNOSTIC, "cap_d": "2"}, COIN, "cap_d must be an int or null, got '2'"),
+    ({**AGNOSTIC, "family": "x"}, COIN, "family must be an object, got 'x'"),
+    ({"learner": "soa", "class": {"domain": [0], "hypotheses": [[0]]},
+      "always_restrict": 1}, COIN, "always_restrict must be true or false, got 1"),
+    (json.loads(CONSTANT), json.dumps({"nature": "window-halving", "depth": 2.5}),
+     "window-halving depth must be an int, got 2.5"),
+    (json.loads(CONSTANT), json.dumps({"nature": "scripted", "x": [1], "cycle": "no",
+                                       "target": {"kind": "constant", "value": 1}}),
+     "scripted cycle must be true or false, got 'no'"),
+], ids=["constant-2", "constant-float", "fpl-string-k", "float-components",
+        "string-cap-T", "string-cap-d", "string-family", "int-always-restrict",
+        "float-depth", "string-cycle"])
+def test_play_rejects_coerced_scalars(capsys, learner, nature, message):
+    # a spec scalar of the wrong type is refused, not converted
+    code, out, err = run(capsys, "play", "--learner", json.dumps(learner),
+                         "--nature", nature, "-T", "5")
+    assert code == 2 and out == ""
+    assert err == f"nuolab play: error: {message}\n"
+
+
 def test_ldim_missing_key(capsys):
     code, _, err = run(capsys, "ldim", json.dumps({"hypotheses": [[0]]}))
     assert code == 2 and err == "nuolab ldim: error: class spec is missing key 'domain'\n"
@@ -123,13 +171,15 @@ def test_regret_runs(capsys):
     ({"bound": {"kind": "hierarchical", "dim": 1, "n": True}},
      "bound n must be an int, got True"),
     ({"bound": {"kind": "fpl", "k": True}}, "bound k must be a number, got True"),
+    ({"bound": [1]}, "bound must be an object, got [1]"),
+    ({"bound": "fpl"}, "bound must be an object, got 'fpl'"),
     ({"learner": {"learner": "agnostic-fpl", "family": {"kind": "finite-support",
                                                         "domain": [0, 1]},
                   "redraw": "once"}},
      "redraw must be 'per-round', got 'once'"),
 ], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "float-trials",
         "bool-trials", "empty-comparison", "float-seed", "bool-seed", "float-dim",
-        "bool-n", "bool-k", "redraw-once"])
+        "bool-n", "bool-k", "list-bound", "string-bound", "redraw-once"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""
@@ -141,3 +191,14 @@ def test_ldim_rejects_non_binary_row_values(capsys):
     code, out, err = run(capsys, "ldim", spec)
     assert code == 2 and out == ""
     assert err == "nuolab ldim: error: row values must be 0 or 1, got 1.7\n"
+
+
+def test_readme_examples_are_committed(capsys):
+    # README's CLI examples name these files; the regret config is README's block
+    code, out, err = run(capsys, "ldim", str(ROOT / "examples" / "class.json"), "--witness")
+    assert code == 0 and err == "" and "ldim:       2\nwitness points" in out
+    readme = (ROOT / "README.md").read_text()
+    assert "nuolab ldim examples/class.json" in readme
+    assert "nuolab regret --config examples/experiment.json" in readme
+    block = readme.split("(`examples/experiment.json`):\n\n```json\n")[1].split("```")[0]
+    assert (ROOT / "examples" / "experiment.json").read_text() == block

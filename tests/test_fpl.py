@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from nuolab import bounds
 from nuolab.fpl import (AgnosticFpl, ConfigurationError, ExpertPoolFpl,
-                        FplLearner, meta_complexity, meta_mass_partial,
-                        pool_complexity, pool_mass_bound_partial)
+                        FplLearner, meta_complexity, pool_complexity)
 from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
                                FiniteSupportClass, SingletonClass,
                                threshold_hypothesis)
@@ -25,18 +25,26 @@ class TestComplexitySchemes:
         assert pool_complexity(2, 1) == 1.0       # log 1 = 0
         assert pool_complexity(1, 5) == pytest.approx(1 + 3 * math.log(5))
 
+    # the masses are summed from the schemes the learners run, against the
+    # ceilings in `bounds` that the complexity-mass check reads
+    @staticmethod
+    def meta_mass(terms):
+        return math.fsum(math.exp(-meta_complexity(n)) for n in range(1, terms + 1))
+
     def test_meta_mass_below_inverse_e(self):
-        mass = meta_mass_partial(10_000)
-        assert mass <= 1 / math.e
+        mass = self.meta_mass(10_000)
+        assert mass <= bounds.COMPONENT_MASS
         assert mass == pytest.approx(0.2226, abs=5e-4)
 
     def test_pool_mass_below_083(self):
         for dim in (0, 1, 2, 3):
-            assert pool_mass_bound_partial(dim, 10_000) < 0.83
+            mass = math.fsum(t ** dim * math.exp(-pool_complexity(dim, t))
+                             for t in range(1, 10_001))
+            assert mass < bounds.POOL_MASS
 
     def test_partial_sums_monotone(self):
-        values = [meta_mass_partial(n) for n in (10, 100, 1000)]
-        assert values == sorted(values) and values[-1] <= 1 / math.e
+        values = [self.meta_mass(n) for n in (10, 100, 1000)]
+        assert values == sorted(values) and values[-1] <= bounds.COMPONENT_MASS
 
 
 class TestFplLearner:

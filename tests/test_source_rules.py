@@ -65,3 +65,18 @@ def test_minimax_oracle_stays_independent():
     forbidden = {"_Workspace", "ldim", "_workspace", "soa_prediction", "VersionSpace",
                  "engine_for"}
     assert {"column_masks", "split"} <= names and not names & forbidden, names & forbidden
+
+
+def test_verification_derives_no_bound():
+    # every bound the checks compare with is written once, in `bounds`; the
+    # checks take no square root and name neither ceiling
+    path = next(path for path in SOURCES if path.name == "verification.py")
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    named_e = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "e"
+               and getattr(node.value, "id", None) == "math"]
+    assert {"fsum", "margin"} <= calls and "sqrt" not in calls
+    assert not named_e and "0.83" not in text

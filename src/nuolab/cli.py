@@ -2,36 +2,24 @@
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
 
-from . import runner, verification
+from . import runner, specs, verification
 from .fpl import ConfigurationError
-from .hypotheses import DomainError, FiniteClass, format_point
+from .hypotheses import DomainError, format_point
 from .learners import ProtocolError
 from .littlestone import CapacityError, ldim, shattered_tree_witness
 from .nature import ExhaustionError
 
 # errors of the input, not of the program: one line on stderr, exit code 2
-# (JSONDecodeError is a ValueError; a missing spec key is a DomainError)
+# (a bad spec file, key or field is a DomainError)
 _INPUT_ERRORS = (DomainError, CapacityError, ProtocolError, ConfigurationError,
                  ExhaustionError, ValueError)
 
 
-def _load_spec(value: str) -> dict:
-    try:
-        if value.lstrip().startswith("{"):
-            return json.loads(value)
-        with open(value) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"bad JSON in {value!r}: {exc}") from None
-    except OSError as exc:
-        raise DomainError(f"cannot read {value!r}: {exc.strerror or exc}") from None
-
-
 def _cmd_ldim(args) -> int:
-    cls = FiniteClass.from_config(_load_spec(args.class_file))
+    cls = specs.class_from_config(specs.load_spec(args.class_file))
     d = ldim(cls)
     print(f"hypotheses: {len(cls)}")
     print(f"domain:     {len(cls.domain)} points")
@@ -47,20 +35,24 @@ def _cmd_ldim(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    trace, learner = runner.play_config(
-        _load_spec(args.learner), _load_spec(args.nature), args.T, seed=args.seed)
-    print(f"rounds:   {len(trace)}")
-    print(f"mistakes: {trace.mistakes}")
+    learner_spec, nature_spec = specs.load_spec(args.learner), specs.load_spec(args.nature)
+    try:  # before the game, which an unwritable path would waste
+        csv = open(args.csv, "w") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.csv!r}: {exc.strerror or exc}") from None
+    with csv:
+        trace, _ = specs.play_config(learner_spec, nature_spec, args.T, seed=args.seed)
+        print(f"rounds:   {len(trace)}")
+        print(f"mistakes: {trace.mistakes}")
+        if args.csv:
+            csv.write(runner.trace_to_csv(trace))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(runner.trace_to_csv(trace))
         print(f"trace written to {args.csv}")
     return 0
 
 
 def _cmd_regret(args) -> int:
-    config = _load_spec(args.config)
-    curve = runner.regret_experiment_from_config(config)
+    curve = specs.regret_experiment_from_config(specs.load_spec(args.config))
     header = f"{'T':>6} {'trials':>7} {'mean':>10} {'se':>8}"
     if curve.bounds is not None:
         header += f" {'bound':>10}"

@@ -4,11 +4,11 @@ Explicit classes are dense 0/1 matrices over a finite ordered domain.
 Parametric families (thresholds, bounded-support indicators) are evaluated
 lazily by formula and never materialized unless asked. Countable unions
 expose indexed components, each with a declared complexity. Probability
-measures over countable supports use exact rational masses.
+measures over countable supports use exact rational masses. Their JSON
+form is read in `specs`.
 """
 from __future__ import annotations
 
-import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -21,55 +21,6 @@ Point = str | int | Fraction
 
 class DomainError(ValueError):
     """A point outside the declared domain, or a malformed definition."""
-
-
-def reads_spec(kind: str):
-    """Decorate a function that reads a JSON spec of `kind` so that a key
-    missing from the spec raises `DomainError` naming it, not `KeyError`."""
-    def decorate(build):
-        @functools.wraps(build)
-        def wrapper(*args, **kwargs):
-            try:
-                return build(*args, **kwargs)
-            except KeyError as exc:
-                raise DomainError(f"{kind} spec is missing key {exc}") from None
-        return wrapper
-    return decorate
-
-
-# ---------------------------------------------------------------------------
-# points
-# ---------------------------------------------------------------------------
-
-def parse_point(raw) -> Point:
-    """Decode a point from its JSON form.
-
-    Integers stay integers, strings containing "/" become exact rationals,
-    all other strings are opaque identifiers.
-    """
-    if isinstance(raw, bool):
-        raise DomainError(f"boolean is not a valid point: {raw!r}")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        if "/" in raw:
-            try:
-                return Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"bad rational point {raw!r}") from exc
-        return raw
-    raise DomainError(f"unsupported point value: {raw!r}")
-
-
-def point_to_json(p: Point):
-    """Encode a point for JSON. Rationals keep an explicit denominator; a
-    string holding "/" has no encoding, since `parse_point` reads every
-    such string as a rational."""
-    if isinstance(p, Fraction):
-        return format_point(p)
-    if isinstance(p, str) and "/" in p:
-        raise DomainError(f"string point {p!r} holds '/', which JSON reads as a rational")
-    return p
 
 
 def format_point(p: Point) -> str:
@@ -133,31 +84,6 @@ def row_hypothesis(domain: Sequence[Point], values: Sequence[int],
         except KeyError:
             raise DomainError(f"point {x!r} outside hypothesis domain") from None
     return Hypothesis(hid if hid is not None else tuple(values), fn)
-
-
-@reads_spec("hypothesis")
-def hypothesis_from_config(spec: dict) -> Hypothesis:
-    """Build a hypothesis from its JSON spec.
-
-    Forms: {"kind":"constant","value":0|1}, {"kind":"threshold","value":"1/2"},
-    {"kind":"support","points":[...]}, {"kind":"row","domain":[...],"values":[...]}.
-    """
-    kind = spec.get("kind")
-    if kind == "constant":
-        return constant_hypothesis(spec["value"])
-    if kind == "threshold":
-        cut = parse_point(spec["value"])
-        if isinstance(cut, str):
-            raise DomainError(f"threshold cut must be numeric: {spec['value']!r}")
-        return threshold_hypothesis(cut)
-    if kind == "support":
-        return support_hypothesis([parse_point(p) for p in spec["points"]])
-    if kind == "row":
-        bad = [v for v in spec["values"] if not is_label(v)]
-        if bad:
-            raise DomainError(f"row values must be 0 or 1, got {bad[0]!r}")
-        return row_hypothesis([parse_point(p) for p in spec["domain"]], spec["values"])
-    raise DomainError(f"unknown hypothesis kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +163,6 @@ class FiniteClass:
         """Rows 1_{x >= cut} for each cut, over a numeric domain."""
         rows = [[int(x >= c) for x in domain] for c in cuts]
         return cls(domain, rows, labels=[f"thr-{format_point(c)}" for c in cuts])
-
-    @classmethod
-    @reads_spec("class")
-    def from_config(cls, spec: dict) -> "FiniteClass":
-        domain = [parse_point(p) for p in spec["domain"]]
-        bad = [v for r in spec["hypotheses"] for v in r if not is_label(v)]
-        if bad:
-            raise DomainError(f"row values must be 0 or 1, got {bad[0]!r}")
-        return cls(domain, spec["hypotheses"], labels=spec.get("labels"))
-
-    def to_config(self) -> dict:
-        return {
-            "domain": [point_to_json(p) for p in self.domain],
-            "hypotheses": [list(r) for r in self.rows],
-            "labels": list(self.labels),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +253,6 @@ def rationals_unit_interval():
 class ClassFamily:
     """A countable union of component classes, enumerable in index order."""
 
-    kind: str = "abstract"
-
     def component(self, n: int) -> FamilyComponent:
         if n < 1:
             raise DomainError(f"component index must be >= 1, got {n}")
@@ -353,15 +261,10 @@ class ClassFamily:
     def _component(self, n: int) -> FamilyComponent:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class ExplicitListFamily(ClassFamily):
     """A finite list of explicit classes; indices past the end repeat the
     last class so the family stays total over all positive indices."""
-
-    kind = "explicit-list"
 
     def __init__(self, classes: Sequence[FiniteClass]):
         if not classes:
@@ -374,16 +277,10 @@ class ExplicitListFamily(ClassFamily):
         i = min(n, len(self.classes)) - 1
         return FamilyComponent(n, self.classes[i], self.dims[i])
 
-    def to_config(self) -> dict:
-        return {"family": self.kind,
-                "params": {"classes": [c.to_config() for c in self.classes]}}
-
 
 class RationalThresholdFamily(ClassFamily):
     """Singleton components {1_{x >= q_n}} with q_n the Stern-Brocot
     enumeration of Q in [0,1]."""
-
-    kind = "rational-thresholds"
 
     def __init__(self):
         self._gen = rationals_unit_interval()
@@ -397,28 +294,18 @@ class RationalThresholdFamily(ClassFamily):
     def _component(self, n: int) -> FamilyComponent:
         return FamilyComponent(n, SingletonClass(threshold_hypothesis(self.cut(n))), 0)
 
-    def to_config(self) -> dict:
-        return {"family": self.kind, "params": {}}
-
 
 class NaturalThresholdFamily(ClassFamily):
     """Singleton components {1_{x >= n-1}} over the positive integers."""
 
-    kind = "natural-thresholds"
-
     def _component(self, n: int) -> FamilyComponent:
         return FamilyComponent(n, SingletonClass(threshold_hypothesis(n - 1)), 0)
-
-    def to_config(self) -> dict:
-        return {"family": self.kind, "params": {}}
 
 
 class FiniteSupportFamily(ClassFamily):
     """Components H_n = indicators of at most n points from a fixed finite
     domain. The declared dimension min(n, |domain|) is exact; tests validate
     it against the generic recursion on small truncations."""
-
-    kind = "finite-support"
 
     def __init__(self, domain: Sequence[Point]):
         self.domain = tuple(domain)
@@ -429,25 +316,6 @@ class FiniteSupportFamily(ClassFamily):
         budget = min(n, len(self.domain))
         comp = FiniteSupportClass(self.domain, budget)
         return FamilyComponent(n, comp, comp.dim)
-
-    def to_config(self) -> dict:
-        return {"family": self.kind,
-                "params": {"domain": [point_to_json(p) for p in self.domain]}}
-
-
-@reads_spec("family")
-def family_from_config(spec: dict) -> ClassFamily:
-    kind = spec.get("family")
-    params = spec.get("params", {})
-    if kind == "explicit-list":
-        return ExplicitListFamily([FiniteClass.from_config(c) for c in params["classes"]])
-    if kind == "rational-thresholds":
-        return RationalThresholdFamily()
-    if kind == "natural-thresholds":
-        return NaturalThresholdFamily()
-    if kind == "finite-support":
-        return FiniteSupportFamily([parse_point(p) for p in params["domain"]])
-    raise DomainError(f"unknown family kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +374,3 @@ class DiscreteMeasure:
         masses = [Fraction(1, 2 ** i) for i in range(1, m)]
         masses.append(1 - sum(masses, Fraction(0)))
         return cls(points, masses)
-
-    @classmethod
-    @reads_spec("measure")
-    def from_config(cls, spec: dict) -> "DiscreteMeasure":
-        return cls([parse_point(p) for p in spec["support"]],
-                   [Fraction(m) for m in spec["mass"]])
-
-    def to_config(self) -> dict:
-        return {"support": [point_to_json(p) for p in self.support],
-                "mass": [f"{m.numerator}/{m.denominator}" for m in self.masses]}

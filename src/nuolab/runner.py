@@ -1,9 +1,9 @@
-"""Game loop, mistake/regret accounting, Monte-Carlo orchestration, and
-the JSON-config entry points used by the CLI.
+"""Game loop, mistake/regret accounting and the Monte-Carlo harness.
 
 A game is recorded as columns: the points, the labels and the learner's
 predictions, one entry per round. Mistakes and regret are counted from
-the columns; per-round `GameRound` records are derived on demand.
+the columns; per-round `GameRound` records are derived on demand. The
+learners and natures played here are built from specs in `specs`.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import bounds, fpl, learners, nature
-from .hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypothesis,
-                         Point, family_from_config, format_point,
-                         hypothesis_from_config, parse_point, reads_spec)
+from . import nature
+from .hypotheses import (DomainError, FiniteClass, Hypothesis, Point, format_point,
+                         threshold_hypothesis)
 
 
 class GameRound(NamedTuple):
@@ -134,7 +133,6 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
         if any(isinstance(p, str) for p in numeric):
             raise DomainError("threshold comparison needs numeric points")
         cuts = list(numeric) + [numeric[-1] + 1]
-        from .hypotheses import threshold_hypothesis
         return [threshold_hypothesis(c) for c in cuts]
     if isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):
         return list(comparison)
@@ -267,162 +265,3 @@ def regret_curve(make_learner: Callable[[int], object],
     stats = [monte_carlo(lambda s, T=T: trial(s, T), trials, master_seed) for T in horizons]
     bounds = [float(bound_fn(T)) for T in horizons] if bound_fn else None
     return RegretCurve(list(horizons), stats, bounds)
-
-
-# ---------------------------------------------------------------------------
-# JSON-config factories
-# ---------------------------------------------------------------------------
-
-def _cover_from_config(spec) -> learners.CoverSpec:
-    return learners.CoverSpec([hypothesis_from_config(h) for h in spec])
-
-
-@reads_spec("learner")
-def make_learner(spec: dict, seed: Optional[int] = None):
-    """Build a learner from its textual spec (see the README table)."""
-    kind = spec.get("learner")
-    if kind == "soa":
-        always = _checked("always_restrict", spec.get("always_restrict", False),
-                          "true or false", bool)
-        return learners.SoaLearner(FiniteClass.from_config(spec["class"]),
-                                   always_restrict=always,
-                                   on_empty=spec.get("on_empty", "error"))
-    if kind == "expert":
-        return learners.ExpertLearner(FiniteClass.from_config(spec["class"]),
-                                      tuple(spec["key"]),
-                                      on_empty=spec.get("on_empty", "error"))
-    if kind == "aggregator":
-        return learners.AggregatorLearner(_family(spec))
-    if kind == "cover":
-        return learners.CoverLearner(_cover_from_config(spec["cover"]))
-    if kind == "natural-threshold":
-        return learners.NaturalThresholdLearner()
-    if kind == "truncated-threshold-soa":
-        return learners.TruncatedThresholdSoa()
-    if kind == "constant":
-        return learners.ConstantLearner(
-            _checked("constant value", spec.get("value", 0), "0 or 1", int, within=(0, 1)))
-    if kind in ("fpl", "agnostic-fpl") and spec.get("redraw", "per-round") != "per-round":
-        # a spec asking for another perturbation rule must not run this one
-        raise DomainError(f"redraw must be 'per-round', got {spec['redraw']!r}")
-    if kind == "fpl":
-        experts = [learners.FollowHypothesisLearner(hypothesis_from_config(h))
-                   for h in spec["experts"]]
-        ks = [_checked("fpl k", k, "a number", int, float)
-              for k in _checked("fpl k", spec["k"], "a list", list)]
-        return fpl.FplLearner(experts, ks, seed=seed)
-    if kind == "agnostic-fpl":
-        cap_d, cap_T = (_checked(key, spec.get(key, default), "an int or null", int, type(None))
-                        for key, default in (("cap_d", 2), ("cap_T", None)))
-        return fpl.AgnosticFpl(_family(spec),
-                               _checked("components", spec.get("components", 1), "an int", int),
-                               seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
-    raise DomainError(f"unknown learner spec: {kind!r}")
-
-
-@reads_spec("nature")
-def make_nature(spec: dict, seed: Optional[int] = None,
-                learner_spec: Optional[dict] = None) -> nature.NatureStrategy:
-    """Build a Nature strategy from its textual spec."""
-    kind = spec.get("nature")
-    if kind == "scripted":
-        xs = [parse_point(p) for p in _checked("scripted x", spec["x"], "a list", list)]
-        if "target" in spec:
-            cycle = _checked("scripted cycle", spec.get("cycle", False), "true or false", bool)
-            return nature.RealizableScripted(hypothesis_from_config(spec["target"]), xs,
-                                             cycle=cycle)
-        # the labels stay as given: the learner rejects a bad one at its round
-        return nature.AgnosticScripted(xs, _checked("scripted y", spec["y"], "a list", list))
-    if kind == "iid":
-        return nature.StochasticIid(hypothesis_from_config(spec["target"]),
-                                    DiscreteMeasure.from_config(spec["measure"]),
-                                    seed=seed)
-    if kind == "coin-flip":
-        return nature.CoinFlip(seed=seed, point=parse_point(spec.get("point", 0)))
-    if kind == "window-halving":
-        return nature.WindowHalving(
-            depth=_checked("window-halving depth", spec.get("depth", 64), "an int", int))
-    if kind == "tree-adversary":
-        cls = FiniteClass.from_config(spec["class"])
-        mode = spec.get("mode", "online")
-        if mode == "online":
-            return nature.TreeAdversary(cls)
-        if mode == "committed":
-            if learner_spec is None:
-                raise DomainError("committed tree adversary needs the learner spec")
-            return nature.commit_adversary(cls, lambda: make_learner(learner_spec))
-        raise DomainError(f"unknown tree-adversary mode: {mode!r}")
-    raise DomainError(f"unknown nature spec: {kind!r}")
-
-
-def _checked(name: str, value, what: str, *types, within=None):
-    """`value`, if its type is one of `types` and, given `within`, it is
-    one of those values. A conversion would read 20.5 as 20 and True as 1,
-    and "20" would fail mid-run."""
-    if type(value) not in types or within is not None and value not in within:
-        raise DomainError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _family(spec: dict):
-    """The class family that a learner spec's "family" object describes."""
-    return family_from_config(_checked("family", spec["family"], "an object", dict))
-
-
-def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
-    """The learner and nature makers, each of a seed, that two specs give."""
-    return (lambda s: make_learner(learner_spec, seed=s),
-            lambda s: make_nature(nature_spec, seed=s, learner_spec=learner_spec))
-
-
-def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
-                seed: int = 0):
-    """Build both sides from specs with a split seed and run one game."""
-    return play_seeded(*_spec_makers(learner_spec, nature_spec), horizon, seed)
-
-
-@reads_spec("comparison")
-def comparison_from_config(spec):
-    if spec == REAL_THRESHOLDS:
-        return REAL_THRESHOLDS
-    if isinstance(spec, dict) and "domain" in spec:
-        return FiniteClass.from_config(spec)
-    if isinstance(spec, list):
-        if not spec:
-            raise DomainError("comparison list is empty")
-        return [hypothesis_from_config(h) for h in spec]
-    raise DomainError(f"unknown comparison spec: {spec!r}")
-
-
-def regret_experiment_from_config(config: dict) -> RegretCurve:
-    """Config keys: learner, nature, comparison, Ts (or T), trials,
-    master_seed, optional bound {"kind": "fpl", "k": ...}."""
-    return regret_curve(*_experiment_args(config))
-
-
-@reads_spec("regret config")
-def _experiment_args(config: dict) -> tuple:
-    """The arguments of `regret_curve` that a regret config describes."""
-    horizons = config.get("Ts") or [config["T"]]
-    if not isinstance(horizons, list) or any(type(T) is not int for T in horizons):
-        raise DomainError(f"T and Ts must hold ints, got {horizons!r}")
-    trials = _checked("trials", config.get("trials", 100), "an int", int)
-    master_seed = _checked("master_seed", config.get("master_seed", 0), "an int", int)
-    learner_spec, nature_spec = config["learner"], config["nature"]
-    comparison = comparison_from_config(config["comparison"])
-
-    bound_fn = None
-    bound = config.get("bound")
-    if bound is not None:
-        kind = _checked("bound", bound, "an object", dict)["kind"]
-        if kind == "fpl":
-            k = _checked("bound k", bound["k"], "a number", int, float)
-            bound_fn = lambda T: bounds.fpl_regret(k, T)
-        elif kind == "hierarchical":
-            d, n = (_checked(f"bound {key}", bound[key], "an int", int) for key in ("dim", "n"))
-            bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
-        else:
-            raise DomainError(f"unknown bound kind: {kind!r}")
-
-    return (*_spec_makers(learner_spec, nature_spec),
-            horizons, trials, master_seed, comparison, bound_fn)

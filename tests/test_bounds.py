@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nuolab import bounds, fpl, runner, verification
+from nuolab import bounds, fpl, specs, verification
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FORMULAS = [f for name, f in inspect.getmembers(bounds, inspect.isfunction)
@@ -75,9 +75,9 @@ def test_the_fpl_check_and_the_regret_bound_column_read_bounds(monkeypatch):
     config = {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
               "comparison": [{"kind": "constant", "value": 0}], "Ts": [4, 9],
               "trials": 2, "bound": {"kind": "fpl", "k": 1}}
-    assert runner.regret_experiment_from_config(config).bounds == [6.0, 9.0]
+    assert specs.regret_experiment_from_config(config).bounds == [6.0, 9.0]
     assert verification.check_fpl_regret_bound(trials=4, horizon=20).passed
     monkeypatch.setattr(bounds, "fpl_regret", lambda k, T: -float(T))
-    assert runner.regret_experiment_from_config(config).bounds == [-4.0, -9.0]
+    assert specs.regret_experiment_from_config(config).bounds == [-4.0, -9.0]
     result = verification.check_fpl_regret_bound(trials=4, horizon=20)
     assert not result.passed and "> -20.00" in result.detail, result.detail

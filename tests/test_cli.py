@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from nuolab import cli
-from nuolab.hypotheses import FiniteClass
 
 ROOT = Path(__file__).resolve().parent.parent
 COIN = json.dumps({"nature": "coin-flip"})
@@ -51,9 +50,11 @@ def test_play_input_errors(capsys, argv, message):
 def test_play_refuses_a_class_beyond_the_caps(capsys, tmp_path):
     # a class too deep for the dimension recursion is refused when the
     # learner is built, not by a RecursionError in round 1
-    cls = FiniteClass.thresholds(tuple(range(1, 1501)), range(1, 1502))
+    domain = range(1, 1501)
+    cls = {"domain": list(domain),
+           "hypotheses": [[int(x >= cut) for x in domain] for cut in range(1, 1502)]}
     spec = tmp_path / "learner.json"
-    spec.write_text(json.dumps({"learner": "soa", "class": cls.to_config()}))
+    spec.write_text(json.dumps({"learner": "soa", "class": cls}))
     nature = json.dumps({"nature": "scripted", "x": [1], "y": [1]})
     code, out, err = run(capsys, "play", "--learner", str(spec), "--nature", nature, "-T", "1")
     assert code == 2 and out == ""
@@ -202,3 +203,68 @@ def test_readme_examples_are_committed(capsys):
     assert "nuolab regret --config examples/experiment.json" in readme
     block = readme.split("(`examples/experiment.json`):\n\n```json\n")[1].split("```")[0]
     assert (ROOT / "examples" / "experiment.json").read_text() == block
+
+
+def test_play_csv_to_an_unwritable_path(capsys, tmp_path):
+    # the CSV is opened before the game is played
+    path = tmp_path / "missing" / "trace.csv"
+    code, out, err = run(capsys, "play", "--learner", CONSTANT, "--nature", COIN,
+                         "-T", "5", "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err == f"nuolab play: error: cannot write {str(path)!r}: No such file or directory\n"
+
+
+CLASS = {"domain": [1], "hypotheses": [[0]]}
+TARGET = {"kind": "constant", "value": 0}
+SUPPORT = {"family": "finite-support", "params": {"domain": [1]}}
+
+
+def _play(learner=json.loads(CONSTANT), nature=json.loads(COIN)):
+    return ["play", "--learner", json.dumps(learner), "--nature", json.dumps(nature),
+            "-T", "3"]
+
+
+def _iid(measure=None, target=TARGET):
+    return {"nature": "iid", "measure": measure or {"support": [1], "mass": ["1/1"]},
+            "target": target}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ldim", json.dumps({**CLASS, "domain": 5})], "class domain must be a list, got 5"),
+    (["ldim", json.dumps({**CLASS, "hypotheses": 5})],
+     "class hypotheses must be a list, got 5"),
+    (["ldim", json.dumps({**CLASS, "hypotheses": [5]})], "row values must be a list, got 5"),
+    (["ldim", json.dumps({**CLASS, "labels": 5})],
+     "class labels must be a list of ints and strings, or null, got 5"),
+    (["ldim", "list.json"], "class spec must be an object, got [1]"),
+    (["play", "--learner", "list.json", "--nature", COIN, "-T", "3"],
+     "learner spec must be an object, got [1]"),
+    (_play({"learner": "expert", "class": CLASS, "key": "12"}),
+     "expert key must be a list, got '12'"),
+    (_play({"learner": "fpl", "experts": 5, "k": [1]}), "fpl experts must be a list, got 5"),
+    (_play({"learner": "cover", "cover": 5}), "cover must be a list, got 5"),
+    (_play({"learner": "aggregator",
+            "family": {"family": "explicit-list", "params": {"classes": 5}}}),
+     "explicit-list classes must be a list, got 5"),
+    (_play({"learner": "aggregator", "family": {**SUPPORT, "params": 5}}),
+     "params must be an object, got 5"),
+    (_play({"learner": "aggregator", "family": {**SUPPORT, "params": {"domain": 5}}}),
+     "finite-support domain must be a list, got 5"),
+    (_play(nature=_iid({"support": 5, "mass": ["1/1"]})),
+     "measure support must be a list, got 5"),
+    (_play(nature=_iid(target={"kind": "support", "points": 5})),
+     "support points must be a list, got 5"),
+    (_play(nature=_iid(target={"kind": "row", "domain": [1], "values": 5})),
+     "row values must be a list, got 5"),
+    (_play(nature=_iid(target=5)), "target must be an object, got 5"),
+], ids=["class-domain", "class-hypotheses", "class-row", "class-labels", "ldim-list",
+        "play-list", "expert-key", "fpl-experts", "cover", "explicit-list-classes",
+        "family-params", "finite-support-domain", "measure-support", "support-points",
+        "row-values", "iid-target"])
+def test_malformed_spec_fields(capsys, tmp_path, monkeypatch, argv, message):
+    # every field is type-checked when it is read, lists and objects too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"nuolab {argv[0]}: error: {message}\n"

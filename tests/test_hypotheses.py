@@ -10,10 +10,10 @@ from nuolab.hypotheses import (MATERIALIZE_MAX_ROWS, DiscreteMeasure, DomainErro
                                ExplicitListFamily, FiniteClass,
                                FiniteSupportClass, FiniteSupportFamily,
                                NaturalThresholdFamily, RationalThresholdFamily,
-                               family_from_config, hypothesis_from_config,
-                               parse_point, point_to_json,
-                               rationals_unit_interval)
+                               format_point, rationals_unit_interval)
 from nuolab.littlestone import VersionSpace, ldim
+from nuolab.specs import (class_from_config, family_from_config,
+                          hypothesis_from_config, measure_from_config, parse_point)
 
 
 def mask_ids(mask):
@@ -30,26 +30,51 @@ def finite_classes(st_draw, max_points=4, max_rows=10):
     return FiniteClass(("a", "b", "c", "d")[:m], rows)
 
 
-# JSON points: a string holding "/" has no JSON form (`point_to_json`
-# refuses it), so string points here never hold one
-points = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=64),
-                   st.text(st.characters(codec="utf-8", exclude_characters="/"),
-                           max_size=4))
+# JSON points, each with the point it reads as: a rational is written "n/d",
+# and a string point never holds "/", which the reader takes for a rational
+json_points = st.one_of(
+    st.integers(-50, 50).map(lambda n: (n, n)),
+    st.fractions(max_denominator=64).map(lambda q: (format_point(q), q)),
+    st.text(st.characters(codec="utf-8", exclude_characters="/"), max_size=4)
+    .map(lambda text: (text, text)))
+
+
+def through_json(spec):
+    """`spec` as the reader gets it from a file: written and parsed as JSON."""
+    return json.loads(json.dumps(spec))
 
 
 @st.composite
-def configurable_classes(draw, min_rows=0):
-    domain = draw(st.lists(points, min_size=1, max_size=5, unique=True))
+def class_specs(draw, min_rows=0):
+    """A class spec and the class that it describes."""
+    domain = draw(st.lists(json_points, min_size=1, max_size=5, unique_by=lambda p: p[1]))
     rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * len(domain)),
                          min_size=min_rows, max_size=8, unique=True))
     labels = draw(st.none() | st.lists(st.integers(0, 99) | st.text(max_size=3),
                                        min_size=len(rows), max_size=len(rows),
                                        unique=True))
-    return FiniteClass(domain, rows, labels=labels)
+    spec = {"domain": [raw for raw, _ in domain], "hypotheses": [list(r) for r in rows]}
+    if labels is not None:
+        spec["labels"] = labels
+    return through_json(spec), FiniteClass([p for _, p in domain], rows, labels=labels)
 
 
-def through_json(obj):
-    return json.loads(json.dumps(obj.to_config()))
+@st.composite
+def family_specs(draw):
+    """A family spec and the family that it describes."""
+    kind = draw(st.sampled_from(["explicit-list", "finite-support",
+                                 "rational-thresholds", "natural-thresholds"]))
+    if kind == "explicit-list":
+        classes = draw(st.lists(class_specs(min_rows=1), min_size=1, max_size=3))
+        return ({"family": kind, "params": {"classes": [spec for spec, _ in classes]}},
+                ExplicitListFamily([cls for _, cls in classes]))
+    if kind == "finite-support":
+        domain = draw(st.lists(json_points, min_size=1, max_size=6, unique_by=lambda p: p[1]))
+        return ({"family": kind, "params": {"domain": [raw for raw, _ in domain]}},
+                FiniteSupportFamily([p for _, p in domain]))
+    family = RationalThresholdFamily() if kind == "rational-thresholds" \
+        else NaturalThresholdFamily()
+    return {"family": kind, **draw(st.sampled_from([{}, {"params": {}}]))}, family
 
 
 def typed(values):
@@ -62,23 +87,23 @@ def same_class(one, two):
 
 
 class TestConfigRoundTrips:
+    """Specs written as JSON text read back as the objects they describe."""
+
     @settings(max_examples=80, deadline=None)
-    @given(configurable_classes())
-    def test_finite_class(self, cls):
-        assert same_class(FiniteClass.from_config(through_json(cls)), cls)
+    @given(class_specs())
+    def test_finite_class(self, spec_and_class):
+        spec, cls = spec_and_class
+        assert same_class(class_from_config(spec), cls)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.one_of(
-        st.lists(configurable_classes(min_rows=1), min_size=1, max_size=3)
-        .map(ExplicitListFamily),
-        st.lists(points, min_size=1, max_size=6, unique=True).map(FiniteSupportFamily),
-        st.builds(RationalThresholdFamily), st.builds(NaturalThresholdFamily)))
-    def test_family(self, family):
-        again = family_from_config(through_json(family))
+    @given(family_specs())
+    def test_family(self, spec_and_family):
+        spec, family = spec_and_family
+        again = family_from_config(through_json(spec))
         assert type(again) is type(family)
-        assert again.to_config() == family.to_config()
         if isinstance(family, ExplicitListFamily):
             assert all(same_class(a, b) for a, b in zip(again.classes, family.classes))
+            assert len(again.classes) == len(family.classes)
             assert again.dims == family.dims
         if isinstance(family, FiniteSupportFamily):
             assert typed(again.domain) == typed(family.domain)
@@ -86,15 +111,15 @@ class TestConfigRoundTrips:
             assert again.component(n).dim == family.component(n).dim
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(points, st.integers(1, 1000)), min_size=1, max_size=6,
-                    unique_by=lambda pw: pw[0]))
+    @given(st.lists(st.tuples(json_points, st.integers(1, 1000)), min_size=1, max_size=6,
+                    unique_by=lambda pw: pw[0][1]))
     def test_discrete_measure(self, weighted):
         total = sum(w for _, w in weighted)
-        measure = DiscreteMeasure([p for p, _ in weighted],
-                                  [Fraction(w, total) for _, w in weighted])
-        again = DiscreteMeasure.from_config(through_json(measure))
-        assert typed(again.support) == typed(measure.support)
-        assert again.masses == measure.masses
+        spec = {"support": [raw for (raw, _), _ in weighted],
+                "mass": [f"{w}/{total}" for _, w in weighted]}
+        again = measure_from_config(through_json(spec))
+        assert typed(again.support) == typed([p for (_, p), _ in weighted])
+        assert again.masses == tuple(Fraction(w, total) for _, w in weighted)
 
 
 class TestPoints:
@@ -102,7 +127,7 @@ class TestPoints:
         for raw, expected in [(3, 3), ("a", "a"), ("3/16", Fraction(3, 16)),
                               ("7", "7")]:
             assert parse_point(raw) == expected
-        assert parse_point(point_to_json(Fraction(1, 2))) == Fraction(1, 2)
+        assert parse_point(format_point(Fraction(1, 2))) == Fraction(1, 2)
 
     def test_rejects_bool_and_float(self):
         with pytest.raises(DomainError):
@@ -110,16 +135,23 @@ class TestPoints:
         with pytest.raises(DomainError):
             parse_point(0.5)
 
-    @pytest.mark.parametrize("point", ["1/2", "a/b", "/"])
-    def test_string_holding_slash_has_no_json_form(self, point):
-        # parse_point would read it back as a rational, or fail to
-        with pytest.raises(DomainError, match="holds '/'"):
-            point_to_json(point)
-        for obj in (FiniteClass((point, "a"), [[0, 1]]),
-                    FiniteSupportFamily((point, "a")),
-                    DiscreteMeasure.uniform((point, "a"))):
-            with pytest.raises(DomainError, match="holds '/'"):
-                obj.to_config()
+    @pytest.mark.parametrize("point, read", [("1/2", Fraction(1, 2)), ("a/b", None),
+                                             ("/", None)], ids=["1/2", "a/b", "/"])
+    def test_string_holding_slash_has_no_json_form(self, point, read):
+        # the reader takes every string holding "/" for a rational, so no
+        # spec names such a string point: it reads as a number or is refused
+        specs = [{"domain": [point, "a"], "hypotheses": [[0, 1]]},
+                 {"family": "finite-support", "params": {"domain": [point, "a"]}},
+                 {"support": [point, "a"], "mass": ["1/2", "1/2"]}]
+        for reader, spec in zip((class_from_config, family_from_config,
+                                 measure_from_config), specs):
+            if read is None:
+                with pytest.raises(DomainError, match=f"bad rational point {point!r}"):
+                    reader(spec)
+            else:
+                obj = reader(spec)
+                points = getattr(obj, "domain", None) or obj.support
+                assert typed(points) == typed([read, "a"])
 
 
 class TestFiniteClass:
@@ -143,7 +175,7 @@ class TestFiniteClass:
     def test_spec_rejects_values_that_are_not_int_labels(self, value):
         spec = {"domain": ["a", "b"], "hypotheses": [[0, 0], [value, 0]]}
         with pytest.raises(DomainError, match=f"row values must be 0 or 1, got {value!r}"):
-            FiniteClass.from_config(spec)
+            class_from_config(spec)
 
     # restriction lives on the version-space kernel, whose states are row
     # masks of the root: bit i set iff row i survives
@@ -196,8 +228,9 @@ class TestFiniteClass:
 
     def test_config_round_trip(self):
         cls = FiniteClass.thresholds((1, 2, 3), (1, 2))
-        again = FiniteClass.from_config(cls.to_config())
-        assert again.rows == cls.rows and again.domain == cls.domain
+        spec = {"domain": [1, 2, 3], "hypotheses": [[1, 1, 1], [0, 1, 1]],
+                "labels": ["thr-1", "thr-2"]}
+        assert same_class(class_from_config(spec), cls)
 
 
 class TestFamilies:
@@ -271,7 +304,9 @@ class TestFamilies:
         fam = family_from_config({"family": "finite-support",
                                   "params": {"domain": [1, 2, 3]}})
         assert isinstance(fam, FiniteSupportFamily)
-        assert family_from_config(fam.to_config()).domain == fam.domain
+        assert fam.domain == (1, 2, 3)
+        fam = family_from_config({"family": "finite-support", "params": {"domain": ["1/2"]}})
+        assert typed(fam.domain) == [(Fraction, Fraction(1, 2))]
 
 
 class TestHypothesisSpecs:
@@ -327,6 +362,5 @@ class TestDiscreteMeasure:
         assert one == two
 
     def test_config_round_trip(self):
-        m = DiscreteMeasure.from_config({"support": ["a", "b"],
-                                         "mass": ["1/2", "1/2"]})
-        assert DiscreteMeasure.from_config(m.to_config()).masses == m.masses
+        m = measure_from_config({"support": ["a", "b"], "mass": ["1/2", "1/2"]})
+        assert m.support == ("a", "b") and m.masses == (Fraction(1, 2), Fraction(1, 2))

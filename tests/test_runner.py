@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nuolab import learners, nature, runner
+from nuolab import learners, nature, runner, specs
 from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
                                constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
 from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
-                           comparison_hypotheses, make_learner, make_nature,
-                           monte_carlo, play_config, play_seeded, regret,
-                           regret_curve, run_game, split_seed, trace_to_csv,
-                           trial_seeds)
+                           comparison_hypotheses, monte_carlo, play_seeded,
+                           regret, regret_curve, run_game, split_seed,
+                           trace_to_csv, trial_seeds)
+from nuolab.specs import make_learner, make_nature, play_config
 
 TWO_CLASS = FiniteClass((0,), [[0], [1]])
+TWO_CLASS_SPEC = {"domain": [0], "hypotheses": [[0], [1]]}
+# FiniteClass.full_class(("a", "b"))
+FULL_AB_SPEC = {"domain": ["a", "b"], "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 
 
 class TestRunGame:
@@ -281,7 +284,7 @@ class TestMonteCarlo:
 
 class TestConfigFactories:
     def test_learner_dispatch(self):
-        cls_spec = TWO_CLASS.to_config()
+        cls_spec = TWO_CLASS_SPEC
         assert isinstance(make_learner({"learner": "soa", "class": cls_spec}),
                           learners.SoaLearner)
         assert isinstance(make_learner({"learner": "expert", "class": cls_spec,
@@ -310,9 +313,8 @@ class TestConfigFactories:
                           nature.WindowHalving)
         committed = make_nature(
             {"nature": "tree-adversary", "mode": "committed",
-             "class": FiniteClass.full_class(("a", "b")).to_config()},
-            learner_spec={"learner": "soa",
-                          "class": FiniteClass.full_class(("a", "b")).to_config()})
+             "class": FULL_AB_SPEC},
+            learner_spec={"learner": "soa", "class": FULL_AB_SPEC})
         assert isinstance(committed, nature.RealizableScripted)
         with pytest.raises(DomainError):
             make_nature({"nature": "what"})
@@ -320,7 +322,7 @@ class TestConfigFactories:
     def test_committed_mode_needs_learner(self):
         with pytest.raises(DomainError):
             make_nature({"nature": "tree-adversary", "mode": "committed",
-                         "class": FiniteClass.full_class(("a", "b")).to_config()})
+                         "class": FULL_AB_SPEC})
 
     def test_regret_experiment_from_config(self):
         config = {
@@ -329,11 +331,11 @@ class TestConfigFactories:
                                     {"kind": "constant", "value": 1}],
                         "k": [1.0, 1.0]},
             "nature": {"nature": "coin-flip"},
-            "comparison": TWO_CLASS.to_config(),
+            "comparison": TWO_CLASS_SPEC,
             "Ts": [30], "trials": 30, "master_seed": 5,
             "bound": {"kind": "fpl", "k": 1.0},
         }
-        curve = runner.regret_experiment_from_config(config)
+        curve = specs.regret_experiment_from_config(config)
         row = curve.rows()[0]
         assert row["bound"] == pytest.approx(3 * math.sqrt(30))
         assert row["mean"] + 3 * row["se"] <= row["bound"]

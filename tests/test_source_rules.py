@@ -80,3 +80,30 @@ def test_verification_derives_no_bound():
                and getattr(node.value, "id", None) == "math"]
     assert {"fsum", "margin"} <= calls and "sqrt" not in calls
     assert not named_e and "0.83" not in text
+
+
+def test_one_spec_reader():
+    # the JSON spec format is read only in `specs`: no other module imports
+    # json or defines a reader or writer of specs at module or class level
+    # (a nested function that builds a nature from a seed reads no spec)
+    def spec_function(name):
+        return (name in ("from_config", "to_config", "make_learner", "make_nature")
+                or name.endswith("_from_config"))
+
+    found = []
+    for path in SOURCES:
+        if path.name == "specs.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.name}:{node.lineno} imports json")
+        defined = [(node, None) for node in tree.body]
+        defined += [(item, node.name) for node in tree.body if isinstance(node, ast.ClassDef)
+                    for item in node.body]
+        found += [f"{path.name}:{node.lineno} defines {owner + '.' if owner else ''}{node.name}"
+                  for node, owner in defined
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and spec_function(node.name)]
+    assert "specs.py" in {path.name for path in SOURCES} and not found, found

@@ -79,7 +79,8 @@ class TestReducedScaleChecks:
 class TestCli:
     def test_ldim_command(self, tmp_path, capsys):
         path = tmp_path / "cls.json"
-        path.write_text(json.dumps(FiniteClass.full_class(("a", "b")).to_config()))
+        path.write_text(json.dumps({"domain": ["a", "b"],
+                                    "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
         assert cli.main(["ldim", str(path), "--witness"]) == 0
         out = capsys.readouterr().out
         assert "ldim:       2" in out and "witness points" in out

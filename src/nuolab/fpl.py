@@ -11,24 +11,28 @@ round keeps the regret bound against natures that adapt to past choices.
 One scorer applies the rule, `_PerturbedLeader._leader` for a round and
 `_leaders` for a block of rounds; every leader here scores through it.
 
-The scorer draws each round's perturbations as it scores, except in a
-large expert-pool replay, where a worker thread draws them ahead on a
-second CPU (`_PerturbedLeader._drawn_ahead`). Either way they come from
-the learner's one generator in round order, and n values drawn in pieces
-equal, value for value, n values drawn at once and leave the generator in
-the same state, so the stream is that of one Exponential(1) vector a
-round.
+A fresh expert pool replays a batch of rounds from a plan of what its
+dimension and the horizon alone fix (`_replay_plan`); the plan holds
+nothing of a game, so every replay of one shape shares it, read-only. The
+scorer draws each round's perturbations as it scores, except in a large
+replay, where a worker thread draws them ahead on a second CPU
+(`_PerturbedLeader._drawn_ahead`). Either way they come from the learner's
+one generator in round order, and n values drawn in pieces equal, value
+for value, n values drawn at once and leave the generator in the same
+state, so the stream is that of one Exponential(1) vector a round.
 """
 from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 import math
 import operator
 import os
 import queue
 import threading
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,7 +114,7 @@ class _PerturbedLeader(OnlineLearner):
         self._size += count
 
     def _check_mass(self, t: int) -> None:
-        if self._mass > 1.0 + _MASS_SLACK:
+        if not self._mass <= 1.0 + _MASS_SLACK:     # a NaN mass fails too
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
 
@@ -130,21 +134,21 @@ class _PerturbedLeader(OnlineLearner):
         score += loss
         return int(score.argmin())
 
-    def _leaders(self, losses: np.ndarray, t: int, born: Optional[np.ndarray] = None,
+    def _leaders(self, losses: np.ndarray, t: int, born: Optional[tuple] = None,
                  q: Optional[np.ndarray] = None) -> np.ndarray:
         """The leaders of rounds t, t + 1, ... for a (rounds x experts)
         block of losses, scored row by row as `_leader` scores a round.
 
         The block's draws are the values of one draw per round, in order;
-        where the mask `born` is given, an expert not yet born draws -inf,
-        so it scores +inf and takes no draw, and the born experts' draws
-        may be passed in as q.
+        where `born`, a mask and its count of True entries, is given, an
+        expert not yet born draws -inf, so it scores +inf and takes no draw,
+        and the born experts' draws may be passed in as q.
         """
         if born is None:
             score = self.rng.standard_exponential(losses.shape)
         else:
             score = np.full(losses.shape, -np.inf)
-            score[born] = self.rng.standard_exponential(int(born.sum())) if q is None else q
+            score[born[0]] = self.rng.standard_exponential(born[1]) if q is None else q
         np.subtract(self.complexities[:losses.shape[1]], score, out=score)
         score *= np.sqrt(np.arange(t, t + len(losses), dtype=float))[:, None]
         score += losses
@@ -308,6 +312,43 @@ class FplLearner(_PerturbedLeader):
         return preds
 
 
+_ReplayPlan = namedtuple("_ReplayPlan", "charges complexities live tri growable parent schedule")
+
+
+@functools.lru_cache(maxsize=16)
+def _replay_plan(dim: int, T: int, block: int, complexity) -> _ReplayPlan:
+    """`ExpertPoolFpl._replay`'s plan for T rounds of a fresh dimension-`dim`
+    pool under the scheme `complexity`, scoring at most `block` entries at
+    once. A schedule entry (t, u, s, w, newborn) scores rounds t..u over the
+    first w experts, s born before round t; for a block, newborn holds the
+    born mask and count, and each newborn's flat index and its parent's."""
+    counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
+    ks = [complexity(dim, t) for t in range(1, T + 1)]
+    charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
+    live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
+    sizes = live.tolist()
+    tri = np.tri(T, int(counts[-1]), dtype=bool)
+    growable = np.concatenate(([0], live[:-1]))     # the growable experts after round T
+    parent = growable[:tri.shape[1]]
+    arrays = [np.repeat(ks, counts), live, tri, growable, parent]
+    schedule, t = [], 1
+    while t <= T:
+        u = t
+        while u < T and (u + 2 - t) * sizes[u + 1] <= block:
+            u += 1
+        s, w = sizes[t - 1], sizes[u]
+        if u > t:   # the newborns of rounds t..u are experts s..w - 1
+            r, a = np.nonzero(tri[t - 1:u])
+            arrays += [np.arange(w) < live[t:u + 1, None], r * w + np.arange(s, w),
+                       r * w + parent[a]]
+        newborn = ((arrays[-3], sum(sizes[t:u + 1])), *arrays[-2:]) if u > t else None
+        schedule.append((t, u, s, w, newborn))
+        t = u + 1
+    for array in arrays:
+        array.flags.writeable = False
+    return _ReplayPlan(charges, arrays[0], live, tri, growable, parent, tuple(schedule))
+
+
 class ExpertPoolFpl(_PerturbedLeader):
     """Perturbed leader over every keyed version-space expert with at most
     `dim` update rounds, the pool growing by the keys ending at the current
@@ -451,29 +492,27 @@ class ExpertPoolFpl(_PerturbedLeader):
         cohort, so the mass budget is the loop's. Each round is scored by
         `_leader` over the experts born by then; while the pool is small,
         rounds are scored by `_leaders` as one block of at most `_BLOCK`
-        entries, in which the unborn experts take no draw.
+        entries, in which the unborn experts take no draw. `_replay_plan`
+        makes the cohorts, their complexities and charges, and this schedule
+        once per (dim, T, `_BLOCK`); the state walk, the M, step and drop
+        tables, the bases, the mass and the draws are this game's.
         """
         engine, T, dim = self.engine, len(ys), self.dim
-        # cohort sizes, the growable experts before each round
-        counts = np.arange(T) * (dim == 2) + (dim > 0)
-        ks = [pool_complexity(dim, t) for t in range(1, T + 1)]
+        plan = _replay_plan(dim, T, self._BLOCK, pool_complexity)
         # the cohorts' charges as `_register` makes them round by round, in
         # one pass; the masses never fall, so the rounds before the first
         # over the budget are the ones that pass
-        masses = list(itertools.accumulate(
-            map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))),
-            initial=self._mass))
+        masses = list(itertools.accumulate(plan.charges, initial=self._mass))
         passed = bisect.bisect_right(masses, 1.0 + _MASS_SLACK) - 1
-        self._size += int(counts[:passed].sum())
+        self._size += int(plan.live[passed]) - 1
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
-        live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
-        n = int(live[-1])
-        self.complexities = np.concatenate((self.complexities, np.repeat(ks, counts)))
+        n = int(plan.live[T])
+        self.complexities = np.concatenate((self.complexities, plan.complexities))
 
         # a worker may draw the perturbations from here on, the state walk's
         # time included
-        with self._drawn_ahead(int(live[1:].sum())) as take:
+        with self._drawn_ahead(int(plan.live[1:].sum())) as take:
             after = {}      # (state, x, y) -> the state that round leaves it in
             grown = [0] if dim else []      # the growable experts' states, in order
             present = dict.fromkeys(grown)
@@ -503,45 +542,33 @@ class ExpertPoolFpl(_PerturbedLeader):
 
             # the experts after the root, cohort by cohort, are the lower
             # triangle of a (birth round x growable parent) table, row by row
-            W = int(counts[-1])
+            W, tri = len(plan.parent), plan.tri
             parent_state = np.array(grown[:W], dtype=np.int64)
-            tri = np.tri(T, W, dtype=bool)
             self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
             base = np.zeros(n)
             # the base of (a, b): the base of (a), then the drop at round b
             base[1:] = drop[:, parent_state][tri]
             base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
-            growable = np.concatenate(([0], live[:-1]))     # their indices after round T
-            parent = growable[:W]
 
             loss = np.empty(n)
             chosen = np.empty(T, dtype=np.int64)
-            sizes = live.tolist()
-            t = 1
-            while t <= T:
-                u = t
-                while u < T and (u + 2 - t) * sizes[u + 1] <= self._BLOCK:
-                    u += 1
-                s, w = sizes[t - 1], sizes[u]
-                if u == t:
+            for t, u, s, w, newborn in plan.schedule:
+                if newborn is None:
                     # the indices are in range: mode="clip" only makes take
                     # write into `out` unbuffered
                     mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
                     loss[:s] += base[:s]
                     # a newborn has its parent's loss
-                    loss.take(parent[:w - s], out=loss[s:w], mode="clip")
+                    loss.take(plan.parent[:w - s], out=loss[s:w], mode="clip")
                     chosen[t - 1] = self._leader(loss[:w], t, take(w))
                 else:
-                    rows = np.arange(t, u + 1)
-                    block = mistakes[rows - 1].take(state[:w], axis=1)
+                    born, newborns, parents = newborn
+                    block = mistakes[t - 1:u].take(state[:w], axis=1)
                     block += base[:w]
                     # in its birth round, a newborn has its parent's loss
-                    r, a = np.nonzero(tri[t - 1:u])
-                    block[r, np.arange(s, w)] = block[r, parent[a]]
-                    chosen[t - 1:u] = self._leaders(block, t, np.arange(w) < live[rows, None],
-                                                    take(sum(sizes[t:u + 1])))
-                t = u + 1
-        nth = chosen - live[:-1]        # a newborn's place in its cohort
+                    block.put(newborns, block.take(parents))
+                    chosen[t - 1:u] = self._leaders(block, t, born, take(born[1]))
+        nth = chosen - plan.live[:-1]       # a newborn's place in its cohort
         then = state[chosen]
         new = nth >= 0
         then[new] = parent_state[nth[new]]
@@ -549,9 +576,9 @@ class ExpertPoolFpl(_PerturbedLeader):
 
         self.losses = (mistakes[T][state] + base).astype(np.int64)
         if dim == 2:
-            self._growable = np.column_stack((growable, np.arange(T + 1) > 0))
+            self._growable = np.column_stack((plan.growable, np.arange(T + 1) > 0))
         self._extended_for = T
-        self._cohort = (sizes[T - 1], n)
+        self._cohort = (int(plan.live[T - 1]), n)
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

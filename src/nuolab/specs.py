@@ -26,8 +26,11 @@ from .runner import REAL_THRESHOLDS, RegretCurve, play_seeded, regret_curve
 def load_spec(value: str):
     """The JSON value of `value`: inline JSON if it starts with "{",
     otherwise the contents of the file it names."""
+    def refuse(name: str):      # json reads NaN, Infinity and -Infinity unless told not to
+        raise DomainError(f"bad JSON in {value!r}: {name} is not a JSON number")
     try:
-        return json.loads(value if value.lstrip().startswith("{") else Path(value).read_text())
+        return json.loads(value if value.lstrip().startswith("{") else Path(value).read_text(),
+                          parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON in {value!r}: {exc}") from None
     except OSError as exc:

@@ -268,3 +268,27 @@ def test_malformed_spec_fields(capsys, tmp_path, monkeypatch, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"nuolab {argv[0]}: error: {message}\n"
+
+
+FPL_NAN = ('{"learner":"fpl","experts":[{"kind":"constant","value":0},'
+           '{"kind":"constant","value":1}],"k":[NaN,1]}')
+BOUND_INFINITY = ('{"learner":{"learner":"constant"},"nature":{"nature":"coin-flip"},'
+                  '"comparison":[{"kind":"constant","value":0}],"T":5,"trials":3,'
+                  '"bound":{"kind":"fpl","k":Infinity}}')
+MASS_MINUS_INFINITY = ('{"nature":"iid","measure":{"support":[1,2],"mass":[-Infinity,1]},'
+                       '"target":{"kind":"constant","value":0}}')
+
+
+@pytest.mark.parametrize("argv, spec, constant", [
+    (["play", "--learner", FPL_NAN, "--nature", COIN, "-T", "5"], FPL_NAN, "NaN"),
+    (["regret", "--config", BOUND_INFINITY], BOUND_INFINITY, "Infinity"),
+    (["play", "--learner", CONSTANT, "--nature", MASS_MINUS_INFINITY, "-T", "3"],
+     MASS_MINUS_INFINITY, "-Infinity"),
+], ids=["fpl-k", "bound-k", "measure-mass"])
+def test_non_finite_json_constants_refused(capsys, argv, spec, constant):
+    # Python's json reads NaN, Infinity and -Infinity, which JSON does not
+    # allow; a spec that holds one is bad JSON
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = f"bad JSON in {spec!r}: {constant} is not a JSON number"
+    assert err == f"nuolab {argv[0]}: error: {message}\n"

@@ -58,6 +58,13 @@ class TestFplLearner:
         with pytest.raises(ConfigurationError):
             FplLearner([ConstantLearner(0), ConstantLearner(1)], [0.0, 0.0], seed=0)
 
+    @pytest.mark.parametrize("k", [math.nan, -math.inf])
+    def test_non_finite_mass_rejected(self, k):
+        # a NaN mass compares false with the budget, and an infinite one
+        # overflows it; either would let `argmin` pick a NaN score
+        with pytest.raises(ConfigurationError, match="complexity mass (nan|inf) exceeds 1"):
+            FplLearner([ConstantLearner(0), ConstantLearner(1)], [k, 1.0], seed=1)
+
     def test_no_experts_rejected(self):
         with pytest.raises(ProtocolError):
             FplLearner(seed=0).predict("x")

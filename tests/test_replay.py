@@ -338,9 +338,10 @@ def test_replay_mass_overflow_names_the_loop_round(monkeypatch):
         ("error", "ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2")]
 
 
-def pool_replay(comp, xs, ys, seed):
+def pool_replay(comp, xs, ys, seed, loop=False):
     """The predictions, the leaders chosen round by round and the final
-    snapshot of a fresh pool replaying a script."""
+    snapshot of a fresh pool replaying a script, or with `loop`, playing it
+    round by round."""
     pool = ExpertPoolFpl(comp, seed=seed)
     chosen = []
 
@@ -352,7 +353,8 @@ def pool_replay(comp, xs, ys, seed):
         return scored
 
     pool._leader, pool._leaders = recorded(pool._leader), recorded(pool._leaders)
-    return pool.play(xs, ys), chosen, snapshot(pool)
+    preds = checked_loop(pool, xs, ys) if loop else pool.play(xs, ys)
+    return preds, chosen, snapshot(pool)
 
 
 class PoisonedReturns(queue.SimpleQueue):
@@ -521,6 +523,130 @@ def test_one_cpu_draws_inline(affinity, monkeypatch):
     monkeypatch.setattr(ExpertPoolFpl, "_AHEAD", 0)
     monkeypatch.setattr(threading.Thread, "start", start)
     assert pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38) == expected
+
+
+# the plan of a replay: made once per (dimension, horizon, block size),
+# shared read-only by every replay of that shape
+
+def plan_parts(value):
+    """Every value inside a plan, tuples opened."""
+    if isinstance(value, tuple):
+        for part in value:
+            yield from plan_parts(part)
+    else:
+        yield value
+
+
+def scored_losses(comp, xs, ys, seed, loop=False):
+    """The losses of the born experts that the scorer scores, round by
+    round, when a fresh pool replays a script, or with `loop`, plays it
+    round by round."""
+    pool = ExpertPoolFpl(comp, seed=seed)
+    rows = []
+    leader, leaders = pool._leader, pool._leaders
+
+    def one(loss, t, q=None):
+        rows.append(np.array(loss, dtype=float))
+        return leader(loss, t, q)
+
+    def block(losses, t, born, q=None):
+        rows.extend(row[mask] for row, mask in zip(losses, born[0]))
+        return leaders(losses, t, born, q)
+
+    pool._leader, pool._leaders = one, block
+    if loop:
+        checked_loop(pool, xs, ys)
+    else:
+        pool.play(xs, ys)
+    return [row.tolist() for row in rows]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 50, 200])
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_replay_matches_loop_at_every_block_size(name, horizon, monkeypatch):
+    # a block of 1 scores every round alone, and 2**22 all the rounds of
+    # these scripts in one block; each round's leader is the loop's, newborns
+    # in their birth round included
+    xs, ys = check_script(DOMAIN, "coin", horizon)
+    comp = COMPONENTS[name]
+    expected = pool_replay(comp, xs, ys, 39, loop=True)
+    losses = scored_losses(comp, xs, ys, 39, loop=True)
+    for block in (1, 7, 2 ** 13, 2 ** 22):
+        monkeypatch.setattr(ExpertPoolFpl, "_BLOCK", block)
+        schedule = fpl._replay_plan(comp.dim, horizon, block, fpl.pool_complexity).schedule
+        runs = [entry[:2] for entry in schedule]
+        if block == 1:
+            assert runs == [(t, t) for t in range(1, horizon + 1)]
+        elif block == 2 ** 22:
+            assert runs == [(1, horizon)]
+        assert pool_replay(comp, xs, ys, 39) == expected
+        assert scored_losses(comp, xs, ys, 39) == losses
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_warm_plan_replays_as_a_cold_one(name):
+    # the plan holds nothing of a game: a replay that makes it, and one that
+    # finds it made by a pool of another class of the same dimension, play
+    # the same game
+    xs, ys = check_script(DOMAIN, "coin", horizon=120)
+    comp = COMPONENTS[name]
+    fpl._replay_plan.cache_clear()
+    cold = pool_replay(comp, xs, ys, 40)
+    sibling = next(c for n, c in COMPONENTS.items() if n != name and c.dim == comp.dim)
+    pool_replay(sibling, xs, ys, 41)
+    assert pool_replay(comp, xs, ys, 40) == cold
+    info = fpl._replay_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("dim", sorted(POOL_DIMS))
+def test_plan_is_read_only(dim):
+    plan = fpl._replay_plan(dim, 60, ExpertPoolFpl._BLOCK, fpl.pool_complexity)
+    parts = list(plan_parts(plan))
+    arrays = [part for part in parts if isinstance(part, np.ndarray)]
+    # every container in it is a tuple or an array, and it holds blocks
+    assert all(part is None or type(part) in (int, float, np.ndarray) for part in parts)
+    assert any(entry[4] is not None for entry in plan.schedule)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_second_replay_of_a_shape_computes_no_complexity(monkeypatch):
+    calls = []
+    complexity = fpl.pool_complexity
+
+    def counted(dim, last_round):
+        calls.append(last_round)
+        return complexity(dim, last_round)
+
+    monkeypatch.setattr(fpl, "pool_complexity", counted)
+    xs, ys = check_script(DOMAIN, "coin", horizon=50)
+    first, second = (ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=s) for s in (42, 43))
+    calls.clear()
+    first.play(xs, ys)
+    assert calls == list(range(1, 51))
+    calls.clear()
+    second.play(xs, ys)
+    assert calls == [] and second.t == first.t == 51
+
+
+def test_plan_cache_stays_bounded():
+    # more shapes than the cache holds: it never grows past its bound, and
+    # the first shape, evicted, is planned again and replays as before
+    maxsize = fpl._replay_plan.cache_info().maxsize
+    xs, ys = check_script(DOMAIN, "coin", horizon=maxsize + 4)
+    shapes = [(name, T) for T in range(1, maxsize + 5)
+              for name in ("dim1-support", "dim2-support")]
+    fpl._replay_plan.cache_clear()
+    results = {}
+    for name, T in shapes:
+        results[name, T] = pool_replay(COMPONENTS[name], xs[:T], ys[:T], 44)
+        assert fpl._replay_plan.cache_info().currsize <= maxsize
+    assert fpl._replay_plan.cache_info().currsize == maxsize
+    name, T = shapes[0]
+    assert pool_replay(COMPONENTS[name], xs[:T], ys[:T], 44) == results[name, T]
+    assert fpl._replay_plan.cache_info().misses == len(shapes) + 1
 
 
 def test_dim2_bad_label_after_round_100():

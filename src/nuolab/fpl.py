@@ -5,33 +5,56 @@ version-space experts.
 Scoring rule, every round t: each registered expert i carries an exact
 integer loss (its counterfactual mistakes so far), a complexity k_i with
 sum(exp(-k_i)) <= 1, and a fresh Exponential(1) perturbation q_i; the
-leader minimizes loss_i + (k_i - q_i) * sqrt(t). Ties break to the
-smallest index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each
-round keeps the regret bound against natures that adapt to past choices.
-One scorer applies the rule, `_PerturbedLeader._leader` for a round and
-`_leaders` for a block of rounds; every leader here scores through it.
+leader minimizes loss_i + (k_i - q_i) * sqrt(t), that is, maximizes
+q_i - c_i with c_i = loss_i / sqrt(t) + k_i. Ties break to the smallest
+index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each round
+keeps the regret bound against natures that adapt to past choices.
+`_PerturbedLeader._leader` and `_leaders` apply the rule to a fixed list
+of experts, drawing every q_i; `ExpertPoolFpl._lazy_leaders` applies it to
+a pool, drawing only the perturbations that can still lead.
 
-A fresh expert pool replays a batch of rounds from a plan of what its
-dimension and the horizon alone fix (`_replay_plan`); the plan holds
-nothing of a game, so every replay of one shape shares it, read-only. The
-scorer draws each round's perturbations as it scores, except in a large
-replay, where a worker thread draws them ahead on a second CPU
-(`_PerturbedLeader._drawn_ahead`). Either way they come from the learner's
-one generator in round order, and n values drawn in pieces equal, value
-for value, n values drawn at once and leave the generator in the same
-state, so the stream is that of one Exponential(1) vector a round.
+The lazy sampler returns the leader with the distribution of the
+per-expert rule, round by round. Pool experts come in cohorts, one per
+birth round (the root is cohort 0). Each round:
+
+- Exact set: the live experts of the cohorts below `ExpertPoolFpl._EXACT`
+  and the round's newborns draw q exactly. V0 is their best q - c.
+- Ranges: every other live expert falls in one of the cohort ranges
+  [E, 2E), [2E, 4E), ... A range's members all have c >= c_min, its
+  smallest loss over sqrt(t) plus its smallest k. A member with
+  q <= tau = V0 + c_min has q - c <= V0, so it cannot lead, and its q is
+  never needed (thinning).
+- Counts: the M members' q are iid, each past tau with chance
+  p = exp(-max(tau, 0)). The index of the first member past it is
+  geometric: with one uniform U, the first G - 1 members stay below,
+  G = 1 + floor(log(1 - U) / log(1 - p)), so the range is active, with
+  chance 1 - (1 - p)^M, exactly when G <= M. Since that chance is at
+  most M p, only a range whose U is below M times a power of two at
+  least p needs G. The members after the first are independent of it, so
+  how many of them pass is Binomial(M - G, p), placed uniformly among
+  them.
+- Values: by memorylessness, a member known to be past tau >= 0 has
+  q = tau + Exponential(1), independent of the rest; for tau < 0 every
+  member passes and keeps a plain Exponential(1).
+
+So the round's leader is the best of the exact set and of the members
+resolved past tau, with the distribution of drawing every q. The draws
+come from three streams, each consumed in round order: the exact set's on
+`rng`, one uniform per range on `_range_rng`, and the rare resolutions on
+`_resolve_rng`, both generators spawned from `rng`'s seed. The round loop
+and the batch replay (`ExpertPoolFpl._replay`) call the one scorer, on one
+round or on all of a game's rounds, so they draw the same values and
+choose the same leaders. With no range live the rule draws every q, in
+index order, as `_leader` does: a dimension-0 pool, and the first E
+rounds of any pool, keep that stream.
 """
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import itertools
 import math
 import operator
-import os
-import queue
-import threading
 from collections import namedtuple
 from typing import Optional, Sequence
 
@@ -46,14 +69,6 @@ _MASS_SLACK = 1e-9
 
 class ConfigurationError(ValueError):
     """An expert registration that breaks the complexity-mass budget."""
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +99,14 @@ class _PerturbedLeader(OnlineLearner):
     `seed` is an int, a `SeedSequence`, None, or a `Generator`, which is
     drawn from as it is. A subclass holds the experts' losses and
     `complexities` (a float array), picks the round's leader in `_lead` by
-    scoring the losses with `_leader`, or a batch of rounds with `_leaders`,
-    and feeds the experts in `_feed`. The choice is made once per round,
+    scoring the losses with `_leader`, or a batch of rounds with `_leaders`
+    (a pool with `ExpertPoolFpl._lazy_leaders`), and feeds the experts in
+    `_feed`. The choice is made once per round,
     keyed on the round index, so every `predict` of a round and its
     `update` see the same choice.
-
-    The scorer draws its perturbations from `rng`, unless a replay passes
-    in the ones `_drawn_ahead` drew for it on a worker thread: a replay
-    knows its draw schedule before it scores, and one stream filled chunk
-    by chunk in order holds the values, and leaves `rng` in the state, of
-    the round-by-round draws.
     """
 
     deterministic = False
-    _AHEAD = 2 ** 18    # draws a replay needs before a worker draws them ahead
-    _CHUNK = 2 ** 15    # values in each of the worker's buffers
 
     def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
         super().__init__()
@@ -118,106 +126,27 @@ class _PerturbedLeader(OnlineLearner):
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
 
-    def _leader(self, loss, t: int, q: Optional[np.ndarray] = None) -> int:
+    def _leader(self, loss, t: int) -> int:
         """The leader of round t among the first len(loss) experts: the
         argmin of loss + (k - q) * sqrt(t), ties to the smallest index.
-
-        This and `_leaders` draw the perturbations q, unless a replay had
-        them drawn ahead (`_drawn_ahead`) and passes them in, to be
-        overwritten. `standard_exponential(n)` gives the values
-        `exponential(size=n)` gives, so the stream is that of one
-        Exponential(1) vector a round.
+        `standard_exponential(n)` gives the values `exponential(size=n)`
+        gives, so the stream is that of one Exponential(1) vector a round.
         """
-        score = self.rng.standard_exponential(len(loss)) if q is None else q
+        score = self.rng.standard_exponential(len(loss))
         np.subtract(self.complexities[:len(score)], score, out=score)
         score *= math.sqrt(t)
         score += loss
         return int(score.argmin())
 
-    def _leaders(self, losses: np.ndarray, t: int, born: Optional[tuple] = None,
-                 q: Optional[np.ndarray] = None) -> np.ndarray:
+    def _leaders(self, losses: np.ndarray, t: int) -> np.ndarray:
         """The leaders of rounds t, t + 1, ... for a (rounds x experts)
-        block of losses, scored row by row as `_leader` scores a round.
-
-        The block's draws are the values of one draw per round, in order;
-        where `born`, a mask and its count of True entries, is given, an
-        expert not yet born draws -inf, so it scores +inf and takes no draw,
-        and the born experts' draws may be passed in as q.
-        """
-        if born is None:
-            score = self.rng.standard_exponential(losses.shape)
-        else:
-            score = np.full(losses.shape, -np.inf)
-            score[born[0]] = self.rng.standard_exponential(born[1]) if q is None else q
+        block of losses, scored row by row as `_leader` scores a round, from
+        the values of one draw per round, in order."""
+        score = self.rng.standard_exponential(losses.shape)
         np.subtract(self.complexities[:losses.shape[1]], score, out=score)
         score *= np.sqrt(np.arange(t, t + len(losses), dtype=float))[:, None]
         score += losses
         return score.argmin(axis=1)
-
-    @contextlib.contextmanager
-    def _drawn_ahead(self, total: int):
-        """Yield `take`: take(n) gives the next n of the `total`
-        perturbations the scorer is about to use, or None where the scorer
-        draws them itself.
-
-        Past `_AHEAD` draws, on a process allowed more than one CPU, a
-        worker thread draws them ahead into a ring of three buffers of
-        `_CHUNK` values while the caller scores, since NumPy releases the
-        GIL while it fills a buffer. A taken array stays valid until the
-        next take: a buffer goes back to the worker only once all its
-        values are taken. The worker is joined before this returns or
-        raises.
-        """
-        if total <= self._AHEAD or _cpus() < 2:
-            yield lambda n: None
-            return
-        rng, size = self.rng, self._CHUNK
-        free, full = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(3):
-            free.put(np.empty(size))
-
-        def fill():
-            try:
-                for start in range(0, total, size):
-                    buf = free.get()
-                    if buf is None:         # the caller stopped early
-                        return
-                    buf = buf[:total - start]
-                    rng.standard_exponential(out=buf)
-                    full.put(buf)
-            except BaseException as exc:
-                # raised again by take, which would otherwise wait forever
-                full.put(exc)
-
-        chunk, pos = np.empty(0), 0     # the buffer being taken from
-
-        def take(n: int) -> np.ndarray:
-            nonlocal chunk, pos
-            if pos + n <= len(chunk):
-                pos += n
-                return chunk[pos - n:pos]
-            out = np.empty(n)
-            got = 0
-            while got < n:
-                if pos == len(chunk):
-                    if len(chunk):
-                        free.put(chunk)
-                    chunk, pos = full.get(), 0
-                    if isinstance(chunk, BaseException):
-                        raise chunk
-                step = min(n - got, len(chunk) - pos)
-                out[got:got + step] = chunk[pos:pos + step]
-                got += step
-                pos += step
-            return out
-
-        worker = threading.Thread(target=fill, name="perturbations")
-        worker.start()
-        try:
-            yield take
-        finally:
-            free.put(None)
-            worker.join()
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -312,41 +241,64 @@ class FplLearner(_PerturbedLeader):
         return preds
 
 
-_ReplayPlan = namedtuple("_ReplayPlan", "charges complexities live tri growable parent schedule")
+def _ranges(exact: int, t: int):
+    """The cohort ranges of round t: (lo, hi) for each range [lo, hi) of
+    the cohorts born before t, lo = exact, 2 * exact, 4 * exact, ..."""
+    lo = exact
+    while lo < t:
+        yield lo, min(2 * lo, t)
+        lo *= 2
+
+
+_ReplayPlan = namedtuple("_ReplayPlan",
+                         "charges complexities live tri growable parent exact ranges")
 
 
 @functools.lru_cache(maxsize=16)
-def _replay_plan(dim: int, T: int, block: int, complexity) -> _ReplayPlan:
+def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     """`ExpertPoolFpl._replay`'s plan for T rounds of a fresh dimension-`dim`
-    pool under the scheme `complexity`, scoring at most `block` entries at
-    once. A schedule entry (t, u, s, w, newborn) scores rounds t..u over the
-    first w experts, s born before round t; for a block, newborn holds the
-    born mask and count, and each newborn's flat index and its parent's."""
+    pool under the scheme `complexity`, scoring the cohorts below `exact`
+    exactly. Cohort b holds the experts live[b - 1]..live[b] - 1; the root
+    is cohort 0.
+
+    Round t draws for its head, the experts born before it in the cohorts
+    below `exact`, and then for its newborns. `exact` holds (where each
+    round's run of draws starts, which draws are a newborn's, and a (round
+    x expert) mask of the heads). `ranges` lists, round after round, the
+    cohort ranges that hold a live expert: (the round's position, the
+    first member, the member count, the last live cohort, the smallest
+    complexity)."""
     counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
     ks = [complexity(dim, t) for t in range(1, T + 1)]
     charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
     live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
-    sizes = live.tolist()
     tri = np.tri(T, int(counts[-1]), dtype=bool)
     growable = np.concatenate(([0], live[:-1]))     # the growable experts after round T
     parent = growable[:tri.shape[1]]
-    arrays = [np.repeat(ks, counts), live, tri, growable, parent]
-    schedule, t = [], 1
-    while t <= T:
-        u = t
-        while u < T and (u + 2 - t) * sizes[u + 1] <= block:
-            u += 1
-        s, w = sizes[t - 1], sizes[u]
-        if u > t:   # the newborns of rounds t..u are experts s..w - 1
-            r, a = np.nonzero(tri[t - 1:u])
-            arrays += [np.arange(w) < live[t:u + 1, None], r * w + np.arange(s, w),
-                       r * w + parent[a]]
-        newborn = ((arrays[-3], sum(sizes[t:u + 1])), *arrays[-2:]) if u > t else None
-        schedule.append((t, u, s, w, newborn))
-        t = u + 1
+
+    head = live[np.minimum(np.arange(T), exact - 1)]
+    runs = np.stack((head, counts), axis=1).ravel()
+    newborn = np.repeat(np.arange(2 * T) % 2 == 1, runs)
+    starts = np.concatenate(([0], np.cumsum(head + counts)[:-1]))
+    heads = np.arange(head[-1]) < head[:, None]
+
+    # round t's ranges [lo, hi), those of `_ranges(exact, t)` that hold an expert
+    los = np.array([lo for lo, _ in _ranges(exact, T)], dtype=np.int64)
+    pos, r = np.nonzero(los < np.arange(1, T + 1)[:, None])
+    lo = los[r]
+    hi = np.minimum(2 * lo, pos + 1)
+    held = live[hi - 1] > live[lo - 1]
+    pos, lo, hi = pos[held], lo[held], hi[held]
+    kmin = np.array(ks)     # kmin[b - 1]: the smallest k of b's range up to cohort b
+    for a, b in _ranges(exact, T):
+        np.minimum.accumulate(kmin[a - 1:b - 1], out=kmin[a - 1:b - 1])
+    ranges = (pos, live[lo - 1], live[hi - 1] - live[lo - 1], hi - 1, kmin[hi - 2])
+    arrays = [np.repeat(ks, counts), live, tri, growable, parent,
+              starts, newborn, heads, *ranges]
     for array in arrays:
         array.flags.writeable = False
-    return _ReplayPlan(charges, arrays[0], live, tri, growable, parent, tuple(schedule))
+    return _ReplayPlan(charges, arrays[0], live, tri, growable, parent,
+                       (starts, newborn, heads), ranges)
 
 
 class ExpertPoolFpl(_PerturbedLeader):
@@ -365,21 +317,25 @@ class ExpertPoolFpl(_PerturbedLeader):
     `complexities` hold its engine state id, loss and complexity, and
     `_growable` holds the index and key length of each expert whose key is
     shorter than `dim`. Each is an array of exactly its size; `pool_extend`
-    appends a round's cohort to them. Keys are not stored: the growth rule
-    fixes them, and `keys` rebuilds them. The cohort's restricts intern new
-    states to the ids that restricting expert by expert would give (see
-    `_feed`).
+    appends a round's cohort to them, and `_ends[b]` is where cohort b ends.
+    Keys are not stored: the growth rule fixes them, and `keys` rebuilds
+    them. The cohort's restricts intern new states to the ids that
+    restricting expert by expert would give (see `_feed`).
 
-    A fresh pool of dimension at most 2 replays a batch of rounds against
-    an oblivious nature in closed form (`_replay`); larger pools, and pools
-    that have played, take the round loop.
+    Each round's leader comes from `_lazy_leaders`, which draws exactly for
+    the cohorts below `_EXACT` and the newborns, and thins the older
+    cohorts range by range (see the module docstring). A fresh pool of
+    dimension at most 2 replays a batch of rounds against an oblivious
+    nature in closed form (`_replay`); larger pools, and pools that have
+    played, take the round loop.
     """
 
-    _BLOCK = 2 ** 13    # entries a replay scores at once
+    _EXACT = 8      # the cohorts below this draw every perturbation
 
     def __init__(self, component: FamilyComponent, *,
                  seed: int | np.random.SeedSequence | np.random.Generator | None = None):
         super().__init__(seed)
+        self._range_rng, self._resolve_rng = self.rng.spawn(2)
         self.engine = engine_for(component.cls)
         self.dim = component.dim
         k_root = pool_complexity(self.dim, 0)
@@ -391,6 +347,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
+        self._ends = [1]        # _ends[b]: one past the last expert of cohort b
 
     @property
     def pool_size(self) -> int:
@@ -431,6 +388,7 @@ class ExpertPoolFpl(_PerturbedLeader):
                     (self._growable, np.column_stack((grows + start, lengths[grows] + 1))))
         self._extended_for = t
         self._cohort = (start, start + count)
+        self._ends.append(start + count)
         return count
 
     def _predictions(self, x: Point) -> np.ndarray:
@@ -443,8 +401,71 @@ class ExpertPoolFpl(_PerturbedLeader):
     def _lead(self, x: Point) -> tuple:
         self.pool_extend()
         preds = self._predictions(x)
-        j = self._leader(self.losses, self.t)
+        t, ends, losses, ks = self.t, self._ends, self.losses, self.complexities
+        index = np.concatenate((np.arange(ends[min(self._EXACT, t) - 1]),
+                                np.arange(ends[t - 1], ends[t])))
+        ranges = [(0, a, b - a, losses[a:b].min(), ks[a:b].min())
+                  for a, b in ((ends[lo - 1], ends[hi - 1]) for lo, hi in _ranges(self._EXACT, t))
+                  if b > a]
+        ranges = [np.array(c) for c in zip(*ranges)] if ranges else 5 * [np.zeros(0, np.int64)]
+        exact = (index, losses[index], ks[index], np.zeros(1, np.int64))
+        j = int(self._lazy_leaders(np.array([t]), exact, ranges,
+                                   lambda i, members: losses[members])[0])
         return j, int(preds[j]), preds
+
+    def _lazy_leaders(self, ts: np.ndarray, exact: tuple, ranges: tuple, loss_of) -> np.ndarray:
+        """The leaders of the rounds `ts`, each distributed as the argmin
+        of loss + (k - q) * sqrt(t) over every live expert (see the module
+        docstring); the same calls made round by round or at once draw the
+        same values and give the same leaders.
+
+        exact = (index, loss, k, starts): the experts that draw q, round
+        after round, the run of round ts[i] starting at starts[i]. ranges =
+        (i, first, count, low_loss, low_k), one entry per cohort range in
+        order of round: the range of round ts[i] holds the experts first..
+        first + count - 1, whose smallest loss and complexity are low_loss
+        and low_k. loss_of(i, members) gives the members' losses in round
+        ts[i].
+        """
+        index, loss, k, starts = exact
+        root = np.sqrt(ts.astype(float))
+        sizes = np.diff(starts, append=len(index))
+        score = k - self.rng.standard_exponential(len(index))
+        score *= np.repeat(root, sizes)
+        score += loss
+        best = np.minimum.reduceat(score, starts)
+        ties = np.flatnonzero(score == np.repeat(best, sizes))
+        chosen = index[ties[np.searchsorted(ties, starts)]]
+        at, first, count, low_loss, low_k = ranges
+        if not len(at):
+            return chosen
+        # a member whose q is at most tau cannot beat the exact set's best
+        tau = np.maximum((low_loss - best[at]) / root[at] + low_k, 0.0)
+        u = self._range_rng.random(len(at))
+        # a range is active with chance 1 - (1 - p) ** count <= count * p,
+        # and p = exp(-tau) < 2 ** (1 - floor(tau log2 e)), so only a range
+        # whose u falls below count times that bound can be
+        near = u < count * np.ldexp(1.0, 1 - np.floor(tau * math.log2(math.e)).astype(np.int64))
+        draw = self._resolve_rng
+        for r in np.flatnonzero(near).tolist():
+            i, past = at[r], math.exp(-tau[r])     # one member's chance of a q past tau
+            # the members before the first past tau, inverse geometric
+            below = math.floor(math.log1p(-u[r]) / math.log1p(-past)) if past < 1 else 0
+            if below >= count[r]:
+                continue
+            rest = int(count[r]) - below - 1
+            members = np.array([first[r] + below])     # the first past tau
+            passed = draw.binomial(rest, past)
+            if passed:      # and those after it, placed uniformly
+                after = draw.choice(rest, passed, replace=False)
+                members = np.concatenate((members, np.sort(after) + members[0] + 1))
+            score = self.complexities[members] - (tau[r] + draw.standard_exponential(len(members)))
+            score *= root[i]
+            score += loss_of(i, members)
+            w = int(score.argmin())
+            if (score[w], members[w]) < (best[i], chosen[i]):
+                best[i], chosen[i] = score[w], members[w]
+        return chosen
 
     def _feed(self, x: Point, y: int, preds: np.ndarray) -> None:
         wrong = preds != y
@@ -489,16 +510,19 @@ class ExpertPoolFpl(_PerturbedLeader):
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
         so the engine interns the loop's ids, and births register cohort by
-        cohort, so the mass budget is the loop's. Each round is scored by
-        `_leader` over the experts born by then; while the pool is small,
-        rounds are scored by `_leaders` as one block of at most `_BLOCK`
-        entries, in which the unborn experts take no draw. `_replay_plan`
-        makes the cohorts, their complexities and charges, and this schedule
-        once per (dim, T, `_BLOCK`); the state walk, the M, step and drop
-        tables, the bases, the mass and the draws are this game's.
+        cohort, so the mass budget is the loop's. Every round is scored at
+        once by `_lazy_leaders`, as the loop scores it round by round: the
+        exact set's losses read M, and a range's smallest loss is the
+        smallest M[s, t - 1] plus the smallest base in state s among its
+        live cohorts, from per-(cohort, state) tables of the smallest base
+        that a running minimum carries across each range. `_replay_plan`
+        makes the cohorts, their complexities and charges, the exact sets
+        and the ranges once per (dim, T, `_EXACT`); the state walk, the M,
+        step and drop tables, the bases, the mass and the draws are this
+        game's.
         """
         engine, T, dim = self.engine, len(ys), self.dim
-        plan = _replay_plan(dim, T, self._BLOCK, pool_complexity)
+        plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
         # the cohorts' charges as `_register` makes them round by round, in
         # one pass; the masses never fall, so the rounds before the first
         # over the budget are the ones that pass
@@ -507,67 +531,68 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._size += int(plan.live[passed]) - 1
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
-        n = int(plan.live[T])
-        self.complexities = np.concatenate((self.complexities, plan.complexities))
+        self.complexities = ks = np.concatenate((self.complexities, plan.complexities))
 
-        # a worker may draw the perturbations from here on, the state walk's
-        # time included
-        with self._drawn_ahead(int(plan.live[1:].sum())) as take:
-            after = {}      # (state, x, y) -> the state that round leaves it in
-            grown = [0] if dim else []      # the growable experts' states, in order
-            present = dict.fromkeys(grown)
-            for x, y in zip(xs, ys):
-                for s in present:
-                    if (s, x, y) not in after:
-                        nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
-                        after[s, x, y] = s if nxt is None else nxt
-                if dim == 2:
-                    grown.append(after[0, x, y])
-                    present.setdefault(grown[-1])
-            points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
-            ix, y = np.array([points[x] for x in xs]), np.array(ys)
-            ns = engine.n_states
-            pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
-            # mistakes[t, s]: M[s, t], as floats, which add to the scores as
-            # the loop's int losses do; step[t - 1, s]: the state round t
-            # leaves s in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a
-            # base's term
-            mistakes = np.zeros((T + 1, ns))
-            np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-            step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
-            for (s, x, y_t), nxt in after.items():
-                step[s, points[x], y_t] = nxt
-            step = step[:, ix, y].T
-            drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
+        after = {}      # (state, x, y) -> the state that round leaves it in
+        grown = [0] if dim else []      # the growable experts' states, in order
+        present = dict.fromkeys(grown)
+        for x, y in zip(xs, ys):
+            for s in present:
+                if (s, x, y) not in after:
+                    nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+                    after[s, x, y] = s if nxt is None else nxt
+            if dim == 2:
+                grown.append(after[0, x, y])
+                present.setdefault(grown[-1])
+        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+        ix, y = np.array([points[x] for x in xs]), np.array(ys)
+        ns = engine.n_states
+        pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
+        # mistakes[t, s]: M[s, t], as floats, which add to the scores as
+        # the loop's int losses do; step[t - 1, s]: the state round t
+        # leaves s in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a
+        # base's term
+        mistakes = np.zeros((T + 1, ns))
+        np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
+        step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
+        for (s, x, y_t), nxt in after.items():
+            step[s, points[x], y_t] = nxt
+        step = step[:, ix, y].T
+        drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
 
-            # the experts after the root, cohort by cohort, are the lower
-            # triangle of a (birth round x growable parent) table, row by row
-            W, tri = len(plan.parent), plan.tri
-            parent_state = np.array(grown[:W], dtype=np.int64)
-            self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
-            base = np.zeros(n)
-            # the base of (a, b): the base of (a), then the drop at round b
-            base[1:] = drop[:, parent_state][tri]
-            base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
+        # the experts after the root, cohort by cohort, are the lower
+        # triangle of a (birth round x growable parent) table, row by row
+        W, tri = len(plan.parent), plan.tri
+        parent_state = np.array(grown[:W], dtype=np.int64)
+        self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
+        base = np.zeros(int(plan.live[T]))
+        # the base of (a, b): the base of (a), then the drop at round b
+        base[1:] = drop[:, parent_state][tri]
+        base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
 
-            loss = np.empty(n)
-            chosen = np.empty(T, dtype=np.int64)
-            for t, u, s, w, newborn in plan.schedule:
-                if newborn is None:
-                    # the indices are in range: mode="clip" only makes take
-                    # write into `out` unbuffered
-                    mistakes[t - 1].take(state[:s], out=loss[:s], mode="clip")
-                    loss[:s] += base[:s]
-                    # a newborn has its parent's loss
-                    loss.take(plan.parent[:w - s], out=loss[s:w], mode="clip")
-                    chosen[t - 1] = self._leader(loss[:w], t, take(w))
-                else:
-                    born, newborns, parents = newborn
-                    block = mistakes[t - 1:u].take(state[:w], axis=1)
-                    block += base[:w]
-                    # in its birth round, a newborn has its parent's loss
-                    block.put(newborns, block.take(parents))
-                    chosen[t - 1:u] = self._leaders(block, t, born, take(born[1]))
+        # the exact sets, round after round: the heads' losses, then the
+        # newborns', each its parent's, in one array laid out as the draws
+        starts, newborn, heads = plan.exact
+        kept = ~newborn
+        loss, index = np.empty(len(newborn)), np.empty(len(newborn), dtype=np.int64)
+        loss[kept] = (mistakes[:T, state[:heads.shape[1]]] + base[:heads.shape[1]])[heads]
+        loss[newborn] = (mistakes[:T, parent_state] + base[plan.parent])[tri]
+        index[kept] = np.broadcast_to(np.arange(heads.shape[1]), heads.shape)[heads]
+        index[newborn] = np.arange(1, len(base))
+        # low[b, s]: the smallest base in state s among cohort b, then among
+        # the cohorts of b's range up to b
+        low = np.full((T + 1) * ns, np.inf)
+        rows = np.repeat(np.arange(0, (T + 1) * ns, ns), np.diff(plan.live, prepend=0))
+        np.minimum.at(low, rows + state, base)
+        low = low.reshape(T + 1, ns)
+        for lo, hi in _ranges(self._EXACT, T):
+            np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
+        at, first, count, last, low_k = plan.ranges
+        low_loss = (mistakes[at] + low[last]).min(axis=1)
+        chosen = self._lazy_leaders(
+            np.arange(1, T + 1), (index, loss, ks[index], starts),
+            (at, first, count, low_loss, low_k),
+            lambda i, members: mistakes[i, state[members]] + base[members])
         nth = chosen - plan.live[:-1]       # a newborn's place in its cohort
         then = state[chosen]
         new = nth >= 0
@@ -578,7 +603,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         if dim == 2:
             self._growable = np.column_stack((plan.growable, np.arange(T + 1) > 0))
         self._extended_for = T
-        self._cohort = (int(plan.live[T - 1]), n)
+        self._cohort = (int(plan.live[T - 1]), len(base))
+        self._ends = plan.live.tolist()
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

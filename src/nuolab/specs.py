@@ -9,6 +9,7 @@ not as 1, and "20" does not fail mid-run.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -28,9 +29,15 @@ def load_spec(value: str):
     otherwise the contents of the file it names."""
     def refuse(name: str):      # json reads NaN, Infinity and -Infinity unless told not to
         raise DomainError(f"bad JSON in {value!r}: {name} is not a JSON number")
+
+    def finite(text: str) -> float:     # and reads 1e999 as inf
+        number = float(text)
+        if not math.isfinite(number):
+            raise DomainError(f"bad JSON in {value!r}: {text} is not a finite number")
+        return number
     try:
         return json.loads(value if value.lstrip().startswith("{") else Path(value).read_text(),
-                          parse_constant=refuse)
+                          parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON in {value!r}: {exc}") from None
     except OSError as exc:

@@ -292,3 +292,20 @@ def test_non_finite_json_constants_refused(capsys, argv, spec, constant):
     assert code == 2 and out == ""
     message = f"bad JSON in {spec!r}: {constant} is not a JSON number"
     assert err == f"nuolab {argv[0]}: error: {message}\n"
+
+
+MASS_OVERFLOW = ('{"nature":"iid","measure":{"support":[1,2],"mass":[1e999,1]},'
+                 '"target":{"kind":"constant","value":0}}')
+BOUND_OVERFLOW = BOUND_INFINITY.replace("Infinity", "1e999")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["play", "--learner", CONSTANT, "--nature", MASS_OVERFLOW, "-T", "3"], MASS_OVERFLOW),
+    (["regret", "--config", BOUND_OVERFLOW], BOUND_OVERFLOW),
+], ids=["measure-mass", "bound-k"])
+def test_json_number_overflow_refused(capsys, argv, spec):
+    # json reads a number too large for a float, such as 1e999, as inf
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = f"bad JSON in {spec!r}: 1e999 is not a finite number"
+    assert err == f"nuolab {argv[0]}: error: {message}\n"

@@ -13,6 +13,7 @@ must match exactly.
 """
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -252,6 +253,17 @@ class RefExpertPool(OnlineLearner):
             self._pending = (self.t, j, int(preds[j]), preds)
         return self._pending[2]
 
+    def leaders(self, n):
+        """n independent draws of the current round's leader, each from a
+        fresh Exponential(1) vector over every expert."""
+        self.pool_extend()
+        out = []
+        for size in [1000] * (n // 1000) + [n % 1000]:
+            q = self.rng.exponential(size=(size, len(self.keys)))
+            scores = self.losses + (self.complexities - q) * math.sqrt(self.t)
+            out += scores.argmin(axis=1).tolist()
+        return out
+
     def _absorb(self, x, y, predicted):
         preds = self._pending[3]
         self._pending = None
@@ -426,20 +438,23 @@ def version_spaces(pool):
     return [states[s] for s in pool.state] if states is not None else pool.state.tolist()
 
 
+def shared_script(case, rounds, top):
+    script = random.Random(case)
+    xs = [script.randint(1, top) for _ in range(rounds)]
+    return xs, [int(x >= 3) ^ (script.random() < 0.3) for x in xs]
+
+
 # the ids keep naming the per-round rule, the one the pool draws by
 @pytest.mark.parametrize("case", list(POOL_CASES), ids=[f"{c}-per-round" for c in POOL_CASES])
 def test_pool_matches_list_reference(case):
     # 120 rounds at dim 2 grow the pool to 7,261 experts, and 40 rounds at
-    # dim 3 to 10,701
+    # dim 3 to 10,701. The labels are shared and the losses are
+    # counterfactual, so losses, states and keys match exactly whichever
+    # expert leads; the leaders match in distribution (below)
     comp, rounds, top = POOL_CASES[case]
     pool = ExpertPoolFpl(comp, seed=21)
     ref = RefExpertPool(comp, seed=21)
-    script = random.Random(case)
-    for _ in range(rounds):
-        x = script.randint(1, top)
-        y = int(x >= 3) ^ (script.random() < 0.3)
-        assert pool.predict(x) == ref.predict(x)
-        assert pool.chosen_index == ref.chosen_index
+    for x, y in zip(*shared_script(case, rounds, top)):
         pool.update(x, y)
         ref.update(x, y)
         assert pool.pool_size == len(ref.keys)
@@ -448,6 +463,136 @@ def test_pool_matches_list_reference(case):
         assert np.array_equal(pool.state, ref.state)     # interned in the same order
         assert version_spaces(pool) == version_spaces(ref)
     assert pool.keys == ref.keys
-    assert pool.mistakes == ref.mistakes
     assert pool.engine.n_states == ref.engine.n_states
     assert pool.pool_size == sum(math.comb(rounds, j) for j in range(comp.dim + 1))
+
+
+def chi_square_sf(x, df):
+    """P(X >= x) for X chi-square with integer df > 0, in closed form."""
+    h = x / 2
+    if df % 2 == 0:
+        term, total = math.exp(-h), 0.0
+        for i in range(df // 2):
+            total += term
+            term *= h / (i + 1)
+        return total
+    total = math.erfc(math.sqrt(h))
+    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
+    for i in range((df - 1) // 2):
+        total += term
+        term *= h / (i + 1.5)
+    return total
+
+
+def two_sample_p(a, b):
+    """The p-value of Pearson's chi-square test that two equal-size
+    samples (Counters) come from one distribution; categories with fewer
+    than 10 draws between them are pooled into one."""
+    table, rare = [], [0, 0]
+    for c in set(a) | set(b):
+        if a[c] + b[c] < 10:
+            rare[0] += a[c]
+            rare[1] += b[c]
+        else:
+            table.append((a[c], b[c]))
+    if sum(rare):
+        table.append(tuple(rare))
+    stat = sum((u - v) ** 2 / (u + v) for u, v in table)
+    return chi_square_sf(stat, len(table) - 1) if len(table) > 1 else 1.0
+
+
+LEADER_DRAWS = 2000
+
+
+class Recorded:
+    """A generator that records the name and arguments of each draw."""
+
+    def __init__(self, generator, calls):
+        self.generator, self.calls = generator, calls
+
+    def __getattr__(self, name):
+        draw = getattr(self.generator, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args))
+            return draw(*args, **kwargs)
+        return recorded
+
+
+def leader_samples(comp, xs, ys, seed, resolutions=None):
+    """LEADER_DRAWS draws of the leader's (birth round, state) in the last
+    round of xs, from the lazy pool and from the reference's explicit
+    scoring, after both played the rounds before it. The lazy draws score
+    LEADER_DRAWS copies of the round's scorer inputs in one call, as a
+    replay scores its rounds; its resolution draws are recorded in
+    `resolutions`."""
+    pool = ExpertPoolFpl(comp, seed=seed)
+    ref = RefExpertPool(comp, seed=seed + 1)
+    pool.play(xs[:-1], ys[:-1])
+    for x, y in zip(xs[:-1], ys[:-1]):
+        ref.update(x, y)
+    inputs = []
+    score = pool._lazy_leaders
+    pool._lazy_leaders = lambda *args: inputs.append(args) or score(*args)
+    pool.predict(xs[-1])
+    del pool._lazy_leaders
+    if resolutions is not None:
+        pool._resolve_rng = Recorded(pool._resolve_rng, resolutions)
+    ts, (index, loss, k, _), ranges, loss_of = inputs[0]
+    n = LEADER_DRAWS
+    copies = [np.tile(column, n) for column in ranges]
+    copies[0] = np.repeat(np.arange(n), len(ranges[0]))
+    leaders = pool._lazy_leaders(np.repeat(ts, n), (*(np.tile(c, n) for c in (index, loss, k)),
+                                                    np.arange(n) * len(index)),
+                                 copies, lambda i, members: loss_of(0, members))
+    birth = np.searchsorted(pool._ends, np.arange(pool.pool_size), side="right")
+    lazy = Counter(zip(birth[leaders].tolist(), pool.state[leaders].tolist()))
+    explicit = Counter((ref.keys[j][-1] if ref.keys[j] else 0, int(ref.state[j]))
+                       for j in ref.leaders(n))
+    return lazy, explicit
+
+
+# (component, rounds at which the leader is drawn, largest point)
+DISTRIBUTION_CASES = {
+    "dim1": (POOL_CASES["dim1"][0], (12, 40, 90), 5),
+    "dim2": (POOL_CASES["dim2"][0], (12, 40, 90), 5),
+    "dim3": (POOL_CASES["dim3"][0], (12, 24), 3),
+    "support": (POOL_CASES["support"][0], (12, 40, 90), 5),
+}
+
+
+@pytest.mark.parametrize("exact", [8, 1], ids=["exact-8", "exact-1"])
+@pytest.mark.parametrize("case", sorted(DISTRIBUTION_CASES))
+def test_lazy_leader_matches_explicit_scoring(case, exact, monkeypatch):
+    # the lazy pool's leader against every expert's draw, under shared
+    # labels, at fixed seeds; with the exact set cut to the root and the
+    # newborns, the thinned ranges carry most of the leaders
+    monkeypatch.setattr(ExpertPoolFpl, "_EXACT", exact)
+    comp, rounds, top = DISTRIBUTION_CASES[case]
+    xs, ys = shared_script(case, max(rounds), top)
+    for t in rounds:
+        lazy, explicit = leader_samples(comp, xs[:t], ys[:t], seed=t)
+        assert two_sample_p(lazy, explicit) > 1e-4, (t, lazy, explicit)
+        thinned = sum(n for (birth, _), n in lazy.items() if exact <= birth < t)
+        assert thinned > LEADER_DRAWS // 4 if exact == 1 else thinned < LEADER_DRAWS // 4
+
+
+def test_lazy_leader_when_every_member_passes():
+    # labels 0 for 7 rounds, then 1: the root, which predicts 0 from the
+    # full class, errs from round 8 on, and so do cohorts 1-7, which never
+    # restricted, and each round's newborns. Every expert born from round 8
+    # on restricted to the constant 1 at birth. So at round 120 the range
+    # [8, 16) has a smaller c than every exact expert by about 4, tau is
+    # mostly at most 0, and every member of the range counts as past it
+    comp = POOL_CASES["dim1"][0]
+    xs = [1 + t % 5 for t in range(120)]
+    ys = [int(t >= 7) for t in range(120)]
+    resolutions = []
+    lazy, explicit = leader_samples(comp, xs, ys, seed=8, resolutions=resolutions)
+    assert two_sample_p(lazy, explicit) > 1e-4, (lazy, explicit)
+    # past the first member, a range whose every member passes draws the
+    # rest's count from Binomial(size - 1, 1)
+    counts = [args for name, args in resolutions if name == "binomial"]
+    everyone = [n + 1 for n, p in counts if p == 1.0]
+    assert set(everyone) <= {8, 16, 32, 64} and everyone.count(8) > LEADER_DRAWS // 2
+    assert sum(n for (birth, _), n in lazy.items() if 8 <= birth < 120) > LEADER_DRAWS // 2

@@ -1,12 +1,10 @@
 """Differential test of the batch replay: a game against an oblivious
 nature (replayed through `learner.play`) must equal the same game played
 round by round through a pass-through nature that is not oblivious."""
-import contextlib
+import hashlib
 import math
 import os
-import queue
 import random
-import sys
 import threading
 
 import numpy as np
@@ -109,7 +107,10 @@ def snapshot(learner) -> dict:
                    losses=[int(v) for v in learner.losses],
                    complexities=[float(k) for k in learner.complexities])
     if isinstance(learner, ExpertPoolFpl):
-        out.update(state=learner.state.tolist(), keys=learner.keys,
+        out.update(range_rng=learner._range_rng.bit_generator.state,
+                   resolve_rng=learner._resolve_rng.bit_generator.state,
+                   ends=list(learner._ends),
+                   state=learner.state.tolist(), keys=learner.keys,
                    pool_size=learner.pool_size,
                    engine_states=list(getattr(learner.engine, "states", [])))
     if isinstance(learner, FplLearner):
@@ -344,171 +345,22 @@ def pool_replay(comp, xs, ys, seed, loop=False):
     round by round."""
     pool = ExpertPoolFpl(comp, seed=seed)
     chosen = []
+    score = pool._lazy_leaders
 
-    def recorded(score):
-        def scored(*args):
-            leaders = score(*args)
-            chosen.extend(np.atleast_1d(leaders).tolist())
-            return leaders
-        return scored
+    def scored(*args):
+        leaders = score(*args)
+        chosen.extend(leaders.tolist())
+        return leaders
 
-    pool._leader, pool._leaders = recorded(pool._leader), recorded(pool._leaders)
+    pool._lazy_leaders = scored
     preds = checked_loop(pool, xs, ys) if loop else pool.play(xs, ys)
     return preds, chosen, snapshot(pool)
 
 
-class PoisonedReturns(queue.SimpleQueue):
-    """A queue that overwrites with nan every buffer the main thread, which
-    scores in these tests, puts in it, as a worker refilling a returned
-    buffer at once would: a value read after its buffer went back to the
-    worker scores nan."""
-
-    def put(self, item, block=True, timeout=None):
-        if isinstance(item, np.ndarray) and threading.current_thread() is threading.main_thread():
-            item.fill(np.nan)
-        super().put(item, block, timeout)
-
-
-@contextlib.contextmanager
-def drawing_ahead(chunk):
-    """Make every pool replay that draws start the worker of
-    `_drawn_ahead`, with buffers of `chunk` values, even on one CPU, and
-    poison every buffer the scorer hands back; yields the names of the
-    threads started."""
-    started = []
-    start = threading.Thread.start
-
-    def counted(thread):
-        started.append(thread.name)
-        start(thread)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ExpertPoolFpl, "_AHEAD", 0)
-        patch.setattr(ExpertPoolFpl, "_CHUNK", chunk)
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        patch.setattr(threading.Thread, "start", counted)
-        patch.setattr(fpl.queue, "SimpleQueue", PoisonedReturns)
-        yield started
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=seeds, chunk=st.integers(1, 40), sizes=st.lists(st.integers(1, 100), max_size=30))
-def test_drawn_ahead_takes_match_one_draw(seed, chunk, sizes):
-    # takes that fit inside a buffer, end one, or span two or more give the
-    # values, and leave the generator state, of one draw of them all
-    pool = ExpertPoolFpl(COMPONENTS["dim0-finite"], seed=seed)
-    with drawing_ahead(chunk) as started:
-        with pool._drawn_ahead(sum(sizes)) as take:
-            taken = [take(n).copy() for n in sizes]
-    reference = np.random.default_rng(seed)
-    expected = reference.standard_exponential(sum(sizes))
-    assert np.array_equal(np.concatenate([np.empty(0)] + taken), expected)
-    assert pool.rng.bit_generator.state == reference.bit_generator.state
-    assert started == (["perturbations"] if sizes else [])
-
-
-# buffers of at most a few hundred values: most takes span two or more
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-@settings(max_examples=15, deadline=None)
-@given(script=scripts, seed=seeds, chunk=st.integers(16, 400))
-def test_worker_draws_match_inline(name, script, seed, chunk):
-    xs, ys = script
-    inline = pool_replay(COMPONENTS[name], xs, ys, seed)
-    with drawing_ahead(chunk) as started:
-        ahead = pool_replay(COMPONENTS[name], xs, ys, seed)
-    assert ahead == inline
-    assert started == (["perturbations"] if xs else [])
-
-
-@pytest.mark.parametrize("case", sorted(DIM2_CASES))
-def test_worker_draws_match_inline_at_check_scale(case):
-    cls, points, labels = DIM2_CASES[case]
-    xs, ys = check_script(points, labels)
-    comp = FamilyComponent(2, cls, 2)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ExpertPoolFpl, "_AHEAD", 10 ** 9)
-        inline = pool_replay(comp, xs, ys, 36)
-    with drawing_ahead(1009) as started:
-        ahead = pool_replay(comp, xs, ys, 36)
-    assert ahead == inline and started == ["perturbations"]
-
-
-def test_worker_draws_match_inline_under_forced_switching():
-    # four replays at once, each scoring on a thread of its own beside its
-    # own worker: eight threads on at most two CPUs, switching every 10 us
-    xs, ys = check_script(DOMAIN, "coin", horizon=120)
-    comp = COMPONENTS["dim2-thresholds"]
-    expected = [pool_replay(comp, xs, ys, seed) for seed in range(4)]
-    results = [None] * 4
-
-    def replay(i):
-        results[i] = pool_replay(comp, xs, ys, i)
-
-    interval = sys.getswitchinterval()
-    threads = [threading.Thread(target=replay, args=(i,)) for i in range(4)]
-    with drawing_ahead(257) as started:
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == expected
-    assert started.count("perturbations") == 4
-
-
-class Fault(Exception):
-    pass
-
-
-@pytest.mark.parametrize("fault", [None, "scorer", "worker"])
-def test_worker_never_outlives_a_replay(fault, monkeypatch):
-    # the replay joins its worker whether it returns, its scorer raises, or
-    # the worker's draw raises
-    before = threading.active_count()
-    xs, ys = check_script(DOMAIN, "coin")
-    pool = ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=37)
-    if fault == "scorer":
-        calls = []
-        leader = ExpertPoolFpl._leader
-
-        def failing(self, *args):
-            calls.append(1)
-            if len(calls) == 3:
-                raise Fault("scorer")
-            return leader(self, *args)
-
-        monkeypatch.setattr(ExpertPoolFpl, "_leader", failing)
-    elif fault == "worker":
-        rng = pool.rng
-
-        class Failing:
-            draws = 0
-
-            def standard_exponential(self, out):
-                self.draws += 1
-                if self.draws == 5:
-                    raise Fault("worker")
-                return rng.standard_exponential(out=out)
-
-        pool.rng = Failing()
-    with drawing_ahead(1009) as started:
-        if fault is None:
-            pool.play(xs, ys)
-        else:
-            with pytest.raises(Fault, match=f"^{fault}$"):
-                pool.play(xs, ys)
-    assert started == ["perturbations"]
-    assert threading.active_count() == before
-
-
 @pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity-call"])
 def test_one_cpu_draws_inline(affinity, monkeypatch):
-    # a process allowed one CPU starts no worker, even past the threshold,
-    # and replays as a process that draws ahead
+    # a replay draws every perturbation on the calling thread: a process
+    # allowed one CPU starts no thread and replays as any other process
     xs, ys = check_script(DOMAIN, "coin")
     expected = pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38)
     if affinity:
@@ -520,12 +372,11 @@ def test_one_cpu_draws_inline(affinity, monkeypatch):
     def start(thread):
         raise AssertionError(f"thread {thread.name!r} started")
 
-    monkeypatch.setattr(ExpertPoolFpl, "_AHEAD", 0)
     monkeypatch.setattr(threading.Thread, "start", start)
     assert pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38) == expected
 
 
-# the plan of a replay: made once per (dimension, horizon, block size),
+# the plan of a replay: made once per (dimension, horizon, exact cohorts),
 # shared read-only by every replay of that shape
 
 def plan_parts(value):
@@ -537,50 +388,60 @@ def plan_parts(value):
         yield value
 
 
-def scored_losses(comp, xs, ys, seed, loop=False):
-    """The losses of the born experts that the scorer scores, round by
-    round, when a fresh pool replays a script, or with `loop`, plays it
-    round by round."""
+def scored_inputs(comp, xs, ys, seed, loop=False):
+    """What the scorer is given, round by round, when a fresh pool replays
+    a script, or with `loop`, plays it round by round: the exact set's
+    experts, losses and complexities, and each cohort range's members,
+    smallest loss and complexity, and a digest of its members' losses."""
     pool = ExpertPoolFpl(comp, seed=seed)
-    rows = []
-    leader, leaders = pool._leader, pool._leaders
+    rounds = []
+    score = pool._lazy_leaders
 
-    def one(loss, t, q=None):
-        rows.append(np.array(loss, dtype=float))
-        return leader(loss, t, q)
+    def scored(ts, exact, ranges, loss_of):
+        index, loss, k, starts = exact
+        ends = [*starts.tolist()[1:], len(index)]
+        at, first, count, low_loss, low_k = ranges
+        for i, t in enumerate(ts.tolist()):
+            run = slice(starts[i], ends[i])
+            inside = np.flatnonzero(at == i)
+            members = []
+            for r in inside:
+                held = np.arange(first[r], first[r] + count[r])
+                losses = np.asarray(loss_of(i, held), dtype=float)
+                # the bound that thins a range is its members' smallest c
+                assert low_loss[r] == losses.min() and low_k[r] == pool.complexities[held].min()
+                members.append(hashlib.sha256(losses.tobytes()).hexdigest())
+            rounds.append((t, index[run].tolist(), np.asarray(loss[run], dtype=float).tolist(),
+                           k[run].tolist(), first[inside].tolist(), count[inside].tolist(),
+                           np.asarray(low_loss[inside], dtype=float).tolist(),
+                           np.asarray(low_k[inside], dtype=float).tolist(), members))
+        return score(ts, exact, ranges, loss_of)
 
-    def block(losses, t, born, q=None):
-        rows.extend(row[mask] for row, mask in zip(losses, born[0]))
-        return leaders(losses, t, born, q)
-
-    pool._leader, pool._leaders = one, block
+    pool._lazy_leaders = scored
     if loop:
         checked_loop(pool, xs, ys)
     else:
         pool.play(xs, ys)
-    return [row.tolist() for row in rows]
+    return rounds
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 50, 200])
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_replay_matches_loop_at_every_block_size(name, horizon, monkeypatch):
-    # a block of 1 scores every round alone, and 2**22 all the rounds of
-    # these scripts in one block; each round's leader is the loop's, newborns
-    # in their birth round included
+    # the cohort ranges double from the first block [E, 2E): E = 1 thins
+    # every cohort but the root and the newborns, and E = 2**22 none of
+    # these scripts' cohorts, so that every perturbation is drawn; each
+    # round's scorer inputs and leader are the loop's, newborns in their
+    # birth round included
     xs, ys = check_script(DOMAIN, "coin", horizon)
     comp = COMPONENTS[name]
-    expected = pool_replay(comp, xs, ys, 39, loop=True)
-    losses = scored_losses(comp, xs, ys, 39, loop=True)
-    for block in (1, 7, 2 ** 13, 2 ** 22):
-        monkeypatch.setattr(ExpertPoolFpl, "_BLOCK", block)
-        schedule = fpl._replay_plan(comp.dim, horizon, block, fpl.pool_complexity).schedule
-        runs = [entry[:2] for entry in schedule]
-        if block == 1:
-            assert runs == [(t, t) for t in range(1, horizon + 1)]
-        elif block == 2 ** 22:
-            assert runs == [(1, horizon)]
-        assert pool_replay(comp, xs, ys, 39) == expected
-        assert scored_losses(comp, xs, ys, 39) == losses
+    for exact in (1, 3, 8, 2 ** 22):
+        monkeypatch.setattr(ExpertPoolFpl, "_EXACT", exact)
+        plan = fpl._replay_plan(comp.dim, horizon, exact, fpl.pool_complexity)
+        ranges = sum(len(list(fpl._ranges(exact, t))) for t in range(1, horizon + 1))
+        assert len(plan.ranges[0]) == (ranges if comp.dim else 0)
+        assert pool_replay(comp, xs, ys, 39) == pool_replay(comp, xs, ys, 39, loop=True)
+        assert scored_inputs(comp, xs, ys, 39) == scored_inputs(comp, xs, ys, 39, loop=True)
 
 
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
@@ -601,12 +462,13 @@ def test_warm_plan_replays_as_a_cold_one(name):
 
 @pytest.mark.parametrize("dim", sorted(POOL_DIMS))
 def test_plan_is_read_only(dim):
-    plan = fpl._replay_plan(dim, 60, ExpertPoolFpl._BLOCK, fpl.pool_complexity)
+    plan = fpl._replay_plan(dim, 60, ExpertPoolFpl._EXACT, fpl.pool_complexity)
     parts = list(plan_parts(plan))
     arrays = [part for part in parts if isinstance(part, np.ndarray)]
-    # every container in it is a tuple or an array, and it holds blocks
+    # every container in it is a tuple or an array, and a pool that grows
+    # has cohort ranges
     assert all(part is None or type(part) in (int, float, np.ndarray) for part in parts)
-    assert any(entry[4] is not None for entry in plan.schedule)
+    assert (len(plan.ranges[0]) > 0) == (dim > 0)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -673,6 +535,60 @@ def test_cap_hit_and_not_hit():
         result = assert_same_game(lambda: AgnosticFpl(family, 1, seed=3, cap_rounds=cap),
                                   lambda: nature.AgnosticScripted(xs, ys), 30)
         assert result[0] == expected
+
+
+def test_cap_hit_and_not_hit_past_the_ranges():
+    # with both components, rounds 9 to 40 thin the pools' cohorts 8 to 31
+    # in two ranges; the cap stops replay and loop at the same round
+    family = ExplicitListFamily([CONSTANTS, THRESHOLDS])
+    xs, ys = check_script(DOMAIN, "coin", horizon=60)
+    for cap, expected in ((40, "error"), (60, "trace")):
+        result = assert_same_game(lambda: AgnosticFpl(family, 2, seed=6, cap_rounds=cap),
+                                  lambda: nature.AgnosticScripted(xs, ys), 60)
+        assert result[0] == expected
+
+
+def test_replay_mass_overflow_past_the_ranges(monkeypatch):
+    # complexity 4 for every key after the root brings a dimension-1 pool
+    # over the budget at round 35, after the ranges went live at round 9
+    monkeypatch.setattr(fpl, "pool_complexity",
+                        lambda dim, last_round: 1.0 if last_round < 1 else 4.0)
+    xs, ys = check_script(DOMAIN, "coin", horizon=60)
+    results = both_ways(lambda: ExpertPoolFpl(COMPONENTS["dim1-support"], seed=7),
+                        lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert [result for result, _ in results] == 2 * [
+        ("error", "ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35")]
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_one_round_draws_every_perturbation(name):
+    # T = 1: no range is live, so the replay draws one perturbation per
+    # expert from the pool's own generator and none from the other two
+    for play in (OnlineLearner.play, checked_loop):
+        pool = ExpertPoolFpl(COMPONENTS[name], seed=8)
+        fresh = [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)]
+        play(pool, [2], [1])
+        reference = np.random.default_rng(8)
+        reference.standard_exponential(pool.pool_size)
+        assert pool.rng.bit_generator.state == reference.bit_generator.state
+        assert [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)] == fresh
+
+
+@pytest.mark.parametrize("name", ["dim0-singleton", "dim0-finite"])
+def test_ranges_with_no_member_draw_nothing(name):
+    # the cohorts of a dimension-0 pool are empty, so none of its ranges
+    # holds a live member: replay and loop draw one perturbation a round,
+    # for the root, and nothing from the range and resolution streams
+    xs, ys = check_script(DOMAIN, "coin", horizon=60)
+    assert not len(fpl._replay_plan(0, 60, ExpertPoolFpl._EXACT, fpl.pool_complexity).ranges[0])
+    for play in (OnlineLearner.play, checked_loop):
+        pool = ExpertPoolFpl(COMPONENTS[name], seed=9)
+        fresh = [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)]
+        play(pool, xs, ys)
+        reference = np.random.default_rng(9)
+        reference.standard_exponential(60)
+        assert pool.rng.bit_generator.state == reference.bit_generator.state
+        assert [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)] == fresh
 
 
 def five_experts():

@@ -28,10 +28,17 @@ def test_one_play_splits_batches():
     assert defining == {"learners.py:OnlineLearner"}
 
 
+SCORERS = ("_PerturbedLeader._leader", "_PerturbedLeader._leaders",
+           "ExpertPoolFpl._lazy_leaders")
+DRAWS = ("exponential", "standard_exponential", "random", "binomial", "integers", "choice",
+         "geometric")
+
+
 def test_one_perturbed_leader_scorer():
-    # the perturbed leaders draw their perturbations only in the one scorer,
-    # `_PerturbedLeader._leader` for a round and `_leaders` for a block, or
-    # ahead of it in the worker that `_drawn_ahead` starts for a large replay
+    # the perturbed leaders draw only in the scorers: `_PerturbedLeader._leader`
+    # for a round and `_leaders` for a block of a fixed list of experts, and
+    # `ExpertPoolFpl._lazy_leaders` for a pool. Only they take a square
+    # root, so no copy of the rule loss + (k - q) * sqrt(t) lives elsewhere
     path = next(path for path in SOURCES if path.name == "fpl.py")
     sites = []
 
@@ -40,17 +47,18 @@ def test_one_perturbed_leader_scorer():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "attr", getattr(child.func, "id", None))
-                    in ("exponential", "standard_exponential")):
-                sites.append((".".join(scope), child.lineno))
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in DRAWS or name == "sqrt":
+                    sites.append((".".join(scope), name, child.lineno))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), ())
-    outside = [site for site in sites
-               if site[0] not in ("_PerturbedLeader._leader", "_PerturbedLeader._leaders",
-                                  "_PerturbedLeader._drawn_ahead.fill")]
-    assert sites and not outside, outside
+    outside = [site for site in sites if site[0] not in SCORERS]
+    used = {(scope, name) for scope, name, _ in sites}
+    assert not outside, outside
+    assert {(scorer, "sqrt") for scorer in SCORERS} <= used
+    assert {(scorer, "standard_exponential") for scorer in SCORERS} <= used
 
 
 def test_minimax_oracle_stays_independent():

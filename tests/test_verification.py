@@ -57,13 +57,13 @@ class TestReducedScaleChecks:
         assert verification.check_hierarchical_regret_bound(
             trials=12, horizons=(50,)).line() == (
             "[PASS] hierarchical-regret-bound: 12 trials; T=50 alternating: "
-            "n=1: 1.6 vs 140, n=2: 1.6 vs 178; T=50 coin: n=1: 3.0 vs 140, "
-            "n=2: 5.8 vs 178")
+            "n=1: 2.4 vs 140, n=2: 2.4 vs 178; T=50 coin: n=1: 3.8 vs 140, "
+            "n=2: 6.7 vs 178")
 
     def test_coinflip_floor(self):
         assert verification.check_coinflip_regret_floor(
             trials=60, horizons=(50,)).line() == (
-            "[PASS] coinflip-regret-floor: 60 trials; T=50 agnostic: 3.75 >= 0.33; "
+            "[PASS] coinflip-regret-floor: 60 trials; T=50 agnostic: 3.72 >= 0.33; "
             "T=50 root-expert: 1.77 >= 0.33; T=50 constant: 1.77 >= 0.33")
 
     def test_aggregator(self):

@@ -18,12 +18,16 @@ per-expert rule, round by round. Pool experts come in cohorts, one per
 birth round (the root is cohort 0). Each round:
 
 - Exact set: the live experts of the cohorts below `ExpertPoolFpl._EXACT`
-  and the round's newborns draw q exactly. V0 is their best q - c.
+  (E), and the round's newborns while they are fewer than E, draw q
+  exactly. V0 is their best q - c.
 - Ranges: every other live expert falls in one of the cohort ranges
-  [E, 2E), [2E, 4E), ... A range's members all have c >= c_min, its
-  smallest loss over sqrt(t) plus its smallest k. A member with
-  q <= tau = V0 + c_min has q - c <= V0, so it cannot lead, and its q is
-  never needed (thinning).
+  [E, 2E), [2E, 4E), ..., or, in its birth round, in the range of that
+  round's newborns, scored after the older ranges. A range's members all
+  have c >= c_min, its smallest loss over sqrt(t) plus its smallest k.
+  Every newborn of round t has k = k_t and its parent's loss, so the
+  newborns' c_min is their parents' smallest loss over sqrt(t) plus k_t.
+  A member with q <= tau = V0 + c_min has q - c <= V0, so it cannot lead,
+  and its q is never needed (thinning).
 - Counts: the M members' q are iid, each past tau with chance
   p = exp(-max(tau, 0)). The index of the first member past it is
   geometric: with one uniform U, the first G - 1 members stay below,
@@ -45,8 +49,10 @@ come from three streams, each consumed in round order: the exact set's on
 and the batch replay (`ExpertPoolFpl._replay`) call the one scorer, on one
 round or on all of a game's rounds, so they draw the same values and
 choose the same leaders. With no range live the rule draws every q, in
-index order, as `_leader` does: a dimension-0 pool, and the first E
-rounds of any pool, keep that stream.
+index order, as `_leader` does: a dimension-0 pool, the first E - 1
+rounds of any pool, and round E of a pool with fewer than E newborns then
+keep that stream. A dimension-1 pool's newborn is one expert, so it is a
+range only when E is 1; round t of a dimension-2 pool has t newborns.
 """
 from __future__ import annotations
 
@@ -96,8 +102,10 @@ class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
     budget, the scoring rule and the round's choice.
 
-    `seed` is an int, a `SeedSequence`, None, or a `Generator`, which is
-    drawn from as it is. A subclass holds the experts' losses and
+    `seed` is an int, a `SeedSequence`, None, or a `Generator`. A
+    `SeedSequence` is copied, so that spawning from `rng` leaves the
+    caller's spawn counter as it was; a `Generator` is drawn and spawned
+    from as it is. A subclass holds the experts' losses and
     `complexities` (a float array), picks the round's leader in `_lead` by
     scoring the losses with `_leader`, or a batch of rounds with `_leaders`
     (a pool with `ExpertPoolFpl._lazy_leaders`), and feeds the experts in
@@ -110,6 +118,10 @@ class _PerturbedLeader(OnlineLearner):
 
     def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
         super().__init__()
+        if isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                          pool_size=seed.pool_size,
+                                          n_children_spawned=seed.n_children_spawned)
         self.rng = np.random.default_rng(seed)
         self._mass = 0.0
         self._size = 0                  # experts registered
@@ -262,12 +274,17 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     is cohort 0.
 
     Round t draws for its head, the experts born before it in the cohorts
-    below `exact`, and then for its newborns. `exact` holds (where each
-    round's run of draws starts, which draws are a newborn's, and a (round
-    x expert) mask of the heads). `ranges` lists, round after round, the
-    cohort ranges that hold a live expert: (the round's position, the
-    first member, the member count, the last live cohort, the smallest
-    complexity)."""
+    below `exact`, and then for its newborns if they are fewer than
+    `exact`. The cohort sizes never fall, so those are the newborns of the
+    first `drawn` rounds. `exact` holds (where each round's run of draws
+    starts, which draws are a newborn's, a (round x expert) mask of the
+    heads, and `drawn`). `ranges` lists, round after round, the cohort
+    ranges that hold a live expert and then the round's newborns, if they
+    are a range: (the round's position, the first member, the member
+    count, a row of `_replay`'s table of smallest bases, the smallest
+    complexity). An older range's row is its last live cohort b; the
+    newborns' row is T + 1 + j, where the growable experts 0..j are their
+    parents."""
     counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
     ks = [complexity(dim, t) for t in range(1, T + 1)]
     charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
@@ -276,10 +293,12 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     growable = np.concatenate(([0], live[:-1]))     # the growable experts after round T
     parent = growable[:tri.shape[1]]
 
+    drawn = int(np.count_nonzero(counts < exact))
+    born = np.where(counts < exact, counts, 0)      # the newborns drawn exactly
     head = live[np.minimum(np.arange(T), exact - 1)]
-    runs = np.stack((head, counts), axis=1).ravel()
+    runs = np.stack((head, born), axis=1).ravel()
     newborn = np.repeat(np.arange(2 * T) % 2 == 1, runs)
-    starts = np.concatenate(([0], np.cumsum(head + counts)[:-1]))
+    starts = np.concatenate(([0], np.cumsum(head + born)[:-1]))
     heads = np.arange(head[-1]) < head[:, None]
 
     # round t's ranges [lo, hi), those of `_ranges(exact, t)` that hold an expert
@@ -292,13 +311,18 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     kmin = np.array(ks)     # kmin[b - 1]: the smallest k of b's range up to cohort b
     for a, b in _ranges(exact, T):
         np.minimum.accumulate(kmin[a - 1:b - 1], out=kmin[a - 1:b - 1])
-    ranges = (pos, live[lo - 1], live[hi - 1] - live[lo - 1], hi - 1, kmin[hi - 2])
+    # then the newborn ranges, each after its round's older ranges
+    new = np.arange(drawn, T)
+    order = np.argsort(np.concatenate((pos, new)), kind="stable")
+    ranges = tuple(np.concatenate(c)[order] for c in (
+        (pos, new), (live[lo - 1], live[new]), (live[hi - 1] - live[lo - 1], counts[new]),
+        (hi - 1, T + counts[new]), (kmin[hi - 2], np.array(ks)[new])))
     arrays = [np.repeat(ks, counts), live, tri, growable, parent,
               starts, newborn, heads, *ranges]
     for array in arrays:
         array.flags.writeable = False
     return _ReplayPlan(charges, arrays[0], live, tri, growable, parent,
-                       (starts, newborn, heads), ranges)
+                       (starts, newborn, heads, drawn), ranges)
 
 
 class ExpertPoolFpl(_PerturbedLeader):
@@ -323,11 +347,12 @@ class ExpertPoolFpl(_PerturbedLeader):
     restricting expert by expert would give (see `_feed`).
 
     Each round's leader comes from `_lazy_leaders`, which draws exactly for
-    the cohorts below `_EXACT` and the newborns, and thins the older
-    cohorts range by range (see the module docstring). A fresh pool of
-    dimension at most 2 replays a batch of rounds against an oblivious
-    nature in closed form (`_replay`); larger pools, and pools that have
-    played, take the round loop.
+    the cohorts below `_EXACT` and for newborns fewer than `_EXACT`, and
+    thins the older cohorts, and the larger newborn cohorts, range by
+    range (see the module docstring). A fresh pool of dimension at most 2
+    replays a batch of rounds against an oblivious nature in closed form
+    (`_replay`); larger pools, and pools that have played, take the round
+    loop.
     """
 
     _EXACT = 8      # the cohorts below this draw every perturbation
@@ -402,11 +427,14 @@ class ExpertPoolFpl(_PerturbedLeader):
         self.pool_extend()
         preds = self._predictions(x)
         t, ends, losses, ks = self.t, self._ends, self.losses, self.complexities
-        index = np.concatenate((np.arange(ends[min(self._EXACT, t) - 1]),
-                                np.arange(ends[t - 1], ends[t])))
-        ranges = [(0, a, b - a, losses[a:b].min(), ks[a:b].min())
-                  for a, b in ((ends[lo - 1], ends[hi - 1]) for lo, hi in _ranges(self._EXACT, t))
-                  if b > a]
+        spans = [(ends[lo - 1], ends[hi - 1]) for lo, hi in _ranges(self._EXACT, t)]
+        index = np.arange(ends[min(self._EXACT, t) - 1])
+        # the newborns hold their parents' losses: a range once they are many
+        if ends[t] - ends[t - 1] >= self._EXACT:
+            spans.append((ends[t - 1], ends[t]))
+        else:
+            index = np.concatenate((index, np.arange(ends[t - 1], ends[t])))
+        ranges = [(0, a, b - a, losses[a:b].min(), ks[a:b].min()) for a, b in spans if b > a]
         ranges = [np.array(c) for c in zip(*ranges)] if ranges else 5 * [np.zeros(0, np.int64)]
         exact = (index, losses[index], ks[index], np.zeros(1, np.int64))
         j = int(self._lazy_leaders(np.array([t]), exact, ranges,
@@ -422,10 +450,11 @@ class ExpertPoolFpl(_PerturbedLeader):
         exact = (index, loss, k, starts): the experts that draw q, round
         after round, the run of round ts[i] starting at starts[i]. ranges =
         (i, first, count, low_loss, low_k), one entry per cohort range in
-        order of round: the range of round ts[i] holds the experts first..
-        first + count - 1, whose smallest loss and complexity are low_loss
-        and low_k. loss_of(i, members) gives the members' losses in round
-        ts[i].
+        order of round, a round's newborn range after its older ones: the
+        range of round ts[i] holds the experts first..first + count - 1,
+        whose smallest loss and complexity are low_loss and low_k.
+        loss_of(i, members) gives the members' losses in round ts[i], a
+        newborn's being its parent's.
         """
         index, loss, k, starts = exact
         root = np.sqrt(ts.astype(float))
@@ -515,11 +544,17 @@ class ExpertPoolFpl(_PerturbedLeader):
         exact set's losses read M, and a range's smallest loss is the
         smallest M[s, t - 1] plus the smallest base in state s among its
         live cohorts, from per-(cohort, state) tables of the smallest base
-        that a running minimum carries across each range. `_replay_plan`
-        makes the cohorts, their complexities and charges, the exact sets
-        and the ranges once per (dim, T, `_EXACT`); the state walk, the M,
-        step and drop tables, the bases, the mass and the draws are this
-        game's.
+        that a running minimum carries across each range. A newborn range
+        of round t holds its parents' losses: its smallest is the smallest
+        M[s, t - 1] plus the smallest base in state s among the growable
+        experts born before t, from a running minimum over the growable
+        experts, O(T x states) in all; `loss_of` gives a newborn its
+        parent's loss. `_replay_plan` makes the cohorts, their complexities
+        and charges, the exact sets and the ranges once per (dim, T,
+        `_EXACT`); the state walk, the M, step and drop tables, the bases,
+        the mass and the draws are this game's. A plan with no newborn range,
+        such as every dimension-1 plan at the default `_EXACT`, builds no
+        table of parents.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
@@ -571,28 +606,39 @@ class ExpertPoolFpl(_PerturbedLeader):
         base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
 
         # the exact sets, round after round: the heads' losses, then the
-        # newborns', each its parent's, in one array laid out as the draws
-        starts, newborn, heads = plan.exact
+        # newborns' of the first `drawn` rounds, each its parent's, in one
+        # array laid out as the draws
+        starts, newborn, heads, drawn = plan.exact
         kept = ~newborn
         loss, index = np.empty(len(newborn)), np.empty(len(newborn), dtype=np.int64)
         loss[kept] = (mistakes[:T, state[:heads.shape[1]]] + base[:heads.shape[1]])[heads]
-        loss[newborn] = (mistakes[:T, parent_state] + base[plan.parent])[tri]
+        loss[newborn] = (mistakes[:drawn, parent_state] + base[plan.parent])[tri[:drawn]]
         index[kept] = np.broadcast_to(np.arange(heads.shape[1]), heads.shape)[heads]
-        index[newborn] = np.arange(1, len(base))
+        index[newborn] = np.arange(1, plan.live[drawn])
         # low[b, s]: the smallest base in state s among cohort b, then among
-        # the cohorts of b's range up to b
+        # the cohorts of b's range up to b; low[T + 1 + j, s]: the smallest
+        # base in state s among the growable experts 0..j, the parents of a
+        # newborn range
         low = np.full((T + 1) * ns, np.inf)
         rows = np.repeat(np.arange(0, (T + 1) * ns, ns), np.diff(plan.live, prepend=0))
         np.minimum.at(low, rows + state, base)
         low = low.reshape(T + 1, ns)
         for lo, hi in _ranges(self._EXACT, T):
             np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
-        at, first, count, last, low_k = plan.ranges
-        low_loss = (mistakes[at] + low[last]).min(axis=1)
-        chosen = self._lazy_leaders(
-            np.arange(1, T + 1), (index, loss, ks[index], starts),
-            (at, first, count, low_loss, low_k),
-            lambda i, members: mistakes[i, state[members]] + base[members])
+        if drawn < T:
+            parents = np.full((W, ns), np.inf)
+            parents[np.arange(W), parent_state] = base[plan.parent]
+            low = np.concatenate((low, np.minimum.accumulate(parents, axis=0)))
+        at, first, count, row, low_k = plan.ranges
+        low_loss = (mistakes[at] + low[row]).min(axis=1)
+
+        def loss_of(i, members):
+            if members[0] >= plan.live[i]:      # newborns, with their parents' losses
+                members = plan.parent[members - plan.live[i]]
+            return mistakes[i, state[members]] + base[members]
+
+        chosen = self._lazy_leaders(np.arange(1, T + 1), (index, loss, ks[index], starts),
+                                    (at, first, count, low_loss, low_k), loss_of)
         nth = chosen - plan.live[:-1]       # a newborn's place in its cohort
         then = state[chosen]
         new = nth >= 0

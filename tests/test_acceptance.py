@@ -63,9 +63,9 @@ def test_hierarchical_regret_within_explicit_bound():
     _assert(verification.check_hierarchical_regret_bound(trials=500,
                                                          horizons=(100, 200)),
             "[PASS] hierarchical-regret-bound: 500 trials; T=100 alternating: "
-            "n=1: 4.9 vs 225, n=2: 4.9 vs 286; T=100 coin: n=1: 3.6 vs 225, n=2: "
-            "5.4 vs 286; T=200 alternating: n=1: 6.4 vs 357, n=2: 6.4 vs 453; "
-            "T=200 coin: n=1: 6.0 vs 357, n=2: 8.0 vs 453")
+            "n=1: 4.8 vs 225, n=2: 4.8 vs 286; T=100 coin: n=1: 3.7 vs 225, n=2: "
+            "5.5 vs 286; T=200 alternating: n=1: 6.3 vs 357, n=2: 6.3 vs 453; "
+            "T=200 coin: n=1: 5.9 vs 357, n=2: 7.9 vs 453")
 
 
 def test_coinflip_regret_floor():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nuolab import bounds, nature, runner
@@ -197,6 +198,32 @@ class TestExpertPool:
             return out
         assert run() == run()
 
+    def test_seed_sequence_is_not_spawned_from(self):
+        # the pool spawns its range and resolution generators from a copy of
+        # a passed SeedSequence: the caller's counter stays 0, its next child
+        # is the one it would be without the pool, and the pool's streams
+        # are those of an int seed with the same entropy
+        def game(seed):
+            pool = ExpertPoolFpl(pool_component(2), seed=seed)
+            xs = [(t % 4) + 1 for t in range(30)]
+            return pool.play(xs, [(t // 3) % 2 for t in range(30)]), pool.losses.tolist()
+
+        ss = np.random.SeedSequence(12)
+        assert game(ss) == game(12)
+        assert ss.n_children_spawned == 0
+        assert ss.spawn(1)[0].spawn_key == (0,)
+        spawned = np.random.SeedSequence(12, n_children_spawned=5)
+        ExpertPoolFpl(pool_component(1), seed=spawned)
+        assert spawned.n_children_spawned == 5
+
+    def test_generator_is_drawn_from_as_it_is(self):
+        # a passed Generator is the pool's own: its draws and its spawns
+        # are the pool's
+        generator = np.random.default_rng(13)
+        pool = ExpertPoolFpl(pool_component(1), seed=generator)
+        assert pool.rng is generator
+        assert generator.bit_generator.seed_seq.n_children_spawned == 2
+
 
 def two_component_family() -> ExplicitListFamily:
     constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
@@ -310,8 +337,9 @@ def play_stream(kind, rounds: int = 40):
 
 # any change to these values is a change of RNG stream or of tie-breaking.
 # From round 9 on, a pool thins its cohorts from the eighth on, range by
-# range (`ExpertPoolFpl._lazy_leaders`), so the pools' streams differ there
-# from those of drawing every perturbation, pinned below
+# range (`ExpertPoolFpl._lazy_leaders`), and from round 8 on a dimension-2
+# pool thins its newborns too, so the pools' streams differ there from
+# those of drawing every perturbation, pinned below
 STREAM_EXPECTED = {
     "fpl-five": (
         "0010110001000000001010101000010000101011",
@@ -326,15 +354,15 @@ STREAM_EXPECTED = {
          0, 4, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0],
         "37ea7bcce4ca14a0"),
     "pool-dim2": (
-        "0101001011000010001000101010011100110000",
-        [0, 1, 1, 1, 1, 1, 1, 0, 0, 3, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1,
-         0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0],
+        "0101001011110110101000111010011100110000",
+        [0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1,
+         0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
         "e44110576736c33f"),
     "agnostic-2": (
         "0101100000000110000100010011000100110110",
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
-         0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [18, 19]),
+         0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+        [18, 18]),
 }
 
 
@@ -366,10 +394,15 @@ PER_EXPERT_EXPECTED = {
 
 @pytest.mark.parametrize("kind", STREAM_SEEDS)
 def test_stream_with_no_range_draws_every_perturbation(kind, monkeypatch):
-    # with no cohort range live in 40 rounds, a pool draws one perturbation
-    # per expert and round from its own generator, in index order
+    # with no cohort range live before round 40, a pool draws one
+    # perturbation per expert and round from its own generator, in index
+    # order. At round 40 a dimension-2 pool's 40 newborns are a range; they
+    # come last in the round's draws, so the others draw the same values,
+    # and at these seeds no newborn leads that round either way
     monkeypatch.setattr(ExpertPoolFpl, "_EXACT", 40)
     expected = PER_EXPERT_EXPECTED.get(kind, STREAM_EXPECTED[kind])
     assert play_stream(kind) == expected
-    # and the thinned stream keeps the first 8 rounds
+    # and the thinned stream keeps the first 8 rounds: nothing is thinned
+    # before round 8, and at round 8 a dimension-2 pool's 8 newborns, which
+    # draw last, lead in neither stream
     assert [v[:8] for v in STREAM_EXPECTED[kind][:2]] == [v[:8] for v in expected[:2]]

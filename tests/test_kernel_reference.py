@@ -24,7 +24,7 @@ from nuolab.fpl import ExpertPoolFpl, pool_complexity
 from nuolab.hypotheses import (FamilyComponent, FiniteClass, FiniteSupportClass,
                                SingletonClass, threshold_hypothesis)
 from nuolab.learners import OnlineLearner
-from nuolab import littlestone
+from nuolab import fpl, littlestone
 from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, engine_for,
                                 ldim, minimax_mistakes, path_node_indices,
                                 shattered_tree_witness, soa_prediction,
@@ -575,6 +575,34 @@ def test_lazy_leader_matches_explicit_scoring(case, exact, monkeypatch):
         assert two_sample_p(lazy, explicit) > 1e-4, (t, lazy, explicit)
         thinned = sum(n for (birth, _), n in lazy.items() if exact <= birth < t)
         assert thinned > LEADER_DRAWS // 4 if exact == 1 else thinned < LEADER_DRAWS // 4
+
+
+# a scheme whose complexity falls with the last key round, k_j = K - 6 ln j
+# (the root keeps 1), with K setting the mass of 12 rounds of a
+# dimension-2 pool to 0.6 + 1/e: the latest keys are the cheapest
+LATE_KEYS = math.log(sum(j ** 7 for j in range(1, 13)) / 0.6)
+
+
+def late_keys_complexity(dim, last_round):
+    return 1.0 if last_round < 1 else LATE_KEYS - 6 * math.log(last_round)
+
+
+@pytest.mark.parametrize("exact", [8, 1], ids=["exact-8", "exact-1"])
+def test_lazy_leader_when_newborns_lead(exact, monkeypatch):
+    # the two constants in a dimension-2 pool, labels 0 for 3 rounds, then
+    # 1: the experts that first restricted at round a >= 4 hold the constant
+    # 1 with loss a - 3, and the others the full class with loss 8, before
+    # round 12. Round 12's 12 newborns hold their parents' losses, 1 to 8,
+    # and the cheapest complexity, so their range, thinned at either E,
+    # carries more than a quarter of the leaders
+    monkeypatch.setattr(ExpertPoolFpl, "_EXACT", exact)
+    monkeypatch.setattr(fpl, "pool_complexity", late_keys_complexity)
+    monkeypatch.setitem(globals(), "pool_complexity", late_keys_complexity)
+    comp = FamilyComponent(1, FiniteClass((1, 2, 3), [[0] * 3, [1] * 3]), 2)
+    xs, ys = [1 + t % 3 for t in range(12)], [int(t >= 3) for t in range(12)]
+    lazy, explicit = leader_samples(comp, xs, ys, seed=12)
+    assert two_sample_p(lazy, explicit) > 1e-4, (lazy, explicit)
+    assert sum(n for (birth, _), n in lazy.items() if birth == 12) > LEADER_DRAWS // 4
 
 
 def test_lazy_leader_when_every_member_passes():

@@ -428,17 +428,18 @@ def scored_inputs(comp, xs, ys, seed, loop=False):
 @pytest.mark.parametrize("horizon", [1, 2, 50, 200])
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_replay_matches_loop_at_every_block_size(name, horizon, monkeypatch):
-    # the cohort ranges double from the first block [E, 2E): E = 1 thins
-    # every cohort but the root and the newborns, and E = 2**22 none of
-    # these scripts' cohorts, so that every perturbation is drawn; each
-    # round's scorer inputs and leader are the loop's, newborns in their
-    # birth round included
+    # the cohort ranges double from the first block [E, 2E), and a round's
+    # newborns are a range of their own once they are E or more: E = 1
+    # thins every cohort but the root, and E = 2**22 none of these scripts'
+    # cohorts, so that every perturbation is drawn; each round's scorer
+    # inputs and leader are the loop's, newborns in their birth round included
     xs, ys = check_script(DOMAIN, "coin", horizon)
     comp = COMPONENTS[name]
     for exact in (1, 3, 8, 2 ** 22):
         monkeypatch.setattr(ExpertPoolFpl, "_EXACT", exact)
         plan = fpl._replay_plan(comp.dim, horizon, exact, fpl.pool_complexity)
         ranges = sum(len(list(fpl._ranges(exact, t))) for t in range(1, horizon + 1))
+        ranges += int((np.diff(plan.live) >= exact).sum())
         assert len(plan.ranges[0]) == (ranges if comp.dim else 0)
         assert pool_replay(comp, xs, ys, 39) == pool_replay(comp, xs, ys, 39, loop=True)
         assert scored_inputs(comp, xs, ys, 39) == scored_inputs(comp, xs, ys, 39, loop=True)
@@ -472,6 +473,23 @@ def test_plan_is_read_only(dim):
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_plan_draw_counts():
+    # a dimension-1 newborn is one expert, never a range at E = 8: the plan
+    # draws its 3,572 values at T = 400 as before newborn ranges, newborns
+    # included. A dimension-2 pool draws its newborns for rounds 1-7 and
+    # thins them from round 8 on, one range a round
+    plan = fpl._replay_plan(1, 400, 8, fpl.pool_complexity)
+    starts, newborn, heads, drawn = plan.exact
+    assert (len(newborn), int(newborn.sum()), drawn) == (3572, 400, 400)
+    assert (plan.ranges[3] <= 400).all()
+    plan = fpl._replay_plan(2, 200, 8, fpl.pool_complexity)
+    starts, newborn, heads, drawn = plan.exact
+    assert (len(newborn), int(newborn.sum()), drawn) == (5688, 28, 7)
+    born = plan.ranges[3] > 200
+    assert plan.ranges[0][born].tolist() == list(range(7, 200))
+    assert (plan.ranges[2][born] == plan.ranges[0][born] + 1).all()
 
 
 def test_second_replay_of_a_shape_computes_no_complexity(monkeypatch):

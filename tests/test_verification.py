@@ -57,8 +57,8 @@ class TestReducedScaleChecks:
         assert verification.check_hierarchical_regret_bound(
             trials=12, horizons=(50,)).line() == (
             "[PASS] hierarchical-regret-bound: 12 trials; T=50 alternating: "
-            "n=1: 2.4 vs 140, n=2: 2.4 vs 178; T=50 coin: n=1: 3.8 vs 140, "
-            "n=2: 6.7 vs 178")
+            "n=1: 2.8 vs 140, n=2: 2.8 vs 178; T=50 coin: n=1: 3.7 vs 140, "
+            "n=2: 6.5 vs 178")
 
     def test_coinflip_floor(self):
         assert verification.check_coinflip_regret_floor(

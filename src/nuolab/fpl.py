@@ -98,6 +98,16 @@ def pool_complexity(dim: int, last_round: int) -> float:
 # the perturbed leader: one base and its scorer, two expert containers
 # ---------------------------------------------------------------------------
 
+def _own_copy(seed):
+    """`seed`, a `SeedSequence` copied, so that spawning from the copy
+    leaves the caller's spawn counter as it was."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size,
+                                      n_children_spawned=seed.n_children_spawned)
+    return seed
+
+
 class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
     budget, the scoring rule and the round's choice.
@@ -118,11 +128,7 @@ class _PerturbedLeader(OnlineLearner):
 
     def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
         super().__init__()
-        if isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
-                                          pool_size=seed.pool_size,
-                                          n_children_spawned=seed.n_children_spawned)
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(_own_copy(seed))
         self._mass = 0.0
         self._size = 0                  # experts registered
         self._pending = None    # (round, chosen index, prediction, subclass data)
@@ -263,35 +269,40 @@ def _ranges(exact: int, t: int):
 
 
 _ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges complexities live tri growable parent exact ranges")
+                         "charges ks live tri growable cohort place index exact ranges")
 
 
 @functools.lru_cache(maxsize=16)
 def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     """`ExpertPoolFpl._replay`'s plan for T rounds of a fresh dimension-`dim`
     pool under the scheme `complexity`, scoring the cohorts below `exact`
-    exactly. Cohort b holds the experts live[b - 1]..live[b] - 1; the root
-    is cohort 0.
+    exactly. Cohort b holds the experts live[b - 1]..live[b] - 1, with
+    complexity ks[b - 1]; the root is cohort 0. Expert i is the child of
+    growable parent place[i] in cohort cohort[i] (the root is place 0 of
+    cohort 0), and `tri` is the (birth round x place) mask of the cohorts,
+    one place wide in a pool that grows none.
 
     Round t draws for its head, the experts born before it in the cohorts
     below `exact`, and then for its newborns if they are fewer than
     `exact`. The cohort sizes never fall, so those are the newborns of the
-    first `drawn` rounds. `exact` holds (where each round's run of draws
-    starts, which draws are a newborn's, a (round x expert) mask of the
-    heads, and `drawn`). `ranges` lists, round after round, the cohort
-    ranges that hold a live expert and then the round's newborns, if they
-    are a range: (the round's position, the first member, the member
-    count, a row of `_replay`'s table of smallest bases, the smallest
-    complexity). An older range's row is its last live cohort b; the
-    newborns' row is T + 1 + j, where the growable experts 0..j are their
-    parents."""
+    first `drawn` rounds; `index` lists the experts that draw, in draw
+    order. `exact` holds (where each round's run of draws starts, which
+    draws are a newborn's, a (round x expert) mask of the heads, and
+    `drawn`). `ranges` lists, round after round, the cohort ranges that
+    hold a live expert and then the round's newborns, if they are a range:
+    (the round's position, the first member, the member count, a row of
+    `_replay`'s table of smallest bases, the smallest complexity). An older
+    range's row is its last live cohort b; the newborns' row is T + 1 + j,
+    where the growable experts 0..j are their parents."""
     counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
     ks = [complexity(dim, t) for t in range(1, T + 1)]
     charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
     live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
-    tri = np.tri(T, int(counts[-1]), dtype=bool)
+    tri = np.arange(max(int(counts[-1]), 1)) < counts[:, None]
     growable = np.concatenate(([0], live[:-1]))     # the growable experts after round T
-    parent = growable[:tri.shape[1]]
+    sizes = np.diff(live, prepend=0)
+    cohort = np.repeat(np.arange(T + 1), sizes)
+    place = np.arange(live[T]) - np.repeat(growable, sizes)
 
     drawn = int(np.count_nonzero(counts < exact))
     born = np.where(counts < exact, counts, 0)      # the newborns drawn exactly
@@ -300,6 +311,9 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     newborn = np.repeat(np.arange(2 * T) % 2 == 1, runs)
     starts = np.concatenate(([0], np.cumsum(head + born)[:-1]))
     heads = np.arange(head[-1]) < head[:, None]
+    index = np.empty(len(newborn), dtype=np.int64)
+    index[~newborn] = np.broadcast_to(np.arange(heads.shape[1]), heads.shape)[heads]
+    index[newborn] = np.arange(1, live[drawn])
 
     # round t's ranges [lo, hi), those of `_ranges(exact, t)` that hold an expert
     los = np.array([lo for lo, _ in _ranges(exact, T)], dtype=np.int64)
@@ -317,12 +331,11 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     ranges = tuple(np.concatenate(c)[order] for c in (
         (pos, new), (live[lo - 1], live[new]), (live[hi - 1] - live[lo - 1], counts[new]),
         (hi - 1, T + counts[new]), (kmin[hi - 2], np.array(ks)[new])))
-    arrays = [np.repeat(ks, counts), live, tri, growable, parent,
+    arrays = [np.array(ks), live, tri, growable, cohort, place, index,
               starts, newborn, heads, *ranges]
     for array in arrays:
         array.flags.writeable = False
-    return _ReplayPlan(charges, arrays[0], live, tri, growable, parent,
-                       (starts, newborn, heads, drawn), ranges)
+    return _ReplayPlan(charges, *arrays[:7], (starts, newborn, heads, drawn), ranges)
 
 
 class ExpertPoolFpl(_PerturbedLeader):
@@ -340,19 +353,22 @@ class ExpertPoolFpl(_PerturbedLeader):
     Layout: per expert, in registration order, `state`, `losses` and
     `complexities` hold its engine state id, loss and complexity, and
     `_growable` holds the index and key length of each expert whose key is
-    shorter than `dim`. Each is an array of exactly its size; `pool_extend`
-    appends a round's cohort to them, and `_ends[b]` is where cohort b ends.
-    Keys are not stored: the growth rule fixes them, and `keys` rebuilds
-    them. The cohort's restricts intern new states to the ids that
-    restricting expert by expert would give (see `_feed`).
+    shorter than `dim`. Once read, each is an array of exactly its size;
+    `pool_extend` appends a round's cohort to them, `_ends[b]` is where
+    cohort b ends and `_ks[b]` is its experts' complexity. Keys are not
+    stored: the growth rule fixes them, and `keys` rebuilds them. The
+    cohort's restricts intern new states to the ids that restricting expert
+    by expert would give (see `_feed`).
 
     Each round's leader comes from `_lazy_leaders`, which draws exactly for
     the cohorts below `_EXACT` and for newborns fewer than `_EXACT`, and
     thins the older cohorts, and the larger newborn cohorts, range by
     range (see the module docstring). A fresh pool of dimension at most 2
     replays a batch of rounds against an oblivious nature in closed form
-    (`_replay`); larger pools, and pools that have played, take the round
-    loop.
+    (`_replay`), taking its range bounds from (round x parent-state)
+    tables; it builds `state`, `losses` and `complexities` only when they
+    are first read (`_read`). Larger pools, and pools that have played,
+    take the round loop.
     """
 
     _EXACT = 8      # the cohorts below this draw every perturbation
@@ -372,7 +388,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
         self._extended_for = 0
         self._cohort = (1, 1)   # index range of experts registered this round
-        self._ends = [1]        # _ends[b]: one past the last expert of cohort b
+        self._ends = np.ones(1, dtype=np.int64)     # _ends[b]: one past cohort b's last expert
+        self._ks = np.full(1, k_root)   # _ks[b]: the complexity of cohort b's experts
 
     @property
     def pool_size(self) -> int:
@@ -398,8 +415,8 @@ class ExpertPoolFpl(_PerturbedLeader):
             return self._cohort[1] - self._cohort[0]
         start = self._size
         count = len(self._growable)
+        k_new = pool_complexity(self.dim, t)
         if count:
-            k_new = pool_complexity(self.dim, t)
             self._register(count, k_new)
             parents, lengths = self._growable.T
             self.state = np.concatenate((self.state, self.state[parents]))
@@ -413,7 +430,8 @@ class ExpertPoolFpl(_PerturbedLeader):
                     (self._growable, np.column_stack((grows + start, lengths[grows] + 1))))
         self._extended_for = t
         self._cohort = (start, start + count)
-        self._ends.append(start + count)
+        self._ends = np.append(self._ends, start + count)
+        self._ks = np.append(self._ks, k_new)
         return count
 
     def _predictions(self, x: Point) -> np.ndarray:
@@ -488,7 +506,8 @@ class ExpertPoolFpl(_PerturbedLeader):
             if passed:      # and those after it, placed uniformly
                 after = draw.choice(rest, passed, replace=False)
                 members = np.concatenate((members, np.sort(after) + members[0] + 1))
-            score = self.complexities[members] - (tau[r] + draw.standard_exponential(len(members)))
+            ks = self._ks[np.searchsorted(self._ends, members, side="right")]
+            score = ks - (tau[r] + draw.standard_exponential(len(members)))
             score *= root[i]
             score += loss_of(i, members)
             w = int(score.argmin())
@@ -522,6 +541,30 @@ class ExpertPoolFpl(_PerturbedLeader):
             return 0
         return super()._batchable(n)
 
+    def __getattr__(self, name):
+        # a replayed pool builds its per-expert arrays on their first read
+        unread = self.__dict__.get("_unread")
+        if unread is None or name not in ("state", "losses", "complexities"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        del self._unread
+        self._read(*unread)
+        return self.__dict__[name]
+
+    def _read(self, plan: _ReplayPlan, step, drop, final, ks) -> None:
+        """Build a replayed pool's `state`, `losses` and `complexities`
+        from `_replay`'s tables: the experts after the root, cohort by
+        cohort, are the lower triangle of a (birth round x growable parent)
+        table, row by row."""
+        tri = plan.tri
+        parent_state, parent_base = step[:tri.shape[1], 0], drop[:tri.shape[1], 0]
+        self.state = state = np.concatenate(([0], step[1:, parent_state][tri]))
+        base = np.zeros(len(state))
+        # the base of (a, b): the base of (a), then the drop at round b
+        base[1:] = drop[1:, parent_state][tri]
+        base[1:] += np.broadcast_to(parent_base, tri.shape)[tri]
+        self.losses = (final[state] + base).astype(np.int64)
+        self.complexities = ks[plan.cohort]
+
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Dense replay of a fresh pool of dimension 0, 1 or 2.
 
@@ -534,7 +577,11 @@ class ExpertPoolFpl(_PerturbedLeader):
         their birth rounds (sigma_0 = 0, the root's), the loss of (a, b)
         before round t > b is M[0, a] - M[sigma_a, a] + M[sigma_a, b] -
         M[sigma_ab, b] + M[sigma_ab, t - 1]: a fixed base plus M[., t - 1]
-        at a fixed state; (b) is the case a = 0.
+        at a fixed state; (b) is the case a = 0. So the child of parent j
+        in cohort b is in state step[b, sigma_j] with base drop[b, sigma_j]
+        plus the parent's base, from (round x state) tables of the states
+        round b leaves each state in and of the mistakes it drops, and the
+        plan's (cohort, place) of each expert.
 
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
@@ -543,18 +590,18 @@ class ExpertPoolFpl(_PerturbedLeader):
         once by `_lazy_leaders`, as the loop scores it round by round: the
         exact set's losses read M, and a range's smallest loss is the
         smallest M[s, t - 1] plus the smallest base in state s among its
-        live cohorts, from per-(cohort, state) tables of the smallest base
-        that a running minimum carries across each range. A newborn range
-        of round t holds its parents' losses: its smallest is the smallest
-        M[s, t - 1] plus the smallest base in state s among the growable
-        experts born before t, from a running minimum over the growable
-        experts, O(T x states) in all; `loss_of` gives a newborn its
-        parent's loss. `_replay_plan` makes the cohorts, their complexities
-        and charges, the exact sets and the ranges once per (dim, T,
-        `_EXACT`); the state walk, the M, step and drop tables, the bases,
-        the mass and the draws are this game's. A plan with no newborn range,
-        such as every dimension-1 plan at the default `_EXACT`, builds no
-        table of parents.
+        live cohorts. Both that and a newborn range's bound come from a
+        (growable parent x state) table of the parents' smallest bases, a
+        running minimum over the parents: the smallest base in state s of
+        cohort b is the smallest drop[b, sigma] plus that table's entry,
+        over the parent states sigma that round b moves to s, so the range
+        bounds cost O(T x states), not O(experts). `loss_of` gives a newborn
+        its parent's loss. `_replay_plan` makes the cohorts, their
+        complexities and charges, the exact sets and the ranges once per
+        (dim, T, `_EXACT`); the state walk, the M, step and drop tables, the
+        mass and the draws are this game's. The per-expert `state`,
+        `losses` and `complexities` are built from the tables on their first
+        read (`_read`), by the round loop or anyone else.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
@@ -566,7 +613,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._size += int(plan.live[passed]) - 1
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
-        self.complexities = ks = np.concatenate((self.complexities, plan.complexities))
+        ks = np.concatenate((self.complexities, plan.ks))      # by cohort, the root's first
 
         after = {}      # (state, x, y) -> the state that round leaves it in
         grown = [0] if dim else []      # the growable experts' states, in order
@@ -584,73 +631,78 @@ class ExpertPoolFpl(_PerturbedLeader):
         ns = engine.n_states
         pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
         # mistakes[t, s]: M[s, t], as floats, which add to the scores as
-        # the loop's int losses do; step[t - 1, s]: the state round t
-        # leaves s in; drop[t - 1, s]: M[s, t] - M[step[t - 1, s], t], a
-        # base's term
+        # the loop's int losses do; step[b, s]: the state round b leaves s
+        # in, row 0 moving none; drop[b, s]: M[s, b] - M[step[b, s], b], a
+        # base's term, 0 in row 0
         mistakes = np.zeros((T + 1, ns))
         np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-        step = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
+        moves = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
         for (s, x, y_t), nxt in after.items():
-            step[s, points[x], y_t] = nxt
-        step = step[:, ix, y].T
-        drop = mistakes[1:] - np.take_along_axis(mistakes[1:], step, axis=1)
-
-        # the experts after the root, cohort by cohort, are the lower
-        # triangle of a (birth round x growable parent) table, row by row
-        W, tri = len(plan.parent), plan.tri
-        parent_state = np.array(grown[:W], dtype=np.int64)
-        self.state = state = np.concatenate((self.state, step[:, parent_state][tri]))
-        base = np.zeros(int(plan.live[T]))
-        # the base of (a, b): the base of (a), then the drop at round b
-        base[1:] = drop[:, parent_state][tri]
-        base[1:] += np.broadcast_to(np.concatenate(([0], drop[:, 0]))[:W], tri.shape)[tri]
+            moves[s, points[x], y_t] = nxt
+        step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
+        drop = mistakes - np.take_along_axis(mistakes, step, axis=1)
+        # the growable parents' states and bases: (j) is the root's child
+        # of round j, and the root is parent 0, in state 0 with base 0
+        W, cohort, place = plan.tri.shape[1], plan.cohort, plan.place
+        parent_state, parent_base = step[:W, 0], drop[:W, 0]
 
         # the exact sets, round after round: the heads' losses, then the
         # newborns' of the first `drawn` rounds, each its parent's, in one
         # array laid out as the draws
         starts, newborn, heads, drawn = plan.exact
-        kept = ~newborn
-        loss, index = np.empty(len(newborn)), np.empty(len(newborn), dtype=np.int64)
-        loss[kept] = (mistakes[:T, state[:heads.shape[1]]] + base[:heads.shape[1]])[heads]
-        loss[newborn] = (mistakes[:drawn, parent_state] + base[plan.parent])[tri[:drawn]]
-        index[kept] = np.broadcast_to(np.arange(heads.shape[1]), heads.shape)[heads]
-        index[newborn] = np.arange(1, plan.live[drawn])
-        # low[b, s]: the smallest base in state s among cohort b, then among
-        # the cohorts of b's range up to b; low[T + 1 + j, s]: the smallest
-        # base in state s among the growable experts 0..j, the parents of a
-        # newborn range
-        low = np.full((T + 1) * ns, np.inf)
-        rows = np.repeat(np.arange(0, (T + 1) * ns, ns), np.diff(plan.live, prepend=0))
-        np.minimum.at(low, rows + state, base)
-        low = low.reshape(T + 1, ns)
+        b, j = cohort[:heads.shape[1]], place[:heads.shape[1]]
+        sigma = parent_state[j]
+        loss = np.empty(len(newborn))
+        loss[~newborn] = (mistakes[:T, step[b, sigma]] + (drop[b, sigma] + parent_base[j]))[heads]
+        loss[newborn] = (mistakes[:drawn, parent_state] + parent_base)[plan.tri[:drawn]]
+
+        at, first, count, row, low_k = plan.ranges
+        # low[b, s]: the smallest base in state s among cohort b, then
+        # among the cohorts of b's range up to b; low[T + 1 + j, s]: the
+        # smallest base in state s among the growable experts 0..j, the
+        # parents of a newborn range. Cohort b copies the parents 0..b - 1
+        # (row b - 1 of that table; in a dimension-1 pool, the root, its
+        # one row), and only the growable experts' states hold a base
+        low = np.full((T + 1 + W, ns), np.inf)
+        parents = low[T + 1:]
+        parents[np.arange(W), parent_state] = parent_base
+        np.minimum.accumulate(parents, axis=0, out=parents)
+        sigmas = list(present)
+        copied = drop[1:, sigmas] + parents[:, sigmas]
+        np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)[:, None]
+                                        + step[1:, sigmas]).ravel(), copied.ravel())
         for lo, hi in _ranges(self._EXACT, T):
             np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
-        if drawn < T:
-            parents = np.full((W, ns), np.inf)
-            parents[np.arange(W), parent_state] = base[plan.parent]
-            low = np.concatenate((low, np.minimum.accumulate(parents, axis=0)))
-        at, first, count, row, low_k = plan.ranges
-        low_loss = (mistakes[at] + low[row]).min(axis=1)
+        # a row minimum over so few states costs more than an elementwise
+        # minimum across the state columns, which is as exact
+        both = mistakes.take(at, axis=0)
+        both += low.take(row, axis=0)
+        low_loss = functools.reduce(np.minimum, both.T)
 
         def loss_of(i, members):
-            if members[0] >= plan.live[i]:      # newborns, with their parents' losses
-                members = plan.parent[members - plan.live[i]]
-            return mistakes[i, state[members]] + base[members]
+            # a newborn of round i + 1 holds its parent's state and loss: it
+            # reads row 0, which moves no state and drops nothing
+            b = cohort[members] * (members < plan.live[i])
+            j = place[members]
+            sigma = parent_state[j]
+            return mistakes[i, step[b, sigma]] + (drop[b, sigma] + parent_base[j])
 
-        chosen = self._lazy_leaders(np.arange(1, T + 1), (index, loss, ks[index], starts),
+        # the per-expert arrays wait for their first read; the scorer reads
+        # the cohorts' ends and complexities
+        del self.state, self.losses, self.complexities
+        self._unread = (plan, step, drop, mistakes[T], ks)
+        self._ends, self._ks = plan.live, ks
+        chosen = self._lazy_leaders(np.arange(1, T + 1),
+                                    (plan.index, loss, ks[cohort[plan.index]], starts),
                                     (at, first, count, low_loss, low_k), loss_of)
-        nth = chosen - plan.live[:-1]       # a newborn's place in its cohort
-        then = state[chosen]
-        new = nth >= 0
-        then[new] = parent_state[nth[new]]
-        preds = pred[then, ix]
+        # a round's newborn leader predicts from its parent's state
+        b = cohort[chosen] * (chosen < plan.live[:-1])
+        preds = pred[step[b, parent_state[place[chosen]]], ix]
 
-        self.losses = (mistakes[T][state] + base).astype(np.int64)
         if dim == 2:
             self._growable = np.column_stack((plan.growable, np.arange(T + 1) > 0))
         self._extended_for = T
-        self._cohort = (int(plan.live[T - 1]), len(base))
-        self._ends = plan.live.tolist()
+        self._cohort = (int(plan.live[T - 1]), int(plan.live[T]))
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()
@@ -665,15 +717,22 @@ class AgnosticFpl(FplLearner):
 
     Component n carries complexity 2(ln n + 1) at this level; inside, its
     pool of keyed experts uses complexities 1 + (dim + 2) ln j. All levels
-    update counterfactually every round.
+    update counterfactually every round. `seed` is an int, a `SeedSequence`
+    (copied, as `_PerturbedLeader` copies it) or None; the components and
+    the top level draw from its children.
     """
 
     def __init__(self, family: ClassFamily, components: int, *,
-                 seed: Optional[int] = None, cap_dim: Optional[int] = 2,
-                 cap_rounds: Optional[int] = None):
+                 seed: int | np.random.SeedSequence | None = None,
+                 cap_dim: Optional[int] = 2, cap_rounds: Optional[int] = None):
         if components < 1:
             raise ConfigurationError("need at least one component")
-        seeds = np.random.SeedSequence(seed).spawn(components + 1)
+        if isinstance(seed, np.random.SeedSequence):
+            seeds = _own_copy(seed).spawn(components + 1)
+        elif seed is None or isinstance(seed, (int, np.integer)):
+            seeds = np.random.SeedSequence(seed).spawn(components + 1)
+        else:
+            raise TypeError(f"seed must be an int, a SeedSequence or None, got {seed!r}")
         pools = []
         for n in range(1, components + 1):
             comp = family.component(n)

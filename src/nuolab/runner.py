@@ -122,11 +122,12 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
 
     Infinite threshold classes reduce to the finitely many behaviors
     distinguishable on the observed points: one cut at each observed value
-    plus one above the maximum.
+    plus one above the maximum. A class with no hypothesis has no best
+    rival and raises DomainError.
     """
     if isinstance(comparison, FiniteClass):
-        return comparison.hypotheses()
-    if comparison == REAL_THRESHOLDS:
+        hs = comparison.hypotheses()
+    elif comparison == REAL_THRESHOLDS:
         numeric = sorted(set(points))
         if not numeric:
             return [Hypothesis("thr-empty", lambda x: 0)]
@@ -134,9 +135,13 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
             raise DomainError("threshold comparison needs numeric points")
         cuts = list(numeric) + [numeric[-1] + 1]
         return [threshold_hypothesis(c) for c in cuts]
-    if isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):
-        return list(comparison)
-    raise DomainError(f"cannot materialize comparison class from {comparison!r}")
+    elif isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):
+        hs = list(comparison)
+    else:
+        raise DomainError(f"cannot materialize comparison class from {comparison!r}")
+    if not hs:
+        raise DomainError("comparison class has no hypotheses")
+    return hs
 
 
 def best_rival_mistakes(comparison, trace: GameTrace) -> int:

@@ -277,11 +277,15 @@ def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
 
 
 def comparison_from_config(raw):
-    """"real-thresholds", an explicit class, or a non-empty list of hypotheses."""
+    """"real-thresholds", an explicit class with a hypothesis, or a non-empty
+    list of hypotheses."""
     if raw == REAL_THRESHOLDS:
         return REAL_THRESHOLDS
     if isinstance(raw, dict) and "domain" in raw:
-        return class_from_config(raw)
+        cls = class_from_config(raw)
+        if not cls.rows:
+            raise DomainError("comparison class has no hypotheses")
+        return cls
     if isinstance(raw, list):
         if not raw:
             raise DomainError("comparison list is empty")

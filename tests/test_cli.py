@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nuolab import cli
+from nuolab import cli, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 COIN = json.dumps({"nature": "coin-flip"})
@@ -185,6 +185,19 @@ def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""
     assert err == f"nuolab regret: error: {message}\n"
+
+
+def test_regret_refuses_an_empty_comparison_class_before_any_game(capsys, monkeypatch):
+    def run_game(*args):
+        raise AssertionError("a game was played")
+
+    monkeypatch.setattr(runner, "run_game", run_game)
+    config = {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
+              "comparison": {"domain": [0], "hypotheses": []}, "T": 10, "trials": 2,
+              "master_seed": 1}
+    code, out, err = run(capsys, "regret", "--config", json.dumps(config))
+    assert (code, out) == (2, "")
+    assert err == "nuolab regret: error: comparison class has no hypotheses\n"
 
 
 def test_ldim_rejects_non_binary_row_values(capsys):

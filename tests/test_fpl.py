@@ -272,6 +272,29 @@ class TestAgnosticFpl:
         whole = sum(c[-1] for c in curves) / trials
         assert whole / T < half / (T // 2)
 
+    def test_seed_sequence_is_accepted_and_not_spawned_from(self):
+        # a SeedSequence is copied, as a pool copies it: the caller's counter
+        # stays as it was, and the game is that of an int seed with the
+        # same entropy
+        def game(seed):
+            learner = AgnosticFpl(self.family(), 2, seed=seed)
+            xs = [(t % 4) + 1 for t in range(30)]
+            return learner.play(xs, [(t // 3) % 2 for t in range(30)]), learner.rng.random()
+
+        ss = np.random.SeedSequence(1)
+        assert game(ss) == game(1)
+        assert ss.n_children_spawned == 0
+        spawned = np.random.SeedSequence(1, n_children_spawned=5)
+        AgnosticFpl(self.family(), 2, seed=spawned)
+        assert spawned.n_children_spawned == 5
+        assert game(np.int64(1)) == game(1)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", np.random.default_rng(1)],
+                             ids=["float", "str", "generator"])
+    def test_other_seeds_are_refused(self, seed):
+        with pytest.raises(TypeError, match="seed must be an int, a SeedSequence or None, got"):
+            AgnosticFpl(self.family(), 2, seed=seed)
+
     def test_meta_uses_component_complexities(self):
         learner = AgnosticFpl(self.family(), 2, seed=0)
         assert learner.complexities.tolist() == [meta_complexity(1), meta_complexity(2)]

@@ -529,6 +529,58 @@ def test_plan_cache_stays_bounded():
     assert fpl._replay_plan.cache_info().misses == len(shapes) + 1
 
 
+# a replayed pool builds its per-expert arrays only when they are first read
+
+def arrays_in(value):
+    """Every array inside an attribute's value, tuples opened."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for part in value:
+            yield from arrays_in(part)
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_replay_builds_no_per_expert_array_unread(name):
+    # the pool holds per-cohort and (round x state) tables; the per-expert
+    # arrays it builds them from are the plan's, shared and read-only. A
+    # dimension-2 pool's experts outnumber the entries of every such table,
+    # so there an array of the pool's size can only be a per-expert one
+    xs, ys = check_script(DOMAIN, "coin")
+    pool = ExpertPoolFpl(COMPONENTS[name], seed=45)
+    pool.play(xs, ys)
+    assert pool.pool_size == sum(math.comb(200, j) for j in range(COMPONENTS[name].dim + 1))
+    assert not {"state", "losses", "complexities"} & set(vars(pool))
+    if COMPONENTS[name].dim == 2:
+        held = {key for key, value in vars(pool).items() for array in arrays_in(value)
+                if array.size == pool.pool_size and array.flags.writeable}
+        assert held == set()
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_first_read_builds_the_loop_arrays(name):
+    xs, ys = check_script(DOMAIN, "coin")
+    replayed, looped = (ExpertPoolFpl(COMPONENTS[name], seed=46) for _ in range(2))
+    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
+    for attr in ("state", "losses", "complexities"):
+        built, expected = getattr(replayed, attr), getattr(looped, attr)
+        assert built.dtype == expected.dtype and np.array_equal(built, expected), attr
+    assert "_unread" not in vars(replayed)
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_loop_after_replay_builds_the_arrays(name):
+    # a second play takes the round loop, which is the first to read the
+    # arrays: its predictions and the final state are the loop's
+    xs, ys = check_script(DOMAIN, "coin")
+    more = xs[:7], [1, 0, 0, 1, 1, 1, 0]
+    replayed, looped = (ExpertPoolFpl(COMPONENTS[name], seed=47) for _ in range(2))
+    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
+    assert "_unread" in vars(replayed)
+    assert replayed.play(*more) == checked_loop(looped, *more)
+    assert snapshot(replayed) == snapshot(looped)
+
+
 def test_dim2_bad_label_after_round_100():
     # the first 100 rounds replay, round 101 is predicted and raises, and
     # the rounds after it take the loop

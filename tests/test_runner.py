@@ -151,6 +151,16 @@ class TestRegret:
         assert best_rival_mistakes(TWO_CLASS, trace) == 2
         assert regret(trace, TWO_CLASS) == 0
 
+    @pytest.mark.parametrize("comparison", [FiniteClass((0,), []), []], ids=["class", "list"])
+    def test_empty_comparison(self, comparison):
+        # no hypothesis, no best rival: a typed error, not min()'s ValueError
+        trace = run_game(learners.ConstantLearner(0), nature.AgnosticScripted([0] * 3, [1, 0, 1]), 3)
+        for measure in (lambda: best_rival_mistakes(comparison, trace),
+                        lambda: regret(trace, comparison),
+                        lambda: trace_to_csv(trace, comparison)):
+            with pytest.raises(DomainError, match="^comparison class has no hypotheses$"):
+                measure()
+
     def test_threshold_behaviors_materialization(self):
         points = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
         hs = comparison_hypotheses(runner.REAL_THRESHOLDS, points)

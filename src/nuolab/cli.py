@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import sys
 
 from . import runner, specs, verification
@@ -34,19 +34,29 @@ def _cmd_ldim(args) -> int:
     return 0
 
 
+def _open_csv(path: str, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _cmd_play(args) -> int:
     learner_spec, nature_spec = specs.load_spec(args.learner), specs.load_spec(args.nature)
-    try:  # before the game, which an unwritable path would waste
-        csv = open(args.csv, "w") if args.csv else contextlib.nullcontext()
-    except OSError as exc:
-        raise DomainError(f"cannot write {args.csv!r}: {exc.strerror or exc}") from None
-    with csv:
-        trace, _ = specs.play_config(learner_spec, nature_spec, args.T, seed=args.seed)
-        print(f"rounds:   {len(trace)}")
-        print(f"mistakes: {trace.mistakes}")
-        if args.csv:
-            csv.write(runner.trace_to_csv(trace))
     if args.csv:
+        # refuse an unwritable path before the game, which it would waste;
+        # appending leaves a file's bytes as they are, and a file made here
+        # goes again, so a game that fails leaves the path as it found it
+        made = not os.path.lexists(args.csv)
+        _open_csv(args.csv, "a").close()
+        if made:
+            os.remove(args.csv)
+    trace, _ = specs.play_config(learner_spec, nature_spec, args.T, seed=args.seed)
+    print(f"rounds:   {len(trace)}")
+    print(f"mistakes: {trace.mistakes}")
+    if args.csv:
+        with _open_csv(args.csv, "w") as csv:
+            csv.write(runner.trace_to_csv(trace))
         print(f"trace written to {args.csv}")
     return 0
 

@@ -9,9 +9,10 @@ leader minimizes loss_i + (k_i - q_i) * sqrt(t), that is, maximizes
 q_i - c_i with c_i = loss_i / sqrt(t) + k_i. Ties break to the smallest
 index. The learning rate 1/sqrt(t) is fixed. Drawing q afresh each round
 keeps the regret bound against natures that adapt to past choices.
-`_PerturbedLeader._leader` and `_leaders` apply the rule to a fixed list
-of experts, drawing every q_i; `ExpertPoolFpl._lazy_leaders` applies it to
-a pool, drawing only the perturbations that can still lead.
+`_PerturbedLeader._leaders` applies the rule to a (round x slot) block,
+drawing q only for the cells of its mask: a fixed list of experts draws
+every cell, and `ExpertPoolFpl._lazy_leaders` scores a pool's exact set
+with it and draws for the rest only the perturbations that can still lead.
 
 The lazy sampler returns the leader with the distribution of the
 per-expert rule, round by round. Pool experts come in cohorts, one per
@@ -49,7 +50,7 @@ come from three streams, each consumed in round order: the exact set's on
 and the batch replay (`ExpertPoolFpl._replay`) call the one scorer, on one
 round or on all of a game's rounds, so they draw the same values and
 choose the same leaders. With no range live the rule draws every q, in
-index order, as `_leader` does: a dimension-0 pool, the first E - 1
+index order, as for a fixed list: a dimension-0 pool, the first E - 1
 rounds of any pool, and round E of a pool with fewer than E newborns then
 keep that stream. A dimension-1 pool's newborn is one expert, so it is a
 range only when E is 1; round t of a dimension-2 pool has t newborns.
@@ -115,11 +116,11 @@ class _PerturbedLeader(OnlineLearner):
     `seed` is an int, a `SeedSequence`, None, or a `Generator`. A
     `SeedSequence` is copied, so that spawning from `rng` leaves the
     caller's spawn counter as it was; a `Generator` is drawn and spawned
-    from as it is. A subclass holds the experts' losses and
-    `complexities` (a float array), picks the round's leader in `_lead` by
-    scoring the losses with `_leader`, or a batch of rounds with `_leaders`
-    (a pool with `ExpertPoolFpl._lazy_leaders`), and feeds the experts in
-    `_feed`. The choice is made once per round,
+    from as it is. A subclass holds the experts' losses and complexities
+    (`FplLearner` in `complexities`, a pool by cohort), picks the round's
+    leader in `_lead` by scoring a one-row block with `_leaders`, or a
+    batch of rounds at once (a pool through `ExpertPoolFpl._lazy_leaders`),
+    and feeds the experts in `_feed`. The choice is made once per round,
     keyed on the round index, so every `predict` of a round and its
     `update` see the same choice.
     """
@@ -144,27 +145,23 @@ class _PerturbedLeader(OnlineLearner):
             raise ConfigurationError(
                 f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
 
-    def _leader(self, loss, t: int) -> int:
-        """The leader of round t among the first len(loss) experts: the
-        argmin of loss + (k - q) * sqrt(t), ties to the smallest index.
-        `standard_exponential(n)` gives the values `exponential(size=n)`
-        gives, so the stream is that of one Exponential(1) vector a round.
-        """
-        score = self.rng.standard_exponential(len(loss))
-        np.subtract(self.complexities[:len(score)], score, out=score)
-        score *= math.sqrt(t)
+    def _leaders(self, ts: np.ndarray, loss, k, mask: Optional[np.ndarray] = None) -> tuple:
+        """The leaders of the rounds `ts` over a (round x slot) block: row i
+        scores loss + (k - q) * sqrt(ts[i]) and returns (each row's first
+        argmin column, that column's score). q is Exponential(1), drawn for
+        the cells of `mask` (every cell if it is None) in row-major order
+        by one `standard_exponential` call; a cell outside the mask scores
+        as if it held k = +inf, so it never leads."""
+        if mask is None:
+            score = self.rng.standard_exponential(np.shape(loss))
+        else:
+            score = np.full(mask.shape, -np.inf)
+            score[mask] = self.rng.standard_exponential(np.count_nonzero(mask))
+        np.subtract(k, score, out=score)
+        score *= np.sqrt(ts)[:, None]
         score += loss
-        return int(score.argmin())
-
-    def _leaders(self, losses: np.ndarray, t: int) -> np.ndarray:
-        """The leaders of rounds t, t + 1, ... for a (rounds x experts)
-        block of losses, scored row by row as `_leader` scores a round, from
-        the values of one draw per round, in order."""
-        score = self.rng.standard_exponential(losses.shape)
-        np.subtract(self.complexities[:losses.shape[1]], score, out=score)
-        score *= np.sqrt(np.arange(t, t + len(losses), dtype=float))[:, None]
-        score += losses
-        return score.argmin(axis=1)
+        cols = score.argmin(axis=1)
+        return cols, score[np.arange(len(cols)), cols]
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -223,7 +220,8 @@ class FplLearner(_PerturbedLeader):
     def _lead(self, x: Point) -> tuple:
         if not self.experts:
             raise ProtocolError("no experts registered", self.t)
-        j = self._leader(self.losses, self.t)
+        j = int(self._leaders(np.array([self.t]), np.array(self.losses)[None],
+                              self.complexities)[0][0])
         return j, self.experts[j].predict(x), None
 
     def _feed(self, x: Point, y: int, data) -> None:
@@ -252,7 +250,8 @@ class FplLearner(_PerturbedLeader):
         # losses[i, j]: expert j's mistakes before round t + i
         wrong = np.array(played).T != np.array(ys)[:, None]
         losses = before + np.cumsum(wrong, axis=0) - wrong
-        chosen = self._leaders(losses, self.t).tolist()
+        chosen = self._leaders(np.arange(self.t, self.t + T), losses,
+                               self.complexities)[0].tolist()
         preds = [played[j][i] for i, j in enumerate(chosen)]
         self.mistakes += sum(p != y for p, y in zip(preds, ys))
         self.t += T
@@ -269,7 +268,7 @@ def _ranges(exact: int, t: int):
 
 
 _ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges ks live tri growable cohort place index exact ranges")
+                         "charges ks live tri growable cohort place slot mask ranges")
 
 
 @functools.lru_cache(maxsize=16)
@@ -284,16 +283,15 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
 
     Round t draws for its head, the experts born before it in the cohorts
     below `exact`, and then for its newborns if they are fewer than
-    `exact`. The cohort sizes never fall, so those are the newborns of the
-    first `drawn` rounds; `index` lists the experts that draw, in draw
-    order. `exact` holds (where each round's run of draws starts, which
-    draws are a newborn's, a (round x expert) mask of the heads, and
-    `drawn`). `ranges` lists, round after round, the cohort ranges that
-    hold a live expert and then the round's newborns, if they are a range:
-    (the round's position, the first member, the member count, a row of
-    `_replay`'s table of smallest bases, the smallest complexity). An older
-    range's row is its last live cohort b; the newborns' row is T + 1 + j,
-    where the growable experts 0..j are their parents."""
+    `exact`. Row t - 1 of the (round x slot) blocks `slot` and `mask` holds
+    those experts in that order, the newborns' indices above the head's,
+    and marks them; a cell outside the mask holds the root. `ranges`
+    lists, round after round, the cohort ranges that hold a live expert
+    and then the round's newborns, if they are a range: (the round's
+    position, the first member, the member count, a row of `_replay`'s
+    table of smallest bases, the smallest complexity). An older range's
+    row is its last live cohort b; the newborns' row is T + 1 + j, where
+    the growable experts 0..j are their parents."""
     counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
     ks = [complexity(dim, t) for t in range(1, T + 1)]
     charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
@@ -304,16 +302,15 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     cohort = np.repeat(np.arange(T + 1), sizes)
     place = np.arange(live[T]) - np.repeat(growable, sizes)
 
+    # the cohort sizes never fall, so the newborns that draw are those of
+    # the first `drawn` rounds; past its head, a row holds its round's
+    # newborns, from live[t - 1] on
     drawn = int(np.count_nonzero(counts < exact))
-    born = np.where(counts < exact, counts, 0)      # the newborns drawn exactly
-    head = live[np.minimum(np.arange(T), exact - 1)]
-    runs = np.stack((head, born), axis=1).ravel()
-    newborn = np.repeat(np.arange(2 * T) % 2 == 1, runs)
-    starts = np.concatenate(([0], np.cumsum(head + born)[:-1]))
-    heads = np.arange(head[-1]) < head[:, None]
-    index = np.empty(len(newborn), dtype=np.int64)
-    index[~newborn] = np.broadcast_to(np.arange(heads.shape[1]), heads.shape)[heads]
-    index[newborn] = np.arange(1, live[drawn])
+    head = live[np.minimum(np.arange(T), exact - 1)][:, None]
+    runs = head + np.where(counts < exact, counts, 0)[:, None]
+    cols = np.arange(runs.max())
+    mask = cols < runs
+    slot = np.where(cols < head, cols, cols - head + live[:-1, None]) * mask
 
     # round t's ranges [lo, hi), those of `_ranges(exact, t)` that hold an expert
     los = np.array([lo for lo, _ in _ranges(exact, T)], dtype=np.int64)
@@ -331,11 +328,10 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     ranges = tuple(np.concatenate(c)[order] for c in (
         (pos, new), (live[lo - 1], live[new]), (live[hi - 1] - live[lo - 1], counts[new]),
         (hi - 1, T + counts[new]), (kmin[hi - 2], np.array(ks)[new])))
-    arrays = [np.array(ks), live, tri, growable, cohort, place, index,
-              starts, newborn, heads, *ranges]
+    arrays = [np.array(ks), live, tri, growable, cohort, place, slot, mask, *ranges]
     for array in arrays:
         array.flags.writeable = False
-    return _ReplayPlan(charges, *arrays[:7], (starts, newborn, heads, drawn), ranges)
+    return _ReplayPlan(charges, *arrays[:8], ranges)
 
 
 class ExpertPoolFpl(_PerturbedLeader):
@@ -350,15 +346,16 @@ class ExpertPoolFpl(_PerturbedLeader):
     standalone-replay count without replaying anything. After its last key
     round an expert's state is frozen, so per-round work is array-wide.
 
-    Layout: per expert, in registration order, `state`, `losses` and
-    `complexities` hold its engine state id, loss and complexity, and
-    `_growable` holds the index and key length of each expert whose key is
-    shorter than `dim`. Once read, each is an array of exactly its size;
-    `pool_extend` appends a round's cohort to them, `_ends[b]` is where
-    cohort b ends and `_ks[b]` is its experts' complexity. Keys are not
-    stored: the growth rule fixes them, and `keys` rebuilds them. The
-    cohort's restricts intern new states to the ids that restricting expert
-    by expert would give (see `_feed`).
+    Layout: per expert, in registration order, `state` and `losses` hold
+    its engine state id and loss, and `_growable` holds the index and key
+    length of each expert whose key is shorter than `dim`. Once read, each
+    is an array of exactly its size. The cohorts are recorded once:
+    `_ends[b]` is where cohort b ends and `_ks[b]` is its experts'
+    complexity, so the pool has extended for round len(_ends) - 1, and an
+    expert's complexity is its cohort's. `pool_extend` appends a round's
+    cohort. Keys are not stored: the growth rule fixes them, and `keys`
+    rebuilds them. The cohort's restricts intern new states to the ids
+    that restricting expert by expert would give (see `_feed`).
 
     Each round's leader comes from `_lazy_leaders`, which draws exactly for
     the cohorts below `_EXACT` and for newborns fewer than `_EXACT`, and
@@ -366,9 +363,9 @@ class ExpertPoolFpl(_PerturbedLeader):
     range (see the module docstring). A fresh pool of dimension at most 2
     replays a batch of rounds against an oblivious nature in closed form
     (`_replay`), taking its range bounds from (round x parent-state)
-    tables; it builds `state`, `losses` and `complexities` only when they
-    are first read (`_read`). Larger pools, and pools that have played,
-    take the round loop.
+    tables; it builds `state` and `losses` only when they are first read
+    (`_read`). Larger pools, and pools that have played, take the round
+    loop.
     """
 
     _EXACT = 8      # the cohorts below this draw every perturbation
@@ -383,11 +380,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._register(1, k_root)
         self.state = np.zeros(1, dtype=np.int64)
         self.losses = np.zeros(1, dtype=np.int64)
-        self.complexities = np.full(1, k_root)
         # rows (expert index, key length) of the experts that can grow
         self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
-        self._extended_for = 0
-        self._cohort = (1, 1)   # index range of experts registered this round
         self._ends = np.ones(1, dtype=np.int64)     # _ends[b]: one past cohort b's last expert
         self._ks = np.full(1, k_root)   # _ks[b]: the complexity of cohort b's experts
 
@@ -401,7 +395,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         the growth rule of `pool_extend`."""
         keys: list[tuple[int, ...]] = [()]
         growable = [0] if self.dim > 0 else []
-        for t in range(1, self._extended_for + 1):
+        for t in range(1, len(self._ends)):
             start = len(keys)
             keys += [keys[p] + (t,) for p in growable]
             growable += [i for i in range(start, len(keys)) if len(keys[i]) < self.dim]
@@ -410,9 +404,9 @@ class ExpertPoolFpl(_PerturbedLeader):
     def pool_extend(self) -> int:
         """Register every key ending at the current round; returns the count
         added. Runs once per round, implicitly before prediction."""
-        t = self.t
-        if self._extended_for == t:
-            return self._cohort[1] - self._cohort[0]
+        t, ends = self.t, self._ends
+        if len(ends) > t:
+            return int(ends[t] - ends[t - 1])
         start = self._size
         count = len(self._growable)
         k_new = pool_complexity(self.dim, t)
@@ -421,16 +415,13 @@ class ExpertPoolFpl(_PerturbedLeader):
             parents, lengths = self._growable.T
             self.state = np.concatenate((self.state, self.state[parents]))
             self.losses = np.concatenate((self.losses, self.losses[parents]))
-            self.complexities = np.concatenate((self.complexities, np.full(count, k_new)))
             # only a parent with a key shorter than dim - 1 has a child that
             # can still grow
             if self.dim > 1:
                 grows = np.flatnonzero(lengths < self.dim - 1)
                 self._growable = np.concatenate(
                     (self._growable, np.column_stack((grows + start, lengths[grows] + 1))))
-        self._extended_for = t
-        self._cohort = (start, start + count)
-        self._ends = np.append(self._ends, start + count)
+        self._ends = np.append(ends, start + count)
         self._ks = np.append(self._ks, k_new)
         return count
 
@@ -444,17 +435,20 @@ class ExpertPoolFpl(_PerturbedLeader):
     def _lead(self, x: Point) -> tuple:
         self.pool_extend()
         preds = self._predictions(x)
-        t, ends, losses, ks = self.t, self._ends, self.losses, self.complexities
-        spans = [(ends[lo - 1], ends[hi - 1]) for lo, hi in _ranges(self._EXACT, t)]
-        index = np.arange(ends[min(self._EXACT, t) - 1])
+        t, ends, losses, ks = self.t, self._ends, self.losses, self._ks
+        # each cohort range's members and smallest complexity, read by cohort
+        ranges = [(ends[lo - 1], ends[hi - 1], ks[lo:hi].min())
+                  for lo, hi in _ranges(self._EXACT, t)]
+        slot = np.arange(ends[min(self._EXACT, t) - 1])
         # the newborns hold their parents' losses: a range once they are many
         if ends[t] - ends[t - 1] >= self._EXACT:
-            spans.append((ends[t - 1], ends[t]))
+            ranges.append((ends[t - 1], ends[t], ks[t]))
         else:
-            index = np.concatenate((index, np.arange(ends[t - 1], ends[t])))
-        ranges = [(0, a, b - a, losses[a:b].min(), ks[a:b].min()) for a, b in spans if b > a]
+            slot = np.concatenate((slot, np.arange(ends[t - 1], ends[t])))
+        ranges = [(0, a, b - a, losses[a:b].min(), k) for a, b, k in ranges if b > a]
         ranges = [np.array(c) for c in zip(*ranges)] if ranges else 5 * [np.zeros(0, np.int64)]
-        exact = (index, losses[index], ks[index], np.zeros(1, np.int64))
+        exact = (slot[None], losses[slot][None],
+                 ks[np.searchsorted(ends, slot, side="right")][None], None)
         j = int(self._lazy_leaders(np.array([t]), exact, ranges,
                                    lambda i, members: losses[members])[0])
         return j, int(preds[j]), preds
@@ -465,27 +459,22 @@ class ExpertPoolFpl(_PerturbedLeader):
         docstring); the same calls made round by round or at once draw the
         same values and give the same leaders.
 
-        exact = (index, loss, k, starts): the experts that draw q, round
-        after round, the run of round ts[i] starting at starts[i]. ranges =
-        (i, first, count, low_loss, low_k), one entry per cohort range in
-        order of round, a round's newborn range after its older ones: the
-        range of round ts[i] holds the experts first..first + count - 1,
-        whose smallest loss and complexity are low_loss and low_k.
-        loss_of(i, members) gives the members' losses in round ts[i], a
-        newborn's being its parent's.
+        exact = (slot, loss, k, mask): the exact sets as `_leaders`'s
+        block, row i holding the experts `slot[i]` that draw q in round
+        ts[i], in index order. ranges = (i, first, count, low_loss, low_k),
+        one entry per cohort range in order of round, a round's newborn
+        range after its older ones: the range of round ts[i] holds the
+        experts first..first + count - 1, whose smallest loss and
+        complexity are low_loss and low_k. loss_of(i, members) gives the
+        members' losses in round ts[i], a newborn's being its parent's.
         """
-        index, loss, k, starts = exact
-        root = np.sqrt(ts.astype(float))
-        sizes = np.diff(starts, append=len(index))
-        score = k - self.rng.standard_exponential(len(index))
-        score *= np.repeat(root, sizes)
-        score += loss
-        best = np.minimum.reduceat(score, starts)
-        ties = np.flatnonzero(score == np.repeat(best, sizes))
-        chosen = index[ties[np.searchsorted(ties, starts)]]
+        slot, loss, k, mask = exact
+        cols, best = self._leaders(ts, loss, k, mask)
+        chosen = slot[np.arange(len(ts)), cols]
         at, first, count, low_loss, low_k = ranges
         if not len(at):
             return chosen
+        root = np.sqrt(ts)
         # a member whose q is at most tau cannot beat the exact set's best
         tau = np.maximum((low_loss - best[at]) / root[at] + low_k, 0.0)
         u = self._range_rng.random(len(at))
@@ -522,7 +511,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         # mistaken experts share few states: restrict each distinct one
         # once, in order of first appearance, which interns new states to
         # the ids that restricting expert by expert would give.
-        start, end = self._cohort
+        start, end = self._ends[-2:]
         cohort = self.state[start:end]
         mistaken = wrong[start:end]
         sources = cohort[mistaken]
@@ -537,24 +526,23 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     def _batchable(self, n: int) -> int:
         # `_replay` covers a fresh pool whose keys have at most two rounds
-        if self.dim > 2 or self._extended_for:
+        if self.dim > 2 or len(self._ends) > 1:
             return 0
         return super()._batchable(n)
 
     def __getattr__(self, name):
         # a replayed pool builds its per-expert arrays on their first read
         unread = self.__dict__.get("_unread")
-        if unread is None or name not in ("state", "losses", "complexities"):
+        if unread is None or name not in ("state", "losses"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         del self._unread
         self._read(*unread)
         return self.__dict__[name]
 
-    def _read(self, plan: _ReplayPlan, step, drop, final, ks) -> None:
-        """Build a replayed pool's `state`, `losses` and `complexities`
-        from `_replay`'s tables: the experts after the root, cohort by
-        cohort, are the lower triangle of a (birth round x growable parent)
-        table, row by row."""
+    def _read(self, plan: _ReplayPlan, step, drop, final) -> None:
+        """Build a replayed pool's `state` and `losses` from `_replay`'s
+        tables: the experts after the root, cohort by cohort, are the lower
+        triangle of a (birth round x growable parent) table, row by row."""
         tri = plan.tri
         parent_state, parent_base = step[:tri.shape[1], 0], drop[:tri.shape[1], 0]
         self.state = state = np.concatenate(([0], step[1:, parent_state][tri]))
@@ -563,7 +551,6 @@ class ExpertPoolFpl(_PerturbedLeader):
         base[1:] = drop[1:, parent_state][tri]
         base[1:] += np.broadcast_to(parent_base, tri.shape)[tri]
         self.losses = (final[state] + base).astype(np.int64)
-        self.complexities = ks[plan.cohort]
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Dense replay of a fresh pool of dimension 0, 1 or 2.
@@ -581,27 +568,27 @@ class ExpertPoolFpl(_PerturbedLeader):
         in cohort b is in state step[b, sigma_j] with base drop[b, sigma_j]
         plus the parent's base, from (round x state) tables of the states
         round b leaves each state in and of the mistakes it drops, and the
-        plan's (cohort, place) of each expert.
+        plan's (cohort, place) of each expert; `placed` reads them.
 
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
         so the engine interns the loop's ids, and births register cohort by
         cohort, so the mass budget is the loop's. Every round is scored at
         once by `_lazy_leaders`, as the loop scores it round by round: the
-        exact set's losses read M, and a range's smallest loss is the
-        smallest M[s, t - 1] plus the smallest base in state s among its
-        live cohorts. Both that and a newborn range's bound come from a
-        (growable parent x state) table of the parents' smallest bases, a
-        running minimum over the parents: the smallest base in state s of
-        cohort b is the smallest drop[b, sigma] plus that table's entry,
-        over the parent states sigma that round b moves to s, so the range
-        bounds cost O(T x states), not O(experts). `loss_of` gives a newborn
-        its parent's loss. `_replay_plan` makes the cohorts, their
-        complexities and charges, the exact sets and the ranges once per
-        (dim, T, `_EXACT`); the state walk, the M, step and drop tables, the
-        mass and the draws are this game's. The per-expert `state`,
-        `losses` and `complexities` are built from the tables on their first
-        read (`_read`), by the round loop or anyone else.
+        exact sets' losses are the plan's `slot` block read through M, and
+        a range's smallest loss is the smallest M[s, t - 1] plus the
+        smallest base in state s among its live cohorts. Both that and a
+        newborn range's bound come from a (growable parent x state) table
+        of the parents' smallest bases, a running minimum over the parents:
+        the smallest base in state s of cohort b is the smallest
+        drop[b, sigma] plus that table's entry, over the parent states
+        sigma that round b moves to s, so the range bounds cost
+        O(T x states), not O(experts). `_replay_plan` makes the cohorts,
+        their complexities and charges, the exact sets' blocks and the
+        ranges once per (dim, T, `_EXACT`); the state walk, the M, step and
+        drop tables, the mass and the draws are this game's. The per-expert
+        `state` and `losses` are built from the tables on their first read
+        (`_read`), by the round loop or anyone else.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
@@ -613,7 +600,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._size += int(plan.live[passed]) - 1
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
-        ks = np.concatenate((self.complexities, plan.ks))      # by cohort, the root's first
+        ks = np.concatenate((self._ks, plan.ks))      # by cohort, the root's first
 
         after = {}      # (state, x, y) -> the state that round leaves it in
         grown = [0] if dim else []      # the growable experts' states, in order
@@ -643,18 +630,24 @@ class ExpertPoolFpl(_PerturbedLeader):
         drop = mistakes - np.take_along_axis(mistakes, step, axis=1)
         # the growable parents' states and bases: (j) is the root's child
         # of round j, and the root is parent 0, in state 0 with base 0
-        W, cohort, place = plan.tri.shape[1], plan.cohort, plan.place
+        W, cohort, place, live = plan.tri.shape[1], plan.cohort, plan.place, plan.live
         parent_state, parent_base = step[:W, 0], drop[:W, 0]
 
-        # the exact sets, round after round: the heads' losses, then the
-        # newborns' of the first `drawn` rounds, each its parent's, in one
-        # array laid out as the draws
-        starts, newborn, heads, drawn = plan.exact
-        b, j = cohort[:heads.shape[1]], place[:heads.shape[1]]
-        sigma = parent_state[j]
-        loss = np.empty(len(newborn))
-        loss[~newborn] = (mistakes[:T, step[b, sigma]] + (drop[b, sigma] + parent_base[j]))[heads]
-        loss[newborn] = (mistakes[:drawn, parent_state] + parent_base)[plan.tri[:drawn]]
+        def placed(rows, members):
+            # the (state, base) of each member in round rows + 1, read at
+            # (b, sigma) of step and drop, flat. A newborn holds its
+            # parent's state and loss: it reads row 0, which moves no state
+            # and drops nothing
+            j = place[members]
+            cell = cohort[members] * (members < live[rows]) * ns + parent_state[j]
+            base = drop.take(cell)
+            base += parent_base[j]
+            return step.take(cell), base
+
+        def loss_of(rows, members):
+            state, base = placed(rows, members)
+            base += mistakes.take(rows * ns + state)
+            return base
 
         at, first, count, row, low_k = plan.ranges
         # low[b, s]: the smallest base in state s among cohort b, then
@@ -679,30 +672,19 @@ class ExpertPoolFpl(_PerturbedLeader):
         both += low.take(row, axis=0)
         low_loss = functools.reduce(np.minimum, both.T)
 
-        def loss_of(i, members):
-            # a newborn of round i + 1 holds its parent's state and loss: it
-            # reads row 0, which moves no state and drops nothing
-            b = cohort[members] * (members < plan.live[i])
-            j = place[members]
-            sigma = parent_state[j]
-            return mistakes[i, step[b, sigma]] + (drop[b, sigma] + parent_base[j])
-
         # the per-expert arrays wait for their first read; the scorer reads
         # the cohorts' ends and complexities
-        del self.state, self.losses, self.complexities
-        self._unread = (plan, step, drop, mistakes[T], ks)
-        self._ends, self._ks = plan.live, ks
-        chosen = self._lazy_leaders(np.arange(1, T + 1),
-                                    (plan.index, loss, ks[cohort[plan.index]], starts),
-                                    (at, first, count, low_loss, low_k), loss_of)
+        del self.state, self.losses
+        self._unread = (plan, step, drop, mistakes[T])
+        self._ends, self._ks = live, ks
+        rows, slot = np.arange(T), plan.slot
+        exact = (slot, loss_of(rows[:, None], slot), ks[cohort[slot]], plan.mask)
+        chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
-        b = cohort[chosen] * (chosen < plan.live[:-1])
-        preds = pred[step[b, parent_state[place[chosen]]], ix]
+        preds = pred[placed(rows, chosen)[0], ix]
 
         if dim == 2:
             self._growable = np.column_stack((plan.growable, np.arange(T + 1) > 0))
-        self._extended_for = T
-        self._cohort = (int(plan.live[T - 1]), int(plan.live[T]))
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

@@ -51,9 +51,6 @@ class GameTrace:
     def mistakes(self) -> int:
         return sum(map(operator.ne, self.ys, self.predicted))
 
-    def points(self) -> list[Point]:
-        return list(self.xs)
-
     def labels(self) -> list[int]:
         return list(self.ys)
 

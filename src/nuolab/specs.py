@@ -297,8 +297,12 @@ def regret_experiment_from_config(raw) -> RegretCurve:
     """Config keys: learner, nature, comparison, Ts (or T), trials,
     master_seed, optional bound {"kind": "fpl", "k": ...}."""
     config = Spec("regret config", raw)
-    horizons = checked("T and Ts", config.field("Ts", default=None) or [config.field("T")],
+    # T stands in for Ts only when Ts is absent or null
+    horizons = config.field("Ts", default=None)
+    horizons = checked("T and Ts", [config.field("T")] if horizons is None else horizons,
                        HORIZONS)
+    if not horizons:
+        raise DomainError("Ts list is empty")
     trials = config.field("trials", INT, 100)
     master_seed = config.field("master_seed", INT, 0)
     learner_spec = config.field("learner", OBJECT)

@@ -162,6 +162,10 @@ def test_regret_runs(capsys):
     ({"Ts": [20, 20.5]}, "T and Ts must hold ints, got [20, 20.5]"),
     ({"Ts": [True]}, "T and Ts must hold ints, got [True]"),
     ({"Ts": 20}, "T and Ts must hold ints, got 20"),
+    ({"Ts": 0}, "T and Ts must hold ints, got 0"),
+    ({"Ts": False}, "T and Ts must hold ints, got False"),
+    ({"Ts": ""}, "T and Ts must hold ints, got ''"),
+    ({"Ts": []}, "Ts list is empty"),
     ({"trials": 5.9}, "trials must be an int, got 5.9"),
     ({"trials": True}, "trials must be an int, got True"),
     ({"comparison": []}, "comparison list is empty"),
@@ -178,7 +182,8 @@ def test_regret_runs(capsys):
                                                         "domain": [0, 1]},
                   "redraw": "once"}},
      "redraw must be 'per-round', got 'once'"),
-], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "float-trials",
+], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "zero-Ts", "false-Ts",
+        "empty-string-Ts", "empty-Ts", "float-trials",
         "bool-trials", "empty-comparison", "float-seed", "bool-seed", "float-dim",
         "bool-n", "bool-k", "list-bound", "string-bound", "redraw-once"])
 def test_regret_rejects_bad_config(capsys, change, message):
@@ -225,6 +230,35 @@ def test_play_csv_to_an_unwritable_path(capsys, tmp_path):
                          "-T", "5", "--csv", str(path))
     assert code == 2 and out == ""
     assert err == f"nuolab play: error: cannot write {str(path)!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("learner, nature, horizon, message", [
+    ({"learner": "soa", "class": {"domain": [1], "hypotheses": [[0]]}},
+     {"nature": "scripted", "x": [1], "y": [1]}, "1",
+     "round 1: restriction by (1, 1) empties the version space"),
+    (json.loads(CONSTANT), {"nature": "scripted", "x": [1, 2], "y": [0, 1]}, "3",
+     "round 3: scripted stream exhausted after 2 points"),
+], ids=["emptied-version-space", "exhausted-script"])
+@pytest.mark.parametrize("held", [b"t,x\nkept\n", None], ids=["existing-file", "no-file"])
+def test_play_csv_left_as_it_was_when_the_game_fails(capsys, tmp_path, learner, nature,
+                                                     horizon, message, held):
+    path = tmp_path / "trace.csv"
+    if held is not None:
+        path.write_bytes(held)
+    code, out, err = run(capsys, "play", "--learner", json.dumps(learner), "--nature",
+                         json.dumps(nature), "-T", horizon, "--csv", str(path))
+    assert code == 2 and out == "" and err == f"nuolab play: error: {message}\n"
+    assert (path.read_bytes() if path.exists() else None) == held
+
+
+def test_play_csv_replaces_the_file_after_the_game(capsys, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("old\n" * 50)
+    code, out, err = run(capsys, "play", "--learner", CONSTANT, "--nature", COIN,
+                         "-T", "2", "--csv", str(path))
+    assert code == 0 and err == "" and out.endswith(f"trace written to {path}\n")
+    assert path.read_text().splitlines()[0].startswith("t,x,y,yhat")
+    assert len(path.read_text().splitlines()) == 3
 
 
 CLASS = {"domain": [1], "hypotheses": [[0]]}

@@ -117,6 +117,84 @@ class TestFplLearner:
         assert learner.losses[1] == len(labels) - sum(labels)
 
 
+class _Ones:
+    """A generator whose every Exponential(1) draw is 1, so scores tie."""
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+def one_row_leader(rng, complexities, loss, t):
+    """The single-round rule the block scorer replaced: one Exponential(1)
+    vector, scored in place, ties to the smallest index."""
+    score = rng.standard_exponential(len(loss))
+    np.subtract(complexities[:len(score)], score, out=score)
+    score *= math.sqrt(t)
+    score += loss
+    return int(score.argmin()), float(score.min())
+
+
+class TestBlockScorer:
+    """`_PerturbedLeader._leaders`, the one exact scorer, on blocks built by
+    hand."""
+
+    MASK = np.array([[True, True, False, True, False],
+                     [True, False, False, False, False],
+                     [True, True, True, True, True],
+                     [True, False, True, True, False]])
+
+    def test_masked_block_draws_once_per_masked_cell(self):
+        rng = np.random.default_rng(5)
+        loss = rng.integers(0, 6, self.MASK.shape).astype(float)
+        k = rng.uniform(1.0, 3.0, self.MASK.shape)
+        ts = np.array([3, 4, 5, 6])
+        learner = FplLearner(seed=11)
+        with np.errstate(all="raise"):      # the cells outside the mask hold inf
+            cols, best = learner._leaders(ts, loss, k, self.MASK)
+        reference = np.random.default_rng(11)
+        q = iter(reference.standard_exponential(int(self.MASK.sum())))
+        assert learner.rng.bit_generator.state == reference.bit_generator.state
+        # the draws fill the masked cells in row-major order
+        for i, t in enumerate(ts):
+            scores = [(loss[i, c] + (k[i, c] - next(q)) * math.sqrt(t), c)
+                      for c in np.flatnonzero(self.MASK[i])]
+            assert (best[i], cols[i]) == min(scores)
+
+    def test_masked_cell_never_leads(self):
+        loss = np.full(self.MASK.shape, 50.0)
+        loss[~self.MASK] = -1e6     # the lowest loss, outside the mask
+        k = np.ones(self.MASK.shape)
+        for seed in range(20):
+            with np.errstate(all="raise"):
+                cols, best = FplLearner(seed=seed)._leaders(np.arange(1, 5), loss, k, self.MASK)
+            assert self.MASK[np.arange(4), cols].all() and np.isfinite(best).all()
+
+    def test_ties_go_to_the_first_column(self):
+        learner = FplLearner(seed=0)
+        learner.rng = _Ones()
+        loss = np.array([[2.0, 2.0, 2.0, 2.0], [3.0, 1.0, 4.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
+        mask = np.array([[True] * 4, [True] * 4, [False, False, True, True]])
+        cols, best = learner._leaders(np.array([1, 4, 9]), loss, np.ones(4), mask)
+        assert cols.tolist() == [0, 1, 2] and best.tolist() == [2.0, 1.0, 2.0]
+        cols, _ = learner._leaders(np.array([1, 4, 9]), loss, np.ones(4))
+        assert cols.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_one_row_block_is_the_single_round_rule(self, n):
+        # the leader, its score and the generator state after the round
+        # are the single-round rule's, for the same seed
+        for seed in range(25):
+            draw = random.Random(seed)
+            loss = np.array([draw.randint(0, 30) for _ in range(n)])
+            k = np.array([1.0 + draw.random() * 4 for _ in range(n)])
+            t = draw.randint(1, 500)
+            learner = FplLearner(seed=seed)
+            cols, best = learner._leaders(np.array([t]), loss[None], k)
+            reference = np.random.default_rng(seed)
+            assert (int(cols[0]), float(best[0])) == one_row_leader(reference, k, loss, t)
+            assert learner.rng.bit_generator.state == reference.bit_generator.state
+
+
 def pool_component(dim: int, domain=(1, 2, 3, 4)) -> FamilyComponent:
     if dim == 0:
         return FamilyComponent(1, SingletonClass(threshold_hypothesis(2)), 0)

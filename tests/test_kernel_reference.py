@@ -459,7 +459,8 @@ def test_pool_matches_list_reference(case):
         ref.update(x, y)
         assert pool.pool_size == len(ref.keys)
         assert np.array_equal(pool.losses, ref.losses)
-        assert np.array_equal(pool.complexities, ref.complexities)
+        birth = np.searchsorted(pool._ends, np.arange(pool.pool_size), side="right")
+        assert np.array_equal(pool._ks[birth], ref.complexities)
         assert np.array_equal(pool.state, ref.state)     # interned in the same order
         assert version_spaces(pool) == version_spaces(ref)
     assert pool.keys == ref.keys
@@ -538,13 +539,13 @@ def leader_samples(comp, xs, ys, seed, resolutions=None):
     del pool._lazy_leaders
     if resolutions is not None:
         pool._resolve_rng = Recorded(pool._resolve_rng, resolutions)
-    ts, (index, loss, k, _), ranges, loss_of = inputs[0]
+    ts, (slot, loss, k, mask), ranges, loss_of = inputs[0]
     n = LEADER_DRAWS
     copies = [np.tile(column, n) for column in ranges]
     copies[0] = np.repeat(np.arange(n), len(ranges[0]))
-    leaders = pool._lazy_leaders(np.repeat(ts, n), (*(np.tile(c, n) for c in (index, loss, k)),
-                                                    np.arange(n) * len(index)),
-                                 copies, lambda i, members: loss_of(0, members))
+    block = (*(np.repeat(c, n, axis=0) for c in (slot, loss, k)), mask)
+    leaders = pool._lazy_leaders(np.repeat(ts, n), block, copies,
+                                 lambda i, members: loss_of(0, members))
     birth = np.searchsorted(pool._ends, np.arange(pool.pool_size), side="right")
     lazy = Counter(zip(birth[leaders].tolist(), pool.state[leaders].tolist()))
     explicit = Counter((ref.keys[j][-1] if ref.keys[j] else 0, int(ref.state[j]))

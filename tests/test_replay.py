@@ -105,7 +105,7 @@ def snapshot(learner) -> dict:
         out.update(chosen_index=learner.chosen_index, mass=learner._mass,
                    rng=learner.rng.bit_generator.state,
                    losses=[int(v) for v in learner.losses],
-                   complexities=[float(k) for k in learner.complexities])
+                   complexities=[float(k) for k in complexities(learner)])
     if isinstance(learner, ExpertPoolFpl):
         out.update(range_rng=learner._range_rng.bit_generator.state,
                    resolve_rng=learner._resolve_rng.bit_generator.state,
@@ -125,6 +125,13 @@ def snapshot(learner) -> dict:
     if isinstance(learner, LastLabel):
         out["last"] = learner.last
     return out
+
+
+def complexities(learner):
+    """Each expert's complexity; a pool's, expanded from its cohorts'."""
+    if isinstance(learner, ExpertPoolFpl):
+        return np.repeat(learner._ks, np.diff(learner._ends, prepend=0))
+    return learner.complexities
 
 
 def rounds(trace):
@@ -398,21 +405,22 @@ def scored_inputs(comp, xs, ys, seed, loop=False):
     score = pool._lazy_leaders
 
     def scored(ts, exact, ranges, loss_of):
-        index, loss, k, starts = exact
-        ends = [*starts.tolist()[1:], len(index)]
+        slot, loss, k, mask = exact
         at, first, count, low_loss, low_k = ranges
+        birth = np.searchsorted(pool._ends, np.arange(pool.pool_size), side="right")
         for i, t in enumerate(ts.tolist()):
-            run = slice(starts[i], ends[i])
+            drawn = slice(None) if mask is None else mask[i]
             inside = np.flatnonzero(at == i)
             members = []
             for r in inside:
                 held = np.arange(first[r], first[r] + count[r])
                 losses = np.asarray(loss_of(i, held), dtype=float)
                 # the bound that thins a range is its members' smallest c
-                assert low_loss[r] == losses.min() and low_k[r] == pool.complexities[held].min()
+                assert low_loss[r] == losses.min() and low_k[r] == pool._ks[birth[held]].min()
                 members.append(hashlib.sha256(losses.tobytes()).hexdigest())
-            rounds.append((t, index[run].tolist(), np.asarray(loss[run], dtype=float).tolist(),
-                           k[run].tolist(), first[inside].tolist(), count[inside].tolist(),
+            rounds.append((t, slot[i][drawn].tolist(),
+                           np.asarray(loss[i][drawn], dtype=float).tolist(),
+                           k[i][drawn].tolist(), first[inside].tolist(), count[inside].tolist(),
                            np.asarray(low_loss[inside], dtype=float).tolist(),
                            np.asarray(low_k[inside], dtype=float).tolist(), members))
         return score(ts, exact, ranges, loss_of)
@@ -475,18 +483,23 @@ def test_plan_is_read_only(dim):
             array[...] = 0
 
 
+def draw_counts(plan):
+    """(the values a replay draws, those of them a newborn draws, the
+    rounds whose newborns draw), read from the plan's mask."""
+    newborn = plan.mask & (plan.slot >= plan.live[:-1, None])
+    return int(plan.mask.sum()), int(newborn.sum()), int(newborn.any(axis=1).sum())
+
+
 def test_plan_draw_counts():
     # a dimension-1 newborn is one expert, never a range at E = 8: the plan
     # draws its 3,572 values at T = 400 as before newborn ranges, newborns
     # included. A dimension-2 pool draws its newborns for rounds 1-7 and
     # thins them from round 8 on, one range a round
     plan = fpl._replay_plan(1, 400, 8, fpl.pool_complexity)
-    starts, newborn, heads, drawn = plan.exact
-    assert (len(newborn), int(newborn.sum()), drawn) == (3572, 400, 400)
+    assert draw_counts(plan) == (3572, 400, 400)
     assert (plan.ranges[3] <= 400).all()
     plan = fpl._replay_plan(2, 200, 8, fpl.pool_complexity)
-    starts, newborn, heads, drawn = plan.exact
-    assert (len(newborn), int(newborn.sum()), drawn) == (5688, 28, 7)
+    assert draw_counts(plan) == (5688, 28, 7)
     born = plan.ranges[3] > 200
     assert plan.ranges[0][born].tolist() == list(range(7, 200))
     assert (plan.ranges[2][born] == plan.ranges[0][born] + 1).all()
@@ -562,7 +575,7 @@ def test_first_read_builds_the_loop_arrays(name):
     xs, ys = check_script(DOMAIN, "coin")
     replayed, looped = (ExpertPoolFpl(COMPONENTS[name], seed=46) for _ in range(2))
     assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
-    for attr in ("state", "losses", "complexities"):
+    for attr in ("state", "losses", "_ends", "_ks"):
         built, expected = getattr(replayed, attr), getattr(looped, attr)
         assert built.dtype == expected.dtype and np.array_equal(built, expected), attr
     assert "_unread" not in vars(replayed)

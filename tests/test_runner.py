@@ -75,10 +75,9 @@ class TestGameTrace:
             cumulative.append(acc)
         assert trace.cumulative_mistakes() == cumulative
         assert all(type(v) is int for v in [trace.mistakes, *cumulative])
-        assert trace.points() == [r.x for r in rounds]
+        assert trace.xs == [r.x for r in rounds]
         assert trace.labels() == [r.y for r in rounds]
-        # the accessors hand out copies, so a caller cannot change the trace
-        trace.points().append("z")
+        # the accessor hands out a copy, so a caller cannot change the trace
         trace.labels().append(1)
         assert len(trace.xs) == len(trace.ys) == len(rounds)
 
@@ -89,7 +88,7 @@ NUMERIC_POINTS = (0, 1, 3, Fraction(1, 2), Fraction(1, 3), Fraction(7, 3))
 
 def per_round_rival_mistakes(comparison, trace):
     """The best rival's mistakes by a scan of every round."""
-    hs = comparison_hypotheses(comparison, trace.points())
+    hs = comparison_hypotheses(comparison, trace.xs)
     return min(sum(1 for r in trace.rounds if h(r.x) != r.y) for h in hs)
 
 

@@ -28,17 +28,16 @@ def test_one_play_splits_batches():
     assert defining == {"learners.py:OnlineLearner"}
 
 
-SCORERS = ("_PerturbedLeader._leader", "_PerturbedLeader._leaders",
-           "ExpertPoolFpl._lazy_leaders")
+SCORERS = ("_PerturbedLeader._leaders", "ExpertPoolFpl._lazy_leaders")
 DRAWS = ("exponential", "standard_exponential", "random", "binomial", "integers", "choice",
          "geometric")
 
 
 def test_one_perturbed_leader_scorer():
-    # the perturbed leaders draw only in the scorers: `_PerturbedLeader._leader`
-    # for a round and `_leaders` for a block of a fixed list of experts, and
-    # `ExpertPoolFpl._lazy_leaders` for a pool. Only they take a square
-    # root, so no copy of the rule loss + (k - q) * sqrt(t) lives elsewhere
+    # the perturbed leaders draw only in the scorers: `_PerturbedLeader._leaders`
+    # for a (round x slot) block, and `ExpertPoolFpl._lazy_leaders`, which
+    # thins a pool's ranges on top of it. Only they take a square root, so
+    # no copy of the rule loss + (k - q) * sqrt(t) lives elsewhere
     path = next(path for path in SOURCES if path.name == "fpl.py")
     sites = []
 

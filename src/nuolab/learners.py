@@ -17,7 +17,9 @@ id and a restrict policy; the expert pools in `fpl` run the same engines.
 from __future__ import annotations
 
 import copy
-from itertools import accumulate
+from bisect import bisect_left
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
@@ -256,10 +258,10 @@ class AggregatorLearner(OnlineLearner):
     A sub-learner's counters do not depend on which sub-learner the
     aggregator selects: it sees every pair either way. So `play` replays a
     batch of rounds by letting each sub-learner play them all on its own,
-    then walks the rounds over the counters those plays give, growing the
-    pool by the same rule as the loop and taking the same argmin. Each
-    round's pool, selection and prediction, and every counter, are the
-    loop's.
+    then walks over the counters those plays give from one change of
+    choice to the next, growing the pool by the same rule as the loop and
+    taking the same argmin. Each round's pool, selection and prediction,
+    and every counter, are the loop's.
     """
 
     def __init__(self, family: ClassFamily):
@@ -305,50 +307,52 @@ class AggregatorLearner(OnlineLearner):
         return n
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Every sub-learner plays all the rounds with its own `play`, and
-        its counter before each round comes from its predictions. The walk
-        over the rounds grows the pool by `_extend_pool`'s rule on that
-        round's counters: a sub-learner created at round i replays the
-        history before the batch and then plays the whole batch too, of
-        which only rounds i on are read. An error from inside a
-        sub-learner drops the batch, which plays copies of the
-        sub-learners, and the round loop plays the rounds instead, so the
-        error is the loop's."""
+        """Every sub-learner plays all the rounds with its own `play`. At
+        round i the walk grows the pool by `_extend_pool`'s rule on the
+        counters (a new sub-learner replays the history, then the batch) and
+        takes the argmin; counters never fall, so both stand until the round
+        after the chosen one's next error, and its predictions are copied up
+        to there. An error from inside a sub-learner drops the batch, which
+        plays copies of the sub-learners, and the round loop plays the
+        rounds instead, so the error is the loop's."""
         saved = self.sub
         try:
             self.sub = {n: copy.copy(l) for n, l in saved.items()}
             runs = [self._scored(n, l, xs, ys) for n, l in self.sub.items()]
-            top = max(self.sub)
-            preds = []
-            for i in range(len(ys)):
-                scores = [s[i] for s, _ in runs]
+            top, i, preds = max(self.sub), 0, []
+            while i < len(ys):
+                scores = [start + bisect_left(errs, i) for start, errs, _ in runs]
                 bound = min(scores)
                 while top < bound:
                     top += 1
                     learner = self.sub[top] = self._spawn(top)
                     runs.append(self._scored(top, learner, xs, ys))
-                    scores.append(runs[-1][0][i])
+                    scores.append(runs[-1][0] + bisect_left(runs[-1][1], i))
                     bound = min(bound, scores[-1])
                 k = scores.index(bound)
-                preds.append(runs[k][1][i])
+                _, errs, chosen = runs[k]
+                j = bisect_left(errs, i)
+                end = errs[j] + 1 if j < len(errs) else len(ys)
+                preds += chosen[i:end]
+                i = end
         except Exception:
             # an error from inside a sub-learner: the loop raises it too, in
             # the loop's order
             self.sub = saved
             return self._loop(xs, ys, len(ys))
         self.selected = k + 1       # the indices are 1..top, in order
-        self.mistakes += sum(p != y for p, y in zip(preds, ys))
+        self.mistakes += sum(map(ne, preds, ys))
         self.history += zip(xs, ys)
         self.t += len(ys)
         return preds
 
     @staticmethod
-    def _scored(n: int, learner: SoaLearner, xs, ys) -> tuple[list[int], list[int]]:
-        """(counter + n before each round, prediction) over the rounds, as
-        `learner` plays them."""
+    def _scored(n: int, learner: SoaLearner, xs, ys) -> tuple[int, list[int], list[int]]:
+        """(counter + n before the rounds, the rounds it errs at, its
+        predictions), as `learner` plays the rounds."""
         start = learner.mistakes + n
         preds = learner.play(xs, ys)
-        return list(accumulate((p != y for p, y in zip(preds, ys)), initial=start)), preds
+        return start, list(compress(count(), map(ne, preds, ys))), preds
 
 
 class CoverSpec:
@@ -374,7 +378,9 @@ class CoverSpec:
 class CoverLearner(OnlineLearner):
     """Predicts with the smallest-index cover hypothesis consistent with
     everything seen; hypotheses are eliminated permanently, so the index
-    never decreases."""
+    never decreases. The hypothesis changes only at a mistake, so `play`
+    reads the rounds up to the next one off its labels of the batch's
+    distinct points, and there runs the loop's `_advance`."""
 
     def __init__(self, cover: CoverSpec):
         super().__init__()
@@ -407,6 +413,33 @@ class CoverLearner(OnlineLearner):
             self.index += 1
             self._advance()
 
+    def _batchable(self, n: int) -> int:
+        return n
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """An error in labelling the points, which the loop may never show
+        this hypothesis, restores the state and plays the batch through the
+        round loop; one from `_advance` is raised from the loop's state."""
+        saved = self.index, self.current, len(self.history), self.t, self.mistakes
+        preds, i, n = [], 0, len(ys)
+        while i < n:
+            try:
+                points = points if i else list(dict.fromkeys(xs))
+                label = dict(zip(points, map(self.current, points))).__getitem__
+                j = next(compress(count(i), map(ne, map(label, xs[i:]), ys[i:])), n)
+            except Exception:
+                self.index, self.current, seen, self.t, self.mistakes = saved
+                del self.history[seen:]
+                return self._loop(xs, ys, n)
+            preds += map(label, xs[i:j + 1])
+            self.history += zip(xs[i:j + 1], ys[i:j + 1])
+            if j < n:
+                self.t, self.mistakes, self.index = saved[3] + j, self.mistakes + 1, self.index + 1
+                self._advance()
+            i = j + 1
+        self.t = saved[3] + n
+        return preds
+
 
 class NaturalThresholdLearner(OnlineLearner):
     """Learns integer thresholds 1_{x >= n} over the positive integers.
@@ -414,13 +447,14 @@ class NaturalThresholdLearner(OnlineLearner):
     Predicts 0 until the first mistake at some point x0; the consistent
     thresholds then form a finite set, over which it runs halving
     (majority vote, eliminate the wrong voters). Total mistakes are at
-    most 1 + ceil(log2 x0).
+    most 1 + ceil(log2 x0). The consistent set is always an interval, kept
+    as its ends, so a round costs O(1) whatever x0 is.
     """
 
     def __init__(self):
         super().__init__()
         self.max_zero = 0          # largest point seen with label 0 before the first 1
-        self.alive: Optional[list[int]] = None
+        self.alive: Optional[tuple[int, int]] = None   # consistent thresholds lo..hi
 
     @staticmethod
     def _check_point(x: Point) -> int:
@@ -432,8 +466,9 @@ class NaturalThresholdLearner(OnlineLearner):
         x = self._check_point(x)
         if self.alive is None:
             return 0
-        votes_one = sum(1 for n in self.alive if x >= n)
-        return 1 if 2 * votes_one > len(self.alive) else 0
+        lo, hi = self.alive
+        votes_one = max(0, min(hi, x) - lo + 1)
+        return 1 if 2 * votes_one > max(0, hi - lo + 1) else 0
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         x = self._check_point(x)
@@ -441,18 +476,17 @@ class NaturalThresholdLearner(OnlineLearner):
             if y == 0:
                 self.max_zero = max(self.max_zero, x)
                 return
-            # first 1-label: thresholds n <= x survive, n <= max_zero are ruled out
-            lo = self.max_zero + 1
-            alive = list(range(lo, x + 1))
-            if self.max_zero == 0:
-                alive = [0] + alive    # the all-ones threshold is still possible
-            if not alive:
+            # first 1-label: thresholds n <= x survive, n <= max_zero are ruled
+            # out; before any 0-label, the all-ones threshold 0 is possible
+            lo = self.max_zero + 1 if self.max_zero else 0
+            if lo > x:
                 raise ProtocolError(
                     f"no threshold is consistent with 1 at {x}", self.t)
-            self.alive = alive
+            self.alive = (lo, x)
             return
-        self.alive = [n for n in self.alive if int(x >= n) == y]
-        if not self.alive:
+        lo, hi = self.alive
+        self.alive = (lo, min(hi, x)) if y else (max(lo, x + 1), hi)
+        if self.alive[0] > self.alive[1]:
             raise ProtocolError("label sequence inconsistent with every threshold", self.t)
 
 

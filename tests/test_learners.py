@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -338,6 +339,68 @@ class TestNaturalThreshold:
     def test_rejects_bad_points(self):
         with pytest.raises(DomainError):
             NaturalThresholdLearner().predict(0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.integers(1, 40), st.sampled_from([0, -2, True])),
+                              st.integers(0, 1)), max_size=30))
+    def test_interval_matches_list_reference(self, pairs):
+        # predictions, errors with their rounds, and counters after every
+        # round, on arbitrary feeds that go on past an inconsistent label
+        def steps(learner):
+            out = []
+            for x, y in pairs:
+                for call in (lambda: learner.predict(x), lambda: learner.update(x, y)):
+                    try:
+                        out.append(call())
+                    except (DomainError, ProtocolError) as exc:
+                        out.append((type(exc).__name__, str(exc),
+                                    getattr(exc, "round_index", None)))
+                out.append((learner.t, learner.mistakes))
+            return out
+
+        assert steps(NaturalThresholdLearner()) == steps(_ListNaturalThreshold())
+
+    def test_huge_first_point_plays_fast(self):
+        # the first 1-label at x0 = 10**18 keeps two ints, not x0 thresholds
+        cut = 3 * 10 ** 17 + 12345
+        lo, hi, xs = 1, 10 ** 18, [10 ** 18]
+        for _ in range(70):
+            xs.append((lo + hi) // 2)
+            lo, hi = (lo, xs[-1]) if xs[-1] >= cut else (xs[-1], hi)
+        learner = NaturalThresholdLearner()
+        start = time.perf_counter()
+        learner.play(xs, [int(x >= cut) for x in xs])
+        assert time.perf_counter() - start < 0.5
+        assert 1 <= learner.mistakes <= 1 + math.ceil(math.log2(10 ** 18))
+
+
+class _ListNaturalThreshold(NaturalThresholdLearner):
+    """Reference for `NaturalThresholdLearner`: halving over the list of
+    every consistent threshold."""
+
+    def predict(self, x):
+        x = self._check_point(x)
+        if self.alive is None:
+            return 0
+        votes_one = sum(1 for n in self.alive if x >= n)
+        return 1 if 2 * votes_one > len(self.alive) else 0
+
+    def _absorb(self, x, y, predicted):
+        x = self._check_point(x)
+        if self.alive is None:
+            if y == 0:
+                self.max_zero = max(self.max_zero, x)
+                return
+            alive = list(range(self.max_zero + 1, x + 1))
+            if self.max_zero == 0:
+                alive = [0] + alive
+            if not alive:
+                raise ProtocolError(f"no threshold is consistent with 1 at {x}", self.t)
+            self.alive = alive
+            return
+        self.alive = [n for n in self.alive if int(x >= n) == y]
+        if not self.alive:
+            raise ProtocolError("label sequence inconsistent with every threshold", self.t)
 
 
 def _linear_scan_threshold_predictions(stream):

@@ -221,6 +221,58 @@ def test_cover_replay_matches_loop(script):
                      lambda: nature.AgnosticScripted(xs, ys), len(xs))
 
 
+def test_cover_batch_does_not_fall_back(monkeypatch):
+    # the cover learner replays every round of a realizable script without
+    # the round loop, stepping through six hypotheses to the last target
+    xs = [(t % 4) + 1 for t in range(60)]
+    ys = [TARGETS[-1](x) for x in xs]
+    looped = CoverLearner(CoverSpec(TARGETS))
+    expected = checked_loop(looped, xs, ys)
+    learner = CoverLearner(CoverSpec(TARGETS))
+
+    def predict(self, x):
+        raise AssertionError("the round loop ran")
+
+    def loop(self, xs, ys, n):
+        if len(ys):
+            raise AssertionError("the round loop ran")
+        return []
+
+    monkeypatch.setattr(CoverLearner, "predict", predict)
+    monkeypatch.setattr(CoverLearner, "_loop", loop)
+    assert learner.play(xs, ys) == expected
+    assert snapshot(learner) == snapshot(looped)
+    assert learner.t == 61 and learner.index == len(TARGETS)
+
+
+def test_cover_exhausted_mid_batch_matches_loop():
+    # point 1 labelled 0 at round 1 and 1 at round 4: no hypothesis fits both
+    xs, ys = [1, 2, 3, 1, 4, 2], [0, 1, 1, 1, 0, 0]
+    result = assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
+                              lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert result == ("error", "ProtocolError",
+                      "round 4: every enumerated cover hypothesis eliminated")
+
+
+@pytest.mark.parametrize("cover, xs, ys, t, index", [
+    # thr-3 cannot label "x" at round 3, before any mistake
+    ([threshold_hypothesis(3)], [1, 3, "x", 2], [0, 1, 1, 0], 3, 1),
+    # supp-{2} errs at round 2; thr-3, which cannot label "x", leads from then
+    ([support_hypothesis([2]), threshold_hypothesis(3)], [1, 2, 3, "x"], [0, 0, 1, 1], 4, 2),
+    # supp-{2} labels "x" 0 and errs at round 2; thr-3 then fails the
+    # consistency check on the history's "x"
+    ([support_hypothesis([2]), threshold_hypothesis(3)], ["x", 2, 3], [0, 0, 1], 2, 2),
+], ids=["before-a-mistake", "after-a-mistake", "in-the-step"])
+def test_cover_hypothesis_raises_mid_batch(cover, xs, ys, t, index):
+    # a hypothesis that raises on a point mid-batch: the batch raises the
+    # loop's error and leaves index, history and t where the loop leaves them
+    replayed, looped = both_ways(lambda: CoverLearner(CoverSpec(cover)),
+                                 lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert replayed == looped
+    assert replayed[0][:2] == ("error", "DomainError")
+    assert (replayed[1]["t"], replayed[1]["index"]) == (t, index)
+
+
 @pytest.mark.parametrize("xs, ys, point", [
     # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
     # never creates sub-learner 3 (points 1-2), which a fallback from
@@ -249,6 +301,50 @@ def test_aggregator_batch_does_not_fall_back(monkeypatch):
     monkeypatch.setattr(AggregatorLearner, "predict", predict)
     learner.play(xs, ys)
     assert learner.t == 61 and len(learner.sub) > 3
+
+
+def walk(learner, xs, ys):
+    """The loop's (choice, pool size, number of sub-learners at the
+    minimum) in each round of the script, played by hand."""
+    out = []
+    for x, y in zip(xs, ys):
+        learner.predict(x)
+        scores = [c + n for n, c in learner.counters().items()]
+        out.append((learner.selected, len(learner.sub), scores.count(min(scores))))
+        learner.update(x, y)
+    return out
+
+
+@pytest.mark.parametrize("xs, ys, moved", [
+    # round 7: sub-learners 1-3 tie at the minimum and 1, the choice, errs;
+    # round 8: 2 and 3 tie there and 2 takes over; the pool of 6 stays
+    ([2, 3, 1, 4, 1, 4, 1, 1, 3, 3], [0, 1, 1, 1, 1, 1, 1, 1, 1, 0], 8),
+    # the pool grows at rounds 2 and 4, and the choice never moves
+    ([2, 1, 1, 3, 3, 1], [1, 0, 1, 0, 0, 0], None),
+], ids=["tie-moves-the-choice", "pool-grows-twice"])
+def test_aggregator_walk_matches_loop(xs, ys, moved, monkeypatch):
+    # the walk jumps between changes of choice: pinned on a script where a
+    # tie at the minimum moves the choice without growing the pool, and on
+    # one where the pool grows twice in one batch
+    looped = AggregatorLearner(FAMILIES["support"])
+    rounds = walk(looped, xs, ys)
+    choices = [c for c, _, _ in rounds]
+    sizes = [s for _, s, _ in rounds]
+    if moved is None:
+        assert set(choices) == {1}
+        assert [t for t in range(2, len(xs) + 1) if sizes[t - 1] > sizes[t - 2]] == [2, 4]
+    else:
+        assert choices[moved - 2:moved] == [1, 2] and set(choices[:moved - 1]) == {1}
+        assert sizes[moved - 2] == sizes[moved - 1] and rounds[moved - 1][2] == 2
+
+    def predict(self, x):
+        raise AssertionError("the round loop ran")
+
+    learner = AggregatorLearner(FAMILIES["support"])
+    expected = checked_loop(AggregatorLearner(FAMILIES["support"]), xs, ys)
+    monkeypatch.setattr(AggregatorLearner, "predict", predict)
+    assert learner.play(xs, ys) == expected
+    assert snapshot(learner) == snapshot(looped)
 
 
 @pytest.mark.parametrize("name", sorted(COMPONENTS))

@@ -54,6 +54,11 @@ index order, as for a fixed list: a dimension-0 pool, the first E - 1
 rounds of any pool, and round E of a pool with fewer than E newborns then
 keep that stream. A dimension-1 pool's newborn is one expert, so it is a
 range only when E is 1; round t of a dimension-2 pool has t newborns.
+
+Each fact of a pool has one rule, shared by the round loop, the replay
+plan and a replayed pool's first read: `_grow` (how the pool grows),
+`_layout` (a round's exact set and thinned ranges) and `_placed` (where a
+replayed expert stands: its state and loss base).
 """
 from __future__ import annotations
 
@@ -246,16 +251,16 @@ class FplLearner(_PerturbedLeader):
         scores the (rounds x experts) matrix of losses at once."""
         T = len(ys)
         before = np.array(self.losses)
-        played = [expert.play(xs, ys) for expert in self.experts]
-        # losses[i, j]: expert j's mistakes before round t + i
-        wrong = np.array(played).T != np.array(ys)[:, None]
+        # played[i, j]: expert j's prediction in round t + i; losses[i, j]:
+        # its mistakes before that round
+        played = np.array([expert.play(xs, ys) for expert in self.experts]).T
+        wrong = played != np.array(ys)[:, None]
         losses = before + np.cumsum(wrong, axis=0) - wrong
-        chosen = self._leaders(np.arange(self.t, self.t + T), losses,
-                               self.complexities)[0].tolist()
-        preds = [played[j][i] for i, j in enumerate(chosen)]
-        self.mistakes += sum(p != y for p, y in zip(preds, ys))
+        rows = np.arange(T)
+        chosen = self._leaders(self.t + rows, losses, self.complexities)[0]
+        self.mistakes += int(wrong[rows, chosen].sum())
         self.t += T
-        return preds
+        return played[rows, chosen].tolist()
 
 
 def _ranges(exact: int, t: int):
@@ -267,71 +272,91 @@ def _ranges(exact: int, t: int):
         lo *= 2
 
 
+def _grow(growable: np.ndarray, dim: int, start: int) -> np.ndarray:
+    """The growth rule: the growable experts, rows (expert index, key
+    length), after a round whose cohort copies `growable` in order from
+    expert `start` on; a copy's key is one round longer, and it grows
+    again while that key is shorter than dim."""
+    copies = growable + (0, 1)
+    copies[:, 0] = np.arange(start, start + len(copies))
+    return np.concatenate((growable, copies[copies[:, 1] < dim]))
+
+
+def _layout(ends: np.ndarray, ks, t: int, exact: int) -> tuple:
+    """Round t's (exact set, ranges) for cohorts b ending at ends[b] with
+    complexities ks[b]. The exact set is the head, the cohorts before t
+    below `exact`, then the newborns (cohort t) while fewer than `exact`.
+    The ranges are the cohort spans [lo, hi) of `_ranges`, then the
+    newborns' span (t, t + 1) once not fewer: each span that holds an
+    expert, as arrays (first member, member count, smallest k, hi - 1)."""
+    spans = list(_ranges(exact, t))
+    slot = np.arange(ends[min(exact, t) - 1])
+    if ends[t] - ends[t - 1] < exact:
+        slot = np.concatenate((slot, np.arange(ends[t - 1], ends[t])))
+    else:
+        spans.append((t, t + 1))
+    spans = [(lo, hi) for lo, hi in spans if ends[hi - 1] > ends[lo - 1]]
+    lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    first = ends[lo - 1]
+    low_k = np.array([ks[a:b].min() for a, b in spans], dtype=float)
+    return slot, (first, ends[hi - 1] - first, low_k, hi - 1)
+
+
 _ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges ks live tri growable cohort place slot mask ranges")
+                         "charges ks live width growable cohort place slot mask ranges")
 
 
 @functools.lru_cache(maxsize=16)
 def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     """`ExpertPoolFpl._replay`'s plan for T rounds of a fresh dimension-`dim`
-    pool under the scheme `complexity`, scoring the cohorts below `exact`
-    exactly. Cohort b holds the experts live[b - 1]..live[b] - 1, with
-    complexity ks[b - 1]; the root is cohort 0. Expert i is the child of
-    growable parent place[i] in cohort cohort[i] (the root is place 0 of
-    cohort 0), and `tri` is the (birth round x place) mask of the cohorts,
-    one place wide in a pool that grows none.
-
-    Round t draws for its head, the experts born before it in the cohorts
-    below `exact`, and then for its newborns if they are fewer than
-    `exact`. Row t - 1 of the (round x slot) blocks `slot` and `mask` holds
-    those experts in that order, the newborns' indices above the head's,
-    and marks them; a cell outside the mask holds the root. `ranges`
-    lists, round after round, the cohort ranges that hold a live expert
-    and then the round's newborns, if they are a range: (the round's
-    position, the first member, the member count, a row of `_replay`'s
-    table of smallest bases, the smallest complexity). An older range's
-    row is its last live cohort b; the newborns' row is T + 1 + j, where
-    the growable experts 0..j are their parents."""
-    counts = np.arange(T) * (dim == 2) + (dim > 0)     # the cohort sizes
-    ks = [complexity(dim, t) for t in range(1, T + 1)]
-    charges = tuple(map(operator.mul, counts.tolist(), map(math.exp, map(operator.neg, ks))))
-    live = np.cumsum(np.concatenate(([1], counts)))    # live[t]: experts scored at round t
-    tri = np.arange(max(int(counts[-1]), 1)) < counts[:, None]
-    growable = np.concatenate(([0], live[:-1]))     # the growable experts after round T
-    sizes = np.diff(live, prepend=0)
+    pool under the scheme `complexity`, with `exact` as `_EXACT`. The pool
+    grows by `_grow`: cohort b holds experts live[b - 1]..live[b] - 1 of
+    complexity ks[b - 1] (the root is cohort 0), expert i copies growable
+    parent place[i] in cohort cohort[i], `growable` is the pool's after
+    round T, and `width` the largest cohort's size. Row t - 1 of the
+    (round x slot) blocks `slot` and `mask` holds and marks round t's exact
+    set by `_layout` (the root outside the mask); `ranges` stacks its
+    ranges as (round position, first member, member count, row of
+    `_replay`'s table of smallest bases, smallest k), the row being an
+    older range's last cohort, or T + a newborn range's count."""
+    growable, live = np.zeros((int(dim > 0), 2), dtype=np.int64), [1]
+    for _ in range(T):
+        live.append(live[-1] + len(growable))
+        growable = _grow(growable, dim, live[-2])
+    live = np.array(live, dtype=np.int64)
+    sizes = np.diff(live, prepend=0)    # the cohort sizes, the root's first
+    ks = np.array([complexity(dim, t) for t in range(1, T + 1)])
+    charges = tuple(map(operator.mul, sizes[1:].tolist(), map(math.exp, (-ks).tolist())))
     cohort = np.repeat(np.arange(T + 1), sizes)
-    place = np.arange(live[T]) - np.repeat(growable, sizes)
+    place = np.arange(live[T]) - np.repeat(live - sizes, sizes)
 
-    # the cohort sizes never fall, so the newborns that draw are those of
-    # the first `drawn` rounds; past its head, a row holds its round's
-    # newborns, from live[t - 1] on
-    drawn = int(np.count_nonzero(counts < exact))
-    head = live[np.minimum(np.arange(T), exact - 1)][:, None]
-    runs = head + np.where(counts < exact, counts, 0)[:, None]
-    cols = np.arange(runs.max())
-    mask = cols < runs
-    slot = np.where(cols < head, cols, cols - head + live[:-1, None]) * mask
-
-    # round t's ranges [lo, hi), those of `_ranges(exact, t)` that hold an expert
-    los = np.array([lo for lo, _ in _ranges(exact, T)], dtype=np.int64)
-    pos, r = np.nonzero(los < np.arange(1, T + 1)[:, None])
-    lo = los[r]
-    hi = np.minimum(2 * lo, pos + 1)
-    held = live[hi - 1] > live[lo - 1]
-    pos, lo, hi = pos[held], lo[held], hi[held]
-    kmin = np.array(ks)     # kmin[b - 1]: the smallest k of b's range up to cohort b
-    for a, b in _ranges(exact, T):
-        np.minimum.accumulate(kmin[a - 1:b - 1], out=kmin[a - 1:b - 1])
-    # then the newborn ranges, each after its round's older ranges
-    new = np.arange(drawn, T)
-    order = np.argsort(np.concatenate((pos, new)), kind="stable")
-    ranges = tuple(np.concatenate(c)[order] for c in (
-        (pos, new), (live[lo - 1], live[new]), (live[hi - 1] - live[lo - 1], counts[new]),
-        (hi - 1, T + counts[new]), (kmin[hi - 2], np.array(ks)[new])))
-    arrays = [np.array(ks), live, tri, growable, cohort, place, slot, mask, *ranges]
+    by_cohort = np.concatenate(([np.inf], ks))     # no span reads the root's
+    layouts = [_layout(live, by_cohort, t, exact) for t in range(1, T + 1)]
+    runs = np.array([len(slot) for slot, _ in layouts])
+    mask = np.arange(runs.max()) < runs[:, None]
+    slot = np.zeros(mask.shape, dtype=np.int64)
+    slot[mask] = np.concatenate([slot for slot, _ in layouts])
+    first, count, low_k, last = map(np.concatenate, zip(*(spans for _, spans in layouts)))
+    at = np.repeat(np.arange(T), [len(spans[0]) for _, spans in layouts])
+    ranges = (at, first, count, np.where(last > at, T + count, last), low_k)
+    arrays = [ks, live, growable, cohort, place, slot, mask, *ranges]
     for array in arrays:
         array.flags.writeable = False
-    return _ReplayPlan(charges, *arrays[:8], ranges)
+    return _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges)
+
+
+def _placed(plan: _ReplayPlan, step: np.ndarray, drop: np.ndarray, rows, members) -> tuple:
+    """(state, base) of each of `members` in round rows + 1 of a pool that
+    `ExpertPoolFpl._replay` plays by `plan`: the child of growable parent j
+    (the root, or the root's child of round j) in cohort b is at cell
+    (b, step[j, 0]) of step and drop, plus the parent's base drop[j, 0]. A
+    newborn holds its parent's state and loss: it reads row 0, a no-op."""
+    j = plan.place[members]
+    cell = plan.cohort[members] * (members < plan.live[rows]) * step.shape[1]
+    cell += step[:, 0].take(j)
+    base = drop.take(cell)
+    base += drop[:, 0].take(j)
+    return step.take(cell), base
 
 
 class ExpertPoolFpl(_PerturbedLeader):
@@ -353,19 +378,20 @@ class ExpertPoolFpl(_PerturbedLeader):
     `_ends[b]` is where cohort b ends and `_ks[b]` is its experts'
     complexity, so the pool has extended for round len(_ends) - 1, and an
     expert's complexity is its cohort's. `pool_extend` appends a round's
-    cohort. Keys are not stored: the growth rule fixes them, and `keys`
-    rebuilds them. The cohort's restricts intern new states to the ids
-    that restricting expert by expert would give (see `_feed`).
+    cohort and grows `_growable` by `_grow`. Keys are not stored: the
+    growth rule fixes them, and `keys` rebuilds them. The cohort's
+    restricts intern new states to the ids that restricting expert by
+    expert would give (see `_feed`).
 
     Each round's leader comes from `_lazy_leaders`, which draws exactly for
     the cohorts below `_EXACT` and for newborns fewer than `_EXACT`, and
     thins the older cohorts, and the larger newborn cohorts, range by
-    range (see the module docstring). A fresh pool of dimension at most 2
-    replays a batch of rounds against an oblivious nature in closed form
-    (`_replay`), taking its range bounds from (round x parent-state)
-    tables; it builds `state` and `losses` only when they are first read
-    (`_read`). Larger pools, and pools that have played, take the round
-    loop.
+    range, as `_layout` lays them out (see the module docstring). A fresh
+    pool of dimension at most 2 replays a batch of rounds against an
+    oblivious nature in closed form (`_replay`), taking its range bounds
+    from (round x parent-state) tables; it builds `state` and `losses`
+    only when they are first read (`_read`). Larger pools, and pools that
+    have played, take the round loop.
     """
 
     _EXACT = 8      # the cohorts below this draw every perturbation
@@ -381,7 +407,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         self.state = np.zeros(1, dtype=np.int64)
         self.losses = np.zeros(1, dtype=np.int64)
         # rows (expert index, key length) of the experts that can grow
-        self._growable = np.zeros((1 if self.dim > 0 else 0, 2), dtype=np.int64)
+        self._growable = np.zeros((int(self.dim > 0), 2), dtype=np.int64)
         self._ends = np.ones(1, dtype=np.int64)     # _ends[b]: one past cohort b's last expert
         self._ks = np.full(1, k_root)   # _ks[b]: the complexity of cohort b's experts
 
@@ -392,13 +418,13 @@ class ExpertPoolFpl(_PerturbedLeader):
     @property
     def keys(self) -> list[tuple[int, ...]]:
         """Each expert's key, the rounds at which it restricts, rebuilt by
-        the growth rule of `pool_extend`."""
+        the growth rule `_grow`."""
         keys: list[tuple[int, ...]] = [()]
-        growable = [0] if self.dim > 0 else []
+        growable = np.zeros((int(self.dim > 0), 2), dtype=np.int64)
         for t in range(1, len(self._ends)):
             start = len(keys)
-            keys += [keys[p] + (t,) for p in growable]
-            growable += [i for i in range(start, len(keys)) if len(keys[i]) < self.dim]
+            keys += [keys[p] + (t,) for p in growable[:, 0].tolist()]
+            growable = _grow(growable, self.dim, start)
         return keys
 
     def pool_extend(self) -> int:
@@ -412,15 +438,10 @@ class ExpertPoolFpl(_PerturbedLeader):
         k_new = pool_complexity(self.dim, t)
         if count:
             self._register(count, k_new)
-            parents, lengths = self._growable.T
+            parents = self._growable[:, 0]
             self.state = np.concatenate((self.state, self.state[parents]))
             self.losses = np.concatenate((self.losses, self.losses[parents]))
-            # only a parent with a key shorter than dim - 1 has a child that
-            # can still grow
-            if self.dim > 1:
-                grows = np.flatnonzero(lengths < self.dim - 1)
-                self._growable = np.concatenate(
-                    (self._growable, np.column_stack((grows + start, lengths[grows] + 1))))
+            self._growable = _grow(self._growable, self.dim, start)
         self._ends = np.append(ends, start + count)
         self._ks = np.append(self._ks, k_new)
         return count
@@ -436,19 +457,14 @@ class ExpertPoolFpl(_PerturbedLeader):
         self.pool_extend()
         preds = self._predictions(x)
         t, ends, losses, ks = self.t, self._ends, self.losses, self._ks
-        # each cohort range's members and smallest complexity, read by cohort
-        ranges = [(ends[lo - 1], ends[hi - 1], ks[lo:hi].min())
-                  for lo, hi in _ranges(self._EXACT, t)]
-        slot = np.arange(ends[min(self._EXACT, t) - 1])
-        # the newborns hold their parents' losses: a range once they are many
-        if ends[t] - ends[t - 1] >= self._EXACT:
-            ranges.append((ends[t - 1], ends[t], ks[t]))
-        else:
-            slot = np.concatenate((slot, np.arange(ends[t - 1], ends[t])))
-        ranges = [(0, a, b - a, losses[a:b].min(), k) for a, b, k in ranges if b > a]
-        ranges = [np.array(c) for c in zip(*ranges)] if ranges else 5 * [np.zeros(0, np.int64)]
+        slot, (first, count, low_k, _) = _layout(ends, ks, t, self._EXACT)
+        # the newborns hold their parents' losses, so every range's smallest
+        # loss is read off `losses`
+        low_loss = np.array([losses[a:a + n].min()
+                             for a, n in zip(first.tolist(), count.tolist())])
         exact = (slot[None], losses[slot][None],
                  ks[np.searchsorted(ends, slot, side="right")][None], None)
+        ranges = (np.zeros(len(first), dtype=np.int64), first, count, low_loss, low_k)
         j = int(self._lazy_leaders(np.array([t]), exact, ranges,
                                    lambda i, members: losses[members])[0])
         return j, int(preds[j]), preds
@@ -541,16 +557,9 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     def _read(self, plan: _ReplayPlan, step, drop, final) -> None:
         """Build a replayed pool's `state` and `losses` from `_replay`'s
-        tables: the experts after the root, cohort by cohort, are the lower
-        triangle of a (birth round x growable parent) table, row by row."""
-        tri = plan.tri
-        parent_state, parent_base = step[:tri.shape[1], 0], drop[:tri.shape[1], 0]
-        self.state = state = np.concatenate(([0], step[1:, parent_state][tri]))
-        base = np.zeros(len(state))
-        # the base of (a, b): the base of (a), then the drop at round b
-        base[1:] = drop[1:, parent_state][tri]
-        base[1:] += np.broadcast_to(parent_base, tri.shape)[tri]
-        self.losses = (final[state] + base).astype(np.int64)
+        tables: every expert where `_placed` puts it after the last round."""
+        self.state, base = _placed(plan, step, drop, len(plan.ks), np.arange(plan.live[-1]))
+        self.losses = (final[self.state] + base).astype(np.int64)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Dense replay of a fresh pool of dimension 0, 1 or 2.
@@ -564,11 +573,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         their birth rounds (sigma_0 = 0, the root's), the loss of (a, b)
         before round t > b is M[0, a] - M[sigma_a, a] + M[sigma_a, b] -
         M[sigma_ab, b] + M[sigma_ab, t - 1]: a fixed base plus M[., t - 1]
-        at a fixed state; (b) is the case a = 0. So the child of parent j
-        in cohort b is in state step[b, sigma_j] with base drop[b, sigma_j]
-        plus the parent's base, from (round x state) tables of the states
-        round b leaves each state in and of the mistakes it drops, and the
-        plan's (cohort, place) of each expert; `placed` reads them.
+        at a fixed state; (b) is the case a = 0. `_placed` reads that state
+        and base off (round x state) tables, step and drop, of the states
+        round b leaves each state in and of the mistakes it drops.
 
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
@@ -628,24 +635,8 @@ class ExpertPoolFpl(_PerturbedLeader):
             moves[s, points[x], y_t] = nxt
         step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
         drop = mistakes - np.take_along_axis(mistakes, step, axis=1)
-        # the growable parents' states and bases: (j) is the root's child
-        # of round j, and the root is parent 0, in state 0 with base 0
-        W, cohort, place, live = plan.tri.shape[1], plan.cohort, plan.place, plan.live
-        parent_state, parent_base = step[:W, 0], drop[:W, 0]
-
-        def placed(rows, members):
-            # the (state, base) of each member in round rows + 1, read at
-            # (b, sigma) of step and drop, flat. A newborn holds its
-            # parent's state and loss: it reads row 0, which moves no state
-            # and drops nothing
-            j = place[members]
-            cell = cohort[members] * (members < live[rows]) * ns + parent_state[j]
-            base = drop.take(cell)
-            base += parent_base[j]
-            return step.take(cell), base
-
         def loss_of(rows, members):
-            state, base = placed(rows, members)
+            state, base = _placed(plan, step, drop, rows, members)
             base += mistakes.take(rows * ns + state)
             return base
 
@@ -655,10 +646,12 @@ class ExpertPoolFpl(_PerturbedLeader):
         # smallest base in state s among the growable experts 0..j, the
         # parents of a newborn range. Cohort b copies the parents 0..b - 1
         # (row b - 1 of that table; in a dimension-1 pool, the root, its
-        # one row), and only the growable experts' states hold a base
+        # one row), and only the growable experts' states hold a base: (j)
+        # is the root's child of round j, and the root is parent 0
+        W = plan.width
         low = np.full((T + 1 + W, ns), np.inf)
         parents = low[T + 1:]
-        parents[np.arange(W), parent_state] = parent_base
+        parents[np.arange(W), step[:W, 0]] = drop[:W, 0]
         np.minimum.accumulate(parents, axis=0, out=parents)
         sigmas = list(present)
         copied = drop[1:, sigmas] + parents[:, sigmas]
@@ -676,15 +669,12 @@ class ExpertPoolFpl(_PerturbedLeader):
         # the cohorts' ends and complexities
         del self.state, self.losses
         self._unread = (plan, step, drop, mistakes[T])
-        self._ends, self._ks = live, ks
+        self._ends, self._ks, self._growable = plan.live, ks, plan.growable
         rows, slot = np.arange(T), plan.slot
-        exact = (slot, loss_of(rows[:, None], slot), ks[cohort[slot]], plan.mask)
+        exact = (slot, loss_of(rows[:, None], slot), ks[plan.cohort[slot]], plan.mask)
         chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
-        preds = pred[placed(rows, chosen)[0], ix]
-
-        if dim == 2:
-            self._growable = np.column_stack((plan.growable, np.arange(T + 1) > 0))
+        preds = pred[_placed(plan, step, drop, rows, chosen)[0], ix]
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

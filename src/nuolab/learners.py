@@ -386,7 +386,9 @@ class CoverLearner(OnlineLearner):
         super().__init__()
         self.cover = cover
         self.index = 1
-        self.history: list[tuple[Point, int]] = []
+        # the distinct (x, y) pairs seen, in order of first occurrence: each
+        # is checked once, and a raising hypothesis raises at the same pair
+        self.history: dict[tuple[Point, int], None] = {}
         self._advance()
 
     def _consistent(self, h: Hypothesis) -> bool:
@@ -408,7 +410,7 @@ class CoverLearner(OnlineLearner):
         return self.current(x)
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
-        self.history.append((x, y))
+        self.history[x, y] = None
         if predicted != y:
             self.index += 1
             self._advance()
@@ -429,10 +431,11 @@ class CoverLearner(OnlineLearner):
                 j = next(compress(count(i), map(ne, map(label, xs[i:]), ys[i:])), n)
             except Exception:
                 self.index, self.current, seen, self.t, self.mistakes = saved
-                del self.history[seen:]
+                for pair in list(self.history)[seen:]:
+                    del self.history[pair]
                 return self._loop(xs, ys, n)
             preds += map(label, xs[i:j + 1])
-            self.history += zip(xs[i:j + 1], ys[i:j + 1])
+            self.history.update(dict.fromkeys(zip(xs[i:j + 1], ys[i:j + 1])))
             if j < n:
                 self.t, self.mistakes, self.index = saved[3] + j, self.mistakes + 1, self.index + 1
                 self._advance()

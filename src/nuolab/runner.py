@@ -125,11 +125,12 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
     if isinstance(comparison, FiniteClass):
         hs = comparison.hypotheses()
     elif comparison == REAL_THRESHOLDS:
+        # strings first: sorting a mix of strings and numbers raises TypeError
+        if any(isinstance(p, str) for p in points):
+            raise DomainError("threshold comparison needs numeric points")
         numeric = sorted(set(points))
         if not numeric:
             return [Hypothesis("thr-empty", lambda x: 0)]
-        if any(isinstance(p, str) for p in numeric):
-            raise DomainError("threshold comparison needs numeric points")
         cuts = list(numeric) + [numeric[-1] + 1]
         return [threshold_hypothesis(c) for c in cuts]
     elif isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):

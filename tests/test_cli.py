@@ -1,6 +1,9 @@
 """The command line: input errors end with exit code 2 and one line on
 stderr, never a traceback."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,3 +359,39 @@ def test_json_number_overflow_refused(capsys, argv, spec):
     assert code == 2 and out == ""
     message = f"bad JSON in {spec!r}: 1e999 is not a finite number"
     assert err == f"nuolab {argv[0]}: error: {message}\n"
+
+
+# The same rules hold for `python -m nuolab.cli` run as a fresh process from
+# the checkout: exit code 2, exactly one line on stderr, and a --csv file
+# left byte for byte as it was
+
+def run_process(*argv, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "nuolab.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+MIXED_POINTS = json.dumps({"learner": {"learner": "constant"},
+                           "nature": {"nature": "scripted", "x": ["a", 1], "y": [0, 1]},
+                           "comparison": "real-thresholds", "T": 2, "trials": 2})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ldim", '{"domain":[1],"hypotheses":5}'], "class hypotheses must be a list, got 5"),
+    (["play", "--learner", FPL_NAN, "--nature", COIN, "-T", "5"], "NaN is not a JSON number"),
+    (["play", "--learner", CONSTANT, "--nature", MASS_OVERFLOW, "-T", "3"],
+     "1e999 is not a finite number"),
+    (["play", "--learner", CONSTANT, "--nature",
+      '{"nature":"scripted","x":[1,2],"y":[0,1]}', "-T", "3", "--csv", "kept.csv"],
+     "round 3: scripted stream exhausted after 2 points"),
+    (["regret", "--config", MIXED_POINTS], "threshold comparison needs numeric points"),
+], ids=["malformed-spec", "nan", "overflow", "failed-csv", "mixed-threshold-points"])
+def test_bad_input_in_a_fresh_process(tmp_path, argv, message):
+    held = tmp_path / "kept.csv"
+    held.write_bytes(b"t,x\nkept\n")
+    done = run_process(*argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"nuolab {argv[0]}: error: ") and message in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+    assert held.read_bytes() == b"t,x\nkept\n"

@@ -601,6 +601,74 @@ def test_plan_draw_counts():
     assert (plan.ranges[2][born] == plan.ranges[0][born] + 1).all()
 
 
+def reference_layouts(dim, horizon, exact):
+    """Each round's layout, rule by rule from the `fpl` docstring, over the
+    experts of `ExpertPoolFpl.keys`: an expert's cohort is its key's last
+    round (the root's is 0) and its complexity that cohort's. Returns the
+    cohort ends, the cohorts' complexities, the growable experts after the
+    last round, and per round (its exact set, its ranges as (first member,
+    member count, smallest k, last cohort))."""
+    pool = ExpertPoolFpl(POOL_DIMS[dim], seed=0)
+    pool.play(*check_script(DOMAIN, "coin", horizon))
+    keys = pool.keys
+    birth = np.array([key[-1] if key else 0 for key in keys])
+    ks = [fpl.pool_complexity(dim, b) for b in range(horizon + 1)]
+    ends = np.cumsum(np.bincount(birth, minlength=horizon + 1))
+    growable = [(i, len(key)) for i, key in enumerate(keys) if len(key) < dim]
+    rounds = []
+    for t in range(1, horizon + 1):
+        newborn = np.flatnonzero(birth == t)
+        head = np.flatnonzero(birth < min(exact, t))
+        big = len(newborn) >= exact
+        # every other live expert falls in the range [E 2^m, E 2^(m + 1))
+        # of its birth round, and a round's many newborns in one range last
+        groups = {}
+        for i in np.flatnonzero((birth >= exact) & (birth < t)):
+            groups.setdefault(int(math.log2(birth[i] // exact)), []).append(i)
+        members = [groups[m] for m in sorted(groups)] + ([newborn.tolist()] if big else [])
+        spans = []
+        for held in members:
+            assert held == list(range(held[0], held[-1] + 1))
+            spans.append((held[0], len(held), min(ks[birth[i]] for i in held),
+                          max(birth[i] for i in held)))
+        exact_set = head.tolist() + ([] if big else newborn.tolist())
+        rounds.append((exact_set, spans))
+    return ends, np.array(ks), growable, rounds
+
+
+@pytest.mark.parametrize("exact", [1, 2, 3, 8])
+@pytest.mark.parametrize("dim", sorted(POOL_DIMS))
+def test_layout_and_plan_match_the_docstring_rules(dim, exact):
+    # `_layout` serves the round loop and the plan alike, so both are
+    # checked against a reference that shares no code with it
+    horizon = 60
+    ends, ks, growable, rounds = reference_layouts(dim, horizon, exact)
+
+    def spans_of(first, count, low_k, last):
+        return list(zip(first.tolist(), count.tolist(), low_k.tolist(), last.tolist()))
+
+    for t, (exact_set, spans) in enumerate(rounds, 1):
+        slot, ranges = fpl._layout(ends, ks, t, exact)
+        assert (slot.tolist(), spans_of(*ranges)) == (exact_set, spans)
+    # the horizons on both sides of each range boundary the exacts give
+    for T in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 25, 32, 33, 60):
+        plan = fpl._replay_plan(dim, T, exact, fpl.pool_complexity)
+        assert plan.live.tolist() == ends[:T + 1].tolist()
+        assert plan.ks.tolist() == ks[1:T + 1].tolist()
+        assert plan.growable.tolist() == [[i, n] for i, n in growable if i < ends[T]]
+        assert plan.cohort.tolist() == np.repeat(np.arange(T + 1), np.diff(ends[:T + 1],
+                                                                           prepend=0)).tolist()
+        at, first, count, row, low_k = plan.ranges
+        for t, (exact_set, spans) in enumerate(rounds[:T], 1):
+            assert plan.slot[t - 1][plan.mask[t - 1]].tolist() == exact_set
+            assert not plan.slot[t - 1][~plan.mask[t - 1]].any()
+            here = at == t - 1
+            # a newborn range's row is T + its count, an older one's its last cohort
+            last = np.where(row[here] > T, t, row[here])
+            assert spans_of(first[here], count[here], low_k[here], last) == spans
+            assert (row[here][last == t] == T + count[here][last == t]).all()
+
+
 def test_second_replay_of_a_shape_computes_no_complexity(monkeypatch):
     calls = []
     complexity = fpl.pool_complexity

@@ -60,6 +60,21 @@ def test_one_perturbed_leader_scorer():
     assert {(scorer, "standard_exponential") for scorer in SCORERS} <= used
 
 
+def test_one_layout_rule():
+    # a round's exact set and thinned ranges are derived in `_layout` alone:
+    # the round loop and the replay plan both call it, and neither reads
+    # the cohort ranges past it
+    path = next(path for path in SOURCES if path.name == "fpl.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = {getattr(node, "name", None): node for node in tree.body}
+    pool = {node.name: node for node in module["ExpertPoolFpl"].body
+            if isinstance(node, ast.FunctionDef)}
+    for function in (pool["_lead"], module["_replay_plan"]):
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(function) if isinstance(node, ast.Call)}
+        assert "_layout" in called and "_ranges" not in called, function.name
+
+
 def test_minimax_oracle_stays_independent():
     # the game-tree oracle and the dimension recursion check each other, so
     # `minimax_mistakes` reaches neither the recursion nor the version-space

@@ -184,7 +184,7 @@ class _PerturbedLeader(OnlineLearner):
 
     def _batchable(self, n: int) -> int:
         # none while a round's choice is pending
-        return 0 if self._pending is not None else n
+        return 0 if self._pending is not None else super()._batchable(n)
 
     def _generators(self) -> list:
         """The random generators this learner and the learners inside it

@@ -20,7 +20,7 @@ import copy
 from bisect import bisect_left
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
                          Hypothesis, Point, SingletonClass, ClassFamily, is_label)
@@ -93,8 +93,8 @@ class OnlineLearner:
 
     def _batchable(self, n: int) -> int:
         """How many of the n well-labelled leading rounds `_replay` may
-        take; a subclass that allows any defines `_replay`."""
-        return 0
+        take: all, if the class defines `_replay`; a subclass may narrow it."""
+        return n if hasattr(self, "_replay") else 0
 
     def _loop(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
         """Play the first n rounds one by one, then predict round n + 1, if
@@ -135,9 +135,6 @@ class ConstantLearner(OnlineLearner):
 
     def predict(self, x: Point) -> int:
         return self.value
-
-    def _batchable(self, n: int) -> int:
-        return n
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         self.mistakes += len(ys) - ys.count(self.value)
@@ -190,7 +187,7 @@ class SoaLearner(OnlineLearner):
             self.sid = self._step(self.sid, x, y, self.t)
 
     def _batchable(self, n: int) -> int:
-        return 0 if self.sid is None else n
+        return 0 if self.sid is None else super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """The round loop on locals; predictions are memoized by (state, point)
@@ -252,16 +249,15 @@ class AggregatorLearner(OnlineLearner):
     counter equals the mistakes it would have made running standalone.
     The round's selector is argmin of (counter + index), ties to the
     smallest index. Indices above min(counter + index) can never win the
-    argmin, so sub-learners are instantiated lazily up to that bound; a
-    late instantiation replays the full history to keep its counter honest.
+    argmin, so `_choose` instantiates sub-learners lazily up to that bound;
+    a late one replays the full history to keep its counter honest.
 
     A sub-learner's counters do not depend on which sub-learner the
     aggregator selects: it sees every pair either way. So `play` replays a
     batch of rounds by letting each sub-learner play them all on its own,
     then walks over the counters those plays give from one change of
-    choice to the next, growing the pool by the same rule as the loop and
-    taking the same argmin. Each round's pool, selection and prediction,
-    and every counter, are the loop's.
+    choice to the next, calling `_choose` as the loop does. Each round's
+    pool, selection and prediction, and every counter, are the loop's.
     """
 
     def __init__(self, family: ClassFamily):
@@ -278,20 +274,25 @@ class AggregatorLearner(OnlineLearner):
             learner.play(*zip(*self.history))
         return learner
 
-    def _extend_pool(self) -> None:
-        while True:
-            bound = min(l.mistakes + n for n, l in self.sub.items())
-            top = max(self.sub)
-            if top >= bound:
-                return
-            self.sub[top + 1] = self._spawn(top + 1)
+    def _choose(self, scores: list[int], joined: Callable[[int], int]) -> int:
+        """The round's selection, from scores[n - 1] = sub-learner n's
+        counter + n. While the top index is below the least score, the
+        next sub-learner n joins (`_spawn`) and `joined(n)` gives its
+        score; then the argmin, ties to the smallest index."""
+        least = min(scores)
+        while len(scores) < least:
+            n = len(scores) + 1
+            self.sub[n] = self._spawn(n)
+            scores.append(joined(n))
+            least = min(least, scores[-1])
+        return scores.index(least) + 1
 
     def counters(self) -> dict[int, int]:
         return {n: l.mistakes for n, l in self.sub.items()}
 
     def selector(self) -> int:
-        self._extend_pool()
-        return min(self.sub, key=lambda n: (self.sub[n].mistakes + n, n))
+        return self._choose([l.mistakes + n for n, l in self.sub.items()],
+                            lambda n: self.sub[n].mistakes + n)
 
     def predict(self, x: Point) -> int:
         j = self.selector()
@@ -303,34 +304,29 @@ class AggregatorLearner(OnlineLearner):
             learner.update(x, y)
         self.history.append((x, y))
 
-    def _batchable(self, n: int) -> int:
-        return n
-
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Every sub-learner plays all the rounds with its own `play`. At
-        round i the walk grows the pool by `_extend_pool`'s rule on the
-        counters (a new sub-learner replays the history, then the batch) and
-        takes the argmin; counters never fall, so both stand until the round
-        after the chosen one's next error, and its predictions are copied up
-        to there. An error from inside a sub-learner drops the batch, which
-        plays copies of the sub-learners, and the round loop plays the
-        rounds instead, so the error is the loop's."""
+        round i the walk calls `_choose` on the counters (a sub-learner that
+        joins replays the history, then the batch); counters never fall, so
+        the pool and the choice stand until the round after the chosen one's
+        next error, and its predictions are copied up to there. An error
+        from inside a sub-learner drops the batch, which plays copies of the
+        sub-learners, and the round loop plays the rounds instead, so the
+        error is the loop's."""
         saved = self.sub
         try:
             self.sub = {n: copy.copy(l) for n, l in saved.items()}
             runs = [self._scored(n, l, xs, ys) for n, l in self.sub.items()]
-            top, i, preds = max(self.sub), 0, []
+
+            def joined(n: int) -> int:
+                runs.append(self._scored(n, self.sub[n], xs, ys))
+                return runs[-1][0] + bisect_left(runs[-1][1], i)
+
+            i, preds = 0, []
             while i < len(ys):
-                scores = [start + bisect_left(errs, i) for start, errs, _ in runs]
-                bound = min(scores)
-                while top < bound:
-                    top += 1
-                    learner = self.sub[top] = self._spawn(top)
-                    runs.append(self._scored(top, learner, xs, ys))
-                    scores.append(runs[-1][0] + bisect_left(runs[-1][1], i))
-                    bound = min(bound, scores[-1])
-                k = scores.index(bound)
-                _, errs, chosen = runs[k]
+                k = self._choose([start + bisect_left(errs, i) for start, errs, _ in runs],
+                                 joined)
+                _, errs, chosen = runs[k - 1]
                 j = bisect_left(errs, i)
                 end = errs[j] + 1 if j < len(errs) else len(ys)
                 preds += chosen[i:end]
@@ -340,7 +336,7 @@ class AggregatorLearner(OnlineLearner):
             # the loop's order
             self.sub = saved
             return self._loop(xs, ys, len(ys))
-        self.selected = k + 1       # the indices are 1..top, in order
+        self.selected = k
         self.mistakes += sum(map(ne, preds, ys))
         self.history += zip(xs, ys)
         self.t += len(ys)
@@ -385,7 +381,7 @@ class CoverLearner(OnlineLearner):
     def __init__(self, cover: CoverSpec):
         super().__init__()
         self.cover = cover
-        self.index = 1
+        self.index = 0
         # the distinct (x, y) pairs seen, in order of first occurrence: each
         # is checked once, and a raising hypothesis raises at the same pair
         self.history: dict[tuple[Point, int], None] = {}
@@ -395,7 +391,9 @@ class CoverLearner(OnlineLearner):
         return all(h(px) == py for px, py in self.history)
 
     def _advance(self) -> None:
+        """Move `index` on to the next hypothesis consistent with the history."""
         while True:
+            self.index += 1
             try:
                 h = self.cover.hypothesis(self.index)
             except IndexError:
@@ -404,7 +402,6 @@ class CoverLearner(OnlineLearner):
             if self._consistent(h):
                 self.current = h
                 return
-            self.index += 1
 
     def predict(self, x: Point) -> int:
         return self.current(x)
@@ -412,11 +409,7 @@ class CoverLearner(OnlineLearner):
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self.history[x, y] = None
         if predicted != y:
-            self.index += 1
             self._advance()
-
-    def _batchable(self, n: int) -> int:
-        return n
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """An error in labelling the points, which the loop may never show
@@ -437,7 +430,7 @@ class CoverLearner(OnlineLearner):
             preds += map(label, xs[i:j + 1])
             self.history.update(dict.fromkeys(zip(xs[i:j + 1], ys[i:j + 1])))
             if j < n:
-                self.t, self.mistakes, self.index = saved[3] + j, self.mistakes + 1, self.index + 1
+                self.t, self.mistakes = saved[3] + j, self.mistakes + 1
                 self._advance()
             i = j + 1
         self.t = saved[3] + n

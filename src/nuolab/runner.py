@@ -7,6 +7,8 @@ learners and natures played here are built from specs in `specs`.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 from collections import Counter
@@ -162,8 +164,11 @@ def regret(trace: GameTrace, comparison) -> int:
 
 
 def trace_to_csv(trace: GameTrace, comparison=None) -> str:
-    """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival."""
-    lines = ["t,x,y,yhat,mistake,cum_mistakes,cum_best_rival"]
+    """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival.
+    A point that holds a comma, a quote or a newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "x", "y", "yhat", "mistake", "cum_mistakes", "cum_best_rival"])
     rival_cum: list[str] = [""] * len(trace)
     if comparison is not None and len(trace):
         hs = comparison_hypotheses(comparison, trace.xs)
@@ -173,9 +178,9 @@ def trace_to_csv(trace: GameTrace, comparison=None) -> str:
                 per_h[j] += h(x) != y
             rival_cum[i] = str(min(per_h))
     columns = zip(trace.xs, trace.ys, trace.predicted, trace.cumulative_mistakes(), rival_cum)
-    for t, (x, y, p, cum, rival) in enumerate(columns, 1):
-        lines.append(f"{t},{format_point(x)},{y},{p},{int(y != p)},{cum},{rival}")
-    return "\n".join(lines) + "\n"
+    writer.writerows((t, format_point(x), y, p, int(y != p), cum, rival)
+                     for t, (x, y, p, cum, rival) in enumerate(columns, 1))
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,17 @@ class TestCover:
         with pytest.raises(ProtocolError):
             learner.update(1, 1)
 
+    def test_empty_cover_raises_from_the_constructor(self):
+        with pytest.raises(ProtocolError) as raised:
+            CoverLearner(CoverSpec([]))
+        assert str(raised.value) == "round 1: every enumerated cover hypothesis eliminated"
+        # exhaustion leaves the index one beyond the last hypothesis
+        learner = CoverLearner(CoverSpec([constant_hypothesis(0), constant_hypothesis(1)]))
+        learner.update(1, 0)
+        with pytest.raises(ProtocolError, match="round 2: every enumerated"):
+            learner.update(1, 1)
+        assert learner.index == 3
+
 
 class TestNaturalThreshold:
     def test_zero_mistakes_below_target(self):

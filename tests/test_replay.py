@@ -347,6 +347,52 @@ def test_aggregator_walk_matches_loop(xs, ys, moved, monkeypatch):
     assert snapshot(learner) == snapshot(looped)
 
 
+def reference_choices(family, xs, ys):
+    """Each round's (selection, pool size) by the rule the aggregator's
+    docstring states, on counters from standalone learners: sub-learner n's
+    counter is the mistakes of a frozen `SoaLearner` on component n played
+    on the rounds before. The pool grows while its top index is below the
+    least counter + index; the selection is the argmin of counter + index,
+    ties to the smallest index."""
+    def standalone(n, t):
+        learner = SoaLearner(family.component(n).cls, on_empty="freeze")
+        for x, y in zip(xs[:t], ys[:t]):
+            learner.update(x, y)
+        return learner
+
+    subs, out = [standalone(1, 0)], []
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        while len(subs) < min(l.mistakes + n for n, l in enumerate(subs, 1)):
+            subs.append(standalone(len(subs) + 1, t))
+        out.append((min(range(1, len(subs) + 1), key=lambda n: (subs[n - 1].mistakes + n, n)),
+                    len(subs)))
+        for learner in subs:
+            learner.update(x, y)
+    return out
+
+
+@pytest.mark.parametrize("name", ["support", "constants-thresholds"])
+@settings(max_examples=25, deadline=None)
+@given(script=any_scripts)
+def test_aggregator_choices_match_the_docstring_rule(name, script):
+    # the loop and the replay walk share `_choose`, so neither can check the
+    # other's rule: both are checked round by round against a reference
+    # that shares no code with `_choose`, the loop through predict and
+    # update and the walk through `play` on every prefix
+    xs, ys = script
+    expected = reference_choices(FAMILIES[name], xs, ys)
+    looped, choices = AggregatorLearner(FAMILIES[name]), []
+    for x, y in zip(xs, ys):
+        looped.predict(x)
+        choices.append((looped.selected, len(looped.sub)))
+        looped.update(x, y)
+    assert choices == expected
+    for t in range(1, len(ys) + 1):
+        replayed = AggregatorLearner(FAMILIES[name])
+        replayed.play(xs[:t], ys[:t])
+        assert (replayed.selected, len(replayed.sub)) == expected[t - 1], t
+
+
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_pool_batch_does_not_fall_back(name, monkeypatch):
     # a fresh pool of dimension at most 2 replays every round of a script

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -92,6 +94,16 @@ def per_round_rival_mistakes(comparison, trace):
     return min(sum(1 for r in trace.rounds if h(r.x) != r.y) for h in hs)
 
 
+def assert_rival_column_counts_best_rival(comparison, trace):
+    """The CSV's column counts round by round and `best_rival_mistakes` by
+    distinct pairs: every row gives the best rival's mistakes on its prefix."""
+    rows = list(csv.DictReader(io.StringIO(trace_to_csv(trace, comparison))))
+    assert len(rows) == len(trace)
+    for t, row in enumerate(rows, 1):
+        prefix = GameTrace(trace.xs[:t], trace.ys[:t], trace.predicted[:t])
+        assert int(row["cum_best_rival"]) == best_rival_mistakes(comparison, prefix), t
+
+
 def outcome(fn, *args):
     try:
         return ("value", fn(*args))
@@ -100,7 +112,8 @@ def outcome(fn, *args):
 
 
 class TestCountedRivalMistakes:
-    # the pair counts must give the per-round scan's integer, and its error
+    # the pair counts must give the per-round scan's integer, and its error,
+    # and the CSV's rival column on every prefix
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.integers(0, 1)] * len(MIXED_DOMAIN)),
@@ -110,12 +123,14 @@ class TestCountedRivalMistakes:
         comparison = FiniteClass(MIXED_DOMAIN, rows)
         assert best_rival_mistakes(comparison, trace) == \
             per_round_rival_mistakes(comparison, trace)
+        assert_rival_column_counts_best_rival(comparison, trace)
 
     @settings(max_examples=60, deadline=None)
     @given(traces(NUMERIC_POINTS))
     def test_real_thresholds(self, trace):
         assert best_rival_mistakes(runner.REAL_THRESHOLDS, trace) == \
             per_round_rival_mistakes(runner.REAL_THRESHOLDS, trace)
+        assert_rival_column_counts_best_rival(runner.REAL_THRESHOLDS, trace)
 
     @settings(max_examples=60, deadline=None)
     @given(trace=traces(MIXED_DOMAIN),
@@ -213,6 +228,19 @@ class TestCsv:
         strategy = nature.AgnosticScripted([0], [1])
         trace = run_game(learners.ConstantLearner(0), strategy, 1)
         assert trace_to_csv(trace).splitlines()[1] == "1,0,1,0,1,1,"
+
+    def test_points_that_need_quoting(self):
+        # a point holding a comma, a quote or a newline is quoted, so each
+        # row reads back as 7 fields with the point's text
+        points = ["a,b", 'c"d', "x\ny"]
+        trace = run_game(learners.ConstantLearner(0),
+                         nature.AgnosticScripted(points, [1, 0, 1]), 3)
+        comparison = [constant_hypothesis(0), constant_hypothesis(1)]
+        rows = list(csv.reader(io.StringIO(trace_to_csv(trace, comparison))))
+        assert rows == [["t", "x", "y", "yhat", "mistake", "cum_mistakes", "cum_best_rival"],
+                        ["1", "a,b", "1", "0", "1", "1", "0"],
+                        ["2", 'c"d', "0", "0", "0", "1", "1"],
+                        ["3", "x\ny", "1", "0", "1", "2", "1"]]
 
     def test_replay_determinism(self):
         learner_spec = {"learner": "fpl",

@@ -129,3 +129,23 @@ def test_one_spec_reader():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and spec_function(node.name)]
     assert "specs.py" in {path.name for path in SOURCES} and not found, found
+
+
+def test_one_aggregator_rule():
+    # the aggregator grows its pool and selects in `_choose` alone: the round
+    # loop's `selector` and the replay walk both call it, and no other
+    # method than `__init__` and `_choose` makes a sub-learner
+    path = next(path for path in SOURCES if path.name == "learners.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aggregator = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "AggregatorLearner")
+    methods = {node.name: node for node in aggregator.body if isinstance(node, ast.FunctionDef)}
+
+    def called(function):
+        return {getattr(node.func, "attr", getattr(node.func, "id", None))
+                for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+    assert "_extend_pool" not in methods
+    assert "_choose" in called(methods["selector"]) and "_choose" in called(methods["_replay"])
+    spawning = {name for name, function in methods.items() if "_spawn" in called(function)}
+    assert spawning == {"__init__", "_choose"}, spawning

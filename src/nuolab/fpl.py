@@ -247,14 +247,17 @@ class FplLearner(_PerturbedLeader):
         return super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Each expert plays the rounds with its own `play`; the leader then
-        scores the (rounds x experts) matrix of losses at once."""
+        """Each expert plays the checked rounds with its own `_played`; the
+        leader then scores the (rounds x experts) matrix of losses at once.
+        The predictions are read in as bytes: one that is not an int in
+        0..255 (say 0.5 or -1) raises TypeError or ValueError."""
         T = len(ys)
         before = np.array(self.losses)
         # played[i, j]: expert j's prediction in round t + i; losses[i, j]:
         # its mistakes before that round
-        played = np.array([expert.play(xs, ys) for expert in self.experts]).T
-        wrong = played != np.array(ys)[:, None]
+        plays = b"".join(bytes(expert._played(xs, ys, T)) for expert in self.experts)
+        played = np.frombuffer(plays, np.uint8).reshape(-1, T).T
+        wrong = played != np.frombuffer(bytes(ys), np.uint8)[:, None]
         losses = before + np.cumsum(wrong, axis=0) - wrong
         rows = np.arange(T)
         chosen = self._leaders(self.t + rows, losses, self.complexities)[0]
@@ -612,7 +615,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         after = {}      # (state, x, y) -> the state that round leaves it in
         grown = [0] if dim else []      # the growable experts' states, in order
         present = dict.fromkeys(grown)
-        for x, y in zip(xs, ys):
+        # below dimension 2 the present states are fixed: each pair once
+        for x, y in zip(xs, ys) if dim == 2 else dict.fromkeys(zip(xs, ys)):
             for s in present:
                 if (s, x, y) not in after:
                     nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
@@ -621,7 +625,7 @@ class ExpertPoolFpl(_PerturbedLeader):
                 grown.append(after[0, x, y])
                 present.setdefault(grown[-1])
         points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
-        ix, y = np.array([points[x] for x in xs]), np.array(ys)
+        ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.fromiter(ys, np.int64, T)
         ns = engine.n_states
         pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
         # mistakes[t, s]: M[s, t], as floats, which add to the scores as

@@ -82,10 +82,15 @@ class OnlineLearner:
         A batch must give the loop's predictions, state and random draws.
         An error the loop would raise from inside the learner (say, a point
         outside a class's domain) is raised by a batch too, but the
-        learner's state after it may differ from the loop's."""
+        learner's state after it may differ from the loop's. Only here are
+        labels checked: a learner playing others on its batch calls their
+        `_played`."""
         if len(xs) != len(ys):
             raise ValueError("xs and ys differ in length")
-        n = labelled_prefix(ys)
+        return self._played(xs, ys, labelled_prefix(ys))
+
+    def _played(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
+        """`play`'s body, for a batch whose first n labels are checked."""
         b = self._batchable(n)
         if not b:
             return self._loop(xs, ys, n)
@@ -126,6 +131,12 @@ class OnlineLearner:
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         pass
+
+    def _record_batch(self, preds: list[int], ys: Sequence[int]) -> list[int]:
+        """`_record`'s mistake count and round step for a batch; returns `preds`."""
+        self.mistakes += sum(map(ne, preds, ys))
+        self.t += len(ys)
+        return preds
 
 
 class ConstantLearner(OnlineLearner):
@@ -232,6 +243,16 @@ class ExpertLearner(SoaLearner):
     def _should_restrict(self, mistake: bool, t: int) -> bool:
         return mistake and t in self._keyset
 
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+        """`SoaLearner._replay` up to the last key round; past it the state
+        is frozen, so each distinct point is predicted once, in order of
+        first occurrence, and the rounds read that table."""
+        head = max(0, (self.key[-1] if self.key else 0) + 1 - self.t)
+        preds = super()._replay(xs[:head], ys[:head])
+        table = {x: self.engine.predict(self.sid, x) for x in dict.fromkeys(xs[head:])}
+        frozen = list(map(table.__getitem__, xs[head:]))
+        return preds + self._record_batch(frozen, ys[head:])
+
 
 class FollowHypothesisLearner(SoaLearner):
     """Always predicts a fixed hypothesis: the version-space learner on its
@@ -271,7 +292,8 @@ class AggregatorLearner(OnlineLearner):
         """Sub-learner n, having replayed the history."""
         learner = SoaLearner(self.family.component(n).cls, on_empty="freeze")
         if self.history:
-            learner.play(*zip(*self.history))
+            xs, ys = zip(*self.history)
+            learner._played(xs, ys, len(ys))
         return learner
 
     def _choose(self, scores: list[int], joined: Callable[[int], int]) -> int:
@@ -305,7 +327,7 @@ class AggregatorLearner(OnlineLearner):
         self.history.append((x, y))
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Every sub-learner plays all the rounds with its own `play`. At
+        """Every sub-learner plays all the rounds with its own `_played`. At
         round i the walk calls `_choose` on the counters (a sub-learner that
         joins replays the history, then the batch); counters never fall, so
         the pool and the choice stand until the round after the chosen one's
@@ -337,17 +359,15 @@ class AggregatorLearner(OnlineLearner):
             self.sub = saved
             return self._loop(xs, ys, len(ys))
         self.selected = k
-        self.mistakes += sum(map(ne, preds, ys))
         self.history += zip(xs, ys)
-        self.t += len(ys)
-        return preds
+        return self._record_batch(preds, ys)
 
     @staticmethod
     def _scored(n: int, learner: SoaLearner, xs, ys) -> tuple[int, list[int], list[int]]:
         """(counter + n before the rounds, the rounds it errs at, its
         predictions), as `learner` plays the rounds."""
         start = learner.mistakes + n
-        preds = learner.play(xs, ys)
+        preds = learner._played(xs, ys, len(ys))
         return start, list(compress(count(), map(ne, preds, ys))), preds
 
 

@@ -13,7 +13,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -147,15 +147,20 @@ def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesi
 def best_rival_mistakes(comparison, trace: GameTrace) -> int:
     """The fewest mistakes any comparison hypothesis makes on the trace.
 
-    A hypothesis is a function of the point, so each distinct (x, y) pair
-    is judged once and weighted by its count. That pays when points
-    repeat, as in coin-flip and cycled-point games; on all-distinct points
-    it saves no hypothesis call and adds one pair hash per round. The pairs
-    come in order of first occurrence, so a hypothesis that raises does so
-    on the point a scan of the rounds would."""
-    pairs = Counter(zip(trace.xs, trace.ys)).items()
+    A hypothesis is a function of the point, so it is called once per
+    distinct point, in order of first occurrence (so one that raises does
+    so on the point a scan of the rounds would), and its value v errs on
+    the point's rounds labelled 1 if v != 1 and on those labelled 0 if
+    v != 0: `h(x) != y` for any v. That pays when points repeat, as in
+    coin-flip and cycled-point games. A label other than 0 or 1 raises."""
+    def wrong(v, n: int, n_ones: int) -> int:     # the rounds on which v errs
+        return (n_ones if v != 1 else 0) + (n - n_ones if v != 0 else 0)
+
+    if not set(trace.ys) <= {0, 1}:
+        raise DomainError("trace labels must be 0 or 1")
+    seen, ones = Counter(trace.xs), Counter(compress(trace.xs, trace.ys))
     hs = comparison_hypotheses(comparison, trace.xs)
-    return min(sum(n for (x, y), n in pairs if h(x) != y) for h in hs)
+    return min(sum(wrong(h(x), n, ones[x]) for x, n in seen.items()) for h in hs)
 
 
 def regret(trace: GameTrace, comparison) -> int:
@@ -165,9 +170,11 @@ def regret(trace: GameTrace, comparison) -> int:
 
 def trace_to_csv(trace: GameTrace, comparison=None) -> str:
     """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival.
-    A point that holds a comma, a quote or a newline is quoted."""
+    A point that holds a comma, a quote or a newline is quoted; one holding
+    a "\r", which the writer leaves bare, has its whole row quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(["t", "x", "y", "yhat", "mistake", "cum_mistakes", "cum_best_rival"])
     rival_cum: list[str] = [""] * len(trace)
     if comparison is not None and len(trace):
@@ -178,8 +185,9 @@ def trace_to_csv(trace: GameTrace, comparison=None) -> str:
                 per_h[j] += h(x) != y
             rival_cum[i] = str(min(per_h))
     columns = zip(trace.xs, trace.ys, trace.predicted, trace.cumulative_mistakes(), rival_cum)
-    writer.writerows((t, format_point(x), y, p, int(y != p), cum, rival)
-                     for t, (x, y, p, cum, rival) in enumerate(columns, 1))
+    for t, (x, y, p, cum, rival) in enumerate(columns, 1):
+        x = format_point(x)
+        (quoted if "\r" in x else writer).writerow((t, x, y, p, int(y != p), cum, rival))
     return out.getvalue()
 
 

@@ -313,6 +313,10 @@ class _ParityExpert(learners.OnlineLearner):
     def predict(self, x) -> int:
         return int(self.t % 2 == self.phase)
 
+    def _replay(self, xs, ys) -> list[int]:
+        return self._record_batch(
+            [int(t % 2 == self.phase) for t in range(self.t, self.t + len(ys))], ys)
+
 
 class _LastLabelExpert(learners.OnlineLearner):
     """Predicts the previously revealed label (0 on the first round)."""
@@ -326,6 +330,10 @@ class _LastLabelExpert(learners.OnlineLearner):
 
     def _absorb(self, x, y, predicted) -> None:
         self.last = y
+
+    def _replay(self, xs, ys) -> list[int]:
+        preds, self.last = [self.last, *ys[:-1]], ys[-1]
+        return self._record_batch(preds, ys)
 
 
 def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from nuolab import fpl, nature, runner
+from nuolab import fpl, nature, runner, verification
+from nuolab import learners as learners_module
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
 from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
                                FiniteClass, FiniteSupportClass, FiniteSupportFamily,
@@ -1179,3 +1180,128 @@ def test_base_play_matches_checked_loop(kind, script, bad):
     make = LEARNER_KINDS[kind]
     assert played(OnlineLearner.play, make(), xs, ys) == \
         played(checked_loop, make(), xs, ys)
+
+
+@pytest.mark.parametrize("key, before", [((), 0), ((), 7), ((1, 3), 10), ((2, 15), 0),
+                                         ((2, 15), 5)],
+                         ids=["empty", "empty-after-rounds", "last-key-before-batch",
+                              "last-key-in-batch", "last-key-in-batch-after-rounds"])
+@settings(max_examples=20, deadline=None)
+@given(script=any_scripts)
+def test_expert_replay_matches_loop(key, before, script):
+    # `before` rounds one by one, then the rest in one batch: the batch's
+    # predictions, t, mistakes and state are the loop's, whether the last
+    # key round lies before the batch, inside it or nowhere
+    xs, ys = script
+    pair = [ExpertLearner(THRESHOLDS, key, on_empty="freeze") for _ in range(2)]
+    for learner in pair:
+        checked_loop(learner, xs[:before], ys[:before])
+    assert played(OnlineLearner.play, pair[0], xs[before:], ys[before:]) == \
+        played(checked_loop, pair[1], xs[before:], ys[before:])
+
+
+@pytest.mark.parametrize("key, head", [((), 0), ((2, 15), 15), ((70,), 60)])
+def test_frozen_expert_reads_a_table(key, head, monkeypatch):
+    # only the rounds up to the last key round take the version-space
+    # replay; past it every round reads one prediction per distinct point
+    xs = [(t % 4) + 1 for t in range(60)]
+    ys = [(t * 7 // 3) % 2 for t in range(60)]
+    given_rounds, replay = [], SoaLearner._replay
+
+    def counted(self, xs, ys):
+        given_rounds.append(len(ys))
+        return replay(self, xs, ys)
+
+    monkeypatch.setattr(SoaLearner, "_replay", counted)
+    learner = ExpertLearner(THRESHOLDS, key, on_empty="freeze")
+    looped = ExpertLearner(THRESHOLDS, key, on_empty="freeze")
+    assert learner.play(xs, ys) == checked_loop(looped, xs, ys)
+    assert given_rounds == [head] and snapshot(learner) == snapshot(looped)
+
+
+@pytest.mark.parametrize("key", [(), (2,), (2, 9)])
+@pytest.mark.parametrize("at", [1, 4, 7])
+def test_expert_point_outside_domain(key, at):
+    # a point the class does not know, before, at or after the last key
+    # round, raises the loop's DomainError
+    xs = [1, 3, 2, 3, 1, 2, 1, 3]
+    xs[at] = "x"
+    ys = [0, 1, 1, 1, 1, 0, 0, 1]
+    make = lambda: ExpertLearner(FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1]]), key,
+                                 on_empty="freeze")
+    replayed, looped = both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
+    assert replayed[0] == looped[0] == ("error", "DomainError", "point 'x' not in class domain")
+
+
+CHECK_EXPERTS = {
+    "parity-0": lambda: verification._ParityExpert(0),
+    "parity-1": lambda: verification._ParityExpert(1),
+    "last-label": verification._LastLabelExpert,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_EXPERTS))
+@pytest.mark.parametrize("before", [0, 3])
+@settings(max_examples=20, deadline=None)
+@given(script=scripts)
+def test_check_experts_replay_matches_loop(kind, before, script):
+    # the fpl check's own experts: the batch gives the loop's predictions,
+    # t, mistakes and last label, from any round on
+    xs, ys = script
+    pair = [CHECK_EXPERTS[kind]() for _ in range(2)]
+    for learner in pair:
+        checked_loop(learner, xs[:before], ys[:before])
+    xs, ys = xs[before:], ys[before:]
+    assert pair[0].play(xs, ys) == checked_loop(pair[1], xs, ys)
+    assert vars(pair[0]) == vars(pair[1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=3),
+    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=3),
+    lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
+], ids=["fpl-five", "agnostic-2", "aggregator-list"])
+@pytest.mark.parametrize("bad", [None, 2])
+def test_one_label_check_per_play(make, bad, monkeypatch):
+    # `play` checks the batch's labels once; the experts and sub-learners it
+    # plays on that batch do not check them again, and a bad label still
+    # raises at its round with the loop's message
+    xs = [(t % 4) + 1 for t in range(40)]
+    ys = [(t * 7 // 3) % 2 for t in range(40)]
+    if bad is not None:
+        ys[25] = bad
+    calls = []
+    monkeypatch.setattr(learners_module, "labelled_prefix",
+                        lambda ys: calls.append(len(ys)) or labelled_prefix(ys))
+    result, _ = played(OnlineLearner.play, make(), xs, ys)
+    assert calls == [40]
+    if bad is not None:
+        assert result == ("error", "ProtocolError", 26, "round 26: label must be 0 or 1, got 2")
+
+
+class Emits(OnlineLearner):
+    """Predicts one fixed value, which need not be a label."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def predict(self, x):
+        return self.value
+
+
+@pytest.mark.parametrize("value, error", [(2, None), (255, None), (0.5, TypeError),
+                                          (np.bool_(True), TypeError), (-1, ValueError),
+                                          (256, ValueError)])
+def test_fpl_replay_reads_expert_predictions_as_bytes(value, error):
+    # an expert prediction that is an int in 0..255 plays as in the loop;
+    # any other is refused with a typed error
+    xs, ys = [1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4
+    make = lambda: FplLearner([ConstantLearner(0), Emits(value)], [1.0, 2.0], seed=8)
+    if error is None:
+        replayed, looped = make(), make()
+        assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
+        assert snapshot(replayed) == snapshot(looped)
+    else:
+        with pytest.raises(error):
+            make().play(xs, ys)

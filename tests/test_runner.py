@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nuolab import learners, nature, runner, specs
 from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
-                               constant_hypothesis, row_hypothesis,
+                               Hypothesis, constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
 from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
                            comparison_hypotheses, monte_carlo, play_seeded,
@@ -18,6 +18,7 @@ from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
 from nuolab.specs import make_learner, make_nature, play_config
 
 TWO_CLASS = FiniteClass((0,), [[0], [1]])
+TWO_POINT_CONSTANTS = [constant_hypothesis(0), constant_hypothesis(1)]
 TWO_CLASS_SPEC = {"domain": [0], "hypotheses": [[0], [1]]}
 # FiniteClass.full_class(("a", "b"))
 FULL_AB_SPEC = {"domain": ["a", "b"], "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}
@@ -148,6 +149,43 @@ class TestCountedRivalMistakes:
             outcome(per_round_rival_mistakes, hs, trace)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(trace=traces(MIXED_DOMAIN),
+           table=st.lists(st.lists(st.sampled_from([0, 1, True, False, 2, -1, 0.5, None,
+                                                     ValueError]),
+                                   min_size=len(MIXED_DOMAIN), max_size=len(MIXED_DOMAIN)),
+                          min_size=1, max_size=3))
+    # the first raising point is "b", though 2 raises too and occurs more often
+    @example(trace=GameTrace([1, "b", 2, 2], [0, 1, 0, 0], [0, 0, 0, 0]),
+             table=[[0, ValueError, 2, 2, 2, 2], [1, 1, 1, 1, 1, 1]])
+    def test_any_hypothesis_output(self, trace, table):
+        # a hypothesis may give any value, or raise: the counts per point
+        # give `h(x) != y` summed over the rounds, and the same first error
+        hs = [Hypothesis(f"h{i}", lambda x, row=row: point_value(row, x))
+              for i, row in enumerate(table)]
+
+        def per_pair(hs, trace):
+            return min(sum(h(x) != y for x, y in zip(trace.xs, trace.ys)) for h in hs)
+
+        def result(fn):
+            try:
+                value = fn(hs, trace)
+                return ("value", value, type(value))
+            except ValueError as exc:
+                return ("error", str(exc))
+
+        assert result(best_rival_mistakes) == result(per_pair)
+
+
+def point_value(row, x):
+    """row's entry for the point x of MIXED_DOMAIN; the entry ValueError
+    raises, naming the point."""
+    value = row[MIXED_DOMAIN.index(x)]
+    if value is ValueError:
+        raise ValueError(f"no value at {x!r}")
+    return value
+
+
 class TestRegret:
     def test_perfect_realizable_learner(self):
         target = threshold_hypothesis(2)
@@ -174,6 +212,14 @@ class TestRegret:
                         lambda: trace_to_csv(trace, comparison)):
             with pytest.raises(DomainError, match="^comparison class has no hypotheses$"):
                 measure()
+
+    @pytest.mark.parametrize("label", [2, -1, None, 0.5])
+    def test_trace_label_outside_0_1(self, label):
+        # the counts per point read a round as labelled 1 or 0, so a trace
+        # holding any other label is refused, not miscounted
+        trace = GameTrace([0, 0, 0], [1, label, 0], [0, 0, 0])
+        with pytest.raises(DomainError, match="^trace labels must be 0 or 1$"):
+            best_rival_mistakes(TWO_CLASS, trace)
 
     def test_threshold_behaviors_materialization(self):
         points = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
@@ -241,6 +287,18 @@ class TestCsv:
                         ["1", "a,b", "1", "0", "1", "1", "0"],
                         ["2", 'c"d', "0", "0", "0", "1", "1"],
                         ["3", "x\ny", "1", "0", "1", "2", "1"]]
+
+    def test_carriage_return_round_trips(self):
+        # the writer leaves a bare "\r" unquoted under a "\n" line
+        # terminator, so its row is quoted whole and reads back as written
+        trace = run_game(learners.ConstantLearner(0),
+                         nature.AgnosticScripted(["p\rq", "a"], [1, 0]), 2)
+        text = trace_to_csv(trace, TWO_POINT_CONSTANTS)
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["t", "x", "y", "yhat", "mistake", "cum_mistakes", "cum_best_rival"],
+            ["1", "p\rq", "1", "0", "1", "1", "0"],
+            ["2", "a", "0", "0", "0", "1", "1"]]
+        assert text.splitlines(keepends=True)[-1] == "2,a,0,0,0,1,1\n"
 
     def test_replay_determinism(self):
         learner_spec = {"learner": "fpl",

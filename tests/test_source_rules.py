@@ -28,6 +28,30 @@ def test_one_play_splits_batches():
     assert defining == {"learners.py:OnlineLearner"}
 
 
+def test_labels_checked_once():
+    # `OnlineLearner.play` checks a batch's labels, and only it: a learner
+    # that plays its experts or sub-learners on a batch it holds calls
+    # their `_played`, so no `_replay` or `_scored` calls `.play(`
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((scope, getattr(child.func, "attr", getattr(child.func, "id", None))))
+            visit(child, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.name,))
+    checks = [".".join(scope) for scope, name in calls if name == "labelled_prefix"]
+    plays = [".".join(scope) for scope, name in calls
+             if name == "play" and {"_replay", "_scored"} & set(scope)]
+    assert checks == ["learners.py.OnlineLearner.play"]
+    assert not plays, plays
+
+
 SCORERS = ("_PerturbedLeader._leaders", "ExpertPoolFpl._lazy_leaders")
 DRAWS = ("exponential", "standard_exponential", "random", "binomial", "integers", "choice",
          "geometric")

@@ -73,14 +73,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .hypotheses import FamilyComponent, ClassFamily, Point
-from .learners import OnlineLearner, ProtocolError
+from .learners import OnlineLearner
 from .littlestone import engine_for
 
 _MASS_SLACK = 1e-9
 
 
 class ConfigurationError(ValueError):
-    """An expert registration that breaks the complexity-mass budget."""
+    """An expert list or registration that a perturbed leader refuses."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +104,41 @@ def pool_complexity(dim: int, last_round: int) -> float:
 # the perturbed leader: one base and its scorer, two expert containers
 # ---------------------------------------------------------------------------
 
-def _own_copy(seed):
-    """`seed`, a `SeedSequence` copied, so that spawning from the copy
-    leaves the caller's spawn counter as it was."""
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The one seed rule of the perturbed leaders: an int or None gives
+    `SeedSequence(seed)`, and a `SeedSequence` is copied, so that spawning
+    from the copy leaves the caller's spawn counter as it was. Anything
+    else, say a `Generator` or a `BitGenerator` that two learners could
+    share, is refused."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
                                       pool_size=seed.pool_size,
                                       n_children_spawned=seed.n_children_spawned)
-    return seed
+    if seed is None or isinstance(seed, (int, np.integer)):
+        return np.random.SeedSequence(seed)
+    raise TypeError(f"seed must be an int, a SeedSequence or None, got {seed!r}")
 
 
 class _PerturbedLeader(OnlineLearner):
     """What every perturbed leader here shares: the RNG, the complexity-mass
     budget, the scoring rule and the round's choice.
 
-    `seed` is an int, a `SeedSequence`, None, or a `Generator`. A
-    `SeedSequence` is copied, so that spawning from `rng` leaves the
-    caller's spawn counter as it was; a `Generator` is drawn and spawned
-    from as it is. A subclass holds the experts' losses and complexities
-    (`FplLearner` in `complexities`, a pool by cohort), picks the round's
-    leader in `_lead` by scoring a one-row block with `_leaders`, or a
-    batch of rounds at once (a pool through `ExpertPoolFpl._lazy_leaders`),
-    and feeds the experts in `_feed`. The choice is made once per round,
-    keyed on the round index, so every `predict` of a round and its
-    `update` see the same choice.
+    `seed` is read by `_seed_sequence`, so `rng` is this learner's own, and
+    a batch that plays each expert's rounds before the leader's draws what
+    the round loop draws. A subclass holds the experts' losses and
+    complexities (`FplLearner` in `complexities`, a pool by cohort), picks
+    the round's leader in `_lead` by scoring a one-row block with
+    `_leaders`, or a batch of rounds at once (a pool through
+    `ExpertPoolFpl._lazy_leaders`), and feeds the experts in `_feed`. The
+    choice is made once per round, keyed on the round index, so every
+    `predict` of a round and its `update` see the same choice.
     """
 
     deterministic = False
 
-    def __init__(self, seed: int | np.random.SeedSequence | np.random.Generator | None):
+    def __init__(self, seed: int | np.random.SeedSequence | None):
         super().__init__()
-        self.rng = np.random.default_rng(_own_copy(seed))
+        self.rng = np.random.default_rng(_seed_sequence(seed))
         self._mass = 0.0
         self._size = 0                  # experts registered
         self._pending = None    # (round, chosen index, prediction, subclass data)
@@ -186,11 +190,6 @@ class _PerturbedLeader(OnlineLearner):
         # none while a round's choice is pending
         return 0 if self._pending is not None else super()._batchable(n)
 
-    def _generators(self) -> list:
-        """The random generators this learner and the learners inside it
-        draw from."""
-        return [self.rng]
-
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self._feed(x, y, self._pending[3])
         self._pending = None
@@ -200,16 +199,21 @@ class _PerturbedLeader(OnlineLearner):
 
 
 class FplLearner(_PerturbedLeader):
-    """Perturbed-leader selection over a fixed list of online learners.
+    """Perturbed-leader selection over a list of online learners fixed when
+    the learner is built: non-empty, and with no learner in it twice, which
+    the round loop would feed twice a round.
 
     Every expert is fed every revealed pair, so each expert's own mistake
     counter is its exact counterfactual loss; `losses` reads them. The
     experts must therefore be fresh (no rounds played) when passed in.
     """
 
-    def __init__(self, experts: Sequence[OnlineLearner] = (),
-                 complexities: Sequence[float] = (), *,
-                 seed: int | np.random.SeedSequence | np.random.Generator | None = None):
+    def __init__(self, experts: Sequence[OnlineLearner], complexities: Sequence[float], *,
+                 seed: int | np.random.SeedSequence | None = None):
+        if not experts:
+            raise ConfigurationError("need at least one expert")
+        if len(set(map(id, experts))) < len(experts):
+            raise ConfigurationError("an expert is listed twice")
         super().__init__(seed)
         if len(experts) != len(complexities):
             raise ConfigurationError("experts and complexities differ in length")
@@ -223,8 +227,6 @@ class FplLearner(_PerturbedLeader):
         return [expert.mistakes for expert in self.experts]
 
     def _lead(self, x: Point) -> tuple:
-        if not self.experts:
-            raise ProtocolError("no experts registered", self.t)
         j = int(self._leaders(np.array([self.t]), np.array(self.losses)[None],
                               self.complexities)[0][0])
         return j, self.experts[j].predict(x), None
@@ -232,19 +234,6 @@ class FplLearner(_PerturbedLeader):
     def _feed(self, x: Point, y: int, data) -> None:
         for expert in self.experts:
             expert.update(x, y)
-
-    def _generators(self) -> list:
-        return [g for expert in self.experts if isinstance(expert, _PerturbedLeader)
-                for g in expert._generators()] + [self.rng]
-
-    def _batchable(self, n: int) -> int:
-        # the batch plays each expert's rounds before the leader's, which
-        # only keeps the draws if no two of them share a generator; with no
-        # experts the loop raises
-        generators = self._generators()
-        if not self.experts or len(set(map(id, generators))) < len(generators):
-            return 0
-        return super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
         """Each expert plays the checked rounds with its own `_played`; the
@@ -400,7 +389,7 @@ class ExpertPoolFpl(_PerturbedLeader):
     _EXACT = 8      # the cohorts below this draw every perturbation
 
     def __init__(self, component: FamilyComponent, *,
-                 seed: int | np.random.SeedSequence | np.random.Generator | None = None):
+                 seed: int | np.random.SeedSequence | None = None):
         super().__init__(seed)
         self._range_rng, self._resolve_rng = self.rng.spawn(2)
         self.engine = engine_for(component.cls)
@@ -693,9 +682,8 @@ class AgnosticFpl(FplLearner):
 
     Component n carries complexity 2(ln n + 1) at this level; inside, its
     pool of keyed experts uses complexities 1 + (dim + 2) ln j. All levels
-    update counterfactually every round. `seed` is an int, a `SeedSequence`
-    (copied, as `_PerturbedLeader` copies it) or None; the components and
-    the top level draw from its children.
+    update counterfactually every round. `seed` is read by `_seed_sequence`;
+    the components and the top level draw from its children, one each.
     """
 
     def __init__(self, family: ClassFamily, components: int, *,
@@ -703,12 +691,7 @@ class AgnosticFpl(FplLearner):
                  cap_dim: Optional[int] = 2, cap_rounds: Optional[int] = None):
         if components < 1:
             raise ConfigurationError("need at least one component")
-        if isinstance(seed, np.random.SeedSequence):
-            seeds = _own_copy(seed).spawn(components + 1)
-        elif seed is None or isinstance(seed, (int, np.integer)):
-            seeds = np.random.SeedSequence(seed).spawn(components + 1)
-        else:
-            raise TypeError(f"seed must be an int, a SeedSequence or None, got {seed!r}")
+        seeds = _seed_sequence(seed).spawn(components + 1)
         pools = []
         for n in range(1, components + 1):
             comp = family.component(n)

@@ -237,14 +237,21 @@ class RegretCurve:
         return out
 
 
+def _sequence(name: str, seed: int) -> np.random.SeedSequence:
+    # numpy refuses a negative seed too, but without naming it
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(trials)]
+    return [int(s) for s in _sequence("master_seed", master_seed).generate_state(trials)]
 
 
 def split_seed(seed: int) -> tuple[int, int]:
     """(learner seed, nature seed): the two independent seeds one trial's
     seed splits into."""
-    learner_seed, nature_seed = np.random.SeedSequence(seed).generate_state(2)
+    learner_seed, nature_seed = _sequence("seed", seed).generate_state(2)
     return int(learner_seed), int(nature_seed)
 
 

@@ -41,8 +41,10 @@ def test_play_runs(capsys):
     (["--learner", json.dumps({"learner": "fpl", "experts": [{"kind": "constant", "value": 0}],
                                "k": [1], "redraw": "once"}), "--nature", COIN, "-T", "3"],
      "redraw must be 'per-round', got 'once'"),
+    (["--learner", CONSTANT, "--nature", COIN, "-T", "3", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
-        "exhausted", "redraw-once"])
+        "exhausted", "redraw-once", "negative-seed"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
@@ -174,6 +176,7 @@ def test_regret_runs(capsys):
     ({"comparison": []}, "comparison list is empty"),
     ({"master_seed": 7.9}, "master_seed must be an int, got 7.9"),
     ({"master_seed": True}, "master_seed must be an int, got True"),
+    ({"master_seed": -1}, "master_seed must be non-negative, got -1"),
     ({"bound": {"kind": "hierarchical", "dim": 1.7, "n": 1}},
      "bound dim must be an int, got 1.7"),
     ({"bound": {"kind": "hierarchical", "dim": 1, "n": True}},
@@ -187,7 +190,8 @@ def test_regret_runs(capsys):
      "redraw must be 'per-round', got 'once'"),
 ], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "zero-Ts", "false-Ts",
         "empty-string-Ts", "empty-Ts", "float-trials",
-        "bool-trials", "empty-comparison", "float-seed", "bool-seed", "float-dim",
+        "bool-trials", "empty-comparison", "float-seed", "bool-seed", "negative-seed",
+        "float-dim",
         "bool-n", "bool-k", "list-bound", "string-bound", "redraw-once"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))

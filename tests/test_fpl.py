@@ -12,8 +12,7 @@ from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
                                FiniteSupportClass, SingletonClass,
                                threshold_hypothesis)
 from nuolab.learners import (ConstantLearner, ExpertLearner,
-                             FollowHypothesisLearner, OnlineLearner,
-                             ProtocolError, SoaLearner)
+                             FollowHypothesisLearner, OnlineLearner, SoaLearner)
 
 
 class TestComplexitySchemes:
@@ -67,8 +66,16 @@ class TestFplLearner:
             FplLearner([ConstantLearner(0), ConstantLearner(1)], [k, 1.0], seed=1)
 
     def test_no_experts_rejected(self):
-        with pytest.raises(ProtocolError):
-            FplLearner(seed=0).predict("x")
+        with pytest.raises(ConfigurationError, match="need at least one expert"):
+            FplLearner([], [], seed=0)
+
+    def test_expert_listed_twice_rejected(self):
+        # the round loop feeds a twice-listed expert twice a round, and a
+        # batch counts its mistakes once a round, so the two would choose
+        # different leaders
+        c, d = ConstantLearner(0), ConstantLearner(1)
+        with pytest.raises(ConfigurationError, match="an expert is listed twice"):
+            FplLearner([c, c, d], [2.0, 2.0, 2.0], seed=5)
 
     def test_reproducible_bit_for_bit(self):
         def run():
@@ -134,6 +141,11 @@ def one_row_leader(rng, complexities, loss, t):
     return int(score.argmin()), float(score.min())
 
 
+def scorer(seed: int) -> FplLearner:
+    """A perturbed leader to call `_leaders` on; building it draws nothing."""
+    return FplLearner([ConstantLearner(0)], [1.0], seed=seed)
+
+
 class TestBlockScorer:
     """`_PerturbedLeader._leaders`, the one exact scorer, on blocks built by
     hand."""
@@ -148,7 +160,7 @@ class TestBlockScorer:
         loss = rng.integers(0, 6, self.MASK.shape).astype(float)
         k = rng.uniform(1.0, 3.0, self.MASK.shape)
         ts = np.array([3, 4, 5, 6])
-        learner = FplLearner(seed=11)
+        learner = scorer(11)
         with np.errstate(all="raise"):      # the cells outside the mask hold inf
             cols, best = learner._leaders(ts, loss, k, self.MASK)
         reference = np.random.default_rng(11)
@@ -166,11 +178,11 @@ class TestBlockScorer:
         k = np.ones(self.MASK.shape)
         for seed in range(20):
             with np.errstate(all="raise"):
-                cols, best = FplLearner(seed=seed)._leaders(np.arange(1, 5), loss, k, self.MASK)
+                cols, best = scorer(seed)._leaders(np.arange(1, 5), loss, k, self.MASK)
             assert self.MASK[np.arange(4), cols].all() and np.isfinite(best).all()
 
     def test_ties_go_to_the_first_column(self):
-        learner = FplLearner(seed=0)
+        learner = scorer(0)
         learner.rng = _Ones()
         loss = np.array([[2.0, 2.0, 2.0, 2.0], [3.0, 1.0, 4.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
         mask = np.array([[True] * 4, [True] * 4, [False, False, True, True]])
@@ -188,7 +200,7 @@ class TestBlockScorer:
             loss = np.array([draw.randint(0, 30) for _ in range(n)])
             k = np.array([1.0 + draw.random() * 4 for _ in range(n)])
             t = draw.randint(1, 500)
-            learner = FplLearner(seed=seed)
+            learner = scorer(seed)
             cols, best = learner._leaders(np.array([t]), loss[None], k)
             reference = np.random.default_rng(seed)
             assert (int(cols[0]), float(best[0])) == one_row_leader(reference, k, loss, t)
@@ -294,14 +306,6 @@ class TestExpertPool:
         ExpertPoolFpl(pool_component(1), seed=spawned)
         assert spawned.n_children_spawned == 5
 
-    def test_generator_is_drawn_from_as_it_is(self):
-        # a passed Generator is the pool's own: its draws and its spawns
-        # are the pool's
-        generator = np.random.default_rng(13)
-        pool = ExpertPoolFpl(pool_component(1), seed=generator)
-        assert pool.rng is generator
-        assert generator.bit_generator.seed_seq.n_children_spawned == 2
-
 
 def two_component_family() -> ExplicitListFamily:
     constants = FiniteClass((1, 2, 3, 4), [[0, 0, 0, 0], [1, 1, 1, 1]])
@@ -367,11 +371,20 @@ class TestAgnosticFpl:
         assert spawned.n_children_spawned == 5
         assert game(np.int64(1)) == game(1)
 
-    @pytest.mark.parametrize("seed", [1.5, "1", np.random.default_rng(1)],
-                             ids=["float", "str", "generator"])
+    @pytest.mark.parametrize("seed", [1.5, "1", [1, 2], np.random.PCG64(1),
+                                      np.random.default_rng(1)],
+                             ids=["float", "str", "list", "bit-generator", "generator"])
     def test_other_seeds_are_refused(self, seed):
-        with pytest.raises(TypeError, match="seed must be an int, a SeedSequence or None, got"):
-            AgnosticFpl(self.family(), 2, seed=seed)
+        # every perturbed leader has the one seed rule. A bit generator or a
+        # generator could be shared: one PCG64 seeding a pool and the leader
+        # over it, each wrapped in a Generator of its own, interleaves their
+        # draws in the round loop but not in a batch
+        makers = [lambda: FplLearner([ConstantLearner(0)], [1.0], seed=seed),
+                  lambda: ExpertPoolFpl(pool_component(1), seed=seed),
+                  lambda: AgnosticFpl(self.family(), 2, seed=seed)]
+        for make in makers:
+            with pytest.raises(TypeError, match="seed must be an int, a SeedSequence or None, got"):
+                make()
 
     def test_meta_uses_component_complexities(self):
         learner = AgnosticFpl(self.family(), 2, seed=0)

@@ -1069,22 +1069,6 @@ def test_play_after_rounds_matches_loop(make, pending):
     assert snapshot(learners[0]) == snapshot(learners[1])
 
 
-def test_shared_generator_takes_the_loop():
-    # an expert drawing from the leader's generator interleaves its draws
-    # with the leader's, which only the round loop reproduces
-    xs, ys = [1, 2, 3, 4] * 10, [0, 1] * 20
-
-    def make():
-        rng = np.random.default_rng(12)
-        pools = [ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=rng)]
-        learner = FplLearner(pools, [1.0], seed=rng)
-        # a Generator passed as the seed is drawn from as it is
-        assert learner.rng is rng and pools[0].rng is rng
-        return learner
-
-    assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 40)
-
-
 LEARNER_KINDS = {
     "constant": lambda: ConstantLearner(1),
     "soa": lambda: SoaLearner(THRESHOLDS),

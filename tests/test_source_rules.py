@@ -84,6 +84,36 @@ def test_one_perturbed_leader_scorer():
     assert {(scorer, "standard_exponential") for scorer in SCORERS} <= used
 
 
+def test_one_seed_rule():
+    # the perturbed leaders read a seed in `_seed_sequence` alone, and each
+    # builds a generator of its own from it, so no two share one: only it
+    # makes a SeedSequence, only `_PerturbedLeader.__init__` makes a
+    # generator, and only the containers of other leaders spawn seeds
+    path = next(path for path in SOURCES if path.name == "fpl.py")
+    calls, defined = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                defined.append(child.name)
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((".".join(scope),
+                              getattr(child.func, "attr", getattr(child.func, "id", None))))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+
+    def callers(name):
+        return {scope for scope, called in calls if called == name}
+
+    assert callers("SeedSequence") == {"_seed_sequence"}
+    assert callers("default_rng") == {"_PerturbedLeader.__init__"}
+    assert callers("spawn") == {"ExpertPoolFpl.__init__", "AgnosticFpl.__init__"}
+    assert "_generators" not in defined
+
+
 def test_one_layout_rule():
     # a round's exact set and thinned ranges are derived in `_layout` alone:
     # the round loop and the replay plan both call it, and neither reads

@@ -198,10 +198,20 @@ class _PerturbedLeader(OnlineLearner):
         raise NotImplementedError
 
 
+def _members(experts: Sequence[OnlineLearner]):
+    """The experts, each followed by the members of its experts if it is an
+    `FplLearner`: every learner that a round feeds through this list."""
+    for expert in experts:
+        yield expert
+        if isinstance(expert, FplLearner):
+            yield from _members(expert.experts)
+
+
 class FplLearner(_PerturbedLeader):
     """Perturbed-leader selection over a list of online learners fixed when
-    the learner is built: non-empty, and with no learner in it twice, which
-    the round loop would feed twice a round.
+    the learner is built: non-empty, and with no learner in it twice, also
+    inside a nested `FplLearner`, which the round loop would feed twice a
+    round and a batch in another order.
 
     Every expert is fed every revealed pair, so each expert's own mistake
     counter is its exact counterfactual loss; `losses` reads them. The
@@ -212,8 +222,9 @@ class FplLearner(_PerturbedLeader):
                  seed: int | np.random.SeedSequence | None = None):
         if not experts:
             raise ConfigurationError("need at least one expert")
-        if len(set(map(id, experts))) < len(experts):
-            raise ConfigurationError("an expert is listed twice")
+        members = list(map(id, _members(experts)))
+        if len(set(members)) < len(members):
+            raise ConfigurationError("an expert is listed twice, here or in a nested FplLearner")
         super().__init__(seed)
         if len(experts) != len(complexities):
             raise ConfigurationError("experts and complexities differ in length")

@@ -13,7 +13,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from math import lcm
 from typing import Callable, Sequence
 
 Point = str | int | Fraction
@@ -338,22 +339,30 @@ class DiscreteMeasure:
             raise DomainError("masses must be positive")
         if sum(self.masses) != 1:
             raise DomainError(f"masses sum to {sum(self.masses)}, expected 1")
-        cum = []
-        acc = 0.0
-        for m in self.masses:
-            acc += float(m)
-            cum.append(acc)
-        cum[-1] = 1.0
-        self._cum = cum
+        # the masses as counts over their common denominator D, cumulated
+        den = lcm(*(m.denominator for m in self.masses))
+        self._cum = list(accumulate(m.numerator * (den // m.denominator) for m in self.masses))
+        self._bits = (den - 1).bit_length()
 
     def mass(self, i: int) -> Fraction:
         """Mass of the i-th support point (1-based)."""
         return self.masses[i - 1]
 
     def sample(self, rng: random.Random) -> Point:
-        """The first point whose cumulative mass exceeds u ~ U[0, 1): `_cum` never
-        falls before its last entry, 1.0 > u, so `u < c` turns true just once."""
-        return self.support[bisect_right(self._cum, rng.random())]
+        """One point, by the draw rule of `draw`."""
+        return self.support[self.draw(rng, 1)[0]]
+
+    def draw(self, rng: random.Random, n: int) -> list[int]:
+        """The support indices of n points drawn exactly: each is the first point whose
+        cumulative count over D exceeds a word `rng.getrandbits((D - 1).bit_length())`,
+        and a word >= D (never, when D is a power of two) is dropped for the next one.
+        So n one-point draws take the same words and give the same points."""
+        cum, bits, drawn = self._cum, self._bits, []
+        while len(drawn) < n:
+            word = rng.getrandbits(bits)
+            if word < cum[-1]:
+                drawn.append(bisect_right(cum, word))
+        return drawn
 
     @classmethod
     def point_mass(cls, p: Point) -> "DiscreteMeasure":

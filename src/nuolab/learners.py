@@ -201,28 +201,32 @@ class SoaLearner(OnlineLearner):
         return 0 if self.sid is None else super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """The round loop on locals; predictions are memoized by (state, point)
-        and steps by (state, point, label), each first taken at the loop's
-        round, so the engine interns the loop's states. An error leaves the loop's state."""
+        """The round loop on locals. Predictions are memoized in a table of the
+        current state, keyed by the point, and begun afresh when the state
+        moves: a version space only shrinks, so a state left is never met
+        again. Steps are memoized by (state, point, label), each first taken
+        at the loop's round, so the engine interns the loop's states. An
+        error leaves the loop's state: the mistakes of the rounds predicted."""
         predict, should, step = self.engine.predict, self._should_restrict, self._step
-        predicted, stepped, preds = {}, {}, []
-        sid, t, mistakes, always = self.sid, self.t, self.mistakes, self.always_restrict
+        table, stepped, preds = {}, {}, []
+        sid, t, always = self.sid, self.t, self.always_restrict
         try:
             for x, y in zip(xs, ys):
-                p = predicted.get((sid, x))
+                p = table.get(x)
                 if p is None:
-                    p = predicted[sid, x] = predict(sid, x)
+                    p = table[x] = predict(sid, x)
                 preds.append(p)
-                mistakes += p != y
                 # every policy restricts only mistaken rounds, unless always_restrict
                 if (p != y or always) and should(p != y, t):
                     nxt = stepped.get((sid, x, y))
                     if nxt is None:
                         nxt = stepped[sid, x, y] = step(sid, x, y, t)
-                    sid = nxt
+                    if nxt != sid:
+                        sid, table = nxt, {}
                 t += 1
         finally:
-            self.sid, self.t, self.mistakes = sid, t, mistakes
+            self.sid, self.t = sid, t
+            self.mistakes += sum(map(ne, preds, ys))
         return preds
 
 

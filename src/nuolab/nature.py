@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .hypotheses import DiscreteMeasure, FiniteClass, Hypothesis, Point, is_label
+from .hypotheses import DiscreteMeasure, DomainError, FiniteClass, Hypothesis, Point, is_label
 from .learners import ProtocolError
 from .littlestone import ldim, shattered_tree_witness
 
@@ -143,14 +143,18 @@ class StochasticIid(NatureStrategy):
         return self.hypothesis(x)
 
     def draw_script(self, horizon: int):
-        state = self.rng.getstate()
-        xs = list(map(self.measure.sample, [self.rng] * horizon))
-        try:        # each distinct point labelled once
-            label = {x: self.hypothesis(x) for x in dict.fromkeys(xs)}
-        except Exception:       # rewind; the loop finds the round that raises
-            self.rng.setstate(state)
+        """The script by the measure's one draw rule, after labelling every
+        support point once; a support larger than the horizon is left to the
+        loop, so a script costs at most min(|support|, horizon) label calls."""
+        support = self.measure.support
+        if len(support) > horizon:
             return super().draw_script(horizon)
-        return xs, [label[x] for x in xs], None
+        try:
+            labels = list(map(self.hypothesis, support))
+        except Exception:       # the generator is untouched; the loop finds the round
+            return super().draw_script(horizon)
+        drawn = self.measure.draw(self.rng, horizon)
+        return [support[i] for i in drawn], [labels[i] for i in drawn], None
 
 
 class CoinFlip(NatureStrategy):
@@ -216,6 +220,8 @@ class WindowHalving(NatureStrategy):
         if not is_label(predicted):
             raise ProtocolError(f"prediction must be 0 or 1, got {predicted!r}",
                                 len(self.emitted) + 1)
+        if not isinstance(x, (int, Fraction)):     # `realizing_threshold` compares exactly
+            raise DomainError(f"window point must be an int or a Fraction, got {x!r}")
         y = 1 - predicted
         a, b = self._a, self._b
         if y == 1:
@@ -232,8 +238,8 @@ class WindowHalving(NatureStrategy):
         """A rational threshold consistent with every emitted pair; raises
         if the history is not realizable (it always is, by construction)."""
         c = self._mid()
-        for p, y in self.emitted:
-            if int(p >= c) != y:
+        for p, y in self.emitted:       # p >= c, in integers
+            if int(p.numerator * c.denominator >= c.numerator * p.denominator) != y:
                 raise AssertionError(f"window lost realizability at ({p}, {y})")
         return c
 

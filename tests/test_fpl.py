@@ -77,6 +77,17 @@ class TestFplLearner:
         with pytest.raises(ConfigurationError, match="an expert is listed twice"):
             FplLearner([c, c, d], [2.0, 2.0, 2.0], seed=5)
 
+    def test_expert_inside_a_nested_leader_rejected(self):
+        # an expert listed beside a nested FplLearner that holds it too is
+        # fed twice a round, in another order by a batch than by the loop:
+        # on 50 coin-flip labels the two made 21 and 25 mistakes
+        c, d = ConstantLearner(0), ConstantLearner(1)
+        inner = FplLearner([c, d], [1.5, 1.5], seed=2)
+        with pytest.raises(ConfigurationError, match="an expert is listed twice"):
+            FplLearner([c, inner], [1.5, 1.5], seed=5)
+        with pytest.raises(ConfigurationError, match="an expert is listed twice"):
+            FplLearner([FplLearner([inner], [1.5], seed=3), d], [1.5, 1.5], seed=5)
+
     def test_reproducible_bit_for_bit(self):
         def run():
             learner = FplLearner([ConstantLearner(0), ConstantLearner(1)],

@@ -31,6 +31,8 @@ from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, engine_for,
                                 verify_witness)
 from nuolab.verification import max_adaptive_soa_mistakes
 
+from chi_square import chi_square_sf
+
 
 # ---------------------------------------------------------------------------
 # frozenset references
@@ -466,23 +468,6 @@ def test_pool_matches_list_reference(case):
     assert pool.keys == ref.keys
     assert pool.engine.n_states == ref.engine.n_states
     assert pool.pool_size == sum(math.comb(rounds, j) for j in range(comp.dim + 1))
-
-
-def chi_square_sf(x, df):
-    """P(X >= x) for X chi-square with integer df > 0, in closed form."""
-    h = x / 2
-    if df % 2 == 0:
-        term, total = math.exp(-h), 0.0
-        for i in range(df // 2):
-            total += term
-            term *= h / (i + 1)
-        return total
-    total = math.erfc(math.sqrt(h))
-    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
-    for i in range((df - 1) // 2):
-        total += term
-        term *= h / (i + 1.5)
-    return total
 
 
 def two_sample_p(a, b):

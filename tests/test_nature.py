@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from nuolab.littlestone import ldim
 from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError, NatureStrategy,
                            RealizableScripted, StochasticIid, TreeAdversary,
                            WindowHalving, commit_adversary)
+
+from chi_square import chi_square_sf
 
 
 class TestScripted:
@@ -67,6 +71,8 @@ def _raise_on_5(x):
 
 RAISES_ON_5 = Hypothesis("raises-on-5", _raise_on_5)
 MEASURE = DiscreteMeasure.uniform(tuple(range(1, 9)))
+# D = 18 is not a power of two: a draw drops the 14 words of 5 bits from 18 up
+THIRDS = DiscreteMeasure(range(1, 7), ["1/3", "1/6", "1/6", "1/9", "1/9", "1/9"])
 
 OBLIVIOUS = {
     "realizable": lambda seed: RealizableScripted(TARGET, POINTS),
@@ -76,6 +82,7 @@ OBLIVIOUS = {
     "agnostic": lambda seed: AgnosticScripted(POINTS, LABELS),
     "iid": lambda seed: StochasticIid(TARGET, MEASURE, seed),
     "iid-raises": lambda seed: StochasticIid(RAISES_ON_5, MEASURE, seed),
+    "iid-thirds": lambda seed: StochasticIid(TARGET, THIRDS, seed),
     "coin": lambda seed: CoinFlip(seed, point="p"),
 }
 
@@ -127,10 +134,21 @@ def test_draw_script_cases(name, prefix, horizon, rounds, failure):
     assert len(xs) == rounds + (failure is not None and failure[0] is not ExhaustionError)
 
 
+@pytest.mark.parametrize("horizon, calls", [(0, 0), (5, 5), (8, 8), (30, 8)])
+def test_iid_script_label_calls(horizon, calls):
+    # a support no larger than the horizon is labelled once a point before
+    # the draws; a larger one is left to the loop, one label a round
+    labelled = []
+    counted = Hypothesis("counted", lambda x: labelled.append(x) or TARGET(x))
+    xs, ys, failure = StochasticIid(counted, MEASURE, 3).draw_script(horizon)
+    assert len(labelled) == calls and len(xs) == horizon and failure is None
+    assert_same_script(lambda: StochasticIid(counted, MEASURE, 3), 0, horizon)
+
+
 def test_iid_label_raises_mid_script():
     # seed 0 draws 5, whose label raises, at a round after the first: the
-    # points up to it, the labels before it, and the generator rewound to
-    # just after drawing it
+    # points up to it, the labels before it, and the generator just after
+    # drawing it
     xs, ys, failure = assert_same_script(lambda: StochasticIid(RAISES_ON_5, MEASURE, 0),
                                          0, 60)
     assert failure == (DomainError, "no label at 5")
@@ -143,27 +161,62 @@ def test_coin_flip_script(horizon):
     assert xs == ["p"] * horizon and len(ys) == horizon and failure is None
 
 
-class FixedDraw:
-    """A stand-in generator whose `random()` returns a fixed u."""
+class Words:
+    """A stand-in generator whose `getrandbits(b)` returns chosen words in
+    turn, each below 2**b."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, words):
+        self.words = list(words)
 
-    def random(self):
-        return self.u
+    def getrandbits(self, b):
+        word = self.words.pop(0)
+        assert 0 <= word < 2 ** b
+        return word
 
 
 @settings(max_examples=200, deadline=None)
 @given(weights=st.lists(st.integers(1, 1000), min_size=1, max_size=12), data=st.data())
 def test_sample_matches_linear_scan(weights, data):
-    measure = DiscreteMeasure(range(len(weights)),
-                              [Fraction(w, sum(weights)) for w in weights])
-    # u anywhere in [0, 1), or exactly on a cumulative mass
-    u = data.draw(st.one_of(st.floats(0, 1, exclude_max=True),
-                            st.sampled_from([0.0] + measure._cum[:-1])))
-    expected = next((p for p, c in zip(measure.support, measure._cum) if u < c),
-                    measure.support[-1])
-    assert measure.sample(FixedDraw(u)) == expected
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    measure = DiscreteMeasure(range(len(weights)), masses)
+    den = math.lcm(*(m.denominator for m in masses))
+    bits = (den - 1).bit_length()
+    # words at or above D, which are dropped, then one below D: anywhere, or
+    # exactly on a cumulative count
+    dropped = data.draw(st.lists(st.integers(den, 2 ** bits - 1), max_size=3)
+                        if den < 2 ** bits else st.just([]))
+    counts = [int(den * sum(masses[:i])) for i in range(len(masses))]
+    word = data.draw(st.one_of(st.integers(0, den - 1), st.sampled_from(counts)))
+    source = Words(dropped + [word])
+    # the first point whose exact cumulative mass exceeds word / D
+    acc = Fraction(0)
+    for point, m in zip(measure.support, masses):
+        acc += m
+        if Fraction(word, den) < acc:
+            break
+    assert measure.sample(source) == point and source.words == []
+
+
+def test_tiny_mass_is_reachable():
+    # a mass of 2^-80 is far below a double's spacing at 1, but it is the
+    # last of the 2^80 words, so a source that yields that word draws it
+    tiny = Fraction(1, 2 ** 80)
+    measure = DiscreteMeasure(["common", "rare"], [1 - tiny, tiny])
+    assert measure.sample(Words([2 ** 80 - 1])) == "rare"
+    assert measure.sample(Words([2 ** 80 - 2])) == "common"
+
+
+def test_draws_fit_the_exact_masses():
+    # Pearson's chi-square test of 2^16 draws against the exact masses, down
+    # to 2^-10 (64 draws expected), on a measure whose D = 3 * 2^10 is not a
+    # power of two, so a quarter of the words is dropped
+    masses = ([Fraction(1, 3), Fraction(1, 6)] + [Fraction(1, 2 ** i) for i in range(2, 11)]
+              + [Fraction(1, 2 ** 10)])
+    measure = DiscreteMeasure(range(len(masses)), masses)
+    n = 2 ** 16
+    counts = Counter(measure.draw(random.Random(1), n))
+    stat = sum((counts[i] - n * m) ** 2 / (n * m) for i, m in enumerate(masses))
+    assert chi_square_sf(float(stat), len(masses) - 1) > 1e-3
 
 
 def test_coin_flip_mean():
@@ -241,6 +294,16 @@ class TestWindowHalving:
         with pytest.raises(ProtocolError, match="round 1: prediction must be 0 or 1"):
             strategy.reveal_label(x, predicted)
         assert strategy.emitted == []
+
+    @pytest.mark.parametrize("point", [0.5, "1/2", None])
+    def test_rejects_a_point_that_is_not_exact(self, point):
+        # the realizability check compares points as integer ratios
+        strategy = WindowHalving()
+        with pytest.raises(DomainError, match="window point must be an int or a Fraction"):
+            strategy.reveal_label(point, 0)
+        assert strategy.emitted == [] and strategy.next_point() == Fraction(1, 2)
+        strategy.reveal_label(1, 0)
+        assert strategy.realizing_threshold() == Fraction(1, 4)
 
     def test_points_are_dyadic(self):
         strategy = WindowHalving()

@@ -1064,7 +1064,7 @@ def test_play_after_rounds_matches_loop(make, pending):
     if pending:
         learners[0].predict(xs[10])
     played = learners[0].play(xs[10:], ys[10:])
-    looped = OnlineLearner.play(learners[1], xs[10:], ys[10:])
+    looped = learners[1]._loop(xs[10:], ys[10:], len(ys) - 10)
     assert played == looped
     assert snapshot(learners[0]) == snapshot(learners[1])
 

@@ -203,3 +203,38 @@ def test_one_aggregator_rule():
     assert "_choose" in called(methods["selector"]) and "_choose" in called(methods["_replay"])
     spawning = {name for name, function in methods.items() if "_spawn" in called(function)}
     assert spawning == {"__init__", "_choose"}, spawning
+
+
+def test_one_draw_rule():
+    # an iid point is drawn in `DiscreteMeasure.draw` alone: only it takes
+    # words from the generator and reads the cumulative counts, and both
+    # `sample` and the iid nature's script call it; the fair coin's bits are
+    # the only other words, and no float uniform is drawn
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute):
+                called = isinstance(node, ast.Call) and node.func is child
+                uses.append((".".join(scope), child.attr, type(child.ctx).__name__, called))
+            visit(child, scope)
+
+    for path in SOURCES:
+        if path.name in ("hypotheses.py", "nature.py"):
+            visit(ast.parse(path.read_text(), filename=str(path)), (path.name,))
+
+    def scopes(attr, ctx="Load"):
+        return {scope for scope, name, context, _ in uses if name == attr and context == ctx}
+
+    assert scopes("getrandbits") == {"hypotheses.py.DiscreteMeasure.draw",
+                                     "nature.py.CoinFlip.reveal_label",
+                                     "nature.py.CoinFlip.draw_script"}
+    assert scopes("_cum") == {"hypotheses.py.DiscreteMeasure.draw"}
+    assert scopes("_cum", "Store") == {"hypotheses.py.DiscreteMeasure.__init__"}
+    drawing = {scope for scope, name, _, called in uses if name == "draw" and called}
+    assert {"hypotheses.py.DiscreteMeasure.sample",
+            "nature.py.StochasticIid.draw_script"} <= drawing
+    assert not {scope for scope, name, _, called in uses if name == "random" and called}

@@ -229,7 +229,11 @@ class FplLearner(_PerturbedLeader):
         if len(experts) != len(complexities):
             raise ConfigurationError("experts and complexities differ in length")
         for k in complexities:
-            self._register(1, k)
+            try:
+                self._register(1, k)
+            except OverflowError:   # k below about -709.8, or an int no float holds
+                raise ConfigurationError(f"complexity {k!r} is out of range: exp(-k) "
+                                         "overflows a float") from None
         self.experts: list[OnlineLearner] = list(experts)
         self.complexities = np.array(complexities, dtype=float)
 

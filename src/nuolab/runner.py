@@ -285,6 +285,7 @@ def regret_curve(make_learner: Callable[[int], object],
     def trial(seed: int, T: int) -> float:
         return float(regret(play_seeded(make_learner, make_nature, T, seed)[0], comparison))
 
-    stats = [monte_carlo(lambda s, T=T: trial(s, T), trials, master_seed) for T in horizons]
+    # every bound first, so that one that cannot be evaluated fails before any trial
     bounds = [float(bound_fn(T)) for T in horizons] if bound_fn else None
+    stats = [monte_carlo(lambda s, T=T: trial(s, T), trials, master_seed) for T in horizons]
     return RegretCurve(list(horizons), stats, bounds)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -91,6 +92,8 @@ HYPOTHESIS_LABELS = Shape("be a list of ints and strings, or null", lambda v: v 
 HORIZONS = Shape("hold ints", lambda v: type(v) is list and all(type(T) is int for T in v))
 ON_EMPTY = Shape("be 'error' or 'freeze'", lambda v: v in ("error", "freeze"))
 PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
+# a bound's numbers must convert to floats: a 400-digit int does not
+FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
 
 
 def checked(name: str, value, shape: Shape):
@@ -303,6 +306,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
                        HORIZONS)
     if not horizons:
         raise DomainError("Ts list is empty")
+    checked("T and Ts", horizons, Shape("be >= 0", lambda v: min(v) >= 0))
     trials = config.field("trials", INT, 100)
     master_seed = config.field("master_seed", INT, 0)
     learner_spec = config.field("learner", OBJECT)
@@ -313,12 +317,19 @@ def regret_experiment_from_config(raw) -> RegretCurve:
     bound = config.field("bound", default=None)
     if bound is not None:
         bound = Spec("regret config", checked("bound", bound, OBJECT))
+        checked("T and Ts", max(horizons), FLOAT_RANGE)
         kind = bound.field("kind")
         if kind == "fpl":
-            k = bound.field("k", NUMBER, name="bound k")
+            k = checked("bound k", bound.field("k", NUMBER, name="bound k"), FLOAT_RANGE)
             bound_fn = lambda T: bounds.fpl_regret(k, T)
         elif kind == "hierarchical":
             d, n = (bound.field(key, INT, name=f"bound {key}") for key in ("dim", "n"))
+            checked("bound dim", d, Shape("be >= 0", lambda v: v >= 0))
+            checked("bound dim", d, FLOAT_RANGE)
+            checked("bound n", n, Shape("be >= 1", lambda v: v >= 1))
+            # ln T: the bound has no value at T = 0
+            checked("T and Ts", horizons, Shape("be >= 1 under a hierarchical bound",
+                                                lambda v: min(v) >= 1))
             bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
         else:
             raise DomainError(f"unknown bound kind: {kind!r}")

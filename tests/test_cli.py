@@ -15,6 +15,12 @@ COIN = json.dumps({"nature": "coin-flip"})
 CONSTANT = json.dumps({"learner": "constant"})
 
 
+def fpl_k(k):
+    return json.dumps({"learner": "fpl", "experts": [{"kind": "constant", "value": 0},
+                                                     {"kind": "constant", "value": 1}],
+                       "k": [k, 1]})
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -43,8 +49,13 @@ def test_play_runs(capsys):
      "redraw must be 'per-round', got 'once'"),
     (["--learner", CONSTANT, "--nature", COIN, "-T", "3", "--seed", "-1"],
      "seed must be non-negative, got -1"),
+    (["--learner", fpl_k(-710), "--nature", COIN, "-T", "5"],
+     "complexity -710 is out of range: exp(-k) overflows a float"),
+    (["--learner", fpl_k(10 ** 400), "--nature", COIN, "-T", "5"],
+     f"complexity {10 ** 400} is out of range: exp(-k) overflows a float"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
-        "exhausted", "redraw-once", "negative-seed"])
+        "exhausted", "redraw-once", "negative-seed", "fpl-k-mass-overflows",
+        "fpl-k-beyond-float"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
@@ -182,6 +193,20 @@ def test_regret_runs(capsys):
     ({"bound": {"kind": "hierarchical", "dim": 1, "n": True}},
      "bound n must be an int, got True"),
     ({"bound": {"kind": "fpl", "k": True}}, "bound k must be a number, got True"),
+    # a bound is refused when it is read, before any trial: one it cannot
+    # evaluate, and a number that no float holds
+    ({"bound": {"kind": "hierarchical", "dim": 1, "n": 0}}, "bound n must be >= 1, got 0"),
+    ({"bound": {"kind": "hierarchical", "dim": 1, "n": -3}}, "bound n must be >= 1, got -3"),
+    ({"Ts": [5, -5], "bound": {"kind": "fpl", "k": 1}}, "T and Ts must be >= 0, got [5, -5]"),
+    ({"Ts": [0, 5], "bound": {"kind": "hierarchical", "dim": 1, "n": 1}},
+     "T and Ts must be >= 1 under a hierarchical bound, got [0, 5]"),
+    ({"bound": {"kind": "hierarchical", "dim": -5, "n": 1}}, "bound dim must be >= 0, got -5"),
+    ({"bound": {"kind": "hierarchical", "dim": 10 ** 400, "n": 1}},
+     f"bound dim must be within float range, got {10 ** 400}"),
+    ({"bound": {"kind": "fpl", "k": 10 ** 400}},
+     f"bound k must be within float range, got {10 ** 400}"),
+    ({"Ts": [5, 10 ** 400], "bound": {"kind": "fpl", "k": 1}},
+     f"T and Ts must be within float range, got {10 ** 400}"),
     ({"bound": [1]}, "bound must be an object, got [1]"),
     ({"bound": "fpl"}, "bound must be an object, got 'fpl'"),
     ({"learner": {"learner": "agnostic-fpl", "family": {"kind": "finite-support",
@@ -192,7 +217,9 @@ def test_regret_runs(capsys):
         "empty-string-Ts", "empty-Ts", "float-trials",
         "bool-trials", "empty-comparison", "float-seed", "bool-seed", "negative-seed",
         "float-dim",
-        "bool-n", "bool-k", "list-bound", "string-bound", "redraw-once"])
+        "bool-n", "bool-k", "zero-n", "negative-n", "negative-T", "zero-T-hierarchical",
+        "negative-dim", "huge-dim", "huge-k", "huge-T", "list-bound", "string-bound",
+        "redraw-once"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""

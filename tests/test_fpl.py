@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from doubles import LastLabel
 from nuolab import bounds, nature, runner
 from nuolab.fpl import (AgnosticFpl, ConfigurationError, ExpertPoolFpl,
                         FplLearner, meta_complexity, pool_complexity)
@@ -12,7 +13,7 @@ from nuolab.hypotheses import (ExplicitListFamily, FamilyComponent, FiniteClass,
                                FiniteSupportClass, SingletonClass,
                                threshold_hypothesis)
 from nuolab.learners import (ConstantLearner, ExpertLearner,
-                             FollowHypothesisLearner, OnlineLearner, SoaLearner)
+                             FollowHypothesisLearner, SoaLearner)
 
 
 class TestComplexitySchemes:
@@ -63,6 +64,14 @@ class TestFplLearner:
         # a NaN mass compares false with the budget, and an infinite one
         # overflows it; either would let `argmin` pick a NaN score
         with pytest.raises(ConfigurationError, match="complexity mass (nan|inf) exceeds 1"):
+            FplLearner([ConstantLearner(0), ConstantLearner(1)], [k, 1.0], seed=1)
+
+    @pytest.mark.parametrize("k", [-710, 10 ** 400], ids=["mass-overflows", "int-beyond-float"])
+    def test_complexity_beyond_float_range_rejected(self, k):
+        # exp(-k) overflows a float below k = -709.8, and an int that no
+        # float holds cannot be charged at all: both are refused when the
+        # learner is built, as a configuration error
+        with pytest.raises(ConfigurationError, match=r"complexity \S+ is out of range"):
             FplLearner([ConstantLearner(0), ConstantLearner(1)], [k, 1.0], seed=1)
 
     def test_no_experts_rejected(self):
@@ -407,20 +416,6 @@ class TestAgnosticFpl:
 # stream stability: pinned outputs of fixed seeds and label scripts
 # ---------------------------------------------------------------------------
 
-class _LastLabel(OnlineLearner):
-    """Predicts the previously revealed label (0 on the first round)."""
-
-    def __init__(self):
-        super().__init__()
-        self.last = 0
-
-    def predict(self, x) -> int:
-        return self.last
-
-    def _absorb(self, x, y, predicted) -> None:
-        self.last = y
-
-
 # each case keeps the seed its pinned values below were recorded with
 STREAM_SEEDS = {"fpl-five": 500, "pool-dim0": 502, "pool-dim1": 504, "pool-dim2": 506,
                 "agnostic-2": 508}
@@ -435,7 +430,7 @@ def play_stream(kind, rounds: int = 40):
                    FollowHypothesisLearner(threshold_hypothesis(3)),
                    SoaLearner(FiniteClass.thresholds((1, 2, 3, 4), (1, 2, 3, 4, 5)),
                               on_empty="freeze"),
-                   _LastLabel()]
+                   LastLabel()]
         learner = FplLearner(experts, [1.0 + math.log(i) for i in range(1, 6)],
                              seed=seed)
     elif kind.startswith("pool-dim"):

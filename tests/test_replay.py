@@ -1,16 +1,25 @@
-"""Differential test of the batch replay: a game against an oblivious
-nature (replayed through `learner.play`) must equal the same game played
-round by round through a pass-through nature that is not oblivious."""
+"""Differential test of the batch replays, one harness for all of them.
+
+`ROWS` holds the learner makers of every class that defines `_replay`, and
+`TABLE` each test's cases that play them. `same_game` plays a case as `play`
+(through `run_game` against an oblivious nature), as `run_game`'s round loop,
+which checks each label, and by predict-then-`update`, and compares each
+batch's rounds or error and the learner's state after it. The plan, cache
+and lazy-read tests, and the references that share no code with `src/`,
+follow the table."""
 import hashlib
 import math
-import os
 import random
-import threading
+from contextlib import ExitStack
+from functools import partial
+from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from doubles import LastLabel
 from nuolab import fpl, nature, runner, verification
 from nuolab import learners as learners_module
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
@@ -26,7 +35,7 @@ from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
 DOMAIN = (1, 2, 3, 4)
 CONSTANTS = FiniteClass(DOMAIN, [[0, 0, 0, 0], [1, 1, 1, 1]])
 THRESHOLDS = FiniteClass.thresholds(DOMAIN, (1, 2, 3, 4, 5))
-
+SMALL = FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1]])
 FAMILIES = {
     "support": FiniteSupportFamily(DOMAIN),
     "constants-thresholds": ExplicitListFamily([CONSTANTS, THRESHOLDS]),
@@ -40,7 +49,6 @@ FAMILIES = {
 # of the realizable scripts, and the cover in this order
 TARGETS = ([threshold_hypothesis(c) for c in (1, 2, 3, 4, 5)] +
            [support_hypothesis([2]), support_hypothesis([1, 3])])
-
 COMPONENTS = {
     "dim0-singleton": FamilyComponent(1, SingletonClass(threshold_hypothesis(2)), 0),
     "dim0-finite": FamilyComponent(1, FiniteClass(DOMAIN, [[0, 1, 1, 0]]), 0),
@@ -49,259 +57,660 @@ COMPONENTS = {
     "dim2-thresholds": FamilyComponent(2, THRESHOLDS, 2),
     "dim2-support": FamilyComponent(2, FiniteSupportClass(DOMAIN, 2), 2),
 }
+POOL_DIMS = {0: "dim0-finite", 1: "dim1-constants", 2: "dim2-thresholds"}
+FIVE_KS = [1.0 + math.log(i) for i in range(1, 6)]
 
 
-class PassThrough(nature.NatureStrategy):
-    """Serves another nature's points and labels without being oblivious,
-    so `run_game` plays it round by round."""
-
-    def __init__(self, inner: nature.NatureStrategy):
-        self.inner = inner
-
-    def next_point(self, trace=None):
-        return self.inner.next_point(trace)
-
-    def reveal_label(self, x, predicted, trace=None):
-        return self.inner.reveal_label(x, predicted, trace)
+def five_experts():
+    return [ConstantLearner(0), ConstantLearner(1),
+            FollowHypothesisLearner(threshold_hypothesis(3)),
+            SoaLearner(THRESHOLDS, on_empty="freeze"), LastLabel()]
 
 
-class RawScript(nature.NatureStrategy):
-    """An oblivious script that serves its labels unconverted."""
-
-    oblivious = True
-
-    def __init__(self, points, labels):
-        self.script = list(zip(points, labels))
-        self.served = 0
-
-    def next_point(self, trace=None):
-        if self.served >= len(self.script):
-            raise nature.ExhaustionError(f"raw script exhausted after {self.served} points")
-        self.served += 1
-        return self.script[self.served - 1][0]
-
-    def reveal_label(self, x, predicted, trace=None):
-        return self.script[self.served - 1][1]
+def frozen(cls, **kwargs):
+    return partial(SoaLearner, cls, on_empty="freeze", **kwargs)
 
 
-class LastLabel(OnlineLearner):
-    """Predicts the previously revealed label (0 on the first round)."""
+# a row per class that defines `_replay` (test_source_rules.py keeps it so),
+# and one for the learners with none, whose `play` is the base round loop
+ROWS = {
+    OnlineLearner: {"natural-threshold": NaturalThresholdLearner,
+                    "truncated-threshold": TruncatedThresholdSoa, "last-label": LastLabel},
+    ConstantLearner: {"constant": ConstantLearner},
+    SoaLearner: {
+        "finite": frozen(THRESHOLDS), "finite-always": frozen(CONSTANTS, always_restrict=True),
+        "support": frozen(FiniteSupportClass(DOMAIN, 2)),
+        "singleton": frozen(SingletonClass(threshold_hypothesis(2))),
+        "follow": lambda c=3: FollowHypothesisLearner(threshold_hypothesis(c)),
+        "small-support": frozen(FiniteSupportClass((1, 2, 3), 1)),
+        # these raise once the space empties, or on a point outside (1, 2, 3)
+        "finite-error": partial(SoaLearner, THRESHOLDS), "small": partial(SoaLearner, SMALL),
+        "support-error": partial(SoaLearner, FiniteSupportClass(DOMAIN, 1)),
+        "empty": partial(SoaLearner, FiniteClass(DOMAIN, []))},
+    ExpertLearner: {"thresholds": lambda key=(1, 3, 4, 9), on_empty="freeze":
+                    ExpertLearner(THRESHOLDS, key, on_empty=on_empty),
+                    "small": lambda key: ExpertLearner(SMALL, key, on_empty="freeze")},
+    AggregatorLearner: {name: partial(AggregatorLearner, f) for name, f in FAMILIES.items()},
+    CoverLearner: {"cover": lambda cover=TARGETS: CoverLearner(CoverSpec(cover))},
+    FplLearner: {
+        "agnostic": lambda components=2, seed=0, cap=None, classes=(CONSTANTS, THRESHOLDS):
+            AgnosticFpl(ExplicitListFamily(list(classes)), components, seed=seed,
+                        cap_rounds=cap),
+        "five": lambda seed: FplLearner(five_experts(), FIVE_KS, seed=seed)},
+    ExpertPoolFpl: {name: partial(ExpertPoolFpl, c) for name, c in {
+        **COMPONENTS, "dim2-full3": FamilyComponent(2, FiniteClass.full_class((1, 2, 3)), 2),
+        "dim3-full3": FamilyComponent(3, FiniteClass.full_class((1, 2, 3)), 3)}.items()},
+    verification._ParityExpert: {"parity-0": partial(verification._ParityExpert, 0),
+                                 "parity-1": partial(verification._ParityExpert, 1)},
+    verification._LastLabelExpert: {"last-label": verification._LastLabelExpert},
+}
 
-    def __init__(self):
-        super().__init__()
-        self.last = 0
 
-    def predict(self, x) -> int:
-        return self.last
+def learner(cls, name, **kwargs) -> Callable[[], OnlineLearner]:
+    return partial(ROWS[cls][name], **kwargs)
 
-    def _absorb(self, x, y, predicted) -> None:
-        self.last = y
+
+soa, expert, aggregator = (partial(learner, c) for c in (SoaLearner, ExpertLearner,
+                                                         AggregatorLearner))
+agnostic, five = partial(learner, FplLearner, "agnostic"), partial(learner, FplLearner, "five")
+cover = partial(learner, CoverLearner, "cover")
+
+
+def pool(name, seed):
+    return learner(ExpertPoolFpl, name, seed=seed)
+
+
+ANY = "any"
+
+
+class Case(NamedTuple):
+    make: Callable[[], OnlineLearner]
+    batches: list       # (nature maker, horizon) each, played one after another
+    error: object = None    # the first error's (type, message); None: none; ANY: any
+    hand_first: bool = False    # every way plays the first batch by `update`
+    pending: bool = False   # `play` and `update` predict the next batch's first round
+    patches: tuple = ()     # (object, attribute, value), in place while the case plays
+    scored: bool = False    # log a pool's scorer inputs and leaders
+    pin: Callable | None = None     # holds of the learner after the first batch
+    # False where the error comes from inside the learner, after which
+    # `play` promises the error but not the state (`OnlineLearner.play`)
+    state_at_error: bool = True
+
+
+def game(make, *scripts, horizon=None, **kwargs) -> Case:
+    """A case that plays the scripts in turn, the last one `horizon` rounds."""
+    batches = [(partial(nature.AgnosticScripted, xs, ys), len(xs)) for xs, ys in scripts]
+    if horizon is not None:
+        batches[-1] = batches[-1][0], horizon
+    return Case(make, batches, **kwargs)
+
+
+def split(script, at):
+    return (script[0][:at], script[1][:at]), (script[0][at:], script[1][at:])
+
+
+def check_script(points, labels, horizon=200):
+    """The hierarchical check's script: cycling points, and alternating
+    labels or fair coins from a seeded `random.Random`."""
+    xs = [points[t % len(points)] for t in range(horizon)]
+    rng = random.Random(horizon)
+    ys = ([t % 2 for t in range(1, horizon + 1)] if labels == "alternating"
+          else [rng.getrandbits(1) for _ in range(horizon)])
+    return xs, ys
+
+
+def cycle(n):
+    return [(t % 4) + 1 for t in range(n)], [(t * 7 // 3) % 2 for t in range(n)]
+
+
+GAME_ERRORS = (ProtocolError, ConfigurationError, DomainError, nature.ExhaustionError)
+# `run_game`'s round loop is the checked loop: predict, check the label, step
+WAYS = ("play", "run_game", "update")
+
+
+def by_hand(learner, strategy, horizon):
+    """The rounds as a caller plays them: predict, reveal, then `update`."""
+    rounds = []
+    for t in range(1, horizon + 1):
+        try:
+            x = strategy.next_point()
+        except nature.ExhaustionError as exc:
+            raise nature.ExhaustionError(f"round {t}: {exc}") from exc
+        p = learner.predict(x)
+        y = strategy.reveal_label(x, p)
+        learner.update(x, y)
+        rounds.append((x, y, p))
+    return rounds
+
+
+def played(way, case):
+    """Each batch's rounds or error and the learner's snapshot after it, as
+    `way` plays the case, and with `scored` the pool's scorer log."""
+    with ExitStack() as stack:
+        for target, name, value in case.patches:
+            stack.enter_context(mock.patch.object(target, name, value))
+        learner = case.make()
+        log = score_log(learner) if case.scored and way != "update" else None
+        out = []
+        for i, (make_nature, horizon) in enumerate(case.batches):
+            mode = "update" if case.hand_first and i == 0 else way
+            if case.pending and i == 1 and way != "run_game":
+                learner.predict(make_nature().next_point())
+            strategy = make_nature()
+            strategy.oblivious = mode == "play"     # else `run_game` plays round by round
+            try:
+                if mode == "update":
+                    got = ("rounds", by_hand(learner, strategy, horizon))
+                else:
+                    trace = runner.run_game(learner, strategy, horizon)
+                    got = ("rounds", list(zip(trace.xs, trace.ys, trace.predicted)))
+            except GAME_ERRORS as exc:
+                got = ("error", type(exc).__name__, getattr(exc, "round_index", None), str(exc))
+            out.append((got, snapshot(learner)))
+            assert i or case.pin is None or case.pin(learner), way
+        return out, log
+
+
+def same_game(case, ways=WAYS):
+    """Play the case in `ways`, `play` first and `run_game`'s round loop
+    second: every way plays the loop's game, `play` its state included
+    unless an error from inside the learner ended a batch; the first error
+    is the case's."""
+    outs, logs = zip(*(played(way, case) for way in ways))
+    for way, out in zip(ways[2:], outs[2:]):
+        assert out == outs[1], way
+    assert logs[0] == logs[1], "the scorer's log"
+    if not case.state_at_error:
+        outs = [[(got, got[0] == "error" or state) for got, state in out] for out in outs]
+    assert outs[0] == outs[1], "play"
+    assert_error(case, outs[0])
+
+
+def assert_error(case, out):
+    errors = [(got[1], got[3]) for got, _ in out if got[0] == "error"]
+    assert case.error == ANY or errors[:1] == ([case.error] if case.error else [])
+
+
+def one_path(case, replays):
+    """`play` takes the case's rounds by the replay alone (`replays`) or by
+    the round loop alone, and plays the loop's game."""
+    def refused(self, *args):   # predict(x), _loop(xs, ys, n) with rounds, or _replay
+        if len(args) != 3 or len(args[1]):
+            raise AssertionError("the path refused ran")
+        return []
+
+    cls = next(c for c in type(case.make()).__mro__ if "_replay" in vars(c))
+    expected = played("run_game", case)
+    with ExitStack() as stack:
+        for name in ("predict", "_loop") if replays else ("_replay",):
+            stack.enter_context(mock.patch.object(cls, name, refused))
+        assert played("play", case) == expected
+    assert_error(case, expected[0])
 
 
 def snapshot(learner) -> dict:
     """Everything observable about a learner's state, its experts' and its
-    random generator's included."""
-    out = {"type": type(learner).__name__, "t": learner.t, "mistakes": learner.mistakes}
+    random generators' included."""
+    out = {k: v for k, v in vars(learner).items() if type(v) in (int, float, bool, str)}
+    out["type"] = type(learner).__name__
     if isinstance(learner, (ExpertPoolFpl, FplLearner)):
-        out.update(chosen_index=learner.chosen_index, mass=learner._mass,
-                   rng=learner.rng.bit_generator.state,
-                   losses=[int(v) for v in learner.losses],
-                   complexities=[float(k) for k in complexities(learner)])
+        out.update(chosen=learner.chosen_index, rng=learner.rng.bit_generator.state,
+                   losses=np.asarray(learner.losses).tolist())
     if isinstance(learner, ExpertPoolFpl):
         out.update(range_rng=learner._range_rng.bit_generator.state,
                    resolve_rng=learner._resolve_rng.bit_generator.state,
-                   ends=list(learner._ends),
-                   state=learner.state.tolist(), keys=learner.keys,
-                   pool_size=learner.pool_size,
-                   engine_states=list(getattr(learner.engine, "states", [])))
+                   ends=learner._ends.tolist(), ks=learner._ks.tolist(),
+                   growable=learner._growable.tolist(), state=learner.state.tolist())
     if isinstance(learner, FplLearner):
-        out["experts"] = [snapshot(e) for e in learner.experts]
-    if isinstance(learner, SoaLearner):
-        out.update(sid=learner.sid, engine_states=list(getattr(learner.engine, "states", [])))
+        out.update(experts=[snapshot(e) for e in learner.experts],
+                   complexities=learner.complexities.tolist())
+    if isinstance(learner, (SoaLearner, ExpertPoolFpl)):
+        out["engine_states"] = list(getattr(learner.engine, "states", []))
     if isinstance(learner, AggregatorLearner):
         out.update(sub=[(n, snapshot(sub)) for n, sub in learner.sub.items()],
                    history=list(learner.history), selected=learner.selected)
     if isinstance(learner, CoverLearner):
-        out.update(index=learner.index, history=list(learner.history))
-    if isinstance(learner, LastLabel):
-        out["last"] = learner.last
+        out["history"] = list(learner.history)
     return out
 
 
-def complexities(learner):
-    """Each expert's complexity; a pool's, expanded from its cohorts'."""
-    if isinstance(learner, ExpertPoolFpl):
-        return np.repeat(learner._ks, np.diff(learner._ends, prepend=0))
-    return learner.complexities
+def score_log(pool):
+    """Log each round's leader and a digest of its scorer inputs: the exact
+    set's experts, losses and complexities, and each cohort range's first
+    member, member count, smallest loss and complexity, and members' losses."""
+    log, score = [], pool._lazy_leaders
+
+    def scored(ts, exact, ranges, loss_of):
+        (slot, loss, k, mask), (at, first, count, low_loss, low_k) = exact, ranges
+        digests = []
+        for i in range(len(ts)):
+            drawn = slice(None) if mask is None else mask[i]
+            inside = np.flatnonzero(at == i)
+            parts = [ts[i], slot[i][drawn], loss[i][drawn], k[i][drawn], first[inside],
+                     count[inside], low_loss[inside], low_k[inside]]
+            for r in inside:
+                held = np.arange(first[r], first[r] + count[r])
+                parts.append(np.asarray(loss_of(i, held), dtype=float))
+                # the bound that thins a range is its members' smallest c
+                cohorts = np.searchsorted(pool._ends, held, side="right")
+                assert low_loss[r] == parts[-1].min() and low_k[r] == pool._ks[cohorts].min()
+            digests.append(hashlib.sha256(b"|".join(
+                np.asarray(part, dtype=float).tobytes() for part in parts)).hexdigest())
+        leaders = score(ts, exact, ranges, loss_of)
+        log.extend(zip(digests, leaders.tolist()))
+        return leaders
+
+    pool._lazy_leaders = scored
+    return log
 
 
-def rounds(trace):
-    return [(r.t, r.x, r.y, r.predicted) for r in trace.rounds]
+# a script is drawn as bytes, a round each: bits 0-1 pick the point and
+# bit 2 the label, so a 120-round script is one draw, not 240
+def script_of(rounds: bytes, target=None):
+    xs = [DOMAIN[b & 3] for b in rounds]
+    return xs, [target(x) for x in xs] if target else [(b >> 2) & 1 for b in rounds]
 
 
-GAME_ERRORS = (ProtocolError, ConfigurationError, DomainError, nature.ExhaustionError)
-
-
-def both_ways(make_learner, make_nature, horizon):
-    """(trace or error, snapshot) for the replayed game and the looped one."""
-    out = []
-    for wrap in (lambda s: s, PassThrough):
-        learner, strategy = make_learner(), wrap(make_nature())
-        try:
-            trace = runner.run_game(learner, strategy, horizon)
-            result = ("trace", rounds(trace), trace.mistakes, len(trace))
-        except GAME_ERRORS as exc:
-            result = ("error", type(exc).__name__, str(exc))
-        out.append((result, snapshot(learner)))
-    return out
-
-
-def assert_same_game(make_learner, make_nature, horizon):
-    assert make_nature().oblivious and not PassThrough(make_nature()).oblivious
-    replayed, looped = both_ways(make_learner, make_nature, horizon)
-    assert replayed[0] == looped[0]
-    if replayed[0][:2] != ("error", "DomainError"):
-        # after an error from inside the learner only the error is promised
-        # (`OnlineLearner.play`)
-        assert replayed[1] == looped[1]
-    return replayed[0]
-
-
-scripts = st.integers(0, 120).flatmap(lambda T: st.tuples(
-    st.lists(st.sampled_from(DOMAIN), min_size=T, max_size=T),
-    st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+scripts = st.integers(0, 120).flatmap(lambda T: st.binary(min_size=T, max_size=T)).map(script_of)
 seeds = st.integers(0, 2 ** 32 - 1)
-realizable_scripts = st.tuples(
-    st.lists(st.sampled_from(DOMAIN), max_size=120),
-    st.sampled_from(TARGETS)).map(lambda s: (s[0], [s[1](x) for x in s[0]]))
-any_scripts = st.one_of(scripts, realizable_scripts)
+any_scripts = st.one_of(scripts, st.builds(script_of, st.binary(max_size=120),
+                                           st.sampled_from(TARGETS)))
+BAD_LABELS = [True, False, 1.0, 0.0, np.int64(1), 2, -1, None, [1]]
 
 
-# no shrink phase: shrinking a failing script of two dimension-2 pools
-# takes minutes, and the fixed-seed tests below pin the failure down
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-@settings(max_examples=25, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
-@given(script=scripts, seed=seeds)
-def test_pool_replay_matches_loop(name, script, seed):
-    xs, ys = script
-    comp = COMPONENTS[name]
-    assert_same_game(lambda: ExpertPoolFpl(comp, seed=seed),
-                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+class Drawn(NamedTuple):
+    examples: int
+    cases: st.SearchStrategy    # of lists of cases, one list a draw
+    ways: tuple
+    shrink: bool
 
 
-@pytest.mark.parametrize("components", [1, 2])
-@settings(max_examples=25, deadline=None)
-@given(script=scripts, seed=seeds, cap=st.one_of(st.none(), st.integers(0, 130)))
-def test_agnostic_replay_matches_loop(components, script, seed, cap):
-    xs, ys = script
-    family = ExplicitListFamily([CONSTANTS, THRESHOLDS])
-    result = assert_same_game(
-        lambda: AgnosticFpl(family, components, seed=seed, cap_rounds=cap),
-        lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    if cap is not None and cap < len(xs):
-        assert result == ("error", "ConfigurationError",
-                          f"round {cap + 1} beyond the configured cap of {cap}; "
-                          "the expert pools grow polynomially per round")
+def drawn(examples, build, *strategies, ways=WAYS[:2], shrink=True) -> Drawn:
+    """`examples` drawn lists of cases, each built from one draw and played
+    in `ways`: by default `play` and the round loop, as a replay is proven."""
+    return Drawn(examples, st.tuples(*strategies).map(lambda values: build(*values)), ways,
+                 shrink)
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-@settings(max_examples=40, deadline=None)
-@given(script=any_scripts)
-def test_aggregator_replay_matches_loop(name, script):
-    xs, ys = script
-    assert_same_game(lambda: AggregatorLearner(FAMILIES[name]),
-                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+def run(entry, check, key):
+    """Check each case of a fixed entry, or of each drawn example."""
+    if not isinstance(entry, Drawn):
+        for case in entry:
+            check(case)
+        return
+
+    def each(cases):
+        for case in cases:
+            check(case, entry.ways)
+
+    # a database key of its own, as hypothesis's pytest plugin gives each
+    # collected test, so that no id replays or deletes another's examples
+    each._hypothesis_internal_add_digest = key.encode()
+    # no shrink phase for the pools' and the agnostic learner's entries:
+    # shrinking a failing game of two dimension-2 pools takes minutes, and
+    # the fixed cases pin failures down
+    phases = [phase for phase in settings().phases if entry.shrink or phase is not Phase.shrink]
+    settings(max_examples=entry.examples, deadline=None, phases=phases)(
+        given(entry.cases)(each))()
 
 
-@settings(max_examples=40, deadline=None)
-@given(script=any_scripts)
-def test_cover_replay_matches_loop(script):
-    xs, ys = script
-    assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
-                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
+def cap_error(cap):
+    return ("ConfigurationError", f"round {cap + 1} beyond the configured cap of {cap}; "
+            "the expert pools grow polynomially per round")
 
 
-def test_cover_batch_does_not_fall_back(monkeypatch):
-    # the cover learner replays every round of a realizable script without
-    # the round loop, stepping through six hypotheses to the last target
-    xs = [(t % 4) + 1 for t in range(60)]
-    ys = [TARGETS[-1](x) for x in xs]
-    looped = CoverLearner(CoverSpec(TARGETS))
-    expected = checked_loop(looped, xs, ys)
-    learner = CoverLearner(CoverSpec(TARGETS))
-
-    def predict(self, x):
-        raise AssertionError("the round loop ran")
-
-    def loop(self, xs, ys, n):
-        if len(ys):
-            raise AssertionError("the round loop ran")
-        return []
-
-    monkeypatch.setattr(CoverLearner, "predict", predict)
-    monkeypatch.setattr(CoverLearner, "_loop", loop)
-    assert learner.play(xs, ys) == expected
-    assert snapshot(learner) == snapshot(looped)
-    assert learner.t == 61 and learner.index == len(TARGETS)
+def label_error(t, bad):
+    return "ProtocolError", f"round {t}: label must be 0 or 1, got {bad!r}"
 
 
-def test_cover_exhausted_mid_batch_matches_loop():
-    # point 1 labelled 0 at round 1 and 1 at round 4: no hypothesis fits both
-    xs, ys = [1, 2, 3, 1, 4, 2], [0, 1, 1, 1, 0, 0]
-    result = assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
-                              lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert result == ("error", "ProtocolError",
-                      "round 4: every enumerated cover hypothesis eliminated")
+def emptied(t, x):
+    return "ProtocolError", f"round {t}: restriction by ({x}, 1) empties the version space"
 
 
-@pytest.mark.parametrize("cover, xs, ys, t, index", [
-    # thr-3 cannot label "x" at round 3, before any mistake
-    ([threshold_hypothesis(3)], [1, 3, "x", 2], [0, 1, 1, 0], 3, 1),
-    # supp-{2} errs at round 2; thr-3, which cannot label "x", leads from then
-    ([support_hypothesis([2]), threshold_hypothesis(3)], [1, 2, 3, "x"], [0, 0, 1, 1], 4, 2),
-    # supp-{2} labels "x" 0 and errs at round 2; thr-3 then fails the
-    # consistency check on the history's "x"
-    ([support_hypothesis([2]), threshold_hypothesis(3)], ["x", 2, 3], [0, 0, 1], 2, 2),
-], ids=["before-a-mistake", "after-a-mistake", "in-the-step"])
-def test_cover_hypothesis_raises_mid_batch(cover, xs, ys, t, index):
-    # a hypothesis that raises on a point mid-batch: the batch raises the
-    # loop's error and leaves index, history and t where the loop leaves them
-    replayed, looped = both_ways(lambda: CoverLearner(CoverSpec(cover)),
-                                 lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert replayed == looped
-    assert replayed[0][:2] == ("error", "DomainError")
-    assert (replayed[1]["t"], replayed[1]["index"]) == (t, index)
+def pool_size(dim, T):
+    return sum(math.comb(T, j) for j in range(dim + 1))
 
 
-@pytest.mark.parametrize("xs, ys, point", [
-    # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
-    # never creates sub-learner 3 (points 1-2), which a fallback from
-    # sub-learners that kept the batch's rounds would create at once
-    ([1, 3, 4], [1, 1, 0], 4),
-    # the loop creates sub-learner 3 at round 4, whose replay fails on
-    # point 3 before sub-learner 2 sees point 4, the batch's first error
-    ([1, 1, 3, 4], [0, 1, 0, 0], 3),
-], ids=["late-sub-learner-never-created", "late-sub-learner-fails-first"])
-def test_aggregator_error_from_inside_matches_loop(xs, ys, point):
-    result = assert_same_game(lambda: AggregatorLearner(FAMILIES["shrinking-domains"]),
-                              lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert result == ("error", "DomainError", f"point {point} not in class domain")
+def laid_out(pool):
+    # a pin: the plan holds the cohort ranges `_ranges` lays out, and a
+    # round's newborns as a range of their own once they are E or more
+    T, exact = pool.t - 1, ExpertPoolFpl._EXACT
+    plan = fpl._replay_plan(pool.dim, T, exact, fpl.pool_complexity)
+    ranges = sum(len(list(fpl._ranges(exact, t))) for t in range(1, T + 1))
+    return len(plan.ranges[0]) == (ranges + (np.diff(plan.live) >= exact).sum()) * (pool.dim > 0)
 
 
-def test_aggregator_batch_does_not_fall_back(monkeypatch):
-    # the batch never runs the aggregator's own round loop on a script
-    # whose sub-learners raise nothing
-    xs = [(t % 4) + 1 for t in range(60)]
-    ys = [(t * 7 // 3) % 2 for t in range(60)]
-    learner = AggregatorLearner(FAMILIES["support"])
+def own_draws(seed, count):
+    # a pin: the pool drew count(pool) perturbations, all from its own
+    # generator, and none from its range and resolution generators
+    def pin(pool):
+        reference = np.random.default_rng(seed)
+        fresh = [g.bit_generator.state for g in reference.spawn(2)]
+        reference.standard_exponential(count(pool))
+        return (pool.rng.bit_generator.state == reference.bit_generator.state and
+                [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)] == fresh)
+    return pin
 
-    def predict(self, x):
-        raise AssertionError("the round loop ran")
 
-    monkeypatch.setattr(AggregatorLearner, "predict", predict)
-    learner.play(xs, ys)
-    assert learner.t == 61 and len(learner.sub) > 3
+def with_bad_label(script, bad):
+    if bad is None:
+        return script
+    (xs, ys), (at, label) = script, bad
+    at = min(at, len(ys))
+    return xs[:at] + [DOMAIN[at % 4]] + xs[at:], ys[:at] + [label] + ys[at:]
+
+
+def faults(*rows, **kwargs):
+    """Fixed cases by id, from rows (id, maker, script, error)."""
+    return {id: [game(make, script, error=error, **kwargs)] for id, make, script, error in rows}
+
+
+SOA_KINDS = {"expert": expert("thresholds"), **{kind: soa(kind) for kind in (
+    "finite", "finite-always", "support", "singleton", "follow")}}
+KINDS = {       # the makers of the tests of every row
+    "constant": learner(ConstantLearner, "constant", value=1), "soa": soa("finite-error"),
+    "soa-freeze": soa("finite"), "soa-always": soa("finite-always"),
+    "expert": expert("thresholds"), "follow": soa("follow"), "cover": cover(),
+    "aggregator": aggregator("constants-thresholds"),
+    **{name: learner(OnlineLearner, name) for name in ROWS[OnlineLearner]},
+    "fpl-five": five(seed=11), "pool": pool("dim2-thresholds", 11), "agnostic": agnostic(seed=11),
+}
+SEEDED = {      # the makers whose bad labels, exhaustion and later batches are pinned
+    "agnostic-2": lambda seed: agnostic(seed=seed), "fpl-five": lambda seed: five(seed=seed),
+    "pool-dim1": partial(pool, "dim1-constants"), "pool-dim0": partial(pool, "dim0-singleton"),
+    "constant": lambda seed: learner(ConstantLearner, "constant", value=0),
+    "aggregator-support": lambda seed: aggregator("support"),
+    "aggregator-list": lambda seed: aggregator("constants-thresholds"),
+}
+CHECK_EXPERTS = {"parity-0": learner(verification._ParityExpert, "parity-0"),
+                 "parity-1": learner(verification._ParityExpert, "parity-1"),
+                 "last-label": learner(verification._LastLabelExpert, "last-label")}
+EIGHT = [1, 2, 3, 4, 1, 2, 3, 4]
+UNKNOWN = "point 'x' not in class domain"
+NOT_NUMERIC = "threshold needs a numeric point, got 'x'"
+COIN = check_script(DOMAIN, "coin")
+
+# the table's tests, each a check that `cases` runs on its cases in TABLE below
+replays_alone, loop_alone = partial(one_path, replays=True), partial(one_path, replays=False)
+
+
+def test_deterministic_learners_replay_matches_loop(cases): cases(same_game)
+def test_soa_batch_does_not_fall_back(cases): cases(replays_alone)
+def test_soa_emptied_mid_batch_matches_loop(cases): cases(same_game)
+def test_soa_point_outside_domain_mid_batch(cases): cases(same_game)
+def test_empty_class_takes_the_loop(cases): cases(loop_alone)
+def test_expert_replay_matches_loop(cases): cases(same_game)
+def test_expert_point_outside_domain(cases): cases(same_game)
+def test_aggregator_replay_matches_loop(cases): cases(same_game)
+def test_aggregator_error_from_inside_matches_loop(cases): cases(same_game)
+def test_aggregator_batch_does_not_fall_back(cases): cases(replays_alone)
+def test_cover_replay_matches_loop(cases): cases(same_game)
+def test_cover_batch_does_not_fall_back(cases): cases(replays_alone)
+def test_cover_exhausted_mid_batch_matches_loop(cases): cases(same_game)
+def test_cover_hypothesis_raises_mid_batch(cases): cases(same_game)
+def test_cover_bad_label_mid_script(cases): cases(same_game)
+def test_agnostic_replay_matches_loop(cases): cases(same_game)
+def test_five_expert_replay_matches_loop(cases): cases(same_game)
+def test_coin_flip_replay_matches_loop(cases): cases(same_game)
+def test_cap_hit_and_not_hit(cases): cases(same_game)
+def test_cap_hit_and_not_hit_past_the_ranges(cases): cases(same_game)
+def test_pool_replay_matches_loop(cases): cases(same_game)
+def test_pool_batch_does_not_fall_back(cases): cases(replays_alone)
+def test_dim3_pool_takes_the_loop(cases): cases(loop_alone)
+def test_dim2_replay_at_check_scale(cases): cases(same_game)
+def test_replay_charges_mass_as_the_loop(cases): cases(same_game)
+def test_replay_mass_overflow_names_the_loop_round(cases): cases(same_game)
+def test_replay_mass_overflow_past_the_ranges(cases): cases(same_game)
+def test_replay_matches_loop_at_every_block_size(cases): cases(same_game)
+def test_dim2_bad_label_after_round_100(cases): cases(same_game)
+def test_one_round_draws_every_perturbation(cases): cases(same_game)
+def test_ranges_with_no_member_draw_nothing(cases): cases(same_game)
+def test_check_experts_replay_matches_loop(cases): cases(same_game)
+def test_exhaustion_mid_script(cases): cases(same_game)
+def test_bad_label_mid_script(cases): cases(same_game)
+def test_play_after_rounds_matches_loop(cases): cases(same_game)
+def test_run_game_matches_hand_loop(cases): cases(same_game)
+def test_base_play_matches_checked_loop(cases): cases(same_game)
+
+
+TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has ids
+    # ConstantLearner, SoaLearner and ExpertLearner; most scripts empty the
+    # space of the last two mid-batch, which raises
+    test_deterministic_learners_replay_matches_loop: drawn(40, lambda s: [
+        game(make, s, error=ANY) for make in (
+            KINDS["constant"], soa("finite"), soa("finite-always"), soa("support"),
+            expert("thresholds", key=(1, 3, 4, 9, 20)), soa("finite-error"),
+            soa("support-error"))], scripts),
+    test_soa_batch_does_not_fall_back: {
+        kind: [game(make, cycle(60))] for kind, make in SOA_KINDS.items()},
+    test_soa_emptied_mid_batch_matches_loop: faults(
+        # the labels of thr-3, then 1 at point 2, which no threshold
+        # consistent with the mistakes so far gives; in a support of one,
+        # the second 1-labelled point is one too many
+        ("finite", soa("finite-error"), ([1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1]), emptied(6, 2)),
+        ("support", soa("support-error"), ([1, 2, 3, 4], [0, 1, 0, 1]), emptied(4, 4)),
+        ("expert", expert("thresholds", key=range(1, 7), on_empty="error"),
+         ([1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1]), emptied(6, 2))),
+    test_soa_point_outside_domain_mid_batch: faults(*[
+        # round 5 shows a point the class does not know
+        (kind, make, ([1, 3, 2, 3, "x", 1], [0, 1, 1, 1, 1, 0]), ("DomainError", message))
+        for kind, make, message in (("finite", soa("small"), UNKNOWN),
+                                    ("support", soa("small-support"), UNKNOWN),
+                                    ("follow", soa("follow", c=2), NOT_NUMERIC))],
+        pin=lambda learner: learner.t == 5),
+    test_empty_class_takes_the_loop: [game(
+        soa("empty"), ([1, 2], [0, 1]), pin=lambda learner: learner.mistakes == 0,
+        error=("ProtocolError", "round 1: version space is empty (non-realizable feed)"))],
+    test_expert_replay_matches_loop: {
+        # `before` rounds by hand, then the rest in one batch, whether the
+        # last key round lies before the batch, inside it or nowhere
+        name: drawn(20, lambda s, key=key, before=before: [game(
+            expert("thresholds", key=key), *split(s, before), hand_first=True)], any_scripts)
+        for name, key, before in (
+            ("empty", (), 0), ("empty-after-rounds", (), 7), ("last-key-before-batch", (1, 3), 10),
+            ("last-key-in-batch", (2, 15), 0), ("last-key-in-batch-after-rounds", (2, 15), 5))},
+    test_expert_point_outside_domain: faults(*[
+        # a point the class does not know, before, at or after the last key round
+        (f"{at}-key{i}", expert("small", key=key), (xs[:at] + ["x"] + xs[at + 1:],
+                                                    [0, 1, 1, 1, 1, 0, 0, 1]),
+         ("DomainError", UNKNOWN))
+        for xs in [[1, 3, 2, 3, 1, 2, 1, 3]] for at in (1, 4, 7)
+        for i, key in enumerate([(), (2,), (2, 9)])], state_at_error=False),
+    # AggregatorLearner
+    test_aggregator_replay_matches_loop: {
+        name: drawn(40, lambda s, name=name: [game(
+            aggregator(name), s, error=ANY if name == "shrinking-domains" else None,
+            state_at_error=False)], any_scripts) for name in FAMILIES},
+    test_aggregator_error_from_inside_matches_loop: faults(
+        # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
+        # never creates sub-learner 3 (points 1-2), which a fallback from
+        # sub-learners that kept the batch's rounds would create at once
+        ("late-sub-learner-never-created", aggregator("shrinking-domains"),
+         ([1, 3, 4], [1, 1, 0]), ("DomainError", "point 4 not in class domain")),
+        # the loop creates sub-learner 3 at round 4, whose replay fails on
+        # point 3 before sub-learner 2 sees point 4, the batch's first error
+        ("late-sub-learner-fails-first", aggregator("shrinking-domains"),
+         ([1, 1, 3, 4], [0, 1, 0, 0]), ("DomainError", "point 3 not in class domain")),
+        state_at_error=False),
+    test_aggregator_batch_does_not_fall_back: [game(
+        aggregator("support"), cycle(60), pin=lambda agg: len(agg.sub) > 3)],
+    # CoverLearner
+    test_cover_replay_matches_loop: drawn(
+        40, lambda s: [game(cover(), s, error=ANY)], any_scripts),
+    test_cover_batch_does_not_fall_back: [game(
+        # six hypotheses stepped through to the last target
+        cover(), (cycle(60)[0], [TARGETS[-1](x) for x in cycle(60)[0]]),
+        pin=lambda learner: learner.index == len(TARGETS))],
+    test_cover_exhausted_mid_batch_matches_loop: [game(
+        # point 1 labelled 0 at round 1 and 1 at round 4: no hypothesis fits both
+        cover(), ([1, 2, 3, 1, 4, 2], [0, 1, 1, 1, 0, 0]),
+        error=("ProtocolError", "round 4: every enumerated cover hypothesis eliminated"))],
+    test_cover_hypothesis_raises_mid_batch: {
+        name: [game(cover(cover=hypotheses), script, error=("DomainError", NOT_NUMERIC),
+                    pin=lambda learner, at=at: (learner.t, learner.index) == at)]
+        for name, hypotheses, script, at in (
+            # thr-3 cannot label "x" at round 3, before any mistake
+            ("before-a-mistake", TARGETS[2:3], ([1, 3, "x", 2], [0, 1, 1, 0]), (3, 1)),
+            # supp-{2} errs at round 2; thr-3, which cannot label "x", leads from then
+            ("after-a-mistake", TARGETS[5:6] + TARGETS[2:3], ([1, 2, 3, "x"], [0, 0, 1, 1]),
+             (4, 2)),
+            # supp-{2} labels "x" 0 and errs at round 2; thr-3 then fails the
+            # consistency check on the history's "x"
+            ("in-the-step", TARGETS[5:6] + TARGETS[2:3], (["x", 2, 3], [0, 0, 1]), (2, 2)))},
+    test_cover_bad_label_mid_script: faults(*[
+        # labels of thr-2, so that no cover hypothesis runs out first
+        (str(bad), cover(), (EIGHT, [0, 1, 1, 1, 0, bad, 1, 1]), label_error(6, bad))
+        for bad in (True, 1.0, 2, -1, None)]),
+    # FplLearner, over perturbed leaders or plain learners
+    test_agnostic_replay_matches_loop: {
+        str(c): drawn(25, lambda s, seed, cap, c=c: [game(
+            agnostic(components=c, seed=seed, cap=cap), s,
+            error=cap_error(cap) if cap is not None and cap < len(s[0]) else None)],
+            scripts, seeds, st.one_of(st.none(), st.integers(0, 130)), shrink=False)
+        for c in (1, 2)},
+    test_five_expert_replay_matches_loop: drawn(
+        40, lambda s, seed: [game(five(seed=seed), s)], scripts, seeds),
+    test_coin_flip_replay_matches_loop: drawn(30, lambda seed, T: [Case(
+        agnostic(components=1, seed=seed, classes=(FiniteClass((0,), [[0], [1]]),)),
+        [(partial(nature.CoinFlip, seed), T)])], seeds, st.integers(0, 150)),
+    test_cap_hit_and_not_hit: [game(
+        agnostic(components=1, classes=(CONSTANTS,), seed=3, cap=cap),
+        ([1] * 30, [t % 2 for t in range(30)]), error=cap_error(29) if cap == 29 else None)
+        for cap in (29, 30)],
+    test_cap_hit_and_not_hit_past_the_ranges: [game(
+        # with both components, rounds 9 to 40 thin the pools' cohorts 8 to
+        # 31 in two ranges; the cap stops every way at the same round
+        agnostic(seed=6, cap=cap), check_script(DOMAIN, "coin", 60),
+        error=cap_error(40) if cap == 40 else None) for cap in (40, 60)],
+    # ExpertPoolFpl
+    test_pool_replay_matches_loop: {
+        name: drawn(25, lambda s, seed, name=name: [game(pool(name, seed), s)], scripts, seeds,
+                    shrink=False) for name in COMPONENTS},
+    test_pool_batch_does_not_fall_back: {
+        # a fresh pool of dimension at most 2 replays every round
+        name: [game(pool(name, 3), cycle(60),
+                    pin=lambda p, dim=comp.dim: p.pool_size == pool_size(dim, 60))]
+        for name, comp in COMPONENTS.items()},
+    test_dim3_pool_takes_the_loop: [game(
+        pool("dim3-full3", 3), ([1, 2, 3, 1, 2, 3, 1, 2], [0, 1, 1, 0, 1, 0, 0, 1]),
+        pin=lambda p: p.pool_size == pool_size(3, 8))],
+    test_dim2_replay_at_check_scale: {
+        # T=200 as in the hierarchical check, then five more rounds, which
+        # the pool plays by the round loop. Every labeling of three points
+        # has more states than the thresholds, so a replay that interned
+        # them in another order than the loop shows
+        case: [game(pool(name, 31), check_script(points, labels),
+                    ([points[t % len(points)] for t in range(3, 8)], [1, 1, 0, 1, 0]),
+                    pin=lambda p: p.pool_size == pool_size(2, 200) and p.engine.n_states > 4)]
+        for case, name, points, labels in (
+            ("thresholds-alternating", "dim2-thresholds", DOMAIN, "alternating"),
+            ("thresholds-coin", "dim2-thresholds", DOMAIN, "coin"),
+            ("full3-coin", "dim2-full3", (1, 2, 3), "coin"),
+            ("support2-coin", "dim2-support", DOMAIN, "coin"))},
+    test_replay_charges_mass_as_the_loop: {
+        # the replay charges its cohorts in one pass, with the loop's float
+        # operations in the loop's order: the snapshots hold the mass
+        str(dim): [game(pool(name, 34), COIN, pin=lambda p, d=dim: p._size == pool_size(d, 200))]
+        for dim, name in POOL_DIMS.items()},
+    test_replay_mass_overflow_names_the_loop_round: [game(
+        # with complexity 1 for every key, the root and the cohorts of rounds
+        # 1 and 2 bring a dimension-1 pool's mass to 3/e, over the budget at round 2
+        pool("dim1-constants", 35), ([1, 2, 3, 4], [0, 1, 1, 0]), state_at_error=False,
+        patches=((fpl, "pool_complexity", lambda dim, last_round: 1.0),),
+        error=("ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2"))],
+    test_replay_mass_overflow_past_the_ranges: [game(
+        # complexity 4 for every key after the root brings a dimension-1 pool
+        # over the budget at round 35, after the ranges went live at round 9
+        pool("dim1-support", 7), check_script(DOMAIN, "coin", 60), state_at_error=False,
+        patches=((fpl, "pool_complexity", lambda dim, last: 1.0 if last < 1 else 4.0),),
+        error=("ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35"))],
+    test_replay_matches_loop_at_every_block_size: {
+        # the cohort ranges double from the first block [E, 2E): E = 1 thins
+        # every cohort but the root, and E = 2**22 none of these scripts'
+        # cohorts, so that every perturbation is drawn
+        f"{name}-{T}": [game(pool(name, 39), check_script(DOMAIN, "coin", T), scored=True,
+                             patches=((ExpertPoolFpl, "_EXACT", exact),), pin=laid_out)
+                        for exact in (1, 3, 8, 2 ** 22)]
+        for name in COMPONENTS for T in (1, 2, 50, 200)},
+    test_dim2_bad_label_after_round_100: [game(
+        # the first 100 rounds replay, round 101 is predicted and raises, and
+        # the rounds after it take the loop
+        pool("dim2-thresholds", 32), (COIN[0], COIN[1][:100] + [2] + COIN[1][101:]),
+        (COIN[0][100:105], [1, 0, 0, 1, 1]), error=label_error(101, 2),
+        pin=lambda p: p.t == 101 and p.chosen_index is not None)],
+    test_one_round_draws_every_perturbation: {
+        # T = 1: no range is live, so one perturbation per expert is drawn
+        name: [game(pool(name, 8), ([2], [1]), pin=own_draws(8, lambda p: p.pool_size))]
+        for name in COMPONENTS},
+    test_ranges_with_no_member_draw_nothing: {
+        # the cohorts of a dimension-0 pool are empty, so none of its ranges
+        # holds a live member: one perturbation a round, for the root
+        name: [game(pool(name, 9), check_script(DOMAIN, "coin", 60),
+                    pin=own_draws(9, lambda p: 60))]
+        for name in ("dim0-singleton", "dim0-finite")},
+    # the check experts
+    test_check_experts_replay_matches_loop: {
+        # `before` rounds by hand, then the rest in one batch; the fixed
+        # cases replay two batches, so a label or round carried from one
+        # batch to the next shows whatever hypothesis draws
+        **{f"{before}-{kind}": drawn(20, lambda s, make=make, before=before: [game(
+            make, *split(s, before), hand_first=True)], scripts)
+           for before in (0, 3) for kind, make in CHECK_EXPERTS.items()},
+        **{f"two-batches-{kind}": [game(make, *split(cycle(40), at)) for at in (3, 4)]
+           for kind, make in CHECK_EXPERTS.items()}},
+    # every row
+    test_exhaustion_mid_script: faults(*[
+        (kind, make, ([1, 2, 3, 4, 1, 2, 3], [0, 1, 1, 0, 1, 1, 0]),
+         ("ExhaustionError", "round 8: scripted stream exhausted after 7 points"))
+        for kind, make in (("agnostic-2", agnostic(seed=4)), ("fpl-five", five(seed=4)),
+                           ("pool-dim1", pool("dim1-constants", 4)), ("soa", soa("finite")))],
+        horizon=12),
+    test_bad_label_mid_script: faults(*[
+        (f"{kind}-{bad}", {**SEEDED, "pool-dim1": partial(pool, "dim1-support")}[kind](5),
+         (EIGHT, [0, 1, 1, 0, 1, bad, 0, 1]), label_error(6, bad))
+        for kind in ("agnostic-2", "fpl-five", "pool-dim1", "constant", "aggregator-support",
+                     "aggregator-list") for bad in (True, 1.0, 2, -1, None)]),
+    test_play_after_rounds_matches_loop: {
+        # ten rounds by hand, and with `pending` a prediction of the next
+        # round (a pending choice), then the rest in one call
+        f"{pending}-{kind}": [game(SEEDED[kind](9), *split(cycle(40), 10), hand_first=True,
+                                   pending=pending)]
+        for pending in (False, True) for kind in ("pool-dim1", "pool-dim0", "fpl-five",
+                                                  "agnostic-2", "aggregator-support",
+                                                  "aggregator-list")},
+    test_run_game_matches_hand_loop: {
+        # both of `run_game`'s paths against predict-then-`update` by hand
+        kind: drawn(15, lambda s, make=make: [game(make, s, error=ANY)], any_scripts, ways=WAYS)
+        for kind, make in KINDS.items()},
+    test_base_play_matches_checked_loop: {
+        # labels checked once up front, then predict and step: the same
+        # predictions, state and bad-label error as a check in every round
+        kind: drawn(15, lambda s, bad, make=make: [game(make, with_bad_label(s, bad), error=ANY)],
+                    any_scripts, st.one_of(st.none(), st.tuples(st.integers(0, 120),
+                                                                st.sampled_from(BAD_LABELS))))
+        for kind, make in KINDS.items()},
+}
+
+
+def pytest_generate_tests(metafunc):
+    # a test whose entry holds cases by pytest id runs once per id
+    if isinstance(TABLE.get(metafunc.function), dict):
+        metafunc.parametrize("cases", list(TABLE[metafunc.function]), indirect=True)
+
+
+@pytest.fixture
+def cases(request):
+    """Runs a check on the test's cases, those of its id if it has ids."""
+    entry = TABLE[request.function]
+    return partial(run, entry[request.param] if isinstance(entry, dict) else entry,
+                   key=request.node.nodeid)
+
+
+def checked_loop(learner, xs, ys):
+    """`run_game`'s round loop, which checks each label as its round comes."""
+    strategy = nature.AgnosticScripted(xs, ys)
+    strategy.oblivious = False
+    return runner.run_game(learner, strategy, len(ys)).predicted
 
 
 def walk(learner, xs, ys):
@@ -323,29 +732,18 @@ def walk(learner, xs, ys):
     # the pool grows at rounds 2 and 4, and the choice never moves
     ([2, 1, 1, 3, 3, 1], [1, 0, 1, 0, 0, 0], None),
 ], ids=["tie-moves-the-choice", "pool-grows-twice"])
-def test_aggregator_walk_matches_loop(xs, ys, moved, monkeypatch):
+def test_aggregator_walk_matches_loop(xs, ys, moved):
     # the walk jumps between changes of choice: pinned on a script where a
     # tie at the minimum moves the choice without growing the pool, and on
     # one where the pool grows twice in one batch
-    looped = AggregatorLearner(FAMILIES["support"])
-    rounds = walk(looped, xs, ys)
-    choices = [c for c, _, _ in rounds]
-    sizes = [s for _, s, _ in rounds]
+    choices, sizes, tied = zip(*walk(AggregatorLearner(FAMILIES["support"]), xs, ys))
     if moved is None:
         assert set(choices) == {1}
         assert [t for t in range(2, len(xs) + 1) if sizes[t - 1] > sizes[t - 2]] == [2, 4]
     else:
-        assert choices[moved - 2:moved] == [1, 2] and set(choices[:moved - 1]) == {1}
-        assert sizes[moved - 2] == sizes[moved - 1] and rounds[moved - 1][2] == 2
-
-    def predict(self, x):
-        raise AssertionError("the round loop ran")
-
-    learner = AggregatorLearner(FAMILIES["support"])
-    expected = checked_loop(AggregatorLearner(FAMILIES["support"]), xs, ys)
-    monkeypatch.setattr(AggregatorLearner, "predict", predict)
-    assert learner.play(xs, ys) == expected
-    assert snapshot(learner) == snapshot(looped)
+        assert choices[moved - 2:moved] == (1, 2) and set(choices[:moved - 1]) == {1}
+        assert sizes[moved - 2] == sizes[moved - 1] and tied[moved - 1] == 2
+    one_path(game(aggregator("support"), (xs, ys)), replays=True)
 
 
 def reference_choices(family, xs, ys):
@@ -394,138 +792,6 @@ def test_aggregator_choices_match_the_docstring_rule(name, script):
         assert (replayed.selected, len(replayed.sub)) == expected[t - 1], t
 
 
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-def test_pool_batch_does_not_fall_back(name, monkeypatch):
-    # a fresh pool of dimension at most 2 replays every round of a script
-    # without the round loop
-    xs = [(t % 4) + 1 for t in range(60)]
-    ys = [(t * 7 // 3) % 2 for t in range(60)]
-    learner = ExpertPoolFpl(COMPONENTS[name], seed=3)
-
-    def predict(self, x):
-        raise AssertionError("the round loop ran")
-
-    def loop(self, xs, ys, n):
-        if len(ys):
-            raise AssertionError("the round loop ran")
-        return []
-
-    monkeypatch.setattr(ExpertPoolFpl, "predict", predict)
-    monkeypatch.setattr(ExpertPoolFpl, "_loop", loop)
-    learner.play(xs, ys)
-    assert learner.t == 61
-    assert learner.pool_size == sum(math.comb(60, j) for j in range(COMPONENTS[name].dim + 1))
-
-
-def test_dim3_pool_takes_the_loop(monkeypatch):
-    def replay(self, xs, ys):
-        raise AssertionError("the batch replay ran")
-
-    monkeypatch.setattr(ExpertPoolFpl, "_replay", replay)
-    learner = ExpertPoolFpl(FamilyComponent(3, FiniteClass.full_class((1, 2, 3)), 3), seed=3)
-    learner.play([1, 2, 3, 1, 2, 3, 1, 2], [0, 1, 1, 0, 1, 0, 0, 1])
-    assert learner.t == 9 and learner.pool_size == sum(math.comb(8, j) for j in range(4))
-
-
-def check_script(points, labels, horizon=200):
-    """The hierarchical check's script: cycling points, and alternating
-    labels or fair coins from a seeded `random.Random`."""
-    xs = [points[t % len(points)] for t in range(horizon)]
-    rng = random.Random(horizon)
-    ys = ([t % 2 for t in range(1, horizon + 1)] if labels == "alternating"
-          else [rng.getrandbits(1) for _ in range(horizon)])
-    return xs, ys
-
-
-DIM2_CASES = {
-    "thresholds-alternating": (THRESHOLDS, DOMAIN, "alternating"),
-    "thresholds-coin": (THRESHOLDS, DOMAIN, "coin"),
-    # every labeling of three points: more states than the thresholds, so
-    # a replay that interned them in another order than the loop shows
-    "full3-coin": (FiniteClass.full_class((1, 2, 3)), (1, 2, 3), "coin"),
-    "support2-coin": (FiniteSupportClass(DOMAIN, 2), DOMAIN, "coin"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(DIM2_CASES))
-def test_dim2_replay_at_check_scale(case):
-    # T=200 as in the hierarchical check, then five more rounds, which
-    # both pools play by the round loop
-    cls, points, labels = DIM2_CASES[case]
-    xs, ys = check_script(points, labels)
-    replayed, looped = (ExpertPoolFpl(FamilyComponent(2, cls, 2), seed=31) for _ in range(2))
-    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
-    assert snapshot(replayed) == snapshot(looped)
-    assert replayed.pool_size == 1 + 200 * 201 // 2
-    assert replayed.engine.n_states > 4
-    more = [points[t % len(points)] for t in range(3, 8)], [1, 1, 0, 1, 0]
-    assert replayed.play(*more) == checked_loop(looped, *more)
-    assert snapshot(replayed) == snapshot(looped)
-
-
-POOL_DIMS = {0: COMPONENTS["dim0-finite"], 1: COMPONENTS["dim1-constants"],
-             2: COMPONENTS["dim2-thresholds"]}
-
-
-@pytest.mark.parametrize("dim", sorted(POOL_DIMS))
-def test_replay_charges_mass_as_the_loop(dim):
-    # the replay charges its cohorts in one pass, with the loop's float
-    # operations in the loop's order
-    xs, ys = check_script(DOMAIN, "coin")
-    replayed, looped = (ExpertPoolFpl(POOL_DIMS[dim], seed=34) for _ in range(2))
-    assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
-    assert replayed._mass.hex() == looped._mass.hex()
-    assert replayed._size == looped._size == sum(math.comb(200, j) for j in range(dim + 1))
-
-
-def test_replay_mass_overflow_names_the_loop_round(monkeypatch):
-    # with complexity 1 for every key, the root and the cohorts of rounds 1
-    # and 2 bring a dimension-1 pool's mass to 3/e, over the budget at round 2
-    monkeypatch.setattr(fpl, "pool_complexity", lambda dim, last_round: 1.0)
-    xs, ys = [1, 2, 3, 4], [0, 1, 1, 0]
-    results = both_ways(lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=35),
-                        lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert [result for result, _ in results] == 2 * [
-        ("error", "ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2")]
-
-
-def pool_replay(comp, xs, ys, seed, loop=False):
-    """The predictions, the leaders chosen round by round and the final
-    snapshot of a fresh pool replaying a script, or with `loop`, playing it
-    round by round."""
-    pool = ExpertPoolFpl(comp, seed=seed)
-    chosen = []
-    score = pool._lazy_leaders
-
-    def scored(*args):
-        leaders = score(*args)
-        chosen.extend(leaders.tolist())
-        return leaders
-
-    pool._lazy_leaders = scored
-    preds = checked_loop(pool, xs, ys) if loop else pool.play(xs, ys)
-    return preds, chosen, snapshot(pool)
-
-
-@pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity-call"])
-def test_one_cpu_draws_inline(affinity, monkeypatch):
-    # a replay draws every perturbation on the calling thread: a process
-    # allowed one CPU starts no thread and replays as any other process
-    xs, ys = check_script(DOMAIN, "coin")
-    expected = pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38)
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-    def start(thread):
-        raise AssertionError(f"thread {thread.name!r} started")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    assert pool_replay(COMPONENTS["dim2-thresholds"], xs, ys, 38) == expected
-
-
 # the plan of a replay: made once per (dimension, horizon, exact cohorts),
 # shared read-only by every replay of that shape
 
@@ -538,62 +804,9 @@ def plan_parts(value):
         yield value
 
 
-def scored_inputs(comp, xs, ys, seed, loop=False):
-    """What the scorer is given, round by round, when a fresh pool replays
-    a script, or with `loop`, plays it round by round: the exact set's
-    experts, losses and complexities, and each cohort range's members,
-    smallest loss and complexity, and a digest of its members' losses."""
-    pool = ExpertPoolFpl(comp, seed=seed)
-    rounds = []
-    score = pool._lazy_leaders
-
-    def scored(ts, exact, ranges, loss_of):
-        slot, loss, k, mask = exact
-        at, first, count, low_loss, low_k = ranges
-        birth = np.searchsorted(pool._ends, np.arange(pool.pool_size), side="right")
-        for i, t in enumerate(ts.tolist()):
-            drawn = slice(None) if mask is None else mask[i]
-            inside = np.flatnonzero(at == i)
-            members = []
-            for r in inside:
-                held = np.arange(first[r], first[r] + count[r])
-                losses = np.asarray(loss_of(i, held), dtype=float)
-                # the bound that thins a range is its members' smallest c
-                assert low_loss[r] == losses.min() and low_k[r] == pool._ks[birth[held]].min()
-                members.append(hashlib.sha256(losses.tobytes()).hexdigest())
-            rounds.append((t, slot[i][drawn].tolist(),
-                           np.asarray(loss[i][drawn], dtype=float).tolist(),
-                           k[i][drawn].tolist(), first[inside].tolist(), count[inside].tolist(),
-                           np.asarray(low_loss[inside], dtype=float).tolist(),
-                           np.asarray(low_k[inside], dtype=float).tolist(), members))
-        return score(ts, exact, ranges, loss_of)
-
-    pool._lazy_leaders = scored
-    if loop:
-        checked_loop(pool, xs, ys)
-    else:
-        pool.play(xs, ys)
-    return rounds
-
-
-@pytest.mark.parametrize("horizon", [1, 2, 50, 200])
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-def test_replay_matches_loop_at_every_block_size(name, horizon, monkeypatch):
-    # the cohort ranges double from the first block [E, 2E), and a round's
-    # newborns are a range of their own once they are E or more: E = 1
-    # thins every cohort but the root, and E = 2**22 none of these scripts'
-    # cohorts, so that every perturbation is drawn; each round's scorer
-    # inputs and leader are the loop's, newborns in their birth round included
-    xs, ys = check_script(DOMAIN, "coin", horizon)
-    comp = COMPONENTS[name]
-    for exact in (1, 3, 8, 2 ** 22):
-        monkeypatch.setattr(ExpertPoolFpl, "_EXACT", exact)
-        plan = fpl._replay_plan(comp.dim, horizon, exact, fpl.pool_complexity)
-        ranges = sum(len(list(fpl._ranges(exact, t))) for t in range(1, horizon + 1))
-        ranges += int((np.diff(plan.live) >= exact).sum())
-        assert len(plan.ranges[0]) == (ranges if comp.dim else 0)
-        assert pool_replay(comp, xs, ys, 39) == pool_replay(comp, xs, ys, 39, loop=True)
-        assert scored_inputs(comp, xs, ys, 39) == scored_inputs(comp, xs, ys, 39, loop=True)
+def pool_game(name, xs, ys, seed):
+    """A fresh pool's replay of a script: its rounds, state and scorer log."""
+    return played("play", game(pool(name, seed), (xs, ys), scored=True))
 
 
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
@@ -602,12 +815,12 @@ def test_warm_plan_replays_as_a_cold_one(name):
     # finds it made by a pool of another class of the same dimension, play
     # the same game
     xs, ys = check_script(DOMAIN, "coin", horizon=120)
-    comp = COMPONENTS[name]
+    dim = COMPONENTS[name].dim
     fpl._replay_plan.cache_clear()
-    cold = pool_replay(comp, xs, ys, 40)
-    sibling = next(c for n, c in COMPONENTS.items() if n != name and c.dim == comp.dim)
-    pool_replay(sibling, xs, ys, 41)
-    assert pool_replay(comp, xs, ys, 40) == cold
+    cold = pool_game(name, xs, ys, 40)
+    sibling = next(n for n, c in COMPONENTS.items() if n != name and c.dim == dim)
+    pool_game(sibling, xs, ys, 41)
+    assert pool_game(name, xs, ys, 40) == cold
     info = fpl._replay_plan.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
@@ -655,7 +868,7 @@ def reference_layouts(dim, horizon, exact):
     cohort ends, the cohorts' complexities, the growable experts after the
     last round, and per round (its exact set, its ranges as (first member,
     member count, smallest k, last cohort))."""
-    pool = ExpertPoolFpl(POOL_DIMS[dim], seed=0)
+    pool = ExpertPoolFpl(COMPONENTS[POOL_DIMS[dim]], seed=0)
     pool.play(*check_script(DOMAIN, "coin", horizon))
     keys = pool.keys
     birth = np.array([key[-1] if key else 0 for key in keys])
@@ -745,11 +958,11 @@ def test_plan_cache_stays_bounded():
     fpl._replay_plan.cache_clear()
     results = {}
     for name, T in shapes:
-        results[name, T] = pool_replay(COMPONENTS[name], xs[:T], ys[:T], 44)
+        results[name, T] = pool_game(name, xs[:T], ys[:T], 44)
         assert fpl._replay_plan.cache_info().currsize <= maxsize
     assert fpl._replay_plan.cache_info().currsize == maxsize
     name, T = shapes[0]
-    assert pool_replay(COMPONENTS[name], xs[:T], ys[:T], 44) == results[name, T]
+    assert pool_game(name, xs[:T], ys[:T], 44) == results[name, T]
     assert fpl._replay_plan.cache_info().misses == len(shapes) + 1
 
 
@@ -773,7 +986,7 @@ def test_replay_builds_no_per_expert_array_unread(name):
     xs, ys = check_script(DOMAIN, "coin")
     pool = ExpertPoolFpl(COMPONENTS[name], seed=45)
     pool.play(xs, ys)
-    assert pool.pool_size == sum(math.comb(200, j) for j in range(COMPONENTS[name].dim + 1))
+    assert pool.pool_size == pool_size(COMPONENTS[name].dim, 200)
     assert not {"state", "losses", "complexities"} & set(vars(pool))
     if COMPONENTS[name].dim == 2:
         held = {key for key, value in vars(pool).items() for array in arrays_in(value)
@@ -805,322 +1018,6 @@ def test_loop_after_replay_builds_the_arrays(name):
     assert snapshot(replayed) == snapshot(looped)
 
 
-def test_dim2_bad_label_after_round_100():
-    # the first 100 rounds replay, round 101 is predicted and raises, and
-    # the rounds after it take the loop
-    xs, ys = check_script(DOMAIN, "coin")
-    ys[100] = 2
-    replayed, looped = (ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=32) for _ in range(2))
-    with pytest.raises(ProtocolError, match="round 101: label must be 0 or 1, got 2"):
-        replayed.play(xs, ys)
-    with pytest.raises(ProtocolError, match="round 101: label must be 0 or 1, got 2"):
-        checked_loop(looped, xs, ys)
-    assert snapshot(replayed) == snapshot(looped)
-    assert replayed.t == 101 and replayed.chosen_index is not None
-    more = xs[100:105], [1, 0, 0, 1, 1]
-    assert replayed.play(*more) == checked_loop(looped, *more)
-    assert snapshot(replayed) == snapshot(looped)
-
-
-def test_cap_hit_and_not_hit():
-    family = ExplicitListFamily([CONSTANTS])
-    xs, ys = [1] * 30, [t % 2 for t in range(30)]
-    for cap, expected in ((29, "error"), (30, "trace")):
-        result = assert_same_game(lambda: AgnosticFpl(family, 1, seed=3, cap_rounds=cap),
-                                  lambda: nature.AgnosticScripted(xs, ys), 30)
-        assert result[0] == expected
-
-
-def test_cap_hit_and_not_hit_past_the_ranges():
-    # with both components, rounds 9 to 40 thin the pools' cohorts 8 to 31
-    # in two ranges; the cap stops replay and loop at the same round
-    family = ExplicitListFamily([CONSTANTS, THRESHOLDS])
-    xs, ys = check_script(DOMAIN, "coin", horizon=60)
-    for cap, expected in ((40, "error"), (60, "trace")):
-        result = assert_same_game(lambda: AgnosticFpl(family, 2, seed=6, cap_rounds=cap),
-                                  lambda: nature.AgnosticScripted(xs, ys), 60)
-        assert result[0] == expected
-
-
-def test_replay_mass_overflow_past_the_ranges(monkeypatch):
-    # complexity 4 for every key after the root brings a dimension-1 pool
-    # over the budget at round 35, after the ranges went live at round 9
-    monkeypatch.setattr(fpl, "pool_complexity",
-                        lambda dim, last_round: 1.0 if last_round < 1 else 4.0)
-    xs, ys = check_script(DOMAIN, "coin", horizon=60)
-    results = both_ways(lambda: ExpertPoolFpl(COMPONENTS["dim1-support"], seed=7),
-                        lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert [result for result, _ in results] == 2 * [
-        ("error", "ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35")]
-
-
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-def test_one_round_draws_every_perturbation(name):
-    # T = 1: no range is live, so the replay draws one perturbation per
-    # expert from the pool's own generator and none from the other two
-    for play in (OnlineLearner.play, checked_loop):
-        pool = ExpertPoolFpl(COMPONENTS[name], seed=8)
-        fresh = [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)]
-        play(pool, [2], [1])
-        reference = np.random.default_rng(8)
-        reference.standard_exponential(pool.pool_size)
-        assert pool.rng.bit_generator.state == reference.bit_generator.state
-        assert [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)] == fresh
-
-
-@pytest.mark.parametrize("name", ["dim0-singleton", "dim0-finite"])
-def test_ranges_with_no_member_draw_nothing(name):
-    # the cohorts of a dimension-0 pool are empty, so none of its ranges
-    # holds a live member: replay and loop draw one perturbation a round,
-    # for the root, and nothing from the range and resolution streams
-    xs, ys = check_script(DOMAIN, "coin", horizon=60)
-    assert not len(fpl._replay_plan(0, 60, ExpertPoolFpl._EXACT, fpl.pool_complexity).ranges[0])
-    for play in (OnlineLearner.play, checked_loop):
-        pool = ExpertPoolFpl(COMPONENTS[name], seed=9)
-        fresh = [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)]
-        play(pool, xs, ys)
-        reference = np.random.default_rng(9)
-        reference.standard_exponential(60)
-        assert pool.rng.bit_generator.state == reference.bit_generator.state
-        assert [g.bit_generator.state for g in (pool._range_rng, pool._resolve_rng)] == fresh
-
-
-def five_experts():
-    return [ConstantLearner(0), ConstantLearner(1),
-            FollowHypothesisLearner(threshold_hypothesis(3)),
-            SoaLearner(THRESHOLDS, on_empty="freeze"), LastLabel()]
-
-
-@settings(max_examples=40, deadline=None)
-@given(script=scripts, seed=seeds)
-def test_five_expert_replay_matches_loop(script, seed):
-    xs, ys = script
-    ks = [1.0 + math.log(i) for i in range(1, 6)]
-    assert_same_game(lambda: FplLearner(five_experts(), ks, seed=seed),
-                     lambda: nature.AgnosticScripted(xs, ys), len(xs))
-
-
-@settings(max_examples=40, deadline=None)
-@given(script=scripts)
-def test_deterministic_learners_replay_matches_loop(script):
-    xs, ys = script
-    for make in (lambda: ConstantLearner(1),
-                 lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
-                 lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
-                 lambda: SoaLearner(FiniteSupportClass(DOMAIN, 2), on_empty="freeze"),
-                 lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9, 20), on_empty="freeze"),
-                 # most scripts empty the space mid-batch, which raises
-                 lambda: SoaLearner(THRESHOLDS),
-                 lambda: SoaLearner(FiniteSupportClass(DOMAIN, 1))):
-        assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
-
-
-SOA_KINDS = {
-    "finite": lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
-    "finite-always": lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
-    "support": lambda: SoaLearner(FiniteSupportClass(DOMAIN, 2), on_empty="freeze"),
-    "singleton": lambda: SoaLearner(SingletonClass(threshold_hypothesis(2)),
-                                    on_empty="freeze"),
-    "expert": lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9), on_empty="freeze"),
-    "follow": lambda: FollowHypothesisLearner(threshold_hypothesis(3)),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(SOA_KINDS))
-def test_soa_batch_does_not_fall_back(kind, monkeypatch):
-    # a version-space learner replays every round of a script without the
-    # round loop, and ends where the loop ends
-    xs = [(t % 4) + 1 for t in range(60)]
-    ys = [(t * 7 // 3) % 2 for t in range(60)]
-    looped = SOA_KINDS[kind]()
-    expected = checked_loop(looped, xs, ys)
-    learner = SOA_KINDS[kind]()
-
-    def predict(self, x):
-        raise AssertionError("the round loop ran")
-
-    def loop(self, xs, ys, n):
-        if len(ys):
-            raise AssertionError("the round loop ran")
-        return []
-
-    monkeypatch.setattr(SoaLearner, "predict", predict)
-    monkeypatch.setattr(SoaLearner, "_loop", loop)
-    assert learner.play(xs, ys) == expected
-    assert snapshot(learner) == snapshot(looped)
-    assert learner.t == 61
-
-
-@pytest.mark.parametrize("make, xs, ys, message", [
-    # thresholds: the labels of thr-3, then 1 at point 2, which no
-    # threshold consistent with the mistakes so far gives
-    (lambda: SoaLearner(THRESHOLDS), [1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1],
-     "round 6: restriction by (2, 1) empties the version space"),
-    # support 1: the second 1-labelled point is one too many
-    (lambda: SoaLearner(FiniteSupportClass(DOMAIN, 1)), [1, 2, 3, 4], [0, 1, 0, 1],
-     "round 4: restriction by (4, 1) empties the version space"),
-    (lambda: ExpertLearner(THRESHOLDS, (1, 2, 3, 4, 5, 6)), [1, 4, 3, 2, 1, 2],
-     [0, 1, 1, 0, 0, 1], "round 6: restriction by (2, 1) empties the version space"),
-], ids=["finite", "support", "expert"])
-def test_soa_emptied_mid_batch_matches_loop(make, xs, ys, message):
-    result = assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert result == ("error", "ProtocolError", message)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: SoaLearner(FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1]])),
-    lambda: SoaLearner(FiniteSupportClass((1, 2, 3), 1), on_empty="freeze"),
-    lambda: FollowHypothesisLearner(threshold_hypothesis(2)),
-], ids=["finite", "support", "follow"])
-def test_soa_point_outside_domain_mid_batch(make):
-    # round 5 shows a point the class does not know: the batch raises the
-    # loop's error and leaves the learner where the loop leaves it
-    xs, ys = [1, 3, 2, 3, "x", 1], [0, 1, 1, 1, 1, 0]
-    replayed, looped = both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert replayed == looped
-    assert replayed[0][:2] == ("error", "DomainError") and replayed[1]["t"] == 5
-
-
-def test_empty_class_takes_the_loop(monkeypatch):
-    def replay(self, xs, ys):
-        raise AssertionError("the batch replay ran")
-
-    monkeypatch.setattr(SoaLearner, "_replay", replay)
-    learner = SoaLearner(FiniteClass(DOMAIN, []))
-    with pytest.raises(ProtocolError, match="round 1: version space is empty"):
-        learner.play([1, 2], [0, 1])
-    assert learner.t == 1 and learner.mistakes == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, horizon=st.integers(0, 150))
-def test_coin_flip_replay_matches_loop(seed, horizon):
-    family = ExplicitListFamily([FiniteClass((0,), [[0], [1]])])
-    assert_same_game(lambda: AgnosticFpl(family, 1, seed=seed),
-                     lambda: nature.CoinFlip(seed), horizon)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=4),
-    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=4),
-    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=4),
-    lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
-], ids=["agnostic-2", "fpl-five", "pool-dim1", "soa"])
-def test_exhaustion_mid_script(make):
-    xs, ys = [1, 2, 3, 4, 1, 2, 3], [0, 1, 1, 0, 1, 1, 0]
-    result = assert_same_game(make, lambda: nature.AgnosticScripted(xs, ys), 12)
-    assert result == ("error", "ExhaustionError",
-                      "round 8: scripted stream exhausted after 7 points")
-
-
-@pytest.mark.parametrize("bad", [True, 1.0, 2, -1, None])
-@pytest.mark.parametrize("make", [
-    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=5),
-    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=5),
-    lambda: ExpertPoolFpl(COMPONENTS["dim1-support"], seed=5),
-    lambda: ConstantLearner(0),
-    lambda: AggregatorLearner(FAMILIES["support"]),
-    lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
-], ids=["agnostic-2", "fpl-five", "pool-dim1", "constant", "aggregator-support",
-        "aggregator-list"])
-def test_bad_label_mid_script(make, bad):
-    xs = [1, 2, 3, 4, 1, 2, 3, 4]
-    ys = [0, 1, 1, 0, 1, bad, 0, 1]
-    result = assert_same_game(make, lambda: RawScript(xs, ys), 8)
-    assert result == ("error", "ProtocolError", f"round 6: label must be 0 or 1, got {bad!r}")
-
-
-@pytest.mark.parametrize("bad", [True, 1.0, 2, -1, None])
-def test_cover_bad_label_mid_script(bad):
-    # labels of thr-2, so that no cover hypothesis runs out first
-    xs = [1, 2, 3, 4, 1, 2, 3, 4]
-    ys = [0, 1, 1, 1, 0, bad, 1, 1]
-    result = assert_same_game(lambda: CoverLearner(CoverSpec(TARGETS)),
-                              lambda: RawScript(xs, ys), 8)
-    assert result == ("error", "ProtocolError", f"round 6: label must be 0 or 1, got {bad!r}")
-
-
-@pytest.mark.parametrize("make", [
-    lambda: ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=9),
-    lambda: ExpertPoolFpl(COMPONENTS["dim0-singleton"], seed=9),
-    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=9),
-    lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=9),
-    lambda: AggregatorLearner(FAMILIES["support"]),
-    lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
-], ids=["pool-dim1", "pool-dim0", "fpl-five", "agnostic-2", "aggregator-support",
-        "aggregator-list"])
-@pytest.mark.parametrize("pending", [False, True])
-def test_play_after_rounds_matches_loop(make, pending):
-    # rounds played one by one, optionally a prediction of the next round
-    # (a pending choice), then the rest in one call: the same as playing
-    # every round one by one
-    xs = [(t % 4) + 1 for t in range(40)]
-    ys = [(t * 7 // 3) % 2 for t in range(40)]
-    learners = [make(), make()]
-    for learner in learners:
-        for x, y in zip(xs[:10], ys[:10]):
-            learner.predict(x)
-            learner.update(x, y)
-    if pending:
-        learners[0].predict(xs[10])
-    played = learners[0].play(xs[10:], ys[10:])
-    looped = learners[1]._loop(xs[10:], ys[10:], len(ys) - 10)
-    assert played == looped
-    assert snapshot(learners[0]) == snapshot(learners[1])
-
-
-LEARNER_KINDS = {
-    "constant": lambda: ConstantLearner(1),
-    "soa": lambda: SoaLearner(THRESHOLDS),
-    "soa-freeze": lambda: SoaLearner(THRESHOLDS, on_empty="freeze"),
-    "soa-always": lambda: SoaLearner(CONSTANTS, always_restrict=True, on_empty="freeze"),
-    "expert": lambda: ExpertLearner(THRESHOLDS, (1, 3, 4, 9), on_empty="freeze"),
-    "follow": lambda: FollowHypothesisLearner(threshold_hypothesis(3)),
-    "aggregator": lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
-    "cover": lambda: CoverLearner(CoverSpec(TARGETS)),
-    "natural-threshold": NaturalThresholdLearner,
-    "truncated-threshold": TruncatedThresholdSoa,
-    "last-label": LastLabel,
-    "fpl-five": lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)],
-                                   seed=11),
-    "pool": lambda: ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=11),
-    "agnostic": lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=11),
-}
-
-
-def hand_loop(learner, strategy, horizon):
-    """The game as a caller of the public `predict` and `update` plays it."""
-    rounds = []
-    try:
-        for t in range(1, horizon + 1):
-            x = strategy.next_point()
-            predicted = learner.predict(x)
-            y = strategy.reveal_label(x, predicted)
-            learner.update(x, y)
-            rounds.append((t, x, y, predicted))
-    except GAME_ERRORS as exc:
-        return ("error", type(exc).__name__, str(exc))
-    return ("trace", rounds, sum(y != p for _, _, y, p in rounds), len(rounds))
-
-
-@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
-@settings(max_examples=15, deadline=None)
-@given(script=any_scripts)
-def test_run_game_matches_hand_loop(kind, script):
-    # run_game steps with the round's prediction instead of calling update;
-    # both of its paths must equal predict-then-update by hand
-    xs, ys = script
-    make = LEARNER_KINDS[kind]
-    learner = make()
-    expected = (hand_loop(learner, nature.AgnosticScripted(xs, ys), len(xs)),
-                snapshot(learner))
-    for result in both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs)):
-        assert result == expected
-
-
-BAD_LABELS = [True, False, 1.0, 0.0, np.int64(1), 2, -1, None, [1]]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.integers(0, 1), st.sampled_from(BAD_LABELS)), max_size=12))
 def test_labelled_prefix_matches_label_scan(ys):
@@ -1130,66 +1027,10 @@ def test_labelled_prefix_matches_label_scan(ys):
     assert labelled_prefix(tuple(ys)) == labelled_prefix(ys)
 
 
-def checked_loop(learner, xs, ys):
-    """The round loop that checks each label as its round comes."""
-    preds = []
-    for x, y in zip(xs, ys):
-        p = learner.predict(x)
-        learner._check_label(y)
-        learner._record(x, y, p)
-        preds.append(p)
-    return preds
-
-
-def played(play, learner, xs, ys):
-    try:
-        result = ("preds", play(learner, xs, ys))
-    except GAME_ERRORS as exc:
-        result = ("error", type(exc).__name__, getattr(exc, "round_index", None), str(exc))
-    return result, snapshot(learner)
-
-
-@pytest.mark.parametrize("kind", sorted(LEARNER_KINDS))
-@settings(max_examples=15, deadline=None)
-@given(script=any_scripts,
-       bad=st.one_of(st.none(), st.tuples(st.integers(0, 120), st.sampled_from(BAD_LABELS))))
-def test_base_play_matches_checked_loop(kind, script, bad):
-    # labels checked once up front, then predict and step: the same
-    # predictions, state and bad-label error as a check in every round
-    xs, ys = script
-    if bad is not None:
-        at, label = bad
-        at = min(at, len(ys))
-        xs, ys = xs[:at] + [DOMAIN[at % 4]] + xs[at:], ys[:at] + [label] + ys[at:]
-    make = LEARNER_KINDS[kind]
-    assert played(OnlineLearner.play, make(), xs, ys) == \
-        played(checked_loop, make(), xs, ys)
-
-
-@pytest.mark.parametrize("key, before", [((), 0), ((), 7), ((1, 3), 10), ((2, 15), 0),
-                                         ((2, 15), 5)],
-                         ids=["empty", "empty-after-rounds", "last-key-before-batch",
-                              "last-key-in-batch", "last-key-in-batch-after-rounds"])
-@settings(max_examples=20, deadline=None)
-@given(script=any_scripts)
-def test_expert_replay_matches_loop(key, before, script):
-    # `before` rounds one by one, then the rest in one batch: the batch's
-    # predictions, t, mistakes and state are the loop's, whether the last
-    # key round lies before the batch, inside it or nowhere
-    xs, ys = script
-    pair = [ExpertLearner(THRESHOLDS, key, on_empty="freeze") for _ in range(2)]
-    for learner in pair:
-        checked_loop(learner, xs[:before], ys[:before])
-    assert played(OnlineLearner.play, pair[0], xs[before:], ys[before:]) == \
-        played(checked_loop, pair[1], xs[before:], ys[before:])
-
-
 @pytest.mark.parametrize("key, head", [((), 0), ((2, 15), 15), ((70,), 60)])
 def test_frozen_expert_reads_a_table(key, head, monkeypatch):
     # only the rounds up to the last key round take the version-space
     # replay; past it every round reads one prediction per distinct point
-    xs = [(t % 4) + 1 for t in range(60)]
-    ys = [(t * 7 // 3) % 2 for t in range(60)]
     given_rounds, replay = [], SoaLearner._replay
 
     def counted(self, xs, ys):
@@ -1197,51 +1038,12 @@ def test_frozen_expert_reads_a_table(key, head, monkeypatch):
         return replay(self, xs, ys)
 
     monkeypatch.setattr(SoaLearner, "_replay", counted)
-    learner = ExpertLearner(THRESHOLDS, key, on_empty="freeze")
-    looped = ExpertLearner(THRESHOLDS, key, on_empty="freeze")
-    assert learner.play(xs, ys) == checked_loop(looped, xs, ys)
-    assert given_rounds == [head] and snapshot(learner) == snapshot(looped)
-
-
-@pytest.mark.parametrize("key", [(), (2,), (2, 9)])
-@pytest.mark.parametrize("at", [1, 4, 7])
-def test_expert_point_outside_domain(key, at):
-    # a point the class does not know, before, at or after the last key
-    # round, raises the loop's DomainError
-    xs = [1, 3, 2, 3, 1, 2, 1, 3]
-    xs[at] = "x"
-    ys = [0, 1, 1, 1, 1, 0, 0, 1]
-    make = lambda: ExpertLearner(FiniteClass((1, 2, 3), [[0, 0, 1], [0, 1, 1]]), key,
-                                 on_empty="freeze")
-    replayed, looped = both_ways(make, lambda: nature.AgnosticScripted(xs, ys), len(xs))
-    assert replayed[0] == looped[0] == ("error", "DomainError", "point 'x' not in class domain")
-
-
-CHECK_EXPERTS = {
-    "parity-0": lambda: verification._ParityExpert(0),
-    "parity-1": lambda: verification._ParityExpert(1),
-    "last-label": verification._LastLabelExpert,
-}
-
-
-@pytest.mark.parametrize("kind", sorted(CHECK_EXPERTS))
-@pytest.mark.parametrize("before", [0, 3])
-@settings(max_examples=20, deadline=None)
-@given(script=scripts)
-def test_check_experts_replay_matches_loop(kind, before, script):
-    # the fpl check's own experts: the batch gives the loop's predictions,
-    # t, mistakes and last label, from any round on
-    xs, ys = script
-    pair = [CHECK_EXPERTS[kind]() for _ in range(2)]
-    for learner in pair:
-        checked_loop(learner, xs[:before], ys[:before])
-    xs, ys = xs[before:], ys[before:]
-    assert pair[0].play(xs, ys) == checked_loop(pair[1], xs, ys)
-    assert vars(pair[0]) == vars(pair[1])
+    same_game(game(expert("thresholds", key=key), cycle(60)))
+    assert given_rounds == [head]
 
 
 @pytest.mark.parametrize("make", [
-    lambda: FplLearner(five_experts(), [1.0 + math.log(i) for i in range(1, 6)], seed=3),
+    lambda: FplLearner(five_experts(), FIVE_KS, seed=3),
     lambda: AgnosticFpl(ExplicitListFamily([CONSTANTS, THRESHOLDS]), 2, seed=3),
     lambda: AggregatorLearner(FAMILIES["constants-thresholds"]),
 ], ids=["fpl-five", "agnostic-2", "aggregator-list"])
@@ -1250,17 +1052,19 @@ def test_one_label_check_per_play(make, bad, monkeypatch):
     # `play` checks the batch's labels once; the experts and sub-learners it
     # plays on that batch do not check them again, and a bad label still
     # raises at its round with the loop's message
-    xs = [(t % 4) + 1 for t in range(40)]
-    ys = [(t * 7 // 3) % 2 for t in range(40)]
+    xs, ys = cycle(40)
     if bad is not None:
         ys[25] = bad
     calls = []
     monkeypatch.setattr(learners_module, "labelled_prefix",
                         lambda ys: calls.append(len(ys)) or labelled_prefix(ys))
-    result, _ = played(OnlineLearner.play, make(), xs, ys)
+    if bad is None:
+        make().play(xs, ys)
+    else:
+        with pytest.raises(ProtocolError, match="round 26: label must be 0 or 1, got 2") as exc:
+            make().play(xs, ys)
+        assert exc.value.round_index == 26
     assert calls == [40]
-    if bad is not None:
-        assert result == ("error", "ProtocolError", 26, "round 26: label must be 0 or 1, got 2")
 
 
 class Emits(OnlineLearner):
@@ -1280,12 +1084,9 @@ class Emits(OnlineLearner):
 def test_fpl_replay_reads_expert_predictions_as_bytes(value, error):
     # an expert prediction that is an int in 0..255 plays as in the loop;
     # any other is refused with a typed error
-    xs, ys = [1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4
     make = lambda: FplLearner([ConstantLearner(0), Emits(value)], [1.0, 2.0], seed=8)
     if error is None:
-        replayed, looped = make(), make()
-        assert replayed.play(xs, ys) == checked_loop(looped, xs, ys)
-        assert snapshot(replayed) == snapshot(looped)
+        same_game(game(make, ([1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4)))
     else:
         with pytest.raises(error):
-            make().play(xs, ys)
+            make().play([1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4)

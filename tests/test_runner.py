@@ -376,6 +376,16 @@ class TestMonteCarlo:
         assert rows[0]["bound"] == pytest.approx(15.0)
         assert all(r["trials"] == 40 for r in rows)
 
+    def test_regret_curve_evaluates_every_bound_before_any_trial(self):
+        # a bound that has no value at the last horizon fails before the
+        # first trial, not after all of them
+        def learner(seed):
+            raise AssertionError("a trial ran")
+
+        with pytest.raises(ValueError, match="math domain error"):
+            regret_curve(learner, lambda s: nature.CoinFlip(s), horizons=[25, 0], trials=2,
+                         master_seed=1, comparison=TWO_CLASS, bound_fn=lambda T: math.log(T))
+
 
 class TestConfigFactories:
     def test_learner_dispatch(self):

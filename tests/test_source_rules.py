@@ -238,3 +238,34 @@ def test_one_draw_rule():
     assert {"hypotheses.py.DiscreteMeasure.sample",
             "nature.py.StochasticIid.draw_script"} <= drawing
     assert not {scope for scope, name, _, called in uses if name == "random" and called}
+
+
+def test_no_threads():
+    # the package starts no thread: nothing under src/nuolab imports
+    # `threading` (processes and CPU affinity stay open to trial workers)
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name in imported(node) if name.split(".")[0] == "threading"]
+    assert SOURCES and not found, found
+
+
+def test_every_replay_has_a_harness_row():
+    # every class that defines `_replay` is a key of `ROWS` in
+    # tests/test_replay.py, whose cases play it against the round loop
+    replaying = {node.name
+                 for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.ClassDef)
+                 and any(isinstance(f, ast.FunctionDef) and f.name == "_replay"
+                         for f in node.body)}
+    harness = Path(__file__).with_name("test_replay.py")
+    rows = next(node.value for node in ast.parse(harness.read_text()).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROWS")
+    keys = {getattr(key, "attr", getattr(key, "id", None)) for key in rows.keys}
+    assert "ExpertPoolFpl" in replaying and replaying <= keys, replaying - keys

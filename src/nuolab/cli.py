@@ -6,16 +6,8 @@ import os
 import sys
 
 from . import runner, specs, verification
-from .fpl import ConfigurationError
 from .hypotheses import DomainError, format_point
-from .learners import ProtocolError
-from .littlestone import CapacityError, ldim, shattered_tree_witness
-from .nature import ExhaustionError
-
-# errors of the input, not of the program: one line on stderr, exit code 2
-# (a bad spec file, key or field is a DomainError)
-_INPUT_ERRORS = (DomainError, CapacityError, ProtocolError, ConfigurationError,
-                 ExhaustionError, ValueError)
+from .littlestone import ldim, shattered_tree_witness
 
 
 def _cmd_ldim(args) -> int:
@@ -112,9 +104,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)
+    # an error of the input, not of the program, is one line on stderr and
+    # exit code 2; any other exception is a bug, and leaves with its traceback
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except DomainError as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"nuolab {args.command}: error: {message}", file=sys.stderr)
         return 2

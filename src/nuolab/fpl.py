@@ -72,14 +72,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hypotheses import FamilyComponent, ClassFamily, Point
+from .hypotheses import ClassFamily, DomainError, FamilyComponent, Point
 from .learners import OnlineLearner
 from .littlestone import engine_for
 
 _MASS_SLACK = 1e-9
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DomainError):
     """An expert list or registration that a perturbed leader refuses."""
 
 

@@ -21,7 +21,10 @@ Point = str | int | Fraction
 
 
 class DomainError(ValueError):
-    """A point outside the declared domain, or a malformed definition."""
+    """Bad input: a point outside the declared domain, a malformed spec or
+    definition, or a game its learner's contract rules out. The base of
+    every input error of the package; the CLI prints one as a single line
+    on stderr and exits 2."""
 
 
 def format_point(p: Point) -> str:

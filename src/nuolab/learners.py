@@ -27,7 +27,7 @@ from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
 from .littlestone import engine_for
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(DomainError):
     """A feed the learner's contract rules out (e.g. a non-realizable label
     sequence emptied the version space). Carries the violating round."""
 
@@ -73,7 +73,7 @@ class OnlineLearner:
         """Play the rounds (xs[i], ys[i]) in order, as `predict` then
         `update` each (with the one prediction), and return the predictions.
 
-        Unequal lengths raise ValueError before any round is played. The
+        Unequal lengths raise DomainError before any round is played. The
         labels are checked once, up front. The first `_batchable` of
         the well-labelled rounds are replayed in one batch (`_replay`), the
         rest take `predict` then `_record` each, and the first bad label's
@@ -86,7 +86,7 @@ class OnlineLearner:
         labels checked: a learner playing others on its batch calls their
         `_played`."""
         if len(xs) != len(ys):
-            raise ValueError("xs and ys differ in length")
+            raise DomainError("xs and ys differ in length")
         return self._played(xs, ys, labelled_prefix(ys))
 
     def _played(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
@@ -171,7 +171,7 @@ class SoaLearner(OnlineLearner):
                  always_restrict: bool = False, on_empty: str = "error"):
         super().__init__()
         if on_empty not in ("error", "freeze"):
-            raise ValueError(f"on_empty must be 'error' or 'freeze', got {on_empty!r}")
+            raise DomainError(f"on_empty must be 'error' or 'freeze', got {on_empty!r}")
         self.engine = engine_for(cls)
         # the current state id; None only for an empty explicit class
         self.sid: Optional[int] = None if isinstance(cls, FiniteClass) and cls.is_empty else 0
@@ -240,7 +240,7 @@ class ExpertLearner(SoaLearner):
         super().__init__(cls, on_empty=on_empty)
         key = tuple(key)
         if any(b <= a for a, b in zip(key, key[1:])) or any(i < 1 for i in key):
-            raise ValueError(f"key must be strictly increasing positive rounds: {key}")
+            raise DomainError(f"key must be strictly increasing positive rounds: {key}")
         self.key = key
         self._keyset = frozenset(key)
 

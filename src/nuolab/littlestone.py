@@ -28,11 +28,7 @@ from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass, Point,
                          SingletonClass, is_label)
 
 
-class StructureError(ValueError):
-    """A witness whose shape does not match its declared depth."""
-
-
-class CapacityError(RuntimeError):
+class CapacityError(DomainError):
     """An oracle call beyond its configured exact-computation caps."""
 
 
@@ -308,9 +304,9 @@ class ShatteredTreeWitness:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise StructureError("witness depth must be >= 1")
+            raise DomainError("witness depth must be >= 1")
         if len(self.points) != 2 ** self.depth - 1:
-            raise StructureError(
+            raise DomainError(
                 f"witness of depth {self.depth} needs {2 ** self.depth - 1} points, "
                 f"got {len(self.points)}")
 
@@ -325,7 +321,7 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
     the caps (those of `ldim`) this raises before any recursion.
     """
     if d < 1:
-        raise ValueError("witness depth must be >= 1 (use ldim for depth 0)")
+        raise DomainError("witness depth must be >= 1 (use ldim for depth 0)")
     if cls.is_empty:
         raise DomainError("no witness for an empty class")
     _check_dimension_caps(cls)
@@ -368,8 +364,6 @@ def verify_witness(witness: ShatteredTreeWitness, cls: FiniteClass) -> bool:
     2^d leaves: one walk per row, not one scan of the rows per labeling.
     """
     d = witness.depth
-    if len(witness.points) != 2 ** d - 1:
-        raise StructureError("point array does not match witness depth")
     cols = [cls.point_index(p) for p in witness.points]
     leaves = 1 << d
     reached = set()

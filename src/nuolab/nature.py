@@ -17,7 +17,7 @@ from .learners import ProtocolError
 from .littlestone import ldim, shattered_tree_witness
 
 
-class ExhaustionError(RuntimeError):
+class ExhaustionError(DomainError):
     """A finite strategy ran out of points (normal end of an experiment)."""
 
 
@@ -102,7 +102,7 @@ class AgnosticScripted(NatureStrategy):
 
     def __init__(self, points: Sequence[Point], labels: Sequence[int]):
         if len(points) != len(labels):
-            raise ValueError("points and labels differ in length")
+            raise DomainError("points and labels differ in length")
         self.points = list(points)
         self.labels = list(labels)
         self.served = 0
@@ -195,7 +195,7 @@ class WindowHalving(NatureStrategy):
 
     def __init__(self, depth: int = 64):
         if depth < 1:
-            raise ValueError("depth cap must be >= 1")
+            raise DomainError("depth cap must be >= 1")
         self.depth = depth
         self._a, self._b, self._e = 0, 1, 0
         self.emitted: list[tuple[Fraction, int]] = []
@@ -253,7 +253,7 @@ class TreeAdversary(NatureStrategy):
     def __init__(self, cls: FiniteClass):
         d = ldim(cls)
         if d < 1:
-            raise ValueError("class shatters nothing; there is no branch to force")
+            raise DomainError("class shatters nothing; there is no branch to force")
         self.cls = cls
         self.depth = d
         self.witness = shattered_tree_witness(cls, d)
@@ -301,7 +301,7 @@ def commit_adversary(cls: FiniteClass, learner_factory: Callable[[], "object"]
     from .runner import run_game  # deferred: runner depends on this module
     learner = learner_factory()
     if not getattr(learner, "deterministic", False):
-        raise ValueError("committed adversary requires a deterministic learner")
+        raise DomainError("committed adversary requires a deterministic learner")
     adversary = TreeAdversary(cls)
     trace = run_game(learner, adversary, adversary.depth)
     return RealizableScripted(adversary.committed, trace.xs, cycle=True)

@@ -81,7 +81,7 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     errors from inside the learner).
     """
     if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+        raise DomainError("horizon must be >= 0")
     if not strategy.oblivious:
         trace = GameTrace()
         for t in range(1, horizon + 1):
@@ -240,7 +240,7 @@ class RegretCurve:
 def _sequence(name: str, seed: int) -> np.random.SeedSequence:
     # numpy refuses a negative seed too, but without naming it
     if seed < 0:
-        raise ValueError(f"{name} must be non-negative, got {seed}")
+        raise DomainError(f"{name} must be non-negative, got {seed}")
     return np.random.SeedSequence(seed)
 
 
@@ -269,7 +269,7 @@ def monte_carlo(trial_fn: Callable[[int], float | Sequence[float]],
                 trials: int, master_seed: int = 0) -> TrialStats:
     """Independent seeded trials of a scalar or vector experiment."""
     if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+        raise DomainError("need at least 2 trials for a standard error")
     values = np.array([trial_fn(s) for s in trial_seeds(master_seed, trials)],
                       dtype=float)
     return TrialStats(values)

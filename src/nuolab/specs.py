@@ -94,6 +94,8 @@ ON_EMPTY = Shape("be 'error' or 'freeze'", lambda v: v in ("error", "freeze"))
 PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 # a bound's numbers must convert to floats: a 400-digit int does not
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
+# a count of rounds, trials or components must fit a numpy array of 8-byte words
+COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
 
 
 def checked(name: str, value, shape: Shape):
@@ -186,9 +188,12 @@ def measure_from_config(raw) -> DiscreteMeasure:
     support = spec.points("support", "measure support")
     masses = spec.field("mass", list_of(MASS), name="measure mass")
     try:
-        return DiscreteMeasure(support, [Fraction(m) for m in masses])
+        fractions = [Fraction(m) for m in masses]
     except ZeroDivisionError:
         raise DomainError(f"measure mass has a zero denominator: {masses!r}") from None
+    except ValueError:      # a string that is no rational, such as "abc" or ""
+        raise DomainError(f"measure mass must hold rationals, got {masses!r}") from None
+    return DiscreteMeasure(support, fractions)
 
 
 def make_learner(raw, seed: Optional[int] = None):
@@ -227,7 +232,8 @@ def make_learner(raw, seed: Optional[int] = None):
         cap_d = spec.field("cap_d", INT_OR_NULL, 2)
         cap_T = spec.field("cap_T", INT_OR_NULL, None)
         return fpl.AgnosticFpl(family_from_config(spec.field("family", OBJECT)),
-                               spec.field("components", INT, 1),
+                               checked("components", spec.field("components", INT, 1),
+                                       COUNT),
                                seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
     raise DomainError(f"unknown learner spec: {kind!r}")
 
@@ -276,6 +282,7 @@ def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
 def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
                 seed: int = 0):
     """Build both sides from specs with a split seed and run one game."""
+    checked("horizon", horizon, COUNT)
     return play_seeded(*_spec_makers(learner_spec, nature_spec), horizon, seed)
 
 
@@ -307,7 +314,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
     if not horizons:
         raise DomainError("Ts list is empty")
     checked("T and Ts", horizons, Shape("be >= 0", lambda v: min(v) >= 0))
-    trials = config.field("trials", INT, 100)
+    trials = checked("trials", config.field("trials", INT, 100), COUNT)
     master_seed = config.field("master_seed", INT, 0)
     learner_spec = config.field("learner", OBJECT)
     nature_spec = config.field("nature", OBJECT)
@@ -333,6 +340,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
             bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
         else:
             raise DomainError(f"unknown bound kind: {kind!r}")
+    checked("T and Ts", max(horizons), COUNT)
 
     return regret_curve(*_spec_makers(learner_spec, nature_spec),
                         horizons, trials, master_seed, comparison, bound_fn)

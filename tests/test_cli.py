@@ -21,6 +21,10 @@ def fpl_k(k):
                        "k": [k, 1]})
 
 
+# a class of dimension 2 on two points: every labeling of them
+TREE_CLASS = {"domain": [1, 2], "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -53,14 +57,48 @@ def test_play_runs(capsys):
      "complexity -710 is out of range: exp(-k) overflows a float"),
     (["--learner", fpl_k(10 ** 400), "--nature", COIN, "-T", "5"],
      f"complexity {10 ** 400} is out of range: exp(-k) overflows a float"),
+    (["--learner", json.dumps({"learner": "expert", "class": TREE_CLASS, "key": [3, 1]}),
+      "--nature", COIN, "-T", "3"],
+     "key must be strictly increasing positive rounds: (3, 1)"),
+    (["--learner", CONSTANT, "--nature", json.dumps({"nature": "window-halving", "depth": 0}),
+      "-T", "3"], "depth cap must be >= 1"),
+    (["--learner", CONSTANT, "--nature",
+      json.dumps({"nature": "scripted", "x": [1, 2], "y": [0]}), "-T", "3"],
+     "points and labels differ in length"),
+    (["--learner", fpl_k(1), "--nature",
+      json.dumps({"nature": "tree-adversary", "class": TREE_CLASS, "mode": "committed"}),
+      "-T", "3"], "committed adversary requires a deterministic learner"),
+    (["--learner", CONSTANT, "--nature",
+      json.dumps({"nature": "tree-adversary", "class": {"domain": [1], "hypotheses": [[0]]}}),
+      "-T", "3"], "class shatters nothing; there is no branch to force"),
+    (["--learner", CONSTANT, "--nature",
+      json.dumps({"nature": "iid", "measure": {"support": [1, 2], "mass": ["abc", "1/2"]},
+                  "target": {"kind": "constant", "value": 0}}), "-T", "3"],
+     "measure mass must hold rationals, got ['abc', '1/2']"),
+    (["--learner", CONSTANT, "--nature", COIN, "-T", str(2 ** 64)],
+     f"horizon must be at most {sys.maxsize // 8}, got {2 ** 64}"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
         "exhausted", "redraw-once", "negative-seed", "fpl-k-mass-overflows",
-        "fpl-k-beyond-float"])
+        "fpl-k-beyond-float", "expert-key-decreasing", "window-depth-zero",
+        "script-lengths-differ", "committed-fpl", "class-shatters-nothing",
+        "measure-mass-not-rational", "horizon-beyond-count"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
     assert err.startswith("nuolab play: error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_a_program_bug_is_not_reported_as_bad_input(capsys, monkeypatch):
+    # only a DomainError is bad input: a ValueError from inside the program,
+    # as numpy raises, leaves `cli.main` and so exits 1 with its traceback
+    def run_game(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(runner, "run_game", run_game)
+    with pytest.raises(ValueError, match="boom"):
+        cli.main(["play", "--learner", CONSTANT, "--nature", COIN, "-T", "3"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_play_refuses_a_class_beyond_the_caps(capsys, tmp_path):
@@ -213,13 +251,20 @@ def test_regret_runs(capsys):
                                                         "domain": [0, 1]},
                   "redraw": "once"}},
      "redraw must be 'per-round', got 'once'"),
+    ({"trials": 0}, "need at least 2 trials for a standard error"),
+    ({"trials": 1}, "need at least 2 trials for a standard error"),
+    ({"trials": 2 ** 64}, f"trials must be at most {sys.maxsize // 8}, got {2 ** 64}"),
+    ({"Ts": [5, 2 ** 64]}, f"T and Ts must be at most {sys.maxsize // 8}, got {2 ** 64}"),
+    ({"learner": {**AGNOSTIC, "components": 2 ** 64}},
+     f"components must be at most {sys.maxsize // 8}, got {2 ** 64}"),
 ], ids=["string-T", "float-Ts", "bool-Ts", "scalar-Ts", "zero-Ts", "false-Ts",
         "empty-string-Ts", "empty-Ts", "float-trials",
         "bool-trials", "empty-comparison", "float-seed", "bool-seed", "negative-seed",
         "float-dim",
         "bool-n", "bool-k", "zero-n", "negative-n", "negative-T", "zero-T-hierarchical",
         "negative-dim", "huge-dim", "huge-k", "huge-T", "list-bound", "string-bound",
-        "redraw-once"])
+        "redraw-once", "zero-trials", "one-trial", "trials-beyond-count",
+        "T-beyond-count", "components-beyond-count"])
 def test_regret_rejects_bad_config(capsys, change, message):
     code, out, err = run(capsys, "regret", "--config", json.dumps({**REGRET, **change}))
     assert code == 2 and out == ""

@@ -8,7 +8,7 @@ from nuolab import littlestone
 from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
                                SingletonClass, threshold_hypothesis)
 from nuolab.littlestone import (CapacityError, ShatteredTreeWitness,
-                                StructureError, VersionSpace, engine_for, ldim,
+                                VersionSpace, engine_for, ldim,
                                 minimax_mistakes, path_node_indices,
                                 shattered_tree_witness, verify_witness)
 
@@ -101,7 +101,7 @@ class TestWitness:
         assert verify_witness(ShatteredTreeWitness(1, ("a",)), cls)
 
     def test_structure_error(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DomainError, match="needs 3 points, got 2"):
             ShatteredTreeWitness(2, ("a", "b"))
 
     def test_realizers_are_consistent(self):

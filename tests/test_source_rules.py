@@ -1,5 +1,6 @@
 """Rules the package source keeps."""
 import ast
+import builtins
 from pathlib import Path
 
 import nuolab
@@ -269,3 +270,54 @@ def test_every_replay_has_a_harness_row():
                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROWS")
     keys = {getattr(key, "attr", getattr(key, "id", None)) for key in rows.keys}
     assert "ExpertPoolFpl" in replaying and replaying <= keys, replaying - keys
+
+
+# the built-in exceptions the package raises: TypeError for a call the API
+# rules out, AssertionError for a broken invariant, and those Python's own
+# protocols expect (an abstract method, `__getattr__`, an index past the end)
+BUILTIN_RAISES = {"TypeError", "AssertionError", "NotImplementedError", "AttributeError",
+                  "IndexError"}
+
+
+def test_one_input_error_base():
+    # bad input is refused with a DomainError, which the CLI prints as one
+    # line with exit 2, and anything else is a bug: every exception class of
+    # the package derives from DomainError, no raise names ValueError or
+    # RuntimeError, and `cli.main` catches DomainError alone
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    bases, raised = {}, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [name(base) for base in node.bases]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((f"{path.name}:{node.lineno}", name(exc)))
+
+    def derives(cls, test):
+        return test(cls) or any(derives(base, test) for base in bases.get(cls, ()))
+
+    def builtin_error(cls):
+        found = getattr(builtins, cls or "", None)
+        return isinstance(found, type) and issubclass(found, BaseException)
+
+    errors = {cls for cls in bases if derives(cls, builtin_error)}
+    assert bases["DomainError"] == ["ValueError"]
+    assert {"ProtocolError", "CapacityError", "ExhaustionError", "ConfigurationError"} < errors
+    assert all(derives(cls, lambda c: c == "DomainError") for cls in errors), errors
+    bare = [(site, exc) for site, exc in raised
+            if builtin_error(exc) and exc not in BUILTIN_RAISES]
+    assert raised and not bare, bare
+
+    tree = ast.parse(next(path for path in SOURCES if path.name == "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [handler for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)]
+    assert [name(handler.type) for handler in caught] == ["DomainError"]
+    # any other handler in cli.py turns what it catches into a DomainError
+    others = [handler for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler not in caught]
+    assert all(len(handler.body) == 1 and isinstance(handler.body[0], ast.Raise)
+               and name(handler.body[0].exc.func) == "DomainError" for handler in others)

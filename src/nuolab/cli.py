@@ -56,22 +56,20 @@ def _cmd_play(args) -> int:
 def _cmd_regret(args) -> int:
     curve = specs.regret_experiment_from_config(specs.load_spec(args.config))
     header = f"{'T':>6} {'trials':>7} {'mean':>10} {'se':>8}"
-    if curve.bounds is not None:
-        header += f" {'bound':>10}"
-    print(header)
-    for row in curve.rows():
-        line = f"{row['T']:>6} {row['trials']:>7} {row['mean']:>10.3f} {row['se']:>8.3f}"
-        if "bound" in row:
-            line += f" {row['bound']:>10.2f}"
-        print(line)
+    print(header if curve.bounds is None else f"{header} {'bound':>10}")
+    for i, (T, stats) in enumerate(zip(curve.horizons, curve.stats)):
+        bound = "" if curve.bounds is None else f" {curve.bounds[i]:>10.2f}"
+        print(f"{T:>6} {stats.trials:>7} {stats.mean:>10.3f} {stats.se:>8.3f}{bound}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report = verification.run_report(args.suite, args.seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.all_passed else 1
+    results = verification.run_suite(args.suite, args.seed)
+    for result in results:
+        print(result.line())
+    passed = sum(result.passed for result in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None) -> int:

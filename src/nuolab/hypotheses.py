@@ -340,8 +340,8 @@ class DiscreteMeasure:
             raise DomainError("empty support")
         if any(m <= 0 for m in self.masses):
             raise DomainError("masses must be positive")
-        if sum(self.masses) != 1:
-            raise DomainError(f"masses sum to {sum(self.masses)}, expected 1")
+        if sum(self.masses) != 1:   # not printed: str() of a long sum may raise
+            raise DomainError(f"masses sum to {'more' if sum(self.masses) > 1 else 'less'} than 1")
         # the masses as counts over their common denominator D, cumulated
         den = lcm(*(m.denominator for m in self.masses))
         self._cum = list(accumulate(m.numerator * (den // m.denominator) for m in self.masses))

@@ -226,16 +226,6 @@ class RegretCurve:
     stats: list[TrialStats]
     bounds: Optional[list[float]] = None
 
-    def rows(self) -> list[dict]:
-        out = []
-        for i, T in enumerate(self.horizons):
-            row = {"T": T, "mean": self.stats[i].mean, "se": self.stats[i].se,
-                   "trials": self.stats[i].trials}
-            if self.bounds is not None:
-                row["bound"] = self.bounds[i]
-            out.append(row)
-        return out
-
 
 def _sequence(name: str, seed: int) -> np.random.SeedSequence:
     # numpy refuses a negative seed too, but without naming it

@@ -78,6 +78,16 @@ def list_of(items: Shape) -> Shape:
     return Shape("be a list", lambda v: type(v) is list, items)
 
 
+def small_rational(v) -> bool:
+    """Whether `v` is a string that `Fraction` reads into a small rational,
+    or into none: Fraction("1e-30000000") would build 10**30000000."""
+    try:
+        return type(v) is str and len(v) <= 100 and abs(
+            int(v.upper().partition("E")[2] or 0)) < 1000
+    except ValueError:      # no rational, which `measure_from_config` refuses
+        return True
+
+
 INT = Shape("be an int", lambda v: type(v) is int)
 INT_OR_NULL = Shape("be an int or null", lambda v: v is None or type(v) is int)
 NUMBER = Shape("be a number", lambda v: type(v) in (int, float))
@@ -86,7 +96,8 @@ LABEL = Shape("be 0 or 1", is_label)
 OBJECT = Shape("be an object", lambda v: type(v) is dict)
 LIST = Shape("be a list", lambda v: type(v) is list)
 ROW = list_of(LABEL)
-MASS = Shape("be a number or a string", lambda v: type(v) in (int, float, str))
+MASS = Shape("be a number, or a string of at most 100 characters with an exponent below 1000",
+             lambda v: type(v) in (int, float) or small_rational(v))
 HYPOTHESIS_LABELS = Shape("be a list of ints and strings, or null", lambda v: v is None
                           or type(v) is list and all(type(x) in (int, str) for x in v))
 HORIZONS = Shape("hold ints", lambda v: type(v) is list and all(type(T) is int for T in v))

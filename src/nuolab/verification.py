@@ -7,6 +7,7 @@ or minus three standard errors against the bound (`bounds.margin`).
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -28,24 +29,6 @@ class CheckResult:
 
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
-
-
-@dataclass
-class ExperimentReport:
-    """A suite run: config echo, per-check verdicts, overall outcome."""
-
-    suite: str
-    seed: int
-    results: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        passed = sum(r.passed for r in self.results)
-        return ([r.line() for r in self.results]
-                + [f"{passed}/{len(self.results)} checks passed"])
 
 
 # ---------------------------------------------------------------------------
@@ -442,41 +425,34 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the suite
 # ---------------------------------------------------------------------------
 
-def default_suite(seed: int = 0) -> list[CheckResult]:
-    """All acceptance checks at their stated scale."""
-    return [
-        check_ldim_minimax_equality(seed=seed),
-        check_soa_mistake_bound(seed=seed),
-        check_aggregator_square_bound(),
-        check_cover_index_bound(),
-        check_expert_key_bound(),
-        check_fpl_regret_bound(),
-        check_hierarchical_regret_bound(),
-        check_coinflip_regret_floor(),
-        check_complexity_mass(),
-        check_window_halving(),
-    ]
+# verdict name -> (check, its arguments for `--suite full`), in `verify`'s order
+SUITE = {
+    "ldim-minimax-equality": (check_ldim_minimax_equality, {"random_count": 120}),
+    "soa-mistake-bound": (check_soa_mistake_bound, {"random_count": 100}),
+    "aggregator-square-bound": (check_aggregator_square_bound, {"horizon": 300}),
+    "cover-index-bound": (check_cover_index_bound, {"horizon": 150}),
+    "expert-key-cover": (check_expert_key_bound, {}),
+    "fpl-regret-bound": (check_fpl_regret_bound, {"trials": 3000}),
+    "hierarchical-regret-bound": (check_hierarchical_regret_bound, {"trials": 800}),
+    "coinflip-regret-floor": (check_coinflip_regret_floor, {"trials": 3000}),
+    "complexity-mass": (check_complexity_mass, {"terms": 100_000}),
+    "window-halving-forcing": (check_window_halving, {"rounds": 48}),
+}
 
 
-def full_suite(seed: int = 0) -> list[CheckResult]:
-    """Larger corpora and trial counts; slower."""
-    return [
-        check_ldim_minimax_equality(seed=seed, random_count=120),
-        check_soa_mistake_bound(seed=seed, random_count=100),
-        check_aggregator_square_bound(horizon=300),
-        check_cover_index_bound(horizon=150),
-        check_expert_key_bound(),
-        check_fpl_regret_bound(trials=3000),
-        check_hierarchical_regret_bound(trials=800),
-        check_coinflip_regret_floor(trials=3000),
-        check_complexity_mass(terms=100_000),
-        check_window_halving(rounds=48),
-    ]
+def suite_arguments(name: str, suite: str, seed: int) -> dict:
+    """What `run_suite(suite, seed)` passes the check `name`: the full scale
+    or none (the check's defaults), and `seed` if the check takes one."""
+    check, full = SUITE[name]
+    args = dict(full) if suite == "full" else {}
+    if "seed" in inspect.signature(check).parameters:
+        args["seed"] = seed
+    return args
 
 
-def run_report(suite: str = "default", seed: int = 0) -> ExperimentReport:
-    results = (full_suite if suite == "full" else default_suite)(seed=seed)
-    return ExperimentReport(suite, seed, results)
+def run_suite(suite: str, seed: int) -> list[CheckResult]:
+    """Each check of `SUITE` in turn, at the scale of `suite`: "default" or "full"."""
+    return [check(**suite_arguments(name, suite, seed)) for name, (check, _) in SUITE.items()]

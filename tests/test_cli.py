@@ -21,6 +21,16 @@ def fpl_k(k):
                        "k": [k, 1]})
 
 
+def iid_masses(*masses):
+    return json.dumps({"nature": "iid", "measure": {"support": [1, 2], "mass": list(masses)},
+                       "target": {"kind": "constant", "value": 0}})
+
+
+# two masses "1/q" of 3,001 digits, whose sum's denominator has 6,001: more
+# than Python prints of an int
+LONG_MASSES = [f"1/{10 ** 3000 + 1}", f"1/{10 ** 3000 + 3}"]
+
+
 # a class of dimension 2 on two points: every labeling of them
 TREE_CLASS = {"domain": [1, 2], "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 
@@ -77,11 +87,19 @@ def test_play_runs(capsys):
      "measure mass must hold rationals, got ['abc', '1/2']"),
     (["--learner", CONSTANT, "--nature", COIN, "-T", str(2 ** 64)],
      f"horizon must be at most {sys.maxsize // 8}, got {2 ** 64}"),
+    (["--learner", CONSTANT, "--nature", iid_masses("1e-5000", "1/2"), "-T", "3"],
+     "measure mass must be a number, or a string of at most 100 characters with an "
+     "exponent below 1000, got '1e-5000'"),
+    (["--learner", CONSTANT, "--nature", iid_masses(*LONG_MASSES), "-T", "3"],
+     "measure mass must be a number, or a string of at most 100 characters"),
+    (["--learner", CONSTANT, "--nature", iid_masses("1e-3000000", "1/2"), "-T", "3"],
+     "exponent below 1000, got '1e-3000000'"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
         "exhausted", "redraw-once", "negative-seed", "fpl-k-mass-overflows",
         "fpl-k-beyond-float", "expert-key-decreasing", "window-depth-zero",
         "script-lengths-differ", "committed-fpl", "class-shatters-nothing",
-        "measure-mass-not-rational", "horizon-beyond-count"])
+        "measure-mass-not-rational", "horizon-beyond-count", "mass-exponent",
+        "mass-long-denominators", "mass-exponent-of-seven-digits"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""
@@ -209,6 +227,27 @@ REGRET = {"learner": json.loads(CONSTANT), "nature": json.loads(COIN),
 def test_regret_runs(capsys):
     code, out, err = run(capsys, "regret", "--config", json.dumps(REGRET))
     assert code == 0 and out.splitlines()[1].split()[:2] == ["5", "3"] and err == ""
+
+
+CONSTANTS = [{"kind": "constant", "value": 0}, {"kind": "constant", "value": 1}]
+
+
+@pytest.mark.parametrize("config, table", [
+    ({"learner": {"learner": "fpl", "experts": CONSTANTS, "k": [1.0, 1.0]},
+      "nature": json.loads(COIN), "comparison": CONSTANTS, "Ts": [20, 40], "trials": 30,
+      "master_seed": 5, "bound": {"kind": "fpl", "k": 1.0}},
+     "     T  trials       mean       se      bound\n"
+     "    20      30      1.500    0.364      13.42\n"
+     "    40      30      2.000    0.521      18.97\n"),
+    ({"learner": json.loads(CONSTANT), "nature": json.loads(COIN), "comparison": CONSTANTS,
+      "Ts": [10, 200], "trials": 12, "master_seed": 2},
+     "     T  trials       mean       se\n"
+     "    10      12      1.667    0.595\n"
+     "   200      12      4.833    2.779\n"),
+], ids=["bound", "no-bound"])
+def test_regret_prints_the_pinned_table(capsys, config, table):
+    # each column's width and precision, and the seeded values they hold
+    assert run(capsys, "regret", "--config", json.dumps(config)) == (0, table, "")
 
 
 @pytest.mark.parametrize("change, message", [
@@ -462,7 +501,10 @@ MIXED_POINTS = json.dumps({"learner": {"learner": "constant"},
       '{"nature":"scripted","x":[1,2],"y":[0,1]}', "-T", "3", "--csv", "kept.csv"],
      "round 3: scripted stream exhausted after 2 points"),
     (["regret", "--config", MIXED_POINTS], "threshold comparison needs numeric points"),
-], ids=["malformed-spec", "nan", "overflow", "failed-csv", "mixed-threshold-points"])
+    (["play", "--learner", CONSTANT, "--nature", iid_masses("1e-3000000", "1/2"), "-T", "3"],
+     "exponent below 1000, got '1e-3000000'"),
+], ids=["malformed-spec", "nan", "overflow", "failed-csv", "mixed-threshold-points",
+        "mass-exponent"])
 def test_bad_input_in_a_fresh_process(tmp_path, argv, message):
     held = tmp_path / "kept.csv"
     held.write_bytes(b"t,x\nkept\n")

@@ -330,6 +330,12 @@ class TestDiscreteMeasure:
         with pytest.raises(DomainError):
             DiscreteMeasure(("a",), [Fraction(0)])
 
+    def test_a_long_sum_is_refused_without_printing_it(self):
+        # the sum's denominator has 6,001 digits, more than str() prints of an int
+        q = 10 ** 3000
+        with pytest.raises(DomainError, match="masses sum to less than 1"):
+            DiscreteMeasure(("a", "b"), [Fraction(1, q + 1), Fraction(1, q + 3)])
+
     def test_point_mass(self):
         m = DiscreteMeasure.point_mass("a")
         rng = random.Random(0)
@@ -364,3 +370,16 @@ class TestDiscreteMeasure:
     def test_config_round_trip(self):
         m = measure_from_config({"support": ["a", "b"], "mass": ["1/2", "1/2"]})
         assert m.support == ("a", "b") and m.masses == (Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("mass, refused", [
+        ("1e-999", False), ("1e-1000", True), ("1E+1_000", True),
+        ("1e-\u0661\u0660\u0660\u0660", True),
+        ("0." + "0" * 97 + "1", False), ("0." + "0" * 98 + "1", True),
+    ], ids=["exponent-999", "exponent-1000", "underscored-exponent", "arabic-indic-exponent",
+            "100-characters", "101-characters"])
+    def test_mass_string_bounds(self, mass, refused):
+        # Fraction("1e-30000000") builds 10**30000000: a mass string of more than
+        # 100 characters, or with an exponent of 1000 or more, is refused unread
+        message = "must be a number, or a string" if refused else "masses sum to less than 1"
+        with pytest.raises(DomainError, match=message):
+            measure_from_config({"support": ["a", "b"], "mass": [mass, "1/2"]})

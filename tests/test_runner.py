@@ -371,10 +371,9 @@ class TestMonteCarlo:
             lambda s: nature.CoinFlip(s),
             horizons=[25, 50], trials=40, master_seed=1,
             comparison=TWO_CLASS, bound_fn=lambda T: 3 * math.sqrt(T))
-        rows = curve.rows()
-        assert [r["T"] for r in rows] == [25, 50]
-        assert rows[0]["bound"] == pytest.approx(15.0)
-        assert all(r["trials"] == 40 for r in rows)
+        assert curve.horizons == [25, 50]
+        assert curve.bounds[0] == pytest.approx(15.0)
+        assert all(stats.trials == 40 for stats in curve.stats)
 
     def test_regret_curve_evaluates_every_bound_before_any_trial(self):
         # a bound that has no value at the last horizon fails before the
@@ -441,6 +440,6 @@ class TestConfigFactories:
             "bound": {"kind": "fpl", "k": 1.0},
         }
         curve = specs.regret_experiment_from_config(config)
-        row = curve.rows()[0]
-        assert row["bound"] == pytest.approx(3 * math.sqrt(30))
-        assert row["mean"] + 3 * row["se"] <= row["bound"]
+        stats, bound = curve.stats[0], curve.bounds[0]
+        assert bound == pytest.approx(3 * math.sqrt(30))
+        assert stats.mean + 3 * stats.se <= bound

@@ -98,15 +98,17 @@ def replaced(value, path, new):
 
 
 # random JSON, with the edge values bad input has hit before (an int no
-# float holds, an exp(-k) overflow, a rational with a zero denominator),
-# the spec keys, and whole pieces of the valid specs
+# float holds, an exp(-k) overflow, a rational with a zero denominator, an
+# exponent whose power of ten no int prints), the spec keys, and whole
+# pieces of the valid specs
 PIECES = sorted({json.dumps(at(spec, path), sort_keys=True)
                  for spec in SPECS for path in paths(spec)})
 KEYS = sorted({key for spec in SPECS for path in paths(spec) for key in path
                if isinstance(key, str)})
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
            | st.floats(-1e3, 1e3) | st.text(max_size=4)
-           | st.sampled_from([10 ** 400, -710, 2 ** 64, 1e308, -5e-324, "1/2", "1/0", "a/b"]))
+           | st.sampled_from([10 ** 400, -710, 2 ** 64, 1e308, -5e-324, "1/2", "1/0", "a/b",
+                              "1e-5000"]))
 JSON = st.sampled_from(PIECES).map(json.loads) | st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),

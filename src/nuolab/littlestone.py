@@ -191,18 +191,10 @@ class _SupportEngine(_InternedStates):
         """Larger-dimension label, with the tie rules of `soa_prediction`."""
         if x not in self.cls.domain:
             raise DomainError(f"point {x!r} not in class domain")
-        ones, zeros = self.states[sid]
-        if x in ones:
-            return 1
-        if x in zeros:
-            return 0
-        budget = self.cls.budget - len(ones)
-        if budget <= 0:
-            return 0
-        free = len(self.cls.domain) - len(ones) - len(zeros)
-        dim_one = min(budget - 1, free - 1)
-        dim_zero = min(budget, free - 1)
-        return 1 if dim_one > dim_zero else 0
+        # a forced point keeps its label; a free point's 1-restriction has dimension
+        # min(b - 1, f - 1) (b the budget left, f the free points), never more than
+        # its 0-restriction's min(b, f - 1), and a tie goes to 0
+        return int(x in self.states[sid][0])
 
     def restrict(self, sid: int, x: Point, y: int) -> Optional[int]:
         _check_label(y)

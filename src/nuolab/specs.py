@@ -36,9 +36,16 @@ def load_spec(value: str):
         if not math.isfinite(number):
             raise DomainError(f"bad JSON in {value!r}: {text} is not a finite number")
         return number
+
+    def integer(text: str) -> int:      # and leaves an int over the int-string limit to int()
+        try:
+            return int(text)
+        except ValueError:
+            raise DomainError(f"bad JSON in {value!r}: an int of {len(text)} characters "
+                              "is too long") from None
     try:
         return json.loads(value if value.lstrip().startswith("{") else Path(value).read_text(),
-                          parse_constant=refuse, parse_float=finite)
+                          parse_constant=refuse, parse_float=finite, parse_int=integer)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON in {value!r}: {exc}") from None
     except OSError as exc:

@@ -94,12 +94,15 @@ def test_play_runs(capsys):
      "measure mass must be a number, or a string of at most 100 characters"),
     (["--learner", CONSTANT, "--nature", iid_masses("1e-3000000", "1/2"), "-T", "3"],
      "exponent below 1000, got '1e-3000000'"),
+    # json.dumps cannot print an int of 5,000 digits, so the spec is written out
+    (["--learner", CONSTANT, "--nature", '{"nature": "coin-flip", "seed": ' + "9" * 5000 + "}",
+      "-T", "3"], "9}': an int of 5000 characters is too long"),
 ], ids=["unknown-learner", "negative-horizon", "malformed-nature", "missing-key",
         "exhausted", "redraw-once", "negative-seed", "fpl-k-mass-overflows",
         "fpl-k-beyond-float", "expert-key-decreasing", "window-depth-zero",
         "script-lengths-differ", "committed-fpl", "class-shatters-nothing",
         "measure-mass-not-rational", "horizon-beyond-count", "mass-exponent",
-        "mass-long-denominators", "mass-exponent-of-seven-digits"])
+        "mass-long-denominators", "mass-exponent-of-seven-digits", "int-of-5000-digits"])
 def test_play_input_errors(capsys, argv, message):
     code, out, err = run(capsys, "play", *argv)
     assert code == 2 and out == ""

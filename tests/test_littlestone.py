@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import product
 
 import pytest
@@ -201,6 +202,24 @@ class TestVersionSpace:
         with pytest.raises(DomainError, match=rf"^label must be 0 or 1, got {bad!r}$"):
             engine.restrict(0, x, bad)
         assert engine.n_states == 1
+
+    def test_support_engine_matches_its_materialized_class(self):
+        # the closed form against the bitset kernel of the same class, for
+        # every budget over 1-5 points: every point's prediction in every
+        # state reached, and which restrictions, by either label, empty it
+        for m in range(1, 6):
+            for budget in range(m + 1):
+                cls = FiniteSupportClass(tuple(range(1, m + 1)), budget)
+                support, kernel = engine_for(cls), VersionSpace(cls.materialize())
+                rng = random.Random(10 * m + budget)
+                states = (0, 0)
+                for _ in range(40):
+                    assert ([support.predict(states[0], x) for x in cls.domain]
+                            == [kernel.predict(states[1], x) for x in cls.domain])
+                    x, y = rng.choice(cls.domain), rng.getrandbits(1)
+                    moved = support.restrict(states[0], x, y), kernel.restrict(states[1], x, y)
+                    assert (moved[0] is None) == (moved[1] is None)
+                    states = states if moved[0] is None else moved
 
     def test_workspace_freed_with_its_class(self):
         gc.collect()

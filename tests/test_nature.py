@@ -15,6 +15,7 @@ from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError, NatureSt
                            WindowHalving, commit_adversary)
 
 from chi_square import chi_square_sf
+from doubles import MEASURE, OBLIVIOUS, RAISES_ON_5, TARGET
 
 
 class TestScripted:
@@ -58,67 +59,6 @@ class TestStochasticIid:
         assert stream(3) != stream(4)
 
 
-POINTS = [3, 1, 4, 1, 5, 2, 6]
-LABELS = [1, 0, 1, 0, 1, 1, 0]
-TARGET = threshold_hypothesis(4)
-
-
-def _raise_on_5(x):
-    if x == 5:
-        raise DomainError("no label at 5")
-    return int(x >= 4)
-
-
-RAISES_ON_5 = Hypothesis("raises-on-5", _raise_on_5)
-MEASURE = DiscreteMeasure.uniform(tuple(range(1, 9)))
-# D = 18 is not a power of two: a draw drops the 14 words of 5 bits from 18 up
-THIRDS = DiscreteMeasure(range(1, 7), ["1/3", "1/6", "1/6", "1/9", "1/9", "1/9"])
-
-OBLIVIOUS = {
-    "realizable": lambda seed: RealizableScripted(TARGET, POINTS),
-    "realizable-cycle": lambda seed: RealizableScripted(TARGET, POINTS, cycle=True),
-    "realizable-cycle-empty": lambda seed: RealizableScripted(TARGET, [], cycle=True),
-    "realizable-raises": lambda seed: RealizableScripted(RAISES_ON_5, POINTS, cycle=True),
-    "agnostic": lambda seed: AgnosticScripted(POINTS, LABELS),
-    "iid": lambda seed: StochasticIid(TARGET, MEASURE, seed),
-    "iid-raises": lambda seed: StochasticIid(RAISES_ON_5, MEASURE, seed),
-    "iid-thirds": lambda seed: StochasticIid(TARGET, THIRDS, seed),
-    "coin": lambda seed: CoinFlip(seed, point="p"),
-}
-
-
-def nature_state(strategy):
-    return {k: v.getstate() if isinstance(v, random.Random) else v
-            for k, v in vars(strategy).items()}
-
-
-def drawn(draw, strategy, horizon):
-    xs, ys, failure = draw(strategy, horizon)
-    return ((xs, ys, failure and (type(failure), str(failure))),
-            nature_state(strategy))
-
-
-def assert_same_script(make, prefix, horizon):
-    """A nature's `draw_script` against the base class's round loop, after
-    a prefix that both draw by the loop."""
-    loop = NatureStrategy.draw_script
-    looped, overridden = make(), make()
-    assert type(overridden).draw_script is not loop
-    for strategy in (looped, overridden):
-        loop(strategy, prefix)
-    expected = drawn(loop, looped, horizon)
-    assert drawn(type(overridden).draw_script, overridden, horizon) == expected
-    return expected[0]
-
-
-@pytest.mark.parametrize("name", sorted(OBLIVIOUS))
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.integers(0, 10),
-       horizon=st.integers(0, 30))
-def test_draw_script_matches_round_loop(name, seed, prefix, horizon):
-    assert_same_script(lambda: OBLIVIOUS[name](seed), prefix, horizon)
-
-
 @pytest.mark.parametrize("name, prefix, horizon, rounds, failure", [
     ("realizable", 2, 9, 5, (ExhaustionError, "scripted stream exhausted after 7 points")),
     ("realizable-cycle", 5, 16, 16, None),
@@ -129,8 +69,12 @@ def test_draw_script_matches_round_loop(name, seed, prefix, horizon):
     ("realizable-raises", 1, 10, 3, (DomainError, "no label at 5")),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_draw_script_cases(name, prefix, horizon, rounds, failure):
-    xs, ys, got = assert_same_script(lambda: OBLIVIOUS[name](0), prefix, horizon)
-    assert (len(ys), got) == (rounds, failure)
+    # after a prefix drawn by the round loop: test_replay.py's table plays
+    # each of these natures against the loop
+    strategy = OBLIVIOUS[name](0)
+    NatureStrategy.draw_script(strategy, prefix)
+    xs, ys, got = strategy.draw_script(horizon)
+    assert (len(ys), got and (type(got), str(got))) == (rounds, failure)
     assert len(xs) == rounds + (failure is not None and failure[0] is not ExhaustionError)
 
 
@@ -142,22 +86,19 @@ def test_iid_script_label_calls(horizon, calls):
     counted = Hypothesis("counted", lambda x: labelled.append(x) or TARGET(x))
     xs, ys, failure = StochasticIid(counted, MEASURE, 3).draw_script(horizon)
     assert len(labelled) == calls and len(xs) == horizon and failure is None
-    assert_same_script(lambda: StochasticIid(counted, MEASURE, 3), 0, horizon)
 
 
 def test_iid_label_raises_mid_script():
     # seed 0 draws 5, whose label raises, at a round after the first: the
-    # points up to it, the labels before it, and the generator just after
-    # drawing it
-    xs, ys, failure = assert_same_script(lambda: StochasticIid(RAISES_ON_5, MEASURE, 0),
-                                         0, 60)
-    assert failure == (DomainError, "no label at 5")
+    # points up to it and the labels before it
+    xs, ys, failure = StochasticIid(RAISES_ON_5, MEASURE, 0).draw_script(60)
+    assert (type(failure), str(failure)) == (DomainError, "no label at 5")
     assert len(xs) == len(ys) + 1 > 2 and xs[-1] == 5 and 5 not in xs[:-1]
 
 
 @pytest.mark.parametrize("horizon", [0, 400])
 def test_coin_flip_script(horizon):
-    xs, ys, failure = assert_same_script(lambda: CoinFlip(9, point="p"), 0, horizon)
+    xs, ys, failure = CoinFlip(9, point="p").draw_script(horizon)
     assert xs == ["p"] * horizon and len(ys) == horizon and failure is None
 
 

@@ -1,12 +1,14 @@
-"""Differential test of the batch replays, one harness for all of them.
+"""Differential test of the batch game, one harness for both of its sides.
 
 `ROWS` holds the learner makers of every class that defines `_replay`, and
-`TABLE` each test's cases that play them. `same_game` plays a case as `play`
-(through `run_game` against an oblivious nature), as `run_game`'s round loop,
-which checks each label, and by predict-then-`update`, and compares each
-batch's rounds or error and the learner's state after it. The plan, cache
-and lazy-read tests, and the references that share no code with `src/`,
-follow the table."""
+`TABLE` each test's check and the cases it plays, the oblivious natures'
+`draw_script` among them. `same_game` plays a case as `play` (through
+`run_game` against an oblivious nature), as `run_game`'s round loop, which
+checks each label, and by predict-then-`update`, and compares each batch's
+rounds or error and the learner's and the nature's state after it. One test
+runs every case, collected under each entry's name. The plan, cache and
+lazy-read tests, and the references that share no code with `src/`, follow
+the table."""
 import hashlib
 import math
 import random
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from doubles import LastLabel
+from doubles import OBLIVIOUS, LastLabel
 from nuolab import fpl, nature, runner, verification
 from nuolab import learners as learners_module
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
@@ -96,7 +98,10 @@ ROWS = {
         "agnostic": lambda components=2, seed=0, cap=None, classes=(CONSTANTS, THRESHOLDS):
             AgnosticFpl(ExplicitListFamily(list(classes)), components, seed=seed,
                         cap_rounds=cap),
-        "five": lambda seed: FplLearner(five_experts(), FIVE_KS, seed=seed)},
+        "five": lambda seed: FplLearner(five_experts(), FIVE_KS, seed=seed),
+        # takes any point, and draws on `predict`
+        "constants": lambda seed: FplLearner([ConstantLearner(0), ConstantLearner(1)],
+                                             FIVE_KS[:2], seed=seed)},
     ExpertPoolFpl: {name: partial(ExpertPoolFpl, c) for name, c in {
         **COMPONENTS, "dim2-full3": FamilyComponent(2, FiniteClass.full_class((1, 2, 3)), 2),
         "dim3-full3": FamilyComponent(3, FiniteClass.full_class((1, 2, 3)), 3)}.items()},
@@ -135,6 +140,10 @@ class Case(NamedTuple):
     # False where the error comes from inside the learner, after which
     # `play` promises the error but not the state (`OnlineLearner.play`)
     state_at_error: bool = True
+    # True where the errors are the nature's: a draw that raised, after which
+    # `play` and the loop have drawn the same rounds. After the learner's,
+    # `play` has drawn the whole script and the loop only up to the error
+    nature_at_error: bool = False
 
 
 def game(make, *scripts, horizon=None, **kwargs) -> Case:
@@ -184,8 +193,9 @@ def by_hand(learner, strategy, horizon):
 
 
 def played(way, case):
-    """Each batch's rounds or error and the learner's snapshot after it, as
-    `way` plays the case, and with `scored` the pool's scorer log."""
+    """Each batch's rounds or error and the learner's and the nature's
+    snapshots after it, as `way` plays the case, and with `scored` the
+    pool's scorer log."""
     with ExitStack() as stack:
         for target, name, value in case.patches:
             stack.enter_context(mock.patch.object(target, name, value))
@@ -206,7 +216,7 @@ def played(way, case):
                     got = ("rounds", list(zip(trace.xs, trace.ys, trace.predicted)))
             except GAME_ERRORS as exc:
                 got = ("error", type(exc).__name__, getattr(exc, "round_index", None), str(exc))
-            out.append((got, snapshot(learner)))
+            out.append((got, snapshot(learner), snapshot(strategy)))
             assert i or case.pin is None or case.pin(learner), way
         return out, log
 
@@ -220,14 +230,20 @@ def same_game(case, ways=WAYS):
     for way, out in zip(ways[2:], outs[2:]):
         assert out == outs[1], way
     assert logs[0] == logs[1], "the scorer's log"
-    if not case.state_at_error:
-        outs = [[(got, got[0] == "error" or state) for got, state in out] for out in outs]
-    assert outs[0] == outs[1], "play"
+    assert promised(case, outs[0]) == promised(case, outs[1]), "play"
     assert_error(case, outs[0])
 
 
+def promised(case, out):
+    """What `play` promises of each batch: its rounds or error, and the
+    states after it, which after an error depend on the case."""
+    return [(got, learner if got[0] == "rounds" or case.state_at_error else None,
+             strategy if got[0] == "rounds" or case.nature_at_error else None)
+            for got, learner, strategy in out]
+
+
 def assert_error(case, out):
-    errors = [(got[1], got[3]) for got, _ in out if got[0] == "error"]
+    errors = [(got[1], got[3]) for got, *_ in out if got[0] == "error"]
     assert case.error == ANY or errors[:1] == ([case.error] if case.error else [])
 
 
@@ -244,13 +260,18 @@ def one_path(case, replays):
     with ExitStack() as stack:
         for name in ("predict", "_loop") if replays else ("_replay",):
             stack.enter_context(mock.patch.object(cls, name, refused))
-        assert played("play", case) == expected
+        out, log = played("play", case)
+    assert (promised(case, out), log) == (promised(case, expected[0]), expected[1])
     assert_error(case, expected[0])
 
 
 def snapshot(learner) -> dict:
     """Everything observable about a learner's state, its experts' and its
-    random generators' included."""
+    random generators' included; or a nature's attributes, a `random.Random`
+    by its state, but the `oblivious` switch that `played` sets."""
+    if isinstance(learner, nature.NatureStrategy):
+        return {k: v.getstate() if isinstance(v, random.Random) else v
+                for k, v in vars(learner).items() if k != "oblivious"}
     out = {k: v for k, v in vars(learner).items() if type(v) in (int, float, bool, str)}
     out["type"] = type(learner).__name__
     if isinstance(learner, (ExpertPoolFpl, FplLearner)):
@@ -430,98 +451,65 @@ UNKNOWN = "point 'x' not in class domain"
 NOT_NUMERIC = "threshold needs a numeric point, got 'x'"
 COIN = check_script(DOMAIN, "coin")
 
-# the table's tests, each a check that `cases` runs on its cases in TABLE below
 replays_alone, loop_alone = partial(one_path, replays=True), partial(one_path, replays=False)
 
 
-def test_deterministic_learners_replay_matches_loop(cases): cases(same_game)
-def test_soa_batch_does_not_fall_back(cases): cases(replays_alone)
-def test_soa_emptied_mid_batch_matches_loop(cases): cases(same_game)
-def test_soa_point_outside_domain_mid_batch(cases): cases(same_game)
-def test_empty_class_takes_the_loop(cases): cases(loop_alone)
-def test_expert_replay_matches_loop(cases): cases(same_game)
-def test_expert_point_outside_domain(cases): cases(same_game)
-def test_aggregator_replay_matches_loop(cases): cases(same_game)
-def test_aggregator_error_from_inside_matches_loop(cases): cases(same_game)
-def test_aggregator_batch_does_not_fall_back(cases): cases(replays_alone)
-def test_cover_replay_matches_loop(cases): cases(same_game)
-def test_cover_batch_does_not_fall_back(cases): cases(replays_alone)
-def test_cover_exhausted_mid_batch_matches_loop(cases): cases(same_game)
-def test_cover_hypothesis_raises_mid_batch(cases): cases(same_game)
-def test_cover_bad_label_mid_script(cases): cases(same_game)
-def test_agnostic_replay_matches_loop(cases): cases(same_game)
-def test_five_expert_replay_matches_loop(cases): cases(same_game)
-def test_coin_flip_replay_matches_loop(cases): cases(same_game)
-def test_cap_hit_and_not_hit(cases): cases(same_game)
-def test_cap_hit_and_not_hit_past_the_ranges(cases): cases(same_game)
-def test_pool_replay_matches_loop(cases): cases(same_game)
-def test_pool_batch_does_not_fall_back(cases): cases(replays_alone)
-def test_dim3_pool_takes_the_loop(cases): cases(loop_alone)
-def test_dim2_replay_at_check_scale(cases): cases(same_game)
-def test_replay_charges_mass_as_the_loop(cases): cases(same_game)
-def test_replay_mass_overflow_names_the_loop_round(cases): cases(same_game)
-def test_replay_mass_overflow_past_the_ranges(cases): cases(same_game)
-def test_replay_matches_loop_at_every_block_size(cases): cases(same_game)
-def test_dim2_bad_label_after_round_100(cases): cases(same_game)
-def test_one_round_draws_every_perturbation(cases): cases(same_game)
-def test_ranges_with_no_member_draw_nothing(cases): cases(same_game)
-def test_check_experts_replay_matches_loop(cases): cases(same_game)
-def test_exhaustion_mid_script(cases): cases(same_game)
-def test_bad_label_mid_script(cases): cases(same_game)
-def test_play_after_rounds_matches_loop(cases): cases(same_game)
-def test_run_game_matches_hand_loop(cases): cases(same_game)
-def test_base_play_matches_checked_loop(cases): cases(same_game)
+def prefixed(name, seed, prefix):
+    """The oblivious nature `name`, its first `prefix` rounds drawn by hand:
+    by the base class's round loop, which its own `draw_script` overrides."""
+    strategy = OBLIVIOUS[name](seed)
+    assert type(strategy).draw_script is not nature.NatureStrategy.draw_script
+    nature.NatureStrategy.draw_script(strategy, prefix)
+    return strategy
 
 
-TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has ids
-    # ConstantLearner, SoaLearner and ExpertLearner; most scripts empty the
-    # space of the last two mid-batch, which raises
-    test_deterministic_learners_replay_matches_loop: drawn(40, lambda s: [
+TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by id if it has ids
+    "test_deterministic_learners_replay_matches_loop": (same_game, drawn(40, lambda s: [
         game(make, s, error=ANY) for make in (
             KINDS["constant"], soa("finite"), soa("finite-always"), soa("support"),
             expert("thresholds", key=(1, 3, 4, 9, 20)), soa("finite-error"),
-            soa("support-error"))], scripts),
-    test_soa_batch_does_not_fall_back: {
-        kind: [game(make, cycle(60))] for kind, make in SOA_KINDS.items()},
-    test_soa_emptied_mid_batch_matches_loop: faults(
+            soa("support-error"))], scripts)),
+    "test_soa_batch_does_not_fall_back": (replays_alone, {
+        kind: [game(make, cycle(60))] for kind, make in SOA_KINDS.items()}),
+    "test_soa_emptied_mid_batch_matches_loop": (same_game, faults(
         # the labels of thr-3, then 1 at point 2, which no threshold
         # consistent with the mistakes so far gives; in a support of one,
         # the second 1-labelled point is one too many
         ("finite", soa("finite-error"), ([1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1]), emptied(6, 2)),
         ("support", soa("support-error"), ([1, 2, 3, 4], [0, 1, 0, 1]), emptied(4, 4)),
         ("expert", expert("thresholds", key=range(1, 7), on_empty="error"),
-         ([1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1]), emptied(6, 2))),
-    test_soa_point_outside_domain_mid_batch: faults(*[
+         ([1, 4, 3, 2, 1, 2], [0, 1, 1, 0, 0, 1]), emptied(6, 2)))),
+    "test_soa_point_outside_domain_mid_batch": (same_game, faults(*[
         # round 5 shows a point the class does not know
         (kind, make, ([1, 3, 2, 3, "x", 1], [0, 1, 1, 1, 1, 0]), ("DomainError", message))
         for kind, make, message in (("finite", soa("small"), UNKNOWN),
                                     ("support", soa("small-support"), UNKNOWN),
                                     ("follow", soa("follow", c=2), NOT_NUMERIC))],
-        pin=lambda learner: learner.t == 5),
-    test_empty_class_takes_the_loop: [game(
+        pin=lambda learner: learner.t == 5)),
+    "test_empty_class_takes_the_loop": (loop_alone, [game(
         soa("empty"), ([1, 2], [0, 1]), pin=lambda learner: learner.mistakes == 0,
-        error=("ProtocolError", "round 1: version space is empty (non-realizable feed)"))],
-    test_expert_replay_matches_loop: {
+        error=("ProtocolError", "round 1: version space is empty (non-realizable feed)"))]),
+    "test_expert_replay_matches_loop": (same_game, {
         # `before` rounds by hand, then the rest in one batch, whether the
         # last key round lies before the batch, inside it or nowhere
         name: drawn(20, lambda s, key=key, before=before: [game(
             expert("thresholds", key=key), *split(s, before), hand_first=True)], any_scripts)
         for name, key, before in (
             ("empty", (), 0), ("empty-after-rounds", (), 7), ("last-key-before-batch", (1, 3), 10),
-            ("last-key-in-batch", (2, 15), 0), ("last-key-in-batch-after-rounds", (2, 15), 5))},
-    test_expert_point_outside_domain: faults(*[
+            ("last-key-in-batch", (2, 15), 0), ("last-key-in-batch-after-rounds", (2, 15), 5))}),
+    "test_expert_point_outside_domain": (same_game, faults(*[
         # a point the class does not know, before, at or after the last key round
         (f"{at}-key{i}", expert("small", key=key), (xs[:at] + ["x"] + xs[at + 1:],
                                                     [0, 1, 1, 1, 1, 0, 0, 1]),
          ("DomainError", UNKNOWN))
         for xs in [[1, 3, 2, 3, 1, 2, 1, 3]] for at in (1, 4, 7)
-        for i, key in enumerate([(), (2,), (2, 9)])], state_at_error=False),
+        for i, key in enumerate([(), (2,), (2, 9)])], state_at_error=False)),
     # AggregatorLearner
-    test_aggregator_replay_matches_loop: {
+    "test_aggregator_replay_matches_loop": (same_game, {
         name: drawn(40, lambda s, name=name: [game(
             aggregator(name), s, error=ANY if name == "shrinking-domains" else None,
-            state_at_error=False)], any_scripts) for name in FAMILIES},
-    test_aggregator_error_from_inside_matches_loop: faults(
+            state_at_error=False)], any_scripts) for name in FAMILIES}),
+    "test_aggregator_error_from_inside_matches_loop": (same_game, faults(
         # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
         # never creates sub-learner 3 (points 1-2), which a fallback from
         # sub-learners that kept the batch's rounds would create at once
@@ -531,21 +519,21 @@ TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has i
         # point 3 before sub-learner 2 sees point 4, the batch's first error
         ("late-sub-learner-fails-first", aggregator("shrinking-domains"),
          ([1, 1, 3, 4], [0, 1, 0, 0]), ("DomainError", "point 3 not in class domain")),
-        state_at_error=False),
-    test_aggregator_batch_does_not_fall_back: [game(
-        aggregator("support"), cycle(60), pin=lambda agg: len(agg.sub) > 3)],
+        state_at_error=False)),
+    "test_aggregator_batch_does_not_fall_back": (replays_alone, [game(
+        aggregator("support"), cycle(60), pin=lambda agg: len(agg.sub) > 3)]),
     # CoverLearner
-    test_cover_replay_matches_loop: drawn(
-        40, lambda s: [game(cover(), s, error=ANY)], any_scripts),
-    test_cover_batch_does_not_fall_back: [game(
+    "test_cover_replay_matches_loop": (same_game, drawn(
+        40, lambda s: [game(cover(), s, error=ANY)], any_scripts)),
+    "test_cover_batch_does_not_fall_back": (replays_alone, [game(
         # six hypotheses stepped through to the last target
         cover(), (cycle(60)[0], [TARGETS[-1](x) for x in cycle(60)[0]]),
-        pin=lambda learner: learner.index == len(TARGETS))],
-    test_cover_exhausted_mid_batch_matches_loop: [game(
+        pin=lambda learner: learner.index == len(TARGETS))]),
+    "test_cover_exhausted_mid_batch_matches_loop": (same_game, [game(
         # point 1 labelled 0 at round 1 and 1 at round 4: no hypothesis fits both
         cover(), ([1, 2, 3, 1, 4, 2], [0, 1, 1, 1, 0, 0]),
-        error=("ProtocolError", "round 4: every enumerated cover hypothesis eliminated"))],
-    test_cover_hypothesis_raises_mid_batch: {
+        error=("ProtocolError", "round 4: every enumerated cover hypothesis eliminated"))]),
+    "test_cover_hypothesis_raises_mid_batch": (same_game, {
         name: [game(cover(cover=hypotheses), script, error=("DomainError", NOT_NUMERIC),
                     pin=lambda learner, at=at: (learner.t, learner.index) == at)]
         for name, hypotheses, script, at in (
@@ -556,45 +544,45 @@ TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has i
              (4, 2)),
             # supp-{2} labels "x" 0 and errs at round 2; thr-3 then fails the
             # consistency check on the history's "x"
-            ("in-the-step", TARGETS[5:6] + TARGETS[2:3], (["x", 2, 3], [0, 0, 1]), (2, 2)))},
-    test_cover_bad_label_mid_script: faults(*[
+            ("in-the-step", TARGETS[5:6] + TARGETS[2:3], (["x", 2, 3], [0, 0, 1]), (2, 2)))}),
+    "test_cover_bad_label_mid_script": (same_game, faults(*[
         # labels of thr-2, so that no cover hypothesis runs out first
         (str(bad), cover(), (EIGHT, [0, 1, 1, 1, 0, bad, 1, 1]), label_error(6, bad))
-        for bad in (True, 1.0, 2, -1, None)]),
+        for bad in (True, 1.0, 2, -1, None)])),
     # FplLearner, over perturbed leaders or plain learners
-    test_agnostic_replay_matches_loop: {
+    "test_agnostic_replay_matches_loop": (same_game, {
         str(c): drawn(25, lambda s, seed, cap, c=c: [game(
             agnostic(components=c, seed=seed, cap=cap), s,
             error=cap_error(cap) if cap is not None and cap < len(s[0]) else None)],
             scripts, seeds, st.one_of(st.none(), st.integers(0, 130)), shrink=False)
-        for c in (1, 2)},
-    test_five_expert_replay_matches_loop: drawn(
-        40, lambda s, seed: [game(five(seed=seed), s)], scripts, seeds),
-    test_coin_flip_replay_matches_loop: drawn(30, lambda seed, T: [Case(
+        for c in (1, 2)}),
+    "test_five_expert_replay_matches_loop": (same_game, drawn(
+        40, lambda s, seed: [game(five(seed=seed), s)], scripts, seeds)),
+    "test_coin_flip_replay_matches_loop": (same_game, drawn(30, lambda seed, T: [Case(
         agnostic(components=1, seed=seed, classes=(FiniteClass((0,), [[0], [1]]),)),
-        [(partial(nature.CoinFlip, seed), T)])], seeds, st.integers(0, 150)),
-    test_cap_hit_and_not_hit: [game(
+        [(partial(nature.CoinFlip, seed), T)])], seeds, st.integers(0, 150))),
+    "test_cap_hit_and_not_hit": (same_game, [game(
         agnostic(components=1, classes=(CONSTANTS,), seed=3, cap=cap),
         ([1] * 30, [t % 2 for t in range(30)]), error=cap_error(29) if cap == 29 else None)
-        for cap in (29, 30)],
-    test_cap_hit_and_not_hit_past_the_ranges: [game(
+        for cap in (29, 30)]),
+    "test_cap_hit_and_not_hit_past_the_ranges": (same_game, [game(
         # with both components, rounds 9 to 40 thin the pools' cohorts 8 to
         # 31 in two ranges; the cap stops every way at the same round
         agnostic(seed=6, cap=cap), check_script(DOMAIN, "coin", 60),
-        error=cap_error(40) if cap == 40 else None) for cap in (40, 60)],
+        error=cap_error(40) if cap == 40 else None) for cap in (40, 60)]),
     # ExpertPoolFpl
-    test_pool_replay_matches_loop: {
+    "test_pool_replay_matches_loop": (same_game, {
         name: drawn(25, lambda s, seed, name=name: [game(pool(name, seed), s)], scripts, seeds,
-                    shrink=False) for name in COMPONENTS},
-    test_pool_batch_does_not_fall_back: {
+                    shrink=False) for name in COMPONENTS}),
+    "test_pool_batch_does_not_fall_back": (replays_alone, {
         # a fresh pool of dimension at most 2 replays every round
         name: [game(pool(name, 3), cycle(60),
                     pin=lambda p, dim=comp.dim: p.pool_size == pool_size(dim, 60))]
-        for name, comp in COMPONENTS.items()},
-    test_dim3_pool_takes_the_loop: [game(
+        for name, comp in COMPONENTS.items()}),
+    "test_dim3_pool_takes_the_loop": (loop_alone, [game(
         pool("dim3-full3", 3), ([1, 2, 3, 1, 2, 3, 1, 2], [0, 1, 1, 0, 1, 0, 0, 1]),
-        pin=lambda p: p.pool_size == pool_size(3, 8))],
-    test_dim2_replay_at_check_scale: {
+        pin=lambda p: p.pool_size == pool_size(3, 8))]),
+    "test_dim2_replay_at_check_scale": (same_game, {
         # T=200 as in the hierarchical check, then five more rounds, which
         # the pool plays by the round loop. Every labeling of three points
         # has more states than the thresholds, so a replay that interned
@@ -606,50 +594,50 @@ TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has i
             ("thresholds-alternating", "dim2-thresholds", DOMAIN, "alternating"),
             ("thresholds-coin", "dim2-thresholds", DOMAIN, "coin"),
             ("full3-coin", "dim2-full3", (1, 2, 3), "coin"),
-            ("support2-coin", "dim2-support", DOMAIN, "coin"))},
-    test_replay_charges_mass_as_the_loop: {
+            ("support2-coin", "dim2-support", DOMAIN, "coin"))}),
+    "test_replay_charges_mass_as_the_loop": (same_game, {
         # the replay charges its cohorts in one pass, with the loop's float
         # operations in the loop's order: the snapshots hold the mass
         str(dim): [game(pool(name, 34), COIN, pin=lambda p, d=dim: p._size == pool_size(d, 200))]
-        for dim, name in POOL_DIMS.items()},
-    test_replay_mass_overflow_names_the_loop_round: [game(
+        for dim, name in POOL_DIMS.items()}),
+    "test_replay_mass_overflow_names_the_loop_round": (same_game, [game(
         # with complexity 1 for every key, the root and the cohorts of rounds
         # 1 and 2 bring a dimension-1 pool's mass to 3/e, over the budget at round 2
         pool("dim1-constants", 35), ([1, 2, 3, 4], [0, 1, 1, 0]), state_at_error=False,
         patches=((fpl, "pool_complexity", lambda dim, last_round: 1.0),),
-        error=("ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2"))],
-    test_replay_mass_overflow_past_the_ranges: [game(
+        error=("ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2"))]),
+    "test_replay_mass_overflow_past_the_ranges": (same_game, [game(
         # complexity 4 for every key after the root brings a dimension-1 pool
         # over the budget at round 35, after the ranges went live at round 9
         pool("dim1-support", 7), check_script(DOMAIN, "coin", 60), state_at_error=False,
         patches=((fpl, "pool_complexity", lambda dim, last: 1.0 if last < 1 else 4.0),),
-        error=("ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35"))],
-    test_replay_matches_loop_at_every_block_size: {
+        error=("ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35"))]),
+    "test_replay_matches_loop_at_every_block_size": (same_game, {
         # the cohort ranges double from the first block [E, 2E): E = 1 thins
         # every cohort but the root, and E = 2**22 none of these scripts'
         # cohorts, so that every perturbation is drawn
         f"{name}-{T}": [game(pool(name, 39), check_script(DOMAIN, "coin", T), scored=True,
                              patches=((ExpertPoolFpl, "_EXACT", exact),), pin=laid_out)
                         for exact in (1, 3, 8, 2 ** 22)]
-        for name in COMPONENTS for T in (1, 2, 50, 200)},
-    test_dim2_bad_label_after_round_100: [game(
+        for name in COMPONENTS for T in (1, 2, 50, 200)}),
+    "test_dim2_bad_label_after_round_100": (same_game, [game(
         # the first 100 rounds replay, round 101 is predicted and raises, and
         # the rounds after it take the loop
         pool("dim2-thresholds", 32), (COIN[0], COIN[1][:100] + [2] + COIN[1][101:]),
         (COIN[0][100:105], [1, 0, 0, 1, 1]), error=label_error(101, 2),
-        pin=lambda p: p.t == 101 and p.chosen_index is not None)],
-    test_one_round_draws_every_perturbation: {
+        pin=lambda p: p.t == 101 and p.chosen_index is not None)]),
+    "test_one_round_draws_every_perturbation": (same_game, {
         # T = 1: no range is live, so one perturbation per expert is drawn
         name: [game(pool(name, 8), ([2], [1]), pin=own_draws(8, lambda p: p.pool_size))]
-        for name in COMPONENTS},
-    test_ranges_with_no_member_draw_nothing: {
+        for name in COMPONENTS}),
+    "test_ranges_with_no_member_draw_nothing": (same_game, {
         # the cohorts of a dimension-0 pool are empty, so none of its ranges
         # holds a live member: one perturbation a round, for the root
         name: [game(pool(name, 9), check_script(DOMAIN, "coin", 60),
                     pin=own_draws(9, lambda p: 60))]
-        for name in ("dim0-singleton", "dim0-finite")},
+        for name in ("dim0-singleton", "dim0-finite")}),
     # the check experts
-    test_check_experts_replay_matches_loop: {
+    "test_check_experts_replay_matches_loop": (same_game, {
         # `before` rounds by hand, then the rest in one batch; the fixed
         # cases replay two batches, so a label or round carried from one
         # batch to the next shows whatever hypothesis draws
@@ -657,53 +645,66 @@ TABLE = {   # test: its cases, fixed (a list) or drawn, by pytest id if it has i
             make, *split(s, before), hand_first=True)], scripts)
            for before in (0, 3) for kind, make in CHECK_EXPERTS.items()},
         **{f"two-batches-{kind}": [game(make, *split(cycle(40), at)) for at in (3, 4)]
-           for kind, make in CHECK_EXPERTS.items()}},
+           for kind, make in CHECK_EXPERTS.items()}}),
+    # the oblivious natures, a prefix of each drawn by hand and the rest of it
+    # played against a perturbed leader over the constants, which takes any
+    # point and draws on `predict`, so that a round whose label failed and
+    # that the learner did not predict shows
+    "test_draw_script_matches_round_loop": (same_game, {
+        name: drawn(40, lambda seed, prefix, T, name=name: [Case(
+            learner(FplLearner, "constants", seed=seed),
+            [(partial(prefixed, name, seed, prefix), T)], error=ANY, nature_at_error=True)],
+            seeds, st.integers(0, 10), st.integers(0, 30), ways=WAYS) for name in OBLIVIOUS}),
     # every row
-    test_exhaustion_mid_script: faults(*[
+    "test_exhaustion_mid_script": (same_game, faults(*[
         (kind, make, ([1, 2, 3, 4, 1, 2, 3], [0, 1, 1, 0, 1, 1, 0]),
          ("ExhaustionError", "round 8: scripted stream exhausted after 7 points"))
         for kind, make in (("agnostic-2", agnostic(seed=4)), ("fpl-five", five(seed=4)),
                            ("pool-dim1", pool("dim1-constants", 4)), ("soa", soa("finite")))],
-        horizon=12),
-    test_bad_label_mid_script: faults(*[
+        horizon=12)),
+    "test_bad_label_mid_script": (same_game, faults(*[
         (f"{kind}-{bad}", {**SEEDED, "pool-dim1": partial(pool, "dim1-support")}[kind](5),
          (EIGHT, [0, 1, 1, 0, 1, bad, 0, 1]), label_error(6, bad))
         for kind in ("agnostic-2", "fpl-five", "pool-dim1", "constant", "aggregator-support",
-                     "aggregator-list") for bad in (True, 1.0, 2, -1, None)]),
-    test_play_after_rounds_matches_loop: {
+                     "aggregator-list") for bad in (True, 1.0, 2, -1, None)])),
+    "test_play_after_rounds_matches_loop": (same_game, {
         # ten rounds by hand, and with `pending` a prediction of the next
         # round (a pending choice), then the rest in one call
         f"{pending}-{kind}": [game(SEEDED[kind](9), *split(cycle(40), 10), hand_first=True,
                                    pending=pending)]
         for pending in (False, True) for kind in ("pool-dim1", "pool-dim0", "fpl-five",
                                                   "agnostic-2", "aggregator-support",
-                                                  "aggregator-list")},
-    test_run_game_matches_hand_loop: {
+                                                  "aggregator-list")}),
+    "test_run_game_matches_hand_loop": (same_game, {
         # both of `run_game`'s paths against predict-then-`update` by hand
         kind: drawn(15, lambda s, make=make: [game(make, s, error=ANY)], any_scripts, ways=WAYS)
-        for kind, make in KINDS.items()},
-    test_base_play_matches_checked_loop: {
+        for kind, make in KINDS.items()}),
+    "test_base_play_matches_checked_loop": (same_game, {
         # labels checked once up front, then predict and step: the same
         # predictions, state and bad-label error as a check in every round
         kind: drawn(15, lambda s, bad, make=make: [game(make, with_bad_label(s, bad), error=ANY)],
                     any_scripts, st.one_of(st.none(), st.tuples(st.integers(0, 120),
                                                                 st.sampled_from(BAD_LABELS))))
-        for kind, make in KINDS.items()},
+        for kind, make in KINDS.items()}),
 }
 
 
-def pytest_generate_tests(metafunc):
-    # a test whose entry holds cases by pytest id runs once per id
-    if isinstance(TABLE.get(metafunc.function), dict):
-        metafunc.parametrize("cases", list(TABLE[metafunc.function]), indirect=True)
+def table_test(check, cases):
+    """The table's one test: `check` on an entry's cases, or on those of
+    each of its ids."""
+    if isinstance(cases, dict):
+        @pytest.mark.parametrize("case", list(cases))
+        def test(case, request):
+            run(cases[case], check, request.node.nodeid)
+    else:
+        def test(request):
+            run(cases, check, request.node.nodeid)
+    return test
 
 
-@pytest.fixture
-def cases(request):
-    """Runs a check on the test's cases, those of its id if it has ids."""
-    entry = TABLE[request.function]
-    return partial(run, entry[request.param] if isinstance(entry, dict) else entry,
-                   key=request.node.nodeid)
+# collected under each entry's name, so that a case keeps its pytest id and
+# its hypothesis database key
+globals().update((name, table_test(*entry)) for name, entry in TABLE.items())
 
 
 def checked_loop(learner, xs, ys):

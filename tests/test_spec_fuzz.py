@@ -97,10 +97,19 @@ def replaced(value, path, new):
     return copy
 
 
+# an int of 5,000 digits, more than Python reads from a string: `json.dumps`
+# cannot print it either, so it is drawn as this string, whose quotes `dumps` drops
+BIG_INT = "9" * 5000
+
+
+def dumps(value) -> str:
+    return json.dumps(value).replace(f'"{BIG_INT}"', BIG_INT)
+
+
 # random JSON, with the edge values bad input has hit before (an int no
 # float holds, an exp(-k) overflow, a rational with a zero denominator, an
-# exponent whose power of ten no int prints), the spec keys, and whole
-# pieces of the valid specs
+# exponent whose power of ten no int prints, an int too long to read), the
+# spec keys, and whole pieces of the valid specs
 PIECES = sorted({json.dumps(at(spec, path), sort_keys=True)
                  for spec in SPECS for path in paths(spec)})
 KEYS = sorted({key for spec in SPECS for path in paths(spec) for key in path
@@ -108,7 +117,7 @@ KEYS = sorted({key for spec in SPECS for path in paths(spec) for key in path
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
            | st.floats(-1e3, 1e3) | st.text(max_size=4)
            | st.sampled_from([10 ** 400, -710, 2 ** 64, 1e308, -5e-324, "1/2", "1/0", "a/b",
-                              "1e-5000"]))
+                              "1e-5000", BIG_INT]))
 JSON = st.sampled_from(PIECES).map(json.loads) | st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),
@@ -138,10 +147,10 @@ def mutated(draw, base):
 def command_lines(draw):
     command = draw(st.sampled_from(["ldim", "play", "play", "regret"]))
     if command == "ldim":
-        return ["ldim", "--", json.dumps(draw(mutated(CLASS)))]
+        return ["ldim", "--", dumps(draw(mutated(CLASS)))]
     if command == "regret":
         config = draw(mutated(draw(st.sampled_from(REGRETS))))
-        return ["regret", f"--config={json.dumps(config)}"]
+        return ["regret", f"--config={dumps(config)}"]
     learner, nature = draw(st.sampled_from(LEARNERS)), draw(st.sampled_from(NATURES))
     if draw(st.booleans()):
         learner = draw(mutated(learner))
@@ -149,7 +158,7 @@ def command_lines(draw):
         nature = draw(mutated(nature))
     # a value that starts with "-" would be read as an option, so each spec
     # is given as --learner=...
-    return ["play", f"--learner={json.dumps(learner)}", f"--nature={json.dumps(nature)}",
+    return ["play", f"--learner={dumps(learner)}", f"--nature={dumps(nature)}",
             "-T", str(draw(st.integers(0, 30)))]
 
 

@@ -1,7 +1,10 @@
 import json
 
-from nuolab import cli, verification
+import pytest
+
+from nuolab import bounds, cli, learners, nature, verification
 from nuolab.hypotheses import FiniteClass
+from nuolab.learners import CoverSpec
 from nuolab.littlestone import ldim
 
 
@@ -24,16 +27,52 @@ class TestOracles:
         assert [c.rows for c in one] == [c.rows for c in two]
 
 
-class TestFaultInjection:
-    def test_corrupted_dimension_is_caught(self, monkeypatch):
-        def corrupted(cls):
-            d = ldim(cls)
-            return d + 1 if len(cls) == 3 else d
+def lies(reveal_label):
+    """A window nature's `reveal_label` that records the true label but
+    reveals the prediction."""
+    return lambda self, x, predicted, trace=None: (reveal_label(self, x, predicted, trace),
+                                                   predicted)[1]
 
-        monkeypatch.setattr(verification, "ldim", corrupted)
-        result = verification.check_ldim_minimax_equality(random_count=5)
-        assert not result.passed
-        assert "FiniteClass" in result.detail   # counterexample printed
+
+# verdict name -> (object, attribute, a value that breaks the check, the
+# check's arguments at a small scale, the start of its FAIL detail): a bound,
+# an oracle, a learner or a nature each
+FAULTS = {
+    "ldim-minimax-equality": (verification, "ldim", lambda cls: ldim(cls) + (len(cls) == 3),
+                              {"random_count": 5}, "dimension 2 != game value 1 on FiniteClass("),
+    "soa-mistake-bound": (learners, "SoaLearner", lambda cls: learners.ConstantLearner(0),
+                          {"random_count": 0}, "committed script forces 2 > 1 on FiniteClass("),
+    "aggregator-square-bound": (bounds, "aggregator_mistakes", lambda d, k: 0, {"horizon": 20},
+                                "k=1: 1 mistakes > (1+1)^2 = 0"),
+    "cover-index-bound": (learners, "CoverSpec", lambda cover: CoverSpec(cover[::-1]),
+                          {"horizon": 20}, "m=1, seed=0: 1 mistakes, final index 20"),
+    "expert-key-cover": (verification, "ldim", lambda cls: 0, {},
+                         "no key within 0 + L mistakes for ys=(0, 0, 0, 0, 0, 0, 0, 0)"),
+    "fpl-regret-bound": (bounds, "fpl_regret", lambda k, T: 0.0, {"trials": 4, "horizon": 20},
+                         "two-expert-alternating: regret vs expert 1 = "),
+    "hierarchical-regret-bound": (bounds, "hierarchical_regret", lambda dim, n, T: 0.0,
+                                  {"trials": 4, "horizons": (20,)},
+                                  "T=20 alternating: regret vs component 1 = "),
+    "coinflip-regret-floor": (bounds, "coinflip_floor", lambda T: float(T),
+                              {"trials": 4, "horizons": (20,)}, "T=20 agnostic: "),
+    "complexity-mass": (bounds, "COMPONENT_MASS", 0.0, {"terms": 10},
+                        "component mass 0.2097 > 1/e over 10 terms"),
+    "window-halving-forcing": (nature.WindowHalving, "reveal_label",
+                               lies(nature.WindowHalving.reveal_label), {"rounds": 8},
+                               "TruncatedThresholdSoa predicted correctly at round 1"),
+}
+
+
+class TestFaultInjection:
+    def test_every_check_has_a_fault(self):
+        assert FAULTS.keys() == verification.SUITE.keys()
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_each_check_can_fail(self, name, monkeypatch):
+        target, attribute, value, arguments, detail = FAULTS[name]
+        monkeypatch.setattr(target, attribute, value)
+        check, _ = verification.SUITE[name]
+        assert check(**arguments).line().startswith(f"[FAIL] {name}: {detail}")
 
     def test_exact_checks_seed_independent(self):
         for check in (verification.check_ldim_minimax_equality,

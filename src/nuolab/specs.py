@@ -27,29 +27,33 @@ from .runner import REAL_THRESHOLDS, RegretCurve, play_seeded, regret_curve
 
 def load_spec(value: str):
     """The JSON value of `value`: inline JSON if it starts with "{",
-    otherwise the contents of the file it names."""
+    otherwise the contents of the file it names. A refusal names the file,
+    or says "the inline spec", whose text may be of any length."""
+    inline = value.lstrip().startswith("{")
+    source = "the inline spec" if inline else repr(value)
+
     def refuse(name: str):      # json reads NaN, Infinity and -Infinity unless told not to
-        raise DomainError(f"bad JSON in {value!r}: {name} is not a JSON number")
+        raise DomainError(f"bad JSON in {source}: {name} is not a JSON number")
 
     def finite(text: str) -> float:     # and reads 1e999 as inf
         number = float(text)
         if not math.isfinite(number):
-            raise DomainError(f"bad JSON in {value!r}: {text} is not a finite number")
+            raise DomainError(f"bad JSON in {source}: {text} is not a finite number")
         return number
-
-    def integer(text: str) -> int:      # and leaves an int over the int-string limit to int()
-        try:
-            return int(text)
-        except ValueError:
-            raise DomainError(f"bad JSON in {value!r}: an int of {len(text)} characters "
-                              "is too long") from None
     try:
-        return json.loads(value if value.lstrip().startswith("{") else Path(value).read_text(),
-                          parse_constant=refuse, parse_float=finite, parse_int=integer)
+        text = value if inline else Path(value).read_text()
+    except (OSError, UnicodeDecodeError) as exc:     # the second has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"cannot read {value!r}: {reason}") from None
+    try:
+        return json.loads(text, parse_constant=refuse, parse_float=finite)
+    except DomainError:     # a hook's refusal, a ValueError too
+        raise
     except json.JSONDecodeError as exc:
-        raise DomainError(f"bad JSON in {value!r}: {exc}") from None
-    except OSError as exc:
-        raise DomainError(f"cannot read {value!r}: {exc.strerror or exc}") from None
+        raise DomainError(f"bad JSON in {source}: {exc}") from None
+    except ValueError:      # json leaves ints to int(), which refuses one over its digit limit
+        raise DomainError(f"bad JSON in {source}: an int has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_point(raw) -> Point:

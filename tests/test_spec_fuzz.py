@@ -3,17 +3,16 @@
 Each example takes a valid spec of a kind in README's tables, replaces one
 field of it, at any depth, with random JSON or a value near the field's,
 and runs `nuolab ldim`, `play` or `regret` on it through `cli.main`, in
-process. It must exit 0, or exit 2 with exactly one line on stderr; an
-exception that leaves `cli.main` is a bug of the program, and fails the
-example.
+process. It must keep the contract of `test_cli.contract`: exit 0 with
+nothing on stderr, or exit 2 with nothing on stdout and exactly one line on
+stderr. An exception that leaves `cli.main` is a bug of the program, and
+fails the example.
 """
-import contextlib
-import io
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nuolab import cli
+from test_cli import contract, outcome
 
 CLASS = {"domain": [1, 2, 3], "hypotheses": [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]],
          "labels": [0, 1, "two", 3]}
@@ -166,12 +165,4 @@ def command_lines(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
 def test_every_spec_runs_or_fails_fast(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    if code == 0:
-        assert err.getvalue() == ""
-    else:
-        assert code == 2 and out.getvalue() == ""
-        assert err.getvalue().startswith(f"nuolab {argv[0]}: error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    contract(argv, *outcome(argv))

@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from nuolab import bounds, cli, learners, nature, verification
+from nuolab import bounds, learners, nature, verification
 from nuolab.hypotheses import FiniteClass
 from nuolab.learners import CoverSpec
 from nuolab.littlestone import ldim
@@ -113,48 +111,3 @@ class TestReducedScaleChecks:
 
     def test_window(self):
         assert verification.check_window_halving(rounds=8).passed
-
-
-class TestCli:
-    def test_ldim_command(self, tmp_path, capsys):
-        path = tmp_path / "cls.json"
-        path.write_text(json.dumps({"domain": ["a", "b"],
-                                    "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
-        assert cli.main(["ldim", str(path), "--witness"]) == 0
-        out = capsys.readouterr().out
-        assert "ldim:       2" in out and "witness points" in out
-
-    def test_play_command(self, tmp_path, capsys):
-        learner = json.dumps({"learner": "constant", "value": 0})
-        nat = json.dumps({"nature": "scripted", "x": [1, 2, 3],
-                          "target": {"kind": "threshold", "value": 2}})
-        csv_path = tmp_path / "trace.csv"
-        assert cli.main(["play", "--learner", learner, "--nature", nat,
-                         "-T", "3", "--seed", "1", "--csv", str(csv_path)]) == 0
-        assert "mistakes: 2" in capsys.readouterr().out
-        assert csv_path.read_text().startswith("t,x,y,yhat")
-
-    def test_regret_command(self, tmp_path, capsys):
-        config = {
-            "learner": {"learner": "constant", "value": 0},
-            "nature": {"nature": "coin-flip"},
-            "comparison": {"domain": [0], "hypotheses": [[0], [1]]},
-            "T": 20, "trials": 20, "master_seed": 0,
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert cli.main(["regret", "--config", str(path)]) == 0
-        assert "mean" in capsys.readouterr().out
-
-    def test_verify_command_exit_codes(self, monkeypatch, capsys):
-        ok = verification.CheckResult("stub", True, "fine")
-        bad = verification.CheckResult("stub", False, "broken")
-        monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {})})
-        assert cli.main(["verify"]) == 0
-        assert "[PASS] stub" in capsys.readouterr().out
-        monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {}),
-                                                    "bad": (lambda: bad, {})})
-        assert cli.main(["verify"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] stub" in out and "1/2 checks passed" in out
-

@@ -4,16 +4,18 @@ classes.
 
 A version space is an int bitmask over row ids: bit i is set iff row i
 (by position in `rows`) survives, so the lowest set bit is the smallest
-surviving id. Every restriction is one `split` by a column mask; no other
-module reads the masks. `VersionSpace(cls)`, the kernel that learners and
-expert pools run, interns them to state ids and gives `predict` (the SOA
-rule of `soa_prediction`), `restrict` and `ldim` of a state.
+surviving id. A restriction is `split`'s AND and XOR by a column mask,
+inline in the dimension recursion and the witness search; no other
+module reads the masks. `VersionSpace(cls)`, the kernel that learners
+and expert pools run, interns them to state ids and gives `predict` (the
+SOA rule of `soa_prediction`), `restrict` and `ldim` of a state.
 
 The dimension recursion and the game-tree oracle are two independent code
 paths with separate memo tables; their agreement on finite classes is one
 of the verification suite's core checks, so neither may delegate to the
-other. They share only `column_masks` and `split`. Each prunes by its own
-floor(log2 |S|) ceiling, written inline and argued from its own
+other. They share only `column_masks` and `split`'s AND and XOR. Each
+prunes by its own floor(log2 |S|) ceiling, and skips a split's second side
+once the first settles it, written inline and argued from its own
 definition: a depth-d shattered tree needs 2^d distinct rows, one per
 leaf, and in the game the halving learner (predict the majority) loses at
 least half of the surviving rows with every mistake.
@@ -38,9 +40,12 @@ class CapacityError(DomainError):
 
 def column_masks(cls: FiniteClass) -> tuple[int, ...]:
     """One mask per domain point, in domain order: bit i is set iff row i
-    labels that point 1."""
-    return tuple(sum(1 << i for i, row in enumerate(cls.rows) if row[col])
-                 for col in range(len(cls.domain)))
+    labels that point 1. A mask is its column, last row first, read as one
+    binary numeral."""
+    if not cls.rows:        # zip(*rows) would give no columns at all
+        return (0,) * len(cls.domain)
+    digits = bytes.maketrans(b"\x00\x01", b"01")
+    return tuple(int(bytes(column[::-1]).translate(digits), 2) for column in zip(*cls.rows))
 
 
 def split(ids: int, colmask: int) -> tuple[int, int]:
@@ -77,11 +82,18 @@ class _Workspace:
             # 2^best rows
             cap = ids.bit_count().bit_length() - 1
             for colmask in self.colmasks:
-                zeros, ones = split(ids, colmask)
+                ones = ids & colmask        # `split`, inline
+                zeros = ids ^ ones
                 if zeros and ones:
-                    if min(zeros.bit_count(), ones.bit_count()).bit_length() <= best:
+                    small, large = ((ones, zeros) if ones.bit_count() <= zeros.bit_count()
+                                    else (zeros, ones))
+                    if small.bit_count().bit_length() <= best:
                         continue
-                    cand = 1 + min(self.ldim(zeros), self.ldim(ones))
+                    # 1 + min(Ldim of the sides) cannot beat best once either is below it
+                    v = self.ldim(small)
+                    if v < best:
+                        continue
+                    cand = 1 + min(v, self.ldim(large))
                     if cand > best:
                         best = cand
                         if best == cap:
@@ -332,7 +344,8 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
             realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
             return
         for x, colmask in zip(cls.domain, ws.colmasks):
-            zeros, ones = split(ids, colmask)
+            ones = ids & colmask        # `split`, inline
+            zeros = ids ^ ones
             if not zeros or not ones:
                 continue
             if ws.ldim(zeros) >= remaining - 1 and ws.ldim(ones) >= remaining - 1:
@@ -420,8 +433,16 @@ def minimax_mistakes(cls: FiniteClass) -> int:
                 c1 = ones.bit_count().bit_length() - 1
                 if max(c0, c1) + (c0 == c1) <= best:
                     continue
-                v0, v1 = value(zeros), value(ones)
-                outcome = max(v0, v1) + (v0 == v1)
+                first, other, c_other = (zeros, ones, c1) if c0 >= c1 else (ones, zeros, c0)
+                # play the side of the larger ceiling first: its value v,
+                # if above the other's ceiling, is the split's worth; else
+                # the split is worth at most c_other, plus one if v ties it
+                v = outcome = value(first)
+                if v <= c_other:
+                    if c_other + (v == c_other) <= best:
+                        continue
+                    w = value(other)
+                    outcome = max(v, w) + (v == w)
                 if outcome > best:
                     best = outcome
                     if best == cap:

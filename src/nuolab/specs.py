@@ -71,9 +71,9 @@ def parse_point(raw) -> Point:
             try:
                 return Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"bad rational point {raw!r}") from exc
+                raise DomainError(f"bad rational point {quoted(raw)}") from exc
         return raw
-    raise DomainError(f"unsupported point value: {raw!r}")
+    raise DomainError(f"unsupported point value: {quoted(raw)}")
 
 
 class Shape(NamedTuple):
@@ -118,15 +118,24 @@ PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
 # a count of rounds, trials or components must fit a numpy array of 8-byte words
 COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
+QUOTE_LIMIT = 120       # the most of a value's repr that a refusal quotes
+
+
+def quoted(value) -> str:
+    """`repr(value)`, cut after `QUOTE_LIMIT` characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 def checked(name: str, value, shape: Shape):
     """`value`, if it has `shape`; otherwise a `DomainError` that names it."""
     if not shape.test(value):
-        raise DomainError(f"{name} must {shape.what}, got {value!r}")
-    if shape.items is not None:
+        raise DomainError(f"{name} must {shape.what}, got {quoted(value)}")
+    items = shape.items
+    # one pass tests flat items; the walk names the first bad one
+    if items is not None and (items.items is not None or not all(map(items.test, value))):
         for item in value:
-            checked(name, item, shape.items)
+            checked(name, item, items)
     return value
 
 
@@ -138,7 +147,7 @@ class Spec:
 
     def __init__(self, kind: str, raw):
         if type(raw) is not dict:
-            raise DomainError(f"{kind} spec must be an object, got {raw!r}")
+            raise DomainError(f"{kind} spec must be an object, got {quoted(raw)}")
         self.kind, self.raw = kind, raw
 
     def field(self, key: str, shape: Optional[Shape] = None, default=_REQUIRED,
@@ -168,14 +177,14 @@ def hypothesis_from_config(raw) -> Hypothesis:
         value = spec.field("value")
         cut = parse_point(value)
         if isinstance(cut, str):
-            raise DomainError(f"threshold cut must be numeric: {value!r}")
+            raise DomainError(f"threshold cut must be numeric: {quoted(value)}")
         return threshold_hypothesis(cut)
     if kind == "support":
         return support_hypothesis(spec.points("points", "support points"))
     if kind == "row":
         values = spec.field("values", ROW, name="row values")
         return row_hypothesis(spec.points("domain", "row domain"), values)
-    raise DomainError(f"unknown hypothesis kind: {kind!r}")
+    raise DomainError(f"unknown hypothesis kind: {quoted(kind)}")
 
 
 def class_from_config(raw) -> FiniteClass:
@@ -201,7 +210,7 @@ def family_from_config(raw) -> ClassFamily:
         return NaturalThresholdFamily()
     if kind == "finite-support":
         return FiniteSupportFamily(params.points("domain", "finite-support domain"))
-    raise DomainError(f"unknown family kind: {kind!r}")
+    raise DomainError(f"unknown family kind: {quoted(kind)}")
 
 
 def measure_from_config(raw) -> DiscreteMeasure:
@@ -212,9 +221,9 @@ def measure_from_config(raw) -> DiscreteMeasure:
     try:
         fractions = [Fraction(m) for m in masses]
     except ZeroDivisionError:
-        raise DomainError(f"measure mass has a zero denominator: {masses!r}") from None
+        raise DomainError(f"measure mass has a zero denominator: {quoted(masses)}") from None
     except ValueError:      # a string that is no rational, such as "abc" or ""
-        raise DomainError(f"measure mass must hold rationals, got {masses!r}") from None
+        raise DomainError(f"measure mass must hold rationals, got {quoted(masses)}") from None
     return DiscreteMeasure(support, fractions)
 
 
@@ -257,7 +266,7 @@ def make_learner(raw, seed: Optional[int] = None):
                                checked("components", spec.field("components", INT, 1),
                                        COUNT),
                                seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
-    raise DomainError(f"unknown learner spec: {kind!r}")
+    raise DomainError(f"unknown learner spec: {quoted(kind)}")
 
 
 def make_nature(raw, seed: Optional[int] = None,
@@ -291,8 +300,8 @@ def make_nature(raw, seed: Optional[int] = None,
             if learner_spec is None:
                 raise DomainError("committed tree adversary needs the learner spec")
             return nature.commit_adversary(cls, lambda: make_learner(learner_spec))
-        raise DomainError(f"unknown tree-adversary mode: {mode!r}")
-    raise DomainError(f"unknown nature spec: {kind!r}")
+        raise DomainError(f"unknown tree-adversary mode: {quoted(mode)}")
+    raise DomainError(f"unknown nature spec: {quoted(kind)}")
 
 
 def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
@@ -322,7 +331,7 @@ def comparison_from_config(raw):
         if not raw:
             raise DomainError("comparison list is empty")
         return [hypothesis_from_config(h) for h in raw]
-    raise DomainError(f"unknown comparison spec: {raw!r}")
+    raise DomainError(f"unknown comparison spec: {quoted(raw)}")
 
 
 def regret_experiment_from_config(raw) -> RegretCurve:
@@ -361,7 +370,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
                                                 lambda v: min(v) >= 1))
             bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
         else:
-            raise DomainError(f"unknown bound kind: {kind!r}")
+            raise DomainError(f"unknown bound kind: {quoted(kind)}")
     checked("T and Ts", max(horizons), COUNT)
 
     return regret_curve(*_spec_makers(learner_spec, nature_spec),

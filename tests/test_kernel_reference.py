@@ -27,7 +27,7 @@ from nuolab.learners import OnlineLearner
 from nuolab import fpl, littlestone
 from nuolab.littlestone import (ShatteredTreeWitness, VersionSpace, engine_for,
                                 ldim, minimax_mistakes, path_node_indices,
-                                shattered_tree_witness, soa_prediction,
+                                shattered_tree_witness, soa_prediction, split,
                                 verify_witness)
 from nuolab.verification import max_adaptive_soa_mistakes
 
@@ -359,6 +359,50 @@ def test_minimax_runs_without_the_dimension_recursion(monkeypatch):
     monkeypatch.setattr(littlestone, "ldim", forbidden)
     for cls in FIXED_CLASSES:
         assert minimax_mistakes(cls) == ref_minimax(cls)
+
+
+def ref_column_masks(cls):
+    return tuple(sum(1 << i for i, row in enumerate(cls.rows) if row[col])
+                 for col in range(len(cls.domain)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_classes())
+def test_column_masks_match_the_bitwise_definition(cls):
+    assert littlestone.column_masks(cls) == ref_column_masks(cls)
+
+
+def test_column_masks_of_one_row_and_of_none():
+    one = FiniteClass(("a", "b", "c"), [[1, 0, 1]])
+    assert littlestone.column_masks(one) == ref_column_masks(one) == (1, 0, 1)
+    # one 0 mask per point, so an empty class restricts to no state
+    empty = FiniteClass(("a", "b"), [])
+    assert littlestone.column_masks(empty) == (0, 0)
+    assert VersionSpace(empty).restrict(0, "a", 1) is None
+
+
+# per random class of FIXED_CLASSES: the count before the prunes that
+# skip a split's second side, and the count they reach; deleting any one
+# of the three prunes raises a count above the second
+LDIM_MEMO = [(210, 209), (214, 213), (223, 222)]
+MINIMAX_SPLITS = [(672, 557), (694, 599), (797, 643)]
+
+
+def test_oracles_skip_the_second_side_of_a_split(monkeypatch):
+    calls = []
+
+    def counting_split(ids, colmask):
+        calls.append(ids)
+        return split(ids, colmask)
+
+    monkeypatch.setattr(littlestone, "split", counting_split)
+    for cls, memo, splits in zip(FIXED_CLASSES[-3:], LDIM_MEMO, MINIMAX_SPLITS):
+        fresh = FiniteClass(cls.domain, cls.rows)   # a workspace with an empty memo
+        ldim(fresh)
+        calls.clear()
+        minimax_mistakes(fresh)
+        assert len(littlestone._workspace(fresh).memo) <= memo[1] < memo[0]
+        assert len(calls) <= splits[1] < splits[0]
 
 
 @settings(max_examples=25, deadline=None)

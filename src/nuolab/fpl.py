@@ -57,8 +57,8 @@ range only when E is 1; round t of a dimension-2 pool has t newborns.
 
 Each fact of a pool has one rule, shared by the round loop, the replay
 plan and a replayed pool's first read: `_grow` (how the pool grows),
-`_layout` (a round's exact set and thinned ranges) and `_placed` (where a
-replayed expert stands: its state and loss base).
+`_layout` (a round's exact set and thinned ranges) and `_where` then
+`_placed` (where a replayed expert stands: its state and loss base).
 """
 from __future__ import annotations
 
@@ -310,7 +310,7 @@ def _layout(ends: np.ndarray, ks, t: int, exact: int) -> tuple:
 
 
 _ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges ks live width growable cohort place slot mask ranges")
+                         "charges ks live width growable cohort place slot mask ranges cells")
 
 
 @functools.lru_cache(maxsize=16)
@@ -325,7 +325,9 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     set by `_layout` (the root outside the mask); `ranges` stacks its
     ranges as (round position, first member, member count, row of
     `_replay`'s table of smallest bases, smallest k), the row being an
-    older range's last cohort, or T + a newborn range's count."""
+    older range's last cohort, or T + a newborn range's count. `cells` holds
+    the exact cells' distinct (j, b) by `_where`, each cell's flat index
+    `spot` into a (round x those) table, and its cohort."""
     growable, live = np.zeros((int(dim > 0), 2), dtype=np.int64), [1]
     for _ in range(T):
         live.append(live[-1] + len(growable))
@@ -347,19 +349,28 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     at = np.repeat(np.arange(T), [len(spans[0]) for _, spans in layouts])
     ranges = (at, first, count, np.where(last > at, T + count, last), low_k)
     arrays = [ks, live, growable, cohort, place, slot, mask, *ranges]
-    for array in arrays:
+    plan = _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges, None)
+    j, b = _where(plan, np.arange(T)[:, None], slot)
+    seen = np.zeros((j.max() + 1, T + 1), dtype=bool)
+    seen[j, b] = True
+    spot = (seen.cumsum() - 1).reshape(seen.shape)[j, b] + seen.sum() * np.arange(T)[:, None]
+    cells = (*np.nonzero(seen), spot, cohort[slot])
+    for array in (*arrays, *cells):
         array.flags.writeable = False
-    return _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges)
+    return plan._replace(cells=cells)
 
 
-def _placed(plan: _ReplayPlan, step: np.ndarray, drop: np.ndarray, rows, members) -> tuple:
-    """(state, base) of each of `members` in round rows + 1 of a pool that
-    `ExpertPoolFpl._replay` plays by `plan`: the child of growable parent j
-    (the root, or the root's child of round j) in cohort b is at cell
-    (b, step[j, 0]) of step and drop, plus the parent's base drop[j, 0]. A
-    newborn holds its parent's state and loss: it reads row 0, a no-op."""
-    j = plan.place[members]
-    cell = plan.cohort[members] * (members < plan.live[rows]) * step.shape[1]
+def _where(plan: _ReplayPlan, rows, members) -> tuple:
+    """(j, b) of `members` in round rows + 1 of `plan`'s pool: the growable
+    parent j (the root, or its child of round j) and the cohort b, or 0 for
+    a newborn."""
+    return plan.place[members], plan.cohort[members] * (members < plan.live[rows])
+
+
+def _placed(step: np.ndarray, drop: np.ndarray, j, b) -> tuple:
+    """(state, base) of the experts at (j, b) of `_where`: their cell of step
+    and drop is (b, step[j, 0]), plus the parent's base drop[j, 0]."""
+    cell = b * step.shape[1]
     cell += step[:, 0].take(j)
     base = drop.take(cell)
     base += drop[:, 0].take(j)
@@ -488,8 +499,10 @@ class ExpertPoolFpl(_PerturbedLeader):
         one entry per cohort range in order of round, a round's newborn
         range after its older ones: the range of round ts[i] holds the
         experts first..first + count - 1, whose smallest loss and
-        complexity are low_loss and low_k. loss_of(i, members) gives the
-        members' losses in round ts[i], a newborn's being its parent's.
+        complexity are low_loss and low_k. loss_of(rows, members) gives each
+        member's loss in round ts[rows], a newborn's being its parent's. The
+        ranges draw in turn, then their resolved members score at once: a
+        round's leader is its smallest (score, index), exact set included.
         """
         slot, loss, k, mask = exact
         cols, best = self._leaders(ts, loss, k, mask)
@@ -505,26 +518,29 @@ class ExpertPoolFpl(_PerturbedLeader):
         # and p = exp(-tau) < 2 ** (1 - floor(tau log2 e)), so only a range
         # whose u falls below count times that bound can be
         near = u < count * np.ldexp(1.0, 1 - np.floor(tau * math.log2(math.e)).astype(np.int64))
-        draw = self._resolve_rng
+        draw, rows, members, q = self._resolve_rng, [], [], []
         for r in np.flatnonzero(near).tolist():
-            i, past = at[r], math.exp(-tau[r])     # one member's chance of a q past tau
+            past = math.exp(-tau[r])     # one member's chance of a q past tau
             # the members before the first past tau, inverse geometric
             below = math.floor(math.log1p(-u[r]) / math.log1p(-past)) if past < 1 else 0
             if below >= count[r]:
                 continue
             rest = int(count[r]) - below - 1
-            members = np.array([first[r] + below])     # the first past tau
+            held = [int(first[r]) + below]     # the first past tau
             passed = draw.binomial(rest, past)
             if passed:      # and those after it, placed uniformly
-                after = draw.choice(rest, passed, replace=False)
-                members = np.concatenate((members, np.sort(after) + members[0] + 1))
-            ks = self._ks[np.searchsorted(self._ends, members, side="right")]
-            score = ks - (tau[r] + draw.standard_exponential(len(members)))
-            score *= root[i]
-            score += loss_of(i, members)
-            w = int(score.argmin())
-            if (score[w], members[w]) < (best[i], chosen[i]):
-                best[i], chosen[i] = score[w], members[w]
+                held += sorted((draw.choice(rest, passed, replace=False) + held[0] + 1).tolist())
+            rows += [int(at[r])] * len(held)
+            members += held
+            q += (tau[r] + draw.standard_exponential(len(held))).tolist()
+        if not members:
+            return chosen
+        members, rounds = np.array(members), np.array(rows)
+        score = (self._ks[np.searchsorted(self._ends, members, side="right")] - q) * root[rounds]
+        score += loss_of(rounds, members)
+        for i, s, m in zip(rows, score.tolist(), members.tolist()):
+            if (s, m) < (best[i], chosen[i]):
+                best[i], chosen[i] = s, m
         return chosen
 
     def _feed(self, x: Point, y: int, preds: np.ndarray) -> None:
@@ -565,7 +581,7 @@ class ExpertPoolFpl(_PerturbedLeader):
     def _read(self, plan: _ReplayPlan, step, drop, final) -> None:
         """Build a replayed pool's `state` and `losses` from `_replay`'s
         tables: every expert where `_placed` puts it after the last round."""
-        self.state, base = _placed(plan, step, drop, len(plan.ks), np.arange(plan.live[-1]))
+        self.state, base = _placed(step, drop, plan.place, plan.cohort)   # none newborn
         self.losses = (final[self.state] + base).astype(np.int64)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
@@ -586,23 +602,24 @@ class ExpertPoolFpl(_PerturbedLeader):
 
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
-        so the engine interns the loop's ids, and births register cohort by
-        cohort, so the mass budget is the loop's. Every round is scored at
-        once by `_lazy_leaders`, as the loop scores it round by round: the
-        exact sets' losses are the plan's `slot` block read through M, and
-        a range's smallest loss is the smallest M[s, t - 1] plus the
-        smallest base in state s among its live cohorts. Both that and a
-        newborn range's bound come from a (growable parent x state) table
-        of the parents' smallest bases, a running minimum over the parents:
-        the smallest base in state s of cohort b is the smallest
-        drop[b, sigma] plus that table's entry, over the parent states
-        sigma that round b moves to s, so the range bounds cost
-        O(T x states), not O(experts). `_replay_plan` makes the cohorts,
-        their complexities and charges, the exact sets' blocks and the
-        ranges once per (dim, T, `_EXACT`); the state walk, the M, step and
-        drop tables, the mass and the draws are this game's. The per-expert
-        `state` and `losses` are built from the tables on their first read
-        (`_read`), by the round loop or anyone else.
+        so the engine interns the loop's ids; the walk moves by each (x, y)
+        only the states that appeared since its last round, in order. Births
+        register cohort by cohort, so the mass budget is the loop's. Every
+        round is scored at once by `_lazy_leaders`, as the loop scores it
+        round by round: the exact cells' losses are read per distinct
+        placement, and a range's smallest loss is the smallest M[s, t - 1]
+        plus the smallest base in state s among its live cohorts. Both that
+        and a newborn range's bound come from a (growable parent x state)
+        table of the parents' smallest bases, a running minimum over the
+        parents: the smallest base in state s of cohort b is the smallest
+        drop[b, sigma] plus that table's entry, over the parent states sigma
+        that round b moves to s, so the range bounds cost O(T x states), not
+        O(experts). `_replay_plan` makes the cohorts, their complexities and
+        charges, the exact sets' blocks and placements and the ranges once
+        per (dim, T, `_EXACT`); the state walk, the M, step and drop tables,
+        the mass and the draws are this game's. The per-expert `state` and
+        `losses` are built from the tables on their first read (`_read`), by
+        the round loop or anyone else.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
@@ -616,18 +633,18 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._check_mass(self.t + passed)
         ks = np.concatenate((self._ks, plan.ks))      # by cohort, the root's first
 
-        after = {}      # (state, x, y) -> the state that round leaves it in
-        grown = [0] if dim else []      # the growable experts' states, in order
-        present = dict.fromkeys(grown)
-        # below dimension 2 the present states are fixed: each pair once
-        for x, y in zip(xs, ys) if dim == 2 else dict.fromkeys(zip(xs, ys)):
-            for s in present:
-                if (s, x, y) not in after:
-                    nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
-                    after[s, x, y] = s if nxt is None else nxt
-            if dim == 2:
-                grown.append(after[0, x, y])
-                present.setdefault(grown[-1])
+        # after[s, x, y]: the state (x, y) leaves s in; moved[x, y]: how much of `present` it moved
+        after, moved, present = {}, {}, [0] if dim else []
+        for x, y in zip(xs, ys):
+            k = moved.get((x, y), 0)
+            if k == len(present):
+                continue
+            for s in present[k:]:
+                nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+                after[s, x, y] = s if nxt is None else nxt
+            moved[x, y] = len(present)
+            if dim == 2 and after[0, x, y] not in present:
+                present.append(after[0, x, y])
         points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
         ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.fromiter(ys, np.int64, T)
         ns = engine.n_states
@@ -638,13 +655,13 @@ class ExpertPoolFpl(_PerturbedLeader):
         # base's term, 0 in row 0
         mistakes = np.zeros((T + 1, ns))
         np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-        moves = np.tile(np.arange(ns)[:, None, None], (1, len(points), 2))
+        moves = np.repeat(np.arange(ns), 2 * len(points)).reshape(ns, len(points), 2)
         for (s, x, y_t), nxt in after.items():
             moves[s, points[x], y_t] = nxt
         step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
-        drop = mistakes - np.take_along_axis(mistakes, step, axis=1)
+        drop = mistakes - mistakes.take(step + np.arange(0, (T + 1) * ns, ns)[:, None])
         def loss_of(rows, members):
-            state, base = _placed(plan, step, drop, rows, members)
+            state, base = _placed(step, drop, *_where(plan, rows, members))
             base += mistakes.take(rows * ns + state)
             return base
 
@@ -661,10 +678,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         parents = low[T + 1:]
         parents[np.arange(W), step[:W, 0]] = drop[:W, 0]
         np.minimum.accumulate(parents, axis=0, out=parents)
-        sigmas = list(present)
-        copied = drop[1:, sigmas] + parents[:, sigmas]
+        copied = drop[1:, present] + parents[:, present]
         np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)[:, None]
-                                        + step[1:, sigmas]).ravel(), copied.ravel())
+                                        + step[1:, present]).ravel(), copied.ravel())
         for lo, hi in _ranges(self._EXACT, T):
             np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
         # a row minimum over so few states costs more than an elementwise
@@ -678,11 +694,13 @@ class ExpertPoolFpl(_PerturbedLeader):
         del self.state, self.losses
         self._unread = (plan, step, drop, mistakes[T])
         self._ends, self._ks, self._growable = plan.live, ks, plan.growable
-        rows, slot = np.arange(T), plan.slot
-        exact = (slot, loss_of(rows[:, None], slot), ks[plan.cohort[slot]], plan.mask)
+        j, b, spot, cohort = plan.cells     # the exact cells, read per placement
+        state, base = _placed(step, drop, j, b)
+        loss = (mistakes[:T].take(state, axis=1) + base).take(spot)
+        rows, exact = np.arange(T), (plan.slot, loss, ks[cohort], plan.mask)
         chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
-        preds = pred[_placed(plan, step, drop, rows, chosen)[0], ix]
+        preds = pred[_placed(step, drop, *_where(plan, rows, chosen))[0], ix]
         self.mistakes += int((preds != y).sum())
         self.t += T
         return preds.tolist()

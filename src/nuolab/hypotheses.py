@@ -54,6 +54,15 @@ def is_label(y) -> bool:
     return type(y) is int and 0 <= y <= 1
 
 
+QUOTE_LIMIT = 120       # the most of a value's repr that a refusal quotes
+
+
+def quoted(value) -> str:
+    """`repr(value)`, cut after `QUOTE_LIMIT` characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
 def constant_hypothesis(value: int, hid: int | str | None = None) -> Hypothesis:
     if not is_label(value):
         raise DomainError(f"constant must be 0 or 1, got {value!r}")

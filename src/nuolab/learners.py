@@ -23,7 +23,7 @@ from operator import ne
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
-                         Hypothesis, Point, SingletonClass, ClassFamily, is_label)
+                         Hypothesis, Point, SingletonClass, ClassFamily, is_label, quoted)
 from .littlestone import engine_for
 
 
@@ -120,7 +120,7 @@ class OnlineLearner:
 
     def _check_label(self, y) -> None:
         if not is_label(y):
-            raise ProtocolError(f"label must be 0 or 1, got {y!r}", self.t)
+            raise ProtocolError(f"label must be 0 or 1, got {quoted(y)}", self.t)
 
     def _record(self, x: Point, y: int, predicted: int) -> None:
         """The round step, with the round's own prediction."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass, Point,
-                         SingletonClass, is_label)
+                         SingletonClass, is_label, quoted)
 
 
 class CapacityError(DomainError):
@@ -157,7 +157,7 @@ class _InternedStates:
 def _check_label(y) -> None:
     """Refuse a restriction label that is not the int 0 or 1."""
     if not is_label(y):
-        raise DomainError(f"label must be 0 or 1, got {y!r}")
+        raise DomainError(f"label must be 0 or 1, got {quoted(y)}")
 
 
 class VersionSpace(_InternedStates):

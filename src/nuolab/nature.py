@@ -143,17 +143,22 @@ class StochasticIid(NatureStrategy):
         return self.hypothesis(x)
 
     def draw_script(self, horizon: int):
-        """The script by the measure's one draw rule, after labelling every
-        support point once; a support larger than the horizon is left to the
-        loop, so a script costs at most min(|support|, horizon) label calls."""
-        support = self.measure.support
+        """The script by the measure's one draw rule, labelling every support
+        point once before the draws or, for a support larger than the horizon,
+        each distinct drawn point once after them. A label that raises leaves
+        the script to the loop, with the generator as the script found it."""
+        support, state = self.measure.support, None
         if len(support) > horizon:
-            return super().draw_script(horizon)
+            state, drawn = self.rng.getstate(), self.measure.draw(self.rng, horizon)
         try:
-            labels = list(map(self.hypothesis, support))
-        except Exception:       # the generator is untouched; the loop finds the round
+            labels = ({i: self.hypothesis(support[i]) for i in dict.fromkeys(drawn)} if state
+                      else list(map(self.hypothesis, support)))
+        except Exception:
+            if state:
+                self.rng.setstate(state)
             return super().draw_script(horizon)
-        drawn = self.measure.draw(self.rng, horizon)
+        if not state:
+            drawn = self.measure.draw(self.rng, horizon)
         return [support[i] for i in drawn], [labels[i] for i in drawn], None
 
 

@@ -19,7 +19,7 @@ from . import bounds, fpl, learners, nature
 from .hypotheses import (ClassFamily, DiscreteMeasure, DomainError,
                          ExplicitListFamily, FiniteClass, FiniteSupportFamily,
                          Hypothesis, NaturalThresholdFamily, Point,
-                         RationalThresholdFamily, constant_hypothesis, is_label,
+                         RationalThresholdFamily, constant_hypothesis, is_label, quoted,
                          row_hypothesis, support_hypothesis,
                          threshold_hypothesis)
 from .runner import REAL_THRESHOLDS, RegretCurve, play_seeded, regret_curve
@@ -118,13 +118,6 @@ PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
 # a count of rounds, trials or components must fit a numpy array of 8-byte words
 COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
-QUOTE_LIMIT = 120       # the most of a value's repr that a refusal quotes
-
-
-def quoted(value) -> str:
-    """`repr(value)`, cut after `QUOTE_LIMIT` characters with an ellipsis."""
-    text = repr(value)
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 def checked(name: str, value, shape: Shape):

@@ -30,8 +30,18 @@ def _raise_on_5(x):
     return int(x >= 4)
 
 
+def _raise_from_9900(x):
+    if x >= 9900:
+        raise DomainError(f"no label at {x}")
+    return int(x >= 4)
+
+
 RAISES_ON_5 = Hypothesis("raises-on-5", _raise_on_5)
+# one point in a hundred of WIDE has no label
+RAISES_FROM_9900 = Hypothesis("raises-from-9900", _raise_from_9900)
 MEASURE = DiscreteMeasure.uniform(tuple(range(1, 9)))
+# more points than a script's rounds: the iid nature labels the drawn ones alone
+WIDE = DiscreteMeasure.uniform(tuple(range(10_000)))
 # D = 18 is not a power of two: a draw drops the 14 words of 5 bits from 18 up
 THIRDS = DiscreteMeasure(range(1, 7), ["1/3", "1/6", "1/6", "1/9", "1/9", "1/9"])
 
@@ -46,5 +56,7 @@ OBLIVIOUS = {
     "iid": lambda seed: StochasticIid(TARGET, MEASURE, seed),
     "iid-raises": lambda seed: StochasticIid(RAISES_ON_5, MEASURE, seed),
     "iid-thirds": lambda seed: StochasticIid(TARGET, THIRDS, seed),
+    "iid-wide": lambda seed: StochasticIid(TARGET, WIDE, seed),
+    "iid-wide-raises": lambda seed: StochasticIid(RAISES_FROM_9900, WIDE, seed),
     "coin": lambda seed: CoinFlip(seed, point="p"),
 }

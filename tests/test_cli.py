@@ -216,6 +216,9 @@ REFUSED = {
             ("bool-label", {"x": [0, 0, 0], "y": [0, 1, True]},
              "round 3: label must be 0 or 1, got True"),
             ("string-label", {"x": [0], "y": ["1"]}, "round 1: label must be 0 or 1, got '1'"),
+            # a refused label is quoted as any refused value is: cut after 120 characters
+            ("long-label", {"x": [0], "y": ["1" * 3000]},
+             "round 1: label must be 0 or 1, got '" + "1" * 119 + "..."),
             ("scalar-y", {"x": [0], "y": 5}, "scripted y must be a list, got 5"),
             ("scalar-x", {"x": 5, "y": [1]}, "scripted x must be a list, got 5"),
             ("scalar-x-target", {"x": 5, "target": {"kind": "constant", "value": 1}},

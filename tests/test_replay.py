@@ -10,8 +10,10 @@ runs every case, collected under each entry's name. The plan, cache and
 lazy-read tests, and the references that share no code with `src/`, follow
 the table."""
 import hashlib
+import itertools
 import math
 import random
+from collections import Counter
 from contextlib import ExitStack
 from functools import partial
 from typing import Callable, NamedTuple
@@ -651,10 +653,19 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
     # point and draws on `predict`, so that a round whose label failed and
     # that the learner did not predict shows
     "test_draw_script_matches_round_loop": (same_game, {
-        name: drawn(40, lambda seed, prefix, T, name=name: [Case(
+        **{name: drawn(40, lambda seed, prefix, T, name=name: [Case(
             learner(FplLearner, "constants", seed=seed),
             [(partial(prefixed, name, seed, prefix), T)], error=ANY, nature_at_error=True)],
-            seeds, st.integers(0, 10), st.integers(0, 30), ways=WAYS) for name in OBLIVIOUS}),
+            seeds, st.integers(0, 10), st.integers(0, 30), ways=WAYS) for name in OBLIVIOUS},
+        # 10,000 points at T = 400: the script labels each distinct drawn
+        # point once, and where a label raises, at round 290 of seed 5, it
+        # leaves the generator as it found it to the loop
+        "iid-wide-400": [Case(learner(FplLearner, "constants", seed=seed),
+                              [(partial(OBLIVIOUS[name], seed), 400)], error=error,
+                              nature_at_error=True)
+                         for name, seed, error in (
+                             ("iid-wide", 0, None),
+                             ("iid-wide-raises", 5, ("DomainError", "no label at 9971")))]}),
     # every row
     "test_exhaustion_mid_script": (same_game, faults(*[
         (kind, make, ([1, 2, 3, 4, 1, 2, 3], [0, 1, 1, 0, 1, 1, 0]),
@@ -928,6 +939,78 @@ def test_layout_and_plan_match_the_docstring_rules(dim, exact):
             last = np.where(row[here] > T, t, row[here])
             assert spans_of(first[here], count[here], low_k[here], last) == spans
             assert (row[here][last == t] == T + count[here][last == t]).all()
+
+
+def reference_walk(engine, xs, ys, dim):
+    """The state walk as `ExpertPoolFpl._replay`'s docstring states it, round
+    by round over every present state: at round b each distinct state of the
+    growable experts, in order of first appearance, that (x_b, y_b) has not
+    moved yet restricts if it errs there. Returns the moves (state, point,
+    label) -> state."""
+    after, present = {}, [0] if dim else []
+    for x, y in zip(xs, ys):
+        for s in present:
+            if (s, x, y) not in after:
+                nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+                after[s, x, y] = s if nxt is None else nxt
+        if dim == 2 and after[0, x, y] not in present:
+            present.append(after[0, x, y])
+    return after
+
+
+@pytest.mark.parametrize("name", ["dim1-constants", "dim1-support", "dim2-thresholds",
+                                  "dim2-support", "dim2-full3"])
+@settings(max_examples=15, deadline=None)
+@given(script=scripts)
+def test_state_walk_matches_the_docstring_rule(name, script):
+    # the replay moves by each (x, y) only the states that appeared since its
+    # last round: checked against a walk over every present state each round,
+    # on scripts that repeat pairs, through the engine's interned states and
+    # each expert's state and loss, which follow from the moves by its key
+    xs, ys = script
+    if name == "dim2-full3":
+        xs = [min(x, 3) for x in xs]
+    replayed, fed = (ROWS[ExpertPoolFpl][name](seed=0) for _ in range(2))
+    replayed.play(xs, ys)
+    after = reference_walk(fed.engine, xs, ys, fed.dim)
+    # mistakes[s][t]: the mistakes of state s over rounds 1..t
+    mistakes = [list(itertools.accumulate((fed.engine.predict(s, x) != y for x, y in zip(xs, ys)),
+                                          initial=0)) for s in range(fed.engine.n_states)]
+    states, losses = [], []
+    for key in replayed.keys:
+        s, t0, loss = 0, 0, 0
+        for t in key:   # predicting from s up to its key round t, then moved
+            loss += mistakes[s][t] - mistakes[s][t0]
+            s, t0 = after[s, xs[t - 1], ys[t - 1]], t
+        states.append(s)
+        losses.append(loss + mistakes[s][len(ys)] - mistakes[s][t0])
+    assert replayed.engine.states == fed.engine.states
+    assert (replayed.state.tolist(), replayed.losses.tolist()) == (states, losses)
+
+
+@pytest.mark.parametrize("exact", [1, 2])
+@pytest.mark.parametrize("name", ["dim1-constants", "dim2-thresholds"])
+def test_one_pass_scoring_where_ranges_share_a_round(name, exact):
+    # with E of 1 or 2, some round of a coin-label game resolves members of
+    # two or more cohort ranges: the replay scores them in one pass with every
+    # other round's, the loop round by round, and both choose the same leaders
+    resolved = set()    # (round, first member of the range) of each member scored
+    lazy = ExpertPoolFpl._lazy_leaders
+
+    def spy(self, ts, exact_set, ranges, loss_of):
+        at, first, count = ranges[:3]
+
+        def logged(rows, members):
+            for i, m in zip(np.broadcast_to(rows, np.shape(members)).tolist(),
+                            np.asarray(members).tolist()):
+                r = np.flatnonzero((at == i) & (first <= m) & (m < first + count))
+                resolved.add((int(ts[i]), int(first[r[0]])))
+            return loss_of(rows, members)
+        return lazy(self, ts, exact_set, ranges, logged)
+
+    same_game(game(pool(name, 47), check_script(DOMAIN, "coin", 60), patches=(
+        (ExpertPoolFpl, "_EXACT", exact), (ExpertPoolFpl, "_lazy_leaders", spy))))
+    assert max(Counter(t for t, _ in resolved).values()) >= 2
 
 
 def test_second_replay_of_a_shape_computes_no_complexity(monkeypatch):

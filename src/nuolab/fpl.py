@@ -59,6 +59,10 @@ Each fact of a pool has one rule, shared by the round loop, the replay
 plan and a replayed pool's first read: `_grow` (how the pool grows),
 `_layout` (a round's exact set and thinned ranges) and `_where` then
 `_placed` (where a replayed expert stands: its state and loss base).
+
+A replay has three layers (`ExpertPoolFpl._replay`): the plan, once per
+shape; the tables, once per script, kept for the 16 scripts last used from
+their second sighting, so coin flips keep none; the draws, once per game.
 """
 from __future__ import annotations
 
@@ -377,6 +381,76 @@ def _placed(step: np.ndarray, drop: np.ndarray, j, b) -> tuple:
     return step.take(cell), base
 
 
+_Tables = namedtuple("_Tables", "states ix y pred mistakes step drop low_loss loss")
+_KEPT = 16      # scripts in `_kept`, by key hash: None after one sighting, then (key, tables)
+_kept: dict = {}
+
+
+def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
+    """The tables of `ExpertPoolFpl._replay` that the fresh `engine`'s
+    class, `dim`, `exact` and the script fix, `plan` being that shape's:
+    `states`, copied from `engine` after the walk; pred[s, i], state s's
+    prediction at point ix[t] = i; mistakes, step, drop, `low_loss` and the
+    exact cells' `loss`."""
+    T = len(ys)
+    # after[s, x, y]: the state (x, y) leaves s in; moved[x, y]: how much of `present` it moved
+    after, moved, present = {}, {}, [0] if dim else []
+    for x, y in zip(xs, ys):
+        k = moved.get((x, y), 0)
+        if k == len(present):
+            continue
+        for s in present[k:]:
+            nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
+            after[s, x, y] = s if nxt is None else nxt
+        moved[x, y] = len(present)
+        if dim == 2 and after[0, x, y] not in present:
+            present.append(after[0, x, y])
+    points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+    ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.fromiter(ys, np.int64, T)
+    ns = engine.n_states
+    pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
+    # mistakes[t, s]: M[s, t], as floats, which add to the scores as
+    # the loop's int losses do; step[b, s]: the state round b leaves s
+    # in, row 0 moving none; drop[b, s]: M[s, b] - M[step[b, s], b], a
+    # base's term, 0 in row 0
+    mistakes = np.zeros((T + 1, ns))
+    np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
+    moves = np.repeat(np.arange(ns), 2 * len(points)).reshape(ns, len(points), 2)
+    for (s, x, y_t), nxt in after.items():
+        moves[s, points[x], y_t] = nxt
+    step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
+    drop = mistakes - mistakes.take(step + np.arange(0, (T + 1) * ns, ns)[:, None])
+
+    at, _, _, row, _ = plan.ranges
+    # low[b, s]: the smallest base in state s among cohort b, then
+    # among the cohorts of b's range up to b; low[T + 1 + j, s]: the
+    # smallest base in state s among the growable experts 0..j, the
+    # parents of a newborn range. Cohort b copies the parents 0..b - 1
+    # (row b - 1 of that table; in a dimension-1 pool, the root, its
+    # one row), and only the growable experts' states hold a base: (j)
+    # is the root's child of round j, and the root is parent 0
+    W = plan.width
+    low = np.full((T + 1 + W, ns), np.inf)
+    parents = low[T + 1:]
+    parents[np.arange(W), step[:W, 0]] = drop[:W, 0]
+    np.minimum.accumulate(parents, axis=0, out=parents)
+    copied = drop[1:, present] + parents[:, present]
+    np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)[:, None]
+                                    + step[1:, present]).ravel(), copied.ravel())
+    for lo, hi in _ranges(exact, T):
+        np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
+    # a row minimum over so few states costs more than an elementwise
+    # minimum across the state columns, which is as exact
+    both = mistakes.take(at, axis=0)
+    both += low.take(row, axis=0)
+    low_loss = functools.reduce(np.minimum, both.T)
+    j, b, spot, _ = plan.cells     # the exact cells, read per placement
+    state, base = _placed(step, drop, j, b)
+    loss = (mistakes[:T].take(state, axis=1) + base).take(spot)
+    return _Tables(list(getattr(engine, "states", ())), ix, y, pred, mistakes, step, drop,
+                   low_loss, loss)
+
+
 class ExpertPoolFpl(_PerturbedLeader):
     """Perturbed leader over every keyed version-space expert with at most
     `dim` update rounds, the pool growing by the keys ending at the current
@@ -419,6 +493,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         super().__init__(seed)
         self._range_rng, self._resolve_rng = self.rng.spawn(2)
         self.engine = engine_for(component.cls)
+        self._cls = component.cls
         self.dim = component.dim
         k_root = pool_complexity(self.dim, 0)
         self._register(1, k_root)
@@ -477,9 +552,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         t, ends, losses, ks = self.t, self._ends, self.losses, self._ks
         slot, (first, count, low_k, _) = _layout(ends, ks, t, self._EXACT)
         # the newborns hold their parents' losses, so every range's smallest
-        # loss is read off `losses`
-        low_loss = np.array([losses[a:a + n].min()
-                             for a, n in zip(first.tolist(), count.tolist())])
+        # loss is read off `losses`, in one pass: the ranges are adjacent
+        low_loss = (np.minimum.reduceat(losses[first[0]:first[-1] + count[-1]], first - first[0])
+                    if len(first) else first)
         exact = (slot[None], losses[slot][None],
                  ks[np.searchsorted(ends, slot, side="right")][None], None)
         ranges = (np.zeros(len(first), dtype=np.int64), first, count, low_loss, low_k)
@@ -614,12 +689,13 @@ class ExpertPoolFpl(_PerturbedLeader):
         parents: the smallest base in state s of cohort b is the smallest
         drop[b, sigma] plus that table's entry, over the parent states sigma
         that round b moves to s, so the range bounds cost O(T x states), not
-        O(experts). `_replay_plan` makes the cohorts, their complexities and
-        charges, the exact sets' blocks and placements and the ranges once
-        per (dim, T, `_EXACT`); the state walk, the M, step and drop tables,
-        the mass and the draws are this game's. The per-expert `state` and
-        `losses` are built from the tables on their first read (`_read`), by
-        the round loop or anyone else.
+        O(experts). Three layers make a replay: `_replay_plan`, once per
+        (dim, T, `_EXACT`), the cohorts, charges, exact sets and ranges;
+        `_tables`, once per (class, dim, `_EXACT`, xs, ys), the walk and the
+        tables, which `_kept` holds for the last 16 scripts from their second
+        sighting, a later fresh engine taking copies of the walk's states;
+        and this game's mass, draws and leaders. The per-expert `state` and
+        `losses` are built from the tables on their first read (`_read`).
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
@@ -632,72 +708,33 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
         ks = np.concatenate((self._ks, plan.ks))      # by cohort, the root's first
-
-        # after[s, x, y]: the state (x, y) leaves s in; moved[x, y]: how much of `present` it moved
-        after, moved, present = {}, {}, [0] if dim else []
-        for x, y in zip(xs, ys):
-            k = moved.get((x, y), 0)
-            if k == len(present):
-                continue
-            for s in present[k:]:
-                nxt = engine.restrict(s, x, y) if engine.predict(s, x) != y else None
-                after[s, x, y] = s if nxt is None else nxt
-            moved[x, y] = len(present)
-            if dim == 2 and after[0, x, y] not in present:
-                present.append(after[0, x, y])
-        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
-        ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.fromiter(ys, np.int64, T)
-        ns = engine.n_states
-        pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
-        # mistakes[t, s]: M[s, t], as floats, which add to the scores as
-        # the loop's int losses do; step[b, s]: the state round b leaves s
-        # in, row 0 moving none; drop[b, s]: M[s, b] - M[step[b, s], b], a
-        # base's term, 0 in row 0
-        mistakes = np.zeros((T + 1, ns))
-        np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-        moves = np.repeat(np.arange(ns), 2 * len(points)).reshape(ns, len(points), 2)
-        for (s, x, y_t), nxt in after.items():
-            moves[s, points[x], y_t] = nxt
-        step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
-        drop = mistakes - mistakes.take(step + np.arange(0, (T + 1) * ns, ns)[:, None])
+        key = (self._cls, dim, self._EXACT, tuple(xs), tuple(ys))
+        h = hash(key)   # hashed once: a key holds the whole script
+        kept = _kept.pop(h, False)  # False if unseen, None if seen once, else (key, tables)
+        tables = kept[1] if kept and kept[0] == key else None
+        if tables is None:
+            tables = _tables(engine, dim, plan, self._EXACT, xs, ys)
+            for array in tables[1:] if kept is not False else ():   # kept: shared
+                array.flags.writeable = False
+        elif tables.states:     # a fresh engine takes the states the walk interned
+            engine.states = list(tables.states)
+            engine.index = dict(zip(engine.states, itertools.count()))
+        _kept[h] = None if kept is False else (key, tables)
+        if len(_kept) > _KEPT:
+            del _kept[next(iter(_kept))]
+        _, ix, y, pred, mistakes, step, drop, low_loss, loss = tables
         def loss_of(rows, members):
             state, base = _placed(step, drop, *_where(plan, rows, members))
-            base += mistakes.take(rows * ns + state)
+            base += mistakes.take(rows * mistakes.shape[1] + state)
             return base
-
-        at, first, count, row, low_k = plan.ranges
-        # low[b, s]: the smallest base in state s among cohort b, then
-        # among the cohorts of b's range up to b; low[T + 1 + j, s]: the
-        # smallest base in state s among the growable experts 0..j, the
-        # parents of a newborn range. Cohort b copies the parents 0..b - 1
-        # (row b - 1 of that table; in a dimension-1 pool, the root, its
-        # one row), and only the growable experts' states hold a base: (j)
-        # is the root's child of round j, and the root is parent 0
-        W = plan.width
-        low = np.full((T + 1 + W, ns), np.inf)
-        parents = low[T + 1:]
-        parents[np.arange(W), step[:W, 0]] = drop[:W, 0]
-        np.minimum.accumulate(parents, axis=0, out=parents)
-        copied = drop[1:, present] + parents[:, present]
-        np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)[:, None]
-                                        + step[1:, present]).ravel(), copied.ravel())
-        for lo, hi in _ranges(self._EXACT, T):
-            np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
-        # a row minimum over so few states costs more than an elementwise
-        # minimum across the state columns, which is as exact
-        both = mistakes.take(at, axis=0)
-        both += low.take(row, axis=0)
-        low_loss = functools.reduce(np.minimum, both.T)
 
         # the per-expert arrays wait for their first read; the scorer reads
         # the cohorts' ends and complexities
         del self.state, self.losses
         self._unread = (plan, step, drop, mistakes[T])
         self._ends, self._ks, self._growable = plan.live, ks, plan.growable
-        j, b, spot, cohort = plan.cells     # the exact cells, read per placement
-        state, base = _placed(step, drop, j, b)
-        loss = (mistakes[:T].take(state, axis=1) + base).take(spot)
-        rows, exact = np.arange(T), (plan.slot, loss, ks[cohort], plan.mask)
+        at, first, count, _, low_k = plan.ranges
+        rows, exact = np.arange(T), (plan.slot, loss, ks[plan.cells[3]], plan.mask)
         chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
         preds = pred[_placed(step, drop, *_where(plan, rows, chosen))[0], ix]

@@ -118,6 +118,9 @@ PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
 # a count of rounds, trials or components must fit a numpy array of 8-byte words
 COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
+_MEMORY = 2 ** 30   # bytes for a run's trials and rounds: a word per trial seed, per script point
+_WORDS = Shape(f"be at most {_MEMORY // 8}, the 8-byte words of {_MEMORY} bytes",
+               lambda v: v <= _MEMORY // 8)
 
 
 def checked(name: str, value, shape: Shape):
@@ -306,7 +309,7 @@ def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
 def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
                 seed: int = 0):
     """Build both sides from specs with a split seed and run one game."""
-    checked("horizon", horizon, COUNT)
+    checked("horizon", checked("horizon", horizon, COUNT), _WORDS)
     return play_seeded(*_spec_makers(learner_spec, nature_spec), horizon, seed)
 
 
@@ -338,7 +341,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
     if not horizons:
         raise DomainError("Ts list is empty")
     checked("T and Ts", horizons, Shape("be >= 0", lambda v: min(v) >= 0))
-    trials = checked("trials", config.field("trials", INT, 100), COUNT)
+    trials = checked("trials", checked("trials", config.field("trials", INT, 100), COUNT), _WORDS)
     master_seed = config.field("master_seed", INT, 0)
     learner_spec = config.field("learner", OBJECT)
     nature_spec = config.field("nature", OBJECT)
@@ -364,7 +367,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
             bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
         else:
             raise DomainError(f"unknown bound kind: {quoted(kind)}")
-    checked("T and Ts", max(horizons), COUNT)
+    checked("T and Ts", checked("T and Ts", max(horizons), COUNT), _WORDS)
 
     return regret_curve(*_spec_makers(learner_spec, nature_spec),
                         horizons, trials, master_seed, comparison, bound_fn)

@@ -12,13 +12,15 @@ runs every row, in process, in a fresh working directory that holds
 `list.json`, `kept.csv` and README's `examples`, and a run must leave the
 directory's files as it found them but for those its row says it writes. A
 row with a `fresh` id runs again under that id through `python -m
-nuolab.cli` in a fresh process.
+nuolab.cli` in a fresh process. A row with a `limit` runs only there, with
+its address space capped at that many bytes.
 """
 import contextlib
 import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -40,11 +42,17 @@ def outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv, cwd):
-    """`python -m nuolab.cli` on `argv` from the checkout, as a fresh process."""
+def run_process(argv, cwd, limit=0):
+    """`python -m nuolab.cli` on `argv` from the checkout, as a fresh process,
+    and with a `limit`, its address space capped at that many bytes."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+    def capped():   # in the child alone, before it runs nuolab
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     done = subprocess.run([sys.executable, "-m", "nuolab.cli", *argv], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": path},
+                          preexec_fn=capped if limit else None,
                           capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
@@ -67,6 +75,7 @@ class Row(NamedTuple):
     fresh: str = ""         # its id in a fresh process, if it runs there too
     files: dict = {}        # written to the working directory before the run
     leaves: dict = {}       # the files the run writes there, with their bytes
+    limit: int = 0          # if set, it runs only in a fresh process of this address space
 
 
 def spec(value):
@@ -140,6 +149,10 @@ EXHAUSTED = "round 3: scripted stream exhausted after 2 points"
 LONG_MASS = "'1/1" + "0" * 116 + "..."
 HUGE = "1" + "0" * 119 + "..."
 TOO_MANY = f"must be at most {sys.maxsize // 8}, got {2 ** 64}"
+# a count within COUNT whose 8-byte words no memory holds, refused before
+# any allocation: its row's process has a gigabyte of address space
+BEYOND_MEMORY = f"must be at most {2 ** 27}, the 8-byte words of {2 ** 30} bytes, got {2 ** 40}"
+GIGABYTE = 2 ** 30
 
 
 REFUSED = {
@@ -183,6 +196,8 @@ REFUSED = {
             play(CONSTANT, iid_masses("abc", "1/2"), "3"),
             "measure mass must hold rationals, got ['abc', '1/2']"),
         "horizon-beyond-count": Row(play(CONSTANT, COIN, str(2 ** 64)), f"horizon {TOO_MANY}"),
+        "horizon-beyond-memory": Row(play(CONSTANT, COIN, str(2 ** 40)),
+                                     f"horizon {BEYOND_MEMORY}", limit=GIGABYTE),
         "mass-exponent": Row(play(CONSTANT, iid_masses("1e-5000", "1/2"), "3"),
                              MASS + "'1e-5000'"),
         "mass-long-denominators": Row(play(CONSTANT, iid_masses(*LONG_MASSES), "3"),
@@ -311,6 +326,8 @@ REFUSED = {
             ("T-beyond-count", {"Ts": [5, 2 ** 64]}, f"T and Ts {TOO_MANY}"),
             ("components-beyond-count", {"learner": {**AGNOSTIC, "components": 2 ** 64}},
              f"components {TOO_MANY}")]},
+        "trials-beyond-memory": Row(regret({**REGRET, "trials": 2 ** 40}),
+                                    f"trials {BEYOND_MEMORY}", limit=GIGABYTE),
         "mixed-threshold-points": Row(regret(MIXED_POINTS),
                                       "threshold comparison needs numeric points",
                                       fresh="mixed-threshold-points"),
@@ -501,7 +518,7 @@ def check(code, row, cwd, fresh):
     for name, data in row.files.items():
         (cwd / name).write_bytes(data)
     before = files(cwd)
-    got = run_process(row.argv, cwd) if fresh else outcome(row.argv)
+    got = run_process(row.argv, cwd, row.limit) if fresh or row.limit else outcome(row.argv)
     assert contract(row.argv, *got) == (code, row.said)
     assert files(cwd) == {**before, **row.leaves}
 

@@ -970,6 +970,7 @@ def test_state_walk_matches_the_docstring_rule(name, script):
     xs, ys = script
     if name == "dim2-full3":
         xs = [min(x, 3) for x in xs]
+    fpl._kept.clear()   # so that the replay walks
     replayed, fed = (ROWS[ExpertPoolFpl][name](seed=0) for _ in range(2))
     replayed.play(xs, ys)
     after = reference_walk(fed.engine, xs, ys, fed.dim)
@@ -1048,6 +1049,100 @@ def test_plan_cache_stays_bounded():
     name, T = shapes[0]
     assert pool_game(name, xs[:T], ys[:T], 44) == results[name, T]
     assert fpl._replay_plan.cache_info().misses == len(shapes) + 1
+
+
+# the tables of a replay: built for a script's every sighting, kept from its
+# second, keyed by (class, dimension, exact cohorts, script), and read from
+# its third on
+
+def tables_built(monkeypatch):
+    """The horizon of each script whose tables `fpl._tables` builds."""
+    built, build = [], fpl._tables
+
+    def counted(engine, dim, plan, exact, xs, ys):
+        built.append(len(ys))
+        return build(engine, dim, plan, exact, xs, ys)
+
+    monkeypatch.setattr(fpl, "_tables", counted)
+    return built
+
+
+def sighted(*cases):
+    """Play the cases in turn three times by `play`, after an empty cache:
+    each game, and its scorer log, is what `play` promises of the round
+    loop's. Returns the loop's games."""
+    fpl._kept.clear()
+    loops = [played("run_game", case) for case in cases]
+    for sighting in range(3):
+        for case, (loop, log) in zip(cases, loops):
+            out, got = played("play", case)
+            assert (promised(case, out), got) == (promised(case, loop), log), sighting
+    return [loop for loop, _ in loops]
+
+
+@pytest.mark.parametrize("dim", sorted(POOL_DIMS))
+def test_warm_tables_replay_as_cold_ones(dim, monkeypatch):
+    # each of a script's sightings plays the loop's game; two classes of one
+    # dimension, each at three counts of exact cohorts, key six tables on
+    # the script, each built on the first two sightings and read on the third
+    built = tables_built(monkeypatch)
+    names = [name for name, comp in COMPONENTS.items() if comp.dim == dim]
+    keys = [(COMPONENTS[name].cls, exact) for exact in (1, 2, 8) for name in names]
+    sighted(*(game(pool(name, 48), check_script(DOMAIN, "coin", 60), scored=True,
+                   patches=((ExpertPoolFpl, "_EXACT", exact),))
+              for exact in (1, 2, 8) for name in names))
+    assert len(names) == 2 and built == [60] * 12
+    assert [(key[0], key[2]) for key, _ in fpl._kept.values()] == keys
+
+
+@pytest.mark.parametrize("name", ["dim1-support", "dim2-thresholds", "dim2-full3"])
+def test_pool_goes_on_after_a_warm_replay(name, monkeypatch):
+    # the third sighting's engine takes the states the walk interned; the
+    # rounds after it take the loop, and show new points, whose restricts
+    # intern new states after those, as the loop's do
+    built = tables_built(monkeypatch)
+    first, more = ([1, 2] * 10, [t % 2 for t in range(20)]), ([3, 1, 3, 2, 3], [1, 1, 0, 0, 0])
+    loop, = sighted(game(pool(name, 49), first, more))
+    states = [len(learner["engine_states"]) for _, learner, _ in loop]
+    assert built == [20, 20] and states[0] < states[1]
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIMS.values()))
+def test_a_script_that_raises_keeps_no_tables(name, monkeypatch):
+    # round 3 shows a point outside the class: every sighting builds its
+    # tables and raises the loop's error, and none is kept
+    built = tables_built(monkeypatch)
+    sighted(game(pool(name, 50), ([1, 2, "x", 3], [0, 1, 1, 0]), state_at_error=False))
+    assert built == [4, 4, 4] and fpl._kept == {}
+
+
+def test_kept_scripts_stay_bounded(monkeypatch):
+    # more scripts than the cache keeps, each played after a first script
+    # that comes back every time: the cache never passes its bound, drops
+    # the least recently used, and builds the first script's tables twice
+    built = tables_built(monkeypatch)
+    xs, ys = check_script(DOMAIN, "coin", fpl._KEPT + 2)
+    first, *rest = [(xs[:T], ys[:T]) for T in range(1, fpl._KEPT + 3)]
+    fpl._kept.clear()
+    for script in rest:
+        for replayed in (first, script):
+            ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=51).play(*replayed)
+        assert len(fpl._kept) <= fpl._KEPT
+    hashes = [hash((COMPONENTS["dim1-constants"].cls, 1, ExpertPoolFpl._EXACT, *map(tuple, s)))
+              for s in [first, *rest]]
+    assert set(fpl._kept) == {hashes[0], *hashes[-fpl._KEPT + 1:]}
+    assert fpl._kept[hashes[0]] is not None and built.count(1) == 2
+    assert len(built) == 2 + len(rest)
+
+
+def test_keys_that_share_a_hash(monkeypatch):
+    # with every key hashed alike, an entry serves only the key it holds:
+    # two scripts played in turn build their tables at every sighting
+    monkeypatch.setattr(fpl, "hash", lambda key: 0, raising=False)
+    built = tables_built(monkeypatch)
+    sighted(*(game(pool("dim2-thresholds", 52), check_script(DOMAIN, labels, 40))
+              for labels in ("coin", "alternating")))
+    assert built == [40] * 6
 
 
 # a replayed pool builds its per-expert arrays only when they are first read

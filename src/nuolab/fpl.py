@@ -61,8 +61,8 @@ plan and a replayed pool's first read: `_grow` (how the pool grows),
 `_placed` (where a replayed expert stands: its state and loss base).
 
 A replay has three layers (`ExpertPoolFpl._replay`): the plan, once per
-shape; the tables, once per script, kept for the 16 scripts last used from
-their second sighting, so coin flips keep none; the draws, once per game.
+shape; the tables, once per script, which the plan keeps for a script
+replayed twice in a row, so coin flips keep none; the draws, once per game.
 """
 from __future__ import annotations
 
@@ -314,7 +314,7 @@ def _layout(ends: np.ndarray, ks, t: int, exact: int) -> tuple:
 
 
 _ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges ks live width growable cohort place slot mask ranges cells")
+                         "charges ks live width growable cohort place slot mask ranges cells kept")
 
 
 @functools.lru_cache(maxsize=16)
@@ -331,7 +331,9 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     `_replay`'s table of smallest bases, smallest k), the row being an
     older range's last cohort, or T + a newborn range's count. `cells` holds
     the exact cells' distinct (j, b) by `_where`, each cell's flat index
-    `spot` into a (round x those) table, and its cohort."""
+    `spot` into a (round x those) table, and its cohort. `kept`, the one
+    part `_replay` writes, holds [the last script, the last script replayed
+    twice in a row, that script's `_Tables`]."""
     growable, live = np.zeros((int(dim > 0), 2), dtype=np.int64), [1]
     for _ in range(T):
         live.append(live[-1] + len(growable))
@@ -353,7 +355,7 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     at = np.repeat(np.arange(T), [len(spans[0]) for _, spans in layouts])
     ranges = (at, first, count, np.where(last > at, T + count, last), low_k)
     arrays = [ks, live, growable, cohort, place, slot, mask, *ranges]
-    plan = _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges, None)
+    plan = _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges, None, None)
     j, b = _where(plan, np.arange(T)[:, None], slot)
     seen = np.zeros((j.max() + 1, T + 1), dtype=bool)
     seen[j, b] = True
@@ -361,7 +363,7 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     cells = (*np.nonzero(seen), spot, cohort[slot])
     for array in (*arrays, *cells):
         array.flags.writeable = False
-    return plan._replace(cells=cells)
+    return plan._replace(cells=cells, kept=[None] * 3)
 
 
 def _where(plan: _ReplayPlan, rows, members) -> tuple:
@@ -382,8 +384,6 @@ def _placed(step: np.ndarray, drop: np.ndarray, j, b) -> tuple:
 
 
 _Tables = namedtuple("_Tables", "states ix y pred mistakes step drop low_loss loss")
-_KEPT = 16      # scripts in `_kept`, by key hash: None after one sighting, then (key, tables)
-_kept: dict = {}
 
 
 def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
@@ -691,9 +691,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         that round b moves to s, so the range bounds cost O(T x states), not
         O(experts). Three layers make a replay: `_replay_plan`, once per
         (dim, T, `_EXACT`), the cohorts, charges, exact sets and ranges;
-        `_tables`, once per (class, dim, `_EXACT`, xs, ys), the walk and the
-        tables, which `_kept` holds for the last 16 scripts from their second
-        sighting, a later fresh engine taking copies of the walk's states;
+        `_tables`, once per script (class, ys, xs), the walk and the tables,
+        which the plan's `kept` slot holds for the last script replayed twice
+        in a row, a later fresh engine taking copies of the walk's states;
         and this game's mass, draws and leaders. The per-expert `state` and
         `losses` are built from the tables on their first read (`_read`).
         """
@@ -708,20 +708,19 @@ class ExpertPoolFpl(_PerturbedLeader):
         self._mass = masses[min(passed + 1, T)]
         self._check_mass(self.t + passed)
         ks = np.concatenate((self._ks, plan.ks))      # by cohort, the root's first
-        key = (self._cls, dim, self._EXACT, tuple(xs), tuple(ys))
-        h = hash(key)   # hashed once: a key holds the whole script
-        kept = _kept.pop(h, False)  # False if unseen, None if seen once, else (key, tables)
-        tables = kept[1] if kept and kept[0] == key else None
-        if tables is None:
+        # compared by value, labels first, so a coin script differs early
+        script = (self._cls, list(ys), list(xs))
+        last, held, tables = plan.kept
+        if script != held:
             tables = _tables(engine, dim, plan, self._EXACT, xs, ys)
-            for array in tables[1:] if kept is not False else ():   # kept: shared
-                array.flags.writeable = False
+            if script == last:      # twice in a row: kept, and shared read-only
+                for array in tables[1:]:
+                    array.flags.writeable = False
+                plan.kept[1:] = script, tables
         elif tables.states:     # a fresh engine takes the states the walk interned
             engine.states = list(tables.states)
             engine.index = dict(zip(engine.states, itertools.count()))
-        _kept[h] = None if kept is False else (key, tables)
-        if len(_kept) > _KEPT:
-            del _kept[next(iter(_kept))]
+        plan.kept[0] = script
         _, ix, y, pred, mistakes, step, drop, low_loss, loss = tables
         def loss_of(rows, members):
             state, base = _placed(step, drop, *_where(plan, rows, members))

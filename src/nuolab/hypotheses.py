@@ -54,6 +54,12 @@ def is_label(y) -> bool:
     return type(y) is int and 0 <= y <= 1
 
 
+def all_labels(ys) -> bool:
+    """Whether `is_label` holds of every one of `ys`, said at C speed: each
+    type is int, and the values are within {0, 1}."""
+    return list(map(type, ys)).count(int) == len(ys) and set(ys) <= {0, 1}
+
+
 QUOTE_LIMIT = 120       # the most of a value's repr that a refusal quotes
 
 

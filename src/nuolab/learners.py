@@ -22,8 +22,8 @@ from itertools import compress, count
 from operator import ne
 from typing import Callable, Iterable, Optional, Sequence
 
-from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass,
-                         Hypothesis, Point, SingletonClass, ClassFamily, is_label, quoted)
+from .hypotheses import (DomainError, FiniteClass, FiniteSupportClass, Hypothesis, Point,
+                         SingletonClass, ClassFamily, all_labels, is_label, quoted)
 from .littlestone import engine_for
 
 
@@ -41,9 +41,9 @@ class ProtocolError(DomainError):
 def labelled_prefix(ys: Sequence) -> int:
     """The number of leading rounds whose label is the int 0 or 1.
 
-    When every label is valid, two set builds say so at C speed; only a
+    When every label is valid, `all_labels` says so at C speed; only a
     sequence holding a bad label is scanned for the first one."""
-    if set(map(type, ys)) <= {int} and set(ys) <= {0, 1}:
+    if all_labels(ys):
         return len(ys)
     return next((i for i, y in enumerate(ys) if not is_label(y)), len(ys))
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import nature
-from .hypotheses import (DomainError, FiniteClass, Hypothesis, Point, format_point,
+from .hypotheses import (DomainError, FiniteClass, Hypothesis, Point, format_point, all_labels,
                          threshold_hypothesis)
 
 
@@ -156,7 +156,7 @@ def best_rival_mistakes(comparison, trace: GameTrace) -> int:
     def wrong(v, n: int, n_ones: int) -> int:     # the rounds on which v errs
         return (n_ones if v != 1 else 0) + (n - n_ones if v != 0 else 0)
 
-    if not set(trace.ys) <= {0, 1}:
+    if not all_labels(trace.ys):
         raise DomainError("trace labels must be 0 or 1")
     seen, ones = Counter(trace.xs), Counter(compress(trace.xs, trace.ys))
     hs = comparison_hypotheses(comparison, trace.xs)

@@ -203,21 +203,21 @@ def check_expert_key_bound() -> CheckResult:
         FiniteClass.thresholds((1, 2, 3), (1, 2, 3, 4)),
         FiniteClass((1, 2, 3), [[0, 0, 0], [1, 1, 1]]),
     ]
-    jobs = []
+    jobs = []   # (class, xs, ys, the keys of length up to its dimension)
     for cls in classes:
+        d = ldim(cls)
         T = 8
         xs = tuple((1, 2, 3)[(t - 1) % 3] for t in range(1, T + 1))
+        keys = _keys_up_to(T, d)
         for ys in itertools.product((0, 1), repeat=T):
-            jobs.append((cls, xs, ys))
+            jobs.append((cls, xs, ys, keys))
         T = 4
+        keys = _keys_up_to(T, d)
         for xs in itertools.product((1, 2, 3), repeat=T):
             for ys in itertools.product((0, 1), repeat=T):
-                jobs.append((cls, xs, ys))
+                jobs.append((cls, xs, ys, keys))
 
-    key_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for cls, xs, ys in jobs:
-        d = ldim(cls)
-        keys = key_cache.setdefault((len(xs), d), _keys_up_to(len(xs), d))
+    for cls, xs, ys, keys in jobs:
         rival = min(sum(int(row[cls.point_index(x)] != y) for x, y in zip(xs, ys))
                     for row in cls.rows)
         best = None

@@ -840,7 +840,7 @@ def test_warm_plan_replays_as_a_cold_one(name):
 @pytest.mark.parametrize("dim", sorted(POOL_DIMS))
 def test_plan_is_read_only(dim):
     plan = fpl._replay_plan(dim, 60, ExpertPoolFpl._EXACT, fpl.pool_complexity)
-    parts = list(plan_parts(plan))
+    parts = list(plan_parts(plan._replace(kept=None)))     # the one part a replay writes
     arrays = [part for part in parts if isinstance(part, np.ndarray)]
     # every container in it is a tuple or an array, and a pool that grows
     # has cohort ranges
@@ -970,7 +970,7 @@ def test_state_walk_matches_the_docstring_rule(name, script):
     xs, ys = script
     if name == "dim2-full3":
         xs = [min(x, 3) for x in xs]
-    fpl._kept.clear()   # so that the replay walks
+    fpl._replay_plan.cache_clear()      # so that the replay walks
     replayed, fed = (ROWS[ExpertPoolFpl][name](seed=0) for _ in range(2))
     replayed.play(xs, ys)
     after = reference_walk(fed.engine, xs, ys, fed.dim)
@@ -1051,9 +1051,8 @@ def test_plan_cache_stays_bounded():
     assert fpl._replay_plan.cache_info().misses == len(shapes) + 1
 
 
-# the tables of a replay: built for a script's every sighting, kept from its
-# second, keyed by (class, dimension, exact cohorts, script), and read from
-# its third on
+# the tables of a replay: built on each replay of a script, kept in its
+# plan from the second replay in a row, and read from the third on
 
 def tables_built(monkeypatch):
     """The horizon of each script whose tables `fpl._tables` builds."""
@@ -1067,37 +1066,76 @@ def tables_built(monkeypatch):
     return built
 
 
-def sighted(*cases):
-    """Play the cases in turn three times by `play`, after an empty cache:
-    each game, and its scorer log, is what `play` promises of the round
-    loop's. Returns the loop's games."""
-    fpl._kept.clear()
+def kept(dim, T, exact=ExpertPoolFpl._EXACT):
+    """The kept slot of a shape's plan: [the last script, the last script
+    replayed twice in a row, its tables]."""
+    return fpl._replay_plan(dim, T, exact, fpl.pool_complexity).kept
+
+
+def sighted(*cases, order=None):
+    """Play the cases by `play` in `order`, indices into the cases (by
+    default each three times in a row), after emptying the plan cache and
+    so every kept slot: each game, and its scorer log, is what `play`
+    promises of the round loop's. Returns the loop's games."""
+    fpl._replay_plan.cache_clear()
     loops = [played("run_game", case) for case in cases]
-    for sighting in range(3):
-        for case, (loop, log) in zip(cases, loops):
-            out, got = played("play", case)
-            assert (promised(case, out), got) == (promised(case, loop), log), sighting
+    for i in order or [i for i in range(len(cases)) for _ in range(3)]:
+        out, got = played("play", cases[i])
+        assert (promised(cases[i], out), got) == (promised(cases[i], loops[i][0]), loops[i][1]), i
     return [loop for loop, _ in loops]
 
 
 @pytest.mark.parametrize("dim", sorted(POOL_DIMS))
 def test_warm_tables_replay_as_cold_ones(dim, monkeypatch):
-    # each of a script's sightings plays the loop's game; two classes of one
-    # dimension, each at three counts of exact cohorts, key six tables on
-    # the script, each built on the first two sightings and read on the third
+    # each of a script's three replays in a row plays the loop's game: two
+    # classes of one dimension, each at three counts of exact cohorts, build
+    # their tables on the first two replays and read them on the third, and
+    # each count's plan keeps the script of the class played last
     built = tables_built(monkeypatch)
     names = [name for name, comp in COMPONENTS.items() if comp.dim == dim]
-    keys = [(COMPONENTS[name].cls, exact) for exact in (1, 2, 8) for name in names]
-    sighted(*(game(pool(name, 48), check_script(DOMAIN, "coin", 60), scored=True,
+    xs, ys = check_script(DOMAIN, "coin", 60)
+    sighted(*(game(pool(name, 48), (xs, ys), scored=True,
                    patches=((ExpertPoolFpl, "_EXACT", exact),))
               for exact in (1, 2, 8) for name in names))
     assert len(names) == 2 and built == [60] * 12
-    assert [(key[0], key[2]) for key, _ in fpl._kept.values()] == keys
+    held = [kept(dim, 60, exact)[1] for exact in (1, 2, 8)]
+    assert held == [(COMPONENTS[names[-1]].cls, ys, xs)] * 3
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIMS.values()))
+def test_the_plan_keeps_a_script_replayed_twice_in_a_row(name, monkeypatch):
+    # A, A, A builds the tables twice and reads them on the third replay;
+    # A, B, A, B alternates two scripts on one plan and keeps nothing
+    built = tables_built(monkeypatch)
+    a, b = (game(pool(name, 53), check_script(DOMAIN, labels, 40), scored=True)
+            for labels in ("coin", "alternating"))
+    sighted(a, order=[0, 0, 0])
+    assert built == [40, 40]
+    built.clear()
+    sighted(a, b, order=[0, 1, 0, 1])
+    assert built == [40] * 4 and kept(COMPONENTS[name].dim, 40)[1:] == [None, None]
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIMS.values()))
+def test_points_in_any_sequence_are_one_script(name, monkeypatch):
+    # a script is compared by value: its points as a list, a tuple and a
+    # numpy array replay as the loop, cold, cold and kept, and the numpy
+    # array's replay reads the tables the tuple's kept
+    built = tables_built(monkeypatch)
+    xs, ys = check_script(DOMAIN, "coin", 40)
+    (loop, log), = [played("run_game", game(pool(name, 54), (xs, ys), scored=True))]
+    fpl._replay_plan.cache_clear()
+    for points in (xs, tuple(xs), np.array(xs)):
+        learner = pool(name, 54)()
+        got = score_log(learner)
+        rounds = list(zip(xs, ys, learner.play(points, ys)))
+        assert (("rounds", rounds), snapshot(learner), got) == (*loop[0][:2], log)
+    assert built == [40, 40]
 
 
 @pytest.mark.parametrize("name", ["dim1-support", "dim2-thresholds", "dim2-full3"])
 def test_pool_goes_on_after_a_warm_replay(name, monkeypatch):
-    # the third sighting's engine takes the states the walk interned; the
+    # the third replay's engine takes the states the walk interned; the
     # rounds after it take the loop, and show new points, whose restricts
     # intern new states after those, as the loop's do
     built = tables_built(monkeypatch)
@@ -1109,40 +1147,11 @@ def test_pool_goes_on_after_a_warm_replay(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(POOL_DIMS.values()))
 def test_a_script_that_raises_keeps_no_tables(name, monkeypatch):
-    # round 3 shows a point outside the class: every sighting builds its
+    # round 3 shows a point outside the class: every replay builds its
     # tables and raises the loop's error, and none is kept
     built = tables_built(monkeypatch)
     sighted(game(pool(name, 50), ([1, 2, "x", 3], [0, 1, 1, 0]), state_at_error=False))
-    assert built == [4, 4, 4] and fpl._kept == {}
-
-
-def test_kept_scripts_stay_bounded(monkeypatch):
-    # more scripts than the cache keeps, each played after a first script
-    # that comes back every time: the cache never passes its bound, drops
-    # the least recently used, and builds the first script's tables twice
-    built = tables_built(monkeypatch)
-    xs, ys = check_script(DOMAIN, "coin", fpl._KEPT + 2)
-    first, *rest = [(xs[:T], ys[:T]) for T in range(1, fpl._KEPT + 3)]
-    fpl._kept.clear()
-    for script in rest:
-        for replayed in (first, script):
-            ExpertPoolFpl(COMPONENTS["dim1-constants"], seed=51).play(*replayed)
-        assert len(fpl._kept) <= fpl._KEPT
-    hashes = [hash((COMPONENTS["dim1-constants"].cls, 1, ExpertPoolFpl._EXACT, *map(tuple, s)))
-              for s in [first, *rest]]
-    assert set(fpl._kept) == {hashes[0], *hashes[-fpl._KEPT + 1:]}
-    assert fpl._kept[hashes[0]] is not None and built.count(1) == 2
-    assert len(built) == 2 + len(rest)
-
-
-def test_keys_that_share_a_hash(monkeypatch):
-    # with every key hashed alike, an entry serves only the key it holds:
-    # two scripts played in turn build their tables at every sighting
-    monkeypatch.setattr(fpl, "hash", lambda key: 0, raising=False)
-    built = tables_built(monkeypatch)
-    sighted(*(game(pool("dim2-thresholds", 52), check_script(DOMAIN, labels, 40))
-              for labels in ("coin", "alternating")))
-    assert built == [40] * 6
+    assert built == [4, 4, 4] and kept(COMPONENTS[name].dim, 4) == [None] * 3
 
 
 # a replayed pool builds its per-expert arrays only when they are first read

@@ -213,7 +213,7 @@ class TestRegret:
             with pytest.raises(DomainError, match="^comparison class has no hypotheses$"):
                 measure()
 
-    @pytest.mark.parametrize("label", [2, -1, None, 0.5])
+    @pytest.mark.parametrize("label", [2, -1, None, 0.5, True, 1.0])
     def test_trace_label_outside_0_1(self, label):
         # the counts per point read a round as labelled 1 or 0, so a trace
         # holding any other label is refused, not miscounted

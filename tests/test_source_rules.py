@@ -130,6 +130,29 @@ def test_one_layout_rule():
         assert "_layout" in called and "_ranges" not in called, function.name
 
 
+def test_one_replay_cache():
+    # what a replay reuses lives in `_replay_plan`'s cache alone, the tables
+    # of a repeated script in its plan's `kept` slot: `fpl.py` binds no
+    # container at module level, and no other function there is cached
+    path = next(path for path in SOURCES if path.name == "fpl.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    makers = {"dict", "list", "set", "bytearray", "OrderedDict", "defaultdict", "deque",
+              "Counter", "WeakKeyDictionary", "WeakValueDictionary"}
+    bound = [f"fpl.py:{node.lineno}" for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+             and (isinstance(node.value, displays)
+                  or isinstance(node.value, ast.Call) and name(node.value) in makers)]
+    cached = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and {"lru_cache", "cache"} & {name(d) for d in node.decorator_list}]
+    assert not bound and cached == ["_replay_plan"], (bound, cached)
+
+
 def test_minimax_oracle_stays_independent():
     # the game-tree oracle and the dimension recursion check each other, so
     # `minimax_mistakes` reaches neither the recursion nor the version-space

@@ -711,7 +711,11 @@ class ExpertPoolFpl(_PerturbedLeader):
         # compared by value, labels first, so a coin script differs early
         script = (self._cls, list(ys), list(xs))
         last, held, tables = plan.kept
-        if script != held:
+        try:    # a point that does not hash (a numpy array) misses: the walk raises
+            hit = script == held and hash(tuple(xs)) is not None
+        except (TypeError, ValueError):
+            hit = False
+        if not hit:
             tables = _tables(engine, dim, plan, self._EXACT, xs, ys)
             if script == last:      # twice in a row: kept, and shared read-only
                 for array in tables[1:]:

@@ -165,9 +165,6 @@ class FiniteClass:
         i = self.labels.index(label)
         return row_hypothesis(self.domain, self.rows[i], hid=label)
 
-    def hypotheses(self) -> list[Hypothesis]:
-        return [row_hypothesis(self.domain, r, hid=l) for l, r in zip(self.labels, self.rows)]
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

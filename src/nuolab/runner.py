@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import nature
-from .hypotheses import (DomainError, FiniteClass, Hypothesis, Point, format_point, all_labels,
-                         threshold_hypothesis)
+from .hypotheses import DomainError, FiniteClass, Hypothesis, Point, format_point, all_labels
 
 
 class GameRound(NamedTuple):
@@ -116,51 +115,47 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
 REAL_THRESHOLDS = "real-thresholds"
 
 
-def comparison_hypotheses(comparison, points: Sequence[Point]) -> list[Hypothesis]:
-    """Materialize a comparison class over the trace's point set.
-
-    Infinite threshold classes reduce to the finitely many behaviors
-    distinguishable on the observed points: one cut at each observed value
-    plus one above the maximum. A class with no hypothesis has no best
-    rival and raises DomainError.
-    """
+def comparison_values(comparison, points: Sequence[Point]) -> list[list]:
+    """One row of values per comparison hypothesis over `points`, a trace's
+    distinct points in order of first occurrence: the one place a
+    comparison is read. A `FiniteClass` gives its rows at the points'
+    columns; `REAL_THRESHOLDS` one cut at each point and one above the
+    largest; a list of hypotheses calls each on every point, one after
+    another. A class with no hypothesis raises before any point is read."""
     if isinstance(comparison, FiniteClass):
-        hs = comparison.hypotheses()
-    elif comparison == REAL_THRESHOLDS:
+        if not comparison.rows:
+            raise DomainError("comparison class has no hypotheses")
+        columns = list(map(comparison.point_index, points))
+        return [list(map(row.__getitem__, columns)) for row in comparison.rows]
+    if comparison == REAL_THRESHOLDS:
         # strings first: sorting a mix of strings and numbers raises TypeError
         if any(isinstance(p, str) for p in points):
             raise DomainError("threshold comparison needs numeric points")
-        numeric = sorted(set(points))
-        if not numeric:
-            return [Hypothesis("thr-empty", lambda x: 0)]
-        cuts = list(numeric) + [numeric[-1] + 1]
-        return [threshold_hypothesis(c) for c in cuts]
-    elif isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):
-        hs = list(comparison)
-    else:
-        raise DomainError(f"cannot materialize comparison class from {comparison!r}")
-    if not hs:
-        raise DomainError("comparison class has no hypotheses")
-    return hs
+        return [[int(x >= c) for x in points] for c in sorted(points)] + [[0] * len(points)]
+    if isinstance(comparison, Sequence) and all(isinstance(h, Hypothesis) for h in comparison):
+        if not comparison:
+            raise DomainError("comparison class has no hypotheses")
+        return [list(map(h, points)) for h in comparison]
+    raise DomainError(f"cannot materialize comparison class from {comparison!r}")
 
 
 def best_rival_mistakes(comparison, trace: GameTrace) -> int:
     """The fewest mistakes any comparison hypothesis makes on the trace.
 
-    A hypothesis is a function of the point, so it is called once per
-    distinct point, in order of first occurrence (so one that raises does
-    so on the point a scan of the rounds would), and its value v errs on
-    the point's rounds labelled 1 if v != 1 and on those labelled 0 if
-    v != 0: `h(x) != y` for any v. That pays when points repeat, as in
-    coin-flip and cycled-point games. A label other than 0 or 1 raises."""
+    A hypothesis's value v at a point (`comparison_values`) errs on the
+    point's rounds labelled 1 if v != 1 and on those labelled 0 if v != 0:
+    `h(x) != y` for any v. Counting per distinct point pays when points
+    repeat, as in coin-flip and cycled-point games. A label other than 0 or
+    1 raises."""
     def wrong(v, n: int, n_ones: int) -> int:     # the rounds on which v errs
         return (n_ones if v != 1 else 0) + (n - n_ones if v != 0 else 0)
 
     if not all_labels(trace.ys):
         raise DomainError("trace labels must be 0 or 1")
     seen, ones = Counter(trace.xs), Counter(compress(trace.xs, trace.ys))
-    hs = comparison_hypotheses(comparison, trace.xs)
-    return min(sum(wrong(h(x), n, ones[x]) for x, n in seen.items()) for h in hs)
+    table = comparison_values(comparison, list(seen))
+    counts, n_ones = seen.values(), list(map(ones.__getitem__, seen))
+    return min([sum(map(wrong, values, counts, n_ones)) for values in table])
 
 
 def regret(trace: GameTrace, comparison) -> int:
@@ -169,21 +164,22 @@ def regret(trace: GameTrace, comparison) -> int:
 
 
 def trace_to_csv(trace: GameTrace, comparison=None) -> str:
-    """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival.
-    A point that holds a comma, a quote or a newline is quoted; one holding
-    a "\r", which the writer leaves bare, has its whole row quoted."""
+    """Frozen column order: t,x,y,yhat,mistake,cum_mistakes,cum_best_rival,
+    the last blank without a comparison. A point that holds a comma, a quote
+    or a newline is quoted; one holding a "\r", which the writer leaves
+    bare, has its whole row quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(["t", "x", "y", "yhat", "mistake", "cum_mistakes", "cum_best_rival"])
     rival_cum: list[str] = [""] * len(trace)
     if comparison is not None and len(trace):
-        hs = comparison_hypotheses(comparison, trace.xs)
-        per_h = [0] * len(hs)
-        for i, (x, y) in enumerate(zip(trace.xs, trace.ys)):
-            for j, h in enumerate(hs):
-                per_h[j] += h(x) != y
-            rival_cum[i] = str(min(per_h))
+        # each hypothesis's mistakes so far, read from `comparison_values`
+        column = {x: j for j, x in enumerate(dict.fromkeys(trace.xs))}
+        rounds = [column[x] for x in trace.xs]
+        so_far = [accumulate(map(operator.ne, map(values.__getitem__, rounds), trace.ys), initial=0)
+                  for values in comparison_values(comparison, list(column))]
+        rival_cum = [str(min(counts)) for counts in zip(*so_far)][1:]
     columns = zip(trace.xs, trace.ys, trace.predicted, trace.cumulative_mistakes(), rival_cum)
     for t, (x, y, p, cum, rival) in enumerate(columns, 1):
         x = format_point(x)

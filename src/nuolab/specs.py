@@ -118,9 +118,12 @@ PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
 # a count of rounds, trials or components must fit a numpy array of 8-byte words
 COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
-_MEMORY = 2 ** 30   # bytes for a run's trials and rounds: a word per trial seed, per script point
+_MEMORY = 2 ** 30   # bytes for a run's trials, rounds or components
 _WORDS = Shape(f"be at most {_MEMORY // 8}, the 8-byte words of {_MEMORY} bytes",
-               lambda v: v <= _MEMORY // 8)
+               lambda v: v <= _MEMORY // 8)     # a word per trial seed, per script point
+# a component's seed sequence, class and pool take about 4 KiB (tracemalloc: 3,826 bytes)
+_COMPONENTS = Shape(f"be at most {_MEMORY // 4096}, the 4096-byte components of {_MEMORY} bytes",
+                    lambda v: v <= _MEMORY // 4096)
 
 
 def checked(name: str, value, shape: Shape):
@@ -258,9 +261,9 @@ def make_learner(raw, seed: Optional[int] = None):
     if kind == "agnostic-fpl":
         cap_d = spec.field("cap_d", INT_OR_NULL, 2)
         cap_T = spec.field("cap_T", INT_OR_NULL, None)
-        return fpl.AgnosticFpl(family_from_config(spec.field("family", OBJECT)),
-                               checked("components", spec.field("components", INT, 1),
-                                       COUNT),
+        family = family_from_config(spec.field("family", OBJECT))
+        components = checked("components", spec.field("components", INT, 1), COUNT)
+        return fpl.AgnosticFpl(family, checked("components", components, _COMPONENTS),
                                seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
     raise DomainError(f"unknown learner spec: {quoted(kind)}")
 

@@ -218,8 +218,7 @@ def check_expert_key_bound() -> CheckResult:
                 jobs.append((cls, xs, ys, keys))
 
     for cls, xs, ys, keys in jobs:
-        rival = min(sum(int(row[cls.point_index(x)] != y) for x, y in zip(xs, ys))
-                    for row in cls.rows)
+        rival = runner.best_rival_mistakes(cls, runner.GameTrace(xs, ys))
         best = None
         for key in keys:
             expert = learners.ExpertLearner(cls, key)

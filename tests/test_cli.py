@@ -153,6 +153,8 @@ TOO_MANY = f"must be at most {sys.maxsize // 8}, got {2 ** 64}"
 # any allocation: its row's process has a gigabyte of address space
 BEYOND_MEMORY = f"must be at most {2 ** 27}, the 8-byte words of {2 ** 30} bytes, got {2 ** 40}"
 GIGABYTE = 2 ** 30
+COMPONENTS_BEYOND_MEMORY = (f"must be at most {2 ** 18}, the 4096-byte components of {2 ** 30} "
+                            f"bytes, got {2 ** 40}")
 
 
 REFUSED = {
@@ -326,6 +328,9 @@ REFUSED = {
             ("T-beyond-count", {"Ts": [5, 2 ** 64]}, f"T and Ts {TOO_MANY}"),
             ("components-beyond-count", {"learner": {**AGNOSTIC, "components": 2 ** 64}},
              f"components {TOO_MANY}")]},
+        "components-beyond-memory": Row(
+            regret({**REGRET, "learner": {**AGNOSTIC, "components": 2 ** 40}}),
+            f"components {COMPONENTS_BEYOND_MEMORY}", limit=GIGABYTE),
         "trials-beyond-memory": Row(regret({**REGRET, "trials": 2 ** 40}),
                                     f"trials {BEYOND_MEMORY}", limit=GIGABYTE),
         "mixed-threshold-points": Row(regret(MIXED_POINTS),

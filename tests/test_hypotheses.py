@@ -297,7 +297,7 @@ class TestFamilies:
         comp = fam.component(2)
         learnable = comp.cls.materialize()
         probe = [1, 4, 7, 4, 1]
-        for h in learnable.hypotheses()[:10]:
+        for h in map(learnable.hypothesis, learnable.labels[:10]):
             assert [h(x) for x in probe] == [h(x) for x in probe]
 
     def test_family_config_round_trip(self):

@@ -1133,6 +1133,25 @@ def test_points_in_any_sequence_are_one_script(name, monkeypatch):
     assert built == [40, 40]
 
 
+@pytest.mark.parametrize("name", sorted(POOL_DIMS.values()))
+@pytest.mark.parametrize("point", [np.array([1, 2]), np.array([1])], ids=["array", "one-entry"])
+def test_an_unhashable_point_is_not_the_kept_script(name, point):
+    # after a script is kept, one equal to it but for a numpy array in
+    # place of its first point, whose == gives an array, raises the loop's
+    # error: the array is not the kept point, though one of one entry is
+    # truthy when compared with it
+    xs, ys = [1, 2, 3, 4], [0, 1, 0, 1]
+    fpl._replay_plan.cache_clear()
+    for _ in range(2):
+        pool(name, 55)().play(xs, ys)
+    loop = pool(name, 55)()
+    with pytest.raises(TypeError) as by_loop:
+        loop.update(point, ys[0])
+    with pytest.raises(TypeError) as by_play:
+        pool(name, 55)().play([point, *xs[1:]], ys)
+    assert str(by_play.value) == str(by_loop.value) == "unhashable type: 'numpy.ndarray'"
+
+
 @pytest.mark.parametrize("name", ["dim1-support", "dim2-thresholds", "dim2-full3"])
 def test_pool_goes_on_after_a_warm_replay(name, monkeypatch):
     # the third replay's engine takes the states the walk interned; the

@@ -12,7 +12,7 @@ from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
                                Hypothesis, constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
 from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
-                           comparison_hypotheses, monte_carlo, play_seeded,
+                           comparison_values, monte_carlo, play_seeded,
                            regret, regret_curve, run_game, split_seed,
                            trace_to_csv, trial_seeds)
 from nuolab.specs import make_learner, make_nature, play_config
@@ -90,9 +90,18 @@ NUMERIC_POINTS = (0, 1, 3, Fraction(1, 2), Fraction(1, 3), Fraction(7, 3))
 
 
 def per_round_rival_mistakes(comparison, trace):
-    """The best rival's mistakes by a scan of every round."""
-    hs = comparison_hypotheses(comparison, trace.xs)
-    return min(sum(1 for r in trace.rounds if h(r.x) != r.y) for h in hs)
+    """The best rival's mistakes by a scan of every round, on no code of the
+    package: a class's row is read at the point's place in its domain, the
+    real thresholds cut at every point and above the largest, and a listed
+    hypothesis is called at every round."""
+    if isinstance(comparison, FiniteClass):
+        hs = [lambda x, row=row: row[comparison.domain.index(x)] for row in comparison.rows]
+    elif comparison == "real-thresholds":
+        cuts = [*trace.xs, max(trace.xs, default=0) + 1]
+        hs = [lambda x, cut=cut: int(x >= cut) for cut in cuts]
+    else:
+        hs = comparison
+    return min(sum(h(x) != y for x, y in zip(trace.xs, trace.ys)) for h in hs)
 
 
 def assert_rival_column_counts_best_rival(comparison, trace):
@@ -159,13 +168,18 @@ class TestCountedRivalMistakes:
     @example(trace=GameTrace([1, "b", 2, 2], [0, 1, 0, 0], [0, 0, 0, 0]),
              table=[[0, ValueError, 2, 2, 2, 2], [1, 1, 1, 1, 1, 1]])
     def test_any_hypothesis_output(self, trace, table):
-        # a hypothesis may give any value, or raise: the counts per point
-        # give `h(x) != y` summed over the rounds, and the same first error
+        # a hypothesis may give any value, or raise: the counts per point,
+        # and the CSV's rival column on its last row, give `h(x) != y`
+        # summed over the rounds, and the same first error
         hs = [Hypothesis(f"h{i}", lambda x, row=row: point_value(row, x))
               for i, row in enumerate(table)]
 
         def per_pair(hs, trace):
             return min(sum(h(x) != y for x, y in zip(trace.xs, trace.ys)) for h in hs)
+
+        def csv_column(hs, trace):
+            rows = list(csv.DictReader(io.StringIO(trace_to_csv(trace, hs))))
+            return int(rows[-1]["cum_best_rival"]) if rows else 0
 
         def result(fn):
             try:
@@ -174,7 +188,7 @@ class TestCountedRivalMistakes:
             except ValueError as exc:
                 return ("error", str(exc))
 
-        assert result(best_rival_mistakes) == result(per_pair)
+        assert result(best_rival_mistakes) == result(per_pair) == result(csv_column)
 
 
 def point_value(row, x):
@@ -205,8 +219,9 @@ class TestRegret:
 
     @pytest.mark.parametrize("comparison", [FiniteClass((0,), []), []], ids=["class", "list"])
     def test_empty_comparison(self, comparison):
-        # no hypothesis, no best rival: a typed error, not min()'s ValueError
-        trace = run_game(learners.ConstantLearner(0), nature.AgnosticScripted([0] * 3, [1, 0, 1]), 3)
+        # no hypothesis, no best rival: a typed error, not min()'s ValueError,
+        # before any point is read, though the class knows none of them
+        trace = GameTrace([5, "a", 5], [1, 0, 1], [0, 0, 0])
         for measure in (lambda: best_rival_mistakes(comparison, trace),
                         lambda: regret(trace, comparison),
                         lambda: trace_to_csv(trace, comparison)):
@@ -223,9 +238,17 @@ class TestRegret:
 
     def test_threshold_behaviors_materialization(self):
         points = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-        hs = comparison_hypotheses(runner.REAL_THRESHOLDS, points)
-        patterns = {tuple(h(p) for p in points) for h in hs}
-        assert patterns == {(1, 1, 1), (1, 0, 1), (0, 0, 1), (0, 0, 0)}
+        rows = comparison_values(runner.REAL_THRESHOLDS, points)
+        assert rows == [[1, 1, 1], [1, 0, 1], [0, 0, 1], [0, 0, 0]]     # cut by cut, rising
+
+    def test_point_outside_the_class(self):
+        # the class's own refusal, at the first point it does not know,
+        # from the count and from the CSV alike
+        trace = GameTrace([0, 7, 5, 5], [1, 0, 1, 1], [0, 0, 0, 0])
+        for measure in (lambda: best_rival_mistakes(TWO_CLASS, trace),
+                        lambda: trace_to_csv(trace, TWO_CLASS)):
+            with pytest.raises(DomainError, match="^point 7 not in class domain$"):
+                measure()
 
     def test_unmaterializable_comparison(self):
         strategy = nature.AgnosticScripted(["a"], [1])

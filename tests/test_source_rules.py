@@ -153,6 +153,38 @@ def test_one_replay_cache():
     assert not bound and cached == ["_replay_plan"], (bound, cached)
 
 
+def test_one_rival_rule():
+    # a comparison is read in `runner.comparison_values` alone: the best
+    # rival's count, the CSV's rival column and the key-cover check count
+    # from its table, so no other function of runner.py or verification.py
+    # reads a class's rows or hypotheses or builds a threshold, and no other
+    # function of runner.py calls a hypothesis held in a loop variable
+    sites = []
+    for name in ("runner.py", "verification.py"):
+        path = next(path for path in SOURCES if path.name == name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                      for item in node.body if isinstance(item, ast.FunctionDef)]
+        for function in functions:
+            loops = {target.id for node in ast.walk(function)
+                     if isinstance(node, (ast.For, ast.comprehension))
+                     for target in ast.walk(node.target) if isinstance(target, ast.Name)}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and node.attr in ("rows", "hypotheses",
+                                                                      "hypothesis"):
+                    sites.append((function.name, node.attr))
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                    continue
+                if node.func.id in ("threshold_hypothesis", "row_hypothesis"):
+                    sites.append((function.name, node.func.id))
+                called = node.args[0] if node.func.id == "map" and node.args else node.func
+                if name == "runner.py" and getattr(called, "id", None) in loops:
+                    sites.append((function.name, "a hypothesis"))
+    assert {site for site in sites if site[0] != "comparison_values"} == set()
+    assert {("comparison_values", "rows"), ("comparison_values", "a hypothesis")} <= set(sites)
+
+
 def test_minimax_oracle_stays_independent():
     # the game-tree oracle and the dimension recursion check each other, so
     # `minimax_mistakes` reaches neither the recursion nor the version-space

@@ -60,9 +60,9 @@ plan and a replayed pool's first read: `_grow` (how the pool grows),
 `_layout` (a round's exact set and thinned ranges) and `_where` then
 `_placed` (where a replayed expert stands: its state and loss base).
 
-A replay has three layers (`ExpertPoolFpl._replay`): the plan, once per
-shape; the tables, once per script, which the plan keeps for a script
-replayed twice in a row, so coin flips keep none; the draws, once per game.
+A replay has three layers (`ExpertPoolFpl._replay`): the plan, masses
+included, once per shape; the tables, their walk stopped once caught up, once
+per script, kept for one replayed twice in a row; the draws, once per game.
 """
 from __future__ import annotations
 
@@ -313,8 +313,8 @@ def _layout(ends: np.ndarray, ks, t: int, exact: int) -> tuple:
     return slot, (first, ends[hi - 1] - first, low_k, hi - 1)
 
 
-_ReplayPlan = namedtuple("_ReplayPlan",
-                         "charges ks live width growable cohort place slot mask ranges cells kept")
+_ReplayPlan = namedtuple("_ReplayPlan", "passed mass ks live width growable cohort place slot "
+                                        "mask ranges cells rows kept")
 
 
 @functools.lru_cache(maxsize=16)
@@ -322,17 +322,19 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     """`ExpertPoolFpl._replay`'s plan for T rounds of a fresh dimension-`dim`
     pool under the scheme `complexity`, with `exact` as `_EXACT`. The pool
     grows by `_grow`: cohort b holds experts live[b - 1]..live[b] - 1 of
-    complexity ks[b - 1] (the root is cohort 0), expert i copies growable
+    complexity ks[b] (the root is cohort 0), expert i copies growable
     parent place[i] in cohort cohort[i], `growable` is the pool's after
-    round T, and `width` the largest cohort's size. Row t - 1 of the
-    (round x slot) blocks `slot` and `mask` holds and marks round t's exact
-    set by `_layout` (the root outside the mask); `ranges` stacks its
-    ranges as (round position, first member, member count, row of
-    `_replay`'s table of smallest bases, smallest k), the row being an
-    older range's last cohort, or T + a newborn range's count. `cells` holds
-    the exact cells' distinct (j, b) by `_where`, each cell's flat index
-    `spot` into a (round x those) table, and its cohort. `kept`, the one
-    part `_replay` writes, holds [the last script, the last script replayed
+    round T, and `width` the largest cohort's size; its mass, summed as
+    `_register` sums it, passes `passed` rounds and is `mass` after round
+    min(passed + 1, T). `rows` is 0..T - 1. Row t - 1 of the (round x slot)
+    blocks `slot` and `mask` holds and marks round t's exact set by
+    `_layout` (the root outside the mask); `ranges` stacks its ranges as
+    (round position, first member, member count, row of `_replay`'s table
+    of smallest bases, smallest k), the row being an older range's last
+    cohort, or T + a newborn range's count. `cells` holds the exact cells'
+    distinct (j, b) by `_where`, each cell's flat index `spot` into a
+    (round x those) table, and its complexity. `kept`, the one part
+    `_replay` writes, holds [the last script, the last script replayed
     twice in a row, that script's `_Tables`]."""
     growable, live = np.zeros((int(dim > 0), 2), dtype=np.int64), [1]
     for _ in range(T):
@@ -340,27 +342,31 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
         growable = _grow(growable, dim, live[-2])
     live = np.array(live, dtype=np.int64)
     sizes = np.diff(live, prepend=0)    # the cohort sizes, the root's first
-    ks = np.array([complexity(dim, t) for t in range(1, T + 1)])
-    charges = tuple(map(operator.mul, sizes[1:].tolist(), map(math.exp, (-ks).tolist())))
+    ks = np.array([complexity(dim, t) for t in range(T + 1)])
+    masses = list(itertools.accumulate(map(operator.mul, sizes.tolist(),
+                                           map(math.exp, (-ks).tolist()))))
+    passed = bisect.bisect_right(masses, 1.0 + _MASS_SLACK) - 1   # the masses never fall
     cohort = np.repeat(np.arange(T + 1), sizes)
     place = np.arange(live[T]) - np.repeat(live - sizes, sizes)
 
-    by_cohort = np.concatenate(([np.inf], ks))     # no span reads the root's
+    by_cohort = np.concatenate(([np.inf], ks[1:]))     # no span reads the root's
     layouts = [_layout(live, by_cohort, t, exact) for t in range(1, T + 1)]
     runs = np.array([len(slot) for slot, _ in layouts])
     mask = np.arange(runs.max()) < runs[:, None]
     slot = np.zeros(mask.shape, dtype=np.int64)
     slot[mask] = np.concatenate([slot for slot, _ in layouts])
     first, count, low_k, last = map(np.concatenate, zip(*(spans for _, spans in layouts)))
-    at = np.repeat(np.arange(T), [len(spans[0]) for _, spans in layouts])
+    rows = np.arange(T)
+    at = np.repeat(rows, [len(spans[0]) for _, spans in layouts])
     ranges = (at, first, count, np.where(last > at, T + count, last), low_k)
-    arrays = [ks, live, growable, cohort, place, slot, mask, *ranges]
-    plan = _ReplayPlan(charges, ks, live, int(sizes.max()), *arrays[2:7], ranges, None, None)
-    j, b = _where(plan, np.arange(T)[:, None], slot)
+    arrays = [ks, live, growable, cohort, place, slot, mask, *ranges, rows]
+    plan = _ReplayPlan(passed, masses[min(passed + 1, T)], ks, live, int(sizes.max()),
+                       *arrays[2:7], ranges, None, rows, None)
+    j, b = _where(plan, rows[:, None], slot)
     seen = np.zeros((j.max() + 1, T + 1), dtype=bool)
     seen[j, b] = True
-    spot = (seen.cumsum() - 1).reshape(seen.shape)[j, b] + seen.sum() * np.arange(T)[:, None]
-    cells = (*np.nonzero(seen), spot, cohort[slot])
+    spot = (seen.cumsum() - 1).reshape(seen.shape)[j, b] + seen.sum() * rows[:, None]
+    cells = (*np.nonzero(seen), spot, ks[cohort[slot]])
     for array in (*arrays, *cells):
         array.flags.writeable = False
     return plan._replace(cells=cells, kept=[None] * 3)
@@ -386,16 +392,12 @@ def _placed(step: np.ndarray, drop: np.ndarray, j, b) -> tuple:
 _Tables = namedtuple("_Tables", "states ix y pred mistakes step drop low_loss loss")
 
 
-def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
-    """The tables of `ExpertPoolFpl._replay` that the fresh `engine`'s
-    class, `dim`, `exact` and the script fix, `plan` being that shape's:
-    `states`, copied from `engine` after the walk; pred[s, i], state s's
-    prediction at point ix[t] = i; mistakes, step, drop, `low_loss` and the
-    exact cells' `loss`."""
-    T = len(ys)
+def _walk(engine, dim: int, xs, labels, pairs) -> tuple:
+    """`ExpertPoolFpl._replay`'s state walk, stopped once the `pairs` distinct
+    (x, y) have each moved all of `present`, which grows only on a first visit."""
     # after[s, x, y]: the state (x, y) leaves s in; moved[x, y]: how much of `present` it moved
     after, moved, present = {}, {}, [0] if dim else []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs, labels) if dim else ():
         k = moved.get((x, y), 0)
         if k == len(present):
             continue
@@ -405,8 +407,25 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
         moved[x, y] = len(present)
         if dim == 2 and after[0, x, y] not in present:
             present.append(after[0, x, y])
-    points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
-    ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.fromiter(ys, np.int64, T)
+        if len(moved) == pairs and min(moved.values()) == len(present):
+            break
+    return after, present
+
+
+def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
+    """The tables of `ExpertPoolFpl._replay` that the fresh `engine`'s
+    class, `dim`, `exact` and the script fix, `plan` being that shape's:
+    `states`, copied from `engine` after the walk; pred[s, i], state s's
+    prediction at point ix[t] = i; mistakes, step, drop, `low_loss` and the
+    exact cells' `loss`."""
+    T, labels = len(ys), bytes(ys)
+    try:    # a point that does not hash: the walk, unstopped, raises the loop's error
+        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+    except TypeError:
+        _walk(engine, dim, xs, labels, None)
+        raise
+    ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.frombuffer(labels, np.uint8)
+    after, present = _walk(engine, dim, xs, labels, np.count_nonzero(np.bincount(2 * ix + y)))
     ns = engine.n_states
     pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
     # mistakes[t, s]: M[s, t], as floats, which add to the scores as
@@ -678,36 +697,30 @@ class ExpertPoolFpl(_PerturbedLeader):
         At round b the distinct mistaken states among [0, sigma_1, ...,
         sigma_(b-1)] restrict in order of first appearance (`_feed`'s rule),
         so the engine interns the loop's ids; the walk moves by each (x, y)
-        only the states that appeared since its last round, in order. Births
-        register cohort by cohort, so the mass budget is the loop's. Every
-        round is scored at once by `_lazy_leaders`, as the loop scores it
-        round by round: the exact cells' losses are read per distinct
-        placement, and a range's smallest loss is the smallest M[s, t - 1]
-        plus the smallest base in state s among its live cohorts. Both that
-        and a newborn range's bound come from a (growable parent x state)
-        table of the parents' smallest bases, a running minimum over the
-        parents: the smallest base in state s of cohort b is the smallest
-        drop[b, sigma] plus that table's entry, over the parent states sigma
-        that round b moves to s, so the range bounds cost O(T x states), not
-        O(experts). Three layers make a replay: `_replay_plan`, once per
-        (dim, T, `_EXACT`), the cohorts, charges, exact sets and ranges;
-        `_tables`, once per script (class, ys, xs), the walk and the tables,
-        which the plan's `kept` slot holds for the last script replayed twice
-        in a row, a later fresh engine taking copies of the walk's states;
-        and this game's mass, draws and leaders. The per-expert `state` and
-        `losses` are built from the tables on their first read (`_read`).
+        only the states that appeared since its last round, in order, and
+        stops once every distinct (x, y) has moved them all (`_walk`); the
+        plan sums the masses as `_register` does. Every round is scored at
+        once by `_lazy_leaders`, as the loop scores it round by round: the
+        exact cells' losses are read per distinct placement, and a range's
+        smallest loss is the smallest M[s, t - 1] plus the smallest base in
+        state s among its live cohorts. Both that and a newborn range's bound
+        come from a (growable parent x state) table of the parents' smallest
+        bases, a running minimum over the parents: the smallest base in state
+        s of cohort b is the smallest drop[b, sigma] plus that table's entry,
+        over the parent states sigma that round b moves to s, so the range
+        bounds cost O(T x states), not O(experts). Three layers make a replay:
+        `_replay_plan`, once per (dim, T, `_EXACT`), the cohorts, masses,
+        complexities, exact sets and ranges; `_tables`, once per script
+        (class, ys, xs), the walk and the tables, which the plan's `kept` slot
+        holds for the last script replayed twice in a row, a later fresh
+        engine taking copies of the walk's states; and this game's draws and
+        leaders. The per-expert `state` and `losses` are built from the tables
+        on their first read.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
-        # the cohorts' charges as `_register` makes them round by round, in
-        # one pass; the masses never fall, so the rounds before the first
-        # over the budget are the ones that pass
-        masses = list(itertools.accumulate(plan.charges, initial=self._mass))
-        passed = bisect.bisect_right(masses, 1.0 + _MASS_SLACK) - 1
-        self._size += int(plan.live[passed]) - 1
-        self._mass = masses[min(passed + 1, T)]
-        self._check_mass(self.t + passed)
-        ks = np.concatenate((self._ks, plan.ks))      # by cohort, the root's first
+        self._size, self._mass = int(plan.live[plan.passed]), plan.mass
+        self._check_mass(self.t + plan.passed)
         # compared by value, labels first, so a coin script differs early
         script = (self._cls, list(ys), list(xs))
         last, held, tables = plan.kept
@@ -735,9 +748,9 @@ class ExpertPoolFpl(_PerturbedLeader):
         # the cohorts' ends and complexities
         del self.state, self.losses
         self._unread = (plan, step, drop, mistakes[T])
-        self._ends, self._ks, self._growable = plan.live, ks, plan.growable
+        self._ends, self._ks, self._growable = plan.live, plan.ks, plan.growable
         at, first, count, _, low_k = plan.ranges
-        rows, exact = np.arange(T), (plan.slot, loss, ks[plan.cells[3]], plan.mask)
+        rows, exact = plan.rows, (plan.slot, loss, plan.cells[3], plan.mask)
         chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
         preds = pred[_placed(step, drop, *_where(plan, rows, chosen))[0], ix]

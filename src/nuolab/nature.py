@@ -167,6 +167,7 @@ class CoinFlip(NatureStrategy):
     dedicated stream, oblivious to the learner."""
 
     oblivious = True
+    _TOP_BIT = bytes(b >> 7 for b in range(256))     # each byte's top bit, by `translate`
 
     def __init__(self, seed: Optional[int] = None, point: Point = 0):
         self.point = point
@@ -179,7 +180,9 @@ class CoinFlip(NatureStrategy):
         return self.rng.getrandbits(1)
 
     def draw_script(self, horizon: int):
-        return [self.point] * horizon, list(map(self.rng.getrandbits, [1] * horizon)), None
+        # one wide draw's 32-bit words, lowest first, are `reveal_label`'s outputs
+        words = self.rng.getrandbits(32 * horizon).to_bytes(4 * horizon, "little")
+        return [self.point] * horizon, list(words[3::4].translate(self._TOP_BIT)), None
 
 
 class WindowHalving(NatureStrategy):

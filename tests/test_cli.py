@@ -197,6 +197,10 @@ REFUSED = {
         "measure-mass-not-rational": Row(
             play(CONSTANT, iid_masses("abc", "1/2"), "3"),
             "measure mass must hold rationals, got ['abc', '1/2']"),
+        # an exponent that is no int passes the size rule and reads as no rational
+        "mass-exponent-not-an-int": Row(
+            play(CONSTANT, iid_masses("1ex", "1/2"), "3"),
+            "measure mass must hold rationals, got ['1ex', '1/2']"),
         "horizon-beyond-count": Row(play(CONSTANT, COIN, str(2 ** 64)), f"horizon {TOO_MANY}"),
         "horizon-beyond-memory": Row(play(CONSTANT, COIN, str(2 ** 40)),
                                      f"horizon {BEYOND_MEMORY}", limit=GIGABYTE),

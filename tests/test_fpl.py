@@ -290,6 +290,26 @@ class TestExpertPool:
                 expert.update(x, y)
             assert pool.losses[idx] == expert.mistakes, f"key {key}"
 
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_pool_extend_before_predict_grows_the_pool_once(self, dim):
+        # a caller may extend a round's pool before `predict`, which extends
+        # it again: the second extension and predict's add nothing, and the
+        # round's leader and prediction are those of a pool never extended
+        # by hand, over rounds whose pools reach the thinned cohort ranges
+        extended, plain = (ExpertPoolFpl(pool_component(dim), seed=9) for _ in range(2))
+        for t in range(1, 13):
+            x, y = (t % 4) + 1, (t // 3) % 2
+            counts = [extended.pool_extend() for _ in range(2)]
+            grown = (extended.pool_size, extended._ends.tolist(), extended._mass)
+            assert counts[0] == counts[1] == extended._ends[t] - extended._ends[t - 1], t
+            assert extended.predict(x) == plain.predict(x), t
+            assert extended.chosen_index == plain.chosen_index, t
+            assert grown == (extended.pool_size, extended._ends.tolist(), extended._mass), t
+            assert grown == (plain.pool_size, plain._ends.tolist(), plain._mass), t
+            extended.update(x, y)
+            plain.update(x, y)
+        assert extended.losses.tolist() == plain.losses.tolist()
+
     def test_singleton_component_pool(self):
         pool = ExpertPoolFpl(pool_component(0), seed=2)
         for x, y in [(1, 0), (2, 1), (3, 1)]:

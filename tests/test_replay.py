@@ -35,6 +35,7 @@ from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
                              CoverSpec, ExpertLearner, FollowHypothesisLearner,
                              NaturalThresholdLearner, OnlineLearner, ProtocolError,
                              SoaLearner, TruncatedThresholdSoa, labelled_prefix)
+from nuolab.littlestone import engine_for
 
 DOMAIN = (1, 2, 3, 4)
 CONSTANTS = FiniteClass(DOMAIN, [[0, 0, 0, 0], [1, 1, 1, 1]])
@@ -926,7 +927,7 @@ def test_layout_and_plan_match_the_docstring_rules(dim, exact):
     for T in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 25, 32, 33, 60):
         plan = fpl._replay_plan(dim, T, exact, fpl.pool_complexity)
         assert plan.live.tolist() == ends[:T + 1].tolist()
-        assert plan.ks.tolist() == ks[1:T + 1].tolist()
+        assert plan.ks.tolist() == ks[:T + 1].tolist()     # by cohort, the root's first
         assert plan.growable.tolist() == [[i, n] for i, n in growable if i < ends[T]]
         assert plan.cohort.tolist() == np.repeat(np.arange(T + 1), np.diff(ends[:T + 1],
                                                                            prepend=0)).tolist()
@@ -946,7 +947,7 @@ def reference_walk(engine, xs, ys, dim):
     by round over every present state: at round b each distinct state of the
     growable experts, in order of first appearance, that (x_b, y_b) has not
     moved yet restricts if it errs there. Returns the moves (state, point,
-    label) -> state."""
+    label) -> state, in the order made, and the present states."""
     after, present = {}, [0] if dim else []
     for x, y in zip(xs, ys):
         for s in present:
@@ -955,7 +956,7 @@ def reference_walk(engine, xs, ys, dim):
                 after[s, x, y] = s if nxt is None else nxt
         if dim == 2 and after[0, x, y] not in present:
             present.append(after[0, x, y])
-    return after
+    return after, present
 
 
 @pytest.mark.parametrize("name", ["dim1-constants", "dim1-support", "dim2-thresholds",
@@ -973,7 +974,7 @@ def test_state_walk_matches_the_docstring_rule(name, script):
     fpl._replay_plan.cache_clear()      # so that the replay walks
     replayed, fed = (ROWS[ExpertPoolFpl][name](seed=0) for _ in range(2))
     replayed.play(xs, ys)
-    after = reference_walk(fed.engine, xs, ys, fed.dim)
+    after, _ = reference_walk(fed.engine, xs, ys, fed.dim)
     # mistakes[s][t]: the mistakes of state s over rounds 1..t
     mistakes = [list(itertools.accumulate((fed.engine.predict(s, x) != y for x, y in zip(xs, ys)),
                                           initial=0)) for s in range(fed.engine.n_states)]
@@ -987,6 +988,50 @@ def test_state_walk_matches_the_docstring_rule(name, script):
         losses.append(loss + mistakes[s][len(ys)] - mistakes[s][t0])
     assert replayed.engine.states == fed.engine.states
     assert (replayed.state.tolist(), replayed.losses.tolist()) == (states, losses)
+
+
+# the walk's edge cases: a script whose last new (point, label) comes at its
+# last round, scripts of one pair, an empty script, and the check's scripts
+WALK_SCRIPTS = {
+    "empty": ([], []),
+    "one-round": ([3], [0]),
+    "one-pair": ([2] * 9, [1] * 9),
+    "new-point-last": ([1, 2, 1, 2, 1, 2, 4], [0, 1, 1, 0, 0, 1, 1]),
+    "new-label-last": ([1, 2, 3, 1, 2, 3, 3], [0, 0, 1, 1, 1, 1, 0]),
+    "coin": check_script(DOMAIN, "coin", 60),
+    "alternating": check_script(DOMAIN, "alternating", 60),
+}
+
+
+@pytest.mark.parametrize("script", WALK_SCRIPTS)
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_stopped_walk_matches_the_reference(name, script):
+    # the replay's walk stops once every distinct (x, y) has moved every
+    # present state, where the reference walks every round: both make the
+    # same moves in the same order, keep the same present states and intern
+    # the same engine states, and the pool replays the loop's game
+    xs, ys = WALK_SCRIPTS[script]
+    comp = COMPONENTS[name]
+    stopped, full = engine_for(comp.cls), engine_for(comp.cls)
+    after, present = fpl._walk(stopped, comp.dim, xs, bytes(ys), len(set(zip(xs, ys))))
+    reference, in_order = reference_walk(full, xs, ys, comp.dim)
+    assert (list(after.items()), present) == (list(reference.items()), in_order)
+    assert getattr(stopped, "states", None) == getattr(full, "states", None)
+    fpl._replay_plan.cache_clear()      # so that the replay walks
+    same_game(game(pool(name, 56), (xs, ys), scored=True))
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 31, 32, 33, 400])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 3])
+def test_coin_script_is_the_label_loop(seed, horizon):
+    # one wide draw gives the labels of `horizon` calls of `reveal_label`,
+    # as ints, and leaves the generator where those calls leave it
+    drawn, looped = nature.CoinFlip(seed, point="p"), nature.CoinFlip(seed, point="p")
+    xs, ys, failure = drawn.draw_script(horizon)
+    labels = [looped.reveal_label(looped.next_point(), 0) for _ in range(horizon)]
+    assert (xs, ys, failure) == (["p"] * horizon, labels, None)
+    assert all(type(y) is int for y in ys)
+    assert drawn.rng.getstate() == looped.rng.getstate()
 
 
 @pytest.mark.parametrize("exact", [1, 2])
@@ -1027,7 +1072,8 @@ def test_second_replay_of_a_shape_computes_no_complexity(monkeypatch):
     first, second = (ExpertPoolFpl(COMPONENTS["dim2-thresholds"], seed=s) for s in (42, 43))
     calls.clear()
     first.play(xs, ys)
-    assert calls == list(range(1, 51))
+    # the plan reads the root's complexity too, for a fresh pool's masses
+    assert calls == list(range(51))
     calls.clear()
     second.play(xs, ys)
     assert calls == [] and second.t == first.t == 51
@@ -1150,6 +1196,23 @@ def test_an_unhashable_point_is_not_the_kept_script(name, point):
     with pytest.raises(TypeError) as by_play:
         pool(name, 55)().play([point, *xs[1:]], ys)
     assert str(by_play.value) == str(by_loop.value) == "unhashable type: 'numpy.ndarray'"
+
+
+@pytest.mark.parametrize("name", ["dim1-constants", "dim2-thresholds"])
+def test_a_point_outside_the_class_raises_before_a_later_unhashable_one(name):
+    # the replay's point index hashes every point before the walk; when one
+    # does not hash, the walk runs unstopped and raises the loop's error at
+    # the first bad round, here the DomainError of round 2, not the
+    # TypeError of round 3
+    xs, ys = [1, "x", np.array([1, 2]), 3], [0, 1, 1, 0]
+    fpl._replay_plan.cache_clear()
+    loop = pool(name, 57)()
+    loop.update(xs[0], ys[0])
+    with pytest.raises(DomainError) as by_loop:
+        loop.update(xs[1], ys[1])
+    with pytest.raises(DomainError) as by_play:
+        pool(name, 57)().play(xs, ys)
+    assert str(by_play.value) == str(by_loop.value) == UNKNOWN
 
 
 @pytest.mark.parametrize("name", ["dim1-support", "dim2-thresholds", "dim2-full3"])

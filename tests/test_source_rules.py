@@ -1,6 +1,9 @@
 """Rules the package source keeps."""
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nuolab
@@ -294,6 +297,16 @@ def test_one_draw_rule():
     assert {"hypotheses.py.DiscreteMeasure.sample",
             "nature.py.StochasticIid.draw_script"} <= drawing
     assert not {scope for scope, name, _, called in uses if name == "random" and called}
+
+
+def test_package_import_loads_no_numpy():
+    # `import nuolab` stays cheap: numpy takes several times as long to
+    # import as the package does, so no module that it loads imports numpy
+    env = {**os.environ, "PYTHONPATH": str(Path(nuolab.__file__).parent.parent)}
+    probe = "import sys, nuolab; print('numpy' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded == "False\n"
 
 
 def test_no_threads():

@@ -32,14 +32,28 @@ def lies(reveal_label):
                                                    predicted)[1]
 
 
-# verdict name -> (object, attribute, a value that breaks the check, the
-# check's arguments at a small scale, the start of its FAIL detail): a bound,
-# an oracle, a learner or a nature each
+def misrecords(reveal_label):
+    """A window nature's `reveal_label` that reveals the forcing label but
+    records its opposite, so that no threshold realizes the history."""
+    def reveal(self, x, predicted, trace=None):
+        y = reveal_label(self, x, predicted, trace)
+        self.emitted[-1] = (x, 1 - y)
+        return y
+    return reveal
+
+
+# fault id -> (object, attribute, a value that breaks the check, the check's
+# arguments at a small scale, the start of its FAIL detail): a bound, an
+# oracle, a learner or a nature each. A check's first fault has its verdict
+# name as id, and any other fires another FAIL branch, under "name/branch"
 FAULTS = {
     "ldim-minimax-equality": (verification, "ldim", lambda cls: ldim(cls) + (len(cls) == 3),
                               {"random_count": 5}, "dimension 2 != game value 1 on FiniteClass("),
     "soa-mistake-bound": (learners, "SoaLearner", lambda cls: learners.ConstantLearner(0),
                           {"random_count": 0}, "committed script forces 2 > 1 on FiniteClass("),
+    "soa-mistake-bound/exhaustive-adversary": (
+        verification, "ldim", lambda cls: max(ldim(cls) - 1, 0), {"random_count": 0},
+        "exhaustive adversary forces 1 > dimension 0 on FiniteClass("),
     "aggregator-square-bound": (bounds, "aggregator_mistakes", lambda d, k: 0, {"horizon": 20},
                                 "k=1: 1 mistakes > (1+1)^2 = 0"),
     "cover-index-bound": (learners, "CoverSpec", lambda cover: CoverSpec(cover[::-1]),
@@ -58,17 +72,21 @@ FAULTS = {
     "window-halving-forcing": (nature.WindowHalving, "reveal_label",
                                lies(nature.WindowHalving.reveal_label), {"rounds": 8},
                                "TruncatedThresholdSoa predicted correctly at round 1"),
+    "window-halving-forcing/realizability": (
+        nature.WindowHalving, "reveal_label", misrecords(nature.WindowHalving.reveal_label),
+        {"rounds": 8}, "window lost realizability at (1/2, "),
 }
 
 
 class TestFaultInjection:
     def test_every_check_has_a_fault(self):
-        assert FAULTS.keys() == verification.SUITE.keys()
+        assert {fault.partition("/")[0] for fault in FAULTS} == verification.SUITE.keys()
 
-    @pytest.mark.parametrize("name", FAULTS)
-    def test_each_check_can_fail(self, name, monkeypatch):
-        target, attribute, value, arguments, detail = FAULTS[name]
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_check_can_fail(self, fault, monkeypatch):
+        target, attribute, value, arguments, detail = FAULTS[fault]
         monkeypatch.setattr(target, attribute, value)
+        name = fault.partition("/")[0]
         check, _ = verification.SUITE[name]
         assert check(**arguments).line().startswith(f"[FAIL] {name}: {detail}")
 

@@ -54,12 +54,12 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    curve = specs.regret_experiment_from_config(specs.load_spec(args.config))
+    horizons, stats, limits = specs.regret_experiment_from_config(specs.load_spec(args.config))
     header = f"{'T':>6} {'trials':>7} {'mean':>10} {'se':>8}"
-    print(header if curve.bounds is None else f"{header} {'bound':>10}")
-    for i, (T, stats) in enumerate(zip(curve.horizons, curve.stats)):
-        bound = "" if curve.bounds is None else f" {curve.bounds[i]:>10.2f}"
-        print(f"{T:>6} {stats.trials:>7} {stats.mean:>10.3f} {stats.se:>8.3f}{bound}")
+    print(header if limits is None else f"{header} {'bound':>10}")
+    for i, (T, row) in enumerate(zip(horizons, stats)):
+        bound = "" if limits is None else f" {limits[i]:>10.2f}"
+        print(f"{T:>6} {row.trials:>7} {row.mean:>10.3f} {row.se:>8.3f}{bound}")
     return 0
 
 

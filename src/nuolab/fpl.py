@@ -419,10 +419,13 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
     prediction at point ix[t] = i; mistakes, step, drop, `low_loss` and the
     exact cells' `loss`."""
     T, labels = len(ys), bytes(ys)
-    try:    # a point that does not hash: the walk, unstopped, raises the loop's error
+    try:
         points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
     except TypeError:
-        _walk(engine, dim, xs, labels, None)
+        # a point that does not hash: each round of the loop predicts from
+        # state 0 first, so doing that in order raises the loop's error
+        for x in xs:
+            engine.predict(0, x)
         raise
     ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.frombuffer(labels, np.uint8)
     after, present = _walk(engine, dim, xs, labels, np.count_nonzero(np.bincount(2 * ix + y)))

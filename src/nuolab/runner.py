@@ -14,7 +14,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,13 +216,6 @@ class TrialStats:
         return np.array([stat(column) for column in self.values.T])
 
 
-@dataclass
-class RegretCurve:
-    horizons: list[int]
-    stats: list[TrialStats]
-    bounds: Optional[list[float]] = None
-
-
 def _sequence(name: str, seed: int) -> np.random.SeedSequence:
     # numpy refuses a negative seed too, but without naming it
     if seed < 0:
@@ -264,14 +257,9 @@ def monte_carlo(trial_fn: Callable[[int], float | Sequence[float]],
 def regret_curve(make_learner: Callable[[int], object],
                  make_nature: Callable[[int], nature.NatureStrategy],
                  horizons: Sequence[int], trials: int, master_seed: int,
-                 comparison, bound_fn: Optional[Callable[[int], float]] = None
-                 ) -> RegretCurve:
-    """Mean regret with standard errors across seeded games (`play_seeded`),
-    one row per horizon, with an optional analytic bound column."""
-    def trial(seed: int, T: int) -> float:
-        return float(regret(play_seeded(make_learner, make_nature, T, seed)[0], comparison))
-
-    # every bound first, so that one that cannot be evaluated fails before any trial
-    bounds = [float(bound_fn(T)) for T in horizons] if bound_fn else None
-    stats = [monte_carlo(lambda s, T=T: trial(s, T), trials, master_seed) for T in horizons]
-    return RegretCurve(list(horizons), stats, bounds)
+                 score: Callable[[GameTrace, object], float | Sequence[float]]
+                 ) -> list[TrialStats]:
+    """The one seeded-game experiment: per horizon, `monte_carlo` of
+    `score(trace, learner)` over games from `master_seed` (`play_seeded`)."""
+    return [monte_carlo(lambda s, T=T: score(*play_seeded(make_learner, make_nature, T, s)),
+                        trials, master_seed) for T in horizons]

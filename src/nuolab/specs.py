@@ -22,7 +22,7 @@ from .hypotheses import (ClassFamily, DiscreteMeasure, DomainError,
                          RationalThresholdFamily, constant_hypothesis, is_label, quoted,
                          row_hypothesis, support_hypothesis,
                          threshold_hypothesis)
-from .runner import REAL_THRESHOLDS, RegretCurve, play_seeded, regret_curve
+from .runner import REAL_THRESHOLDS, TrialStats, play_seeded, regret, regret_curve
 
 
 def load_spec(value: str):
@@ -116,8 +116,6 @@ ON_EMPTY = Shape("be 'error' or 'freeze'", lambda v: v in ("error", "freeze"))
 PER_ROUND = Shape("be 'per-round'", lambda v: v == "per-round")
 # a bound's numbers must convert to floats: a 400-digit int does not
 FLOAT_RANGE = Shape("be within float range", lambda v: abs(v) <= sys.float_info.max)
-# a count of rounds, trials or components must fit a numpy array of 8-byte words
-COUNT = Shape(f"be at most {sys.maxsize // 8}", lambda v: v <= sys.maxsize // 8)
 _MEMORY = 2 ** 30   # bytes for a run's trials, rounds or components
 _WORDS = Shape(f"be at most {_MEMORY // 8}, the 8-byte words of {_MEMORY} bytes",
                lambda v: v <= _MEMORY // 8)     # a word per trial seed, per script point
@@ -262,8 +260,8 @@ def make_learner(raw, seed: Optional[int] = None):
         cap_d = spec.field("cap_d", INT_OR_NULL, 2)
         cap_T = spec.field("cap_T", INT_OR_NULL, None)
         family = family_from_config(spec.field("family", OBJECT))
-        components = checked("components", spec.field("components", INT, 1), COUNT)
-        return fpl.AgnosticFpl(family, checked("components", components, _COMPONENTS),
+        components = checked("components", spec.field("components", INT, 1), _COMPONENTS)
+        return fpl.AgnosticFpl(family, components,
                                seed=seed, cap_dim=cap_d, cap_rounds=cap_T)
     raise DomainError(f"unknown learner spec: {quoted(kind)}")
 
@@ -312,7 +310,7 @@ def _spec_makers(learner_spec: dict, nature_spec: dict) -> tuple:
 def play_config(learner_spec: dict, nature_spec: dict, horizon: int,
                 seed: int = 0):
     """Build both sides from specs with a split seed and run one game."""
-    checked("horizon", checked("horizon", horizon, COUNT), _WORDS)
+    checked("horizon", horizon, _WORDS)
     return play_seeded(*_spec_makers(learner_spec, nature_spec), horizon, seed)
 
 
@@ -333,9 +331,11 @@ def comparison_from_config(raw):
     raise DomainError(f"unknown comparison spec: {quoted(raw)}")
 
 
-def regret_experiment_from_config(raw) -> RegretCurve:
-    """Config keys: learner, nature, comparison, Ts (or T), trials,
-    master_seed, optional bound {"kind": "fpl", "k": ...}."""
+def regret_experiment_from_config(raw) -> tuple[list[int], list[TrialStats],
+                                                 Optional[list[float]]]:
+    """(horizons, regret stats, bounds or None) of a config: learner, nature,
+    comparison, Ts (or T), trials, master_seed, optional bound {"kind":
+    "fpl", "k": ...}."""
     config = Spec("regret config", raw)
     # T stands in for Ts only when Ts is absent or null
     horizons = config.field("Ts", default=None)
@@ -344,13 +344,13 @@ def regret_experiment_from_config(raw) -> RegretCurve:
     if not horizons:
         raise DomainError("Ts list is empty")
     checked("T and Ts", horizons, Shape("be >= 0", lambda v: min(v) >= 0))
-    trials = checked("trials", checked("trials", config.field("trials", INT, 100), COUNT), _WORDS)
+    trials = checked("trials", config.field("trials", INT, 100), _WORDS)
     master_seed = config.field("master_seed", INT, 0)
     learner_spec = config.field("learner", OBJECT)
     nature_spec = config.field("nature", OBJECT)
     comparison = comparison_from_config(config.field("comparison"))
 
-    bound_fn = None
+    limits = None     # every bound is evaluated here, before any trial
     bound = config.field("bound", default=None)
     if bound is not None:
         bound = Spec("regret config", checked("bound", bound, OBJECT))
@@ -358,7 +358,7 @@ def regret_experiment_from_config(raw) -> RegretCurve:
         kind = bound.field("kind")
         if kind == "fpl":
             k = checked("bound k", bound.field("k", NUMBER, name="bound k"), FLOAT_RANGE)
-            bound_fn = lambda T: bounds.fpl_regret(k, T)
+            limits = [bounds.fpl_regret(k, T) for T in horizons]
         elif kind == "hierarchical":
             d, n = (bound.field(key, INT, name=f"bound {key}") for key in ("dim", "n"))
             checked("bound dim", d, Shape("be >= 0", lambda v: v >= 0))
@@ -367,10 +367,10 @@ def regret_experiment_from_config(raw) -> RegretCurve:
             # ln T: the bound has no value at T = 0
             checked("T and Ts", horizons, Shape("be >= 1 under a hierarchical bound",
                                                 lambda v: min(v) >= 1))
-            bound_fn = lambda T: bounds.hierarchical_regret(d, n, T)
+            limits = [bounds.hierarchical_regret(d, n, T) for T in horizons]
         else:
             raise DomainError(f"unknown bound kind: {quoted(kind)}")
-    checked("T and Ts", checked("T and Ts", max(horizons), COUNT), _WORDS)
-
-    return regret_curve(*_spec_makers(learner_spec, nature_spec),
-                        horizons, trials, master_seed, comparison, bound_fn)
+    checked("T and Ts", max(horizons), _WORDS)
+    stats = regret_curve(*_spec_makers(learner_spec, nature_spec), horizons, trials,
+                         master_seed, lambda trace, _: regret(trace, comparison))
+    return horizons, stats, limits

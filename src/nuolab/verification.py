@@ -1,9 +1,11 @@
 """Bound-verification suite.
 
-Each check exercises one guarantee at its stated tolerance and returns a
-verdict (never raises on a failed bound): exact combinatorial checks get
-zero tolerance, expected-regret checks compare the Monte-Carlo mean plus
-or minus three standard errors against the bound (`bounds.margin`).
+Each check exercises one guarantee at its stated tolerance and returns
+(passed, detail), never raising on a failed bound; `verdict` names it as
+its `SUITE` key. Exact combinatorial checks get zero tolerance,
+expected-regret checks compare the Monte-Carlo mean plus or minus three
+standard errors against the bound (`bounds.margin`), over seeded games
+that `runner.regret_curve` plays and scores.
 """
 from __future__ import annotations
 
@@ -60,16 +62,17 @@ def random_class_corpus(count: int, seed: int) -> list[FiniteClass]:
     return out
 
 
-def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
+def max_adaptive_soa_mistakes(cls: FiniteClass) -> float:
     """Exhaustive enumeration of adversary strategies against the
     mistake-update version-space learner: the adversary picks any point
     and any label consistent with some hypothesis given the full history;
-    returns the worst-case total mistakes. The full history's space and
-    the learner's, restricted only on its mistakes, share one kernel."""
+    returns the worst-case total mistakes, inf if a mistake can leave both
+    spaces as they were. The full history's space and the learner's,
+    restricted only on its mistakes, share one kernel."""
     kernel = VersionSpace(cls)
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], float] = {}
 
-    def rec(full: int, sid: int) -> int:
+    def rec(full: int, sid: int) -> float:
         key = (full, sid)
         cached = memo.get(key)
         if cached is not None:
@@ -86,6 +89,8 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
                 # the learner's space contains the full history's, so
                 # restricting to a label that keeps nf is never empty
                 ns = kernel.restrict(sid, x, y) if mistake else sid
+                if (nf, ns) == key:     # a mistake that changes nothing repeats forever
+                    return math.inf
                 best = max(best, mistake + rec(nf, ns))
         memo[key] = best
         return best
@@ -97,21 +102,18 @@ def max_adaptive_soa_mistakes(cls: FiniteClass) -> int:
 # exact checks
 # ---------------------------------------------------------------------------
 
-def check_ldim_minimax_equality(seed: int = 0, random_count: int = 50) -> CheckResult:
+def check_ldim_minimax_equality(seed: int = 0, random_count: int = 50) -> tuple[bool, str]:
     """Game value of the adaptive mistake game equals the dimension, on an
     exhaustive small corpus plus random classes. Zero tolerance."""
     corpus = small_class_corpus() + random_class_corpus(random_count, seed)
     for cls in corpus:
         d, g = ldim(cls), minimax_mistakes(cls)
         if d != g:
-            return CheckResult(
-                "ldim-minimax-equality", False,
-                f"dimension {d} != game value {g} on {cls!r}")
-    return CheckResult("ldim-minimax-equality", True,
-                       f"{len(corpus)} classes, game value == dimension on all")
+            return False, f"dimension {d} != game value {g} on {cls!r}"
+    return True, f"{len(corpus)} classes, game value == dimension on all"
 
 
-def check_soa_mistake_bound(seed: int = 0, random_count: int = 50) -> CheckResult:
+def check_soa_mistake_bound(seed: int = 0, random_count: int = 50) -> tuple[bool, str]:
     """The version-space learner never exceeds the class dimension in
     mistakes: against its committed forcing script, and against exhaustive
     enumeration of adaptive adversaries. Zero tolerance."""
@@ -120,22 +122,17 @@ def check_soa_mistake_bound(seed: int = 0, random_count: int = 50) -> CheckResul
         d = ldim(cls)
         worst = max_adaptive_soa_mistakes(cls)
         if worst > d:
-            return CheckResult(
-                "soa-mistake-bound", False,
-                f"exhaustive adversary forces {worst} > dimension {d} on {cls!r}")
+            return False, f"exhaustive adversary forces {worst} > dimension {d} on {cls!r}"
         if d >= 1:
             script = nature.commit_adversary(cls, lambda c=cls: learners.SoaLearner(c))
             trace = runner.run_game(learners.SoaLearner(cls), script,
                                     d + len(cls.domain))
             if trace.mistakes > d:
-                return CheckResult(
-                    "soa-mistake-bound", False,
-                    f"committed script forces {trace.mistakes} > {d} on {cls!r}")
-    return CheckResult("soa-mistake-bound", True,
-                       f"{len(corpus)} classes, mistakes <= dimension on all")
+                return False, f"committed script forces {trace.mistakes} > {d} on {cls!r}"
+    return True, f"{len(corpus)} classes, mistakes <= dimension on all"
 
 
-def check_aggregator_square_bound(horizon: int = 200) -> CheckResult:
+def check_aggregator_square_bound(horizon: int = 200) -> tuple[bool, str]:
     """Index-penalized selection over the bounded-support union on twelve
     points: with the truth in component k, mistakes stay within
     `bounds.aggregator_mistakes` on adversarial streams. Zero tolerance."""
@@ -156,14 +153,11 @@ def check_aggregator_square_bound(horizon: int = 200) -> CheckResult:
             agg = learners.AggregatorLearner(family)
             trace = runner.run_game(agg, nature.RealizableScripted(target, xs), horizon)
             if trace.mistakes > bound:
-                return CheckResult(
-                    "aggregator-square-bound", False,
-                    f"k={k}: {trace.mistakes} mistakes > ({d_k}+{k})^2 = {bound}")
-    return CheckResult("aggregator-square-bound", True,
-                       f"mistakes <= (d_k+k)^2 for k in (1,2,3), T={horizon}")
+                return False, f"k={k}: {trace.mistakes} mistakes > ({d_k}+{k})^2 = {bound}"
+    return True, f"mistakes <= (d_k+k)^2 for k in (1,2,3), T={horizon}"
 
 
-def check_cover_index_bound(horizon: int = 80) -> CheckResult:
+def check_cover_index_bound(horizon: int = 80) -> tuple[bool, str]:
     """Smallest-consistent-index prediction over an ordered cover: with the
     truth covered at index m, at most m mistakes on iid streams. Zero
     tolerance."""
@@ -179,12 +173,9 @@ def check_cover_index_bound(horizon: int = 80) -> CheckResult:
                 trace = runner.run_game(
                     learner, nature.StochasticIid(target, measure, seed), horizon)
                 if trace.mistakes > m or learner.index > m:
-                    return CheckResult(
-                        "cover-index-bound", False,
-                        f"m={m}, seed={seed}: {trace.mistakes} mistakes, "
-                        f"final index {learner.index}")
-    return CheckResult("cover-index-bound", True,
-                       f"mistakes <= m for m in (1,5,10), T={horizon}")
+                    return False, (f"m={m}, seed={seed}: {trace.mistakes} mistakes, "
+                                   f"final index {learner.index}")
+    return True, f"mistakes <= m for m in (1,5,10), T={horizon}"
 
 
 def _keys_up_to(horizon: int, max_len: int) -> list[tuple[int, ...]]:
@@ -194,7 +185,7 @@ def _keys_up_to(horizon: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_expert_key_bound() -> CheckResult:
+def check_expert_key_bound() -> tuple[bool, str]:
     """For every label pattern there is a keyed expert whose mistakes stay
     within key length + best hypothesis mistakes. Exhaustive over label
     patterns at T=8 (cyclic points) and over full point/label product at
@@ -232,33 +223,27 @@ def check_expert_key_bound() -> CheckResult:
             if best <= rival:
                 break
         if best is None or best > rival:
-            return CheckResult(
-                "expert-key-cover", False,
-                f"no key within {rival} + L mistakes for ys={ys} xs={xs} on {cls!r}")
-    return CheckResult("expert-key-cover", True,
-                       f"{len(jobs)} point/label patterns, witness key found for all")
+            return False, f"no key within {rival} + L mistakes for ys={ys} xs={xs} on {cls!r}"
+    return True, f"{len(jobs)} point/label patterns, witness key found for all"
 
 
-def check_complexity_mass(terms: int = 10_000) -> CheckResult:
+def check_complexity_mass(terms: int = 10_000) -> tuple[bool, str]:
     """Partial masses of the complexity schemes the learners run stay under
     their ceilings in `bounds`: the components', and the pools' overcount."""
     rounds = range(1, terms + 1)
     meta = math.fsum(math.exp(-fpl.meta_complexity(n)) for n in rounds)
     if meta > bounds.COMPONENT_MASS:
-        return CheckResult("complexity-mass", False,
-                           f"component mass {meta:.4f} > 1/e over {terms} terms")
+        return False, f"component mass {meta:.4f} > 1/e over {terms} terms"
     for dim in (0, 1, 2, 3):
         pool = math.fsum(t ** dim * math.exp(-fpl.pool_complexity(dim, t)) for t in rounds)
         if pool > bounds.POOL_MASS:
-            return CheckResult(
-                "complexity-mass", False,
-                f"pool mass {pool:.4f} > {bounds.POOL_MASS} for dim {dim} over {terms} terms")
-    return CheckResult(
-        "complexity-mass", True,
-        f"component {meta:.4f} <= 1/e, pool <= {bounds.POOL_MASS} for dims 0-3, {terms} terms")
+            return False, (f"pool mass {pool:.4f} > {bounds.POOL_MASS} for dim {dim} "
+                           f"over {terms} terms")
+    return True, (f"component {meta:.4f} <= 1/e, pool <= {bounds.POOL_MASS} for dims 0-3, "
+                  f"{terms} terms")
 
 
-def check_window_halving(rounds: int = 40) -> CheckResult:
+def check_window_halving(rounds: int = 40) -> tuple[bool, str]:
     """The dyadic window adversary forces a mistake every round, and one real
     threshold realizes its whole history, hence every prefix (exact check)."""
     makers = [learners.TruncatedThresholdSoa,
@@ -270,15 +255,12 @@ def check_window_halving(rounds: int = 40) -> CheckResult:
         trace = runner.run_game(learner, adversary, rounds)
         right = [t for t, (y, p) in enumerate(zip(trace.ys, trace.predicted), 1) if y == p]
         if right:
-            return CheckResult(
-                "window-halving-forcing", False,
-                f"{type(learner).__name__} predicted correctly at round {right[0]}")
+            return False, f"{type(learner).__name__} predicted correctly at round {right[0]}"
         try:
             adversary.realizing_threshold()
         except AssertionError as exc:
-            return CheckResult("window-halving-forcing", False, str(exc))
-    return CheckResult("window-halving-forcing", True,
-                       f"3 learners, {rounds} forced mistakes each, all prefixes realizable")
+            return False, str(exc)
+    return True, f"3 learners, {rounds} forced mistakes each, all prefixes realizable"
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +300,7 @@ class _LastLabelExpert(learners.OnlineLearner):
         return self._record_batch(preds, ys)
 
 
-def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
-                           master_seed: int = 2026) -> CheckResult:
+def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400) -> tuple[bool, str]:
     """Perturbed-leader regret against each fixed expert stays within
     `bounds.fpl_regret` in expectation: Monte-Carlo mean + 3 SE vs the
     bound, on an adversarial alternating script and on fair-coin scripts."""
@@ -337,27 +318,21 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400,
 
     details = []
     for offset, (name, makers, ks, make_nature) in enumerate(configs):
-        def trial(seed: int) -> np.ndarray:
-            _, learner = runner.play_seeded(
-                lambda s: fpl.FplLearner([m() for m in makers], ks, seed=s),
-                make_nature, horizon, seed)
-            return learner.mistakes - np.asarray(learner.losses)
-        stats = runner.monte_carlo(trial, trials, master_seed + offset)
+        [stats] = runner.regret_curve(
+            lambda s: fpl.FplLearner([m() for m in makers], ks, seed=s), make_nature,
+            [horizon], trials, 2026 + offset,
+            lambda _, learner: learner.mistakes - np.asarray(learner.losses))
         limits = [bounds.fpl_regret(k, horizon) for k in ks]
         margins = bounds.margin(stats.mean, limits, stats.se)
         for j, (mean, se, limit) in enumerate(zip(stats.mean, stats.se, limits)):
             if margins[j] < 0:
-                return CheckResult(
-                    "fpl-regret-bound", False,
-                    f"{name}: regret vs expert {j + 1} = {mean:.2f} "
-                    f"+ 3*{se:.2f} > {limit:.2f}")
+                return False, (f"{name}: regret vs expert {j + 1} = {mean:.2f} "
+                               f"+ 3*{se:.2f} > {limit:.2f}")
         details.append(f"{name} worst margin {min(margins):.1f}")
-    return CheckResult("fpl-regret-bound", True,
-                       f"T={horizon}, {trials} trials: " + "; ".join(details))
+    return True, f"T={horizon}, {trials} trials: " + "; ".join(details)
 
 
-def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
-                                    master_seed: int = 31) -> CheckResult:
+def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200)) -> tuple[bool, str]:
     """The two-level perturbed-leader learner keeps expected regret against
     every hypothesis of component n within `bounds.hierarchical_regret`;
     Monte-Carlo mean + 3 SE vs that bound."""
@@ -375,27 +350,21 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200),
                       else [t % 2 for t in range(1, horizon + 1)])
                 return nature.AgnosticScripted(xs, ys)
 
-            def trial(seed: int) -> list[int]:
-                trace, _ = runner.play_seeded(
-                    lambda s: fpl.AgnosticFpl(family, 2, seed=s),
-                    make_nature, horizon, seed)
-                return [runner.regret(trace, family.component(n).cls) for n in (1, 2)]
-            stats = runner.monte_carlo(trial, trials, master_seed + horizon)
+            [stats] = runner.regret_curve(
+                lambda s: fpl.AgnosticFpl(family, 2, seed=s), make_nature, [horizon],
+                trials, 31 + horizon,
+                lambda trace, _: [runner.regret(trace, family.component(n).cls) for n in (1, 2)])
             columns = list(zip((1, 2), stats.mean, stats.se, limits))
             for n, mean, se, limit in columns:
                 if bounds.margin(mean, limit, se) < 0:
-                    return CheckResult(
-                        "hierarchical-regret-bound", False,
-                        f"T={horizon} {label_mode}: regret vs component {n} = "
-                        f"{mean:.2f} + 3*{se:.2f} > {limit:.2f}")
+                    return False, (f"T={horizon} {label_mode}: regret vs component {n} = "
+                                   f"{mean:.2f} + 3*{se:.2f} > {limit:.2f}")
             details.append(f"T={horizon} {label_mode}: " + ", ".join(
                 f"n={n}: {mean:.1f} vs {limit:.0f}" for n, mean, _, limit in columns))
-    return CheckResult("hierarchical-regret-bound", True,
-                       f"{trials} trials; " + "; ".join(details))
+    return True, f"{trials} trials; " + "; ".join(details)
 
 
-def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
-                                master_seed: int = 99) -> CheckResult:
+def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400)) -> tuple[bool, str]:
     """Fair-coin labels on a single point force expected regret of at least
     `bounds.coinflip_floor` on every learner; Monte-Carlo mean - 3 SE vs the floor,
     for the hierarchical learner and two fixed baselines."""
@@ -410,23 +379,21 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400),
     for horizon in horizons:
         floor = bounds.coinflip_floor(horizon)
         for name, make in makers.items():
-            stats = runner.regret_curve(make, nature.CoinFlip, [horizon], trials,
-                                        master_seed + horizon, cls).stats[0]
+            [stats] = runner.regret_curve(make, nature.CoinFlip, [horizon], trials,
+                                          99 + horizon, lambda trace, _: runner.regret(trace, cls))
             if bounds.margin(stats.mean, floor, stats.se, floor=True) < 0:
-                return CheckResult(
-                    "coinflip-regret-floor", False,
-                    f"T={horizon} {name}: {stats.mean:.2f} - 3*{stats.se:.2f} "
-                    f"< floor {floor:.3f}")
+                return False, (f"T={horizon} {name}: {stats.mean:.2f} - 3*{stats.se:.2f} "
+                               f"< floor {floor:.3f}")
             details.append(f"T={horizon} {name}: {stats.mean:.2f} >= {floor:.2f}")
-    return CheckResult("coinflip-regret-floor", True,
-                       f"{trials} trials; " + "; ".join(details))
+    return True, f"{trials} trials; " + "; ".join(details)
 
 
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
-# verdict name -> (check, its arguments for `--suite full`), in `verify`'s order
+# verdict name -> (check, its arguments for `--suite full`), in `verify`'s order;
+# each name is written only here
 SUITE = {
     "ldim-minimax-equality": (check_ldim_minimax_equality, {"random_count": 120}),
     "soa-mistake-bound": (check_soa_mistake_bound, {"random_count": 100}),
@@ -441,6 +408,12 @@ SUITE = {
 }
 
 
+def verdict(name: str, **args) -> CheckResult:
+    """The check `name` of `SUITE`, run on `args`, as a verdict under that name."""
+    check, _ = SUITE[name]
+    return CheckResult(name, *check(**args))
+
+
 def suite_arguments(name: str, suite: str, seed: int) -> dict:
     """What `run_suite(suite, seed)` passes the check `name`: the full scale
     or none (the check's defaults), and `seed` if the check takes one."""
@@ -453,4 +426,4 @@ def suite_arguments(name: str, suite: str, seed: int) -> dict:
 
 def run_suite(suite: str, seed: int) -> list[CheckResult]:
     """Each check of `SUITE` in turn, at the scale of `suite`: "default" or "full"."""
-    return [check(**suite_arguments(name, suite, seed)) for name, (check, _) in SUITE.items()]
+    return [verdict(name, **suite_arguments(name, suite, seed)) for name in SUITE]

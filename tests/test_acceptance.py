@@ -62,8 +62,7 @@ def test_the_pinned_lines_name_the_suite_checks():
 
 @pytest.mark.parametrize("name", verification.SUITE)
 def test_the_default_run_prints_the_pinned_line(name):
-    check, _ = verification.SUITE[name]
-    result = check(**verification.suite_arguments(name, "default", 0))
+    result = verification.verdict(name, **verification.suite_arguments(name, "default", 0))
     print()
     print(result.line())
     assert result.passed, result.detail

@@ -68,17 +68,17 @@ def test_complexity_mass_sums_the_schemes_the_learners_run(monkeypatch, name, sc
                                                            message):
     # a scheme over its ceiling in fpl fails the check
     monkeypatch.setattr(fpl, name, scheme)
-    result = verification.check_complexity_mass(terms=1000)
-    assert not result.passed and result.detail.startswith(message), result.detail
+    passed, detail = verification.check_complexity_mass(terms=1000)
+    assert not passed and detail.startswith(message), detail
 
 
 def test_the_fpl_check_and_the_regret_bound_column_read_bounds(monkeypatch):
     config = {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
               "comparison": [{"kind": "constant", "value": 0}], "Ts": [4, 9],
               "trials": 2, "bound": {"kind": "fpl", "k": 1}}
-    assert specs.regret_experiment_from_config(config).bounds == [6.0, 9.0]
-    assert verification.check_fpl_regret_bound(trials=4, horizon=20).passed
+    assert specs.regret_experiment_from_config(config)[2] == [6.0, 9.0]
+    assert verification.check_fpl_regret_bound(trials=4, horizon=20)[0]
     monkeypatch.setattr(bounds, "fpl_regret", lambda k, T: -float(T))
-    assert specs.regret_experiment_from_config(config).bounds == [-4.0, -9.0]
-    result = verification.check_fpl_regret_bound(trials=4, horizon=20)
-    assert not result.passed and "> -20.00" in result.detail, result.detail
+    assert specs.regret_experiment_from_config(config)[2] == [-4.0, -9.0]
+    passed, detail = verification.check_fpl_regret_bound(trials=4, horizon=20)
+    assert not passed and "> -20.00" in detail, detail

@@ -148,13 +148,14 @@ EXHAUSTED = "round 3: scripted stream exhausted after 2 points"
 # a refusal quotes 120 characters of a value's repr, then an ellipsis
 LONG_MASS = "'1/1" + "0" * 116 + "..."
 HUGE = "1" + "0" * 119 + "..."
-TOO_MANY = f"must be at most {sys.maxsize // 8}, got {2 ** 64}"
-# a count within COUNT whose 8-byte words no memory holds, refused before
-# any allocation: its row's process has a gigabyte of address space
-BEYOND_MEMORY = f"must be at most {2 ** 27}, the 8-byte words of {2 ** 30} bytes, got {2 ** 40}"
+# a count whose 8-byte words, or 4096-byte components, no memory holds is
+# refused before any allocation: a beyond-memory row's process has a
+# gigabyte of address space, and a count of 2 ** 64 gets the same refusal
+WORDS = f"must be at most {2 ** 27}, the 8-byte words of {2 ** 30} bytes, got "
+BEYOND_MEMORY = f"{WORDS}{2 ** 40}"
 GIGABYTE = 2 ** 30
-COMPONENTS_BEYOND_MEMORY = (f"must be at most {2 ** 18}, the 4096-byte components of {2 ** 30} "
-                            f"bytes, got {2 ** 40}")
+COMPONENTS = f"must be at most {2 ** 18}, the 4096-byte components of {2 ** 30} bytes, got "
+COMPONENTS_BEYOND_MEMORY = f"{COMPONENTS}{2 ** 40}"
 
 
 REFUSED = {
@@ -201,7 +202,8 @@ REFUSED = {
         "mass-exponent-not-an-int": Row(
             play(CONSTANT, iid_masses("1ex", "1/2"), "3"),
             "measure mass must hold rationals, got ['1ex', '1/2']"),
-        "horizon-beyond-count": Row(play(CONSTANT, COIN, str(2 ** 64)), f"horizon {TOO_MANY}"),
+        "horizon-beyond-count": Row(play(CONSTANT, COIN, str(2 ** 64)),
+                                    f"horizon {WORDS}{2 ** 64}"),
         "horizon-beyond-memory": Row(play(CONSTANT, COIN, str(2 ** 40)),
                                      f"horizon {BEYOND_MEMORY}", limit=GIGABYTE),
         "mass-exponent": Row(play(CONSTANT, iid_masses("1e-5000", "1/2"), "3"),
@@ -328,10 +330,10 @@ REFUSED = {
              "redraw must be 'per-round', got 'once'"),
             ("zero-trials", {"trials": 0}, "need at least 2 trials for a standard error"),
             ("one-trial", {"trials": 1}, "need at least 2 trials for a standard error"),
-            ("trials-beyond-count", {"trials": 2 ** 64}, f"trials {TOO_MANY}"),
-            ("T-beyond-count", {"Ts": [5, 2 ** 64]}, f"T and Ts {TOO_MANY}"),
+            ("trials-beyond-count", {"trials": 2 ** 64}, f"trials {WORDS}{2 ** 64}"),
+            ("T-beyond-count", {"Ts": [5, 2 ** 64]}, f"T and Ts {WORDS}{2 ** 64}"),
             ("components-beyond-count", {"learner": {**AGNOSTIC, "components": 2 ** 64}},
-             f"components {TOO_MANY}")]},
+             f"components {COMPONENTS}{2 ** 64}")]},
         "components-beyond-memory": Row(
             regret({**REGRET, "learner": {**AGNOSTIC, "components": 2 ** 40}}),
             f"components {COMPONENTS_BEYOND_MEMORY}", limit=GIGABYTE),
@@ -574,13 +576,12 @@ def test_readme_examples_are_committed():
 
 
 def test_verify_command_exit_codes(monkeypatch):
-    ok = verification.CheckResult("stub", True, "fine")
-    bad = verification.CheckResult("stub", False, "broken")
-    monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {})})
-    assert outcome(["verify"]) == (0, "[PASS] stub: fine\n1/1 checks passed\n", "")
-    monkeypatch.setattr(verification, "SUITE", {"ok": (lambda: ok, {}), "bad": (lambda: bad, {})})
+    ok, bad = (lambda: (True, "fine"), {}), (lambda: (False, "broken"), {})
+    monkeypatch.setattr(verification, "SUITE", {"ok": ok})
+    assert outcome(["verify"]) == (0, "[PASS] ok: fine\n1/1 checks passed\n", "")
+    monkeypatch.setattr(verification, "SUITE", {"ok": ok, "bad": bad})
     assert outcome(["verify"]) == (
-        1, "[PASS] stub: fine\n[FAIL] stub: broken\n1/2 checks passed\n", "")
+        1, "[PASS] ok: fine\n[FAIL] bad: broken\n1/2 checks passed\n", "")
 
 
 def test_a_program_bug_is_not_reported_as_bad_input(capsys, monkeypatch):

@@ -1198,12 +1198,13 @@ def test_an_unhashable_point_is_not_the_kept_script(name, point):
     assert str(by_play.value) == str(by_loop.value) == "unhashable type: 'numpy.ndarray'"
 
 
-@pytest.mark.parametrize("name", ["dim1-constants", "dim2-thresholds"])
+@pytest.mark.parametrize("name", ["dim0-finite", "dim1-constants", "dim2-thresholds"])
 def test_a_point_outside_the_class_raises_before_a_later_unhashable_one(name):
     # the replay's point index hashes every point before the walk; when one
-    # does not hash, the walk runs unstopped and raises the loop's error at
+    # does not hash, each point is predicted from state 0 in order, as the
+    # loop predicts first in each round, so the loop's error is raised at
     # the first bad round, here the DomainError of round 2, not the
-    # TypeError of round 3
+    # TypeError of round 3; a dimension-0 pool, which walks nothing, too
     xs, ys = [1, "x", np.array([1, 2]), 3], [0, 1, 1, 0]
     fpl._replay_plan.cache_clear()
     loop = pool(name, 57)()

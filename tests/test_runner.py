@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nuolab import learners, nature, runner, specs
+from nuolab import bounds, learners, nature, runner, specs
 from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
                                Hypothesis, constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
@@ -389,24 +389,35 @@ class TestMonteCarlo:
             np.std(stats.values, ddof=1) / math.sqrt(50))
 
     def test_regret_curve_with_bound(self):
-        curve = regret_curve(
+        # one TrialStats of the score per horizon; a config's regret rows are
+        # that curve of `regret`, and its bound column is `bounds`'s
+        stats = regret_curve(
             lambda s: learners.ConstantLearner(0),
             lambda s: nature.CoinFlip(s),
             horizons=[25, 50], trials=40, master_seed=1,
-            comparison=TWO_CLASS, bound_fn=lambda T: 3 * math.sqrt(T))
-        assert curve.horizons == [25, 50]
-        assert curve.bounds[0] == pytest.approx(15.0)
-        assert all(stats.trials == 40 for stats in curve.stats)
+            score=lambda trace, _: regret(trace, TWO_CLASS))
+        assert [row.trials for row in stats] == [40, 40]
+        horizons, rows, limits = specs.regret_experiment_from_config(
+            {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
+             "comparison": TWO_CLASS_SPEC, "Ts": [25, 50], "trials": 40, "master_seed": 1,
+             "bound": {"kind": "fpl", "k": 1.0}})
+        assert horizons == [25, 50]
+        assert limits == pytest.approx([15.0, 3 * math.sqrt(50)])
+        assert [row.values.tolist() for row in rows] == [row.values.tolist() for row in stats]
 
-    def test_regret_curve_evaluates_every_bound_before_any_trial(self):
+    def test_regret_curve_evaluates_every_bound_before_any_trial(self, monkeypatch):
         # a bound that has no value at the last horizon fails before the
         # first trial, not after all of them
-        def learner(seed):
+        def run_game(*args):
             raise AssertionError("a trial ran")
 
+        monkeypatch.setattr(runner, "run_game", run_game)
+        monkeypatch.setattr(bounds, "fpl_regret", lambda k, T: math.log(T))
         with pytest.raises(ValueError, match="math domain error"):
-            regret_curve(learner, lambda s: nature.CoinFlip(s), horizons=[25, 0], trials=2,
-                         master_seed=1, comparison=TWO_CLASS, bound_fn=lambda T: math.log(T))
+            specs.regret_experiment_from_config(
+                {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
+                 "comparison": TWO_CLASS_SPEC, "Ts": [25, 0], "trials": 2, "master_seed": 1,
+                 "bound": {"kind": "fpl", "k": 1.0}})
 
 
 class TestConfigFactories:
@@ -462,7 +473,6 @@ class TestConfigFactories:
             "Ts": [30], "trials": 30, "master_seed": 5,
             "bound": {"kind": "fpl", "k": 1.0},
         }
-        curve = specs.regret_experiment_from_config(config)
-        stats, bound = curve.stats[0], curve.bounds[0]
+        _, [stats], [bound] = specs.regret_experiment_from_config(config)
         assert bound == pytest.approx(3 * math.sqrt(30))
         assert stats.mean + 3 * stats.se <= bound

@@ -217,6 +217,41 @@ def test_verification_derives_no_bound():
     assert not named_e and "0.83" not in text
 
 
+def test_one_experiment_rule():
+    # seeded games are played and scored by `runner.regret_curve` alone:
+    # verification.py calls neither `monte_carlo` nor `play_seeded`, and each
+    # Monte-Carlo check (a check that takes `trials`) calls `regret_curve`
+    path = next(path for path in SOURCES if path.name == "verification.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def calls(node):
+        return {getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("check_")
+              and "trials" in {arg.arg for arg in node.args.args}]
+    assert not {"monte_carlo", "play_seeded"} & calls(tree)
+    assert len(checks) == 3 and all("regret_curve" in calls(check) for check in checks)
+
+
+def test_one_verdict_name():
+    # a verdict's name is written once, as its `SUITE` key: `verification.verdict`
+    # names each check's (passed, detail), so no other string of src/ but
+    # a docstring's prose holds it
+    from nuolab import verification
+
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    docstrings = {id(node.body[0].value) for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    strings = [node.value for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and id(node) not in docstrings]
+    counts = {name: sum(s.count(name) for s in strings) for name in verification.SUITE}
+    assert len(counts) == 10 and set(counts.values()) == {1}, counts
+
+
 def test_one_spec_reader():
     # the JSON spec format is read only in `specs`: no other module imports
     # json or defines a reader or writer of specs at module or class level

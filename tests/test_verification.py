@@ -3,7 +3,7 @@ import pytest
 from nuolab import bounds, learners, nature, verification
 from nuolab.hypotheses import FiniteClass
 from nuolab.learners import CoverSpec
-from nuolab.littlestone import ldim
+from nuolab.littlestone import VersionSpace, ldim
 
 
 class TestOracles:
@@ -42,6 +42,20 @@ def misrecords(reveal_label):
     return reveal
 
 
+class ZeroVersionSpace(VersionSpace):
+    """Predicts 0 from every state: on a class whose hypotheses all label a
+    point 1, a mistake there leaves both spaces as they were, so the
+    adversary forces mistakes without end."""
+
+    def predict(self, sid, x):
+        return 0
+
+
+def only_component_2(bound):
+    """`bounds.hierarchical_regret` with component 2's bound at 0."""
+    return lambda dim, n, T: bound(dim, n, T) if n != 2 else 0.0
+
+
 # fault id -> (object, attribute, a value that breaks the check, the check's
 # arguments at a small scale, the start of its FAIL detail): a bound, an
 # oracle, a learner or a nature each. A check's first fault has its verdict
@@ -54,6 +68,9 @@ FAULTS = {
     "soa-mistake-bound/exhaustive-adversary": (
         verification, "ldim", lambda cls: max(ldim(cls) - 1, 0), {"random_count": 0},
         "exhaustive adversary forces 1 > dimension 0 on FiniteClass("),
+    "soa-mistake-bound/unbounded": (
+        verification, "VersionSpace", ZeroVersionSpace, {"random_count": 0},
+        "exhaustive adversary forces inf > dimension 0 on FiniteClass("),
     "aggregator-square-bound": (bounds, "aggregator_mistakes", lambda d, k: 0, {"horizon": 20},
                                 "k=1: 1 mistakes > (1+1)^2 = 0"),
     "cover-index-bound": (learners, "CoverSpec", lambda cover: CoverSpec(cover[::-1]),
@@ -65,6 +82,9 @@ FAULTS = {
     "hierarchical-regret-bound": (bounds, "hierarchical_regret", lambda dim, n, T: 0.0,
                                   {"trials": 4, "horizons": (20,)},
                                   "T=20 alternating: regret vs component 1 = "),
+    "hierarchical-regret-bound/component-2": (
+        bounds, "hierarchical_regret", only_component_2(bounds.hierarchical_regret),
+        {"trials": 4, "horizons": (20,)}, "T=20 alternating: regret vs component 2 = "),
     "coinflip-regret-floor": (bounds, "coinflip_floor", lambda T: float(T),
                               {"trials": 4, "horizons": (20,)}, "T=20 agnostic: "),
     "complexity-mass": (bounds, "COMPONENT_MASS", 0.0, {"terms": 10},
@@ -87,14 +107,13 @@ class TestFaultInjection:
         target, attribute, value, arguments, detail = FAULTS[fault]
         monkeypatch.setattr(target, attribute, value)
         name = fault.partition("/")[0]
-        check, _ = verification.SUITE[name]
-        assert check(**arguments).line().startswith(f"[FAIL] {name}: {detail}")
+        assert verification.verdict(name, **arguments).line().startswith(
+            f"[FAIL] {name}: {detail}")
 
     def test_exact_checks_seed_independent(self):
-        for check in (verification.check_ldim_minimax_equality,
-                      verification.check_soa_mistake_bound):
-            a = check(seed=1, random_count=12)
-            b = check(seed=2, random_count=12)
+        for name in ("ldim-minimax-equality", "soa-mistake-bound"):
+            a = verification.verdict(name, seed=1, random_count=12)
+            b = verification.verdict(name, seed=2, random_count=12)
             assert a.passed == b.passed
 
 
@@ -103,29 +122,29 @@ class TestReducedScaleChecks:
     # the Monte-Carlo lines are pinned: a change to the harness, the seed
     # split or a label stream shows here as changed text
     def test_fpl_regret(self):
-        assert verification.check_fpl_regret_bound(trials=60, horizon=100).line() == (
+        assert verification.verdict("fpl-regret-bound", trials=60, horizon=100).line() == (
             "[PASS] fpl-regret-bound: T=100, 60 trials: two-expert-alternating "
             "worst margin 24.0; two-expert-coin worst margin 26.8; "
             "five-expert-coin worst margin 27.6")
 
     def test_hierarchical(self):
-        assert verification.check_hierarchical_regret_bound(
-            trials=12, horizons=(50,)).line() == (
+        assert verification.verdict(
+            "hierarchical-regret-bound", trials=12, horizons=(50,)).line() == (
             "[PASS] hierarchical-regret-bound: 12 trials; T=50 alternating: "
             "n=1: 2.8 vs 140, n=2: 2.8 vs 178; T=50 coin: n=1: 3.7 vs 140, "
             "n=2: 6.5 vs 178")
 
     def test_coinflip_floor(self):
-        assert verification.check_coinflip_regret_floor(
-            trials=60, horizons=(50,)).line() == (
+        assert verification.verdict(
+            "coinflip-regret-floor", trials=60, horizons=(50,)).line() == (
             "[PASS] coinflip-regret-floor: 60 trials; T=50 agnostic: 3.72 >= 0.33; "
             "T=50 root-expert: 1.77 >= 0.33; T=50 constant: 1.77 >= 0.33")
 
     def test_aggregator(self):
-        assert verification.check_aggregator_square_bound(horizon=60).passed
+        assert verification.verdict("aggregator-square-bound", horizon=60).passed
 
     def test_cover(self):
-        assert verification.check_cover_index_bound(horizon=40).passed
+        assert verification.verdict("cover-index-bound", horizon=40).passed
 
     def test_window(self):
-        assert verification.check_window_halving(rounds=8).passed
+        assert verification.verdict("window-halving-forcing", rounds=8).passed

@@ -5,20 +5,32 @@ classes.
 A version space is an int bitmask over row ids: bit i is set iff row i
 (by position in `rows`) survives, so the lowest set bit is the smallest
 surviving id. A restriction is `split`'s AND and XOR by a column mask,
-inline in the dimension recursion and the witness search; no other
-module reads the masks. `VersionSpace(cls)`, the kernel that learners
-and expert pools run, interns them to state ids and gives `predict` (the
-SOA rule of `soa_prediction`), `restrict` and `ldim` of a state.
+inline in the dimension search; no other module reads the masks.
+`VersionSpace(cls)`, the kernel that learners and expert pools run,
+interns them to state ids and gives `predict` (the SOA rule of
+`soa_prediction`), `restrict` and `ldim` of a state.
 
-The dimension recursion and the game-tree oracle are two independent code
-paths with separate memo tables; their agreement on finite classes is one
-of the verification suite's core checks, so neither may delegate to the
-other. They share only `column_masks` and `split`'s AND and XOR. Each
-prunes by its own floor(log2 |S|) ceiling, and skips a split's second side
-once the first settles it, written inline and argued from its own
-definition: a depth-d shattered tree needs 2^d distinct rows, one per
-leaf, and in the game the halving learner (predict the majority) loses at
-least half of the surviving rows with every mistake.
+The dimension search and the game-tree oracle are two independent code
+paths with separate tables; their agreement on finite classes is one of
+the verification suite's core checks, so neither may delegate to the
+other. They share only `column_masks`, which the game reads from the
+class's workspace, and `split`'s AND and XOR. Each answers the decision
+query "is the value of the rows S at least k?", finds the exact value by
+asking it down from floor(log2 |S|), and keeps per mask the largest k
+known to hold and the smallest known to fail. Each argues its prunes from
+its own definition:
+
+- Ldim(S) >= k iff some column splits S into two sides of Ldim >= k - 1
+  each. A depth-k shattered tree needs 2^k distinct rows, one per leaf,
+  so a set of fewer fails at once; the smaller side, the likelier to
+  fail, is asked first, and the larger only if it holds.
+- In the game the learner predicts the side of larger value, so a split
+  is worth max(v0, v1), plus one when they tie: the game on S is worth at
+  least k iff some split has both sides worth k - 1, or one side worth k.
+  The halving learner (predict the majority) loses at least half of the
+  surviving rows with every mistake, so a set of fewer than 2^k rows is
+  worth less than k. Every split is asked the first question, smaller
+  side first, before any is asked the second.
 """
 from __future__ import annotations
 
@@ -35,7 +47,7 @@ class CapacityError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# the bitmask kernel, and a per-class workspace memoizing the dimension
+# the bitmask kernel, and a per-class workspace bounding the dimension
 # ---------------------------------------------------------------------------
 
 def column_masks(cls: FiniteClass) -> tuple[int, ...]:
@@ -56,50 +68,59 @@ def split(ids: int, colmask: int) -> tuple[int, int]:
 
 
 class _Workspace:
-    """Column masks and dimension memo of one root class, keyed by the mask
+    """Column masks and dimension bounds of one root class, keyed by the mask
     of surviving rows (bit i set iff row i survives; the lowest set bit is
     the smallest id). Different constraint orders reach the same version
-    space, so constraint lists are never part of the key. Entries are
-    write-once values of a pure function, so concurrent use under the GIL
-    returns identical results regardless of interleaving. Holds no
-    reference to its class, so the weak-keyed registry frees it."""
+    space, so constraint lists are never part of the key. `lo[S]` is the
+    largest k known to have Ldim(S) >= k and `hi[S]` the smallest known not
+    to. A query on S recurses only into strict subsets of S, then writes k
+    to `lo` once it holds or to `hi` once it fails, so in one thread the
+    bounds only tighten toward the exact value, never crossing it. Every
+    write is true of a pure function, so under the GIL a race can at worst
+    lose a tightening, and concurrent use returns identical results
+    regardless of interleaving. Holds no reference to its class, so the
+    weak-keyed registry frees it."""
 
     def __init__(self, colmasks: tuple[int, ...]):
         self.colmasks = colmasks
-        self.memo: dict[int, int] = {}
+        self.lo: dict[int, int] = {}
+        self.hi: dict[int, int] = {}
+
+    def at_least(self, ids: int, k: int) -> bool:
+        """Whether Ldim(ids) >= k, for non-empty `ids`."""
+        if k <= self.lo.get(ids, 0):
+            return True
+        # a depth-k shattered tree has 2^k leaves, each realized by a
+        # distinct row, so a set of fewer than 2^k rows fails at once
+        if k >= self.hi.get(ids, ids.bit_count().bit_length()):
+            return False
+        if self.splitting_column(ids, k) is None:
+            self.hi[ids] = k
+            return False
+        self.lo[ids] = k
+        return True
+
+    def splitting_column(self, ids: int, k: int) -> Optional[int]:
+        """The first column splitting `ids` into two sides of Ldim >= k - 1
+        each, or None."""
+        for col, colmask in enumerate(self.colmasks):
+            ones = ids & colmask        # `split`, inline
+            zeros = ids ^ ones
+            if zeros and ones:
+                # the smaller side fails more often, so ask it first
+                small, large = ((ones, zeros) if ones.bit_count() <= zeros.bit_count()
+                                else (zeros, ones))
+                if self.at_least(small, k - 1) and self.at_least(large, k - 1):
+                    return col
+        return None
 
     def ldim(self, ids: int) -> int:
         if not ids:
             raise DomainError("Ldim undefined for the empty class")
-        cached = self.memo.get(ids)
-        if cached is not None:
-            return cached
-        best = 0
-        if ids & (ids - 1):
-            # a depth-d shattered tree has 2^d leaves, each realized by a
-            # distinct row, so Ldim(S) <= floor(log2 |S|): stop on reaching
-            # it, and skip a split whose smaller side has fewer than
-            # 2^best rows
-            cap = ids.bit_count().bit_length() - 1
-            for colmask in self.colmasks:
-                ones = ids & colmask        # `split`, inline
-                zeros = ids ^ ones
-                if zeros and ones:
-                    small, large = ((ones, zeros) if ones.bit_count() <= zeros.bit_count()
-                                    else (zeros, ones))
-                    if small.bit_count().bit_length() <= best:
-                        continue
-                    # 1 + min(Ldim of the sides) cannot beat best once either is below it
-                    v = self.ldim(small)
-                    if v < best:
-                        continue
-                    cand = 1 + min(v, self.ldim(large))
-                    if cand > best:
-                        best = cand
-                        if best == cap:
-                            break
-        self.memo[ids] = best
-        return best
+        k = self.hi.get(ids, ids.bit_count().bit_length()) - 1
+        while not self.at_least(ids, k):
+            k -= 1
+        return k
 
 
 _workspaces: "weakref.WeakKeyDictionary[FiniteClass, _Workspace]" = weakref.WeakKeyDictionary()
@@ -132,7 +153,7 @@ def soa_prediction(ws: _Workspace, ids: int, col: int) -> int:
         return 0
     if not zeros:
         return 1
-    return 1 if ws.ldim(ones) > ws.ldim(zeros) else 0
+    return int(ws.at_least(ones, ws.ldim(zeros) + 1))
 
 
 class _InternedStates:
@@ -254,11 +275,12 @@ def engine_for(cls: FiniteClass | FiniteSupportClass | SingletonClass):
 # dimension and witnesses
 # ---------------------------------------------------------------------------
 
-# Caps of `ldim` and `shattered_tree_witness`. Each step down the
-# dimension recursion splits on a column that cannot split again below it
-# and strictly shrinks the surviving rows, so a path is at most
-# min(points, rows - 1) deep; MAX_DEPTH keeps that well inside Python's
-# default recursion limit, and MAX_ROWS bounds the row masks.
+# Caps of `ldim` and `shattered_tree_witness`. MAX_ROWS bounds the row
+# masks, and with them the search's depth: a query at k asks its sides at
+# k - 1, and k starts at most floor(log2 rows). MAX_DEPTH bounds the
+# "recursion depth" of the error, min(points, rows - 1): the longest chain
+# of splits, each on a column that cannot split again below it and each
+# strictly shrinking the surviving rows.
 MAX_ROWS = 1024
 MAX_DEPTH = 512
 
@@ -277,8 +299,8 @@ def ldim(cls: FiniteClass) -> int:
 
     A depth-d shattered tree has 2^d leaves, and the rows realizing two
     different leaves differ at the node where their paths part, so the
-    dimension is at most floor(log2 |H|); the recursion stops at that
-    ceiling. Beyond the caps this raises before any recursion.
+    dimension is at most floor(log2 |H|); the search asks "at least k?"
+    down from that ceiling. Beyond the caps this raises before any search.
     """
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
@@ -318,11 +340,12 @@ class ShatteredTreeWitness:
 def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWitness]:
     """A depth-d witness if one exists, else None.
 
-    Points are chosen level by level, pruning by the dimension of each
-    node's version space; ties break to the first point in domain order.
-    Points may repeat across nodes (never along a path with conflicting
-    labels, which the shattering requirement itself rules out). Beyond
-    the caps (those of `ldim`) this raises before any recursion.
+    Each node takes the first point in domain order that splits its
+    version space into two sides of dimension at least the depth left
+    below it (`_Workspace.splitting_column`). Points may repeat across
+    nodes (never along a path with conflicting labels, which the
+    shattering requirement itself rules out). Beyond the caps (those of
+    `ldim`) this raises before any search.
     """
     if d < 1:
         raise DomainError("witness depth must be >= 1 (use ldim for depth 0)")
@@ -331,7 +354,7 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
     _check_dimension_caps(cls)
     ws = _workspace(cls)
     full = (1 << len(cls)) - 1
-    if ws.ldim(full) < d:
+    if not ws.at_least(full, d):
         return None
 
     points: list[Optional[Point]] = [None] * (2 ** d - 1)
@@ -343,17 +366,13 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
             # the lowest set bit is the smallest surviving id
             realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
             return
-        for x, colmask in zip(cls.domain, ws.colmasks):
-            ones = ids & colmask        # `split`, inline
-            zeros = ids ^ ones
-            if not zeros or not ones:
-                continue
-            if ws.ldim(zeros) >= remaining - 1 and ws.ldim(ones) >= remaining - 1:
-                points[node - 1] = x
-                build(zeros, remaining - 1, 2 * node, labeling + (0,))
-                build(ones, remaining - 1, 2 * node + 1, labeling + (1,))
-                return
-        raise AssertionError("dimension guarantee violated during witness search")
+        col = ws.splitting_column(ids, remaining)
+        if col is None:
+            raise AssertionError("dimension guarantee violated during witness search")
+        points[node - 1] = cls.domain[col]
+        zeros, ones = split(ids, ws.colmasks[col])
+        build(zeros, remaining - 1, 2 * node, labeling + (0,))
+        build(ones, remaining - 1, 2 * node + 1, labeling + (1,))
 
     build(full, d, 1, ())
 
@@ -384,7 +403,7 @@ def verify_witness(witness: ShatteredTreeWitness, cls: FiniteClass) -> bool:
 # minimax game oracle
 # ---------------------------------------------------------------------------
 
-# Caps of `minimax_mistakes`, which memoizes every surviving row set it meets
+# Caps of `minimax_mistakes`, which keeps bounds on every surviving row set it meets
 MINIMAX_MAX_POINTS = 8
 MINIMAX_MAX_ROWS = 96
 
@@ -398,11 +417,9 @@ def minimax_mistakes(cls: FiniteClass) -> int:
     the surviving set. Intended for small instances only; beyond the caps
     this raises instead of approximating.
 
-    The halving learner, which predicts the label of the majority of the
-    surviving rows, keeps at most half of them after each mistake, so the
-    value on a set S is at most floor(log2 |S|). The recursion skips a
-    split whose sides' ceilings cannot beat the best split so far, and
-    stops once the best reaches the ceiling of S.
+    `worth(S, k)` says whether the game on the rows S is worth at least k,
+    by the two questions and the halving ceiling of the module docstring;
+    the value is the largest k it allows, asked down from the ceiling.
     """
     if cls.is_empty:
         raise DomainError("mistake game undefined for the empty class")
@@ -411,43 +428,34 @@ def minimax_mistakes(cls: FiniteClass) -> int:
             f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
             f"({MINIMAX_MAX_ROWS} rows, {MINIMAX_MAX_POINTS} points)")
 
-    colmasks = column_masks(cls)
-    memo: dict[int, int] = {}
+    colmasks = _workspace(cls).colmasks
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
 
-    def value(ids: int) -> int:
-        cached = memo.get(ids)
-        if cached is not None:
-            return cached
-        best = 0
-        if ids & (ids - 1):
-            # the halving learner errs at most floor(log2 |S|) times
-            cap = ids.bit_count().bit_length() - 1
-            for colmask in colmasks:
-                zeros, ones = split(ids, colmask)
-                if not zeros or not ones:
-                    continue
-                # the learner predicts the side of larger value, so the
-                # split is worth max(v0, v1), plus one when they tie; the
-                # same formula on the sides' ceilings bounds it
-                c0 = zeros.bit_count().bit_length() - 1
-                c1 = ones.bit_count().bit_length() - 1
-                if max(c0, c1) + (c0 == c1) <= best:
-                    continue
-                first, other, c_other = (zeros, ones, c1) if c0 >= c1 else (ones, zeros, c0)
-                # play the side of the larger ceiling first: its value v,
-                # if above the other's ceiling, is the split's worth; else
-                # the split is worth at most c_other, plus one if v ties it
-                v = outcome = value(first)
-                if v <= c_other:
-                    if c_other + (v == c_other) <= best:
-                        continue
-                    w = value(other)
-                    outcome = max(v, w) + (v == w)
-                if outcome > best:
-                    best = outcome
-                    if best == cap:
-                        break
-        memo[ids] = best
-        return best
+    def worth(ids: int, k: int) -> bool:
+        if k <= lo.get(ids, 0):
+            return True
+        # the halving learner errs at most floor(log2 |S|) times
+        if k >= hi.get(ids, ids.bit_count().bit_length()):
+            return False
+        sides = []
+        for colmask in colmasks:
+            zeros, ones = split(ids, colmask)
+            if zeros and ones:
+                small, large = ((ones, zeros) if ones.bit_count() <= zeros.bit_count()
+                                else (zeros, ones))
+                if worth(small, k - 1) and worth(large, k - 1):
+                    lo[ids] = k
+                    return True
+                sides += small, large
+        if any(worth(side, k) for side in sides):
+            lo[ids] = k
+            return True
+        hi[ids] = k
+        return False
 
-    return value((1 << len(cls)) - 1)
+    full = (1 << len(cls)) - 1
+    k = len(cls).bit_length() - 1
+    while not worth(full, k):
+        k -= 1
+    return k

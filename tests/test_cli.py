@@ -114,8 +114,8 @@ def iid_masses(*masses):
 LONG_MASSES = [f"1/{10 ** 3000 + 1}", f"1/{10 ** 3000 + 3}"]
 # a class of dimension 2 on two points: every labeling of them
 TREE_CLASS = {"domain": [1, 2], "hypotheses": [[0, 0], [0, 1], [1, 0], [1, 1]]}
-# a threshold class too deep for the dimension recursion, 1,501 rows over
-# 1,500 points: refused when the learner is built, not by a RecursionError.
+# a threshold class beyond the dimension oracles' caps, 1,501 rows over
+# 1,500 points: refused when the learner is built, before any search.
 # Its rows are written as text, a tenth of the time json.dumps takes
 DEEP = ('{"learner": "soa", "class": {"domain": %s, "hypotheses": [%s]}}' % (
     list(range(1, 1501)),

@@ -351,11 +351,29 @@ def test_oracles_match_reference_on_fixed_classes():
     assert verdicts == {True, False}
 
 
+# the benchmark's shapes: the 8-point x 80-row classes of perfbench's
+# oracle-exact workload, and the minimax cap of 96 rows
+BENCHMARK_SCALE = [random_class(random.Random(seed), 8, rows)
+                   for seed, rows in [(3, 80), (4, 80), (5, 80), (6, 96), (7, 96)]]
+
+
+def test_oracles_match_reference_at_benchmark_scale():
+    for cls in BENCHMARK_SCALE:
+        d = ldim(cls)
+        assert (d, minimax_mistakes(cls)) == (ref_ldim(cls), ref_minimax(cls))
+        w = shattered_tree_witness(cls, d)
+        assert (w.points, w.realizers) == ref_witness(cls, d)
+        assert verify_witness(w, cls) is ref_verify_witness(w.points, cls) is True
+        # d is the reference dimension, so no depth-(d + 1) witness exists
+        assert shattered_tree_witness(cls, d + 1) is None
+
+
 def test_minimax_runs_without_the_dimension_recursion(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("minimax_mistakes called the dimension recursion")
+        raise AssertionError("minimax_mistakes called the dimension search")
 
-    monkeypatch.setattr(littlestone._Workspace, "ldim", forbidden)
+    for name in ("ldim", "at_least", "splitting_column"):
+        monkeypatch.setattr(littlestone._Workspace, name, forbidden)
     monkeypatch.setattr(littlestone, "ldim", forbidden)
     for cls in FIXED_CLASSES:
         assert minimax_mistakes(cls) == ref_minimax(cls)
@@ -381,28 +399,41 @@ def test_column_masks_of_one_row_and_of_none():
     assert VersionSpace(empty).restrict(0, "a", 1) is None
 
 
-# per random class of FIXED_CLASSES: the count before the prunes that
-# skip a split's second side, and the count they reach; deleting any one
-# of the three prunes raises a count above the second
-LDIM_MEMO = [(210, 209), (214, 213), (223, 222)]
-MINIMAX_SPLITS = [(672, 557), (694, 599), (797, 643)]
+# per class: the `_Workspace.at_least` calls of `ldim` and the witnesses at
+# depths d and d + 1, and the `split` calls of `minimax_mistakes`. The
+# random classes have dimension 6, their ceiling; the singletons (the
+# all-zero row and one row per point) have Ldim 1 below a ceiling of 3, so
+# each search counts down. Deleting any one prune of either search raises
+# some count above its pin: the 2^k-row ceiling, the bounds tables, the
+# smaller side asked first, or (in the game) every split asked "both sides
+# worth k - 1?" before any is asked "one side worth k?"
+SINGLETONS = FiniteClass(tuple(range(8)), [[0] * 8] + [[int(i == j) for j in range(8)]
+                                                       for i in range(8)])
+PRUNE_PINS = [(SINGLETONS, 25, 1825),
+              *zip(FIXED_CLASSES[-3:], [265, 269, 279], [331, 332, 325])]
 
 
 def test_oracles_skip_the_second_side_of_a_split(monkeypatch):
-    calls = []
+    at_least, counts = littlestone._Workspace.at_least, Counter()
+
+    def counting_at_least(ws, ids, k):
+        counts["queries"] += 1
+        return at_least(ws, ids, k)
 
     def counting_split(ids, colmask):
-        calls.append(ids)
+        counts["splits"] += 1
         return split(ids, colmask)
 
-    monkeypatch.setattr(littlestone, "split", counting_split)
-    for cls, memo, splits in zip(FIXED_CLASSES[-3:], LDIM_MEMO, MINIMAX_SPLITS):
-        fresh = FiniteClass(cls.domain, cls.rows)   # a workspace with an empty memo
-        ldim(fresh)
-        calls.clear()
-        minimax_mistakes(fresh)
-        assert len(littlestone._workspace(fresh).memo) <= memo[1] < memo[0]
-        assert len(calls) <= splits[1] < splits[0]
+    monkeypatch.setattr(littlestone._Workspace, "at_least", counting_at_least)
+    for cls, queries, splits in PRUNE_PINS:
+        counts.clear()
+        fresh = FiniteClass(cls.domain, cls.rows)   # a workspace with empty tables
+        d = ldim(fresh)
+        assert shattered_tree_witness(fresh, d) and shattered_tree_witness(fresh, d + 1) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(littlestone, "split", counting_split)
+            assert minimax_mistakes(fresh) == d
+        assert counts["queries"] <= queries and counts["splits"] <= splits, counts
 
 
 @settings(max_examples=25, deadline=None)

@@ -151,7 +151,7 @@ class TestMinimax:
 
 def _singletons(n):
     # the all-zero row and one row per point labelling it alone 1: Ldim 1,
-    # but the dimension recursion peels one row per level, n levels deep
+    # but a chain of n splits, each peeling one row, so the caps count n
     return FiniteClass(tuple(range(n)),
                        [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -161,8 +161,8 @@ def _singletons(n):
                          ids=["ldim", "witness", "kernel"])
 def test_dimension_oracles_cap_rows_and_depth(oracle):
     # a class at the caps is answered; one just over them is refused before
-    # any recursion, so it never gets a dimension memo (the version-space
-    # kernel refuses it at construction)
+    # any search, so it never gets a workspace (the version-space kernel
+    # refuses it at construction)
     wide = littlestone.MAX_DEPTH + 1  # 2 rows: one level deep on any number of points
     at_caps = [_singletons(littlestone.MAX_DEPTH),
                FiniteClass.full_class(tuple(range(10))),

@@ -189,17 +189,24 @@ def test_one_rival_rule():
 
 
 def test_minimax_oracle_stays_independent():
-    # the game-tree oracle and the dimension recursion check each other, so
-    # `minimax_mistakes` reaches neither the recursion nor the version-space
-    # kernel built on it, not even from its inner function
+    # the game-tree oracle and the dimension search check each other, so
+    # `minimax_mistakes` reaches neither the search nor the version-space
+    # kernel built on it, not even from its inner function; of the class's
+    # workspace it reads the column masks alone
     path = next(path for path in SOURCES if path.name == "littlestone.py")
     oracle = next(node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                   if isinstance(node, ast.FunctionDef) and node.name == "minimax_mistakes")
     names = {node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(oracle) if isinstance(node, (ast.Name, ast.Attribute))}
-    forbidden = {"_Workspace", "ldim", "_workspace", "soa_prediction", "VersionSpace",
-                 "engine_for"}
-    assert {"column_masks", "split"} <= names and not names & forbidden, names & forbidden
+    forbidden = {"_Workspace", "ldim", "at_least", "splitting_column", "soa_prediction",
+                 "VersionSpace", "engine_for"}
+    assert {"colmasks", "split"} <= names and not names & forbidden, names & forbidden
+    workspace = [ast.unparse(node) for node in ast.walk(oracle)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Call)
+                 and getattr(node.value.func, "id", None) == "_workspace"]
+    uses = [node for node in ast.walk(oracle)
+            if isinstance(node, ast.Name) and node.id == "_workspace"]
+    assert workspace == ["_workspace(cls).colmasks"] and len(uses) == 1, workspace
 
 
 def test_verification_derives_no_bound():

@@ -67,6 +67,7 @@ per script, kept for one replayed twice in a row; the draws, once per game.
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import itertools
 import math
@@ -111,13 +112,12 @@ def pool_complexity(dim: int, last_round: int) -> float:
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """The one seed rule of the perturbed leaders: an int or None gives
     `SeedSequence(seed)`, and a `SeedSequence` is copied, so that spawning
-    from the copy leaves the caller's spawn counter as it was. Anything
-    else, say a `Generator` or a `BitGenerator` that two learners could
-    share, is refused."""
+    from the copy leaves the caller's spawn counter as it was. The copy is
+    shallow: it shares the entropy pool, which a `SeedSequence` only reads,
+    instead of mixing it again. Anything else, say a `Generator` or a
+    `BitGenerator` that two learners could share, is refused."""
     if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
-                                      pool_size=seed.pool_size,
-                                      n_children_spawned=seed.n_children_spawned)
+        return copy.copy(seed)
     if seed is None or isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(seed)
     raise TypeError(f"seed must be an int, a SeedSequence or None, got {seed!r}")
@@ -174,7 +174,7 @@ class _PerturbedLeader(OnlineLearner):
         score *= np.sqrt(ts)[:, None]
         score += loss
         cols = score.argmin(axis=1)
-        return cols, score[np.arange(len(cols)), cols]
+        return cols, score.take(cols + np.arange(0, score.size, score.shape[1]))
 
     @property
     def chosen_index(self) -> Optional[int]:
@@ -260,18 +260,22 @@ class FplLearner(_PerturbedLeader):
         The predictions are read in as bytes: one that is not an int in
         0..255 (say 0.5 or -1) raises TypeError or ValueError."""
         T = len(ys)
-        before = np.array(self.losses)
-        # played[i, j]: expert j's prediction in round t + i; losses[i, j]:
-        # its mistakes before that round
-        plays = b"".join(bytes(expert._played(xs, ys, T)) for expert in self.experts)
-        played = np.frombuffer(plays, np.uint8).reshape(-1, T).T
-        wrong = played != np.frombuffer(bytes(ys), np.uint8)[:, None]
-        losses = before + np.cumsum(wrong, axis=0) - wrong
+        before = np.array(self.losses)[:, None]
+        # played[j * T + i]: expert j's prediction in round t + i;
+        # losses[j, i]: its mistakes before that round
+        played = np.frombuffer(b"".join(bytes(expert._played(xs, ys, T))
+                                        for expert in self.experts), np.uint8)
+        y = np.frombuffer(bytes(ys), np.uint8)
+        wrong = played.reshape(-1, T) != y
+        losses = np.add.accumulate(wrong, axis=1, dtype=int)
+        losses -= wrong
+        losses += before
         rows = np.arange(T)
-        chosen = self._leaders(self.t + rows, losses, self.complexities)[0]
-        self.mistakes += int(wrong[rows, chosen].sum())
+        chosen = self._leaders(self.t + rows, losses.T, self.complexities)[0]
+        preds = played.take(chosen * T + rows)
+        self.mistakes += int(np.count_nonzero(preds != y))
         self.t += T
-        return played[rows, chosen].tolist()
+        return preds.tolist()
 
 
 def _ranges(exact: int, t: int):
@@ -333,9 +337,9 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     of smallest bases, smallest k), the row being an older range's last
     cohort, or T + a newborn range's count. `cells` holds the exact cells'
     distinct (j, b) by `_where`, each cell's flat index `spot` into a
-    (round x those) table, and its complexity. `kept`, the one part
-    `_replay` writes, holds [the last script, the last script replayed
-    twice in a row, that script's `_Tables`]."""
+    (those x round) table of T + 1 columns, and its complexity. `kept`,
+    the one part `_replay` writes, holds [the last script, the last script
+    replayed twice in a row, that script's `_Tables`]."""
     growable, live = np.zeros((int(dim > 0), 2), dtype=np.int64), [1]
     for _ in range(T):
         live.append(live[-1] + len(growable))
@@ -365,7 +369,7 @@ def _replay_plan(dim: int, T: int, exact: int, complexity) -> _ReplayPlan:
     j, b = _where(plan, rows[:, None], slot)
     seen = np.zeros((j.max() + 1, T + 1), dtype=bool)
     seen[j, b] = True
-    spot = (seen.cumsum() - 1).reshape(seen.shape)[j, b] + seen.sum() * rows[:, None]
+    spot = (seen.cumsum() - 1).reshape(seen.shape)[j, b] * (T + 1) + rows[:, None]
     cells = (*np.nonzero(seen), spot, ks[cohort[slot]])
     for array in (*arrays, *cells):
         array.flags.writeable = False
@@ -376,7 +380,7 @@ def _where(plan: _ReplayPlan, rows, members) -> tuple:
     """(j, b) of `members` in round rows + 1 of `plan`'s pool: the growable
     parent j (the root, or its child of round j) and the cohort b, or 0 for
     a newborn."""
-    return plan.place[members], plan.cohort[members] * (members < plan.live[rows])
+    return plan.place.take(members), plan.cohort.take(members) * (members < plan.live.take(rows))
 
 
 def _placed(step: np.ndarray, drop: np.ndarray, j, b) -> tuple:
@@ -419,28 +423,33 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
     prediction at point ix[t] = i; mistakes, step, drop, `low_loss` and the
     exact cells' `loss`."""
     T, labels = len(ys), bytes(ys)
+    first = {}      # each distinct point's first round, in order
     try:
-        points = {p: i for i, p in enumerate(dict.fromkeys(xs))}
+        rounds = np.fromiter(map(first.setdefault, xs, range(T)), np.int64, T)
     except TypeError:
         # a point that does not hash: each round of the loop predicts from
         # state 0 first, so doing that in order raises the loop's error
         for x in xs:
             engine.predict(0, x)
         raise
-    ix, y = np.fromiter(map(points.__getitem__, xs), np.int64, T), np.frombuffer(labels, np.uint8)
-    after, present = _walk(engine, dim, xs, labels, np.count_nonzero(np.bincount(2 * ix + y)))
+    # ix[t]: the index i of round t's point among the distinct points
+    rank = np.zeros(T, dtype=np.int64)
+    rank[list(first.values())] = np.arange(len(first))
+    ix, y = rank.take(rounds), np.frombuffer(labels, np.uint8)
+    pair = 2 * ix + y
+    after, present = _walk(engine, dim, xs, labels, np.count_nonzero(np.bincount(pair)))
     ns = engine.n_states
-    pred = np.array([[engine.predict(s, p) for p in points] for s in range(ns)])
+    pred = np.array([[engine.predict(s, p) for p in first] for s in range(ns)], np.uint8)
     # mistakes[t, s]: M[s, t], as floats, which add to the scores as
     # the loop's int losses do; step[b, s]: the state round b leaves s
     # in, row 0 moving none; drop[b, s]: M[s, b] - M[step[b, s], b], a
-    # base's term, 0 in row 0
+    # base's term, 0 in row 0. Gathers take whole rows, or go through .T
     mistakes = np.zeros((T + 1, ns))
-    np.cumsum(pred[:, ix].T != y[:, None], axis=0, out=mistakes[1:])
-    moves = np.repeat(np.arange(ns), 2 * len(points)).reshape(ns, len(points), 2)
+    np.add.accumulate(pred.take(ix, axis=1) != y, axis=1, dtype=float, out=mistakes.T[:, 1:])
+    moves = np.zeros((2 * len(first), ns), dtype=np.int64) + np.arange(ns)     # by 2 * i + y
     for (s, x, y_t), nxt in after.items():
-        moves[s, points[x], y_t] = nxt
-    step = np.concatenate((np.arange(ns)[None], moves[:, ix, y].T))
+        moves[2 * rank[first[x]] + y_t, s] = nxt
+    step = np.concatenate((np.arange(ns)[None], moves.take(pair, axis=0)))
     drop = mistakes - mistakes.take(step + np.arange(0, (T + 1) * ns, ns)[:, None])
 
     at, _, _, row, _ = plan.ranges
@@ -456,9 +465,10 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
     parents = low[T + 1:]
     parents[np.arange(W), step[:W, 0]] = drop[:W, 0]
     np.minimum.accumulate(parents, axis=0, out=parents)
-    copied = drop[1:, present] + parents[:, present]
-    np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)[:, None]
-                                    + step[1:, present]).ravel(), copied.ravel())
+    # (present x cohort) columns of the states present in the walk
+    copied = drop.T.take(present, axis=0)[:, 1:] + parents.T.take(present, axis=0)
+    np.minimum.at(low.reshape(-1), (np.arange(ns, (T + 1) * ns, ns)
+                                    + step.T.take(present, axis=0)[:, 1:]).ravel(), copied.ravel())
     for lo, hi in _ranges(exact, T):
         np.minimum.accumulate(low[lo:hi], axis=0, out=low[lo:hi])
     # a row minimum over so few states costs more than an elementwise
@@ -468,7 +478,7 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
     low_loss = functools.reduce(np.minimum, both.T)
     j, b, spot, _ = plan.cells     # the exact cells, read per placement
     state, base = _placed(step, drop, j, b)
-    loss = (mistakes[:T].take(state, axis=1) + base).take(spot)
+    loss = (mistakes.T.take(state, axis=0) + base[:, None]).take(spot)
     return _Tables(list(getattr(engine, "states", ())), ix, y, pred, mistakes, step, drop,
                    low_loss, loss)
 
@@ -524,7 +534,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         # rows (expert index, key length) of the experts that can grow
         self._growable = np.zeros((int(self.dim > 0), 2), dtype=np.int64)
         self._ends = np.ones(1, dtype=np.int64)     # _ends[b]: one past cohort b's last expert
-        self._ks = np.full(1, k_root)   # _ks[b]: the complexity of cohort b's experts
+        self._ks = np.array([k_root])   # _ks[b]: the complexity of cohort b's experts
 
     @property
     def pool_size(self) -> int:
@@ -603,39 +613,41 @@ class ExpertPoolFpl(_PerturbedLeader):
         """
         slot, loss, k, mask = exact
         cols, best = self._leaders(ts, loss, k, mask)
-        chosen = slot[np.arange(len(ts)), cols]
+        chosen = slot.take(cols + np.arange(0, slot.size, slot.shape[1]))
         at, first, count, low_loss, low_k = ranges
         if not len(at):
             return chosen
         root = np.sqrt(ts)
         # a member whose q is at most tau cannot beat the exact set's best
-        tau = np.maximum((low_loss - best[at]) / root[at] + low_k, 0.0)
+        tau = np.maximum((low_loss - best.take(at)) / root.take(at) + low_k, 0.0)
         u = self._range_rng.random(len(at))
         # a range is active with chance 1 - (1 - p) ** count <= count * p,
         # and p = exp(-tau) < 2 ** (1 - floor(tau log2 e)), so only a range
         # whose u falls below count times that bound can be
-        near = u < count * np.ldexp(1.0, 1 - np.floor(tau * math.log2(math.e)).astype(np.int64))
+        near = np.flatnonzero(u < count * np.exp2(1.0 - np.floor(tau * math.log2(math.e))))
+        if not len(near):
+            return chosen
         draw, rows, members, q = self._resolve_rng, [], [], []
-        for r in np.flatnonzero(near).tolist():
-            past = math.exp(-tau[r])     # one member's chance of a q past tau
+        for i, lo, n, tau_r, u_r in zip(*(c[near].tolist() for c in (at, first, count, tau, u))):
+            past = math.exp(-tau_r)     # one member's chance of a q past tau
             # the members before the first past tau, inverse geometric
-            below = math.floor(math.log1p(-u[r]) / math.log1p(-past)) if past < 1 else 0
-            if below >= count[r]:
+            below = math.floor(math.log1p(-u_r) / math.log1p(-past)) if past < 1 else 0
+            if below >= n:
                 continue
-            rest = int(count[r]) - below - 1
-            held = [int(first[r]) + below]     # the first past tau
+            rest = n - below - 1
+            held = [lo + below]     # the first past tau
             passed = draw.binomial(rest, past)
             if passed:      # and those after it, placed uniformly
                 held += sorted((draw.choice(rest, passed, replace=False) + held[0] + 1).tolist())
-            rows += [int(at[r])] * len(held)
+            rows += [i] * len(held)
             members += held
-            q += (tau[r] + draw.standard_exponential(len(held))).tolist()
+            q += [tau_r + e for e in draw.standard_exponential(len(held)).tolist()]
         if not members:
             return chosen
-        members, rounds = np.array(members), np.array(rows)
-        score = (self._ks[np.searchsorted(self._ends, members, side="right")] - q) * root[rounds]
-        score += loss_of(rounds, members)
-        for i, s, m in zip(rows, score.tolist(), members.tolist()):
+        index, rounds = np.array(members), np.array(rows)
+        score = (self._ks.take(np.searchsorted(self._ends, index, side="right")) - q) * root[rounds]
+        score += loss_of(rounds, index)
+        for i, s, m in zip(rows, score.tolist(), members):
             if (s, m) < (best[i], chosen[i]):
                 best[i], chosen[i] = s, m
         return chosen
@@ -756,8 +768,8 @@ class ExpertPoolFpl(_PerturbedLeader):
         rows, exact = plan.rows, (plan.slot, loss, plan.cells[3], plan.mask)
         chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
         # a round's newborn leader predicts from its parent's state
-        preds = pred[_placed(step, drop, *_where(plan, rows, chosen))[0], ix]
-        self.mistakes += int((preds != y).sum())
+        preds = pred.take(_placed(step, drop, *_where(plan, rows, chosen))[0] * pred.shape[1] + ix)
+        self.mistakes += int(np.count_nonzero(preds != y))
         self.t += T
         return preds.tolist()
 

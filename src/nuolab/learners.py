@@ -55,9 +55,9 @@ class OnlineLearner:
     mistake, `_absorb` the revealed pair, advance `t`. `update` checks the
     label, predicts and takes the step; `play` and `runner.run_game` take
     it with the round's prediction, once the label is checked (`play`
-    checks a batch's labels up front). So `predict` runs once per round
-    on every path, except that a caller who predicts and then calls
-    `update` predicts twice.
+    checks a batch's labels up front, and its round loop `_loop` takes the
+    step inline). So `predict` runs once per round on every path, except
+    that a caller who predicts and then calls `update` predicts twice.
     """
 
     deterministic = True
@@ -94,7 +94,9 @@ class OnlineLearner:
         b = self._batchable(n)
         if not b:
             return self._loop(xs, ys, n)
-        return self._replay(xs[:b], ys[:b]) + self._loop(xs[b:], ys[b:], n - b)
+        preds = self._replay(xs[:b], ys[:b])     # a fresh list, extended in place
+        preds += self._loop(xs[b:], ys[b:], n - b)
+        return preds
 
     def _batchable(self, n: int) -> int:
         """How many of the n well-labelled leading rounds `_replay` may
@@ -102,13 +104,18 @@ class OnlineLearner:
         return n if hasattr(self, "_replay") else 0
 
     def _loop(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
-        """Play the first n rounds one by one, then predict round n + 1, if
+        """Play the first n rounds one by one, each ending in `_record`'s
+        step, taken inline on bound locals; then predict round n + 1, if
         there is one, and raise its bad label."""
         preds = []
+        predict, absorb, append = self.predict, self._absorb, preds.append
         for x, y in zip(xs, ys[:n]):
-            p = self.predict(x)
-            self._record(x, y, p)
-            preds.append(p)
+            p = predict(x)
+            if p != y:
+                self.mistakes += 1
+            absorb(x, y, p)
+            self.t += 1
+            append(p)
         if n < len(ys):
             self.predict(xs[n])
             self._check_label(ys[n])

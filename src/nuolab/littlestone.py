@@ -188,7 +188,7 @@ class VersionSpace(_InternedStates):
     before any state exists."""
 
     def __init__(self, cls: FiniteClass):
-        _check_dimension_caps(cls)
+        check_dimension_caps(len(cls), len(cls.domain))
         super().__init__((1 << len(cls)) - 1)
         self.root = cls
         self._ws = _workspace(cls)
@@ -285,12 +285,13 @@ MAX_ROWS = 1024
 MAX_DEPTH = 512
 
 
-def _check_dimension_caps(cls: FiniteClass) -> None:
-    """Raise `CapacityError` for a class beyond the dimension oracles' caps."""
-    depth = min(len(cls.domain), len(cls) - 1)
-    if len(cls) > MAX_ROWS or depth > MAX_DEPTH:
+def check_dimension_caps(rows: int, points: int) -> None:
+    """Raise `CapacityError` for a class of `rows` rows over `points` points
+    beyond the dimension oracles' caps: its shape decides, not its values."""
+    depth = min(points, rows - 1)
+    if rows > MAX_ROWS or depth > MAX_DEPTH:
         raise CapacityError(
-            f"instance {len(cls)} rows x {len(cls.domain)} points exceeds caps "
+            f"instance {rows} rows x {points} points exceeds caps "
             f"({MAX_ROWS} rows, recursion depth {MAX_DEPTH})")
 
 
@@ -304,7 +305,7 @@ def ldim(cls: FiniteClass) -> int:
     """
     if cls.is_empty:
         raise DomainError("Ldim undefined for the empty class")
-    _check_dimension_caps(cls)
+    check_dimension_caps(len(cls), len(cls.domain))
     return _workspace(cls).ldim((1 << len(cls)) - 1)
 
 
@@ -351,7 +352,7 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
         raise DomainError("witness depth must be >= 1 (use ldim for depth 0)")
     if cls.is_empty:
         raise DomainError("no witness for an empty class")
-    _check_dimension_caps(cls)
+    check_dimension_caps(len(cls), len(cls.domain))
     ws = _workspace(cls)
     full = (1 << len(cls)) - 1
     if not ws.at_least(full, d):

@@ -22,6 +22,7 @@ from .hypotheses import (ClassFamily, DiscreteMeasure, DomainError,
                          RationalThresholdFamily, constant_hypothesis, is_label, quoted,
                          row_hypothesis, support_hypothesis,
                          threshold_hypothesis)
+from .littlestone import check_dimension_caps
 from .runner import REAL_THRESHOLDS, TrialStats, play_seeded, regret, regret_curve
 
 
@@ -184,12 +185,19 @@ def hypothesis_from_config(raw) -> Hypothesis:
     raise DomainError(f"unknown hypothesis kind: {quoted(kind)}")
 
 
-def class_from_config(raw) -> FiniteClass:
-    """{"domain": [...], "hypotheses": [[0, 1, ...], ...]}, "labels" optional."""
+def class_from_config(raw, capped: bool = True) -> FiniteClass:
+    """{"domain": [...], "hypotheses": [[0, 1, ...], ...]}, "labels" optional.
+
+    A `capped` class goes on to a learner or oracle that refuses a class
+    beyond `littlestone.check_dimension_caps`, so a shape beyond the caps
+    (row count and domain size, every row as long as the domain) is
+    refused before any value is type-checked."""
     spec = Spec("class", raw)
     domain = spec.points("domain", "class domain")
-    rows = [checked("row values", row, ROW)
-            for row in spec.field("hypotheses", LIST, name="class hypotheses")]
+    rows = spec.field("hypotheses", LIST, name="class hypotheses")
+    if capped and all(type(row) is list and len(row) == len(domain) for row in rows):
+        check_dimension_caps(len(rows), len(domain))
+    rows = [checked("row values", row, ROW) for row in rows]
     labels = spec.field("labels", HYPOTHESIS_LABELS, None, name="class labels")
     return FiniteClass(domain, rows, labels=labels)
 
@@ -320,7 +328,7 @@ def comparison_from_config(raw):
     if raw == REAL_THRESHOLDS:
         return REAL_THRESHOLDS
     if isinstance(raw, dict) and "domain" in raw:
-        cls = class_from_config(raw)
+        cls = class_from_config(raw, capped=False)     # read by its rows alone
         if not cls.rows:
             raise DomainError("comparison class has no hypotheses")
         return cls

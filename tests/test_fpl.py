@@ -432,6 +432,161 @@ class TestAgnosticFpl:
         assert [type(e) for e in learner.experts] == [ExpertPoolFpl, ExpertPoolFpl]
 
 
+def test_activity_bound_formula_is_exact():
+    # `_lazy_leaders` takes 2 ** (1 - k), k = floor(tau log2 e), as exp2 of
+    # a float. For tau >= 0, k runs over 0, 1, ..., and both forms are 0 past
+    # k = 1075; every k up to 1199 gives the bits of the exact power of two
+    k = np.arange(1200.0)
+    exact = np.ldexp(1.0, (1 - k).astype(np.int64))
+    assert np.array_equal(np.exp2(1.0 - k).view(np.int64), exact.view(np.int64))
+    assert exact[1075] > 0.0 == exact[1076]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays hold the same values, floats bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or (a.dtype.kind == "f") != (b.dtype.kind == "f"):
+        return False
+    if a.dtype.kind == "f":
+        return np.array_equal(np.ascontiguousarray(a, float).view(np.int64),
+                              np.ascontiguousarray(b, float).view(np.int64))
+    return np.array_equal(a, b)
+
+
+def rewrite_inputs(seed: int) -> dict:
+    """Inputs of the shapes the replay meets: T rounds, a (round x slot)
+    score block, ns states over D points, the cohort tables and ranges."""
+    rng = np.random.default_rng(seed)
+    T, W, ns, D, n = 60, 9, 4, 5, 5
+    a = {"T": T, "ns": ns, "D": D, "y": rng.integers(0, 2, T).astype(np.uint8)}
+    a["score"] = rng.integers(0, 4, (T, W)) + rng.standard_exponential((T, W))
+    a["cols"] = a["score"].argmin(axis=1)
+    a["ix"] = rng.integers(0, D, T)
+    a["xs"] = [("p", int(i)) for i in a["ix"]]
+    a["pred"] = rng.integers(0, 2, (ns, D))
+    a["state"], a["base"] = rng.integers(0, ns, 7), rng.integers(-3, 3, 7).astype(float)
+    a["cell"] = rng.integers(0, 7, (T, W))
+    a["played"] = rng.integers(0, 2, (n, T)).astype(np.uint8)
+    a["before"], a["chosen"] = rng.integers(0, 9, n), rng.integers(0, n, T)
+    a["moves"] = rng.integers(0, ns, (ns, D, 2))
+    a["mistakes"] = np.cumsum(rng.integers(0, 2, (T + 1, ns)), axis=0).astype(float)
+    a["at"] = np.sort(rng.integers(0, T, 90))
+    a["low_loss"] = rng.integers(0, 30, 90).astype(float)
+    a["low_k"] = rng.uniform(1.0, 9.0, 90)
+    a["present"] = [0, 2]
+    a["drop"] = rng.integers(-5, 5, (T + 1, ns)).astype(float)
+    a["parents"] = rng.uniform(0, 3, (1, ns))
+    a["step"] = rng.integers(0, ns, (T + 1, ns))
+    return a
+
+
+def _low(a, copied, index):
+    low = np.full(((a["T"] + 1) * a["ns"]), np.inf)
+    np.minimum.at(low, index.ravel(), copied.ravel())
+    return low
+
+
+def _losses_in_place(a):
+    wrong = a["played"] != a["y"]
+    losses = np.add.accumulate(wrong, axis=1, dtype=int)
+    losses -= wrong
+    losses += a["before"][:, None]
+    return losses.T
+
+
+def _point_index(xs):
+    first = {}
+    rounds = np.fromiter(map(first.setdefault, xs, range(len(xs))), np.int64, len(xs))
+    rank = np.zeros(len(xs), dtype=np.int64)
+    rank[list(first.values())] = np.arange(len(first))
+    return rank.take(rounds), list(first)
+
+
+def _cumsum_table(a):
+    out = np.zeros((a["T"] + 1, a["ns"]))
+    np.cumsum(a["pred"][:, a["ix"]].T != a["y"][:, None], axis=0, out=out[1:])
+    return out
+
+
+def _mistake_table(a):
+    out = np.zeros((a["T"] + 1, a["ns"]))
+    np.add.accumulate(a["pred"].astype(np.uint8).take(a["ix"], axis=1) != a["y"], axis=1,
+                      dtype=float, out=out.T[:, 1:])
+    return out
+
+
+def _step_table(a):
+    # the moves as rows 2 * i + y, read once per round
+    flat = np.concatenate([a["moves"][:, i, y][None] for i in range(a["D"]) for y in (0, 1)])
+    return np.concatenate((np.arange(a["ns"])[None], flat.take(2 * a["ix"] + a["y"], axis=0)))
+
+
+# each numpy formula the replay rewrote: (the formula it replaced, the one
+# it runs), which must agree bit for bit on the shapes it meets
+REWRITES = {
+    "row-leader-cell": (
+        lambda a: a["score"][np.arange(a["T"]), a["cols"]],
+        lambda a: a["score"].take(a["cols"] + np.arange(0, a["score"].size, a["score"].shape[1]))),
+    "range-tau": (
+        lambda a: np.maximum((a["low_loss"] - a["score"].min(axis=1)[a["at"]])
+                             / np.sqrt(np.arange(1.0, a["T"] + 1))[a["at"]] + a["low_k"], 0.0),
+        lambda a: np.maximum((a["low_loss"] - a["score"].min(axis=1).take(a["at"]))
+                             / np.sqrt(np.arange(1.0, a["T"] + 1)).take(a["at"]) + a["low_k"],
+                             0.0)),
+    "expert-losses": (
+        lambda a: (a["before"] + np.cumsum(a["played"].T != a["y"][:, None], axis=0)
+                   - (a["played"].T != a["y"][:, None])),
+        _losses_in_place),
+    "chosen-predictions": (
+        lambda a: a["played"].T[np.arange(a["T"]), a["chosen"]],
+        lambda a: a["played"].ravel().take(a["chosen"] * a["T"] + np.arange(a["T"]))),
+    "chosen-mistakes": (
+        lambda a: int((a["played"].T != a["y"][:, None])[np.arange(a["T"]), a["chosen"]].sum()),
+        lambda a: int(np.count_nonzero(
+            a["played"].ravel().take(a["chosen"] * a["T"] + np.arange(a["T"])) != a["y"]))),
+    "point-index": (
+        lambda a: (np.fromiter(map({p: i for i, p in enumerate(dict.fromkeys(a["xs"]))}.__getitem__,
+                                   a["xs"]), np.int64, a["T"]), list(dict.fromkeys(a["xs"]))),
+        lambda a: _point_index(a["xs"])),
+    "mistake-table": (_cumsum_table, _mistake_table),
+    "step-table": (
+        lambda a: np.concatenate((np.arange(a["ns"])[None], a["moves"][:, a["ix"], a["y"]].T)),
+        _step_table),
+    "low-bases": (
+        lambda a: _low(a, a["drop"][1:, a["present"]] + a["parents"][:, a["present"]],
+                       np.arange(a["ns"], (a["T"] + 1) * a["ns"], a["ns"])[:, None]
+                       + a["step"][1:, a["present"]]),
+        lambda a: _low(a, a["drop"].T.take(a["present"], axis=0)[:, 1:]
+                       + a["parents"].T.take(a["present"], axis=0),
+                       np.arange(a["ns"], (a["T"] + 1) * a["ns"], a["ns"])
+                       + a["step"].T.take(a["present"], axis=0)[:, 1:])),
+    "exact-cell-losses": (
+        lambda a: (a["mistakes"][:a["T"]].take(a["state"], axis=1) + a["base"]).take(
+            a["cell"] + 7 * np.arange(a["T"])[:, None]),
+        lambda a: (a["mistakes"].T.take(a["state"], axis=0) + a["base"][:, None]).take(
+            a["cell"] * (a["T"] + 1) + np.arange(a["T"])[:, None])),
+    "pool-predictions": (
+        lambda a: a["pred"][a["state"].take(a["cell"][:, 0]), a["ix"]],
+        lambda a: a["pred"].astype(np.uint8).take(a["state"].take(a["cell"][:, 0]) * a["D"]
+                                                  + a["ix"])),
+    "resolved-values": (
+        lambda a: np.array((a["low_k"][0] + a["score"][0]).tolist()),
+        lambda a: np.array([float(a["low_k"][0]) + e for e in a["score"][0].tolist()])),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", REWRITES)
+def test_rewritten_formula_is_exact(name, seed):
+    old, new = REWRITES[name]
+    a = rewrite_inputs(seed)
+    before, after = old(a), new(a)
+    if isinstance(before, tuple):   # the point index, and the distinct points
+        assert same_bits(before[0], after[0]) and before[1] == after[1]
+    else:
+        assert same_bits(before, after)
+
+
 # ---------------------------------------------------------------------------
 # stream stability: pinned outputs of fixed seeds and label scripts
 # ---------------------------------------------------------------------------
@@ -546,3 +701,71 @@ def test_stream_with_no_range_draws_every_perturbation(kind, monkeypatch):
     # before round 8, and at round 8 a dimension-2 pool's 8 newborns, which
     # draw last, lead in neither stream
     assert [v[:8] for v in STREAM_EXPECTED[kind][:2]] == [v[:8] for v in expected[:2]]
+
+
+# the coin-flip check's learner on one long fair-coin game. At this seed a
+# range resolves a member after the first past tau (`draw.choice` in
+# `ExpertPoolFpl._lazy_leaders`), which about 2 % of such games reach
+LONG_COIN_SEED = 693
+
+
+class _ChoiceSpy:
+    """A generator that counts its `choice` calls and passes every call on."""
+
+    def __init__(self, generator):
+        self.generator, self.choices = generator, 0
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.generator.choice(*args, **kwargs)
+
+
+def play_long_coin(path: str, monkeypatch):
+    """(predictions as a bit string, a SHA-256 prefix of the pool's leaders
+    and of the final states of the meta, pool, range and resolve generators,
+    the count of `choice` calls) of a T=400 coin game, played by `run_game`
+    in one replay or round by round through `update`."""
+    cls = FiniteClass((0,), [[0], [1]])
+    learner = AgnosticFpl(ExplicitListFamily([cls]), 1, seed=LONG_COIN_SEED, cap_dim=2)
+    pool = learner.experts[0]
+    spy = pool._resolve_rng = _ChoiceSpy(pool._resolve_rng)
+    leaders = []
+    lazy_leaders = ExpertPoolFpl._lazy_leaders
+
+    def recording(self, *args):
+        chosen = lazy_leaders(self, *args)
+        leaders.extend(chosen.tolist())
+        return chosen
+
+    monkeypatch.setattr(ExpertPoolFpl, "_lazy_leaders", recording)
+    coin = nature.CoinFlip(LONG_COIN_SEED)
+    if path == "replay":
+        predicted = runner.run_game(learner, coin, 400).predicted
+    else:
+        predicted = []
+        for _ in range(400):
+            predicted.append(learner.predict(0))
+            learner.update(0, coin.reveal_label(0, predicted[-1]))
+    generators = (learner.rng, pool.rng, pool._range_rng, spy.generator)
+    states = [g.bit_generator.state for g in generators]
+    digest = [hashlib.sha256(repr(v).encode()).hexdigest()[:16] for v in (leaders, states)]
+    return "".join(map(str, predicted)), *digest, spy.choices
+
+
+LONG_COIN_EXPECTED = (
+    "00000000000000000100100000000000000000000000000000000000000000000000000000000000"
+    "00000000010000000010000010000000000000001000000000000010000010000000000000000000"
+    "00000010000000011000000000000000101000000000000000001010000100000000100000000000"
+    "00010000111011000000010001000000010000000010010000000110000001000000001000010000"
+    "01000001010000000100000100001000010001000101000001100000000000010010000000111000",
+    "bdacb79b85a4e6d9", "e655ce1fa9f96699")
+
+
+@pytest.mark.parametrize("path", ["replay", "loop"])
+def test_long_coin_stream(path, monkeypatch):
+    *pinned, choices = play_long_coin(path, monkeypatch)
+    assert choices >= 1
+    assert tuple(pinned) == LONG_COIN_EXPECTED

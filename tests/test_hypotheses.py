@@ -11,8 +11,8 @@ from nuolab.hypotheses import (MATERIALIZE_MAX_ROWS, DiscreteMeasure, DomainErro
                                FiniteSupportClass, FiniteSupportFamily,
                                NaturalThresholdFamily, RationalThresholdFamily,
                                format_point, rationals_unit_interval)
-from nuolab.littlestone import VersionSpace, ldim
-from nuolab.specs import (class_from_config, family_from_config,
+from nuolab.littlestone import CapacityError, VersionSpace, ldim
+from nuolab.specs import (class_from_config, comparison_from_config, family_from_config,
                           hypothesis_from_config, measure_from_config, parse_point)
 
 
@@ -176,6 +176,19 @@ class TestFiniteClass:
         spec = {"domain": ["a", "b"], "hypotheses": [[0, 0], [value, 0]]}
         with pytest.raises(DomainError, match=f"row values must be 0 or 1, got {value!r}"):
             class_from_config(spec)
+
+    def test_spec_beyond_the_caps_is_refused_by_its_shape(self):
+        # a class read for a capped learner or oracle is refused by its row
+        # count and domain size before its values, which here are no labels
+        spec = {"domain": [1, 2], "hypotheses": [["a", "b"]] * 1025}
+        with pytest.raises(CapacityError, match="instance 1025 rows x 2 points exceeds caps"):
+            class_from_config(spec)
+        # a row of another length leaves the refusal to the values
+        with pytest.raises(DomainError, match="row values must be 0 or 1, got 'a'"):
+            class_from_config({**spec, "hypotheses": [["a"]] * 1025})
+        # a comparison class is read by its rows alone, and has no cap
+        rows = [[i >> j & 1 for j in range(11)] for i in range(1025)]
+        assert len(comparison_from_config({"domain": list(range(11)), "hypotheses": rows})) == 1025
 
     # restriction lives on the version-space kernel, whose states are row
     # masks of the root: bit i set iff row i survives

@@ -431,3 +431,30 @@ def test_one_input_error_base():
               if isinstance(handler, ast.ExceptHandler) and handler not in caught]
     assert all(len(handler.body) == 1 and isinstance(handler.body[0], ast.Raise)
                and name(handler.body[0].exc.func) == "DomainError" for handler in others)
+
+
+def test_unreached_lines_are_current():
+    # each line `tests/unreached.txt` leaves unreached on purpose, with a
+    # reason, is still an executable line of the package holding the text
+    # recorded for it; `python tests/linemap.py` prints the lines tier-1
+    # leaves unreached, so a line that moves or goes is listed anew
+    import linemap
+
+    listed = linemap.listed_lines((Path(__file__).parent / "unreached.txt").read_text())
+    sources = {path.name: path for path in SOURCES}
+    stale = [(name, line, code) for (name, line), (code, reason) in listed.items()
+             if not reason or name not in sources
+             or line not in linemap.executable_lines(sources[name])
+             or sources[name].read_text().splitlines()[line - 1].strip() != code]
+    assert not stale, stale
+
+
+def test_one_round_step():
+    # `OnlineLearner._loop` takes `_record`'s step inline, so no learner
+    # overrides `_record`, and the inline copy cannot part from it
+    defining = {f"{path.name}:{node.name}"
+                for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == "_record" for f in node.body)}
+    assert defining == {"learners.py:OnlineLearner"}

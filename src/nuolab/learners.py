@@ -90,13 +90,13 @@ class OnlineLearner:
         return self._played(xs, ys, labelled_prefix(ys))
 
     def _played(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
-        """`play`'s body, for a batch whose first n labels are checked."""
+        """`play`'s body, for a batch whose first n labels are checked:
+        `_replay` takes the first `_batchable(n)` rounds and `_loop` the
+        rest, and the batch is sliced only when both have rounds."""
         b = self._batchable(n)
-        if not b:
-            return self._loop(xs, ys, n)
-        preds = self._replay(xs[:b], ys[:b])     # a fresh list, extended in place
-        preds += self._loop(xs[b:], ys[b:], n - b)
-        return preds
+        if not b or b == len(ys):
+            return self._replay(xs, ys) if b else self._loop(xs, ys, n)
+        return self._replay(xs[:b], ys[:b]) + self._loop(xs[b:], ys[b:], n - b)
 
     def _batchable(self, n: int) -> int:
         """How many of the n well-labelled leading rounds `_replay` may

@@ -22,15 +22,22 @@ its own definition:
 
 - Ldim(S) >= k iff some column splits S into two sides of Ldim >= k - 1
   each. A depth-k shattered tree needs 2^k distinct rows, one per leaf,
-  so a set of fewer fails at once; the smaller side, the likelier to
-  fail, is asked first, and the larger only if it holds.
+  so a set of fewer fails at once, and a column whose smaller side holds
+  fewer than 2^(k-1) rows is skipped before either side is asked; the
+  smaller side, the likelier to fail, is asked first, and the larger only
+  if it holds. A query that holds records the column that settled it, the
+  first in domain order, which the witness reads back.
 - In the game the learner predicts the side of larger value, so a split
   is worth max(v0, v1), plus one when they tie: the game on S is worth at
   least k iff some split has both sides worth k - 1, or one side worth k.
   The halving learner (predict the majority) loses at least half of the
   surviving rows with every mistake, so a set of fewer than 2^k rows is
   worth less than k. Every split is asked the first question, smaller
-  side first, before any is asked the second.
+  side first, before any is asked the second. The second never holds
+  where the first failed, since a superset's game is worth at least a
+  subset's; it stays because that lemma is what the ldim-minimax-equality
+  check tests, and without it the game's recursion would be Ldim's,
+  checked against itself.
 """
 from __future__ import annotations
 
@@ -71,45 +78,49 @@ class _Workspace:
     """Column masks and dimension bounds of one root class, keyed by the mask
     of surviving rows (bit i set iff row i survives; the lowest set bit is
     the smallest id). Different constraint orders reach the same version
-    space, so constraint lists are never part of the key. `lo[S]` is the
-    largest k known to have Ldim(S) >= k and `hi[S]` the smallest known not
-    to. A query on S recurses only into strict subsets of S, then writes k
-    to `lo` once it holds or to `hi` once it fails, so in one thread the
-    bounds only tighten toward the exact value, never crossing it. Every
-    write is true of a pure function, so under the GIL a race can at worst
-    lose a tightening, and concurrent use returns identical results
-    regardless of interleaving. Holds no reference to its class, so the
-    weak-keyed registry frees it."""
+    space, so constraint lists are never part of the key. `lo[S]` is a
+    record (k, col): k is the largest depth known to have Ldim(S) >= k, and
+    col the first column whose split of S settled it. `hi[S]` is the
+    smallest k known not to hold. A query on S recurses only into strict
+    subsets of S, then writes its record to `lo` once it holds or k to `hi`
+    once it fails, so in one thread the bounds only tighten toward the
+    exact value, never crossing it. Every write, a record's k and column
+    in one assignment, is true of a pure function, so under the GIL a race
+    can at worst lose a tightening, and concurrent use returns identical
+    results regardless of interleaving. Holds no reference to its class,
+    so the weak-keyed registry frees it."""
 
     def __init__(self, colmasks: tuple[int, ...]):
         self.colmasks = colmasks
-        self.lo: dict[int, int] = {}
+        self.lo: dict[int, tuple[int, int]] = {}
         self.hi: dict[int, int] = {}
 
     def at_least(self, ids: int, k: int) -> bool:
         """Whether Ldim(ids) >= k, for non-empty `ids`."""
-        if k <= self.lo.get(ids, 0):
+        if k <= self.lo.get(ids, (0,))[0]:
             return True
         # a depth-k shattered tree has 2^k leaves, each realized by a
         # distinct row, so a set of fewer than 2^k rows fails at once
         if k >= self.hi.get(ids, ids.bit_count().bit_length()):
             return False
-        if self.splitting_column(ids, k) is None:
+        col = self.splitting_column(ids, k)
+        if col is None:
             self.hi[ids] = k
             return False
-        self.lo[ids] = k
+        self.lo[ids] = k, col
         return True
 
     def splitting_column(self, ids: int, k: int) -> Optional[int]:
         """The first column splitting `ids` into two sides of Ldim >= k - 1
-        each, or None."""
+        each, or None, for k >= 1; a side of fewer than 2^(k-1) rows fails
+        `at_least`'s ceiling, so its column is skipped before the call."""
+        n, need = ids.bit_count(), 1 << k - 1
         for col, colmask in enumerate(self.colmasks):
             ones = ids & colmask        # `split`, inline
-            zeros = ids ^ ones
-            if zeros and ones:
+            n1 = ones.bit_count()
+            if need <= n1 <= n - need:
                 # the smaller side fails more often, so ask it first
-                small, large = ((ones, zeros) if ones.bit_count() <= zeros.bit_count()
-                                else (zeros, ones))
+                small, large = (ones, ids ^ ones) if 2 * n1 <= n else (ids ^ ones, ones)
                 if self.at_least(small, k - 1) and self.at_least(large, k - 1):
                     return col
         return None
@@ -343,10 +354,11 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
 
     Each node takes the first point in domain order that splits its
     version space into two sides of dimension at least the depth left
-    below it (`_Workspace.splitting_column`). Points may repeat across
-    nodes (never along a path with conflicting labels, which the
-    shattering requirement itself rules out). Beyond the caps (those of
-    `ldim`) this raises before any search.
+    below it: the column the dimension search recorded when it settled
+    that (rows, depth), else `_Workspace.splitting_column`'s scan. Points
+    may repeat across nodes (never along a path with conflicting labels,
+    which the shattering requirement itself rules out). Beyond the caps
+    (those of `ldim`) this raises before any search.
     """
     if d < 1:
         raise DomainError("witness depth must be >= 1 (use ldim for depth 0)")
@@ -367,7 +379,9 @@ def shattered_tree_witness(cls: FiniteClass, d: int) -> Optional[ShatteredTreeWi
             # the lowest set bit is the smallest surviving id
             realizers[labeling] = cls.labels[(ids & -ids).bit_length() - 1]
             return
-        col = ws.splitting_column(ids, remaining)
+        k, col = ws.lo.get(ids, (0, None))
+        if k != remaining:      # the search settled this node at no depth, or another
+            col = ws.splitting_column(ids, remaining)
         if col is None:
             raise AssertionError("dimension guarantee violated during witness search")
         points[node - 1] = cls.domain[col]

@@ -399,33 +399,44 @@ def test_column_masks_of_one_row_and_of_none():
     assert VersionSpace(empty).restrict(0, "a", 1) is None
 
 
-# per class: the `_Workspace.at_least` calls of `ldim` and the witnesses at
-# depths d and d + 1, and the `split` calls of `minimax_mistakes`. The
-# random classes have dimension 6, their ceiling; the singletons (the
-# all-zero row and one row per point) have Ldim 1 below a ceiling of 3, so
-# each search counts down. Deleting any one prune of either search raises
-# some count above its pin: the 2^k-row ceiling, the bounds tables, the
+# per class: the `_Workspace.at_least` calls and `splitting_column` scans
+# of `ldim` and the witnesses at depths d and d + 1, and the `split` calls
+# of `minimax_mistakes`. The 96-row random classes have dimension 6, their
+# ceiling; the singletons (the all-zero row and one row per point) have
+# Ldim 1 below a ceiling of 3, and the count-down class (6 points x 20
+# rows) Ldim 3 below a ceiling of 4, so each search counts down. Deleting
+# any one prune of either search raises some count above its pin: the
+# 2^k-row ceiling, the per-side ceiling (a column whose smaller side holds
+# fewer than 2^(k-1) rows is never asked), the bounds tables, the record
+# of the column that settled a query (which the witness reads), the
 # smaller side asked first, or (in the game) every split asked "both sides
 # worth k - 1?" before any is asked "one side worth k?"
 SINGLETONS = FiniteClass(tuple(range(8)), [[0] * 8] + [[int(i == j) for j in range(8)]
                                                        for i in range(8)])
-PRUNE_PINS = [(SINGLETONS, 25, 1825),
-              *zip(FIXED_CLASSES[-3:], [265, 269, 279], [331, 332, 325])]
+COUNTDOWN = random_class(random.Random(36), 6, 20)
+PRUNE_PINS = [(SINGLETONS, 7, 3, 1825), (COUNTDOWN, 43, 22, 98),
+              *zip(FIXED_CLASSES[-3:], [129] * 3, [63] * 3, [331, 332, 325])]
 
 
 def test_oracles_skip_the_second_side_of_a_split(monkeypatch):
-    at_least, counts = littlestone._Workspace.at_least, Counter()
+    at_least, scan = littlestone._Workspace.at_least, littlestone._Workspace.splitting_column
+    counts = Counter()
 
     def counting_at_least(ws, ids, k):
         counts["queries"] += 1
         return at_least(ws, ids, k)
+
+    def counting_scan(ws, ids, k):
+        counts["scans"] += 1
+        return scan(ws, ids, k)
 
     def counting_split(ids, colmask):
         counts["splits"] += 1
         return split(ids, colmask)
 
     monkeypatch.setattr(littlestone._Workspace, "at_least", counting_at_least)
-    for cls, queries, splits in PRUNE_PINS:
+    monkeypatch.setattr(littlestone._Workspace, "splitting_column", counting_scan)
+    for cls, queries, scans, splits in PRUNE_PINS:
         counts.clear()
         fresh = FiniteClass(cls.domain, cls.rows)   # a workspace with empty tables
         d = ldim(fresh)
@@ -433,7 +444,47 @@ def test_oracles_skip_the_second_side_of_a_split(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(littlestone, "split", counting_split)
             assert minimax_mistakes(fresh) == d
-        assert counts["queries"] <= queries and counts["splits"] <= splits, counts
+        assert (counts["queries"] <= queries and counts["scans"] <= scans
+                and counts["splits"] <= splits), counts
+
+
+class Forgetful(dict):
+    """A bounds table that takes every write and answers no read."""
+
+    def get(self, key, default=None):
+        return default
+
+
+# per class: the `splitting_column` scans of a witness at depth ldim(cls),
+# built right after `ldim`. The search settles nearly every node of that
+# tree at its depth and records the column, so the witness reads it; the
+# count-down class has three nodes that the search settled only at a
+# larger depth, which the witness scans for
+WITNESS_SCANS = [(cls, 0) for cls in (*FIXED_CLASSES, SINGLETONS, *BENCHMARK_SCALE)] + [(COUNTDOWN, 3)]
+
+
+def test_witness_reads_the_search_record(monkeypatch):
+    scan, counts = littlestone._Workspace.splitting_column, Counter()
+
+    def counting_scan(ws, ids, k):
+        counts["scans"] += 1
+        return scan(ws, ids, k)
+
+    monkeypatch.setattr(littlestone._Workspace, "splitting_column", counting_scan)
+    for cls, scans in WITNESS_SCANS:
+        fresh, cleared = FiniteClass(cls.domain, cls.rows), FiniteClass(cls.domain, cls.rows)
+        d = ldim(fresh)
+        if d == 0:
+            continue
+        counts.clear()
+        w = shattered_tree_witness(fresh, d)
+        assert counts["scans"] == scans, (cls.rows, counts)
+        # with no record to read, every node scans: the same points and realizers
+        littlestone._workspace(cleared).lo = Forgetful()
+        counts.clear()
+        v = shattered_tree_witness(cleared, d)
+        assert counts["scans"] >= 2 ** d - 1
+        assert (v.points, v.realizers) == (w.points, w.realizers)
 
 
 @settings(max_examples=25, deadline=None)

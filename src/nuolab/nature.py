@@ -82,17 +82,6 @@ class RealizableScripted(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.hypothesis(x)
 
-    def draw_script(self, horizon: int):
-        n, start = len(self.points), self.served
-        stop = start + horizon if self.cycle and n else min(start + horizon, n)
-        xs = [self.points[i % n] for i in range(start, stop)]
-        try:
-            ys = list(map(self.hypothesis, xs))
-        except Exception:       # the loop finds the round whose label raises
-            return super().draw_script(horizon)
-        self.served = stop
-        return xs, ys, super().draw_script(horizon - len(xs))[2]
-
 
 class AgnosticScripted(NatureStrategy):
     """Fixed point and label sequences with no realizability promise. The

@@ -254,12 +254,14 @@ def monte_carlo(trial_fn: Callable[[int], float | Sequence[float]],
     return TrialStats(values)
 
 
-def regret_curve(make_learner: Callable[[int], object],
+def regret_curve(makers: Sequence[Callable[[int], object]],
                  make_nature: Callable[[int], nature.NatureStrategy],
                  horizons: Sequence[int], trials: int, master_seed: int,
-                 score: Callable[[GameTrace, object], float | Sequence[float]]
+                 score: Callable[[tuple[GameTrace, ...], tuple], float | Sequence[float]]
                  ) -> list[TrialStats]:
     """The one seeded-game experiment: per horizon, `monte_carlo` of
-    `score(trace, learner)` over games from `master_seed` (`play_seeded`)."""
-    return [monte_carlo(lambda s, T=T: score(*play_seeded(make_learner, make_nature, T, s)),
+    `score(traces, learners)` over games from `master_seed` (`play_seeded`),
+    one per maker, so that the makers' learners share each seed's script."""
+    return [monte_carlo(lambda s, T=T: score(*zip(*(play_seeded(make, make_nature, T, s)
+                                                    for make in makers))),
                         trials, master_seed) for T in horizons]

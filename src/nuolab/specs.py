@@ -379,6 +379,7 @@ def regret_experiment_from_config(raw) -> tuple[list[int], list[TrialStats],
         else:
             raise DomainError(f"unknown bound kind: {quoted(kind)}")
     checked("T and Ts", max(horizons), _WORDS)
-    stats = regret_curve(*_spec_makers(learner_spec, nature_spec), horizons, trials,
-                         master_seed, lambda trace, _: regret(trace, comparison))
+    learner_maker, nature_maker = _spec_makers(learner_spec, nature_spec)
+    stats = regret_curve([learner_maker], nature_maker, horizons, trials, master_seed,
+                         lambda traces, _: regret(traces[0], comparison))
     return horizons, stats, limits

@@ -319,9 +319,9 @@ def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400) -> tuple[bool
     details = []
     for offset, (name, makers, ks, make_nature) in enumerate(configs):
         [stats] = runner.regret_curve(
-            lambda s: fpl.FplLearner([m() for m in makers], ks, seed=s), make_nature,
+            [lambda s: fpl.FplLearner([m() for m in makers], ks, seed=s)], make_nature,
             [horizon], trials, 2026 + offset,
-            lambda _, learner: learner.mistakes - np.asarray(learner.losses))
+            lambda _, played: played[0].mistakes - np.asarray(played[0].losses))
         limits = [bounds.fpl_regret(k, horizon) for k in ks]
         margins = bounds.margin(stats.mean, limits, stats.se)
         for j, (mean, se, limit) in enumerate(zip(stats.mean, stats.se, limits)):
@@ -351,9 +351,10 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200)) -> t
                 return nature.AgnosticScripted(xs, ys)
 
             [stats] = runner.regret_curve(
-                lambda s: fpl.AgnosticFpl(family, 2, seed=s), make_nature, [horizon],
+                [lambda s: fpl.AgnosticFpl(family, 2, seed=s)], make_nature, [horizon],
                 trials, 31 + horizon,
-                lambda trace, _: [runner.regret(trace, family.component(n).cls) for n in (1, 2)])
+                lambda traces, _: [runner.regret(traces[0], family.component(n).cls)
+                                   for n in (1, 2)])
             columns = list(zip((1, 2), stats.mean, stats.se, limits))
             for n, mean, se, limit in columns:
                 if bounds.margin(mean, limit, se) < 0:
@@ -375,16 +376,20 @@ def check_coinflip_regret_floor(trials: int = 2000, horizons=(100, 400)) -> tupl
         "root-expert": lambda s: learners.ExpertLearner(cls, ()),
         "constant": lambda s: learners.ConstantLearner(0),
     }
+
+    def score(traces, _) -> list[int]:     # one script, so one rival count
+        rival = runner.best_rival_mistakes(cls, traces[0])
+        return [trace.mistakes - rival for trace in traces]
+
     details = []
     for horizon in horizons:
         floor = bounds.coinflip_floor(horizon)
-        for name, make in makers.items():
-            [stats] = runner.regret_curve(make, nature.CoinFlip, [horizon], trials,
-                                          99 + horizon, lambda trace, _: runner.regret(trace, cls))
-            if bounds.margin(stats.mean, floor, stats.se, floor=True) < 0:
-                return False, (f"T={horizon} {name}: {stats.mean:.2f} - 3*{stats.se:.2f} "
-                               f"< floor {floor:.3f}")
-            details.append(f"T={horizon} {name}: {stats.mean:.2f} >= {floor:.2f}")
+        [stats] = runner.regret_curve(list(makers.values()), nature.CoinFlip, [horizon],
+                                      trials, 99 + horizon, score)
+        for name, mean, se in zip(makers, stats.mean, stats.se):
+            if bounds.margin(mean, floor, se, floor=True) < 0:
+                return False, f"T={horizon} {name}: {mean:.2f} - 3*{se:.2f} < floor {floor:.3f}"
+            details.append(f"T={horizon} {name}: {mean:.2f} >= {floor:.2f}")
     return True, f"{trials} trials; " + "; ".join(details)
 
 

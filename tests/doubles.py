@@ -45,8 +45,8 @@ WIDE = DiscreteMeasure.uniform(tuple(range(10_000)))
 # D = 18 is not a power of two: a draw drops the 14 words of 5 bits from 18 up
 THIRDS = DiscreteMeasure(range(1, 7), ["1/3", "1/6", "1/6", "1/9", "1/9", "1/9"])
 
-# the oblivious natures by name, each made from a seed, whose `draw_script`
-# overrides the base class's round loop
+# the oblivious natures by name, each made from a seed; every `draw_script`
+# but the realizable scripts' overrides the base class's round loop
 OBLIVIOUS = {
     "realizable": lambda seed: RealizableScripted(TARGET, POINTS),
     "realizable-cycle": lambda seed: RealizableScripted(TARGET, POINTS, cycle=True),

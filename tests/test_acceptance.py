@@ -5,9 +5,14 @@ the analytic expression. Each check runs with the arguments that
 `nuolab verify --suite default` gives it, and its line is pinned to the
 text that command prints, so a change to a verdict, a margin or a random
 stream fails here."""
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
-from nuolab import verification
+from nuolab import runner, verification
+from nuolab.hypotheses import FiniteClass
 
 PINNED = [
     # all classes over <= 3 points plus 50 random classes over 4-5 points
@@ -60,10 +65,47 @@ def test_the_pinned_lines_name_the_suite_checks():
     assert len(set(checks)) == len(checks)
 
 
+def coinflip_expected_regret(horizon: int) -> Fraction:
+    """T/2 - E[min(B, T - B)] for B ~ Binomial(T, 1/2): the expected regret,
+    against the two constants on one point, of a learner that does not see
+    the current fair label, and so errs on it with chance 1/2."""
+    best = sum(math.comb(horizon, b) * min(b, horizon - b) for b in range(horizon + 1))
+    return Fraction(horizon, 2) - Fraction(best, 2 ** horizon)
+
+
+@pytest.mark.parametrize("horizon", range(13))
+def test_coinflip_expectation_is_the_mean_over_every_label_sequence(horizon):
+    # both a constant and a learner that repeats the last label see only
+    # past labels: their regret, averaged over all 2^T label sequences
+    ones = FiniteClass((0,), [[0], [1]])
+    for predict in (lambda ys: [0] * len(ys), lambda ys: [0, *ys[:-1]]):
+        total = sum(runner.regret(runner.GameTrace([0] * horizon, list(ys), predict(ys)), ones)
+                    for ys in itertools.product((0, 1), repeat=horizon))
+        assert Fraction(total, 2 ** horizon) == coinflip_expected_regret(horizon)
+    assert f"{float(coinflip_expected_regret(100)):.5f}" == "3.97946"
+    assert f"{float(coinflip_expected_regret(400)):.5f}" == "7.97386"
+
+
 @pytest.mark.parametrize("name", verification.SUITE)
-def test_the_default_run_prints_the_pinned_line(name):
+def test_the_default_run_prints_the_pinned_line(name, monkeypatch):
+    # each curve the check scores is kept, as (horizon, its TrialStats)
+    curves, regret_curve = [], runner.regret_curve
+
+    def recorded(makers, make_nature, horizons, *rest):
+        stats = regret_curve(makers, make_nature, horizons, *rest)
+        curves.extend(zip(horizons, stats))
+        return stats
+
+    monkeypatch.setattr(runner, "regret_curve", recorded)
     result = verification.verdict(name, **verification.suite_arguments(name, "default", 0))
     print()
     print(result.line())
     assert result.passed, result.detail
     assert result.line() == {pinned_name(line): line for line in PINNED}[name]
+    if name == "coinflip-regret-floor":
+        # no learner of the check sees the current label, so each of its six
+        # means lies within 4 SE of the exact expectation
+        assert [T for T, _ in curves] == [100, 400]
+        for T, stats in curves:
+            exact = float(coinflip_expected_regret(T))
+            assert len(stats.mean) == 3 and (abs(stats.mean - exact) <= 4 * stats.se).all()

@@ -198,6 +198,9 @@ REFUSED = {
         "measure-mass-not-rational": Row(
             play(CONSTANT, iid_masses("abc", "1/2"), "3"),
             "measure mass must hold rationals, got ['abc', '1/2']"),
+        "measure-mass-zero-denominator": Row(
+            play(CONSTANT, iid_masses("1/0", "1/2"), "3"),
+            "measure mass has a zero denominator: ['1/0', '1/2']"),
         # an exponent that is no int passes the size rule and reads as no rational
         "mass-exponent-not-an-int": Row(
             play(CONSTANT, iid_masses("1ex", "1/2"), "3"),

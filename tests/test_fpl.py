@@ -74,6 +74,10 @@ class TestFplLearner:
         with pytest.raises(ConfigurationError, match=r"complexity \S+ is out of range"):
             FplLearner([ConstantLearner(0), ConstantLearner(1)], [k, 1.0], seed=1)
 
+    def test_one_complexity_per_expert(self):
+        with pytest.raises(ConfigurationError, match="experts and complexities differ in length"):
+            FplLearner([ConstantLearner(0), ConstantLearner(1)], [1.0], seed=0)
+
     def test_no_experts_rejected(self):
         with pytest.raises(ConfigurationError, match="need at least one expert"):
             FplLearner([], [], seed=0)
@@ -246,6 +250,14 @@ class TestExpertPool:
         expected = {(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)}
         assert set(pool.keys) == expected
         assert pool.pool_size <= 3 ** 2 + 1
+
+    def test_missing_attribute_raises_attribute_error(self):
+        # the lazy read of a replayed pool's arrays answers only `state` and
+        # `losses`, and only once a replay left them unread
+        pool = ExpertPoolFpl(pool_component(1), seed=0)
+        with pytest.raises(AttributeError, match="'ExpertPoolFpl' object has no attribute 'nope'"):
+            pool.nope
+        assert not hasattr(pool, "nope")
 
     def test_dimension_one_growth(self):
         pool = ExpertPoolFpl(pool_component(1), seed=0)

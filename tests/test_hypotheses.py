@@ -10,7 +10,8 @@ from nuolab.hypotheses import (MATERIALIZE_MAX_ROWS, DiscreteMeasure, DomainErro
                                ExplicitListFamily, FiniteClass,
                                FiniteSupportClass, FiniteSupportFamily,
                                NaturalThresholdFamily, RationalThresholdFamily,
-                               format_point, rationals_unit_interval)
+                               constant_hypothesis, format_point, rationals_unit_interval,
+                               row_hypothesis)
 from nuolab.littlestone import CapacityError, VersionSpace, ldim
 from nuolab.specs import (class_from_config, comparison_from_config, family_from_config,
                           hypothesis_from_config, measure_from_config, parse_point)
@@ -396,3 +397,33 @@ class TestDiscreteMeasure:
         message = "must be a number, or a string" if refused else "masses sum to less than 1"
         with pytest.raises(DomainError, match=message):
             measure_from_config({"support": ["a", "b"], "mass": [mass, "1/2"]})
+
+
+# the constructors' own refusals, which the spec reader's checks reach first
+REFUSALS = {
+    "constant-not-a-label": (lambda: constant_hypothesis(2), "constant must be 0 or 1, got 2"),
+    "row-duplicate-point": (lambda: row_hypothesis([1, 1], [0, 1]),
+                            "duplicate points in row hypothesis domain"),
+    "support-negative-budget": (lambda: FiniteSupportClass((1, 2), -1),
+                                "support budget must be >= 0"),
+    "support-duplicate-point": (lambda: FiniteSupportClass((1, 1), 1),
+                                "duplicate points in domain"),
+    "explicit-list-empty": (lambda: ExplicitListFamily([]),
+                            "explicit-list family needs at least one class"),
+    "finite-support-empty": (lambda: FiniteSupportFamily(()),
+                             "finite-support family needs a non-empty domain"),
+    "measure-lengths": (lambda: DiscreteMeasure(("a", "b"), [1]),
+                        "support and mass lengths differ"),
+    "measure-duplicate-point": (lambda: DiscreteMeasure(("a", "a"), ["1/2", "1/2"]),
+                                "duplicate support points"),
+    "measure-empty": (lambda: DiscreteMeasure((), []), "empty support"),
+    "geometric-empty": (lambda: DiscreteMeasure.geometric(()),
+                        "geometric measure needs at least one point"),
+}
+
+
+@pytest.mark.parametrize("build, message", REFUSALS.values(), ids=REFUSALS)
+def test_constructors_refuse_bad_input(build, message):
+    with pytest.raises(DomainError) as caught:
+        build()
+    assert str(caught.value) == message

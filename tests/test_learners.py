@@ -34,6 +34,10 @@ def run_stream(learner, pairs):
 
 
 class TestSoa:
+    def test_unknown_empty_policy_rejected(self):
+        with pytest.raises(DomainError, match="on_empty must be 'error' or 'freeze', got 'skip'"):
+            SoaLearner(FiniteClass(("a",), [[0]]), on_empty="skip")
+
     def test_tie_breaks_to_zero(self):
         cls = FiniteClass(("a", "b"), [[0, 0], [1, 1]])
         assert SoaLearner(cls).predict("a") == 0

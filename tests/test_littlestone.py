@@ -239,3 +239,31 @@ class TestVersionSpace:
         rebuilt = FiniteClass((1, 2, 3), [row for i, row in enumerate(cls.rows)
                                           if vs.states[sid] >> i & 1])
         assert d == ldim(rebuilt)
+
+
+EMPTY = FiniteClass(("a", "b"), [])
+
+# the refusals of an empty class or a depth below 1, each where it is raised:
+# an empty class's version space (state 0 holds no row) has no dimension
+# and no prediction
+REFUSALS = {
+    "state-dimension-of-empty": (lambda: VersionSpace(EMPTY).ldim(0), DomainError,
+                                 "Ldim undefined for the empty class"),
+    "prediction-of-empty": (lambda: VersionSpace(EMPTY).predict(0, "a"), DomainError,
+                            "no prediction from an empty version space"),
+    "engine-of-no-class": (lambda: engine_for([[0, 1]]), TypeError,
+                           "no version-space engine for class type list"),
+    "witness-of-depth-0": (lambda: ShatteredTreeWitness(0, ()), DomainError,
+                           "witness depth must be >= 1"),
+    "witness-of-empty": (lambda: shattered_tree_witness(EMPTY, 1), DomainError,
+                         "no witness for an empty class"),
+    "game-of-empty": (lambda: minimax_mistakes(EMPTY), DomainError,
+                      "mistake game undefined for the empty class"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -459,9 +459,11 @@ replays_alone, loop_alone = partial(one_path, replays=True), partial(one_path, r
 
 def prefixed(name, seed, prefix):
     """The oblivious nature `name`, its first `prefix` rounds drawn by hand:
-    by the base class's round loop, which its own `draw_script` overrides."""
+    by the base class's round loop, which every nature's own `draw_script`
+    overrides but a realizable script's, which draws by that loop alone."""
     strategy = OBLIVIOUS[name](seed)
-    assert type(strategy).draw_script is not nature.NatureStrategy.draw_script
+    overrides = type(strategy).draw_script is not nature.NatureStrategy.draw_script
+    assert overrides != isinstance(strategy, nature.RealizableScripted)
     nature.NatureStrategy.draw_script(strategy, prefix)
     return strategy
 

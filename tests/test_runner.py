@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nuolab import bounds, learners, nature, runner, specs
-from nuolab.hypotheses import (DomainError, FiniteClass, FiniteSupportFamily,
-                               Hypothesis, constant_hypothesis, row_hypothesis,
+from nuolab import bounds, fpl, learners, nature, runner, specs
+from nuolab.hypotheses import (DomainError, ExplicitListFamily, FiniteClass,
+                               FiniteSupportFamily, Hypothesis, constant_hypothesis, row_hypothesis,
                                support_hypothesis, threshold_hypothesis)
 from nuolab.runner import (GameRound, GameTrace, best_rival_mistakes,
                            comparison_values, monte_carlo, play_seeded,
@@ -392,10 +392,10 @@ class TestMonteCarlo:
         # one TrialStats of the score per horizon; a config's regret rows are
         # that curve of `regret`, and its bound column is `bounds`'s
         stats = regret_curve(
-            lambda s: learners.ConstantLearner(0),
+            [lambda s: learners.ConstantLearner(0)],
             lambda s: nature.CoinFlip(s),
             horizons=[25, 50], trials=40, master_seed=1,
-            score=lambda trace, _: regret(trace, TWO_CLASS))
+            score=lambda traces, _: regret(traces[0], TWO_CLASS))
         assert [row.trials for row in stats] == [40, 40]
         horizons, rows, limits = specs.regret_experiment_from_config(
             {"learner": {"learner": "constant"}, "nature": {"nature": "coin-flip"},
@@ -404,6 +404,27 @@ class TestMonteCarlo:
         assert horizons == [25, 50]
         assert limits == pytest.approx([15.0, 3 * math.sqrt(50)])
         assert [row.values.tolist() for row in rows] == [row.values.tolist() for row in stats]
+
+    def test_shared_seed_columns_equal_one_maker_runs(self):
+        # the coin-flip check's three learners in one call, scored against
+        # one rival count per script: each column is, bit for bit, the
+        # `values` of a call with that learner alone scored by `regret`
+        family = ExplicitListFamily([TWO_CLASS])
+        makers = [lambda s: fpl.AgnosticFpl(family, 1, seed=s, cap_dim=2),
+                  lambda s: learners.ExpertLearner(TWO_CLASS, ()),
+                  lambda s: learners.ConstantLearner(0)]
+
+        def shared(traces, _):
+            rival = best_rival_mistakes(TWO_CLASS, traces[0])
+            return [trace.mistakes - rival for trace in traces]
+
+        [both] = regret_curve(makers, nature.CoinFlip, [50], 60, 149, shared)
+        assert both.values.shape == (60, 3)
+        for j, make in enumerate(makers):
+            [one] = regret_curve([make], nature.CoinFlip, [50], 60, 149,
+                                 lambda traces, _: regret(traces[0], TWO_CLASS))
+            assert both.values[:, j].tobytes() == one.values.tobytes()
+            assert (both.mean[j], both.se[j]) == (one.mean, one.se)
 
     def test_regret_curve_evaluates_every_bound_before_any_trial(self, monkeypatch):
         # a bound that has no value at the last horizon fails before the

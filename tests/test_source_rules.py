@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 import ast
 import builtins
+import inspect
 import os
 import subprocess
 import sys
@@ -240,6 +241,29 @@ def test_one_experiment_rule():
               and "trials" in {arg.arg for arg in node.args.args}]
     assert not {"monte_carlo", "play_seeded"} & calls(tree)
     assert len(checks) == 3 and all("regret_curve" in calls(check) for check in checks)
+
+
+def test_one_experiment_per_shared_seed(monkeypatch):
+    # learners that share a nature and a master seed are scored in one
+    # `regret_curve` call: while the three Monte-Carlo checks run at a small
+    # scale, no two calls play one (nature maker, master seed, horizon)
+    from nuolab import runner, verification
+
+    played, regret_curve = [], runner.regret_curve
+
+    def recorded(makers, make_nature, horizons, trials, master_seed, score):
+        played.extend((make_nature, master_seed, T) for T in horizons)
+        return regret_curve(makers, make_nature, horizons, trials, master_seed, score)
+
+    monkeypatch.setattr(runner, "regret_curve", recorded)
+    small = {"fpl-regret-bound": {"trials": 30, "horizon": 50},
+             "hierarchical-regret-bound": {"trials": 12, "horizons": (30, 50)},
+             "coinflip-regret-floor": {"trials": 60, "horizons": (30, 50)}}
+    assert small.keys() == {name for name, (check, _) in verification.SUITE.items()
+                            if "trials" in inspect.signature(check).parameters}
+    for name, arguments in small.items():
+        assert verification.verdict(name, **arguments).passed
+    assert len(set(played)) == len(played) == 3 + 4 + 2
 
 
 def test_one_verdict_name():

@@ -73,7 +73,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -150,13 +150,12 @@ class _PerturbedLeader(OnlineLearner):
     def _register(self, count: int, complexity: float) -> None:
         """Charge `count` new experts of one complexity to the mass budget."""
         self._mass += count * math.exp(-complexity)
-        self._check_mass(self.t)
+        self._check_mass(self._mass, self.t)
         self._size += count
 
-    def _check_mass(self, t: int) -> None:
-        if not self._mass <= 1.0 + _MASS_SLACK:     # a NaN mass fails too
-            raise ConfigurationError(
-                f"complexity mass {self._mass:.6f} exceeds 1 at round {t}")
+    def _check_mass(self, mass: float, t: int) -> None:
+        if not mass <= 1.0 + _MASS_SLACK:     # a NaN mass fails too
+            raise ConfigurationError(f"complexity mass {mass:.6f} exceeds 1 at round {t}")
 
     def _leaders(self, ts: np.ndarray, loss, k, mask: Optional[np.ndarray] = None) -> tuple:
         """The leaders of the rounds `ts` over a (round x slot) block: row i
@@ -254,28 +253,43 @@ class FplLearner(_PerturbedLeader):
         for expert in self.experts:
             expert.update(x, y)
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Each expert plays the checked rounds with its own `_played`; the
-        leader then scores the (rounds x experts) matrix of losses at once.
-        The predictions are read in as bytes: one that is not an int in
-        0..255 (say 0.5 or -1) raises TypeError or ValueError."""
-        T = len(ys)
-        before = np.array(self.losses)[:, None]
-        # played[j * T + i]: expert j's prediction in round t + i;
-        # losses[j, i]: its mistakes before that round
-        played = np.frombuffer(b"".join(bytes(expert._played(xs, ys, T))
-                                        for expert in self.experts), np.uint8)
-        y = np.frombuffer(bytes(ys), np.uint8)
-        wrong = played.reshape(-1, T) != y
-        losses = np.add.accumulate(wrong, axis=1, dtype=int)
-        losses -= wrong
-        losses += before
-        rows = np.arange(T)
-        chosen = self._leaders(self.t + rows, losses.T, self.complexities)[0]
-        preds = played.take(chosen * T + rows)
-        self.mistakes += int(np.count_nonzero(preds != y))
-        self.t += T
-        return preds.tolist()
+    def _batchable(self, n: int) -> int:
+        n = super()._batchable(n)   # none unless each perturbed-leader expert takes all n
+        return n if all(e._batchable(n) == n for e in self.experts
+                        if isinstance(e, _PerturbedLeader)) else 0
+
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> Callable[[], list[int]]:
+        """Every expert's batch is readied first (`_on_copy` plays one that takes
+        none); the commit runs their commits in order, each drawing from its own
+        generator, then scores the (rounds x experts) losses at once."""
+        T, before = len(ys), np.array(self.losses)[:, None]
+        readied = [e._replay(xs, ys) if e._batchable(T) == T else _on_copy(e, xs, ys)
+                   for e in self.experts]
+
+        def commit():
+            # played[j * T + i]: expert j's prediction in round t + i;
+            # losses[j, i]: its mistakes before that round
+            played = np.frombuffer(b"".join(bytes(c()) for c in readied), np.uint8)
+            y = np.frombuffer(bytes(ys), np.uint8)
+            wrong = played.reshape(-1, T) != y
+            losses = np.add.accumulate(wrong, axis=1, dtype=int)
+            losses -= wrong
+            losses += before
+            rows = np.arange(T)
+            chosen = self._leaders(self.t + rows, losses.T, self.complexities)[0]
+            preds = played.take(chosen * T + rows)
+            self.mistakes += int(np.count_nonzero(preds != y))
+            self.t += T
+            return preds.tolist()
+        return commit
+
+
+def _on_copy(expert: OnlineLearner, xs, ys) -> Callable[[], bytes]:
+    """The commit of an expert that takes no batch and draws nothing: the copy
+    that played its rounds, adopted; a prediction not in 0..255 raises first."""
+    played = expert._copy()
+    preds = bytes(played._played(xs, ys, len(ys)))
+    return lambda: vars(expert).update(vars(played)) or preds
 
 
 def _ranges(exact: int, t: int):
@@ -424,14 +438,7 @@ def _tables(engine, dim: int, plan: _ReplayPlan, exact: int, xs, ys) -> _Tables:
     exact cells' `loss`."""
     T, labels = len(ys), bytes(ys)
     first = {}      # each distinct point's first round, in order
-    try:
-        rounds = np.fromiter(map(first.setdefault, xs, range(T)), np.int64, T)
-    except TypeError:
-        # a point that does not hash: each round of the loop predicts from
-        # state 0 first, so doing that in order raises the loop's error
-        for x in xs:
-            engine.predict(0, x)
-        raise
+    rounds = np.fromiter(map(first.setdefault, xs, range(T)), np.int64, T)
     # ix[t]: the index i of round t's point among the distinct points
     rank = np.zeros(T, dtype=np.int64)
     rank[list(first.values())] = np.arange(len(first))
@@ -674,9 +681,7 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     def _batchable(self, n: int) -> int:
         # `_replay` covers a fresh pool whose keys have at most two rounds
-        if self.dim > 2 or len(self._ends) > 1:
-            return 0
-        return super()._batchable(n)
+        return 0 if self.dim > 2 or len(self._ends) > 1 else super()._batchable(n)
 
     def __getattr__(self, name):
         # a replayed pool builds its per-expert arrays on their first read
@@ -729,49 +734,48 @@ class ExpertPoolFpl(_PerturbedLeader):
         (class, ys, xs), the walk and the tables, which the plan's `kept` slot
         holds for the last script replayed twice in a row, a later fresh
         engine taking copies of the walk's states; and this game's draws and
-        leaders. The per-expert `state` and `losses` are built from the tables
-        on their first read.
+        leaders, which the commit makes. The per-expert `state` and `losses`
+        are built from the tables on their first read.
         """
         engine, T, dim = self.engine, len(ys), self.dim
         plan = _replay_plan(dim, T, self._EXACT, pool_complexity)
-        self._size, self._mass = int(plan.live[plan.passed]), plan.mass
-        self._check_mass(self.t + plan.passed)
-        # compared by value, labels first, so a coin script differs early
+        self._check_mass(plan.mass, self.t + plan.passed)
+        # compared by value, labels first (a coin script differs early); an unhashable point raises
         script = (self._cls, list(ys), list(xs))
         last, held, tables = plan.kept
-        try:    # a point that does not hash (a numpy array) misses: the walk raises
-            hit = script == held and hash(tuple(xs)) is not None
-        except (TypeError, ValueError):
-            hit = False
-        if not hit:
-            tables = _tables(engine, dim, plan, self._EXACT, xs, ys)
-            if script == last:      # twice in a row: kept, and shared read-only
-                for array in tables[1:]:
-                    array.flags.writeable = False
-                plan.kept[1:] = script, tables
-        elif tables.states:     # a fresh engine takes the states the walk interned
-            engine.states = list(tables.states)
-            engine.index = dict(zip(engine.states, itertools.count()))
-        plan.kept[0] = script
+        hit = script == held and hash(tuple(xs)) is not None
+        tables = tables if hit else _tables(engine, dim, plan, self._EXACT, xs, ys)
+        again = not hit and script == last
         _, ix, y, pred, mistakes, step, drop, low_loss, loss = tables
         def loss_of(rows, members):
             state, base = _placed(step, drop, *_where(plan, rows, members))
             base += mistakes.take(rows * mistakes.shape[1] + state)
             return base
 
-        # the per-expert arrays wait for their first read; the scorer reads
-        # the cohorts' ends and complexities
-        del self.state, self.losses
-        self._unread = (plan, step, drop, mistakes[T])
-        self._ends, self._ks, self._growable = plan.live, plan.ks, plan.growable
-        at, first, count, _, low_k = plan.ranges
-        rows, exact = plan.rows, (plan.slot, loss, plan.cells[3], plan.mask)
-        chosen = self._lazy_leaders(rows + 1, exact, (at, first, count, low_loss, low_k), loss_of)
-        # a round's newborn leader predicts from its parent's state
-        preds = pred.take(_placed(step, drop, *_where(plan, rows, chosen))[0] * pred.shape[1] + ix)
-        self.mistakes += int(np.count_nonzero(preds != y))
-        self.t += T
-        return preds.tolist()
+        def commit():
+            if again:       # twice in a row: kept, and shared read-only
+                for array in tables[1:]:
+                    array.flags.writeable = False
+                plan.kept[1:] = script, tables
+            elif hit and tables.states:     # a fresh engine takes the walk's states
+                engine.states = list(tables.states)
+                engine.index = dict(zip(engine.states, itertools.count()))
+            plan.kept[0] = script
+            self._size, self._mass = int(plan.live[plan.passed]), plan.mass
+            # the per-expert arrays wait for their first read; the scorer
+            # reads the cohorts' ends and complexities
+            del self.state, self.losses
+            self._unread = (plan, step, drop, mistakes[T])
+            self._ends, self._ks, self._growable = plan.live, plan.ks, plan.growable
+            chosen = self._lazy_leaders(plan.rows + 1, (plan.slot, loss, plan.cells[3], plan.mask),
+                                        (*plan.ranges[:3], low_loss, plan.ranges[4]), loss_of)
+            # a round's newborn leader predicts from its parent's state
+            state = _placed(step, drop, *_where(plan, plan.rows, chosen))[0]
+            preds = pred.take(state * pred.shape[1] + ix)
+            self.mistakes += int(np.count_nonzero(preds != y))
+            self.t += T
+            return preds.tolist()
+        return commit
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +817,5 @@ class AgnosticFpl(FplLearner):
         return super().predict(x)
 
     def _batchable(self, n: int) -> int:
-        n = super()._batchable(n)
-        if self.cap_rounds is not None:
-            n = min(n, max(0, self.cap_rounds + 1 - self.t))
-        return n
+        cap = n if self.cap_rounds is None else max(0, self.cap_rounds + 1 - self.t)
+        return super()._batchable(min(n, cap))

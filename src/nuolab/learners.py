@@ -16,8 +16,8 @@ id and a restrict policy; the expert pools in `fpl` run the same engines.
 """
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
+from functools import partial
 from itertools import compress, count
 from operator import ne
 from typing import Callable, Iterable, Optional, Sequence
@@ -58,6 +58,13 @@ class OnlineLearner:
     checks a batch's labels up front, and its round loop `_loop` takes the
     step inline). So `predict` runs once per round on every path, except
     that a caller who predicts and then calls `update` predicts twice.
+
+    One failure rule holds for every batch: all in it that can raise runs
+    before it changes anything. `_replay(xs, ys)` returns `commit`, which
+    takes no argument, never raises, draws, changes the state and returns
+    the predictions. If `_replay` raises, `_played` plays its rounds by
+    `_loop` instead, so a batch's error and the state after it are the
+    loop's; a version-space engine may keep states interned past it.
     """
 
     deterministic = True
@@ -79,24 +86,24 @@ class OnlineLearner:
         rest take `predict` then `_record` each, and the first bad label's
         round is predicted and then raises, as `update` would there.
 
-        A batch must give the loop's predictions, state and random draws.
-        An error the loop would raise from inside the learner (say, a point
-        outside a class's domain) is raised by a batch too, but the
-        learner's state after it may differ from the loop's. Only here are
-        labels checked: a learner playing others on its batch calls their
-        `_played`."""
+        A batch gives the loop's predictions, state, draws and errors (the
+        class's failure rule). Only here are labels checked: a learner playing
+        others on its batch calls their `_played` or `_replay`."""
         if len(xs) != len(ys):
             raise DomainError("xs and ys differ in length")
         return self._played(xs, ys, labelled_prefix(ys))
 
     def _played(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
-        """`play`'s body, for a batch whose first n labels are checked:
-        `_replay` takes the first `_batchable(n)` rounds and `_loop` the
-        rest, and the batch is sliced only when both have rounds."""
+        """`play`'s body for a batch with n checked labels: `_replay` takes the first
+        `_batchable(n)` rounds, `_loop` the rest, or all if `_replay` raises (the one fallback)."""
         b = self._batchable(n)
-        if not b or b == len(ys):
-            return self._replay(xs, ys) if b else self._loop(xs, ys, n)
-        return self._replay(xs[:b], ys[:b]) + self._loop(xs[b:], ys[b:], n - b)
+        if not b:
+            return self._loop(xs, ys, n)
+        try:
+            commit = self._replay(xs, ys) if b == len(ys) else self._replay(xs[:b], ys[:b])
+        except Exception:
+            return self._loop(xs, ys, n)
+        return commit() if b == len(ys) else commit() + self._loop(xs[b:], ys[b:], n - b)
 
     def _batchable(self, n: int) -> int:
         """How many of the n well-labelled leading rounds `_replay` may
@@ -139,10 +146,19 @@ class OnlineLearner:
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         pass
 
-    def _record_batch(self, preds: list[int], ys: Sequence[int]) -> list[int]:
-        """`_record`'s mistake count and round step for a batch; returns `preds`."""
-        self.mistakes += sum(map(ne, preds, ys))
-        self.t += len(ys)
+    def _copy(self) -> OnlineLearner:
+        # a shallow copy set attribute by attribute: 3 times faster than `copy.copy`, and
+        # faster to read under Python 3.11, which reads a dict built whole more slowly
+        twin = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(twin, name, value)
+        return twin
+
+    def _record_batch(self, preds: list[int], mistakes: int, **state) -> list[int]:
+        """A batch's usual commit: set `state`, then its mistakes and round steps."""
+        vars(self).update(state)
+        self.mistakes += mistakes
+        self.t += len(preds)
         return preds
 
 
@@ -154,10 +170,8 @@ class ConstantLearner(OnlineLearner):
     def predict(self, x: Point) -> int:
         return self.value
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        self.mistakes += len(ys) - ys.count(self.value)
-        self.t += len(ys)
-        return [self.value] * len(ys)
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> partial:
+        return partial(self._record_batch, [self.value] * len(ys), len(ys) - ys.count(self.value))
 
 
 class SoaLearner(OnlineLearner):
@@ -207,33 +221,33 @@ class SoaLearner(OnlineLearner):
     def _batchable(self, n: int) -> int:
         return 0 if self.sid is None else super()._batchable(n)
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> partial:
         """The round loop on locals. Predictions are memoized in a table of the
         current state, keyed by the point, and begun afresh when the state
         moves: a version space only shrinks, so a state left is never met
         again. Steps are memoized by (state, point, label), each first taken
-        at the loop's round, so the engine interns the loop's states. An
-        error leaves the loop's state: the mistakes of the rounds predicted."""
+        at the loop's round, so the engine interns the loop's states."""
         predict, should, step = self.engine.predict, self._should_restrict, self._step
         table, stepped, preds = {}, {}, []
         sid, t, always = self.sid, self.t, self.always_restrict
-        try:
-            for x, y in zip(xs, ys):
-                p = table.get(x)
-                if p is None:
-                    p = table[x] = predict(sid, x)
-                preds.append(p)
-                # every policy restricts only mistaken rounds, unless always_restrict
-                if (p != y or always) and should(p != y, t):
-                    nxt = stepped.get((sid, x, y))
-                    if nxt is None:
-                        nxt = stepped[sid, x, y] = step(sid, x, y, t)
-                    if nxt != sid:
-                        sid, table = nxt, {}
-                t += 1
-        finally:
-            self.sid, self.t = sid, t
-            self.mistakes += sum(map(ne, preds, ys))
+        for x, y in zip(xs, ys):
+            p = table.get(x)
+            if p is None:
+                p = table[x] = predict(sid, x)
+            preds.append(p)
+            # every policy restricts only mistaken rounds, unless always_restrict
+            if (p != y or always) and should(p != y, t):
+                nxt = stepped.get((sid, x, y))
+                if nxt is None:
+                    nxt = stepped[sid, x, y] = step(sid, x, y, t)
+                if nxt != sid:
+                    sid, table = nxt, {}
+            t += 1
+        return partial(self._adopt, sid, preds, sum(map(ne, preds, ys)))
+
+    def _adopt(self, sid: int, preds: list[int], mistakes: int) -> list[int]:
+        # `_record_batch` with sid=sid, inline: its keywords cost a twentieth of a short game
+        self.sid, self.mistakes, self.t = sid, self.mistakes + mistakes, self.t + len(preds)
         return preds
 
 
@@ -254,15 +268,15 @@ class ExpertLearner(SoaLearner):
     def _should_restrict(self, mistake: bool, t: int) -> bool:
         return mistake and t in self._keyset
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> partial:
         """`SoaLearner._replay` up to the last key round; past it the state
         is frozen, so each distinct point is predicted once, in order of
         first occurrence, and the rounds read that table."""
         head = max(0, (self.key[-1] if self.key else 0) + 1 - self.t)
-        preds = super()._replay(xs[:head], ys[:head])
-        table = {x: self.engine.predict(self.sid, x) for x in dict.fromkeys(xs[head:])}
-        frozen = list(map(table.__getitem__, xs[head:]))
-        return preds + self._record_batch(frozen, ys[head:])
+        sid, preds, _ = super()._replay(xs[:head], ys[:head]).args
+        table = {x: self.engine.predict(sid, x) for x in dict.fromkeys(xs[head:])}
+        preds = preds + list(map(table.__getitem__, xs[head:]))
+        return partial(self._adopt, sid, preds, sum(map(ne, preds, ys)))
 
 
 class FollowHypothesisLearner(SoaLearner):
@@ -307,15 +321,15 @@ class AggregatorLearner(OnlineLearner):
             learner._played(xs, ys, len(ys))
         return learner
 
-    def _choose(self, scores: list[int], joined: Callable[[int], int]) -> int:
+    def _choose(self, sub: dict, scores: list[int], joined: Callable[[int], int]) -> int:
         """The round's selection, from scores[n - 1] = sub-learner n's
         counter + n. While the top index is below the least score, the
-        next sub-learner n joins (`_spawn`) and `joined(n)` gives its
+        next sub-learner n joins `sub` (`_spawn`) and `joined(n)` gives its
         score; then the argmin, ties to the smallest index."""
         least = min(scores)
         while len(scores) < least:
             n = len(scores) + 1
-            self.sub[n] = self._spawn(n)
+            sub[n] = self._spawn(n)
             scores.append(joined(n))
             least = min(least, scores[-1])
         return scores.index(least) + 1
@@ -324,7 +338,7 @@ class AggregatorLearner(OnlineLearner):
         return {n: l.mistakes for n, l in self.sub.items()}
 
     def selector(self) -> int:
-        return self._choose([l.mistakes + n for n, l in self.sub.items()],
+        return self._choose(self.sub, [l.mistakes + n for n, l in self.sub.items()],
                             lambda n: self.sub[n].mistakes + n)
 
     def predict(self, x: Point) -> int:
@@ -337,49 +351,34 @@ class AggregatorLearner(OnlineLearner):
             learner.update(x, y)
         self.history.append((x, y))
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """Every sub-learner plays all the rounds with its own `_played`. At
-        round i the walk calls `_choose` on the counters (a sub-learner that
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> Callable[[], list[int]]:
+        """Copies of the sub-learners play all the rounds, which the commit
+        adopts. At round i the walk calls `_choose` on the counters (one that
         joins replays the history, then the batch); counters never fall, so
         the pool and the choice stand until the round after the chosen one's
-        next error, and its predictions are copied up to there. An error
-        from inside a sub-learner drops the batch, which plays copies of the
-        sub-learners, and the round loop plays the rounds instead, so the
-        error is the loop's."""
-        saved = self.sub
-        try:
-            self.sub = {n: copy.copy(l) for n, l in saved.items()}
-            runs = [self._scored(n, l, xs, ys) for n, l in self.sub.items()]
+        next error, and its predictions are copied up to there."""
+        sub = {n: l._copy() for n, l in self.sub.items()}
 
-            def joined(n: int) -> int:
-                runs.append(self._scored(n, self.sub[n], xs, ys))
-                return runs[-1][0] + bisect_left(runs[-1][1], i)
+        def scored(n: int) -> tuple[int, list[int], list[int]]:
+            # (counter + n before the rounds, the rounds n errs at, its predictions)
+            start, played = sub[n].mistakes + n, sub[n]._played(xs, ys, len(ys))
+            return start, list(compress(count(), map(ne, played, ys))), played
 
-            i, preds = 0, []
-            while i < len(ys):
-                k = self._choose([start + bisect_left(errs, i) for start, errs, _ in runs],
-                                 joined)
-                _, errs, chosen = runs[k - 1]
-                j = bisect_left(errs, i)
-                end = errs[j] + 1 if j < len(errs) else len(ys)
-                preds += chosen[i:end]
-                i = end
-        except Exception:
-            # an error from inside a sub-learner: the loop raises it too, in
-            # the loop's order
-            self.sub = saved
-            return self._loop(xs, ys, len(ys))
-        self.selected = k
-        self.history += zip(xs, ys)
-        return self._record_batch(preds, ys)
+        def joined(n: int) -> int:
+            runs.append(scored(n))
+            return runs[-1][0] + bisect_left(runs[-1][1], i)
 
-    @staticmethod
-    def _scored(n: int, learner: SoaLearner, xs, ys) -> tuple[int, list[int], list[int]]:
-        """(counter + n before the rounds, the rounds it errs at, its
-        predictions), as `learner` plays the rounds."""
-        start = learner.mistakes + n
-        preds = learner._played(xs, ys, len(ys))
-        return start, list(compress(count(), map(ne, preds, ys))), preds
+        runs, i, preds = list(map(scored, sub)), 0, []
+        while i < len(ys):
+            k = self._choose(sub, [start + bisect_left(errs, i) for start, errs, _ in runs],
+                             joined)
+            _, errs, chosen = runs[k - 1]
+            j = bisect_left(errs, i)
+            end = errs[j] + 1 if j < len(errs) else len(ys)
+            preds += chosen[i:end]
+            i = end
+        return partial(self._record_batch, preds, sum(map(ne, preds, ys)), sub=sub, selected=k,
+                       history=self.history + list(zip(xs, ys)))
 
 
 class CoverSpec:
@@ -416,22 +415,19 @@ class CoverLearner(OnlineLearner):
         # the distinct (x, y) pairs seen, in order of first occurrence: each
         # is checked once, and a raising hypothesis raises at the same pair
         self.history: dict[tuple[Point, int], None] = {}
-        self._advance()
+        self._advance(self, self.t)
 
-    def _consistent(self, h: Hypothesis) -> bool:
-        return all(h(px) == py for px, py in self.history)
-
-    def _advance(self) -> None:
-        """Move `index` on to the next hypothesis consistent with the history."""
+    def _advance(self, cursor, t: int) -> None:
+        """Move `cursor` (the learner, or `_replay`'s own) on to the next
+        hypothesis consistent with its history; t is the round, for the error."""
         while True:
-            self.index += 1
+            cursor.index += 1
             try:
-                h = self.cover.hypothesis(self.index)
+                h = self.cover.hypothesis(cursor.index)
             except IndexError:
-                raise ProtocolError(
-                    "every enumerated cover hypothesis eliminated", self.t) from None
-            if self._consistent(h):
-                self.current = h
+                raise ProtocolError("every enumerated cover hypothesis eliminated", t) from None
+            if all(h(px) == py for px, py in cursor.history):
+                cursor.current = h
                 return
 
     def predict(self, x: Point) -> int:
@@ -440,32 +436,30 @@ class CoverLearner(OnlineLearner):
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self.history[x, y] = None
         if predicted != y:
-            self._advance()
+            self._advance(self, self.t)
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> list[int]:
-        """An error in labelling the points, which the loop may never show
-        this hypothesis, restores the state and plays the batch through the
-        round loop; one from `_advance` is raised from the loop's state."""
-        saved = self.index, self.current, len(self.history), self.t, self.mistakes
-        preds, i, n = [], 0, len(ys)
+    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> Callable[[], list[int]]:
+        """The rounds up to a mistake read the current hypothesis's labels
+        of the batch's distinct points; at the mistake `_advance` moves a
+        local cursor, whose index, hypothesis and history the commit adopts."""
+        cursor = object.__new__(CoverLearner)   # a bare instance reads its attributes fast
+        cursor.index, cursor.current, cursor.history = self.index, self.current, dict(self.history)
+        preds, i, n, errs, points = [], 0, len(ys), 0, list(dict.fromkeys(xs))
         while i < n:
-            try:
-                points = points if i else list(dict.fromkeys(xs))
-                label = dict(zip(points, map(self.current, points))).__getitem__
-                j = next(compress(count(i), map(ne, map(label, xs[i:]), ys[i:])), n)
-            except Exception:
-                self.index, self.current, seen, self.t, self.mistakes = saved
-                for pair in list(self.history)[seen:]:
-                    del self.history[pair]
-                return self._loop(xs, ys, n)
+            label = dict(zip(points, map(cursor.current, points))).__getitem__
+            j = next(compress(count(i), map(ne, map(label, xs[i:]), ys[i:])), n)
             preds += map(label, xs[i:j + 1])
-            self.history.update(dict.fromkeys(zip(xs[i:j + 1], ys[i:j + 1])))
+            cursor.history.update(dict.fromkeys(zip(xs[i:j + 1], ys[i:j + 1])))
             if j < n:
-                self.t, self.mistakes = saved[3] + j, self.mistakes + 1
-                self._advance()
+                errs += 1
+                self._advance(cursor, self.t + j)
             i = j + 1
-        self.t = saved[3] + n
-        return preds
+
+        def commit():   # `_record_batch` with keywords would cost 2 % of an 80-round game
+            self.index, self.current, self.history = cursor.index, cursor.current, cursor.history
+            self.mistakes, self.t = self.mistakes + errs, self.t + n
+            return preds
+        return commit
 
 
 class NaturalThresholdLearner(OnlineLearner):

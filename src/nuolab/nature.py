@@ -8,6 +8,7 @@ y = h*(x) on every round; agnostic variants see the public transcript
 """
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -32,7 +33,8 @@ class NatureStrategy:
     and hands it to `learner.play` in one call, which gives the same game
     as the round loop: the nature's draws come in the same order, and the
     learner's replay makes the same random draws in the same order and
-    scores them with the same float operations.
+    scores them with the same float operations. `draw_script` keeps the
+    learners' one failure rule (`learners.OnlineLearner`) for `_drawn`.
     """
 
     oblivious = False
@@ -44,9 +46,13 @@ class NatureStrategy:
         raise NotImplementedError
 
     def draw_script(self, horizon: int) -> tuple[list, list, Optional[Exception]]:
-        """(points, labels, failure) of the next `horizon` >= 0 rounds, drawn round
-        by round; a draw that raises ends the lists. Overrides build the lists at
-        once, to the same result and state, and leave any failure to this loop."""
+        """(points, labels, failure) of the next `horizon` >= 0 rounds: by `_drawn(horizon)`
+        if defined and it does not raise, else round by round, a failed draw ending them."""
+        if hasattr(self, "_drawn"):
+            try:
+                return (*self._drawn(horizon), None)
+            except Exception:
+                pass
         xs, ys = [], []
         try:
             for _ in range(horizon):
@@ -106,11 +112,12 @@ class AgnosticScripted(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.labels[self.served - 1]
 
-    def draw_script(self, horizon: int):
+    def _drawn(self, horizon: int) -> tuple[list, list]:
         start = self.served
-        self.served = min(start + horizon, len(self.points))
-        return (self.points[start:self.served], self.labels[start:self.served],
-                super().draw_script(start + horizon - self.served)[2])
+        if start + horizon > len(self.points):     # the loop meets the exhaustion
+            raise ExhaustionError(f"scripted stream exhausted after {len(self.points)} points")
+        self.served += horizon
+        return self.points[start:self.served], self.labels[start:self.served]
 
 
 class StochasticIid(NatureStrategy):
@@ -131,24 +138,19 @@ class StochasticIid(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.hypothesis(x)
 
-    def draw_script(self, horizon: int):
-        """The script by the measure's one draw rule, labelling every support
-        point once before the draws or, for a support larger than the horizon,
-        each distinct drawn point once after them. A label that raises leaves
-        the script to the loop, with the generator as the script found it."""
-        support, state = self.measure.support, None
+    def _drawn(self, horizon: int) -> tuple[list, list]:
+        """The script by the measure's one draw rule, labelling the support before the draws
+        or, if larger than the horizon, each distinct drawn point after, on a copied generator."""
+        support, rng = self.measure.support, self.rng
         if len(support) > horizon:
-            state, drawn = self.rng.getstate(), self.measure.draw(self.rng, horizon)
-        try:
-            labels = ({i: self.hypothesis(support[i]) for i in dict.fromkeys(drawn)} if state
-                      else list(map(self.hypothesis, support)))
-        except Exception:
-            if state:
-                self.rng.setstate(state)
-            return super().draw_script(horizon)
-        if not state:
-            drawn = self.measure.draw(self.rng, horizon)
-        return [support[i] for i in drawn], [labels[i] for i in drawn], None
+            rng = copy.copy(rng)
+            drawn = self.measure.draw(rng, horizon)
+            labels = {i: self.hypothesis(support[i]) for i in dict.fromkeys(drawn)}
+        else:
+            labels = list(map(self.hypothesis, support))
+            drawn = self.measure.draw(rng, horizon)
+        self.rng = rng
+        return [support[i] for i in drawn], [labels[i] for i in drawn]
 
 
 class CoinFlip(NatureStrategy):
@@ -168,10 +170,10 @@ class CoinFlip(NatureStrategy):
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.rng.getrandbits(1)
 
-    def draw_script(self, horizon: int):
+    def _drawn(self, horizon: int) -> tuple[list, list]:
         # one wide draw's 32-bit words, lowest first, are `reveal_label`'s outputs
         words = self.rng.getrandbits(32 * horizon).to_bytes(4 * horizon, "little")
-        return [self.point] * horizon, list(words[3::4].translate(self._TOP_BIT)), None
+        return [self.point] * horizon, list(words[3::4].translate(self._TOP_BIT))
 
 
 class WindowHalving(NatureStrategy):

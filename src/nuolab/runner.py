@@ -73,11 +73,11 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     plays it in one `learner.play` call. That is the same game: the
     nature's draws come in the same order, and `play` gives the loop's
     predictions, state and random draws (each learner's `_replay` says
-    how). Errors match the loop's too: if drawing fails at round r, the
-    learner first plays rounds 1..r-1 (and predicts round r when it was
-    the label that failed), and a bad label raises from the learner at its
-    round (`OnlineLearner.play` says what a batch promises about other
-    errors from inside the learner).
+    how). Errors and the states after them match the loop's too, by one
+    rule on both sides (`OnlineLearner`): a batch or a drawn script that
+    raises has changed nothing, and the round loop plays its rounds. If
+    drawing fails at round r, the learner first plays rounds 1..r-1 (and
+    predicts round r when it was the label that failed).
     """
     if horizon < 0:
         raise DomainError("horizon must be >= 0")

@@ -14,6 +14,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
+from operator import ne
 
 import numpy as np
 
@@ -277,9 +279,9 @@ class _ParityExpert(learners.OnlineLearner):
     def predict(self, x) -> int:
         return int(self.t % 2 == self.phase)
 
-    def _replay(self, xs, ys) -> list[int]:
-        return self._record_batch(
-            [int(t % 2 == self.phase) for t in range(self.t, self.t + len(ys))], ys)
+    def _replay(self, xs, ys):
+        preds = [int(t % 2 == self.phase) for t in range(self.t, self.t + len(ys))]
+        return partial(self._record_batch, preds, sum(map(ne, preds, ys)))
 
 
 class _LastLabelExpert(learners.OnlineLearner):
@@ -295,9 +297,9 @@ class _LastLabelExpert(learners.OnlineLearner):
     def _absorb(self, x, y, predicted) -> None:
         self.last = y
 
-    def _replay(self, xs, ys) -> list[int]:
-        preds, self.last = [self.last, *ys[:-1]], ys[-1]
-        return self._record_batch(preds, ys)
+    def _replay(self, xs, ys):
+        preds = [self.last, *ys[:-1]]
+        return partial(self._record_batch, preds, sum(map(ne, preds, ys)), last=ys[-1])
 
 
 def check_fpl_regret_bound(trials: int = 2000, horizon: int = 400) -> tuple[bool, str]:

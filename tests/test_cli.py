@@ -185,6 +185,14 @@ REFUSED = {
             "key must be strictly increasing positive rounds: (3, 1)"),
         "window-depth-zero": Row(play(CONSTANT, {"nature": "window-halving", "depth": 0}, "3"),
                                  "depth cap must be >= 1"),
+        # the round loop feeds round 1 to both row experts, and the second
+        # fails on point 2 there, before the first could meet point 3
+        "fpl-expert-error-order": Row(
+            play({"learner": "fpl", "k": [1, 1], "experts": [
+                {"kind": "row", "domain": [1, 2], "values": [0, 1]},
+                {"kind": "row", "domain": [1, 3], "values": [0, 1]}]},
+                {"nature": "scripted", "x": [2, 3], "y": [0, 1]}, "2"),
+            "point 2 outside hypothesis domain"),
         "script-lengths-differ": Row(
             play(CONSTANT, {"nature": "scripted", "x": [1, 2], "y": [0]}, "3"),
             "points and labels differ in length"),

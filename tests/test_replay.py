@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import partial
 from typing import Callable, NamedTuple
 from unittest import mock
@@ -29,7 +29,7 @@ from nuolab import learners as learners_module
 from nuolab.fpl import AgnosticFpl, ConfigurationError, ExpertPoolFpl, FplLearner
 from nuolab.hypotheses import (DomainError, ExplicitListFamily, FamilyComponent,
                                FiniteClass, FiniteSupportClass, FiniteSupportFamily,
-                               SingletonClass, is_label, support_hypothesis,
+                               SingletonClass, is_label, row_hypothesis, support_hypothesis,
                                threshold_hypothesis)
 from nuolab.learners import (AggregatorLearner, ConstantLearner, CoverLearner,
                              CoverSpec, ExpertLearner, FollowHypothesisLearner,
@@ -140,9 +140,6 @@ class Case(NamedTuple):
     patches: tuple = ()     # (object, attribute, value), in place while the case plays
     scored: bool = False    # log a pool's scorer inputs and leaders
     pin: Callable | None = None     # holds of the learner after the first batch
-    # False where the error comes from inside the learner, after which
-    # `play` promises the error but not the state (`OnlineLearner.play`)
-    state_at_error: bool = True
     # True where the errors are the nature's: a draw that raised, after which
     # `play` and the loop have drawn the same rounds. After the learner's,
     # `play` has drawn the whole script and the loop only up to the error
@@ -226,23 +223,40 @@ def played(way, case):
 
 def same_game(case, ways=WAYS):
     """Play the case in `ways`, `play` first and `run_game`'s round loop
-    second: every way plays the loop's game, `play` its state included
-    unless an error from inside the learner ended a batch; the first error
-    is the case's."""
+    second: every way plays the loop's game, the learner's state after an
+    error included; the first error is the case's."""
     outs, logs = zip(*(played(way, case) for way in ways))
     for way, out in zip(ways[2:], outs[2:]):
         assert out == outs[1], way
     assert logs[0] == logs[1], "the scorer's log"
-    assert promised(case, outs[0]) == promised(case, outs[1]), "play"
+    assert promised(case, outs[0], outs[1]) == promised(case, outs[1], outs[1]), "play"
     assert_error(case, outs[0])
 
 
-def promised(case, out):
-    """What `play` promises of each batch: its rounds or error, and the
-    states after it, which after an error depend on the case."""
-    return [(got, learner if got[0] == "rounds" or case.state_at_error else None,
-             strategy if got[0] == "rounds" or case.nature_at_error else None)
-            for got, learner, strategy in out]
+def promised(case, out, loop):
+    """What `play` promises of each batch of `out`, against the round
+    loop's game `loop`: its rounds or error, the learner's state after it,
+    and the nature's after its rounds or its own error. One difference is
+    allowed, from the first error on: a version-space engine may keep
+    states that a failed batch interned past the loop's error, so there the
+    loop's `engine_states` need only be a prefix of the batch's."""
+    failed, view = False, []
+    for (got, learner, strategy), (_, looped, _) in zip(out, loop):
+        failed = failed or got[0] == "error"
+        view.append((got, interned_past(learner, looped) if failed else learner,
+                     strategy if got[0] == "rounds" or case.nature_at_error else None))
+    return view
+
+
+def interned_past(batch, loop):
+    """The snapshot `batch` with each engine's states cut to the loop's,
+    where those are a prefix of them."""
+    if isinstance(batch, dict) and isinstance(loop, dict) and batch.keys() == loop.keys():
+        return {k: loop[k] if k == "engine_states" and v[:len(loop[k])] == loop[k]
+                else interned_past(v, loop[k]) for k, v in batch.items()}
+    if isinstance(batch, (list, tuple)) and type(batch) is type(loop) and len(batch) == len(loop):
+        return type(batch)(map(interned_past, batch, loop))
+    return batch
 
 
 def assert_error(case, out):
@@ -252,9 +266,13 @@ def assert_error(case, out):
 
 def one_path(case, replays):
     """`play` takes the case's rounds by the replay alone (`replays`) or by
-    the round loop alone, and plays the loop's game."""
+    the round loop alone, and plays the loop's game. A refused path that
+    ran is recorded, for `_played`'s fallback catches what a `_replay` raises."""
+    ran = []
+
     def refused(self, *args):   # predict(x), _loop(xs, ys, n) with rounds, or _replay
         if len(args) != 3 or len(args[1]):
+            ran.append(type(self).__name__)
             raise AssertionError("the path refused ran")
         return []
 
@@ -264,8 +282,10 @@ def one_path(case, replays):
         for name in ("predict", "_loop") if replays else ("_replay",):
             stack.enter_context(mock.patch.object(cls, name, refused))
         out, log = played("play", case)
-    assert (promised(case, out), log) == (promised(case, expected[0]), expected[1])
-    assert_error(case, expected[0])
+    loop, loop_log = expected
+    assert (promised(case, out, loop), log) == (promised(case, loop, loop), loop_log)
+    assert not ran, ran
+    assert_error(case, loop)
 
 
 def snapshot(learner) -> dict:
@@ -458,13 +478,14 @@ replays_alone, loop_alone = partial(one_path, replays=True), partial(one_path, r
 
 
 def prefixed(name, seed, prefix):
-    """The oblivious nature `name`, its first `prefix` rounds drawn by hand:
-    by the base class's round loop, which every nature's own `draw_script`
-    overrides but a realizable script's, which draws by that loop alone."""
+    """The oblivious nature `name`, its first `prefix` rounds drawn by hand
+    until one raises: by the round loop, which every nature's own `_drawn`
+    replaces but a realizable script's, which draws by that loop alone."""
     strategy = OBLIVIOUS[name](seed)
-    overrides = type(strategy).draw_script is not nature.NatureStrategy.draw_script
-    assert overrides != isinstance(strategy, nature.RealizableScripted)
-    nature.NatureStrategy.draw_script(strategy, prefix)
+    assert hasattr(strategy, "_drawn") != isinstance(strategy, nature.RealizableScripted)
+    with suppress(DomainError):
+        for _ in range(prefix):
+            strategy.reveal_label(strategy.next_point(), None)
     return strategy
 
 
@@ -508,12 +529,12 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
                                                     [0, 1, 1, 1, 1, 0, 0, 1]),
          ("DomainError", UNKNOWN))
         for xs in [[1, 3, 2, 3, 1, 2, 1, 3]] for at in (1, 4, 7)
-        for i, key in enumerate([(), (2,), (2, 9)])], state_at_error=False)),
+        for i, key in enumerate([(), (2,), (2, 9)])])),
     # AggregatorLearner
     "test_aggregator_replay_matches_loop": (same_game, {
         name: drawn(40, lambda s, name=name: [game(
-            aggregator(name), s, error=ANY if name == "shrinking-domains" else None,
-            state_at_error=False)], any_scripts) for name in FAMILIES}),
+            aggregator(name), s, error=ANY if name == "shrinking-domains" else None)],
+            any_scripts) for name in FAMILIES}),
     "test_aggregator_error_from_inside_matches_loop": (same_game, faults(
         # sub-learner 2 (points 1-3) fails on point 4 at round 3; the loop
         # never creates sub-learner 3 (points 1-2), which a fallback from
@@ -523,8 +544,7 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
         # the loop creates sub-learner 3 at round 4, whose replay fails on
         # point 3 before sub-learner 2 sees point 4, the batch's first error
         ("late-sub-learner-fails-first", aggregator("shrinking-domains"),
-         ([1, 1, 3, 4], [0, 1, 0, 0]), ("DomainError", "point 3 not in class domain")),
-        state_at_error=False)),
+         ([1, 1, 3, 4], [0, 1, 0, 0]), ("DomainError", "point 3 not in class domain")))),
     "test_aggregator_batch_does_not_fall_back": (replays_alone, [game(
         aggregator("support"), cycle(60), pin=lambda agg: len(agg.sub) > 3)]),
     # CoverLearner
@@ -563,6 +583,25 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
         for c in (1, 2)}),
     "test_five_expert_replay_matches_loop": (same_game, drawn(
         40, lambda s, seed: [game(five(seed=seed), s)], scripts, seeds)),
+    "test_fpl_expert_error_is_the_loops": (same_game, {
+        # the round loop feeds every expert round 1 first, so the second
+        # expert's error at point 2 comes before the first's at point 3
+        "row-domains": [game(lambda: FplLearner([
+            FollowHypothesisLearner(row_hypothesis([1, 2], [0, 1])),
+            FollowHypothesisLearner(row_hypothesis([1, 3], [0, 1]))], [1, 1], seed=seed),
+            ([2, 3], [0, 1]), error=("DomainError", "point 2 outside hypothesis domain"))
+            for seed in (0, 1)],
+        # component 1's pool readies its replay, whose draws wait for the
+        # commit; component 2's class fails on point 4 at round 5, so the
+        # batch draws nothing and the loop plays every pool from the start.
+        # There seed 0 leads with component 2, which fails as it predicts,
+        # and seed 1 with component 1, whose pool the feed has moved on
+        "later-component": [game(
+            agnostic(classes=(CONSTANTS, SMALL), seed=seed),
+            ([1, 2, 3, 1, 4, 2], [0, 1, 1, 0, 1, 0]),
+            error=("DomainError", "point 4 not in class domain"),
+            pin=lambda learner, seed=seed: [e.t for e in learner.experts] == [5 + seed, 5])
+            for seed in (0, 1)]}),
     "test_coin_flip_replay_matches_loop": (same_game, drawn(30, lambda seed, T: [Case(
         agnostic(components=1, seed=seed, classes=(FiniteClass((0,), [[0], [1]]),)),
         [(partial(nature.CoinFlip, seed), T)])], seeds, st.integers(0, 150))),
@@ -608,13 +647,13 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
     "test_replay_mass_overflow_names_the_loop_round": (same_game, [game(
         # with complexity 1 for every key, the root and the cohorts of rounds
         # 1 and 2 bring a dimension-1 pool's mass to 3/e, over the budget at round 2
-        pool("dim1-constants", 35), ([1, 2, 3, 4], [0, 1, 1, 0]), state_at_error=False,
+        pool("dim1-constants", 35), ([1, 2, 3, 4], [0, 1, 1, 0]),
         patches=((fpl, "pool_complexity", lambda dim, last_round: 1.0),),
         error=("ConfigurationError", "complexity mass 1.103638 exceeds 1 at round 2"))]),
     "test_replay_mass_overflow_past_the_ranges": (same_game, [game(
         # complexity 4 for every key after the root brings a dimension-1 pool
         # over the budget at round 35, after the ranges went live at round 9
-        pool("dim1-support", 7), check_script(DOMAIN, "coin", 60), state_at_error=False,
+        pool("dim1-support", 7), check_script(DOMAIN, "coin", 60),
         patches=((fpl, "pool_complexity", lambda dim, last: 1.0 if last < 1 else 4.0),),
         error=("ConfigurationError", "complexity mass 1.008927 exceeds 1 at round 35"))]),
     "test_replay_matches_loop_at_every_block_size": (same_game, {
@@ -719,6 +758,44 @@ def table_test(check, cases):
 # collected under each entry's name, so that a case keeps its pytest id and
 # its hypothesis database key
 globals().update((name, table_test(*entry)) for name, entry in TABLE.items())
+
+
+def fallbacks(case) -> int:
+    """How many `_replay`s raised, so that `_played` fell back to the round
+    loop, as `play` plays the case."""
+    raised = []
+
+    def counted(replay):
+        def wrapped(self, xs, ys):
+            try:
+                return replay(self, xs, ys)
+            except Exception:
+                raised.append(type(self))
+                raise
+        return wrapped
+
+    with ExitStack() as stack:
+        for cls in (cls for cls in ROWS if "_replay" in vars(cls)):
+            stack.enter_context(mock.patch.object(cls, "_replay", counted(cls._replay)))
+        played("play", case)
+    return len(raised)
+
+
+def test_fallbacks_only_where_the_loop_raises():
+    # no case without an error falls back, so the fallback cannot hide a
+    # replay bug; the cases whose errors come from inside a learner do. A
+    # drawn entry gives two draws of its cases
+    counts = {None: 0, "error": 0}
+
+    def count(case, ways=None):
+        if case.error is not ANY:
+            counts[case.error and "error"] += fallbacks(case)
+
+    for name, (_, entry) in TABLE.items():
+        for key, cases in (entry.items() if isinstance(entry, dict) else [(None, entry)]):
+            cases = cases._replace(examples=2) if isinstance(cases, Drawn) else cases
+            run(cases, count, f"{name}[{key}]-fallbacks")
+    assert counts[None] == 0 and counts["error"] >= 1, counts
 
 
 def checked_loop(learner, xs, ys):
@@ -1129,7 +1206,8 @@ def sighted(*cases, order=None):
     loops = [played("run_game", case) for case in cases]
     for i in order or [i for i in range(len(cases)) for _ in range(3)]:
         out, got = played("play", cases[i])
-        assert (promised(cases[i], out), got) == (promised(cases[i], loops[i][0]), loops[i][1]), i
+        loop, log = loops[i]
+        assert (promised(cases[i], out, loop), got) == (promised(cases[i], loop, loop), log), i
     return [loop for loop, _ in loops]
 
 
@@ -1235,7 +1313,7 @@ def test_a_script_that_raises_keeps_no_tables(name, monkeypatch):
     # round 3 shows a point outside the class: every replay builds its
     # tables and raises the loop's error, and none is kept
     built = tables_built(monkeypatch)
-    sighted(game(pool(name, 50), ([1, 2, "x", 3], [0, 1, 1, 0]), state_at_error=False))
+    sighted(game(pool(name, 50), ([1, 2, "x", 3], [0, 1, 1, 0])))
     assert built == [4, 4, 4] and kept(COMPONENTS[name].dim, 4) == [None] * 3
 
 
@@ -1355,11 +1433,12 @@ class Emits(OnlineLearner):
                                           (np.bool_(True), TypeError), (-1, ValueError),
                                           (256, ValueError)])
 def test_fpl_replay_reads_expert_predictions_as_bytes(value, error):
-    # an expert prediction that is an int in 0..255 plays as in the loop;
-    # any other is refused with a typed error
+    # an expert prediction that is an int in 0..255 plays in the batch; the
+    # batch refuses any other with a typed error before it changes anything,
+    # so `play` falls back to the round loop: every value plays the loop's game
     make = lambda: FplLearner([ConstantLearner(0), Emits(value)], [1.0, 2.0], seed=8)
-    if error is None:
-        same_game(game(make, ([1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4)))
-    else:
+    script = [1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4
+    if error is not None:
         with pytest.raises(error):
-            make().play([1, 2, 3, 4] * 5, [0, 1, 1, 0, 1] * 4)
+            make()._replay(*script)
+    same_game(game(make, script))

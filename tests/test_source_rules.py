@@ -36,7 +36,7 @@ def test_one_play_splits_batches():
 def test_labels_checked_once():
     # `OnlineLearner.play` checks a batch's labels, and only it: a learner
     # that plays its experts or sub-learners on a batch it holds calls
-    # their `_played`, so no `_replay` or `_scored` calls `.play(`
+    # their `_played` or `_replay`, so no `_replay` or `fpl._on_copy` calls `.play(`
     calls = []
 
     def visit(node, scope):
@@ -52,7 +52,7 @@ def test_labels_checked_once():
         visit(ast.parse(path.read_text(), filename=str(path)), (path.name,))
     checks = [".".join(scope) for scope, name in calls if name == "labelled_prefix"]
     plays = [".".join(scope) for scope, name in calls
-             if name == "play" and {"_replay", "_scored"} & set(scope)]
+             if name == "play" and {"_replay", "_on_copy"} & set(scope)]
     assert checks == ["learners.py.OnlineLearner.play"]
     assert not plays, plays
 
@@ -356,13 +356,76 @@ def test_one_draw_rule():
 
     assert scopes("getrandbits") == {"hypotheses.py.DiscreteMeasure.draw",
                                      "nature.py.CoinFlip.reveal_label",
-                                     "nature.py.CoinFlip.draw_script"}
+                                     "nature.py.CoinFlip._drawn"}
     assert scopes("_cum") == {"hypotheses.py.DiscreteMeasure.draw"}
     assert scopes("_cum", "Store") == {"hypotheses.py.DiscreteMeasure.__init__"}
     drawing = {scope for scope, name, _, called in uses if name == "draw" and called}
     assert {"hypotheses.py.DiscreteMeasure.sample",
-            "nature.py.StochasticIid.draw_script"} <= drawing
+            "nature.py.StochasticIid._drawn"} <= drawing
     assert not {scope for scope, name, _, called in uses if name == "random" and called}
+
+
+BATCH_BODIES = ("_replay", "_drawn", "_tables", "_walk")
+
+
+def test_one_failure_rule():
+    # a batch changes nothing until it has its answer (`OnlineLearner`):
+    # no batch body catches an error, a `_replay` changes its learner only
+    # in its `commit`, and the only fallbacks to the round loop are
+    # `OnlineLearner._played` for learners and `NatureStrategy.draw_script`
+    # for natures, which alone call `_replay` or `_drawn` inside a `try`;
+    # only `_played` calls `_loop`, and no nature overrides `draw_script`
+    caught, changed, fallbacks, loops, drawers = [], [], set(), set(), set()
+
+    def on_self(target):
+        while isinstance(target, (ast.Attribute, ast.Subscript)):
+            target = target.value
+        return isinstance(target, ast.Name) and target.id == "self"
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            found = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            found = [node.target]
+        else:
+            found = node.targets if isinstance(node, ast.Delete) else []
+        for target in found:
+            yield from target.elts if isinstance(target, ast.Tuple) else [target]
+
+    def called(node):
+        return {getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = ".".join(scope)
+            if isinstance(child, ast.Try):
+                if set(scope) & set(BATCH_BODIES):
+                    caught.append(f"{where}:{child.lineno}")
+                if {"_replay", "_drawn"} & set().union(*map(called, child.body)):
+                    fallbacks.add(where)
+            if "_replay" in scope and "commit" not in scope and any(map(on_self, targets(child))):
+                changed.append(f"{where}:{child.lineno}")
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "_loop":
+                loops.add(where)
+            visit(child, scope)
+
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visit(tree, (path.name,))
+        drawers |= {f"{path.name}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and any(
+                        isinstance(f, ast.FunctionDef) and f.name == "draw_script"
+                        for f in node.body)}
+    assert not caught, caught
+    assert not changed, changed
+    assert fallbacks == {"learners.py.OnlineLearner._played",
+                         "nature.py.NatureStrategy.draw_script"}, fallbacks
+    assert loops == {"learners.py.OnlineLearner._played"}, loops
+    assert drawers == {"nature.py.NatureStrategy"}, drawers
 
 
 def test_package_import_loads_no_numpy():

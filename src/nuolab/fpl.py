@@ -189,9 +189,9 @@ class _PerturbedLeader(OnlineLearner):
         """(chosen index, its prediction, data kept for `_feed`)."""
         raise NotImplementedError
 
-    def _batchable(self, n: int) -> int:
-        # none while a round's choice is pending
-        return 0 if self._pending is not None else super()._batchable(n)
+    def _batchable(self, n: int) -> bool:
+        # not while a round's choice is pending
+        return self._pending is None and super()._batchable(n)
 
     def _absorb(self, x: Point, y: int, predicted: int) -> None:
         self._feed(x, y, self._pending[3])
@@ -253,17 +253,17 @@ class FplLearner(_PerturbedLeader):
         for expert in self.experts:
             expert.update(x, y)
 
-    def _batchable(self, n: int) -> int:
-        n = super()._batchable(n)   # none unless each perturbed-leader expert takes all n
-        return n if all(e._batchable(n) == n for e in self.experts
-                        if isinstance(e, _PerturbedLeader)) else 0
+    def _batchable(self, n: int) -> bool:
+        # not unless each perturbed-leader expert takes the batch
+        return super()._batchable(n) and all(e._batchable(n) for e in self.experts
+                                             if isinstance(e, _PerturbedLeader))
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> Callable[[], list[int]]:
         """Every expert's batch is readied first (`_on_copy` plays one that takes
-        none); the commit runs their commits in order, each drawing from its own
+        no batch); the commit runs their commits in order, each drawing from its own
         generator, then scores the (rounds x experts) losses at once."""
         T, before = len(ys), np.array(self.losses)[:, None]
-        readied = [e._replay(xs, ys) if e._batchable(T) == T else _on_copy(e, xs, ys)
+        readied = [e._replay(xs, ys) if e._batchable(T) else _on_copy(e, xs, ys)
                    for e in self.experts]
 
         def commit():
@@ -286,10 +286,16 @@ class FplLearner(_PerturbedLeader):
 
 def _on_copy(expert: OnlineLearner, xs, ys) -> Callable[[], bytes]:
     """The commit of an expert that takes no batch and draws nothing: the copy
-    that played its rounds, adopted; a prediction not in 0..255 raises first."""
+    that played its rounds, adopted attribute by attribute, as `_record_batch`
+    sets state; a prediction not in 0..255 raises first."""
     played = expert._copy()
     preds = bytes(played._played(xs, ys, len(ys)))
-    return lambda: vars(expert).update(vars(played)) or preds
+
+    def commit() -> bytes:
+        for name, value in vars(played).items():
+            setattr(expert, name, value)
+        return preds
+    return commit
 
 
 def _ranges(exact: int, t: int):
@@ -679,9 +685,9 @@ class ExpertPoolFpl(_PerturbedLeader):
                     step[s] = nxt
             cohort[mistaken] = step[sources]
 
-    def _batchable(self, n: int) -> int:
+    def _batchable(self, n: int) -> bool:
         # `_replay` covers a fresh pool whose keys have at most two rounds
-        return 0 if self.dim > 2 or len(self._ends) > 1 else super()._batchable(n)
+        return self.dim <= 2 and len(self._ends) <= 1 and super()._batchable(n)
 
     def __getattr__(self, name):
         # a replayed pool builds its per-expert arrays on their first read
@@ -816,6 +822,6 @@ class AgnosticFpl(FplLearner):
                 "the expert pools grow polynomially per round")
         return super().predict(x)
 
-    def _batchable(self, n: int) -> int:
-        cap = n if self.cap_rounds is None else max(0, self.cap_rounds + 1 - self.t)
-        return super()._batchable(min(n, cap))
+    def _batchable(self, n: int) -> bool:
+        cap = self.cap_rounds
+        return (cap is None or self.t + n - 1 <= cap) and super()._batchable(n)

@@ -62,9 +62,10 @@ class OnlineLearner:
     One failure rule holds for every batch: all in it that can raise runs
     before it changes anything. `_replay(xs, ys)` returns `commit`, which
     takes no argument, never raises, draws, changes the state and returns
-    the predictions. If `_replay` raises, `_played` plays its rounds by
-    `_loop` instead, so a batch's error and the state after it are the
-    loop's; a version-space engine may keep states interned past it.
+    the predictions. A batch is replayed whole or not at all: if `_replay`
+    raises, `_played` plays its rounds by `_loop` instead, so a batch's
+    error and the state after it are the loop's; a version-space engine may
+    keep states interned past it.
     """
 
     deterministic = True
@@ -81,10 +82,10 @@ class OnlineLearner:
         `update` each (with the one prediction), and return the predictions.
 
         Unequal lengths raise DomainError before any round is played. The
-        labels are checked once, up front. The first `_batchable` of
-        the well-labelled rounds are replayed in one batch (`_replay`), the
-        rest take `predict` then `_record` each, and the first bad label's
-        round is predicted and then raises, as `update` would there.
+        labels are checked once, up front. A batch is all or nothing: if
+        every label is good and the learner takes it (`_batchable`), it is
+        replayed whole (`_replay`); else `_loop` plays it, predicting the
+        first bad label's round and then raising, as `update` would there.
 
         A batch gives the loop's predictions, state, draws and errors (the
         class's failure rule). Only here are labels checked: a learner playing
@@ -94,21 +95,22 @@ class OnlineLearner:
         return self._played(xs, ys, labelled_prefix(ys))
 
     def _played(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
-        """`play`'s body for a batch with n checked labels: `_replay` takes the first
-        `_batchable(n)` rounds, `_loop` the rest, or all if `_replay` raises (the one fallback)."""
-        b = self._batchable(n)
-        if not b:
-            return self._loop(xs, ys, n)
-        try:
-            commit = self._replay(xs, ys) if b == len(ys) else self._replay(xs[:b], ys[:b])
-        except Exception:
-            return self._loop(xs, ys, n)
-        return commit() if b == len(ys) else commit() + self._loop(xs[b:], ys[b:], n - b)
+        """`play`'s body for a batch with n checked labels: `_replay` takes the whole
+        non-empty batch if all n are good and `_batchable(n)` holds, and `_loop` takes
+        it otherwise, or if `_replay` raises (the one fallback)."""
+        if n and n == len(ys) and self._batchable(n):
+            try:
+                commit = self._replay(xs, ys)
+            except Exception:
+                pass
+            else:
+                return commit()
+        return self._loop(xs, ys, n)
 
-    def _batchable(self, n: int) -> int:
-        """How many of the n well-labelled leading rounds `_replay` may
-        take: all, if the class defines `_replay`; a subclass may narrow it."""
-        return n if hasattr(self, "_replay") else 0
+    def _batchable(self, n: int) -> bool:
+        """Whether `_replay` may take a batch of n well-labelled rounds: yes,
+        if the class defines `_replay`; a subclass may refuse it."""
+        return hasattr(self, "_replay")
 
     def _loop(self, xs: Sequence[Point], ys: Sequence[int], n: int) -> list[int]:
         """Play the first n rounds one by one, each ending in `_record`'s
@@ -156,7 +158,8 @@ class OnlineLearner:
 
     def _record_batch(self, preds: list[int], mistakes: int, **state) -> list[int]:
         """A batch's usual commit: set `state`, then its mistakes and round steps."""
-        vars(self).update(state)
+        for name, value in state.items():
+            setattr(self, name, value)
         self.mistakes += mistakes
         self.t += len(preds)
         return preds
@@ -218,8 +221,8 @@ class SoaLearner(OnlineLearner):
         if self._should_restrict(predicted != y, self.t):
             self.sid = self._step(self.sid, x, y, self.t)
 
-    def _batchable(self, n: int) -> int:
-        return 0 if self.sid is None else super()._batchable(n)
+    def _batchable(self, n: int) -> bool:
+        return self.sid is not None and super()._batchable(n)
 
     def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> partial:
         """The round loop on locals. Predictions are memoized in a table of the

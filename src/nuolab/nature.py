@@ -28,13 +28,11 @@ class NatureStrategy:
 
     `oblivious` states a fact about the nature: its `next_point` and
     `reveal_label` read neither the prediction nor the trace, so the whole
-    script of points and labels is fixed before the game starts. For such
-    a nature `runner.run_game` draws the script in one `draw_script` call
-    and hands it to `learner.play` in one call, which gives the same game
-    as the round loop: the nature's draws come in the same order, and the
-    learner's replay makes the same random draws in the same order and
-    scores them with the same float operations. `draw_script` keeps the
-    learners' one failure rule (`learners.OnlineLearner`) for `_drawn`.
+    script of points and labels is fixed before the game starts. Such a
+    nature defines `_drawn(horizon)`, the next `horizon` rounds' (points,
+    labels) at once, in the round loop's draws and order; by the one
+    failure rule (`learners.OnlineLearner`), a `_drawn` that raises has
+    changed nothing, and `runner.run_game` plays the round loop instead.
     """
 
     oblivious = False
@@ -44,23 +42,6 @@ class NatureStrategy:
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         raise NotImplementedError
-
-    def draw_script(self, horizon: int) -> tuple[list, list, Optional[Exception]]:
-        """(points, labels, failure) of the next `horizon` >= 0 rounds: by `_drawn(horizon)`
-        if defined and it does not raise, else round by round, a failed draw ending them."""
-        if hasattr(self, "_drawn"):
-            try:
-                return (*self._drawn(horizon), None)
-            except Exception:
-                pass
-        xs, ys = [], []
-        try:
-            for _ in range(horizon):
-                xs.append(self.next_point(None))
-                ys.append(self.reveal_label(xs[-1], None, None))
-        except Exception as exc:
-            return xs, ys, exc
-        return xs, ys, None
 
 
 class RealizableScripted(NatureStrategy):
@@ -87,6 +68,16 @@ class RealizableScripted(NatureStrategy):
 
     def reveal_label(self, x: Point, predicted: int, trace=None) -> int:
         return self.hypothesis(x)
+
+    def _drawn(self, horizon: int) -> tuple[list, list]:
+        start, points = self.served, self.points
+        n = len(points)
+        if start + horizon > n and (not self.cycle or not n):   # the loop meets the exhaustion
+            raise ExhaustionError(f"scripted stream exhausted after {n} points")
+        xs = [points[i % n] for i in range(start, start + horizon)]
+        ys = list(map(self.hypothesis, xs))
+        self.served += horizon
+        return xs, ys
 
 
 class AgnosticScripted(NatureStrategy):

@@ -64,48 +64,42 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     """Exactly `horizon` rounds of observe/predict/reveal. Protocol errors
     surface with their round index; horizon 0 gives an empty trace.
 
-    Against a nature that watches the learner, every round runs through
-    `predict`, `reveal_label`, and `update`'s label check and round step
-    with the prediction already made (see `OnlineLearner`), so the round
-    is `update`'s without a second `predict`. An oblivious nature (see
-    `nature.NatureStrategy`) reads neither the prediction nor the trace, so
-    its script is drawn first, in one `draw_script` call, and the learner
-    plays it in one `learner.play` call. That is the same game: the
-    nature's draws come in the same order, and `play` gives the loop's
-    predictions, state and random draws (each learner's `_replay` says
-    how). Errors and the states after them match the loop's too, by one
-    rule on both sides (`OnlineLearner`): a batch or a drawn script that
-    raises has changed nothing, and the round loop plays its rounds. If
-    drawing fails at round r, the learner first plays rounds 1..r-1 (and
-    predicts round r when it was the label that failed).
+    Every round of the round loop runs through `predict`, `reveal_label`,
+    and `update`'s label check and round step with the prediction already
+    made (see `OnlineLearner`), so the round is `update`'s without a second
+    `predict`. An oblivious nature (see `nature.NatureStrategy`) reads
+    neither the prediction nor the trace, so its script is drawn first, in
+    one `_drawn` call, and the learner plays it in one `learner.play` call.
+    That is the same game: the nature's draws come in the same order, and
+    `play` gives the loop's predictions, state and random draws (each
+    learner's `_replay` says how). Errors and the states after them match
+    the loop's too, by one rule on both sides (`OnlineLearner`): a drawn
+    script that raises has changed nothing, and the round loop plays the
+    game from the untouched nature and learner, raising the error itself.
     """
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
-    if not strategy.oblivious:
-        trace = GameTrace()
-        for t in range(1, horizon + 1):
-            try:
-                x = strategy.next_point(trace)
-            except nature.ExhaustionError as exc:
-                raise nature.ExhaustionError(f"round {t}: {exc}") from exc
-            predicted = learner.predict(x)
-            y = strategy.reveal_label(x, predicted, trace)
-            learner._check_label(y)
-            learner._record(x, y, predicted)
-            trace.xs.append(x)
-            trace.ys.append(y)
-            trace.predicted.append(predicted)
-        return trace
-    # a failed draw is raised below, once the learner has caught up
-    xs, ys, failure = strategy.draw_script(horizon)
-    predicted = learner.play(xs[:len(ys)], ys)
-    if failure is not None:
-        if len(xs) > len(ys):
-            learner.predict(xs[-1])
-        elif isinstance(failure, nature.ExhaustionError):
-            raise nature.ExhaustionError(f"round {len(xs) + 1}: {failure}") from failure
-        raise failure
-    return GameTrace(xs, ys, predicted)
+    if strategy.oblivious and hasattr(strategy, "_drawn"):
+        try:
+            xs, ys = strategy._drawn(horizon)
+        except Exception:
+            pass    # the one fallback: the round loop meets the error
+        else:
+            return GameTrace(xs, ys, learner.play(xs, ys))
+    trace = GameTrace()
+    for t in range(1, horizon + 1):
+        try:
+            x = strategy.next_point(trace)
+        except nature.ExhaustionError as exc:
+            raise nature.ExhaustionError(f"round {t}: {exc}") from exc
+        predicted = learner.predict(x)
+        y = strategy.reveal_label(x, predicted, trace)
+        learner._check_label(y)
+        learner._record(x, y, predicted)
+        trace.xs.append(x)
+        trace.ys.append(y)
+        trace.predicted.append(predicted)
+    return trace
 
 
 # ---------------------------------------------------------------------------

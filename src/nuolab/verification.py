@@ -348,7 +348,7 @@ def check_hierarchical_regret_bound(trials: int = 500, horizons=(100, 200)) -> t
                   for n in (1, 2)]
         for label_mode in ("alternating", "coin"):
             def make_nature(seed: int) -> nature.AgnosticScripted:
-                ys = (nature.CoinFlip(seed).draw_script(horizon)[1] if label_mode == "coin"
+                ys = (nature.CoinFlip(seed)._drawn(horizon)[1] if label_mode == "coin"
                       else [t % 2 for t in range(1, horizon + 1)])
                 return nature.AgnosticScripted(xs, ys)
 

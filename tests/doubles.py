@@ -45,9 +45,8 @@ WIDE = DiscreteMeasure.uniform(tuple(range(10_000)))
 # D = 18 is not a power of two: a draw drops the 14 words of 5 bits from 18 up
 THIRDS = DiscreteMeasure(range(1, 7), ["1/3", "1/6", "1/6", "1/9", "1/9", "1/9"])
 
-# the oblivious natures by name, each made from a seed; every one but the
-# realizable scripts draws its script at once by `_drawn`, and those by the
-# base class's round loop
+# the oblivious natures by name, each made from a seed; every one draws its
+# script at once by `_drawn`
 OBLIVIOUS = {
     "realizable": lambda seed: RealizableScripted(TARGET, POINTS),
     "realizable-cycle": lambda seed: RealizableScripted(TARGET, POINTS, cycle=True),

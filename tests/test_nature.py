@@ -10,12 +10,12 @@ from nuolab.hypotheses import (DiscreteMeasure, DomainError, FiniteClass, Hypoth
                                constant_hypothesis, is_label, threshold_hypothesis)
 from nuolab.learners import ConstantLearner, OnlineLearner, ProtocolError, SoaLearner
 from nuolab.littlestone import ldim
-from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError, NatureStrategy,
+from nuolab.nature import (AgnosticScripted, CoinFlip, ExhaustionError,
                            RealizableScripted, StochasticIid, TreeAdversary,
                            WindowHalving, commit_adversary)
 
 from chi_square import chi_square_sf
-from doubles import MEASURE, OBLIVIOUS, RAISES_ON_5, TARGET
+from doubles import MEASURE, TARGET
 
 
 class TestScripted:
@@ -59,25 +59,6 @@ class TestStochasticIid:
         assert stream(3) != stream(4)
 
 
-@pytest.mark.parametrize("name, prefix, horizon, rounds, failure", [
-    ("realizable", 2, 9, 5, (ExhaustionError, "scripted stream exhausted after 7 points")),
-    ("realizable-cycle", 5, 16, 16, None),
-    ("realizable-cycle-empty", 0, 1, 0,
-     (ExhaustionError, "scripted stream exhausted after 0 points")),
-    ("agnostic", 3, 5, 4, (ExhaustionError, "scripted stream exhausted after 7 points")),
-    # the fifth point of the script, served after a prefix of one, is 5
-    ("realizable-raises", 1, 10, 3, (DomainError, "no label at 5")),
-], ids=lambda v: v if isinstance(v, str) else None)
-def test_draw_script_cases(name, prefix, horizon, rounds, failure):
-    # after a prefix drawn by the round loop: test_replay.py's table plays
-    # each of these natures against the loop
-    strategy = OBLIVIOUS[name](0)
-    NatureStrategy.draw_script(strategy, prefix)
-    xs, ys, got = strategy.draw_script(horizon)
-    assert (len(ys), got and (type(got), str(got))) == (rounds, failure)
-    assert len(xs) == rounds + (failure is not None and failure[0] is not ExhaustionError)
-
-
 @pytest.mark.parametrize("horizon, calls", [(0, 0), (5, 3), (7, 4), (8, 8), (9, 8), (30, 8)])
 def test_iid_script_label_calls(horizon, calls):
     # a support no larger than the horizon is labelled once a point before
@@ -85,22 +66,14 @@ def test_iid_script_label_calls(horizon, calls):
     # seed 3 draws 3 distinct points in 5 rounds and 4 in 7
     labelled = []
     counted = Hypothesis("counted", lambda x: labelled.append(x) or TARGET(x))
-    xs, ys, failure = StochasticIid(counted, MEASURE, 3).draw_script(horizon)
-    assert len(labelled) == calls and len(xs) == horizon and failure is None
-
-
-def test_iid_label_raises_mid_script():
-    # seed 0 draws 5, whose label raises, at a round after the first: the
-    # points up to it and the labels before it
-    xs, ys, failure = StochasticIid(RAISES_ON_5, MEASURE, 0).draw_script(60)
-    assert (type(failure), str(failure)) == (DomainError, "no label at 5")
-    assert len(xs) == len(ys) + 1 > 2 and xs[-1] == 5 and 5 not in xs[:-1]
+    xs, ys = StochasticIid(counted, MEASURE, 3)._drawn(horizon)
+    assert len(labelled) == calls and len(xs) == len(ys) == horizon
 
 
 @pytest.mark.parametrize("horizon", [0, 400])
 def test_coin_flip_script(horizon):
-    xs, ys, failure = CoinFlip(9, point="p").draw_script(horizon)
-    assert xs == ["p"] * horizon and len(ys) == horizon and failure is None
+    xs, ys = CoinFlip(9, point="p")._drawn(horizon)
+    assert xs == ["p"] * horizon and len(ys) == horizon
 
 
 class Words:

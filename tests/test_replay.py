@@ -2,7 +2,7 @@
 
 `ROWS` holds the learner makers of every class that defines `_replay`, and
 `TABLE` each test's check and the cases it plays, the oblivious natures'
-`draw_script` among them. `same_game` plays a case as `play` (through
+`_drawn` among them. `same_game` plays a case as `play` (through
 `run_game` against an oblivious nature), as `run_game`'s round loop, which
 checks each label, and by predict-then-`update`, and compares each batch's
 rounds or error and the learner's and the nature's state after it. One test
@@ -480,9 +480,9 @@ replays_alone, loop_alone = partial(one_path, replays=True), partial(one_path, r
 def prefixed(name, seed, prefix):
     """The oblivious nature `name`, its first `prefix` rounds drawn by hand
     until one raises: by the round loop, which every nature's own `_drawn`
-    replaces but a realizable script's, which draws by that loop alone."""
+    replaces."""
     strategy = OBLIVIOUS[name](seed)
-    assert hasattr(strategy, "_drawn") != isinstance(strategy, nature.RealizableScripted)
+    assert hasattr(strategy, "_drawn")
     with suppress(DomainError):
         for _ in range(prefix):
             strategy.reveal_label(strategy.next_point(), None)
@@ -1106,11 +1106,30 @@ def test_coin_script_is_the_label_loop(seed, horizon):
     # one wide draw gives the labels of `horizon` calls of `reveal_label`,
     # as ints, and leaves the generator where those calls leave it
     drawn, looped = nature.CoinFlip(seed, point="p"), nature.CoinFlip(seed, point="p")
-    xs, ys, failure = drawn.draw_script(horizon)
+    xs, ys = drawn._drawn(horizon)
     labels = [looped.reveal_label(looped.next_point(), 0) for _ in range(horizon)]
-    assert (xs, ys, failure) == (["p"] * horizon, labels, None)
+    assert (xs, ys) == (["p"] * horizon, labels)
     assert all(type(y) is int for y in ys)
     assert drawn.rng.getstate() == looped.rng.getstate()
+
+
+@pytest.mark.parametrize("name, seed, prefix, horizon", [
+    ("agnostic", 0, 0, 8), ("agnostic", 0, 3, 5), ("realizable", 0, 0, 8),
+    ("realizable", 0, 2, 6), ("realizable-cycle-empty", 0, 0, 1),
+    # the fifth point of the script is 5, whose label raises
+    ("realizable-raises", 0, 0, 5), ("realizable-raises", 0, 1, 4),
+    # seed 0 labels the support before its 60 draws, and seed 1 labels its two
+    # drawn points, the second of them 5, on a copied generator
+    ("iid-raises", 0, 0, 60), ("iid-raises", 1, 0, 2), ("iid-wide-raises", 5, 0, 400),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_failed_draw_changes_nothing(name, seed, prefix, horizon):
+    # the nature half of the one failure rule: a `_drawn` that raises leaves
+    # its nature as it found it, for `run_game`'s round loop to play
+    strategy = prefixed(name, seed, prefix)
+    before = snapshot(strategy)
+    with pytest.raises(DomainError):
+        strategy._drawn(horizon)
+    assert snapshot(strategy) == before
 
 
 @pytest.mark.parametrize("exact", [1, 2])

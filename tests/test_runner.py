@@ -48,6 +48,21 @@ class TestRunGame:
         with pytest.raises(learners.ProtocolError, match="round 2"):
             run_game(learner, strategy, 2)
 
+    def test_oblivious_nature_without_a_drawn_script_plays_the_loop(self):
+        # `run_game` draws a script only from a nature that defines `_drawn`,
+        # and plays any other round by round, handing it the trace so far
+        class Counting(nature.NatureStrategy):
+            oblivious = True
+
+            def next_point(self, trace=None):
+                return len(trace)
+
+            def reveal_label(self, x, predicted, trace=None):
+                return x % 2
+
+        trace = run_game(learners.ConstantLearner(0), Counting(), 4)
+        assert (trace.xs, trace.ys, trace.predicted) == ([0, 1, 2, 3], [0, 1, 0, 1], [0] * 4)
+
     def test_trace_self_consistency(self):
         strategy = nature.CoinFlip(seed=5)
         trace = run_game(learners.ConstantLearner(0), strategy, 50)

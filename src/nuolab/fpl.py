@@ -144,14 +144,13 @@ class _PerturbedLeader(OnlineLearner):
         super().__init__()
         self.rng = np.random.default_rng(_seed_sequence(seed))
         self._mass = 0.0
-        self._size = 0                  # experts registered
         self._pending = None    # (round, chosen index, prediction, subclass data)
 
     def _register(self, count: int, complexity: float) -> None:
-        """Charge `count` new experts of one complexity to the mass budget."""
+        """Charge `count` new experts of one complexity to the mass budget. It
+        counts none: a pool's size is where its last cohort ends."""
         self._mass += count * math.exp(-complexity)
         self._check_mass(self._mass, self.t)
-        self._size += count
 
     def _check_mass(self, mass: float, t: int) -> None:
         if not mass <= 1.0 + _MASS_SLACK:     # a NaN mass fails too
@@ -513,12 +512,12 @@ class ExpertPoolFpl(_PerturbedLeader):
     length of each expert whose key is shorter than `dim`. Once read, each
     is an array of exactly its size. The cohorts are recorded once:
     `_ends[b]` is where cohort b ends and `_ks[b]` is its experts'
-    complexity, so the pool has extended for round len(_ends) - 1, and an
-    expert's complexity is its cohort's. `pool_extend` appends a round's
-    cohort and grows `_growable` by `_grow`. Keys are not stored: the
-    growth rule fixes them, and `keys` rebuilds them. The cohort's
-    restricts intern new states to the ids that restricting expert by
-    expert would give (see `_feed`).
+    complexity, so the pool has extended for round len(_ends) - 1, its
+    size is `_ends[-1]`, and an expert's complexity is its cohort's.
+    `pool_extend` appends a round's cohort and grows `_growable` by
+    `_grow`. Keys are not stored: the growth rule fixes them, and `keys`
+    rebuilds them. The cohort's restricts intern new states to the ids
+    that restricting expert by expert would give (see `_feed`).
 
     Each round's leader comes from `_lazy_leaders`, which draws exactly for
     the cohorts below `_EXACT` and for newborns fewer than `_EXACT`, and
@@ -551,7 +550,7 @@ class ExpertPoolFpl(_PerturbedLeader):
 
     @property
     def pool_size(self) -> int:
-        return self._size
+        return int(self._ends[-1])
 
     @property
     def keys(self) -> list[tuple[int, ...]]:
@@ -571,7 +570,7 @@ class ExpertPoolFpl(_PerturbedLeader):
         t, ends = self.t, self._ends
         if len(ends) > t:
             return int(ends[t] - ends[t - 1])
-        start = self._size
+        start = int(ends[-1])
         count = len(self._growable)
         k_new = pool_complexity(self.dim, t)
         if count:
@@ -767,7 +766,7 @@ class ExpertPoolFpl(_PerturbedLeader):
                 engine.states = list(tables.states)
                 engine.index = dict(zip(engine.states, itertools.count()))
             plan.kept[0] = script
-            self._size, self._mass = int(plan.live[plan.passed]), plan.mass
+            self._mass = plan.mass
             # the per-expert arrays wait for their first read; the scorer
             # reads the cohorts' ends and complexities
             del self.state, self.losses

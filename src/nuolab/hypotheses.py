@@ -162,8 +162,9 @@ class FiniteClass:
             raise DomainError(f"point {x!r} not in class domain") from None
 
     def hypothesis(self, label: int | str) -> Hypothesis:
-        i = self.labels.index(label)
-        return row_hypothesis(self.domain, self.rows[i], hid=label)
+        if label not in self.labels:
+            raise DomainError(f"no hypothesis labelled {quoted(label)}")
+        return row_hypothesis(self.domain, self.rows[self.labels.index(label)], hid=label)
 
     # -- constructors --------------------------------------------------------
 

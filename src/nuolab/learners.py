@@ -191,6 +191,8 @@ class SoaLearner(OnlineLearner):
     `CapacityError` here.
     """
 
+    _frozen_from: Optional[int] = None     # the round from which none restricts, if known
+
     def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass, *,
                  always_restrict: bool = False, on_empty: str = "error"):
         super().__init__()
@@ -229,11 +231,13 @@ class SoaLearner(OnlineLearner):
         current state, keyed by the point, and begun afresh when the state
         moves: a version space only shrinks, so a state left is never met
         again. Steps are memoized by (state, point, label), each first taken
-        at the loop's round, so the engine interns the loop's states."""
+        at the loop's round, so the engine interns the loop's states. From
+        round `_frozen_from`, if the class sets it, no round restricts: each
+        point left is predicted once, and the remaining rounds read that table."""
         predict, should, step = self.engine.predict, self._should_restrict, self._step
         table, stepped, preds = {}, {}, []
-        sid, t, always = self.sid, self.t, self.always_restrict
-        for x, y in zip(xs, ys):
+        sid, t, always, frozen = self.sid, self.t, self.always_restrict, self._frozen_from
+        for x, y in zip(xs, ys) if frozen is None else zip(xs[:max(0, frozen - t)], ys):
             p = table.get(x)
             if p is None:
                 p = table[x] = predict(sid, x)
@@ -246,6 +250,10 @@ class SoaLearner(OnlineLearner):
                 if nxt != sid:
                     sid, table = nxt, {}
             t += 1
+        if frozen is not None:
+            tail = xs[len(preds):]
+            table = {x: predict(sid, x) for x in dict.fromkeys(tail)}
+            preds += map(table.__getitem__, tail)
         return partial(self._adopt, sid, preds, sum(map(ne, preds, ys)))
 
     def _adopt(self, sid: int, preds: list[int], mistakes: int) -> list[int]:
@@ -257,7 +265,8 @@ class SoaLearner(OnlineLearner):
 class ExpertLearner(SoaLearner):
     """Version-space learner that restricts only on mistaken rounds whose
     index lies in a fixed, strictly increasing key. The empty key never
-    updates and plays the root predictions forever."""
+    updates and plays the root predictions forever. Past the last key round
+    the state is frozen, and `_frozen_from` says so to `SoaLearner._replay`."""
 
     def __init__(self, cls: FiniteClass | FiniteSupportClass | SingletonClass,
                  key: Sequence[int], *, on_empty: str = "error"):
@@ -271,15 +280,9 @@ class ExpertLearner(SoaLearner):
     def _should_restrict(self, mistake: bool, t: int) -> bool:
         return mistake and t in self._keyset
 
-    def _replay(self, xs: Sequence[Point], ys: Sequence[int]) -> partial:
-        """`SoaLearner._replay` up to the last key round; past it the state
-        is frozen, so each distinct point is predicted once, in order of
-        first occurrence, and the rounds read that table."""
-        head = max(0, (self.key[-1] if self.key else 0) + 1 - self.t)
-        sid, preds, _ = super()._replay(xs[:head], ys[:head]).args
-        table = {x: self.engine.predict(sid, x) for x in dict.fromkeys(xs[head:])}
-        preds = preds + list(map(table.__getitem__, xs[head:]))
-        return partial(self._adopt, sid, preds, sum(map(ne, preds, ys)))
+    @property
+    def _frozen_from(self) -> int:
+        return (self.key[-1] if self.key else 0) + 1
 
 
 class FollowHypothesisLearner(SoaLearner):

@@ -26,16 +26,14 @@ class NatureStrategy:
     """One side of a game: `next_point` serves the round's point, and
     `reveal_label` the label once the learner has predicted.
 
-    `oblivious` states a fact about the nature: its `next_point` and
+    An oblivious nature says so by defining `_drawn`: its `next_point` and
     `reveal_label` read neither the prediction nor the trace, so the whole
-    script of points and labels is fixed before the game starts. Such a
-    nature defines `_drawn(horizon)`, the next `horizon` rounds' (points,
-    labels) at once, in the round loop's draws and order; by the one
-    failure rule (`learners.OnlineLearner`), a `_drawn` that raises has
-    changed nothing, and `runner.run_game` plays the round loop instead.
+    script of points and labels is fixed before the game starts, and
+    `_drawn(horizon)` gives the next `horizon` rounds' (points, labels) at
+    once, in the round loop's draws and order. By the one failure rule
+    (`learners.OnlineLearner`), a `_drawn` that raises has changed nothing,
+    and `runner.run_game` plays the round loop instead.
     """
-
-    oblivious = False
 
     def next_point(self, trace=None) -> Point:
         raise NotImplementedError
@@ -47,8 +45,6 @@ class NatureStrategy:
 class RealizableScripted(NatureStrategy):
     """A fixed ground-truth hypothesis and a fixed point sequence; labels
     are always h*(x). With cycle=True the point sequence repeats forever."""
-
-    oblivious = True
 
     def __init__(self, hypothesis: Hypothesis, points: Sequence[Point], *,
                  cycle: bool = False):
@@ -84,8 +80,6 @@ class AgnosticScripted(NatureStrategy):
     """Fixed point and label sequences with no realizability promise. The
     labels are served as given, so a bad one is the learner's to reject."""
 
-    oblivious = True
-
     def __init__(self, points: Sequence[Point], labels: Sequence[int]):
         if len(points) != len(labels):
             raise DomainError("points and labels differ in length")
@@ -114,8 +108,6 @@ class AgnosticScripted(NatureStrategy):
 class StochasticIid(NatureStrategy):
     """Points drawn iid from a discrete measure; labels from a fixed
     ground-truth hypothesis."""
-
-    oblivious = True
 
     def __init__(self, hypothesis: Hypothesis, measure: DiscreteMeasure,
                  seed: Optional[int] = None):
@@ -148,7 +140,6 @@ class CoinFlip(NatureStrategy):
     """A single fixed point; labels are independent fair bits from a
     dedicated stream, oblivious to the learner."""
 
-    oblivious = True
     _TOP_BIT = bytes(b >> 7 for b in range(256))     # each byte's top bit, by `translate`
 
     def __init__(self, seed: Optional[int] = None, point: Point = 0):

@@ -67,19 +67,19 @@ def run_game(learner, strategy: nature.NatureStrategy, horizon: int) -> GameTrac
     Every round of the round loop runs through `predict`, `reveal_label`,
     and `update`'s label check and round step with the prediction already
     made (see `OnlineLearner`), so the round is `update`'s without a second
-    `predict`. An oblivious nature (see `nature.NatureStrategy`) reads
-    neither the prediction nor the trace, so its script is drawn first, in
-    one `_drawn` call, and the learner plays it in one `learner.play` call.
-    That is the same game: the nature's draws come in the same order, and
-    `play` gives the loop's predictions, state and random draws (each
-    learner's `_replay` says how). Errors and the states after them match
-    the loop's too, by one rule on both sides (`OnlineLearner`): a drawn
-    script that raises has changed nothing, and the round loop plays the
-    game from the untouched nature and learner, raising the error itself.
+    `predict`. A nature that defines `_drawn` is oblivious (see
+    `nature.NatureStrategy`), so its script is drawn first, in one `_drawn`
+    call, and the learner plays it in one `learner.play` call. That is the
+    same game: the nature's draws come in the same order, and `play` gives
+    the loop's predictions, state and random draws (each learner's
+    `_replay` says how). Errors and the states after them match the loop's
+    too, by one rule on both sides (`OnlineLearner`): a drawn script that
+    raises has changed nothing, and the round loop plays the game from the
+    untouched nature and learner, raising the error itself.
     """
     if horizon < 0:
         raise DomainError("horizon must be >= 0")
-    if strategy.oblivious and hasattr(strategy, "_drawn"):
+    if getattr(strategy, "_drawn", None) is not None:
         try:
             xs, ys = strategy._drawn(horizon)
         except Exception:
@@ -140,12 +140,14 @@ def best_rival_mistakes(comparison, trace: GameTrace) -> int:
     point's rounds labelled 1 if v != 1 and on those labelled 0 if v != 0:
     `h(x) != y` for any v. Counting per distinct point pays when points
     repeat, as in coin-flip and cycled-point games. A label other than 0 or
-    1 raises."""
+    1 raises, as do columns of unequal lengths."""
     def wrong(v, n: int, n_ones: int) -> int:     # the rounds on which v errs
         return (n_ones if v != 1 else 0) + (n - n_ones if v != 0 else 0)
 
     if not all_labels(trace.ys):
         raise DomainError("trace labels must be 0 or 1")
+    if len(trace.xs) != len(trace.ys):
+        raise DomainError("trace points and labels differ in length")
     seen, ones = Counter(trace.xs), Counter(compress(trace.xs, trace.ys))
     table = comparison_values(comparison, list(seen))
     counts, n_ones = seen.values(), list(map(ones.__getitem__, seen))

@@ -33,12 +33,15 @@ def executable_lines(path: Path) -> set[int]:
 def listed_lines(text: str) -> dict[tuple[str, int], tuple[str, str]]:
     """`tests/unreached.txt` read as {(file, line): (its text, the reason)}:
     one entry per line, `file:line | text | reason`; blank lines and lines
-    starting with # are skipped."""
+    starting with # are skipped. A `file:line` listed twice raises
+    ValueError, for the second entry would hide the first."""
     entries = {}
     for row in text.splitlines():
         if row.strip() and not row.startswith("#"):
             place, code, reason = (part.strip() for part in row.split(" | ", 2))
             name, line = place.rsplit(":", 1)
+            if (name, int(line)) in entries:
+                raise ValueError(f"{place} is listed twice")
             entries[name, int(line)] = code, reason
     return entries
 

@@ -168,6 +168,13 @@ class TestFiniteClass:
         with pytest.raises(DomainError):
             FiniteClass(("a",), [[2]])
 
+    def test_hypothesis_by_label(self):
+        cls = FiniteClass((1, 2), [[0, 1], [1, 0]], labels=["up", "down"])
+        assert list(map(cls.hypothesis("down"), (1, 2))) == [1, 0]
+        # an unknown label is refused by name, not by `tuple.index`'s ValueError
+        with pytest.raises(DomainError, match="^no hypothesis labelled 7$"):
+            FiniteClass((1, 2), [[0, 1], [1, 0]]).hypothesis(7)
+
     def test_rejects_fractional_value_before_converting(self):
         with pytest.raises(DomainError, match=r"row values must be 0/1: \(1.7,\)"):
             FiniteClass(("a",), [[1.7]])

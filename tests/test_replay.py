@@ -76,8 +76,9 @@ def frozen(cls, **kwargs):
     return partial(SoaLearner, cls, on_empty="freeze", **kwargs)
 
 
-# a row per class that defines `_replay` (test_source_rules.py keeps it so),
-# and one for the learners with none, whose `play` is the base round loop
+# a row per class that defines `_replay` (test_source_rules.py keeps it so) or
+# `_frozen_from`, and one for the learners with none, whose `play` is the base
+# round loop
 ROWS = {
     OnlineLearner: {"natural-threshold": NaturalThresholdLearner,
                     "truncated-threshold": TruncatedThresholdSoa, "last-label": LastLabel},
@@ -207,7 +208,8 @@ def played(way, case):
             if case.pending and i == 1 and way != "run_game":
                 learner.predict(make_nature().next_point())
             strategy = make_nature()
-            strategy.oblivious = mode == "play"     # else `run_game` plays round by round
+            if mode != "play":      # `run_game` plays round by round a nature with no `_drawn`
+                strategy._drawn = None
             try:
                 if mode == "update":
                     got = ("rounds", by_hand(learner, strategy, horizon))
@@ -291,10 +293,10 @@ def one_path(case, replays):
 def snapshot(learner) -> dict:
     """Everything observable about a learner's state, its experts' and its
     random generators' included; or a nature's attributes, a `random.Random`
-    by its state, but the `oblivious` switch that `played` sets."""
+    by its state, but the `_drawn` that `played` hides."""
     if isinstance(learner, nature.NatureStrategy):
         return {k: v.getstate() if isinstance(v, random.Random) else v
-                for k, v in vars(learner).items() if k != "oblivious"}
+                for k, v in vars(learner).items() if k != "_drawn"}
     out = {k: v for k, v in vars(learner).items() if type(v) in (int, float, bool, str)}
     out["type"] = type(learner).__name__
     if isinstance(learner, (ExpertPoolFpl, FplLearner)):
@@ -642,7 +644,8 @@ TABLE = {   # test name: its check, and its cases, fixed (a list) or drawn, by i
     "test_replay_charges_mass_as_the_loop": (same_game, {
         # the replay charges its cohorts in one pass, with the loop's float
         # operations in the loop's order: the snapshots hold the mass
-        str(dim): [game(pool(name, 34), COIN, pin=lambda p, d=dim: p._size == pool_size(d, 200))]
+        str(dim): [game(pool(name, 34), COIN,
+                        pin=lambda p, d=dim: p.pool_size == pool_size(d, 200))]
         for dim, name in POOL_DIMS.items()}),
     "test_replay_mass_overflow_names_the_loop_round": (same_game, [game(
         # with complexity 1 for every key, the root and the cohorts of rounds
@@ -801,7 +804,7 @@ def test_fallbacks_only_where_the_loop_raises():
 def checked_loop(learner, xs, ys):
     """`run_game`'s round loop, which checks each label as its round comes."""
     strategy = nature.AgnosticScripted(xs, ys)
-    strategy.oblivious = False
+    strategy._drawn = None
     return runner.run_game(learner, strategy, len(ys)).predicted
 
 
@@ -1399,17 +1402,20 @@ def test_labelled_prefix_matches_label_scan(ys):
 
 @pytest.mark.parametrize("key, head", [((), 0), ((2, 15), 15), ((70,), 60)])
 def test_frozen_expert_reads_a_table(key, head, monkeypatch):
-    # only the rounds up to the last key round take the version-space
-    # replay; past it every round reads one prediction per distinct point
-    given_rounds, replay = [], SoaLearner._replay
+    # the replay asks whether to restrict only up to the last key round in
+    # the game, `head`; past it every round reads one prediction per
+    # distinct point
+    case = game(expert("thresholds", key=key), cycle(60))
+    same_game(case)
+    asked, should = [], ExpertLearner._should_restrict
 
-    def counted(self, xs, ys):
-        given_rounds.append(len(ys))
-        return replay(self, xs, ys)
+    def counted(self, mistake, t):
+        asked.append(t)
+        return should(self, mistake, t)
 
-    monkeypatch.setattr(SoaLearner, "_replay", counted)
-    same_game(game(expert("thresholds", key=key), cycle(60)))
-    assert given_rounds == [head]
+    monkeypatch.setattr(ExpertLearner, "_should_restrict", counted)
+    played("play", case)
+    assert all(t <= head for t in asked), asked
 
 
 @pytest.mark.parametrize("make", [

@@ -48,12 +48,10 @@ class TestRunGame:
         with pytest.raises(learners.ProtocolError, match="round 2"):
             run_game(learner, strategy, 2)
 
-    def test_oblivious_nature_without_a_drawn_script_plays_the_loop(self):
+    def test_nature_without_a_drawn_script_plays_the_loop(self):
         # `run_game` draws a script only from a nature that defines `_drawn`,
         # and plays any other round by round, handing it the trace so far
         class Counting(nature.NatureStrategy):
-            oblivious = True
-
             def next_point(self, trace=None):
                 return len(trace)
 
@@ -250,6 +248,16 @@ class TestRegret:
         trace = GameTrace([0, 0, 0], [1, label, 0], [0, 0, 0])
         with pytest.raises(DomainError, match="^trace labels must be 0 or 1$"):
             best_rival_mistakes(TWO_CLASS, trace)
+
+    def test_trace_columns_of_unequal_lengths(self):
+        # counted per point, the three points would meet one label: rival 1
+        # and regret -1, where the CSV's rival column, round by round, says 0
+        trace = GameTrace([1, 1, 1], [1], [1])
+        comparison = FiniteClass((1,), [[0], [1]])
+        for measure in (lambda: best_rival_mistakes(comparison, trace),
+                        lambda: regret(trace, comparison)):
+            with pytest.raises(DomainError, match="^trace points and labels differ in length$"):
+                measure()
 
     def test_threshold_behaviors_materialization(self):
         points = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]

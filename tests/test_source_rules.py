@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nuolab
 
 SOURCES = sorted(Path(nuolab.__file__).parent.glob("*.py"))
@@ -425,24 +427,6 @@ def test_one_failure_rule():
     assert not drawers, drawers
 
 
-def test_oblivious_natures_draw_whole_scripts():
-    # `run_game` draws an oblivious nature's script by its `_drawn` and
-    # plays a nature without one round by round, so every `nature.py` class
-    # that says it is oblivious defines one, or its games lose their batch
-    path = next(path for path in SOURCES if path.name == "nature.py")
-    oblivious, drawing = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ClassDef):
-            for f in node.body:
-                if (isinstance(f, ast.Assign) and isinstance(f.value, ast.Constant)
-                        and f.value.value is True
-                        and any(getattr(t, "id", None) == "oblivious" for t in f.targets)):
-                    oblivious.add(node.name)
-                if isinstance(f, ast.FunctionDef) and f.name == "_drawn":
-                    drawing.add(node.name)
-    assert len(oblivious) >= 4 and oblivious <= drawing, oblivious - drawing
-
-
 def test_one_dict_read():
     # under Python 3.11 an instance whose dict `vars` has read reads its
     # attributes slower from then on, so state is set attribute by
@@ -576,6 +560,18 @@ def test_unreached_lines_are_current():
              or line not in linemap.executable_lines(sources[name])
              or sources[name].read_text().splitlines()[line - 1].strip() != code]
     assert not stale, stale
+
+
+def test_unreached_lines_are_listed_once():
+    # two entries naming one line would collapse into one, so that a line
+    # which moved onto another listed one would leave no stale entry
+    import linemap
+
+    row = "nature.py:41 | raise NotImplementedError | abstract method"
+    assert linemap.listed_lines(row) == {("nature.py", 41): ("raise NotImplementedError",
+                                                             "abstract method")}
+    with pytest.raises(ValueError, match="^nature.py:41 is listed twice$"):
+        linemap.listed_lines(f"{row}\n# a comment\n{row}")
 
 
 def test_one_round_step():
